@@ -1,9 +1,9 @@
 package idebench
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
-// progressive engine's chunk size (snapshot/cancellation granularity vs.
-// scan throughput), the online engine's tuple overhead calibration, the
-// exactdb worker count, and map-based group-by cost across bin counts.
+// Ablation benchmarks for four design choices: the progressive engine's
+// chunk size (snapshot/cancellation granularity vs. scan throughput), the
+// online engine's tuple overhead calibration, the exactdb worker count, and
+// map-based group-by cost across bin counts.
 
 import (
 	"fmt"

@@ -226,9 +226,8 @@ func BenchmarkTable1DetailedReport(b *testing.B) {
 }
 
 // --- ablation micro-benchmarks ----------------------------------------------
-// These quantify the design choices DESIGN.md calls out: the columnar scan
-// kernel, the copula scaler's tuple generation rate, and workload
-// generation.
+// These quantify three design choices: the columnar scan kernel, the copula
+// scaler's tuple generation rate, and workload generation.
 
 // BenchmarkScanKernel measures the shared group-by scan kernel all engines
 // are built on (rows/op via custom metric).

@@ -211,7 +211,7 @@ Commands:
   probe        run one COUNT against a server and assert its coverage outcome (CI primitive)
   load         drive a server with open-loop load (poisson/bursty/ramp arrivals, CI gates)
   inspect      verify and summarize a durable data directory (checkpoints + WAL)
-  exp          regenerate a paper experiment (fig5, fig6a..fig6f, exp4, exp5, prep, table1, users, ingest, overload, shards, all)
+  exp          regenerate a paper experiment or serving-tier sweep (-name fig5, users, ..., all; see exp -h)
   view         inspect generated workflows (text or Graphviz DOT)
   analyze      re-aggregate a saved detailed report (summary + factor analysis)
 `)
@@ -400,15 +400,8 @@ func cmdRun(args []string) error {
 	if harness != nil {
 		fmt.Println()
 		ingRows := report.SummarizeIngest(recs)
-		wallByGroup := map[string]float64{}
-		for _, u := range report.SummarizeUsers(recs) {
-			wallByGroup[fmt.Sprintf("%s/%d", u.Driver, u.Users)] = u.WallClockMS
-		}
 		for i := range ingRows {
-			ingRows[i].IngestedRows = harness.IngestedRows()
-			if wall := wallByGroup[fmt.Sprintf("%s/%d", ingRows[i].Driver, ingRows[i].Users)]; wall > 0 {
-				ingRows[i].IngestRowsPerSec = float64(harness.IngestedRows()) / (wall / 1000)
-			}
+			ingRows[i].SetIngested(harness.IngestedRows())
 		}
 		if err := report.RenderIngestSweep(os.Stdout, ingRows); err != nil {
 			return err
@@ -1498,8 +1491,12 @@ func cmdView(args []string) error {
 }
 
 func cmdExp(args []string) error {
+	names := make([]string, len(experiments.Experiments))
+	for i, e := range experiments.Experiments {
+		names[i] = e.Name
+	}
 	fs := flag.NewFlagSet("exp", flag.ExitOnError)
-	name := fs.String("name", "fig5", "experiment: fig5, fig6a, fig6b, fig6c, fig6d, fig6e, fig6f, exp4, exp5, prep, table1, users, ingest, overload, shards, elastic, all")
+	name := fs.String("name", "fig5", "experiment: "+strings.Join(names, ", ")+", all")
 	rows := fs.Int("rows", core.SizeM, "dataset size (tuples)")
 	count := fs.Int("workflows", 10, "workflows per type")
 	interactions := fs.Int("interactions", 18, "interactions per workflow")
@@ -1527,58 +1524,20 @@ func cmdExp(args []string) error {
 		cfg.TRs = []time.Duration{2 * time.Millisecond, 12 * time.Millisecond, 40 * time.Millisecond}
 	}
 
-	run := func(n string) error {
+	ran := false
+	for _, e := range experiments.Experiments {
+		if *name != "all" && *name != e.Name {
+			continue
+		}
+		ran = true
 		start := time.Now()
-		var err error
-		switch n {
-		case "fig5":
-			_, err = experiments.Fig5(cfg)
-		case "fig6a":
-			_, err = experiments.Fig6a(cfg)
-		case "fig6b":
-			_, err = experiments.Fig6b(cfg)
-		case "fig6c":
-			_, err = experiments.Fig6c(cfg)
-		case "fig6d":
-			_, err = experiments.Fig6d(cfg)
-		case "fig6e":
-			_, err = experiments.Fig6e(cfg)
-		case "fig6f":
-			_, err = experiments.Fig6f(cfg)
-		case "exp4":
-			_, err = experiments.Exp4(cfg)
-		case "exp5":
-			_, err = experiments.Exp5(cfg)
-		case "prep":
-			_, err = experiments.Prep(cfg)
-		case "table1":
-			_, err = experiments.Table1(cfg)
-		case "users":
-			_, err = experiments.UserSweep(cfg)
-		case "ingest":
-			_, err = experiments.IngestSweep(cfg)
-		case "overload":
-			_, err = experiments.OverloadSweep(cfg)
-		case "shards":
-			_, err = experiments.ShardSweep(cfg)
-		case "elastic":
-			_, err = experiments.ElasticSweep(cfg)
-		default:
-			return fmt.Errorf("unknown experiment %q", n)
+		if err := e.Run(cfg); err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
 		}
-		if err == nil {
-			fmt.Printf("[%s done in %v]\n\n", n, time.Since(start).Round(time.Millisecond))
-		}
-		return err
+		fmt.Printf("[%s done in %v]\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
-
-	if *name == "all" {
-		for _, n := range []string{"prep", "fig5", "fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f", "exp4", "exp5", "table1", "users", "ingest", "overload", "shards", "elastic"} {
-			if err := run(n); err != nil {
-				return fmt.Errorf("%s: %w", n, err)
-			}
-		}
-		return nil
+	if !ran {
+		return fmt.Errorf("unknown experiment %q (known: %s, all)", *name, strings.Join(names, ", "))
 	}
-	return run(*name)
+	return nil
 }

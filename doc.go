@@ -80,7 +80,7 @@
 // to all live sessions, `idebench run -ingest-every N` replays ingest-aware
 // workloads in-process or over the wire, and `idebench exp -name ingest`
 // sweeps 1/2/4/8 users with live appends, gating on quiesced results being
-// bitwise-identical to a cold prepare over the final table (BENCH_5.json).
+// bitwise-identical to a cold prepare over the final table.
 //
 // # Network serving
 //
@@ -130,7 +130,8 @@
 // shared-scan consumers and bitwise-correct quiesced results. `idebench exp
 // -name overload` sweeps a Poisson rate ladder through the shedding knee
 // and reports p99/p99.9 admitted latency plus rejection and violation rates
-// per rate (BENCH_6.json).
+// per rate, gating on the knee appearing, a bounded admitted p99 past it and
+// zero leaked scan consumers.
 //
 // # Scatter-gather sharding
 //
@@ -162,7 +163,7 @@
 // order-invariance and merged-vs-single-node bitwise equality, the
 // 4-process e2e replays 8 ingest-aware users against a real
 // 3-shard+coordinator tier, and `idebench exp -name shards` sweeps
-// coordinator-over-N vs single-node (BENCH_8.json).
+// coordinator-over-N vs single-node.
 //
 // # Elasticity: replicas, failover, degraded coverage
 //
@@ -193,7 +194,7 @@
 // one struct resolving all optional interfaces in a single pass. The elastic
 // wall kills a primary mid-replay, then a whole partition, then rebalances
 // replacements in and requires bitwise-identical recovery; `idebench exp
-// -name elastic` sweeps availability vs dead replicas (BENCH_9.json).
+// -name elastic` sweeps availability vs dead replicas.
 //
 // # Durable state
 //
@@ -225,16 +226,15 @@
 // reports the recovery provenance, `idebench inspect -data-dir` verifies a
 // directory offline, the crash wall (internal/durable fault-injection tests
 // plus the kill -9 e2e in cmd/idebench) proves acked batches survive real
-// SIGKILL, and cmd/benchrun's restart benchmark gates warm boot beating
-// cold prepare (BENCH_7.json).
+// SIGKILL, and `idebench exp -name restart` gates warm boot beating cold
+// prepare.
 //
 // # Continuous integration
 //
 // CI (.github/workflows/ci.yml) fans out into parallel jobs: lint
 // (gofmt/vet/staticcheck), the race-enabled test suite on a Go 1.23/1.24
-// matrix, fuzz smokes over the wire formats, benchmark smokes plus the
-// cmd/benchrun -compare regression guard (which uploads the fresh BENCH
-// json as an artifact), and an end-to-end job that boots `idebench serve`,
+// matrix, fuzz smokes over the wire formats, benchmark smokes plus a tiny
+// pass of the repository benchmark, and an end-to-end job that boots `idebench serve`,
 // replays an 8-user workflow set through the WebSocket client, and requires
 // streamed intermediates, finals, zero TR violations and a clean SIGTERM
 // drain. The overload e2e job serves with tight admission caps, ramps the
@@ -254,23 +254,17 @@
 // refused), rebalance replacements in (probe full again) — against a
 // 2-partition, 2-replica tier.
 //
-// Per-PR performance numbers are recorded as machine-readable JSON at the
-// repo root (BENCH_<n>.json) by cmd/benchrun; BENCH_3.json records the
-// 1→8-user scalability sweep, BENCH_5.json adds the live-ingestion
-// sweep (ingest throughput, deadline-violation rate and staleness at
-// 1/2/4/8 users, plus the bitwise quiesce gate), and BENCH_6.json adds the
-// overload sweep (admitted latency tails, rejection/shed/violation rates
-// and the shedding knee across the offered-load ladder, gated on bounded
-// p99 past the knee and zero leaked scan consumers), and BENCH_7.json adds
-// the warm-restart benchmark (cold datagen+prepare vs checkpoint load +
-// reordered prepare + WAL replay, gated on the warm boot winning and on
-// bitwise-correct recovered results), and BENCH_8.json adds the
-// scatter-gather scaling sweep (single-node vs coordinator-over-N-shards
-// under the ingest-aware multi-user replay, every point gated on the
-// quiesced merged results being bitwise-identical to a cold exact scan of
-// the final table), and BENCH_9.json adds the availability ladder (the
-// same replay against a replicated coordinator with nothing dead, one
-// replica dead, and one whole partition dead — full-coverage points gated
-// quiesce-bitwise, the dead-partition point honestly degraded with its
-// population fraction).
+// # Benchmark and sweeps
+//
+// Performance claims go through the repository benchmark: `bash
+// bench/run.sh` builds and runs the harness in bench/ (its own module) over
+// the four workloads and named metrics BENCHMARK.json declares. The
+// multi-user, ingest, overload, shard, elastic and restart sweeps run as
+// `idebench exp -name …` (experiments.Experiments is the index); the four
+// replay sweeps are tables of topologies × user counts over one harness
+// (internal/experiments/replay.go) and return one row type, and every sweep
+// returns an error — so the command exits non-zero — when one of its
+// correctness gates fails. BENCH_2.json … BENCH_9.json at the repo root are
+// a frozen historical record, written by a tool that has since been removed;
+// nothing reads or regenerates them.
 package idebench

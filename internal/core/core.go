@@ -1,6 +1,6 @@
 // Package core is the top-level façade of IDEBench-Go: benchmark settings
 // with the paper's default configurations (scaled to laptop size — see
-// DESIGN.md), the engine registry, dataset construction, and one-call
+// TimeScale), the engine registry, dataset construction, and one-call
 // prepare/run helpers tying datagen, workflows, engines, driver and
 // reporting together.
 package core
@@ -28,7 +28,7 @@ import (
 // setup: the paper runs 100M–1B rows with 0.5–10s time requirements on a
 // 20-core server; we default to 250k–1M rows with 2–40ms TRs on one core.
 // Both axes shrink by the same ~250×, preserving the relative behaviour of
-// the engines (who violates TRs, who converges — see EXPERIMENTS.md).
+// the engines (who violates TRs, who converges).
 const TimeScale = 250
 
 // Default dataset sizes (paper: S=100M, M=500M, L=1B tuples).

@@ -16,7 +16,7 @@ import (
 // through each attribute's empirical inverse CDF back to the data domain.
 //
 // Deviations from the paper's one-paragraph sketch, for numerical
-// robustness (documented in DESIGN.md):
+// robustness:
 //
 //   - the covariance is computed on normal scores (rank-transformed sample)
 //     rather than raw values, i.e. a Gaussian copula fit, which is

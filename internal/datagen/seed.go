@@ -1,10 +1,10 @@
 // Package datagen implements the benchmark's data generation pipeline
 // (paper Sec. 4.2): a synthetic seed generator reproducing the U.S. domestic
 // flights dataset's schema and distribution shapes (the real BTS data is not
-// redistributable — see DESIGN.md substitutions), a copula-based scaler that
-// grows any seed table to an arbitrary size while preserving marginal
-// distributions and cross-attribute correlation, and a normalizer that
-// splits the de-normalized table into a star schema.
+// redistributable), a copula-based scaler that grows any seed table to an
+// arbitrary size while preserving marginal distributions and
+// cross-attribute correlation, and a normalizer that splits the
+// de-normalized table into a star schema.
 package datagen
 
 import (

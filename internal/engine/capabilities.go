@@ -28,8 +28,6 @@ type Capabilities struct {
 	// ReorderedPreparer adopts already-reordered storage (warm restart,
 	// rebalance target).
 	ReorderedPreparer ReorderedPreparer
-	// ShardObserver reports per-shard watermarks (coordinator engines).
-	ShardObserver ShardObserver
 	// TopologyObserver reports replica-set topology and health
 	// (replicated coordinator engines).
 	TopologyObserver TopologyObserver
@@ -65,9 +63,6 @@ func CapabilitiesOf(e Engine) Capabilities {
 	}
 	if v, ok := e.(ReorderedPreparer); ok {
 		c.ReorderedPreparer = v
-	}
-	if v, ok := e.(ShardObserver); ok {
-		c.ShardObserver = v
 	}
 	if v, ok := e.(TopologyObserver); ok {
 		c.TopologyObserver = v
@@ -114,6 +109,11 @@ type PartitionTopology struct {
 	// Replicas in failover-preference order; Replicas[0] is the preferred
 	// (primary) serving replica.
 	Replicas []ReplicaTopology `json:"replicas"`
+	// Watermark is the partition's confirmed watermark — the best over its
+	// non-quarantined replicas — translated onto the coordinator's global
+	// row axis. The min over partitions is the bound every merged
+	// snapshot's Watermark obeys.
+	Watermark int64 `json:"watermark"`
 }
 
 // ReplicaTopology is one replica's observed state.

@@ -195,15 +195,6 @@ type ReorderedPreparer interface {
 	PrepareReordered(db *dataset.Database, perm []uint32, opts Options) error
 }
 
-// ShardObserver is the optional scatter-gather observability capability:
-// coordinator engines report the confirmed watermark of each shard they
-// serve over, translated onto the coordinator's global row axis and indexed
-// by shard ID. The serving layer surfaces them (and their min — the bound
-// every merged snapshot's Watermark obeys) on /healthz.
-type ShardObserver interface {
-	ShardWatermarks() []int64
-}
-
 // PartialSnapshotter is the optional scatter-gather capability on a query
 // handle: it exposes the query's raw accumulator state (a Partial) instead
 // of a rendered estimate, so a coordinator can merge fragments from many

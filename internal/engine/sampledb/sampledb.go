@@ -23,7 +23,7 @@ type Config struct {
 	// SampleRate is the fraction of fact rows materialized into the offline
 	// stratified sample (paper: "We used a sample size of 1% of the data
 	// size"; our scaled default is 10% because the absolute scale is ~250×
-	// smaller — see DESIGN.md). Default 0.10.
+	// smaller). Default 0.10.
 	SampleRate float64
 	// StrataColumn is the nominal column defining strata. Every stratum is
 	// guaranteed at least one sampled row, which is what keeps rare groups

@@ -321,7 +321,6 @@ func CapabilitiesAgree(t *testing.T, e engine.Engine) {
 	_, hasScanObserver := e.(engine.ScanObserver)
 	_, hasViewSnapshotter := e.(engine.ViewSnapshotter)
 	_, hasReorderedPreparer := e.(engine.ReorderedPreparer)
-	_, hasShardObserver := e.(engine.ShardObserver)
 	_, hasTopologyObserver := e.(engine.TopologyObserver)
 	_, hasPartialSnapshotter := e.(engine.PartialSnapshotter)
 	checks := []struct {
@@ -336,7 +335,6 @@ func CapabilitiesAgree(t *testing.T, e engine.Engine) {
 		{"ScanObserver", caps.ScanObserver, caps.ScanObserver != nil, hasScanObserver},
 		{"ViewSnapshotter", caps.ViewSnapshotter, caps.ViewSnapshotter != nil, hasViewSnapshotter},
 		{"ReorderedPreparer", caps.ReorderedPreparer, caps.ReorderedPreparer != nil, hasReorderedPreparer},
-		{"ShardObserver", caps.ShardObserver, caps.ShardObserver != nil, hasShardObserver},
 		{"TopologyObserver", caps.TopologyObserver, caps.TopologyObserver != nil, hasTopologyObserver},
 		{"PartialSnapshotter", caps.PartialSnapshotter, caps.PartialSnapshotter != nil, hasPartialSnapshotter},
 	}

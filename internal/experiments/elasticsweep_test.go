@@ -23,11 +23,11 @@ func TestElasticSweepLadder(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want all_up + replica_dead + partition_dead", len(rows))
 	}
-	byName := map[string]ElasticRow{}
+	byName := map[string]ReplayRow{}
 	for _, r := range rows {
-		byName[r.Scenario] = r
+		byName[r.Topology] = r
 		if r.Queries == 0 {
-			t.Fatalf("%s: replay answered no queries: %+v", r.Scenario, r)
+			t.Fatalf("%s: replay answered no queries: %+v", r.Topology, r)
 		}
 	}
 	for _, name := range []string{"all_up", "replica_dead"} {

@@ -1,9 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section (Sec. 5) on the scaled-down substrate: Fig. 5 (summary
 // report), Fig. 6a–f, the Exp.-4 factor analysis, the Exp.-5 System-Y
-// comparison, the data preparation times and the Table-1 detailed report.
-// See DESIGN.md for the experiment index and EXPERIMENTS.md for
-// paper-vs-measured results.
+// comparison, the data preparation times and the Table-1 detailed report —
+// plus the serving-tier sweeps grown on top of it (users, ingest, overload,
+// shards, elastic, restart). Experiments is the index.
 package experiments
 
 import (
@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"idebench/internal/core"
-	"idebench/internal/dataset"
 	"idebench/internal/driver"
 	"idebench/internal/report"
 	"idebench/internal/workflow"
@@ -68,6 +67,44 @@ func (c Config) withDefaults() Config {
 		c.Out = io.Discard
 	}
 	return c
+}
+
+// Experiment is one named entry of `idebench exp`. Run prints the
+// experiment's report to Config.Out and returns an error when the experiment
+// could not run or one of its correctness gates failed.
+type Experiment struct {
+	Name string
+	Run  func(Config) error
+}
+
+// Experiments lists every experiment, in the order `exp -name all` runs
+// them.
+var Experiments = []Experiment{
+	{"prep", discard(Prep)},
+	{"fig5", discard(Fig5)},
+	{"fig6a", discard(Fig6a)},
+	{"fig6b", discard(Fig6b)},
+	{"fig6c", discard(Fig6c)},
+	{"fig6d", discard(Fig6d)},
+	{"fig6e", discard(Fig6e)},
+	{"fig6f", discard(Fig6f)},
+	{"exp4", discard(Exp4)},
+	{"exp5", discard(Exp5)},
+	{"table1", discard(Table1)},
+	{"users", discard(UserSweep)},
+	{"ingest", discard(IngestSweep)},
+	{"overload", discard(OverloadSweep)},
+	{"shards", discard(ShardSweep)},
+	{"elastic", discard(ElasticSweep)},
+	{"restart", discard(Restart)},
+}
+
+// discard adapts an experiment that also returns its rows to Experiment.Run.
+func discard[T any](f func(Config) (T, error)) func(Config) error {
+	return func(cfg Config) error {
+		_, err := f(cfg)
+		return err
+	}
 }
 
 // OverallResult carries the raw records of the main experiment, from which
@@ -394,9 +431,6 @@ func Table1(cfg Config) ([]driver.Record, error) {
 	return recs, nil
 }
 
-// flatDBForWorkloads is a seam for tests.
-var _ = dataset.Kind(0)
-
 // ThinkTimeResult is one point of Fig. 6f.
 type ThinkTimeResult struct {
 	ThinkTime   time.Duration
@@ -420,7 +454,7 @@ func Exp5(cfg Config) ([]Exp5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	gen, err := workflowGenerator(db)
+	gen, err := workflow.NewGenerator(db.Fact)
 	if err != nil {
 		return nil, err
 	}
@@ -475,8 +509,4 @@ func Exp5(cfg Config) ([]Exp5Result, error) {
 			r.Engine, r.Queries, r.MeanLatencyMS, r.TRViolatedPct)
 	}
 	return out, nil
-}
-
-func workflowGenerator(db *dataset.Database) (*workflow.Generator, error) {
-	return workflow.NewGenerator(db.Fact)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -24,15 +25,24 @@ const OverloadDeadline = 12 * time.Millisecond
 // the sweep always walks through the knee.
 var DefaultOverloadRates = []float64{100, 250, 500, 1000, 2000, 4000}
 
+// maxDoneP99PastKnee is the overload gate's ceiling on admitted-query
+// time-to-final p99 at and past the shedding knee, milliseconds. Deadline
+// shedding cancels admitted queries a couple of deadlines after admission,
+// so even at 30x the capacity rate the tail must stay far under the load
+// generator's 2s hard timeout.
+const maxDoneP99PastKnee = 1500.0
+
 // OverloadSweep measures open-loop overload survival — `idebench exp -name
-// overload`, recorded as BENCH_6.json by benchrun. It serves a progressive
-// engine on a real loopback listener with deliberately tight admission caps
+// overload`. It serves a progressive engine on a real loopback listener
+// with deliberately tight admission caps
 // (the knee must appear inside the ladder, not at data-center scale), then
 // walks DefaultOverloadRates with a Poisson open-loop generator. At every
 // rate it reports the admitted-query latency tails (p50/p99/p99.9 of TTFS
 // and time-to-final), the explicit-rejection and shedding counts, and the
-// post-drain shared-scan consumer count, which must be zero: overload may
-// cost rejections, never leaks or unbounded tails.
+// post-drain shared-scan consumer count: overload may cost rejections, never
+// leaks or unbounded tails. The sweep prints its table and then fails unless
+// the shedding knee appears inside the ladder, the admitted-query p99 stays
+// bounded past it, and no rate saw a hard error or leaked a consumer.
 func OverloadSweep(cfg Config) ([]report.OverloadPoint, error) {
 	return OverloadSweepRates(cfg, DefaultOverloadRates, 2*time.Second)
 }
@@ -146,5 +156,31 @@ func OverloadSweepRates(cfg Config, rates []float64, window time.Duration) ([]re
 	if err := report.RenderOverloadSweep(cfg.Out, points); err != nil {
 		return nil, err
 	}
-	return points, nil
+	return points, overloadGate(points)
+}
+
+// overloadGate returns the failed overload-survival checks as one error, nil
+// when every check holds.
+func overloadGate(points []report.OverloadPoint) error {
+	var failures []error
+	knee := report.FindKnee(points)
+	if knee < 0 {
+		failures = append(failures, errors.New("no shedding knee inside the rate ladder: overload valves never engaged"))
+		knee = len(points)
+	}
+	for i, p := range points {
+		if p.LeakedConsumers != 0 {
+			failures = append(failures, fmt.Errorf("rate %.0f/s leaked %d scan consumers after drain", p.Rate, p.LeakedConsumers))
+		}
+		if p.Errors > 0 {
+			failures = append(failures, fmt.Errorf("rate %.0f/s saw %d hard errors (overload must reject explicitly, not error)", p.Rate, p.Errors))
+		}
+		if i >= knee && p.Completed > 0 && p.DoneP99 > maxDoneP99PastKnee {
+			failures = append(failures, fmt.Errorf("rate %.0f/s admitted done-p99 %.1fms exceeds %.0fms: shedding is not bounding the tail", p.Rate, p.DoneP99, maxDoneP99PastKnee))
+		}
+	}
+	if len(failures) == 0 {
+		return nil
+	}
+	return fmt.Errorf("experiments: overload gate: %w", errors.Join(failures...))
 }

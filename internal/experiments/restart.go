@@ -12,33 +12,32 @@ import (
 	"idebench/internal/ingest"
 )
 
-// RestartResult is the warm-restart benchmark artifact: how long a durable
+// RestartResult is the warm-restart measurement: how long a durable
 // server takes to come back (checkpoint load + reordered prepare + WAL
 // replay) against the cold path it replaces (datagen + full prepare with
 // the sampling reorder), plus the correctness gate that the recovered state
 // answers bitwise-identically to the cold build of the same data version.
+// The warm boot (including replay) must be faster than the cold prepare it
+// skips.
 type RestartResult struct {
-	Rows         int   `json:"rows"`
-	IngestedRows int64 `json:"ingested_rows"`
-	Batches      int   `json:"batches"`
+	Rows         int
+	IngestedRows int64
+	Batches      int
 	// ColdPrepareMS is datagen + Prepare from nothing (what every boot costs
 	// without -data-dir).
-	ColdPrepareMS float64 `json:"cold_prepare_ms"`
+	ColdPrepareMS float64
 	// CheckpointMS/CheckpointBytes price the durability write side.
-	CheckpointMS    float64 `json:"checkpoint_ms"`
-	CheckpointBytes int64   `json:"checkpoint_bytes"`
+	CheckpointMS    float64
+	CheckpointBytes int64
 	// WarmLoadMS is checkpoint load + verification + PrepareReordered;
 	// WALReplayMS is redoing the logged tail through the ingest path;
 	// WarmTotalMS is their sum — the durable boot's time-to-serving.
-	WarmLoadMS  float64 `json:"warm_load_ms"`
-	WALReplayMS float64 `json:"wal_replay_ms"`
-	WarmTotalMS float64 `json:"warm_total_ms"`
+	WarmLoadMS  float64
+	WALReplayMS float64
+	WarmTotalMS float64
 	// Bitwise records that a count over the warm-recovered engine matched
 	// the ground truth of the recovered watermark exactly.
-	Bitwise bool `json:"bitwise"`
-	// WarmBeatsCold is the acceptance gate: the warm boot (including replay)
-	// must be faster than the cold prepare it skips.
-	WarmBeatsCold bool `json:"warm_beats_cold"`
+	Bitwise bool
 }
 
 // walSink adapts the WAL-logging Applier into an ingest.Sink, so a harness
@@ -50,13 +49,17 @@ func (s walSink) ApplyBatch(b *ingest.Batch, _ *dataset.Table) error {
 	return err
 }
 
-// RestartBench measures one durable serve/crash/warm-boot cycle in-process
-// on the progressive engine: bootstrap a data directory, ingest `batches`
-// batches of `batchRows` rows (checkpointing halfway, so recovery exercises
-// both the checkpoint and a live WAL tail), then time a recovery against a
-// from-scratch cold prepare of the same base.
-func RestartBench(cfg Config, batches, batchRows int) (*RestartResult, error) {
+// Restart measures one durable serve/crash/warm-boot cycle in-process on
+// the progressive engine — `idebench exp -name restart`: bootstrap a data
+// directory, ingest ten batches of 1% of the base each (checkpointing
+// halfway, so recovery exercises both the checkpoint and a live WAL tail),
+// then time a recovery against a from-scratch cold prepare of the same
+// base. It fails unless the recovered state is bitwise-correct and the warm
+// boot beats the cold prepare it skips.
+func Restart(cfg Config) (*RestartResult, error) {
 	cfg = cfg.withDefaults()
+	const batches = 10
+	batchRows := cfg.Rows / 100
 	dir, err := os.MkdirTemp("", "idebench-restart-*")
 	if err != nil {
 		return nil, err
@@ -188,12 +191,21 @@ func RestartBench(cfg Config, batches, batchRows int) (*RestartResult, error) {
 
 	// Correctness gate: the warm-recovered engine answers like a cold exact
 	// scan of the same data version.
-	bitwise, err := quiesceBitwise(eng2, app2, h)
+	q, probe, err := countToDone(eng2, db.Fact.Name)
+	if err == nil {
+		err = checkQuiesced(q, probe, app2, h)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("experiments: restart bitwise check: %w", err)
 	}
-	res.Bitwise = bitwise
-	res.WarmBeatsCold = res.WarmTotalMS < res.ColdPrepareMS
+	res.Bitwise = true
+
+	fmt.Fprintln(cfg.Out, "=== Warm restart: checkpoint load + WAL replay vs cold datagen + prepare ===")
+	fmt.Fprintf(cfg.Out, "restart %d+%d rows: cold prepare %.1fms vs warm %.1fms (load %.1fms + replay %.1fms of %d batches), checkpoint %.1fms/%dB, bitwise=%v\n",
+		res.Rows, res.IngestedRows, res.ColdPrepareMS, res.WarmTotalMS, res.WarmLoadMS, res.WALReplayMS, res.Batches, res.CheckpointMS, res.CheckpointBytes, res.Bitwise)
+	if res.WarmTotalMS >= res.ColdPrepareMS {
+		return res, fmt.Errorf("experiments: restart: warm boot %.1fms is not faster than cold prepare %.1fms", res.WarmTotalMS, res.ColdPrepareMS)
+	}
 	return res, nil
 }
 

@@ -35,7 +35,7 @@ func TestShardSweepCountsQuiesceBitwise(t *testing.T) {
 			t.Fatalf("%s: replay fed no ingest", r.Topology)
 		}
 	}
-	if rows[1].Shards != 2 || rows[2].Shards != 3 {
+	if rows[1].Partitions != 2 || rows[2].Partitions != 3 {
 		t.Fatalf("shard counts wrong: %+v", rows)
 	}
 }

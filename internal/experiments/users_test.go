@@ -16,7 +16,7 @@ func TestUserSweepQuick(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("got %d rows, want 2 engines × 2 user counts", len(rows))
 	}
-	byKey := map[string]UserSweepRow{}
+	byKey := map[string]ReplayRow{}
 	for _, r := range rows {
 		if r.Queries == 0 {
 			t.Errorf("%s users=%d executed no queries", r.Driver, r.Users)

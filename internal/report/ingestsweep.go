@@ -11,19 +11,14 @@ import (
 	"idebench/internal/metrics"
 )
 
-// IngestScaling is one row of the live-ingestion report: how one (driver,
-// concurrent-user-count) group behaved while append-only batches landed
-// during the replay. Record-derived fields come from SummarizeIngest; the
-// ingest throughput fields describe the applied batch stream and are filled
-// by the caller that owns the harness (records do not carry them).
+// IngestScaling is one row of the live-ingestion report: the throughput and
+// latency of one (driver, concurrent-user-count) group plus how it behaved
+// while append-only batches landed during the replay. Record-derived fields
+// come from SummarizeIngest; the ingest throughput fields describe the
+// applied batch stream and are filled by the caller that owns the harness
+// (records do not carry them).
 type IngestScaling struct {
-	Driver string
-	Users  int
-
-	// Queries counts executed queries; TRViolatedPct is the share cancelled
-	// at the deadline.
-	Queries       int
-	TRViolatedPct float64
+	UserScaling
 
 	// Staleness distribution over delivered results, in rows behind the
 	// live table at fetch time. FreshPct is the share of delivered results
@@ -39,45 +34,28 @@ type IngestScaling struct {
 	IngestRowsPerSec float64
 }
 
-// SummarizeIngest groups records by (driver, users) and aggregates the
-// staleness distribution of each group, sorted by driver then user count.
-// Records with negative staleness (nothing delivered, or a non-ingest run)
-// are excluded from the staleness stats but still counted as queries.
-func SummarizeIngest(records []driver.Record) []IngestScaling {
-	type key struct {
-		driver string
-		users  int
+// SetIngested records the applied ingest stream: rows, and their rate over
+// the row's own wall-clock.
+func (r *IngestScaling) SetIngested(rows int64) {
+	r.IngestedRows = rows
+	if r.WallClockMS > 0 {
+		r.IngestRowsPerSec = float64(rows) / (r.WallClockMS / 1000)
 	}
-	groups := map[key][]driver.Record{}
-	for _, r := range records {
-		users := r.Users
-		if users <= 0 {
-			users = 1
-		}
-		groups[key{r.Driver, users}] = append(groups[key{r.Driver, users}], r)
-	}
-	keys := make([]key, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].driver != keys[j].driver {
-			return keys[i].driver < keys[j].driver
-		}
-		return keys[i].users < keys[j].users
-	})
+}
 
-	out := make([]IngestScaling, 0, len(keys))
-	for _, k := range keys {
-		recs := groups[k]
-		row := IngestScaling{Driver: k.driver, Users: k.users, Queries: len(recs)}
-		violated := 0
+// SummarizeIngest groups records by (driver, users) and adds the staleness
+// distribution to each group's user-scaling aggregate, sorted by driver then
+// user count. Records with negative staleness (nothing delivered, or a
+// non-ingest run) are excluded from the staleness stats but still counted
+// as queries.
+func SummarizeIngest(records []driver.Record) []IngestScaling {
+	groups := groupByUsers(records)
+	out := make([]IngestScaling, 0, len(groups))
+	for _, g := range groups {
+		row := IngestScaling{UserScaling: g.scaling()}
 		var stale []float64
 		fresh := 0
-		for _, r := range recs {
-			if r.Metrics.TRViolated {
-				violated++
-			}
+		for _, r := range g.recs {
 			if s := r.Metrics.StalenessRows; s >= 0 {
 				stale = append(stale, s)
 				if s == 0 {
@@ -85,7 +63,6 @@ func SummarizeIngest(records []driver.Record) []IngestScaling {
 				}
 			}
 		}
-		row.TRViolatedPct = 100 * float64(violated) / float64(len(recs))
 		if len(stale) > 0 {
 			sort.Float64s(stale)
 			var sum float64

@@ -63,13 +63,13 @@ func TestSummarizeIngestNoSamples(t *testing.T) {
 // TestRenderIngestSweepGolden pins the ingest sweep report table format.
 func TestRenderIngestSweepGolden(t *testing.T) {
 	rows := []IngestScaling{
-		{Driver: "exactdb", Users: 1, Queries: 40, TRViolatedPct: 2.5,
+		{UserScaling: UserScaling{Driver: "exactdb", Users: 1, Queries: 40, TRViolatedPct: 2.5},
 			StalenessMean: 120.25, StalenessP95: 400, StalenessMax: 500, FreshPct: 25,
 			IngestedRows: 8000, IngestRowsPerSec: 16000},
-		{Driver: "progressive", Users: 8, Queries: 320, TRViolatedPct: 0,
+		{UserScaling: UserScaling{Driver: "progressive", Users: 8, Queries: 320, TRViolatedPct: 0},
 			StalenessMean: 0, StalenessP95: 0, StalenessMax: 0, FreshPct: 100,
 			IngestedRows: 64000, IngestRowsPerSec: 128000},
-		{Driver: "progressive", Users: 2, Queries: 80, TRViolatedPct: 0,
+		{UserScaling: UserScaling{Driver: "progressive", Users: 2, Queries: 80, TRViolatedPct: 0},
 			StalenessMean: math.NaN(), StalenessP95: math.NaN(), StalenessMax: math.NaN(),
 			FreshPct: math.NaN()},
 	}

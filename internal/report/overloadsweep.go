@@ -13,41 +13,41 @@ import (
 type OverloadPoint struct {
 	// Rate is the schedule's target arrival rate (queries/second);
 	// OfferedRate is the rate the generator actually achieved.
-	Rate        float64 `json:"rate"`
-	OfferedRate float64 `json:"offered_rate"`
+	Rate        float64
+	OfferedRate float64
 
 	// Offered/Started/Completed count scheduled, issued, and finished
 	// operations; Rejected the explicit server admission rejections; Dropped
 	// the client-side outstanding-cap drops; Errors everything else.
-	Offered   int64 `json:"offered"`
-	Started   int64 `json:"started"`
-	Completed int64 `json:"completed"`
-	Rejected  int64 `json:"rejected"`
-	Dropped   int64 `json:"dropped"`
-	Errors    int64 `json:"errors"`
+	Offered   int64
+	Started   int64
+	Completed int64
+	Rejected  int64
+	Dropped   int64
+	Errors    int64
 
 	// Shed counts finals cut short by deadline-aware shedding; Violations
 	// admitted queries with no usable snapshot inside the deadline.
-	Shed       int64 `json:"shed"`
-	Violations int64 `json:"violations"`
+	Shed       int64
+	Violations int64
 
 	// RejectedPct is rejections over started ops; ViolationPct violations
 	// over completed (admitted) queries.
-	RejectedPct  float64 `json:"rejected_pct"`
-	ViolationPct float64 `json:"violation_pct"`
+	RejectedPct  float64
+	ViolationPct float64
 
 	// Admitted-query latency tails, milliseconds. TTFS is time to first
 	// usable snapshot; Done time to final.
-	TTFSP50  float64 `json:"ttfs_p50_ms"`
-	TTFSP99  float64 `json:"ttfs_p99_ms"`
-	TTFSP999 float64 `json:"ttfs_p999_ms"`
-	DoneP50  float64 `json:"done_p50_ms"`
-	DoneP99  float64 `json:"done_p99_ms"`
-	DoneP999 float64 `json:"done_p999_ms"`
+	TTFSP50  float64
+	TTFSP99  float64
+	TTFSP999 float64
+	DoneP50  float64
+	DoneP99  float64
+	DoneP999 float64
 
 	// LeakedConsumers is the shared-scan consumer count after the point
 	// fully drained — must be zero at every rate.
-	LeakedConsumers int `json:"leaked_consumers"`
+	LeakedConsumers int
 }
 
 // FindKnee returns the index of the first point where the server's overload

@@ -13,59 +13,22 @@ import (
 	"idebench/internal/workflow"
 )
 
-// headerWithout derives a historical column set by dropping columns newer
-// builds added, so reports saved by older builds still load (`idebench
-// analyze` on archived runs) with the dropped annotations defaulting.
-func headerWithout(drop ...string) []string {
-	skip := make(map[string]bool, len(drop))
-	for _, d := range drop {
-		skip[d] = true
-	}
-	out := make([]string, 0, len(DetailedHeader))
-	for _, h := range DetailedHeader {
-		if skip[h] {
-			continue
-		}
-		out = append(out, h)
-	}
-	return out
-}
-
 // ReadDetailedCSV parses a detailed report written by WriteDetailedCSV back
 // into records, so saved runs can be re-aggregated and analyzed offline
 // (`idebench analyze`). Empty numeric fields decode as NaN, mirroring the
-// writer's NaN handling. Both the current header and the pre-multi-user
-// one (no user/users columns) are accepted.
+// writer's NaN handling. Only the current DetailedHeader is accepted.
 func ReadDetailedCSV(r io.Reader) ([]driver.Record, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("report: read header: %w", err)
 	}
-	// Current header, the pre-ingestion one (no staleness column) and the
-	// pre-multi-user one (neither users nor staleness) are all accepted.
-	variants := []struct {
-		want                   []string
-		hasUsers, hasStaleness bool
-	}{
-		{DetailedHeader, true, true},
-		{headerWithout("staleness_rows"), true, false},
-		{headerWithout("staleness_rows", "user", "users"), false, false},
-	}
-	idx := -1
-	for i := range variants {
-		if len(header) == len(variants[i].want) {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	if len(header) != len(DetailedHeader) {
 		return nil, fmt.Errorf("report: header has %d columns, want %d", len(header), len(DetailedHeader))
 	}
-	match := variants[idx]
 	for i, h := range header {
-		if h != match.want[i] {
-			return nil, fmt.Errorf("report: column %d is %q, want %q", i, h, match.want[i])
+		if h != DetailedHeader[i] {
+			return nil, fmt.Errorf("report: column %d is %q, want %q", i, h, DetailedHeader[i])
 		}
 	}
 
@@ -80,7 +43,7 @@ func ReadDetailedCSV(r io.Reader) ([]driver.Record, error) {
 			return nil, fmt.Errorf("report: line %d: %w", line+1, err)
 		}
 		line++
-		row, err := parseDetailedRow(rec, match.hasUsers, match.hasStaleness)
+		row, err := parseDetailedRow(rec)
 		if err != nil {
 			return nil, fmt.Errorf("report: line %d: %w", line, err)
 		}
@@ -89,7 +52,7 @@ func ReadDetailedCSV(r io.Reader) ([]driver.Record, error) {
 	return out, nil
 }
 
-func parseDetailedRow(rec []string, hasUsers, hasStaleness bool) (driver.Record, error) {
+func parseDetailedRow(rec []string) (driver.Record, error) {
 	var r driver.Record
 	p := &rowParser{rec: rec}
 
@@ -121,22 +84,15 @@ func parseDetailedRow(rec []string, hasUsers, hasStaleness bool) (driver.Record,
 	m.Bias = p.nanFloat()
 	m.SMAPE = p.nanFloat()
 	r.ConcurrentQs = p.intField("concurrent_queries")
-	if hasUsers {
-		r.User = p.intField("user")
-		r.Users = p.intField("users")
-	}
-	if r.Users <= 0 {
-		r.Users = 1
-	}
+	r.User = p.intField("user")
+	r.Users = p.intField("users")
 	m.StalenessRows = -1
-	if hasStaleness {
-		if s := p.str(); s != "" {
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				p.err = fmt.Errorf("field staleness_rows: %w", err)
-			} else {
-				m.StalenessRows = v
-			}
+	if s := p.str(); s != "" {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			p.err = fmt.Errorf("field staleness_rows: %w", err)
+		} else {
+			m.StalenessRows = v
 		}
 	}
 	r.SQL = p.str()

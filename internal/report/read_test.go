@@ -2,7 +2,6 @@ package report
 
 import (
 	"bytes"
-	"encoding/csv"
 	"math"
 	"strings"
 	"testing"
@@ -54,66 +53,21 @@ func TestDetailedCSVRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadDetailedCSVLegacyHeader: reports saved before the user/users
-// columns existed must still load, folding into the single-user default.
-func TestReadDetailedCSVLegacyHeader(t *testing.T) {
-	in := []driver.Record{rec("exact", 10, workflow.Mixed, ok(0.125))}
-	in[0].Workflow = "mixed-00"
-	in[0].User = 3 // dropped by the legacy projection below
-	in[0].Users = 8
-	var buf bytes.Buffer
-	if err := WriteDetailedCSV(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	// Project the current CSV down to the legacy column set.
-	rows, err := csv.NewReader(bytes.NewReader(buf.Bytes())).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	drop := map[int]bool{}
-	for i, h := range DetailedHeader {
-		if h == "user" || h == "users" || h == "staleness_rows" {
-			drop[i] = true
-		}
-	}
-	var legacy bytes.Buffer
-	w := csv.NewWriter(&legacy)
-	for _, row := range rows {
-		out := make([]string, 0, len(row)-2)
-		for i, f := range row {
-			if !drop[i] {
-				out = append(out, f)
-			}
-		}
-		if err := w.Write(out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Flush()
-
-	got, err := ReadDetailedCSV(&legacy)
-	if err != nil {
-		t.Fatalf("legacy CSV rejected: %v", err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("records = %d", len(got))
-	}
-	if got[0].User != 0 || got[0].Users != 1 {
-		t.Errorf("legacy record should default to single-user: user=%d users=%d",
-			got[0].User, got[0].Users)
-	}
-	if got[0].Driver != "exact" || got[0].SQL != in[0].SQL {
-		t.Errorf("legacy columns misaligned: %+v", got[0])
-	}
-}
-
 func TestReadDetailedCSVErrors(t *testing.T) {
+	// The pre-multi-user column set: no user/users/staleness_rows.
+	var oldHeader []string
+	for _, h := range DetailedHeader {
+		if h != "user" && h != "users" && h != "staleness_rows" {
+			oldHeader = append(oldHeader, h)
+		}
+	}
 	cases := []struct {
 		name, in string
 	}{
 		{"empty", ""},
 		{"bad header", "a,b,c\n"},
 		{"short header", strings.Join(DetailedHeader[:5], ",") + "\n"},
+		{"old header is refused", strings.Join(oldHeader, ",") + "\n"},
 		{"bad int", strings.Join(DetailedHeader, ",") + "\nnotanint" + strings.Repeat(",", len(DetailedHeader)-1) + "\n"},
 	}
 	for _, c := range cases {

@@ -43,70 +43,95 @@ type UserScaling struct {
 	SpeedupVs1 float64
 }
 
-// SummarizeUsers groups records by (driver, users) and aggregates each
-// group's throughput and latency distribution, sorted by driver then user
-// count. Records written before the multi-user driver existed (users == 0 in
-// old CSVs) count as single-user.
-func SummarizeUsers(records []driver.Record) []UserScaling {
+// userGroup is the records of one (driver, users) group.
+type userGroup struct {
+	driver string
+	users  int
+	recs   []driver.Record
+}
+
+// groupByUsers splits records into (driver, users) groups, sorted by driver
+// then user count — the one grouping pass both sweep summaries share.
+func groupByUsers(records []driver.Record) []userGroup {
 	type key struct {
 		driver string
 		users  int
 	}
-	groups := map[key][]driver.Record{}
+	index := map[key]int{}
+	var groups []userGroup
 	for _, r := range records {
-		users := r.Users
-		if users <= 0 {
-			users = 1
+		k := key{r.Driver, r.Users}
+		i, ok := index[k]
+		if !ok {
+			i = len(groups)
+			index[k] = i
+			groups = append(groups, userGroup{driver: r.Driver, users: r.Users})
 		}
-		k := key{r.Driver, users}
-		groups[k] = append(groups[k], r)
+		groups[i].recs = append(groups[i].recs, r)
 	}
-	keys := make([]key, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].driver != keys[j].driver {
-			return keys[i].driver < keys[j].driver
+	sort.Slice(groups, func(i, j int) bool {
+		if groups[i].driver != groups[j].driver {
+			return groups[i].driver < groups[j].driver
 		}
-		return keys[i].users < keys[j].users
+		return groups[i].users < groups[j].users
 	})
+	return groups
+}
 
-	base := map[string]float64{} // driver -> 1-user throughput
-	out := make([]UserScaling, 0, len(keys))
-	for _, k := range keys {
-		recs := groups[k]
-		row := UserScaling{Driver: k.driver, Users: k.users, Queries: len(recs)}
-		var first, last time.Time
-		lats := make([]float64, 0, len(recs))
-		violated := 0
-		for i, r := range recs {
-			if i == 0 || r.StartTime.Before(first) {
-				first = r.StartTime
-			}
-			if i == 0 || r.EndTime.After(last) {
-				last = r.EndTime
-			}
-			lats = append(lats, r.LatencyMS())
-			if r.Metrics.TRViolated {
-				violated++
-			}
+// scaling aggregates the group's throughput and latency distribution.
+func (g userGroup) scaling() UserScaling {
+	row := UserScaling{Driver: g.driver, Users: g.users, Queries: len(g.recs)}
+	var first, last time.Time
+	lats := make([]float64, 0, len(g.recs))
+	violated := 0
+	for i, r := range g.recs {
+		if i == 0 || r.StartTime.Before(first) {
+			first = r.StartTime
 		}
-		row.TRViolatedPct = 100 * float64(violated) / float64(len(recs))
-		row.WallClockMS = float64(last.Sub(first)) / float64(time.Millisecond)
-		if row.WallClockMS > 0 {
-			row.QueriesPerSec = float64(row.Queries) / (row.WallClockMS / 1000)
+		if i == 0 || r.EndTime.After(last) {
+			last = r.EndTime
 		}
-		row.Latency = metrics.SummarizeLatencies(lats)
-		if k.users == 1 {
-			base[k.driver] = row.QueriesPerSec
+		lats = append(lats, r.LatencyMS())
+		if r.Metrics.TRViolated {
+			violated++
 		}
-		if b := base[k.driver]; b > 0 {
-			row.SpeedupVs1 = row.QueriesPerSec / b
-		}
-		out = append(out, row)
 	}
+	row.TRViolatedPct = 100 * float64(violated) / float64(len(g.recs))
+	row.WallClockMS = float64(last.Sub(first)) / float64(time.Millisecond)
+	if row.WallClockMS > 0 {
+		row.QueriesPerSec = float64(row.Queries) / (row.WallClockMS / 1000)
+	}
+	row.Latency = metrics.SummarizeLatencies(lats)
+	return row
+}
+
+// SummarizeUsers groups records by (driver, users) and aggregates each
+// group's throughput and latency distribution, sorted by driver then user
+// count, with SpeedupVs1 filled against each driver's 1-user group.
+func SummarizeUsers(records []driver.Record) []UserScaling {
+	groups := groupByUsers(records)
+	out := make([]UserScaling, len(groups))
+	for i, g := range groups {
+		out[i] = g.scaling()
+	}
+	FillSpeedupVs1(out)
 	return out
+}
+
+// FillSpeedupVs1 sets every row's SpeedupVs1 against the 1-user row of the
+// same driver, in place; rows of a driver with no 1-user row keep 0.
+func FillSpeedupVs1(rows []UserScaling) {
+	base := map[string]float64{} // driver -> 1-user throughput
+	for _, r := range rows {
+		if r.Users == 1 {
+			base[r.Driver] = r.QueriesPerSec
+		}
+	}
+	for i := range rows {
+		if b := base[rows[i].Driver]; b > 0 {
+			rows[i].SpeedupVs1 = rows[i].QueriesPerSec / b
+		}
+	}
 }
 
 // RenderUserSweep writes the user-scalability table.

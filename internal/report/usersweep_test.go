@@ -87,16 +87,17 @@ func TestSummarizeUsersThroughputAndPercentiles(t *testing.T) {
 	}
 }
 
-// TestSummarizeUsersLegacyRecords: records from before the multi-user
-// driver (Users == 0 in old CSVs) must fold into the 1-user group.
+// TestSummarizeUsersLegacyRecords: a record with Users == 0 — which only a
+// pre-multi-user CSV could carry, and the reader now refuses those — is
+// grouped as it is, not folded into the 1-user group.
 func TestSummarizeUsersLegacyRecords(t *testing.T) {
 	recs := []driver.Record{
 		sweepRecord("x", 0, 0, 0, 10, false),
 		sweepRecord("x", 1, 0, 100, 10, false),
 	}
 	rows := SummarizeUsers(recs)
-	if len(rows) != 1 || rows[0].Users != 1 || rows[0].Queries != 2 {
-		t.Fatalf("legacy records not folded into the 1-user group: %+v", rows)
+	if len(rows) != 2 || rows[0].Users != 0 || rows[1].Users != 1 {
+		t.Fatalf("records with Users == 0 were folded into another group: %+v", rows)
 	}
 }
 

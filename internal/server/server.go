@@ -427,9 +427,10 @@ type Health struct {
 	ScanConsumers int `json:"scan_consumers"`
 	// Role/Shards/ShardWatermarks describe the scatter-gather topology:
 	// Role mirrors Options.Role; the shard fields appear on coordinators
-	// (engines with the shard-observer capability) — per-shard confirmed
-	// watermarks on the coordinator's global axis, and their min, which is
-	// the freshness bound every merged snapshot's Watermark obeys.
+	// (engines with the topology-observer capability) and restate the
+	// Topology block's per-partition confirmed watermarks on the
+	// coordinator's global axis, and their min, which is the freshness bound
+	// every merged snapshot's Watermark obeys.
 	Role              string  `json:"role,omitempty"`
 	Shards            int     `json:"shards,omitempty"`
 	ShardWatermarks   []int64 `json:"shard_watermarks,omitempty"`
@@ -495,19 +496,17 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		h.ScanConsumers = obs.ActiveScanConsumers()
 	}
 	h.Role = s.opts.Role
-	if so := s.caps.ShardObserver; so != nil {
-		wms := so.ShardWatermarks()
-		h.Shards = len(wms)
-		h.ShardWatermarks = wms
-		for i, w := range wms {
-			if i == 0 || w < h.MinShardWatermark {
-				h.MinShardWatermark = w
-			}
-		}
-	}
 	if to := s.caps.TopologyObserver; to != nil {
 		topo := to.Topology()
 		h.Topology = &topo
+		h.Shards = len(topo.Partitions)
+		h.ShardWatermarks = make([]int64, len(topo.Partitions))
+		for i, pt := range topo.Partitions {
+			h.ShardWatermarks[i] = pt.Watermark
+			if i == 0 || pt.Watermark < h.MinShardWatermark {
+				h.MinShardWatermark = pt.Watermark
+			}
+		}
 	}
 	h.Admitted = s.ctr.Admitted.Load()
 	h.RejectedOverload = s.ctr.RejectedOverload.Load()

@@ -149,9 +149,9 @@ func (r *replica) watermark(base int64) int64 {
 // of replicas, and merges their raw accumulator fragments into one
 // progressive result. It implements engine.Engine (so the serving layer and
 // the driver use it unchanged), engine.Appender and ingest.Sink (routed
-// live ingest, applied to every in-sync replica), engine.ShardObserver
-// (per-partition watermark observability) and engine.TopologyObserver
-// (replica health for /healthz).
+// live ingest, applied to every in-sync replica) and
+// engine.TopologyObserver (per-partition watermarks and replica health for
+// /healthz).
 //
 // Availability semantics: a query fans out to one replica per partition and
 // fails over to the next live replica when its current one dies mid-stream.
@@ -420,21 +420,6 @@ func (co *Coordinator) Watermark() int64 {
 	return min
 }
 
-// ShardWatermarks implements engine.ShardObserver: each partition's
-// confirmed watermark translated onto the global axis, indexed by
-// partition ID.
-func (co *Coordinator) ShardWatermarks() []int64 {
-	n := co.Shards()
-	out := make([]int64, n)
-	for i := 0; i < n; i++ {
-		w := co.partitionWatermark(i)
-		co.mu.Lock()
-		out[i] = co.translate(i, w)
-		co.mu.Unlock()
-	}
-	return out
-}
-
 // Topology implements engine.TopologyObserver.
 func (co *Coordinator) Topology() engine.Topology {
 	co.mu.Lock()
@@ -468,6 +453,10 @@ func (co *Coordinator) Topology() engine.Topology {
 				Quarantined: r.isQuarantined(), Addr: r.addr, Watermark: g,
 			})
 		}
+		w := co.partitionWatermark(i)
+		co.mu.Lock()
+		pt.Watermark = co.translate(i, w)
+		co.mu.Unlock()
 		topo.Partitions[i] = pt
 	}
 	return topo

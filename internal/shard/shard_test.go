@@ -256,9 +256,9 @@ func TestCoordinatorEndToEnd(t *testing.T) {
 	if got := co.Watermark(); got != grown {
 		t.Fatalf("coordinator watermark %d after ingest, want %d", got, grown)
 	}
-	for i, w := range co.ShardWatermarks() {
-		if w != grown {
-			t.Fatalf("shard %d watermark %d, want %d (synchronous apply confirms all shards)", i, w, grown)
+	for i, pt := range co.Topology().Partitions {
+		if pt.Watermark != grown {
+			t.Fatalf("shard %d watermark %d, want %d (synchronous apply confirms all shards)", i, pt.Watermark, grown)
 		}
 	}
 
@@ -350,12 +350,12 @@ func TestMinWatermarkUnderLaggingShard(t *testing.T) {
 	if got := co.Watermark(); got != base {
 		t.Fatalf("coordinator watermark %d with lagging shard, want %d", got, base)
 	}
-	wms := co.ShardWatermarks()
-	if wms[0] != base {
-		t.Fatalf("lagging shard watermark %d, want %d", wms[0], base)
+	parts := co.Topology().Partitions
+	if parts[0].Watermark != base {
+		t.Fatalf("lagging shard watermark %d, want %d", parts[0].Watermark, base)
 	}
-	if wms[1] != grown {
-		t.Fatalf("current shard watermark %d, want %d", wms[1], grown)
+	if parts[1].Watermark != grown {
+		t.Fatalf("current shard watermark %d, want %d", parts[1].Watermark, grown)
 	}
 	res := runToDone(t, co, &query.Query{
 		VizName: "v", Table: db.Fact.Name,
