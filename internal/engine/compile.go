@@ -33,9 +33,10 @@ type Compiled struct {
 	// quantitative), used to render bin labels in reports.
 	BinDicts []*dataset.Dict
 
-	// Vectorized form: one kernel per bin dimension, one gather kernel per
-	// non-COUNT aggregate (nil for COUNT slots), one predicate kernel per
-	// filter conjunct (empty means match-all).
+	// Vectorized form: one kernel per bin dimension (nil where the dimension
+	// has no bounded domain — such a plan is never dense and never runs
+	// them), one gather kernel per non-COUNT aggregate (nil for COUNT slots),
+	// one predicate kernel per filter conjunct (empty means match-all).
 	binKern  []binKernel
 	aggKern  []aggKernel
 	predKern []predKernel
@@ -43,14 +44,20 @@ type Compiled struct {
 	// per-bin row count, which accumulate maintains unconditionally).
 	aggOps []aggOp
 
-	// Dense group-by fast path: when every bin dimension has a known,
-	// small domain (nominal dictionary cardinality, or quantitative bounds
-	// from Column.MinMax), bin keys map to slots of a flat array of size
-	// denseSizeA*denseSizeB instead of hashing into the Groups map.
-	denseOK            bool
-	denseLoA, denseLoB int64
-	denseSizeA         int64
-	denseSizeB         int64 // 1 for 1D plans
+	// Dense group-by: when every bin dimension has a known, small domain
+	// (nominal dictionary cardinality, or quantitative bounds from
+	// Column.MinMax), geom is that domain, a GroupState's accumulator table
+	// has one slot per key of it and the bin kernels compute slots
+	// arithmetically; otherwise geom is zero and the table indexes slots by
+	// key.
+	geom denseGeom
+}
+
+// denseGeom is the key domain of a dense accumulator table: sizeA × sizeB
+// slots (sizeB is 1 for 1-D plans), slot = (A-loA)*sizeB + (B-loB).
+type denseGeom struct {
+	loA, sizeA int64
+	loB, sizeB int64
 }
 
 // aggOp is one pre-decoded accumulation step, replacing the per-row switch
@@ -66,9 +73,27 @@ const (
 	aggOpMax
 )
 
-// denseMaxSlots caps the dense array size (slots are one pointer each, so
-// the worst case is 64 KiB per GroupState — small enough for the
-// progressive engine's dozens of speculative states).
+// aggOpsOf lists the accumulation steps of aggs. COUNT, with a field or
+// without, has none: the row count is all it needs.
+func aggOpsOf(aggs []query.Aggregate) []aggOp {
+	var ops []aggOp
+	for i, a := range aggs {
+		switch a.Func {
+		case query.Min:
+			ops = append(ops, aggOp{code: aggOpMin, slot: i})
+		case query.Max:
+			ops = append(ops, aggOp{code: aggOpMax, slot: i})
+		case query.Sum, query.Avg:
+			ops = append(ops, aggOp{code: aggOpWelford, slot: i})
+		}
+	}
+	return ops
+}
+
+// denseMaxSlots caps the dense table size (a slot is 8 bytes of count plus
+// 24 per SUM/AVG and 8 per MIN/MAX aggregate, so the worst case for one
+// aggregate is 256 KiB per GroupState — small enough for the progressive
+// engine's dozens of speculative states).
 const denseMaxSlots = 1 << 13
 
 // Compile validates q against db and builds the plan.
@@ -98,7 +123,7 @@ func Compile(db *dataset.Database, q *query.Query) (*Compiled, error) {
 		domains = append(domains, dom)
 		c.BinDicts = append(c.BinDicts, dict)
 	}
-	for i, a := range q.Aggs {
+	for _, a := range q.Aggs {
 		if a.Func == query.Count && a.Field == "" {
 			c.aggGet = append(c.aggGet, nil)
 			c.aggKern = append(c.aggKern, nil)
@@ -110,16 +135,8 @@ func Compile(db *dataset.Database, q *query.Query) (*Compiled, error) {
 		}
 		c.aggGet = append(c.aggGet, getter)
 		c.aggKern = append(c.aggKern, kern)
-		switch a.Func {
-		case query.Min:
-			c.aggOps = append(c.aggOps, aggOp{code: aggOpMin, slot: i})
-		case query.Max:
-			c.aggOps = append(c.aggOps, aggOp{code: aggOpMax, slot: i})
-		case query.Sum, query.Avg:
-			c.aggOps = append(c.aggOps, aggOp{code: aggOpWelford, slot: i})
-		}
-		// COUNT(field) gathers nothing: the row count is all it needs.
 	}
+	c.aggOps = aggOpsOf(q.Aggs)
 	f, preds, err := compileFilter(db, q.Filter)
 	if err != nil {
 		return nil, err
@@ -134,60 +151,68 @@ func Compile(db *dataset.Database, q *query.Query) (*Compiled, error) {
 // known and fits denseMaxSlots.
 func (c *Compiled) planDense(domains []binDomain) {
 	for _, d := range domains {
-		if !d.known || d.size <= 0 {
+		if !d.known || d.size <= 0 || d.size > denseMaxSlots {
 			return
 		}
 	}
-	slots := domains[0].size
-	c.denseLoA, c.denseSizeA = domains[0].lo, domains[0].size
-	c.denseLoB, c.denseSizeB = 0, 1
+	g := denseGeom{loA: domains[0].lo, sizeA: domains[0].size, sizeB: 1}
 	if len(domains) > 1 {
-		c.denseLoB, c.denseSizeB = domains[1].lo, domains[1].size
-		if slots > denseMaxSlots/domains[1].size {
-			return // product overflow or over budget
-		}
-		slots *= domains[1].size
+		g.loB, g.sizeB = domains[1].lo, domains[1].size
 	}
-	if slots > denseMaxSlots {
+	if g.sizeA*g.sizeB > denseMaxSlots {
 		return
 	}
-	c.denseOK = true
+	c.geom = g
 }
 
-// denseSlots returns the dense array size (0 when the path is inactive).
-func (c *Compiled) denseSlots() int {
-	if !c.denseOK {
-		return 0
-	}
-	return int(c.denseSizeA * c.denseSizeB)
-}
+// slots returns the dense table size (0 for the zero geometry: no dense
+// table).
+func (g denseGeom) slots() int { return int(g.sizeA * g.sizeB) }
 
-// denseSlot maps a bin key to its dense array slot; ok is false for keys
-// outside the planned domain (possible only if column invariants are
-// violated — the caller then falls back to the hash map).
-func (c *Compiled) denseSlot(key query.BinKey) (int, bool) {
-	a := key.A - c.denseLoA
-	if uint64(a) >= uint64(c.denseSizeA) {
+// slot maps a bin key to its dense slot; ok is false for keys outside the
+// domain.
+func (g denseGeom) slot(key query.BinKey) (int, bool) {
+	a := key.A - g.loA
+	if uint64(a) >= uint64(g.sizeA) {
 		return 0, false
 	}
-	b := key.B - c.denseLoB
-	if uint64(b) >= uint64(c.denseSizeB) {
+	b := key.B - g.loB
+	if uint64(b) >= uint64(g.sizeB) {
 		return 0, false
 	}
-	return int(a*c.denseSizeB + b), true
+	return int(a*g.sizeB + b), true
 }
 
-// denseKey is the inverse of denseSlot.
-func (c *Compiled) denseKey(slot int) query.BinKey {
+// key is the inverse of slot.
+func (g denseGeom) key(slot int) query.BinKey {
 	return query.BinKey{
-		A: int64(slot)/c.denseSizeB + c.denseLoA,
-		B: int64(slot)%c.denseSizeB + c.denseLoB,
+		A: int64(slot)/g.sizeB + g.loA,
+		B: int64(slot)%g.sizeB + g.loB,
+	}
+}
+
+// combine turns the per-dimension slot components a and b of a 2-D batch
+// into table slots, in a. The bin kernels subtract the domain origins and
+// guard only the narrowing to int32 (checkNarrowed), not the domain; an
+// out-of-domain component would alias another bin here rather than fault on
+// the table access, so the batch is checked as a whole (every term is
+// non-negative exactly when both components are in range).
+func (g denseGeom) combine(a, b []int32) {
+	sizeA, sizeB := int32(g.sizeA), int32(g.sizeB)
+	var bad int32
+	for i, sa := range a {
+		sb := b[i]
+		bad |= sa | sb | (sizeA - 1 - sa) | (sizeB - 1 - sb)
+		a[i] = sa*sizeB + sb
+	}
+	if bad < 0 {
+		panic("engine: bin key outside the planned dense domain")
 	}
 }
 
 // disableDense deactivates the dense group-by path; benchmarks and property
-// tests use it to exercise the hash-map path on plans that would qualify.
-func (c *Compiled) disableDense() { c.denseOK = false }
+// tests use it to exercise the key-indexed table on plans that would qualify.
+func (c *Compiled) disableDense() { c.geom = denseGeom{} }
 
 // BinKey computes the bin key of a physical row.
 func (c *Compiled) BinKey(row int) query.BinKey {
@@ -248,13 +273,14 @@ func binAccessor(db *dataset.Database, b query.Binning) (func(int) int64, binKer
 	}
 }
 
+// binIdx is floor((v-origin)/width): int64() truncates toward zero, which
+// overshoots exactly the negative non-integers. The correction is a flag-set
+// and a subtract, not a branch — a column straddling its origin would
+// mispredict it every other row.
 func binIdx(v, width, origin float64) int64 {
 	d := (v - origin) / width
 	i := int64(d)
-	if d < 0 && float64(i) != d {
-		i--
-	}
-	return i
+	return i - int64(b2i(float64(i) > d))
 }
 
 // numAccessor builds a float64 reader for a quantitative attribute, plus

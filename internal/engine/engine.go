@@ -10,21 +10,22 @@
 // operator forms: per-row closures (the scalar reference path, exercised
 // by GroupState.ScanRangeScalar/ScanRowsScalar) and type-specialized batch
 // kernels (vectorize.go). GroupState.ScanRange and ScanRows run the batch
-// form: each batch of up to BatchRows rows flows through predicate kernels
-// that build a selection vector, bin-key kernels that fill an []int64 key
-// buffer, and gather kernels that copy aggregate inputs into []float64
-// buffers — tight loops over raw column storage with no per-row closure
-// calls.
+// form: each batch of up to BatchRows rows flows through branch-free
+// predicate kernels that build a selection vector, bin kernels that fill an
+// []int32 slot buffer, and gather kernels that produce aggregate inputs as
+// []float64 — tight loops over raw column storage with no per-row closure
+// calls, over buffers that belong to the scanning goroutine, not the state.
 //
-// # Dense group-by fast path
+// # One accumulator table
 //
-// When every bin dimension has a known, small key domain — the dictionary
-// cardinality of a nominal column, or quantitative bin bounds derived from
-// the column's memoized min/max — accumulators live in a flat array indexed
-// by bin key instead of the hash map. Dense accumulators are mirrored into
-// GroupState.Groups on first touch, so Merge, SnapshotExact and
-// SnapshotScaled are oblivious to which path filled the state; parallel
-// scans and the progressive engine's resumable states work unchanged.
+// A GroupState is a flat table of struct-of-arrays columns addressed by
+// slot: a count column, plus a Welford, min or max column per aggregate
+// that needs one. When every bin dimension has a known, small key domain —
+// the dictionary cardinality of a nominal column, or quantitative bin
+// bounds derived from the column's memoized min/max — a key's slot is
+// arithmetic; otherwise slots are handed out in first-touch order behind a
+// key index. Merge, SnapshotExact, SnapshotScaled, Partial and PartialFold
+// all walk the same columns, whichever way they were filled.
 // See README.md in this directory for the full architecture.
 package engine
 

@@ -2,174 +2,262 @@ package engine
 
 import (
 	"math"
+	"sync"
 
 	"idebench/internal/query"
 	"idebench/internal/stats"
 )
 
-// Accum is the per-bin accumulator: row count, per-aggregate running
-// moments (Welford) and min/max. It contains everything any engine needs to
-// produce exact values, scaled estimates, and CLT margins.
+// accTable is the flat accumulator table behind GroupState and PartialFold:
+// struct-of-arrays columns addressed by slot. n is the per-bin row count and
+// doubles as the existence mark: slot s holds a bin exactly when n[s] > 0, the
+// one test bins and every walker (Merge, ForEachBin, Partial, render) apply.
+// w, mins and maxs hold one column per aggregate, present only where the
+// aggregate's function uses it (SUM/AVG → w, MIN → mins, MAX → maxs; COUNT
+// needs n alone).
+//
+// Slots are assigned one of two ways. A dense table (geom.slots() > 0) has
+// every slot of the planned key domain up front and finds a key's slot
+// arithmetically, so ascending slots are ascending keys. An indexed table
+// grows one slot per first-touched key and finds it through index; keys maps
+// a slot back to its key.
+type accTable struct {
+	n    []int64
+	w    [][]stats.Welford
+	mins [][]float64
+	maxs [][]float64
+
+	geom  denseGeom
+	index map[query.BinKey]int32
+	keys  []query.BinKey
+}
+
+// newAccTable allocates a table for numAggs aggregates whose non-COUNT
+// accumulation steps are ops: dense over geom when it has slots, indexed and
+// empty otherwise.
+func newAccTable(numAggs int, ops []aggOp, geom denseGeom) accTable {
+	t := accTable{
+		w:    make([][]stats.Welford, numAggs),
+		mins: make([][]float64, numAggs),
+		maxs: make([][]float64, numAggs),
+	}
+	size := geom.slots()
+	if size > 0 {
+		t.geom = geom
+		t.n = make([]int64, size)
+	} else {
+		t.index = make(map[query.BinKey]int32)
+	}
+	for _, op := range ops {
+		switch op.code {
+		case aggOpWelford:
+			t.w[op.slot] = make([]stats.Welford, size)
+		case aggOpMin:
+			t.mins[op.slot] = filled(size, math.Inf(1))
+		case aggOpMax:
+			t.maxs[op.slot] = filled(size, math.Inf(-1))
+		}
+	}
+	return t
+}
+
+func filled(n int, v float64) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+func (t *accTable) dense() bool { return t.index == nil }
+
+// slot returns key's slot, growing an indexed table by one empty slot on
+// first touch. A key outside a dense table's domain is a planner bug (the
+// domain comes from the column's own bounds), so it panics rather than alias
+// another bin.
+func (t *accTable) slot(key query.BinKey) int32 {
+	if t.dense() {
+		s, ok := t.geom.slot(key)
+		if !ok {
+			panic("engine: bin key outside the planned dense domain")
+		}
+		return int32(s)
+	}
+	s, ok := t.index[key]
+	if !ok {
+		s = int32(len(t.n))
+		t.index[key] = s
+		t.keys = append(t.keys, key)
+		t.n = append(t.n, 0)
+		for i := range t.w {
+			if t.w[i] != nil {
+				t.w[i] = append(t.w[i], stats.Welford{})
+			}
+			if t.mins[i] != nil {
+				t.mins[i] = append(t.mins[i], math.Inf(1))
+			}
+			if t.maxs[i] != nil {
+				t.maxs[i] = append(t.maxs[i], math.Inf(-1))
+			}
+		}
+	}
+	return s
+}
+
+// key is the inverse of slot.
+func (t *accTable) key(s int) query.BinKey {
+	if t.dense() {
+		return t.geom.key(s)
+	}
+	return t.keys[s]
+}
+
+// bins counts the slots holding a bin.
+func (t *accTable) bins() int {
+	k := 0
+	for _, n := range t.n {
+		if n > 0 {
+			k++
+		}
+	}
+	return k
+}
+
+// merge folds slot os of o into slot s: counts add, Welford columns take the
+// parallel merge, min/max fold.
+func (t *accTable) merge(s int32, o *accTable, os int) {
+	t.n[s] += o.n[os]
+	for i := range t.w {
+		if col := t.w[i]; col != nil {
+			col[s].Merge(o.w[i][os])
+		}
+		if col := t.mins[i]; col != nil && o.mins[i][os] < col[s] {
+			col[s] = o.mins[i][os]
+		}
+		if col := t.maxs[i]; col != nil && o.maxs[i][os] > col[s] {
+			col[s] = o.maxs[i][os]
+		}
+	}
+}
+
+// Accum is one bin's accumulator contents as ForEachBin yields them: row
+// count, and per aggregate the running moments (Welford) and min/max —
+// everything any engine needs to produce exact values, scaled estimates and
+// CLT margins. Entries of aggregates that do not use a field keep its empty
+// value (zero moments, +Inf min, -Inf max).
 type Accum struct {
 	N    int64
-	W    []stats.Welford // one per aggregate; unused slots stay zero
+	W    []stats.Welford
 	Mins []float64
 	Maxs []float64
 }
 
-func newAccum(numAggs int) *Accum {
-	a := &Accum{
-		W:    make([]stats.Welford, numAggs),
-		Mins: make([]float64, numAggs),
-		Maxs: make([]float64, numAggs),
-	}
-	for i := range a.Mins {
-		a.Mins[i] = math.Inf(1)
-		a.Maxs[i] = math.Inf(-1)
-	}
-	return a
-}
-
 // GroupState is the group-by accumulator table for one query execution (or
 // one execution fragment). Scans run vectorized: ScanRange/ScanRows process
-// batches of up to BatchRows rows through the plan's kernels, folding the
-// selected rows into per-bin accumulators — through a flat slot array when
-// the plan's dense fast path is active, through the Groups hash map
-// otherwise. Dense-path accumulators are registered in Groups too, so
-// Merge and the Snapshot* methods see one canonical view either way.
+// batches of up to BatchRows rows through the plan's kernels and fold the
+// selected rows into one flat accumulator table — dense plans compute each
+// row's slot arithmetically, other plans find it through a key index into
+// the same columns. The state holds nothing but that table; batch buffers
+// belong to the scanning goroutine (scanScratch).
 //
 // It is not safe for concurrent use; parallel scans keep one GroupState per
 // worker and Merge them.
 type GroupState struct {
 	plan    *Compiled
-	Groups  map[query.BinKey]*Accum
-	scratch []float64
-
-	// dense[slot] aliases Groups[plan.denseKey(slot)]; nil when the dense
-	// path is inactive or the slot's bin has not been touched yet.
-	dense []*Accum
-
-	// Reusable batch buffers, allocated on first scan.
-	selBuf []uint32
-	keysA  []int64
-	keysB  []int64
-	vals   [][]float64
+	t       accTable
+	scratch []float64 // scalar path's aggregate inputs
 }
 
 // NewGroupState allocates an empty state for the plan.
 func NewGroupState(plan *Compiled) *GroupState {
-	g := &GroupState{
+	return &GroupState{
 		plan:    plan,
-		Groups:  make(map[query.BinKey]*Accum),
+		t:       newAccTable(plan.NumAggs(), plan.aggOps, plan.geom),
 		scratch: make([]float64, plan.NumAggs()),
 	}
-	if n := plan.denseSlots(); n > 0 {
-		g.dense = make([]*Accum, n)
-	}
-	return g
-}
-
-// lookup returns the accumulator for key, creating it if needed. It is the
-// single creation point shared by the batch path, the scalar reference path
-// and Merge, so the dense array and the Groups map never diverge.
-func (g *GroupState) lookup(key query.BinKey) *Accum {
-	if g.dense != nil {
-		if slot, ok := g.plan.denseSlot(key); ok {
-			acc := g.dense[slot]
-			if acc == nil {
-				acc = g.registerDense(slot, key)
-			}
-			return acc
-		}
-	}
-	return g.mapLookup(key)
-}
-
-// registerDense creates the accumulator for a first-touched dense slot and
-// mirrors it into Groups (called once per distinct bin, off the hot loop).
-func (g *GroupState) registerDense(slot int, key query.BinKey) *Accum {
-	acc := newAccum(g.plan.NumAggs())
-	g.dense[slot] = acc
-	g.Groups[key] = acc
-	return acc
-}
-
-// mapLookup is the hash-map accumulator lookup.
-func (g *GroupState) mapLookup(key query.BinKey) *Accum {
-	acc, ok := g.Groups[key]
-	if !ok {
-		acc = newAccum(g.plan.NumAggs())
-		g.Groups[key] = acc
-	}
-	return acc
 }
 
 // observe folds a single matching row (scalar reference path).
 func (g *GroupState) observe(row int) {
-	acc := g.lookup(g.plan.BinKey(row))
-	acc.N++
+	t := &g.t
+	s := t.slot(g.plan.BinKey(row))
+	t.n[s]++
 	g.plan.AggInput(row, g.scratch)
-	for i, a := range g.plan.Query.Aggs {
-		switch a.Func {
-		case query.Count:
-			// N is the count; nothing more to track.
-		case query.Min:
-			if v := g.scratch[i]; v < acc.Mins[i] {
-				acc.Mins[i] = v
+	for _, op := range g.plan.aggOps {
+		v := g.scratch[op.slot]
+		switch op.code {
+		case aggOpWelford:
+			t.w[op.slot][s].Add(v)
+		case aggOpMin:
+			if v < t.mins[op.slot][s] {
+				t.mins[op.slot][s] = v
 			}
-		case query.Max:
-			if v := g.scratch[i]; v > acc.Maxs[i] {
-				acc.Maxs[i] = v
+		case aggOpMax:
+			if v > t.maxs[op.slot][s] {
+				t.maxs[op.slot][s] = v
 			}
-		default: // Sum, Avg
-			acc.W[i].Add(g.scratch[i])
 		}
 	}
 }
 
-// ensureBatch allocates the reusable batch buffers.
-func (g *GroupState) ensureBatch() {
-	if g.keysA != nil {
-		return
+// scanScratch is the batch working set of one ScanRange/ScanRows call: the
+// selection vector, the slot buffers and the gathered aggregate inputs. It
+// belongs to the scanning goroutine, not to the state being filled, so a
+// worker folding one chunk through many consumers reuses one cache-resident
+// set of buffers and a consumer shard is only its table.
+type scanScratch struct {
+	sel    [BatchRows]uint32
+	slots  [BatchRows]int32
+	slotsB [BatchRows]int32
+	vals   [][]float64 // gather buffers, one per aggregate op, grown on demand
+	in     [][]float64 // this batch's aggregate inputs, parallel to plan.aggOps
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
+
+// release returns the scratch to the pool, dropping the column views the
+// last batch's aggregate inputs may alias.
+func (sc *scanScratch) release() {
+	clear(sc.in)
+	scratchPool.Put(sc)
+}
+
+// val returns the k-th gather buffer.
+func (sc *scanScratch) val(k int) []float64 {
+	for len(sc.vals) <= k {
+		sc.vals = append(sc.vals, make([]float64, BatchRows))
 	}
-	g.keysA = make([]int64, BatchRows)
-	if len(g.plan.binKern) > 1 {
-		g.keysB = make([]int64, BatchRows)
-	}
-	if len(g.plan.predKern) > 0 {
-		g.selBuf = make([]uint32, 0, BatchRows)
-	}
-	g.vals = make([][]float64, g.plan.NumAggs())
-	for _, op := range g.plan.aggOps {
-		g.vals[op.slot] = make([]float64, BatchRows)
-	}
+	return sc.vals[k]
 }
 
 // ScanRange folds physical rows [lo, hi) that match the filter.
 func (g *GroupState) ScanRange(lo, hi int) {
-	g.ensureBatch()
+	sc := scratchPool.Get().(*scanScratch)
 	for lo < hi {
-		n := hi - lo
-		if n > BatchRows {
-			n = BatchRows
-		}
-		g.scanRangeBatch(lo, lo+n)
+		n := min(hi-lo, BatchRows)
+		g.scanRangeBatch(sc, lo, lo+n)
 		lo += n
 	}
+	sc.release()
 }
 
 // ScanRows folds an explicit list of physical row indices (a permutation
-// chunk or a sample).
+// chunk or a sample). No engine scans this way since the sampling engines
+// materialize their permutation; it stays as the oracle the permuted-storage
+// property test compares sequential scans against.
 func (g *GroupState) ScanRows(rows []uint32) {
-	g.ensureBatch()
+	sc := scratchPool.Get().(*scanScratch)
 	for len(rows) > 0 {
-		n := len(rows)
-		if n > BatchRows {
-			n = BatchRows
+		n := min(len(rows), BatchRows)
+		sel := sc.sel[:n]
+		copy(sel, rows)
+		for _, p := range g.plan.predKern {
+			sel = p.refine(sel)
 		}
-		g.scanRowsBatch(rows[:n])
+		g.foldSel(sc, sel)
 		rows = rows[n:]
 	}
+	sc.release()
 }
 
 // ScanRangeScalar is the row-at-a-time reference implementation of
@@ -195,201 +283,175 @@ func (g *GroupState) ScanRowsScalar(rows []uint32) {
 
 // scanRangeBatch runs the kernel pipeline for one batch [lo, hi),
 // hi-lo <= BatchRows.
-func (g *GroupState) scanRangeBatch(lo, hi int) {
-	preds := g.plan.predKern
-	if len(preds) == 0 {
-		// Unfiltered range: key and gather kernels read the column slices
-		// contiguously, no selection vector needed.
-		n := hi - lo
-		g.plan.binKern[0].keysRange(lo, g.keysA[:n])
-		if g.keysB != nil {
-			g.plan.binKern[1].keysRange(lo, g.keysB[:n])
-		}
-		for _, op := range g.plan.aggOps {
-			g.plan.aggKern[op.slot].gatherRange(lo, g.vals[op.slot][:n])
-		}
-		g.accumulate(n)
-		return
-	}
-	sel := preds[0].selectRange(lo, hi, g.selBuf[:0])
-	for _, p := range preds[1:] {
-		if len(sel) == 0 {
-			return
-		}
-		sel = p.refine(sel)
-	}
-	if len(sel) > 0 {
-		g.foldSel(sel)
-	}
-}
-
-// scanRowsBatch runs the kernel pipeline for one explicit-row batch,
-// len(rows) <= BatchRows.
-func (g *GroupState) scanRowsBatch(rows []uint32) {
-	sel := rows
-	if preds := g.plan.predKern; len(preds) > 0 {
-		sel = preds[0].selectRows(rows, g.selBuf[:0])
+func (g *GroupState) scanRangeBatch(sc *scanScratch, lo, hi int) {
+	plan := g.plan
+	preds := plan.predKern
+	if len(preds) > 0 {
+		sel := preds[0].selectRange(lo, hi, sc.sel[:])
 		for _, p := range preds[1:] {
-			if len(sel) == 0 {
-				return
-			}
 			sel = p.refine(sel)
 		}
-		if len(sel) == 0 {
-			return
+		g.foldSel(sc, sel)
+		return
+	}
+	// Unfiltered range: slot and gather kernels read the column slices
+	// contiguously, no selection vector needed.
+	n := hi - lo
+	slots := sc.slots[:n]
+	if g.t.dense() {
+		plan.binKern[0].slotsRange(lo, slots)
+		if len(plan.binKern) > 1 {
+			b := sc.slotsB[:n]
+			plan.binKern[1].slotsRange(lo, b)
+			g.t.geom.combine(slots, b)
+		}
+	} else {
+		for i := range slots {
+			slots[i] = g.t.slot(plan.BinKey(lo + i))
 		}
 	}
-	g.foldSel(sel)
+	sc.in = sc.in[:0]
+	for k, op := range plan.aggOps {
+		sc.in = append(sc.in, plan.aggKern[op.slot].gatherRange(lo, sc.val(k)[:n]))
+	}
+	g.accumulate(slots, sc.in)
 }
 
-// foldSel computes keys and aggregate inputs for the selected rows and
+// foldSel computes slots and aggregate inputs for the selected rows and
 // accumulates them.
-func (g *GroupState) foldSel(sel []uint32) {
+func (g *GroupState) foldSel(sc *scanScratch, sel []uint32) {
 	n := len(sel)
-	g.plan.binKern[0].keysSel(sel, g.keysA[:n])
-	if g.keysB != nil {
-		g.plan.binKern[1].keysSel(sel, g.keysB[:n])
+	if n == 0 {
+		return
 	}
-	for _, op := range g.plan.aggOps {
-		g.plan.aggKern[op.slot].gatherSel(sel, g.vals[op.slot][:n])
+	plan := g.plan
+	slots := sc.slots[:n]
+	if g.t.dense() {
+		plan.binKern[0].slotsSel(sel, slots)
+		if len(plan.binKern) > 1 {
+			b := sc.slotsB[:n]
+			plan.binKern[1].slotsSel(sel, b)
+			g.t.geom.combine(slots, b)
+		}
+	} else {
+		for i, r := range sel {
+			slots[i] = g.t.slot(plan.BinKey(int(r)))
+		}
 	}
-	g.accumulate(n)
+	sc.in = sc.in[:0]
+	for k, op := range plan.aggOps {
+		vals := sc.val(k)[:n]
+		plan.aggKern[op.slot].gatherSel(sel, vals)
+		sc.in = append(sc.in, vals)
+	}
+	g.accumulate(slots, sc.in)
 }
 
-// accumulate folds the first n entries of the key/value buffers, in order,
-// so results stay bitwise-identical to the scalar path.
-func (g *GroupState) accumulate(n int) {
-	keysA := g.keysA[:n]
-	ops := g.plan.aggOps
-	if dense := g.dense; dense != nil && g.keysB == nil {
-		loA := g.plan.denseLoA
-		switch {
-		case len(ops) == 0:
-			// Dense 1D COUNT: the dominant dashboard shape, branch-lean.
-			for _, ka := range keysA {
-				slot := ka - loA
-				if uint64(slot) < uint64(len(dense)) {
-					acc := dense[slot]
-					if acc == nil {
-						acc = g.registerDense(int(slot), query.BinKey{A: ka})
-					}
-					acc.N++
-				} else {
-					g.mapLookup(query.BinKey{A: ka}).N++
-				}
-			}
-			return
-		case len(ops) == 1 && ops[0].code == aggOpWelford:
-			// Dense 1D single SUM/AVG: the other dominant shape.
-			s := ops[0].slot
-			vals := g.vals[s][:n]
-			for i, ka := range keysA {
-				var acc *Accum
-				slot := ka - loA
-				if uint64(slot) < uint64(len(dense)) {
-					acc = dense[slot]
-					if acc == nil {
-						acc = g.registerDense(int(slot), query.BinKey{A: ka})
-					}
-				} else {
-					acc = g.mapLookup(query.BinKey{A: ka})
-				}
-				acc.N++
-				acc.W[s].Add(vals[i])
-			}
-			return
+// accumulate folds one batch into the table a column at a time: the counts,
+// then each aggregate op's inputs (in[k] belongs to plan.aggOps[k]). Within a
+// column every bin still observes its values in row order, so results stay
+// bitwise-identical to the scalar path. A leading SUM/AVG — the dominant
+// dashboard shape — shares the counting pass: the count's short
+// read-modify-write chain hides under the Welford update's long one.
+func (g *GroupState) accumulate(slots []int32, in [][]float64) {
+	cnt, ops := g.t.n, g.plan.aggOps
+	if len(ops) > 0 && ops[0].code == aggOpWelford {
+		col, vals := g.t.w[ops[0].slot], in[0][:len(slots)]
+		for i, s := range slots {
+			cnt[s]++
+			col[s].Add(vals[i])
+		}
+		ops, in = ops[1:], in[1:]
+	} else {
+		for _, s := range slots {
+			cnt[s]++
 		}
 	}
-	var keysB []int64
-	if g.keysB != nil {
-		keysB = g.keysB[:n]
-	}
-	for i := 0; i < n; i++ {
-		key := query.BinKey{A: keysA[i]}
-		if keysB != nil {
-			key.B = keysB[i]
-		}
-		var acc *Accum
-		if g.dense != nil {
-			if slot, ok := g.plan.denseSlot(key); ok {
-				if acc = g.dense[slot]; acc == nil {
-					acc = g.registerDense(slot, key)
+	for k, op := range ops {
+		vals := in[k][:len(slots)]
+		switch op.code {
+		case aggOpWelford:
+			col := g.t.w[op.slot]
+			for i, s := range slots {
+				col[s].Add(vals[i])
+			}
+		case aggOpMin:
+			col := g.t.mins[op.slot]
+			for i, s := range slots {
+				if v := vals[i]; v < col[s] {
+					col[s] = v
 				}
 			}
-		}
-		if acc == nil {
-			acc = g.mapLookup(key)
-		}
-		acc.N++
-		for _, op := range ops {
-			v := g.vals[op.slot][i]
-			switch op.code {
-			case aggOpWelford:
-				acc.W[op.slot].Add(v)
-			case aggOpMin:
-				if v < acc.Mins[op.slot] {
-					acc.Mins[op.slot] = v
-				}
-			case aggOpMax:
-				if v > acc.Maxs[op.slot] {
-					acc.Maxs[op.slot] = v
+		case aggOpMax:
+			col := g.t.maxs[op.slot]
+			for i, s := range slots {
+				if v := vals[i]; v > col[s] {
+					col[s] = v
 				}
 			}
 		}
 	}
 }
 
-// Merge folds another state (same plan) into g.
+// Merge folds another state of the same query into g. States over the same
+// dense geometry merge slot for slot; otherwise (an indexed side, or a plan
+// rebound to a grown table by sharedscan's Extend) each of o's bins is
+// re-keyed into g.
 func (g *GroupState) Merge(o *GroupState) {
-	for key, oa := range o.Groups {
-		acc := g.lookup(key)
-		acc.N += oa.N
-		for i := range acc.W {
-			acc.W[i].Merge(oa.W[i])
-			if oa.Mins[i] < acc.Mins[i] {
-				acc.Mins[i] = oa.Mins[i]
-			}
-			if oa.Maxs[i] > acc.Maxs[i] {
-				acc.Maxs[i] = oa.Maxs[i]
-			}
+	t, ot := &g.t, &o.t
+	sameSlots := t.dense() && ot.dense() && t.geom == ot.geom
+	for os, n := range ot.n {
+		if n <= 0 {
+			continue
 		}
+		s := int32(os)
+		if !sameSlots {
+			s = t.slot(ot.key(os))
+		}
+		t.merge(s, ot, os)
 	}
 }
 
 // NumGroups returns the current number of bins.
-func (g *GroupState) NumGroups() int { return len(g.Groups) }
+func (g *GroupState) NumGroups() int { return g.t.bins() }
+
+// ForEachBin calls fn for every bin in ascending slot order — ascending key
+// order for a dense plan, first-touch order otherwise — with a copy of its
+// accumulators. It is the inspection API tests read a state through: each
+// call allocates the bin's Accum, so engines render with the Snapshot
+// methods or ship Partial instead.
+func (g *GroupState) ForEachBin(fn func(key query.BinKey, acc Accum)) {
+	t := &g.t
+	for s, n := range t.n {
+		if n <= 0 {
+			continue
+		}
+		acc := Accum{
+			N:    n,
+			W:    make([]stats.Welford, len(t.w)),
+			Mins: filled(len(t.w), math.Inf(1)),
+			Maxs: filled(len(t.w), math.Inf(-1)),
+		}
+		for i := range t.w {
+			if t.w[i] != nil {
+				acc.W[i] = t.w[i][s]
+			}
+			if t.mins[i] != nil {
+				acc.Mins[i] = t.mins[i][s]
+			}
+			if t.maxs[i] != nil {
+				acc.Maxs[i] = t.maxs[i][s]
+			}
+		}
+		fn(t.key(s), acc)
+	}
+}
 
 // SnapshotExact renders the state as a complete, exact result (margins 0).
 // Blocking engines use this after a full scan.
 func (g *GroupState) SnapshotExact() *query.Result {
-	res := query.NewResult()
-	res.TotalRows = int64(g.plan.NumRows)
-	res.RowsSeen = int64(g.plan.NumRows)
-	res.Complete = true
-	res.Watermark = int64(g.plan.NumRows)
-	aggs := g.plan.Query.Aggs
-	for key, acc := range g.Groups {
-		bv := &query.BinValue{
-			Values:  make([]float64, len(aggs)),
-			Margins: make([]float64, len(aggs)),
-		}
-		for i, a := range aggs {
-			switch a.Func {
-			case query.Count:
-				bv.Values[i] = float64(acc.N)
-			case query.Sum:
-				bv.Values[i] = acc.W[i].Sum()
-			case query.Avg:
-				bv.Values[i] = acc.W[i].Mean()
-			case query.Min:
-				bv.Values[i] = acc.Mins[i]
-			case query.Max:
-				bv.Values[i] = acc.Maxs[i]
-			}
-		}
-		res.Bins[key] = bv
-	}
-	return res
+	rows := int64(g.plan.NumRows)
+	return render(&g.t, g.plan.Query.Aggs, rows, rows, rows, 0, 0)
 }
 
 // SnapshotScaled renders the state as an estimate from a uniform random
@@ -413,66 +475,81 @@ func (g *GroupState) SnapshotExact() *query.Result {
 //	AVG:    mean_g(x),          margin = z·sqrt(Var_g(x)/n_g)
 //	MIN/MAX: sample min/max (biased; no margin reported)
 func (g *GroupState) SnapshotScaled(rowsSeen, populationRows, watermark int64, weight, z float64) *query.Result {
-	return renderScaled(g.Groups, g.plan.Query.Aggs, rowsSeen, populationRows, watermark, weight, z)
+	return render(&g.t, g.plan.Query.Aggs, rowsSeen, populationRows, watermark, weight, z)
 }
 
-// renderScaled is the estimator math of SnapshotScaled over a bare
-// accumulator table. PartialFold.Render shares it, so a scatter-gather
-// coordinator rendering merged shard partials runs the exact float operations
-// a local GroupState snapshot would — same inputs, same bits.
-func renderScaled(groups map[query.BinKey]*Accum, aggs []query.Aggregate, rowsSeen, populationRows, watermark int64, weight, z float64) *query.Result {
-	res := query.NewResult()
-	res.TotalRows = populationRows
-	res.RowsSeen = rowsSeen
-	res.Complete = rowsSeen >= populationRows && weight == 0
-	res.Watermark = watermark
+// render is the estimator math of SnapshotScaled over a bare accumulator
+// table. PartialFold.Render shares it, so a scatter-gather coordinator
+// rendering merged shard partials runs the exact float operations a local
+// GroupState snapshot would — same inputs, same bits. A complete result
+// (every row seen, no stratum weight) reports no margins; SnapshotExact is
+// that case with a scale factor of exactly 1.
+//
+// The BinValues and their Values/Margins are carved out of one slice each,
+// sized to the bins present, instead of three allocations per bin per poll.
+func render(t *accTable, aggs []query.Aggregate, rowsSeen, populationRows, watermark int64, weight, z float64) *query.Result {
+	res := &query.Result{
+		TotalRows: populationRows,
+		RowsSeen:  rowsSeen,
+		Complete:  rowsSeen >= populationRows && weight == 0,
+		Watermark: watermark,
+	}
 	if rowsSeen == 0 {
+		res.Bins = make(map[query.BinKey]*query.BinValue)
 		return res
 	}
 	m := float64(rowsSeen)
-	n := float64(populationRows)
-	scale := n / m
+	scale := float64(populationRows) / m
 	if weight > 0 {
 		scale = weight
 	}
-	for key, acc := range groups {
-		bv := &query.BinValue{
-			Values:  make([]float64, len(aggs)),
-			Margins: make([]float64, len(aggs)),
+	bins, na := t.bins(), len(aggs)
+	res.Bins = make(map[query.BinKey]*query.BinValue, bins)
+	bvs := make([]query.BinValue, bins)
+	floats := make([]float64, 2*na*bins)
+	for s, n := range t.n {
+		if n <= 0 {
+			continue
 		}
+		bv := &bvs[0]
+		bvs = bvs[1:]
+		bv.Values, bv.Margins = floats[:na:na], floats[na:2*na:2*na]
+		floats = floats[2*na:]
 		for i, a := range aggs {
 			switch a.Func {
 			case query.Count:
-				bv.Values[i] = float64(acc.N) * scale
-				bv.Margins[i] = stats.FractionCI(acc.N, rowsSeen, m*scale, z)
+				bv.Values[i] = float64(n) * scale
+				if !res.Complete {
+					bv.Margins[i] = stats.FractionCI(n, rowsSeen, m*scale, z)
+				}
 			case query.Sum:
-				sum := acc.W[i].Sum()
+				w := &t.w[i][s]
+				sum := w.Sum()
 				bv.Values[i] = sum * scale
+				if res.Complete {
+					continue
+				}
 				// Var over all m rows of z_i = x_i·1[i∈bin]:
 				// Σz² = Σ_g x², z̄ = Σ_g x / m.
 				zbar := sum / m
-				varz := (acc.W[i].SumSquares() - m*zbar*zbar) / math.Max(m-1, 1)
+				varz := (w.SumSquares() - m*zbar*zbar) / math.Max(m-1, 1)
 				if varz < 0 {
 					varz = 0
 				}
 				bv.Margins[i] = z * m * scale * math.Sqrt(varz/m)
 			case query.Avg:
-				bv.Values[i] = acc.W[i].Mean()
-				bv.Margins[i] = acc.W[i].MeanCI(z)
+				w := &t.w[i][s]
+				bv.Values[i] = w.Mean()
+				if !res.Complete {
+					bv.Margins[i] = w.MeanCI(z)
+				}
 			case query.Min:
-				bv.Values[i] = acc.Mins[i]
+				bv.Values[i] = t.mins[i][s]
 			case query.Max:
-				bv.Values[i] = acc.Maxs[i]
+				bv.Values[i] = t.maxs[i][s]
 			}
 		}
-		res.Bins[key] = bv
-	}
-	if res.Complete {
-		for _, bv := range res.Bins {
-			for i := range bv.Margins {
-				bv.Margins[i] = 0
-			}
-		}
+		res.Bins[t.key(s)] = bv
 	}
 	return res
 }

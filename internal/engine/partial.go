@@ -47,6 +47,17 @@ type PartialBin struct {
 	Maxs []F64 `json:"maxs,omitempty"`
 }
 
+// wellFormed reports whether the bin could have come from GroupState.Partial:
+// at least one row, and no negative moment count.
+func (pb *PartialBin) wellFormed() bool {
+	for _, w := range pb.W {
+		if w.N < 0 {
+			return false
+		}
+	}
+	return pb.N > 0
+}
+
 // WelfordWire is the serialized form of stats.Welford's raw moments.
 type WelfordWire struct {
 	N    int64 `json:"n"`
@@ -78,40 +89,46 @@ func (f *F64) UnmarshalJSON(b []byte) error {
 
 // Partial extracts the state's accumulators in wire form. rowsSeen,
 // populationRows and watermark carry the same semantics as SnapshotScaled;
-// complete marks a fully folded fragment.
+// complete marks a fully folded fragment. Every bin carries one entry per
+// aggregate in each of W/Mins/Maxs — the empty value where the aggregate
+// does not use the field — carved out of one backing slice per field.
 func (g *GroupState) Partial(rowsSeen, populationRows, watermark int64, complete bool) *Partial {
+	t := &g.t
+	bins, na := t.bins(), len(t.w)
 	p := &Partial{
 		RowsSeen:   rowsSeen,
 		Population: populationRows,
 		Watermark:  watermark,
 		Complete:   complete,
-		Bins:       make([]PartialBin, 0, len(g.Groups)),
+		Bins:       make([]PartialBin, 0, bins),
 	}
-	for key, acc := range g.Groups {
-		pb := PartialBin{
-			Key:  key,
-			N:    acc.N,
-			W:    make([]WelfordWire, len(acc.W)),
-			Mins: make([]F64, len(acc.Mins)),
-			Maxs: make([]F64, len(acc.Maxs)),
+	ws := make([]WelfordWire, na*bins)
+	fs := make([]F64, 2*na*bins)
+	for s, n := range t.n {
+		if n <= 0 {
+			continue
 		}
-		for i := range acc.W {
-			n, mean, m2 := acc.W[i].State()
-			pb.W[i] = WelfordWire{N: n, Mean: F64(mean), M2: F64(m2)}
-		}
-		for i := range acc.Mins {
-			pb.Mins[i] = F64(acc.Mins[i])
-			pb.Maxs[i] = F64(acc.Maxs[i])
+		pb := PartialBin{Key: t.key(s), N: n,
+			W: ws[:na:na], Mins: fs[:na:na], Maxs: fs[na : 2*na : 2*na]}
+		ws, fs = ws[na:], fs[2*na:]
+		for i := range pb.W {
+			pb.Mins[i], pb.Maxs[i] = F64(math.Inf(1)), F64(math.Inf(-1))
+			if col := t.w[i]; col != nil {
+				wn, mean, m2 := col[s].State()
+				pb.W[i] = WelfordWire{N: wn, Mean: F64(mean), M2: F64(m2)}
+			}
+			if col := t.mins[i]; col != nil {
+				pb.Mins[i] = F64(col[s])
+			}
+			if col := t.maxs[i]; col != nil {
+				pb.Maxs[i] = F64(col[s])
+			}
 		}
 		p.Bins = append(p.Bins, pb)
 	}
-	sort.Slice(p.Bins, func(i, j int) bool {
-		a, b := p.Bins[i].Key, p.Bins[j].Key
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		return a.B < b.B
-	})
+	if !t.dense() { // a dense table's slots are already in key order
+		sort.Slice(p.Bins, func(i, j int) bool { return p.Bins[i].Key.Less(p.Bins[j].Key) })
+	}
 	return p
 }
 
@@ -121,8 +138,8 @@ func (g *GroupState) Partial(rowsSeen, populationRows, watermark int64, complete
 // bitwise-deterministic merge the serving tier promises. Not safe for
 // concurrent use.
 type PartialFold struct {
-	aggs   []query.Aggregate
-	groups map[query.BinKey]*Accum
+	aggs []query.Aggregate
+	t    accTable // key-indexed: a fold has no plan to take a domain from
 
 	rowsSeen   int64
 	population int64
@@ -136,7 +153,7 @@ type PartialFold struct {
 func NewPartialFold(aggs []query.Aggregate) *PartialFold {
 	return &PartialFold{
 		aggs:     aggs,
-		groups:   make(map[query.BinKey]*Accum),
+		t:        newAccTable(len(aggs), aggOpsOf(aggs), denseGeom{}),
 		complete: true,
 	}
 }
@@ -146,23 +163,28 @@ func NewPartialFold(aggs []query.Aggregate) *PartialFold {
 // across shards usually translate each shard's watermark to the global axis
 // first and override via Render's return, but the raw min is the right
 // default for fragments sharing one axis).
+//
+// A Partial is decoded off a shard connection, so its bins are outside input:
+// a bin without a positive row count or with a negative moment count is one
+// no GroupState produces, and it is dropped rather than folded (a count that
+// sums to zero or below would otherwise unmark a bin other fragments filled).
 func (f *PartialFold) Add(p *Partial) {
+	t := &f.t
 	for _, pb := range p.Bins {
-		acc, ok := f.groups[pb.Key]
-		if !ok {
-			acc = newAccum(len(f.aggs))
-			f.groups[pb.Key] = acc
+		if !pb.wellFormed() {
+			continue
 		}
-		acc.N += pb.N
-		for i := range acc.W {
-			if i < len(pb.W) {
-				acc.W[i].Merge(stats.WelfordFromState(pb.W[i].N, float64(pb.W[i].Mean), float64(pb.W[i].M2)))
+		s := t.slot(pb.Key)
+		t.n[s] += pb.N
+		for i := range t.w {
+			if col := t.w[i]; col != nil && i < len(pb.W) {
+				col[s].Merge(stats.WelfordFromState(pb.W[i].N, float64(pb.W[i].Mean), float64(pb.W[i].M2)))
 			}
-			if i < len(pb.Mins) && float64(pb.Mins[i]) < acc.Mins[i] {
-				acc.Mins[i] = float64(pb.Mins[i])
+			if col := t.mins[i]; col != nil && i < len(pb.Mins) && float64(pb.Mins[i]) < col[s] {
+				col[s] = float64(pb.Mins[i])
 			}
-			if i < len(pb.Maxs) && float64(pb.Maxs[i]) > acc.Maxs[i] {
-				acc.Maxs[i] = float64(pb.Maxs[i])
+			if col := t.maxs[i]; col != nil && i < len(pb.Maxs) && float64(pb.Maxs[i]) > col[s] {
+				col[s] = float64(pb.Maxs[i])
 			}
 		}
 	}
@@ -187,7 +209,7 @@ func (f *PartialFold) Watermark() int64 { return f.watermark }
 // Watermark is the fold's min watermark; coordinators that translate shard
 // watermarks onto a global axis overwrite it.
 func (f *PartialFold) Render(z float64) *query.Result {
-	res := renderScaled(f.groups, f.aggs, f.rowsSeen, f.population, f.watermark, 0, z)
+	res := render(&f.t, f.aggs, f.rowsSeen, f.population, f.watermark, 0, z)
 	if !f.complete {
 		res.Complete = false
 	}

@@ -35,9 +35,10 @@ func benchDB(b *testing.B) *dataset.Database {
 	return &dataset.Database{Fact: fact}
 }
 
-// benchPlans compiles q three ways: the scalar baseline (dense disabled so
-// it measures the original closure + hash-map pipeline), the vectorized
-// hash-map path, and the full vectorized + dense path.
+// benchPlans compiles q three ways: the scalar baseline (row-at-a-time
+// closures into a key-indexed table), the batch pipeline over a key-indexed
+// table (what a plan without a bounded key domain runs), and the batch
+// pipeline over the dense table.
 func benchPlans(b *testing.B, db *dataset.Database, q *query.Query) (scalar, vecMap, vecDense *Compiled) {
 	b.Helper()
 	compile := func() *Compiled {

@@ -244,11 +244,15 @@ func (s *Scanner) spawnLocked() {
 // worker claims chunks and folds them through the attached consumers until
 // no consumer has unassigned rows left.
 func (s *Scanner) worker(id int) {
+	// A task is one consumer's claim on the current chunk: spans[from:to].
+	// Both buffers are reused across chunks, so a claim allocates nothing
+	// while s.mu is held.
 	type task struct {
-		c     *Consumer
-		parts []span
+		c        *Consumer
+		from, to int
 	}
 	var tasks []task
+	var spans []span
 	for {
 		s.mu.Lock()
 		if len(s.active) == 0 {
@@ -273,15 +277,16 @@ func (s *Scanner) worker(id int) {
 				break
 			}
 		}
-		tasks = tasks[:0]
+		tasks, spans = tasks[:0], spans[:0]
 		for i := 0; i < len(s.active); {
 			c := s.active[i]
 			if fgActive && c.fgRefs == 0 {
 				i++ // suspended speculation target
 				continue
 			}
-			if parts := c.takeLocked(lo, hi); len(parts) > 0 {
-				tasks = append(tasks, task{c, parts})
+			from := len(spans)
+			if spans = c.takeLocked(lo, hi, spans); len(spans) > from {
+				tasks = append(tasks, task{c, from, len(spans)})
 			}
 			if len(c.needed) == 0 {
 				// Fully assigned: no more chunks for this consumer. Its
@@ -307,7 +312,7 @@ func (s *Scanner) worker(id int) {
 		}
 		s.mu.Unlock()
 		for _, t := range tasks {
-			t.c.fold(id, t.parts)
+			t.c.fold(id, spans[t.from:t.to])
 		}
 		// Yield between dispatches so pollers (snapshot loops, the driver's
 		// deadline checks) get the core promptly even when scan workers
@@ -442,32 +447,38 @@ func (c *Consumer) Discard() {
 }
 
 // takeLocked claims the intersection of [lo, hi) with the consumer's
-// uncovered ranges, removing it from needed. Caller holds s.mu.
-func (c *Consumer) takeLocked(lo, hi int) []span {
-	var out, rest []span
-	touched := false
-	for _, sp := range c.needed {
+// uncovered ranges: the claimed spans are appended to out (the calling
+// worker's buffer) and needed is clipped in place, order kept. Only a chunk
+// strictly inside one uncovered range — a consumer's first claim after it
+// attaches mid-table — leaves one range more than it found. Caller holds
+// s.mu.
+func (c *Consumer) takeLocked(lo, hi int, out []span) []span {
+	w := 0 // needed[:w] is the clipped prefix; w never passes the read index
+	for i := 0; i < len(c.needed); i++ {
+		sp := c.needed[i]
 		if sp.hi <= lo || sp.lo >= hi {
-			rest = append(rest, sp)
+			c.needed[w] = sp
+			w++
 			continue
 		}
-		touched = true
-		ilo, ihi := sp.lo, sp.hi
-		if ilo < lo {
-			rest = append(rest, span{ilo, lo})
-			ilo = lo
+		out = append(out, span{max(sp.lo, lo), min(sp.hi, hi)})
+		if sp.lo < lo {
+			c.needed[w] = span{sp.lo, lo}
+			w++
 		}
-		if ihi > hi {
-			ihi = hi
-		}
-		out = append(out, span{ilo, ihi})
-		if ihi < sp.hi {
-			rest = append(rest, span{ihi, sp.hi})
+		if sp.hi > hi {
+			if w > i {
+				// Both remainders survive and the left one took this
+				// range's own place: open a gap for the right one.
+				c.needed = append(c.needed, span{})
+				copy(c.needed[w+1:], c.needed[w:])
+				i++
+			}
+			c.needed[w] = span{hi, sp.hi}
+			w++
 		}
 	}
-	if touched {
-		c.needed = rest
-	}
+	c.needed = c.needed[:w]
 	return out
 }
 

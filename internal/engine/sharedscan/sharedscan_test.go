@@ -389,16 +389,18 @@ func TestMergeShardsBitwiseAgainstSequential(t *testing.T) {
 	ref := engine.NewGroupState(f.plan(t, 1))
 	ref.ScanRange(0, plan.NumRows)
 	merged, _ := c.mergeShards()
-	if len(ref.Groups) != len(merged.Groups) {
-		t.Fatalf("%d groups, want %d", len(merged.Groups), len(ref.Groups))
+	if ref.NumGroups() != merged.NumGroups() {
+		t.Fatalf("%d groups, want %d", merged.NumGroups(), ref.NumGroups())
 	}
-	for k, want := range ref.Groups {
-		got, ok := merged.Groups[k]
+	got := make(map[query.BinKey]int64)
+	merged.ForEachBin(func(k query.BinKey, acc engine.Accum) { got[k] = acc.N })
+	ref.ForEachBin(func(k query.BinKey, want engine.Accum) {
+		n, ok := got[k]
 		if !ok {
 			t.Fatalf("missing bin %v", k)
 		}
-		if got.N != want.N {
-			t.Fatalf("bin %v: N %d, want %d", k, got.N, want.N)
+		if n != want.N {
+			t.Fatalf("bin %v: N %d, want %d", k, n, want.N)
 		}
-	}
+	})
 }

@@ -8,23 +8,29 @@ import "idebench/internal/dataset"
 // of the scalar reference path (compile.go) on the hot scan path.
 //
 // Execution model per batch (≤ BatchRows rows, a range [lo,hi) or an
-// explicit row list):
+// explicit row list), over buffers the scanning goroutine owns
+// (scanScratch):
 //
 //  1. Predicate kernels produce a selection vector — the absolute row
 //     indices that pass the filter. The first predicate materializes the
-//     vector; the remaining predicates refine it in place.
-//  2. Bin-key kernels fill an []int64 key buffer for the selected rows.
-//  3. Aggregate kernels gather input values into []float64 buffers.
-//  4. GroupState.accumulate folds the buffers into per-bin accumulators,
-//     through a flat array when the bin-key domain is small (dense fast
-//     path) and through the hash map otherwise.
+//     vector; the remaining predicates refine it in place. Both are
+//     branch-free: every candidate row is written at the cursor and the
+//     cursor advances by the 0/1 outcome, so an unpredictable filter costs
+//     no mispredictions.
+//  2. Bin kernels fill an []int32 buffer with each selected row's slot in
+//     the dense accumulator table (two buffers combined for 2-D plans);
+//     plans without a dense table resolve slots through the table's key
+//     index instead.
+//  3. Aggregate kernels gather input values into []float64 buffers — or,
+//     for an unfiltered range over a fact column, alias the column itself.
+//  4. GroupState.accumulate folds the buffers into the table's columns.
 //
 // All kernels preserve row order, so every bin's accumulator observes the
 // exact same value sequence as the scalar path and results are bitwise
 // identical (vectorize_test.go asserts this on randomized schemas).
 
 // BatchRows is the batch granularity: large enough to amortize per-batch
-// overhead, small enough that selection vectors and key/value buffers stay
+// overhead, small enough that selection vectors and slot/value buffers stay
 // L1/L2-resident (4096 rows ≈ 32 KiB per float64 buffer).
 const BatchRows = 4096
 
@@ -32,31 +38,44 @@ const BatchRows = 4096
 // a []bool lookup table; beyond it they fall back to a map.
 const inBitmapMax = 1 << 21
 
-// ---------------------------------------------------------------------------
-// Bin-key kernels
-
-// binKernel computes bin-key components for a batch of rows.
-type binKernel interface {
-	// keysRange writes the keys of rows [lo, lo+len(dst)) into dst.
-	keysRange(lo int, dst []int64)
-	// keysSel writes the keys of the selected rows into dst
-	// (len(dst) == len(sel)).
-	keysSel(sel []uint32, dst []int64)
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag-set
+// instruction, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
-// nominalDirectBin bins by dictionary code of a fact-table column.
+// ---------------------------------------------------------------------------
+// Bin kernels
+
+// binKernel computes one bin dimension's dense slot component — the bin key
+// minus the dimension's planned domain origin — for a batch of rows. Only
+// plans with a dense table run it; its domain is the one newBinKernel
+// reports.
+type binKernel interface {
+	// slotsRange writes the components of rows [lo, lo+len(dst)) into dst.
+	slotsRange(lo int, dst []int32)
+	// slotsSel writes the components of the selected rows into dst
+	// (len(dst) == len(sel)).
+	slotsSel(sel []uint32, dst []int32)
+}
+
+// nominalDirectBin bins by dictionary code of a fact-table column (the code
+// is the component: the domain starts at 0).
 type nominalDirectBin struct{ codes []uint32 }
 
-func (k nominalDirectBin) keysRange(lo int, dst []int64) {
+func (k nominalDirectBin) slotsRange(lo int, dst []int32) {
 	src := k.codes[lo : lo+len(dst)]
 	for i, c := range src {
-		dst[i] = int64(c)
+		dst[i] = int32(c)
 	}
 }
 
-func (k nominalDirectBin) keysSel(sel []uint32, dst []int64) {
+func (k nominalDirectBin) slotsSel(sel []uint32, dst []int32) {
 	for i, r := range sel {
-		dst[i] = int64(k.codes[r])
+		dst[i] = int32(k.codes[r])
 	}
 }
 
@@ -67,36 +86,59 @@ type nominalFKBin struct {
 	fk    []float64
 }
 
-func (k nominalFKBin) keysRange(lo int, dst []int64) {
+func (k nominalFKBin) slotsRange(lo int, dst []int32) {
 	src := k.fk[lo : lo+len(dst)]
 	for i, f := range src {
-		dst[i] = int64(k.codes[int(f)])
+		dst[i] = int32(k.codes[int(f)])
 	}
 }
 
-func (k nominalFKBin) keysSel(sel []uint32, dst []int64) {
+func (k nominalFKBin) slotsSel(sel []uint32, dst []int32) {
 	for i, r := range sel {
-		dst[i] = int64(k.codes[int(k.fk[r])])
+		dst[i] = int32(k.codes[int(k.fk[r])])
 	}
 }
 
-// quantDirectBin bins a fact-table quantitative column by fixed width.
+// checkNarrowed guards the quantitative kernels' int64→int32 narrowing. all
+// is the OR of a batch's components before narrowing: a bit at or above 31
+// means one was negative or beyond int32, and narrowing it could wrap onto a
+// valid slot and fold the row into another bin. What passes is in [0, 2^31),
+// so a component past the domain then faults on the table access (1-D) or in
+// combine (2-D) instead of aliasing. The domain comes from the column's own
+// bounds, so a failure is a broken column invariant, not a data condition.
+func checkNarrowed(all int64) {
+	if all>>31 != 0 {
+		panic("engine: bin key outside the planned dense domain")
+	}
+}
+
+// quantDirectBin bins a fact-table quantitative column by fixed width; base
+// is the bin index of the column's minimum.
 type quantDirectBin struct {
 	nums          []float64
 	width, origin float64
+	base          int64
 }
 
-func (k quantDirectBin) keysRange(lo int, dst []int64) {
+func (k quantDirectBin) slotsRange(lo int, dst []int32) {
 	src := k.nums[lo : lo+len(dst)]
+	var all int64
 	for i, v := range src {
-		dst[i] = binIdx(v, k.width, k.origin)
+		d := binIdx(v, k.width, k.origin) - k.base
+		all |= d
+		dst[i] = int32(d)
 	}
+	checkNarrowed(all)
 }
 
-func (k quantDirectBin) keysSel(sel []uint32, dst []int64) {
+func (k quantDirectBin) slotsSel(sel []uint32, dst []int32) {
+	var all int64
 	for i, r := range sel {
-		dst[i] = binIdx(k.nums[r], k.width, k.origin)
+		d := binIdx(k.nums[r], k.width, k.origin) - k.base
+		all |= d
+		dst[i] = int32(d)
 	}
+	checkNarrowed(all)
 }
 
 // quantFKBin bins an FK-indirected dimension quantitative column.
@@ -104,19 +146,28 @@ type quantFKBin struct {
 	nums          []float64
 	fk            []float64
 	width, origin float64
+	base          int64
 }
 
-func (k quantFKBin) keysRange(lo int, dst []int64) {
+func (k quantFKBin) slotsRange(lo int, dst []int32) {
 	src := k.fk[lo : lo+len(dst)]
+	var all int64
 	for i, f := range src {
-		dst[i] = binIdx(k.nums[int(f)], k.width, k.origin)
+		d := binIdx(k.nums[int(f)], k.width, k.origin) - k.base
+		all |= d
+		dst[i] = int32(d)
 	}
+	checkNarrowed(all)
 }
 
-func (k quantFKBin) keysSel(sel []uint32, dst []int64) {
+func (k quantFKBin) slotsSel(sel []uint32, dst []int32) {
+	var all int64
 	for i, r := range sel {
-		dst[i] = binIdx(k.nums[int(k.fk[r])], k.width, k.origin)
+		d := binIdx(k.nums[int(k.fk[r])], k.width, k.origin) - k.base
+		all |= d
+		dst[i] = int32(d)
 	}
+	checkNarrowed(all)
 }
 
 // ---------------------------------------------------------------------------
@@ -124,15 +175,19 @@ func (k quantFKBin) keysSel(sel []uint32, dst []int64) {
 
 // aggKernel gathers aggregate input values for a batch of rows.
 type aggKernel interface {
-	gatherRange(lo int, dst []float64)
+	// gatherRange returns the inputs of rows [lo, lo+len(buf)): in buf, or
+	// as a view of the column itself when they already lie contiguous there.
+	gatherRange(lo int, buf []float64) []float64
+	// gatherSel writes the inputs of the selected rows into dst
+	// (len(dst) == len(sel)).
 	gatherSel(sel []uint32, dst []float64)
 }
 
 // numDirectAgg reads a fact-table quantitative column.
 type numDirectAgg struct{ nums []float64 }
 
-func (k numDirectAgg) gatherRange(lo int, dst []float64) {
-	copy(dst, k.nums[lo:lo+len(dst)])
+func (k numDirectAgg) gatherRange(lo int, buf []float64) []float64 {
+	return k.nums[lo : lo+len(buf)]
 }
 
 func (k numDirectAgg) gatherSel(sel []uint32, dst []float64) {
@@ -144,11 +199,12 @@ func (k numDirectAgg) gatherSel(sel []uint32, dst []float64) {
 // numFKAgg reads an FK-indirected dimension quantitative column.
 type numFKAgg struct{ nums, fk []float64 }
 
-func (k numFKAgg) gatherRange(lo int, dst []float64) {
-	src := k.fk[lo : lo+len(dst)]
+func (k numFKAgg) gatherRange(lo int, buf []float64) []float64 {
+	src := k.fk[lo : lo+len(buf)]
 	for i, f := range src {
-		dst[i] = k.nums[int(f)]
+		buf[i] = k.nums[int(f)]
 	}
+	return buf
 }
 
 func (k numFKAgg) gatherSel(sel []uint32, dst []float64) {
@@ -160,12 +216,12 @@ func (k numFKAgg) gatherSel(sel []uint32, dst []float64) {
 // ---------------------------------------------------------------------------
 // Predicate kernels
 
-// predKernel evaluates one filter conjunct over a batch.
+// predKernel evaluates one filter conjunct over a batch. Both methods keep
+// row order and are branch-free in the predicate's outcome.
 type predKernel interface {
-	// selectRange appends the rows of [lo, hi) that pass to sel.
-	selectRange(lo, hi int, sel []uint32) []uint32
-	// selectRows appends the rows of the explicit list that pass to sel.
-	selectRows(rows []uint32, sel []uint32) []uint32
+	// selectRange writes the rows of [lo, hi) that pass into buf
+	// (len(buf) >= hi-lo) and returns the filled prefix.
+	selectRange(lo, hi int, buf []uint32) []uint32
 	// refine keeps only the passing rows of sel, in place.
 	refine(sel []uint32) []uint32
 }
@@ -176,33 +232,25 @@ type rangeDirectPred struct {
 	lo, hi float64
 }
 
-func (p rangeDirectPred) selectRange(lo, hi int, sel []uint32) []uint32 {
+func (p rangeDirectPred) selectRange(lo, hi int, buf []uint32) []uint32 {
 	src := p.nums[lo:hi]
+	buf = buf[:len(src)]
+	k := 0
 	for i, v := range src {
-		if v >= p.lo && v < p.hi {
-			sel = append(sel, uint32(lo+i))
-		}
+		buf[k] = uint32(lo + i)
+		k += b2i(v >= p.lo) & b2i(v < p.hi)
 	}
-	return sel
-}
-
-func (p rangeDirectPred) selectRows(rows []uint32, sel []uint32) []uint32 {
-	for _, r := range rows {
-		if v := p.nums[r]; v >= p.lo && v < p.hi {
-			sel = append(sel, r)
-		}
-	}
-	return sel
+	return buf[:k]
 }
 
 func (p rangeDirectPred) refine(sel []uint32) []uint32 {
-	out := sel[:0]
+	k := 0
 	for _, r := range sel {
-		if v := p.nums[r]; v >= p.lo && v < p.hi {
-			out = append(out, r)
-		}
+		v := p.nums[r]
+		sel[k] = r
+		k += b2i(v >= p.lo) & b2i(v < p.hi)
 	}
-	return out
+	return sel[:k]
 }
 
 // rangeFKPred is [lo, hi) on an FK-indirected dimension column.
@@ -212,33 +260,26 @@ type rangeFKPred struct {
 	lo, hi float64
 }
 
-func (p rangeFKPred) selectRange(lo, hi int, sel []uint32) []uint32 {
+func (p rangeFKPred) selectRange(lo, hi int, buf []uint32) []uint32 {
 	src := p.fk[lo:hi]
+	buf = buf[:len(src)]
+	k := 0
 	for i, f := range src {
-		if v := p.nums[int(f)]; v >= p.lo && v < p.hi {
-			sel = append(sel, uint32(lo+i))
-		}
+		v := p.nums[int(f)]
+		buf[k] = uint32(lo + i)
+		k += b2i(v >= p.lo) & b2i(v < p.hi)
 	}
-	return sel
-}
-
-func (p rangeFKPred) selectRows(rows []uint32, sel []uint32) []uint32 {
-	for _, r := range rows {
-		if v := p.nums[int(p.fk[r])]; v >= p.lo && v < p.hi {
-			sel = append(sel, r)
-		}
-	}
-	return sel
+	return buf[:k]
 }
 
 func (p rangeFKPred) refine(sel []uint32) []uint32 {
-	out := sel[:0]
+	k := 0
 	for _, r := range sel {
-		if v := p.nums[int(p.fk[r])]; v >= p.lo && v < p.hi {
-			out = append(out, r)
-		}
+		v := p.nums[int(p.fk[r])]
+		sel[k] = r
+		k += b2i(v >= p.lo) & b2i(v < p.hi)
 	}
-	return out
+	return sel[:k]
 }
 
 // inOneDirectPred is the single-value IN — the shape every cross-viz brush
@@ -248,33 +289,24 @@ type inOneDirectPred struct {
 	only  uint32
 }
 
-func (p inOneDirectPred) selectRange(lo, hi int, sel []uint32) []uint32 {
+func (p inOneDirectPred) selectRange(lo, hi int, buf []uint32) []uint32 {
 	src := p.codes[lo:hi]
+	buf = buf[:len(src)]
+	k := 0
 	for i, c := range src {
-		if c == p.only {
-			sel = append(sel, uint32(lo+i))
-		}
+		buf[k] = uint32(lo + i)
+		k += b2i(c == p.only)
 	}
-	return sel
-}
-
-func (p inOneDirectPred) selectRows(rows []uint32, sel []uint32) []uint32 {
-	for _, r := range rows {
-		if p.codes[r] == p.only {
-			sel = append(sel, r)
-		}
-	}
-	return sel
+	return buf[:k]
 }
 
 func (p inOneDirectPred) refine(sel []uint32) []uint32 {
-	out := sel[:0]
+	k := 0
 	for _, r := range sel {
-		if p.codes[r] == p.only {
-			out = append(out, r)
-		}
+		sel[k] = r
+		k += b2i(p.codes[r] == p.only)
 	}
-	return out
+	return sel[:k]
 }
 
 // inOneFKPred is the single-value IN on an FK-indirected dimension column.
@@ -284,33 +316,24 @@ type inOneFKPred struct {
 	only  uint32
 }
 
-func (p inOneFKPred) selectRange(lo, hi int, sel []uint32) []uint32 {
+func (p inOneFKPred) selectRange(lo, hi int, buf []uint32) []uint32 {
 	src := p.fk[lo:hi]
+	buf = buf[:len(src)]
+	k := 0
 	for i, f := range src {
-		if p.codes[int(f)] == p.only {
-			sel = append(sel, uint32(lo+i))
-		}
+		buf[k] = uint32(lo + i)
+		k += b2i(p.codes[int(f)] == p.only)
 	}
-	return sel
-}
-
-func (p inOneFKPred) selectRows(rows []uint32, sel []uint32) []uint32 {
-	for _, r := range rows {
-		if p.codes[int(p.fk[r])] == p.only {
-			sel = append(sel, r)
-		}
-	}
-	return sel
+	return buf[:k]
 }
 
 func (p inOneFKPred) refine(sel []uint32) []uint32 {
-	out := sel[:0]
+	k := 0
 	for _, r := range sel {
-		if p.codes[int(p.fk[r])] == p.only {
-			out = append(out, r)
-		}
+		sel[k] = r
+		k += b2i(p.codes[int(p.fk[r])] == p.only)
 	}
-	return out
+	return sel[:k]
 }
 
 // inBitmapDirectPred is the multi-value IN as a code-indexed lookup table.
@@ -319,33 +342,24 @@ type inBitmapDirectPred struct {
 	want  []bool
 }
 
-func (p inBitmapDirectPred) selectRange(lo, hi int, sel []uint32) []uint32 {
+func (p inBitmapDirectPred) selectRange(lo, hi int, buf []uint32) []uint32 {
 	src := p.codes[lo:hi]
+	buf = buf[:len(src)]
+	k := 0
 	for i, c := range src {
-		if p.want[c] {
-			sel = append(sel, uint32(lo+i))
-		}
+		buf[k] = uint32(lo + i)
+		k += b2i(p.want[c])
 	}
-	return sel
-}
-
-func (p inBitmapDirectPred) selectRows(rows []uint32, sel []uint32) []uint32 {
-	for _, r := range rows {
-		if p.want[p.codes[r]] {
-			sel = append(sel, r)
-		}
-	}
-	return sel
+	return buf[:k]
 }
 
 func (p inBitmapDirectPred) refine(sel []uint32) []uint32 {
-	out := sel[:0]
+	k := 0
 	for _, r := range sel {
-		if p.want[p.codes[r]] {
-			out = append(out, r)
-		}
+		sel[k] = r
+		k += b2i(p.want[p.codes[r]])
 	}
-	return out
+	return sel[:k]
 }
 
 // inBitmapFKPred is the multi-value IN on an FK-indirected dimension column.
@@ -355,33 +369,24 @@ type inBitmapFKPred struct {
 	want  []bool
 }
 
-func (p inBitmapFKPred) selectRange(lo, hi int, sel []uint32) []uint32 {
+func (p inBitmapFKPred) selectRange(lo, hi int, buf []uint32) []uint32 {
 	src := p.fk[lo:hi]
+	buf = buf[:len(src)]
+	k := 0
 	for i, f := range src {
-		if p.want[p.codes[int(f)]] {
-			sel = append(sel, uint32(lo+i))
-		}
+		buf[k] = uint32(lo + i)
+		k += b2i(p.want[p.codes[int(f)]])
 	}
-	return sel
-}
-
-func (p inBitmapFKPred) selectRows(rows []uint32, sel []uint32) []uint32 {
-	for _, r := range rows {
-		if p.want[p.codes[int(p.fk[r])]] {
-			sel = append(sel, r)
-		}
-	}
-	return sel
+	return buf[:k]
 }
 
 func (p inBitmapFKPred) refine(sel []uint32) []uint32 {
-	out := sel[:0]
+	k := 0
 	for _, r := range sel {
-		if p.want[p.codes[int(p.fk[r])]] {
-			out = append(out, r)
-		}
+		sel[k] = r
+		k += b2i(p.want[p.codes[int(p.fk[r])]])
 	}
-	return out
+	return sel[:k]
 }
 
 // inMapPred is the multi-value IN fallback for dictionaries too large for a
@@ -401,32 +406,23 @@ func (p inMapPred) match(r uint32) bool {
 	return ok
 }
 
-func (p inMapPred) selectRange(lo, hi int, sel []uint32) []uint32 {
+func (p inMapPred) selectRange(lo, hi int, buf []uint32) []uint32 {
+	buf = buf[:hi-lo]
+	k := 0
 	for r := lo; r < hi; r++ {
-		if p.match(uint32(r)) {
-			sel = append(sel, uint32(r))
-		}
+		buf[k] = uint32(r)
+		k += b2i(p.match(uint32(r)))
 	}
-	return sel
-}
-
-func (p inMapPred) selectRows(rows []uint32, sel []uint32) []uint32 {
-	for _, r := range rows {
-		if p.match(r) {
-			sel = append(sel, r)
-		}
-	}
-	return sel
+	return buf[:k]
 }
 
 func (p inMapPred) refine(sel []uint32) []uint32 {
-	out := sel[:0]
+	k := 0
 	for _, r := range sel {
-		if p.match(r) {
-			out = append(out, r)
-		}
+		sel[k] = r
+		k += b2i(p.match(r))
 	}
-	return out
+	return sel[:k]
 }
 
 // ---------------------------------------------------------------------------
@@ -434,7 +430,7 @@ func (p inMapPred) refine(sel []uint32) []uint32 {
 // derived from the same resolved column so they cannot disagree)
 
 // binDomain is the compile-time key domain of one binning dimension, used to
-// size the dense group-by array. known is false when the domain cannot be
+// size the dense accumulator table. known is false when the domain cannot be
 // bounded (e.g. a quantitative column containing NaN).
 type binDomain struct {
 	lo    int64
@@ -451,19 +447,17 @@ func newBinKernel(col *dataset.Column, fk *dataset.Column, b binShape) (binKerne
 		return nominalFKBin{codes: col.Codes, fk: fk.Nums},
 			binDomain{lo: 0, size: int64(col.Dict.Len()), known: true}
 	default:
-		var k binKernel
-		if fk == nil {
-			k = quantDirectBin{nums: col.Nums, width: b.width, origin: b.origin}
-		} else {
-			k = quantFKBin{nums: col.Nums, fk: fk.Nums, width: b.width, origin: b.origin}
-		}
 		mn, mx, ok := col.MinMax()
 		if !ok {
-			return k, binDomain{}
+			return nil, binDomain{}
 		}
 		lo := binIdx(mn, b.width, b.origin)
 		hi := binIdx(mx, b.width, b.origin)
-		return k, binDomain{lo: lo, size: hi - lo + 1, known: hi >= lo}
+		dom := binDomain{lo: lo, size: hi - lo + 1, known: hi >= lo}
+		if fk == nil {
+			return quantDirectBin{nums: col.Nums, width: b.width, origin: b.origin, base: lo}, dom
+		}
+		return quantFKBin{nums: col.Nums, fk: fk.Nums, width: b.width, origin: b.origin, base: lo}, dom
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -134,15 +135,33 @@ func fixFilterFields(q *query.Query) {
 	}
 }
 
+// binStates collects a state's bins through the ordered iterator, checking
+// the order on the way.
+func binStates(t *testing.T, label string, g *GroupState) map[query.BinKey]Accum {
+	t.Helper()
+	out := make(map[query.BinKey]Accum)
+	g.ForEachBin(func(key query.BinKey, acc Accum) {
+		if _, dup := out[key]; dup {
+			t.Fatalf("%s: bin %v yielded twice", label, key)
+		}
+		out[key] = acc
+	})
+	if len(out) != g.NumGroups() {
+		t.Fatalf("%s: ForEachBin yielded %d bins, NumGroups %d", label, len(out), g.NumGroups())
+	}
+	return out
+}
+
 // assertStatesEqual compares two group states bitwise: identical bin keys
 // and identical accumulator contents (counts, Welford moments, min/max).
 func assertStatesEqual(t *testing.T, label string, want, got *GroupState) {
 	t.Helper()
-	if len(want.Groups) != len(got.Groups) {
-		t.Fatalf("%s: %d groups, want %d", label, len(got.Groups), len(want.Groups))
+	w, g := binStates(t, label, want), binStates(t, label, got)
+	if len(w) != len(g) {
+		t.Fatalf("%s: %d groups, want %d", label, len(g), len(w))
 	}
-	for key, wa := range want.Groups {
-		ga, ok := got.Groups[key]
+	for key, wa := range w {
+		ga, ok := g[key]
 		if !ok {
 			t.Fatalf("%s: missing bin %v", label, key)
 		}
@@ -152,9 +171,86 @@ func assertStatesEqual(t *testing.T, label string, want, got *GroupState) {
 	}
 }
 
+// checkVectorizedMatchesScalar runs one (database, query) pair through every
+// scan path — scalar reference, batch over the dense table, batch over the
+// key-indexed table, explicit row lists, chunk-split + Merge — and asserts
+// they produce bitwise-identical group states.
+func checkVectorizedMatchesScalar(t *testing.T, rng *rand.Rand, label string, db *dataset.Database, q *query.Query) {
+	t.Helper()
+	if err := q.Validate(); err != nil {
+		t.Fatalf("%s: invalid query: %v", label, err)
+	}
+	plan, err := Compile(db, q)
+	if err != nil {
+		t.Fatalf("%s: compile: %v", label, err)
+	}
+	planMap, err := Compile(db, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planMap.disableDense()
+
+	ref := NewGroupState(plan)
+	ref.ScanRangeScalar(0, plan.NumRows)
+
+	vec := NewGroupState(plan)
+	vec.ScanRange(0, plan.NumRows)
+	assertStatesEqual(t, fmt.Sprintf("%s range (dense=%v)", label, plan.geom.slots() > 0), ref, vec)
+
+	viaMap := NewGroupState(planMap)
+	viaMap.ScanRange(0, plan.NumRows)
+	assertStatesEqual(t, label+" range map-path", ref, viaMap)
+
+	// Explicit row lists in permuted order (the progressive engines'
+	// access pattern): scalar and batch must agree row-for-row.
+	perm := rng.Perm(plan.NumRows)
+	rowsList := make([]uint32, len(perm))
+	for i, p := range perm {
+		rowsList[i] = uint32(p)
+	}
+	prefix := rowsList[:rng.Intn(len(rowsList)+1)]
+	refRows := NewGroupState(plan)
+	refRows.ScanRowsScalar(prefix)
+	vecRows := NewGroupState(plan)
+	vecRows.ScanRows(prefix)
+	assertStatesEqual(t, label+" rows", refRows, vecRows)
+
+	// Chunked parallel-scan shape: split into worker states and Merge.
+	// Merged Welford moments differ bitwise from a sequential whole
+	// scan (parallel-merge vs sequential folding), so the whole-scan
+	// comparison checks counts; the full accumulator contents are
+	// checked dense-vs-map, where the op order is identical.
+	if plan.NumRows > 1 {
+		split := 1 + rng.Intn(plan.NumRows-1)
+		a, b := NewGroupState(plan), NewGroupState(planMap)
+		a.ScanRange(0, split)
+		b.ScanRange(split, plan.NumRows)
+		a.Merge(b)
+		am, bm := NewGroupState(planMap), NewGroupState(plan)
+		am.ScanRange(0, split)
+		bm.ScanRange(split, plan.NumRows)
+		am.Merge(bm)
+		assertStatesEqual(t, label+" merge dense-vs-map", a, am)
+		whole := binStates(t, label, ref)
+		merged := binStates(t, label, a)
+		if len(merged) != len(whole) {
+			t.Fatalf("%s merge: %d groups, want %d", label, len(merged), len(whole))
+		}
+		for key, wa := range whole {
+			ga, ok := merged[key]
+			if !ok {
+				t.Fatalf("%s merge: missing bin %v", label, key)
+			}
+			if wa.N != ga.N {
+				t.Fatalf("%s merge: bin %v N=%d, want %d", label, key, ga.N, wa.N)
+			}
+		}
+	}
+}
+
 // TestVectorizedMatchesScalar is the kernel property test: on randomized
-// schemas, queries and filters, the batch path (dense and hash-map
-// variants), the scalar reference path, and a chunk-split + Merge run all
+// schemas, queries and filters, the batch path (dense and key-indexed
+// tables), the scalar reference path, and a chunk-split + Merge run all
 // produce bitwise-identical group states.
 func TestVectorizedMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -164,74 +260,181 @@ func TestVectorizedMatchesScalar(t *testing.T) {
 		db := randomDB(t, rng, rows, normalized)
 		q := randomQuery(rng, normalized)
 		fixFilterFields(q)
-		if err := q.Validate(); err != nil {
-			t.Fatalf("trial %d: invalid query: %v", trial, err)
+		checkVectorizedMatchesScalar(t, rng, fmt.Sprintf("trial %d", trial), db, q)
+	}
+}
+
+// TestVectorizedMatchesScalarEdges pins the shapes the randomized draw only
+// hits by luck: filters that pass nothing and everything, a tail batch
+// shorter than BatchRows after full ones, a NaN-bearing bin column (no
+// bounded domain, so the table is key-indexed even for the "dense" plan),
+// and MIN/MAX-only plans (a table without a Welford column).
+func TestVectorizedMatchesScalarEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const rows = 2*BatchRows + 37
+	for _, normalized := range []bool{false, true} {
+		db := randomDB(t, rng, rows, normalized)
+		// x is N(0,100): the first range passes no row, the second every row;
+		// "nope" is in no dictionary, b0..b4 is all of cat_b.
+		none := []query.Predicate{
+			{Field: "x", Op: query.OpRange, Lo: 1e9, Hi: 2e9},
+			{Field: "cat_b", Op: query.OpIn, Values: []string{"nope"}},
+			{Field: "cat_b", Op: query.OpIn, Values: []string{"nope", "nada"}},
 		}
+		all := []query.Predicate{
+			{Field: "x", Op: query.OpRange, Lo: -1e9, Hi: 1e9},
+			{Field: "cat_b", Op: query.OpIn, Values: []string{"b0", "b1", "b2", "b3", "b4"}},
+		}
+		aggSets := [][]query.Aggregate{
+			{{Func: query.Count}},
+			{{Func: query.Avg, Field: "y"}},
+			{{Func: query.Min, Field: "y"}, {Func: query.Max, Field: "x"}},
+			{{Func: query.Max, Field: "y"}},
+		}
+		binSets := [][]query.Binning{
+			{{Field: "cat_a", Kind: dataset.Nominal}},
+			{{Field: "x", Kind: dataset.Quantitative, Width: 50, Origin: -37.5},
+				{Field: "cat_b", Kind: dataset.Nominal}},
+		}
+		for bi, bins := range binSets {
+			for ai, aggs := range aggSets {
+				for pi, p := range append(append([]query.Predicate{}, none...), all...) {
+					q := &query.Query{VizName: "v", Table: "fact", Bins: bins, Aggs: aggs,
+						Filter: query.Filter{Predicates: []query.Predicate{p}}}
+					label := fmt.Sprintf("normalized=%v bins %d aggs %d pred %d", normalized, bi, ai, pi)
+					checkVectorizedMatchesScalar(t, rng, label, db, q)
+					// Both at once: refine sees an all-pass vector, then empties it.
+					q.Filter.Predicates = []query.Predicate{all[0], p}
+					checkVectorizedMatchesScalar(t, rng, label+" after all-pass", db, q)
+				}
+			}
+		}
+	}
+
+	// NaN in the binned column: Column.MinMax has no answer, the planner has
+	// no domain, and every path must still agree on whichever bin the
+	// platform's float→int conversion sends NaN to.
+	schema := dataset.MustSchema([]dataset.Field{
+		{Name: "cat_a", Kind: dataset.Nominal},
+		{Name: "x", Kind: dataset.Quantitative},
+		{Name: "y", Kind: dataset.Quantitative},
+	})
+	b := dataset.NewBuilder("fact", schema, rows)
+	for i := 0; i < rows; i++ {
+		b.AppendString(0, fmt.Sprintf("a%d", rng.Intn(9)))
+		x := rng.NormFloat64() * 100
+		if i%97 == 0 {
+			x = math.NaN()
+		}
+		b.AppendNum(1, x)
+		b.AppendNum(2, rng.Float64()*1e4-5e3)
+	}
+	fact, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := &dataset.Database{Fact: fact}
+	for _, bins := range [][]query.Binning{
+		{{Field: "x", Kind: dataset.Quantitative, Width: 25}},
+		{{Field: "cat_a", Kind: dataset.Nominal}, {Field: "x", Kind: dataset.Quantitative, Width: 25}},
+	} {
+		q := &query.Query{VizName: "v", Table: "fact", Bins: bins,
+			Aggs: []query.Aggregate{{Func: query.Count}, {Func: query.Sum, Field: "y"}},
+			Filter: query.Filter{Predicates: []query.Predicate{
+				{Field: "y", Op: query.OpRange, Lo: -4000, Hi: 4000}}}}
 		plan, err := Compile(db, q)
-		if err != nil {
-			t.Fatalf("trial %d: compile: %v", trial, err)
-		}
-		planMap, err := Compile(db, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		planMap.disableDense()
-
-		ref := NewGroupState(plan)
-		ref.ScanRangeScalar(0, plan.NumRows)
-
-		vec := NewGroupState(plan)
-		vec.ScanRange(0, plan.NumRows)
-		assertStatesEqual(t, fmt.Sprintf("trial %d range (dense=%v)", trial, plan.denseOK), ref, vec)
-
-		viaMap := NewGroupState(planMap)
-		viaMap.ScanRange(0, plan.NumRows)
-		assertStatesEqual(t, fmt.Sprintf("trial %d range map-path", trial), ref, viaMap)
-
-		// Explicit row lists in permuted order (the progressive engines'
-		// access pattern): scalar and batch must agree row-for-row.
-		perm := rng.Perm(plan.NumRows)
-		rowsList := make([]uint32, len(perm))
-		for i, p := range perm {
-			rowsList[i] = uint32(p)
+		if plan.geom.slots() > 0 {
+			t.Fatal("a NaN-bearing bin column must not get a dense table")
 		}
-		prefix := rowsList[:rng.Intn(len(rowsList)+1)]
-		refRows := NewGroupState(plan)
-		refRows.ScanRowsScalar(prefix)
-		vecRows := NewGroupState(plan)
-		vecRows.ScanRows(prefix)
-		assertStatesEqual(t, fmt.Sprintf("trial %d rows", trial), refRows, vecRows)
+		checkVectorizedMatchesScalar(t, rng, fmt.Sprintf("NaN bins %dD", len(bins)), db, q)
+	}
+}
 
-		// Chunked parallel-scan shape: split into worker states and Merge.
-		// Merged Welford moments differ bitwise from a sequential whole
-		// scan (parallel-merge vs sequential folding), so the whole-scan
-		// comparison checks counts; the full accumulator contents are
-		// checked dense-vs-map, where the op order is identical.
-		if plan.NumRows > 1 {
-			split := 1 + rng.Intn(plan.NumRows-1)
-			a, b := NewGroupState(plan), NewGroupState(planMap)
-			a.ScanRange(0, split)
-			b.ScanRange(split, plan.NumRows)
-			a.Merge(b)
-			am, bm := NewGroupState(planMap), NewGroupState(plan)
-			am.ScanRange(0, split)
-			bm.ScanRange(split, plan.NumRows)
-			am.Merge(bm)
-			assertStatesEqual(t, fmt.Sprintf("trial %d merge dense-vs-map", trial), a, am)
-			whole := NewGroupState(plan)
-			whole.ScanRange(0, plan.NumRows)
-			if len(a.Groups) != len(whole.Groups) {
-				t.Fatalf("trial %d merge: %d groups, want %d", trial, len(a.Groups), len(whole.Groups))
+// TestMergeAcrossDenseGeometry is the shape sharedscan's Extend produces: a
+// shard filled under one plan merges into a state of the same query
+// recompiled against a grown table, whose dense domain is wider — different
+// slots for the same keys. The re-keyed merge must equal, bitwise, the merge
+// of the same two fragments through key-indexed tables.
+func TestMergeAcrossDenseGeometry(t *testing.T) {
+	schema := dataset.MustSchema([]dataset.Field{
+		{Name: "cat", Kind: dataset.Nominal},
+		{Name: "x", Kind: dataset.Quantitative},
+	})
+	rng := rand.New(rand.NewSource(3))
+	build := func(rows int, spread float64, cats int) *dataset.Database {
+		r := rand.New(rand.NewSource(99)) // same prefix rows in both tables
+		b := dataset.NewBuilder("fact", schema, rows)
+		for i := 0; i < rows; i++ {
+			s, c := 100.0, 4
+			if i >= 5000 {
+				s, c = spread, cats
 			}
-			for key, wa := range whole.Groups {
-				ga, ok := a.Groups[key]
-				if !ok {
-					t.Fatalf("trial %d merge: missing bin %v", trial, key)
-				}
-				if wa.N != ga.N {
-					t.Fatalf("trial %d merge: bin %v N=%d, want %d", trial, key, ga.N, wa.N)
-				}
-			}
+			b.AppendString(0, fmt.Sprintf("c%d", r.Intn(c)))
+			b.AppendNum(1, r.NormFloat64()*s)
+		}
+		fact, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &dataset.Database{Fact: fact}
+	}
+	small, grown := build(5000, 0, 0), build(9000, 400, 9)
+	for _, q := range []*query.Query{
+		{VizName: "v", Table: "fact",
+			Bins: []query.Binning{{Field: "x", Kind: dataset.Quantitative, Width: 20}},
+			Aggs: []query.Aggregate{{Func: query.Avg, Field: "x"}, {Func: query.Min, Field: "x"}}},
+		{VizName: "v", Table: "fact",
+			Bins: []query.Binning{{Field: "x", Kind: dataset.Quantitative, Width: 40},
+				{Field: "cat", Kind: dataset.Nominal}},
+			Aggs: []query.Aggregate{{Func: query.Count}, {Func: query.Max, Field: "x"}}},
+	} {
+		oldPlan, err := Compile(small, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newPlan, err := Compile(grown, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if oldPlan.geom.slots() == 0 || newPlan.geom.slots() == 0 || oldPlan.geom == newPlan.geom {
+			t.Fatalf("want two different dense geometries, got %+v and %+v", oldPlan.geom, newPlan.geom)
+		}
+		newMap, err := Compile(grown, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newMap.disableDense()
+		split := 1 + rng.Intn(4999)
+
+		shard := NewGroupState(oldPlan) // filled before the table grew
+		shard.ScanRange(0, split)
+		migrated := NewGroupState(newPlan)
+		migrated.Merge(shard)
+		migrated.ScanRange(split, newPlan.NumRows)
+
+		viaMap := NewGroupState(newMap)
+		viaMap.Merge(shard)
+		viaMap.ScanRange(split, newPlan.NumRows)
+		assertStatesEqual(t, "migrated dense vs indexed", viaMap, migrated)
+
+		// And the other direction of representation: an indexed fragment
+		// folding into the wide dense table.
+		tail := NewGroupState(newMap)
+		tail.ScanRange(split, newPlan.NumRows)
+		a := NewGroupState(newPlan)
+		a.Merge(shard)
+		a.Merge(tail)
+		b := NewGroupState(newMap)
+		b.Merge(shard)
+		b.Merge(tail)
+		assertStatesEqual(t, "three-way merge dense vs indexed", b, a)
+		whole := NewGroupState(newPlan)
+		whole.ScanRange(0, newPlan.NumRows)
+		if a.NumGroups() != whole.NumGroups() {
+			t.Fatalf("merged %d groups, whole scan %d", a.NumGroups(), whole.NumGroups())
 		}
 	}
 }
@@ -252,21 +455,18 @@ func TestInMapPredKernel(t *testing.T) {
 
 	check := func(label string, got, exp predKernel) {
 		t.Helper()
-		g := got.selectRange(0, 6, nil)
-		e := exp.selectRange(0, 6, nil)
-		if !reflect.DeepEqual(g, e) {
-			t.Errorf("%s selectRange = %v, want %v", label, g, e)
+		g := got.selectRange(0, 6, make([]uint32, 6))
+		e := exp.selectRange(0, 6, make([]uint32, 6))
+		if !reflect.DeepEqual(g, e) || len(g) == 0 {
+			t.Errorf("%s selectRange = %v, want %v, not empty", label, g, e)
 		}
+		// An explicit row list is a selection vector to refine (how ScanRows
+		// runs every predicate).
 		rows := []uint32{5, 3, 0, 4, 1, 2}
-		g = got.selectRows(rows, nil)
-		e = exp.selectRows(rows, nil)
-		if !reflect.DeepEqual(g, e) {
-			t.Errorf("%s selectRows = %v, want %v", label, g, e)
-		}
 		g = got.refine(append([]uint32(nil), rows...))
 		e = exp.refine(append([]uint32(nil), rows...))
-		if !reflect.DeepEqual(g, e) {
-			t.Errorf("%s refine = %v, want %v", label, g, e)
+		if !reflect.DeepEqual(g, e) || len(g) == 0 {
+			t.Errorf("%s refine = %v, want %v, not empty", label, g, e)
 		}
 	}
 	check("direct",
@@ -277,32 +477,99 @@ func TestInMapPredKernel(t *testing.T) {
 		inBitmapFKPred{codes: dimCodes, fk: fk, want: bits})
 }
 
+// TestDenseOutOfDomainKeyPanics pins the failure mode of a broken column
+// invariant — values changed under a compiled plan, so the planned dense
+// domain is stale: the row must panic the scan, never fold into another bin.
+// The 2-D plan range-checks in combine; the 1-D plan has only the table's
+// bounds check, which a component wrapping int32 would slip past but for the
+// kernels' narrowing guard (the +2^32 case lands exactly on slot 1).
+func TestDenseOutOfDomainKeyPanics(t *testing.T) {
+	const width = 10.0
+	build := func() *dataset.Database {
+		schema := dataset.MustSchema([]dataset.Field{
+			{Name: "cat", Kind: dataset.Nominal},
+			{Name: "x", Kind: dataset.Quantitative},
+		})
+		b := dataset.NewBuilder("fact", schema, 100)
+		for i := 0; i < 100; i++ {
+			b.AppendString(0, fmt.Sprintf("c%d", i%3))
+			b.AppendNum(1, float64(i)) // bins 0..9
+		}
+		fact, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &dataset.Database{Fact: fact}
+	}
+	quant := query.Binning{Field: "x", Kind: dataset.Quantitative, Width: width}
+	all := query.Filter{Predicates: []query.Predicate{{Field: "x", Op: query.OpRange, Lo: -1e300, Hi: 1e300}}}
+	for _, stale := range []struct {
+		name string
+		v    float64
+	}{
+		{"one bin above", 100},
+		{"one bin below", -1},
+		{"wraps int32 onto slot 1", width * (1<<32 + 1)},
+		{"wraps int32 from below", -width * (1<<32 - 1)},
+	} {
+		for _, shape := range []struct {
+			name   string
+			bins   []query.Binning
+			filter query.Filter
+		}{
+			{"1-D range", []query.Binning{quant}, query.Filter{}},
+			{"1-D selection", []query.Binning{quant}, all},
+			{"2-D range", []query.Binning{quant, {Field: "cat", Kind: dataset.Nominal}}, query.Filter{}},
+		} {
+			db := build()
+			plan, err := Compile(db, &query.Query{VizName: "v", Table: "fact", Bins: shape.bins,
+				Aggs: []query.Aggregate{{Func: query.Count}}, Filter: shape.filter})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.geom.slots() == 0 {
+				t.Fatal("want a dense plan")
+			}
+			db.Fact.Column("x").Nums[50] = stale.v // behind the plan's back
+			gs := NewGroupState(plan)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s, %s: scan folded an out-of-domain key (%d bins)", stale.name, shape.name, gs.NumGroups())
+					}
+				}()
+				gs.ScanRange(0, plan.NumRows)
+			}()
+		}
+	}
+}
+
 // TestDenseSlotRoundTrip checks the dense key<->slot mapping on 1D and 2D
 // plans, including negative quantitative bin indices.
 func TestDenseSlotRoundTrip(t *testing.T) {
-	c := &Compiled{denseOK: true, denseLoA: -3, denseSizeA: 10, denseLoB: 0, denseSizeB: 1}
+	c := denseGeom{loA: -3, sizeA: 10, loB: 0, sizeB: 1}
 	for a := int64(-3); a < 7; a++ {
-		slot, ok := c.denseSlot(query.BinKey{A: a})
+		slot, ok := c.slot(query.BinKey{A: a})
 		if !ok {
 			t.Fatalf("key %d not in domain", a)
 		}
-		if got := c.denseKey(slot); got.A != a || got.B != 0 {
+		if got := c.key(slot); got.A != a || got.B != 0 {
 			t.Fatalf("roundtrip %d -> %d -> %v", a, slot, got)
 		}
 	}
-	if _, ok := c.denseSlot(query.BinKey{A: 7}); ok {
+	if _, ok := c.slot(query.BinKey{A: 7}); ok {
 		t.Fatal("key above domain accepted")
 	}
-	if _, ok := c.denseSlot(query.BinKey{A: -4}); ok {
+	if _, ok := c.slot(query.BinKey{A: -4}); ok {
 		t.Fatal("key below domain accepted")
 	}
 
-	c2 := &Compiled{denseOK: true, denseLoA: 0, denseSizeA: 4, denseLoB: -2, denseSizeB: 5}
+	c2 := denseGeom{loA: 0, sizeA: 4, loB: -2, sizeB: 5}
 	seen := make(map[int]bool)
 	for a := int64(0); a < 4; a++ {
 		for b := int64(-2); b < 3; b++ {
 			key := query.BinKey{A: a, B: b}
-			slot, ok := c2.denseSlot(key)
+			slot, ok := c2.slot(key)
 			if !ok {
 				t.Fatalf("key %v not in domain", key)
 			}
@@ -310,12 +577,45 @@ func TestDenseSlotRoundTrip(t *testing.T) {
 				t.Fatalf("slot %d reused", slot)
 			}
 			seen[slot] = true
-			if got := c2.denseKey(slot); got != key {
+			if got := c2.key(slot); got != key {
 				t.Fatalf("roundtrip %v -> %d -> %v", key, slot, got)
 			}
 		}
 	}
 	if len(seen) != 20 {
 		t.Fatalf("%d distinct slots, want 20", len(seen))
+	}
+}
+
+// TestBinIdxMatchesFloor pins the branch-free binIdx to the branching form
+// it replaced, on every edge the correction term has: negative and positive
+// integers and non-integers, signed zeros, values beyond int64, NaN and the
+// infinities (whatever the platform's conversion yields, both forms must
+// yield it).
+func TestBinIdxMatchesFloor(t *testing.T) {
+	ref := func(v, width, origin float64) int64 {
+		d := (v - origin) / width
+		i := int64(d)
+		if d < 0 && float64(i) != d {
+			i--
+		}
+		return i
+	}
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, -0.5, 2.999999, -2.999999, 3, -3,
+		1e18, -1e18, 1e300, -1e300, math.MaxInt64, math.MinInt64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1)}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		vals = append(vals, rng.NormFloat64()*1e3, float64(rng.Intn(200)-100))
+	}
+	for _, width := range []float64{1, 0.1, 20, 250, 1e-9} {
+		for _, origin := range []float64{0, -37.5, 12.25} {
+			for _, v := range vals {
+				if got, want := binIdx(v, width, origin), ref(v, width, origin); got != want {
+					t.Fatalf("binIdx(%v, %v, %v) = %d, want %d", v, width, origin, got, want)
+				}
+			}
+		}
 	}
 }
