@@ -88,9 +88,17 @@
 // HTTP endpoint (`idebench serve`) that upgrades connections to a
 // dependency-free WebSocket (RFC 6455 subset, implemented in-repo), binds
 // one engine.Session per connection, and streams progressive result
-// snapshots as JSON frames with drop-intermediate, always-deliver-final
-// backpressure — a slow client sees fewer, fresher intermediates and every
-// final, and never stalls the shared scan. The matching Go client
+// snapshots as binary WebSocket frames with drop-intermediate,
+// always-deliver-final backpressure — a slow client sees fewer, fresher
+// intermediates and every final, and never stalls the shared scan. A
+// snapshot frame is a small versioned header and a columnar body (keys as
+// varints, values and margins as raw IEEE-754 columns; query.Result's and
+// engine.Partial's binary forms), encoded by appending into the
+// connection's one write buffer and sent in one write, decoded into two or
+// three slabs the result owns; control messages — hello, error, reject,
+// ingest watermark and everything the client sends — stay JSON text frames.
+// The protocol is version 6, current or refuse: no negotiation, one encoding
+// per message type, the opcode the only discriminator. The matching Go client
 // (server.Remote) implements engine.Engine, so driver.Runner and
 // driver.MultiRunner replay entire workflow sets over the wire unchanged
 // (`idebench run -addr host:port`), making in-process vs over-the-wire
@@ -148,8 +156,9 @@
 // live batches land on the shard that owns them.
 //
 // Queries fan out to every shard, which stream raw accumulator state —
-// engine.Partial: per-bin counts, Welford moments as IEEE-754 bits,
-// min/max — rather than rendered results. The coordinator buffers the
+// engine.Partial: per-bin counts, Welford moments and min/max as raw
+// IEEE-754 columns, only the columns the aggregates use — rather than
+// rendered results (a partials query's frames carry the partial alone). The coordinator buffers the
 // freshest partial per shard and folds them in fixed shard-ID order
 // (engine.PartialFold), rendering once, so float accumulation order is
 // independent of network arrival order and merged snapshots are
@@ -233,7 +242,8 @@
 //
 // CI (.github/workflows/ci.yml) fans out into parallel jobs: lint
 // (gofmt/vet/staticcheck), the race-enabled test suite on a Go 1.23/1.24
-// matrix, fuzz smokes over the wire formats, benchmark smokes plus a tiny
+// matrix, fuzz smokes over the wire formats (the binary result, partial and
+// snapshot-frame decoders included), benchmark smokes plus a tiny
 // pass of the repository benchmark, and an end-to-end job that boots `idebench serve`,
 // replays an 8-user workflow set through the WebSocket client, and requires
 // streamed intermediates, finals, zero TR violations and a clean SIGTERM

@@ -2,11 +2,15 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"flag"
 	"math"
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -14,8 +18,11 @@ import (
 	"idebench/internal/query"
 )
 
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/partial_golden.bin from the seeded states")
+
 // goldenPartialStates builds the fixed seeded states whose wire bytes are
-// pinned in testdata/partial_golden.txt: dense and map-indexed tables, 1-D and
+// pinned in testdata/partial_golden.bin (and whose counts and bit patterns
+// the parent's JSON form recorded in testdata/partial_golden.txt): dense and map-indexed tables, 1-D and
 // 2-D, every aggregate kind, filtered and not, each split at a fixed row and
 // merged (so the Welford parallel-merge path is in the bytes too).
 func goldenPartialStates(t *testing.T) map[string]*Partial {
@@ -63,35 +70,240 @@ func goldenPartialStates(t *testing.T) map[string]*Partial {
 	return out
 }
 
-// TestPartialGoldenBytes pins the engine.Partial wire form: the marshalled
-// bytes of fixed seeded states must equal the checked-in bytes (produced by
-// the commit before the flat accumulator table), whatever the in-memory
-// representation behind them.
+// goldenPartial is the shape of one line of testdata/partial_golden.txt: the
+// JSON document the commit before the binary codec put on the wire, floats as
+// decimal IEEE-754 bit patterns.
+type goldenPartial struct {
+	RowsSeen   int64 `json:"rows_seen"`
+	Population int64 `json:"population"`
+	Watermark  int64 `json:"watermark"`
+	Complete   bool  `json:"complete"`
+	Bins       []struct {
+		Key query.BinKey `json:"key"`
+		N   int64        `json:"n"`
+		W   []struct {
+			N        int64
+			Mean, M2 uint64
+		} `json:"w"`
+		Mins []uint64 `json:"mins"`
+		Maxs []uint64 `json:"maxs"`
+	} `json:"bins"`
+}
+
+// sameBits reports whether p holds exactly the counts and IEEE-754 bit
+// patterns g recorded.
+func (g *goldenPartial) sameBits(t *testing.T, name string, p *Partial) {
+	t.Helper()
+	if p.RowsSeen != g.RowsSeen || p.Population != g.Population || p.Watermark != g.Watermark ||
+		p.Complete != g.Complete || len(p.Bins) != len(g.Bins) {
+		t.Fatalf("%s: header/bin count differ from the text golden", name)
+	}
+	for i, gb := range g.Bins {
+		pb := p.Bins[i]
+		if pb.Key != gb.Key || pb.N != gb.N || len(pb.W) != len(gb.W) ||
+			len(pb.Mins) != len(gb.Mins) || len(pb.Maxs) != len(gb.Maxs) {
+			t.Fatalf("%s bin %d: key, count or arity differ from the text golden", name, i)
+		}
+		for a, gw := range gb.W {
+			w := pb.W[a]
+			if w.N != gw.N || math.Float64bits(w.Mean) != gw.Mean || math.Float64bits(w.M2) != gw.M2 {
+				t.Errorf("%s bin %v agg %d: moments %+v, golden %+v", name, pb.Key, a, w, gw)
+			}
+			if math.Float64bits(pb.Mins[a]) != gb.Mins[a] || math.Float64bits(pb.Maxs[a]) != gb.Maxs[a] {
+				t.Errorf("%s bin %v agg %d: min/max bits differ from the text golden", name, pb.Key, a)
+			}
+		}
+	}
+}
+
+// TestPartialGoldenBytes pins the engine.Partial wire form: the binary
+// encodings of fixed seeded states must equal the checked-in bytes, and what
+// those bytes decode to must hold every count and every IEEE-754 bit pattern
+// the JSON form of the same states recorded before the binary codec replaced
+// it — the layout changed, the bits did not.
 func TestPartialGoldenBytes(t *testing.T) {
+	states := goldenPartialStates(t)
+	names := make([]string, 0, len(states))
+	for name := range states {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	// The golden file is the cases in name order, each a length-prefixed name
+	// followed by a length-prefixed encoding.
+	var built []byte
+	for _, name := range names {
+		enc := states[name].AppendBinary(nil)
+		built = binary.AppendUvarint(built, uint64(len(name)))
+		built = append(built, name...)
+		built = binary.AppendUvarint(built, uint64(len(enc)))
+		built = append(built, enc...)
+	}
+	const path = "testdata/partial_golden.bin"
+	if *updateGolden {
+		if err := os.WriteFile(path, built, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(built, golden) {
+		t.Errorf("wire bytes of the seeded states differ from %s (%d bytes built, %d golden)", path, len(built), len(golden))
+	}
+
 	raw, err := os.ReadFile("testdata/partial_golden.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make(map[string]string)
+	text := make(map[string]*goldenPartial)
 	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
 		name, body, ok := strings.Cut(line, "\t")
 		if !ok {
 			t.Fatalf("malformed golden line %q", line)
 		}
-		want[name] = body
-	}
-	got := goldenPartialStates(t)
-	if len(got) != len(want) {
-		t.Fatalf("%d golden cases, %d built", len(want), len(got))
-	}
-	for name, p := range got {
-		data, err := json.Marshal(p)
-		if err != nil {
-			t.Fatal(err)
+		g := new(goldenPartial)
+		if err := json.Unmarshal([]byte(body), g); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if string(data) != want[name] {
-			t.Errorf("%s: wire bytes differ from golden\n got %.200s\nwant %.200s", name, data, want[name])
+		text[name] = g
+	}
+	if len(text) != len(names) {
+		t.Fatalf("%d text golden cases, %d built", len(text), len(names))
+	}
+	for rest := golden; len(rest) > 0; {
+		n, w := binary.Uvarint(rest)
+		name := string(rest[w : w+int(n)])
+		rest = rest[w+int(n):]
+		n, w = binary.Uvarint(rest)
+		enc := rest[w : w+int(n)]
+		rest = rest[w+int(n):]
+		var p Partial
+		if err := p.UnmarshalBinary(enc); err != nil {
+			t.Fatalf("%s: golden bytes do not decode: %v", name, err)
 		}
+		g := text[name]
+		if g == nil {
+			t.Fatalf("binary golden case %q has no text golden", name)
+		}
+		g.sameBits(t, name, &p)
+		if !reflect.DeepEqual(&p, states[name]) {
+			t.Errorf("%s: decoded golden differs from the seeded state", name)
+		}
+	}
+}
+
+// TestPartialBinaryRoundTrip: partials of random states — empty, 1-D, 2-D,
+// dense and map-indexed, COUNT-only, MIN/MAX-only, every aggregate at once —
+// decode to exactly what was encoded, re-encode to the same bytes, and fold
+// to the same rendered result.
+func TestPartialBinaryRoundTrip(t *testing.T) {
+	nominal := func(f string) query.Binning { return query.Binning{Field: f, Kind: dataset.Nominal} }
+	quant := func(f string, w float64) query.Binning {
+		return query.Binning{Field: f, Kind: dataset.Quantitative, Width: w, Origin: -3}
+	}
+	shapes := []query.Query{
+		{Bins: []query.Binning{nominal("cat_a")}, Aggs: []query.Aggregate{{Func: query.Count}}},
+		{Bins: []query.Binning{quant("y", 7)}, Aggs: []query.Aggregate{{Func: query.Min, Field: "x"}, {Func: query.Max, Field: "y"}}},
+		{Bins: []query.Binning{quant("x", 40), nominal("cat_b")}, Aggs: []query.Aggregate{
+			{Func: query.Sum, Field: "y"}, {Func: query.Count}, {Func: query.Avg, Field: "x"},
+			{Func: query.Max, Field: "x"}, {Func: query.Min, Field: "y"}}},
+		{Bins: []query.Binning{nominal("cat_b"), nominal("cat_a")}, Aggs: []query.Aggregate{{Func: query.Avg, Field: "y"}}},
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db := randomDB(t, rng, 1+rng.Intn(3000), false)
+		for i := range shapes {
+			q := shapes[i]
+			q.VizName, q.Table = "v", "fact"
+			if rng.Intn(3) == 0 { // sometimes nothing matches: a partial without bins
+				q.Filter = query.Filter{Predicates: []query.Predicate{{Field: "x", Op: query.OpRange, Lo: 1e9, Hi: 2e9}}}
+			}
+			plan, err := Compile(db, &q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs := NewGroupState(plan)
+			seen := rng.Intn(plan.NumRows + 1)
+			gs.ScanRange(0, seen)
+			in := gs.Partial(int64(seen), int64(plan.NumRows), int64(plan.NumRows)+rng.Int63n(5), seen == plan.NumRows)
+			enc := in.AppendBinary(nil)
+			var out Partial
+			if err := out.UnmarshalBinary(enc); err != nil {
+				t.Fatalf("seed %d shape %d: %v", seed, i, err)
+			}
+			if len(in.Bins) == 0 {
+				in.Bins = nil // the decoder makes no slab for no bins
+			}
+			if !reflect.DeepEqual(in, &out) {
+				t.Fatalf("seed %d shape %d: decoded partial differs from the encoded one", seed, i)
+			}
+			if again := out.AppendBinary(nil); !bytes.Equal(enc, again) {
+				t.Fatalf("seed %d shape %d: re-encoding differs", seed, i)
+			}
+			a, b := NewPartialFold(q.Aggs), NewPartialFold(q.Aggs)
+			a.Add(in)
+			b.Add(&out)
+			if ra, rb := a.Render(1.96), b.Render(1.96); !bytes.Equal(ra.AppendBinary(nil), rb.AppendBinary(nil)) {
+				t.Fatalf("seed %d shape %d: fold of the decoded partial renders differently", seed, i)
+			}
+		}
+	}
+	// Non-finite and signed-zero accumulator contents cross bit-exact.
+	odd := &Partial{RowsSeen: 2, Population: 2, Bins: []PartialBin{{
+		Key: query.BinKey{A: -9, B: 4}, N: 2,
+		W:    []WelfordWire{{N: 2, Mean: math.NaN(), M2: math.Inf(1)}, {N: 1, Mean: math.Copysign(0, -1)}},
+		Mins: []float64{math.Inf(-1), math.Inf(1)},
+		Maxs: []float64{math.Float64frombits(0x7ff8dead0000beef), math.Inf(-1)},
+	}}}
+	var got Partial
+	if err := got.UnmarshalBinary(odd.AppendBinary(nil)); err != nil {
+		t.Fatal(err)
+	}
+	// NaN != NaN, so the comparison is on encodings and on the bits themselves.
+	b := got.Bins[0]
+	if !bytes.Equal(odd.AppendBinary(nil), got.AppendBinary(nil)) || !math.IsNaN(b.W[0].Mean) || !math.IsInf(b.W[0].M2, 1) ||
+		!math.Signbit(b.W[1].Mean) || !math.IsInf(b.Mins[0], -1) || math.Float64bits(b.Maxs[0]) != 0x7ff8dead0000beef {
+		t.Errorf("non-finite partial changed in transit: %+v", b)
+	}
+}
+
+// TestPartialBinaryHostile: a coordinator decodes what a shard connection
+// hands it. Every strict prefix of a valid encoding is an error, and a header
+// announcing far more than its bytes could hold is refused before anything
+// is sized from it.
+func TestPartialBinaryHostile(t *testing.T) {
+	valid := goldenPartialStates(t)["filtered_all_aggs"].AppendBinary(nil)
+	var p Partial
+	for n := 0; n < len(valid); n++ {
+		if err := p.UnmarshalBinary(valid[:n]); err == nil {
+			t.Fatalf("prefix of %d/%d bytes decoded", n, len(valid))
+		}
+	}
+	if err := p.UnmarshalBinary(append(append([]byte(nil), valid...), 0)); err == nil {
+		t.Error("trailing byte accepted")
+	}
+	// 2^31 bins × 2^16 aggregates in 16 bytes.
+	huge := []byte{partialTag, 0, 0, 0, 0}
+	huge = binary.AppendUvarint(huge, 1<<31)
+	huge = binary.AppendUvarint(huge, 1<<16)
+	huge = append(huge, make([]byte, 16-len(huge))...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := p.UnmarshalBinary(huge); err == nil {
+		t.Error("2^31 × 2^16 header in 16 bytes decoded")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 { // the errors, not the slabs
+		t.Errorf("refusing the hostile header allocated %d bytes", grew)
+	}
+	// Bins that fit, aggregates beyond the limit, all-empty masks.
+	wide := []byte{partialTag, 0, 0, 0, 0}
+	wide = binary.AppendUvarint(wide, 1)
+	wide = binary.AppendUvarint(wide, MaxPartialAggs+1)
+	wide = append(wide, make([]byte, MaxPartialAggs+1+1+8)...)
+	if err := p.UnmarshalBinary(wide); err == nil {
+		t.Errorf("partial with %d aggregates decoded", MaxPartialAggs+1)
 	}
 }
 
@@ -147,46 +359,43 @@ func TestPartialFoldDropsMalformedBins(t *testing.T) {
 	}
 }
 
-// FuzzPartialRoundTrip feeds arbitrary bytes to the Partial decoder — the
-// frame a coordinator reads off a shard connection. Whatever decodes must
-// re-encode canonically (decode∘encode is the identity on the encoding) and
-// must fold and render without panicking, short or missing per-aggregate
-// arrays included.
-func FuzzPartialRoundTrip(f *testing.F) {
-	f.Add([]byte(`{"rows_seen":3,"population":9,"watermark":9,"complete":false,"bins":[` +
-		`{"key":{"A":1,"B":0},"n":3,"w":[{"n":3,"mean":4607182418800017408,"m2":0}],` +
-		`"mins":[9218868437227405312],"maxs":[18442240474082181120]}]}`))
-	f.Add([]byte(`{"bins":[{"key":{"A":-4,"B":2},"n":0},{"key":{"A":-4,"B":2},"n":2,"w":[]}]}`))
-	f.Add([]byte(`{"complete":true}`))
-	// Counts no producer emits: negative, summing to zero across bins of one
-	// key, and overflowing int64 when the frame is added twice.
-	f.Add([]byte(`{"rows_seen":3,"population":9,"bins":[{"key":{"A":1,"B":0},"n":-3}]}`))
-	f.Add([]byte(`{"rows_seen":3,"population":9,"bins":[{"key":{"A":1,"B":0},"n":2},` +
-		`{"key":{"A":1,"B":0},"n":-2,"w":[{"n":0,"mean":0,"m2":0},{"n":-2,"mean":0,"m2":0}]}]}`))
-	f.Add([]byte(`{"rows_seen":1,"population":1,"bins":[{"key":{"A":0,"B":0},"n":9223372036854775807}]}`))
+// FuzzPartialBinary feeds arbitrary bytes to the Partial decoder — the
+// payload a coordinator reads off a shard connection. Whatever decodes must
+// re-encode to bytes that decode to the same state and are a fixed point of
+// decode∘encode, and must fold and render without panicking, whatever its
+// counts and moments claim.
+func FuzzPartialBinary(f *testing.F) {
+	key := query.BinKey{A: 1}
+	for _, p := range []*Partial{
+		{RowsSeen: 3, Population: 9, Watermark: 9, Bins: []PartialBin{{Key: key, N: 3,
+			W: []WelfordWire{{N: 3, Mean: 1}}, Mins: []float64{math.Inf(1)}, Maxs: []float64{math.Inf(-1)}}}},
+		{Bins: []PartialBin{{Key: query.BinKey{A: -4, B: 2}}, {Key: query.BinKey{A: -4, B: 2}, N: 2, W: []WelfordWire{}}}},
+		{Complete: true},
+		// Counts no producer emits: negative, summing to zero across bins of
+		// one key, and overflowing int64 when the frame is added twice.
+		{RowsSeen: 3, Population: 9, Bins: []PartialBin{{Key: key, N: -3}}},
+		{RowsSeen: 3, Population: 9, Bins: []PartialBin{{Key: key, N: 2},
+			{Key: key, N: -2, W: []WelfordWire{{}, {N: -2}}}}},
+		{RowsSeen: 1, Population: 1, Bins: []PartialBin{{Key: query.BinKey{}, N: math.MaxInt64}}},
+	} {
+		f.Add(p.AppendBinary(nil))
+	}
 	aggs := []query.Aggregate{
 		{Func: query.Count}, {Func: query.Avg, Field: "x"},
 		{Func: query.Min, Field: "x"}, {Func: query.Max, Field: "x"}, {Func: query.Sum, Field: "x"},
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p Partial
-		if json.Unmarshal(data, &p) != nil {
+		if p.UnmarshalBinary(data) != nil {
 			return
 		}
-		enc, err := json.Marshal(&p)
-		if err != nil {
-			t.Fatalf("decoded partial does not re-encode: %v", err)
-		}
+		enc := p.AppendBinary(nil)
 		var again Partial
-		if err := json.Unmarshal(enc, &again); err != nil {
-			t.Fatalf("own encoding does not decode: %v\n%s", err, enc)
+		if err := again.UnmarshalBinary(enc); err != nil {
+			t.Fatalf("own encoding does not decode: %v\n%x", err, enc)
 		}
-		enc2, err := json.Marshal(&again)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(enc, enc2) {
-			t.Fatalf("encoding is not a fixed point:\n%s\n%s", enc, enc2)
+		if enc2 := again.AppendBinary(nil); !bytes.Equal(enc, enc2) {
+			t.Fatalf("encoding is not a fixed point:\n%x\n%x", enc, enc2)
 		}
 		fold := NewPartialFold(aggs)
 		fold.Add(&p)

@@ -1,6 +1,7 @@
 package query_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
 	"reflect"
@@ -128,13 +129,11 @@ func FuzzParseQuery(f *testing.F) {
 	})
 }
 
-// FuzzResultRoundTrip checks the Result wire format: any document the
-// custom unmarshaler accepts must re-encode deterministically, and the
-// encoding must be a fixpoint from the first re-encode on (the first decode
-// may legitimately collapse duplicate bin keys).
-func FuzzResultRoundTrip(f *testing.F) {
-	// Seed with results shaped like real engine output for corpus queries.
-	for i, q := range corpusQueries(f) {
+// corpusResults shapes results like real engine output for the corpus
+// queries: the seeds of both result fuzzers.
+func corpusResults(tb testing.TB) []*query.Result {
+	var out []*query.Result
+	for i, q := range corpusQueries(tb) {
 		res := query.NewResult()
 		res.TotalRows = 512
 		res.RowsSeen = int64(100 + i)
@@ -149,6 +148,48 @@ func FuzzResultRoundTrip(f *testing.F) {
 			}
 			res.Bins[query.BinKey{A: int64(b), B: int64(i % 2)}] = &query.BinValue{Values: vals, Margins: margs}
 		}
+		out = append(out, res)
+	}
+	return out
+}
+
+// FuzzResultBinary feeds arbitrary bytes to the decoder of the form results
+// are streamed in. Whatever decodes must re-encode to bytes that decode again
+// and are a fixed point of decode∘encode (the first decode may legitimately
+// collapse duplicate bin keys or reorder them).
+func FuzzResultBinary(f *testing.F) {
+	for i, res := range corpusResults(f) {
+		if i%3 == 0 {
+			res.Coverage = &query.Coverage{PartitionsAnswered: 1, PartitionsTotal: 2, PopulationFraction: 0.5, Degraded: true}
+		}
+		f.Add(res.AppendBinary(nil))
+	}
+	f.Add(query.NewResult().AppendBinary(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r1 query.Result
+		if r1.UnmarshalBinary(data) != nil {
+			return // rejected input is fine; panics are not
+		}
+		enc1 := r1.AppendBinary(nil)
+		var r2 query.Result
+		if err := r2.UnmarshalBinary(enc1); err != nil {
+			t.Fatalf("own encoding does not decode: %v\n%x", err, enc1)
+		}
+		if enc2 := r2.AppendBinary(nil); !bytes.Equal(enc1, enc2) {
+			t.Fatalf("encoding is not a fixed point:\n%x\n%x", enc1, enc2)
+		}
+		if len(r1.Bins) != len(r2.Bins) || r1.RowsSeen != r2.RowsSeen || r1.Complete != r2.Complete {
+			t.Fatalf("decode∘encode changed the result")
+		}
+	})
+}
+
+// FuzzResultRoundTrip checks the Result JSON document: any document the
+// custom unmarshaler accepts must re-encode deterministically, and the
+// encoding must be a fixpoint from the first re-encode on (the first decode
+// may legitimately collapse duplicate bin keys).
+func FuzzResultRoundTrip(f *testing.F) {
+	for _, res := range corpusResults(f) {
 		data, err := json.Marshal(res)
 		if err != nil {
 			f.Fatal(err)

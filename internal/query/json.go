@@ -38,20 +38,18 @@ func (p *Predicate) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// resultJSON is the wire representation of a Result: bin keys become
-// explicit arrays because JSON objects cannot key on structs. This is the
-// format a remote system adapter (paper Sec. 4.5) would write results back
-// to the driver in.
+// resultJSON is the JSON document of a Result: bin keys become explicit
+// arrays because JSON objects cannot key on structs. It is the inspection
+// form — what reports and the benchmark's document-pricing metrics marshal —
+// not what the serving tier streams: snapshots travel in the binary form
+// (binary.go).
 type resultJSON struct {
 	Bins      []binJSON `json:"bins"`
 	RowsSeen  int64     `json:"rows_seen"`
 	TotalRows int64     `json:"total_rows"`
 	Complete  bool      `json:"complete"`
 	Watermark int64     `json:"watermark,omitempty"`
-	// Coverage is omitted when nil, so single-node (and fully-covered
-	// legacy) result documents are byte-identical to the protocol-v3 form;
-	// v3 decoders that do see it ignore the unknown key. Introduced with
-	// wire protocol v4.
+	// Coverage is omitted when nil (a single-node result).
 	Coverage *coverageJSON `json:"coverage,omitempty"`
 }
 

@@ -54,10 +54,13 @@ type RemoteOptions struct {
 	BackoffBase time.Duration
 	// BackoffMax caps the backoff growth (default 2s).
 	BackoffMax time.Duration
-	// Partials asks the server to attach raw accumulator state
-	// (engine.Partial) to every snapshot frame of every query on every
-	// session. Scatter-gather coordinators set it; handles then implement
-	// engine.PartialSnapshotter with the freshest streamed partial.
+	// Partials asks the server to stream raw accumulator state
+	// (engine.Partial) in place of rendered results, on every snapshot frame
+	// of every query on every session. Scatter-gather coordinators set it;
+	// handles then implement engine.PartialSnapshotter with the freshest
+	// streamed partial, and their Snapshot stays nil — rendering is the
+	// coordinator's fold — unless the served engine has no partials to give
+	// and answers with rendered results after all.
 	Partials bool
 	// Addrs lists alternate addresses the same serving tier is reachable at
 	// (warm standbys of the primary passed to NewRemoteWithOptions). Dials
@@ -320,12 +323,12 @@ func (r *Remote) dialConn() (*WSConn, *ServerMsg, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	data, err := ws.ReadMessage()
+	op, data, err := ws.ReadMessage()
 	if err != nil {
 		ws.Close()
 		return nil, nil, fmt.Errorf("server: reading hello: %w", err)
 	}
-	hello, err := decodeServerMsg(data)
+	hello, err := decodeServerMsg(op, data)
 	if err != nil {
 		ws.Close()
 		return nil, nil, err
@@ -593,7 +596,7 @@ func (s *RemoteSession) SetQueryDeadline(d time.Duration) {
 func (s *RemoteSession) readLoop() {
 	defer close(s.readDone)
 	for {
-		data, err := s.conn().ReadMessage()
+		op, data, err := s.conn().ReadMessage()
 		if err != nil {
 			if s.tryReconnect(err) {
 				continue
@@ -601,34 +604,25 @@ func (s *RemoteSession) readLoop() {
 			s.fail(fmt.Errorf("server: connection lost: %w", err))
 			return
 		}
-		m, err := decodeServerMsg(data)
+		// data lives in the connection's read buffer until the next read:
+		// whatever outlives this iteration is copied or decoded out of it.
+		if op == opBinary {
+			f, err := parseSnapshot(data)
+			if err != nil {
+				s.fail(err)
+				s.conn().Close()
+				return
+			}
+			s.onSnapshot(f)
+			continue
+		}
+		m, err := decodeServerMsg(op, data)
 		if err != nil {
 			s.fail(err)
 			s.conn().Close()
 			return
 		}
 		switch m.Type {
-		case MsgSnapshot:
-			if m.Final {
-				s.stats.Final.Add(1)
-			} else {
-				s.stats.Intermediate.Add(1)
-			}
-			s.mu.Lock()
-			h := s.handles[m.ID]
-			if m.Final {
-				delete(s.handles, m.ID)
-			}
-			s.mu.Unlock()
-			if h != nil {
-				if m.Final && m.Shed {
-					h.markShed()
-				}
-				if m.Partial != nil {
-					h.setPartial(m.Partial)
-				}
-				h.deliver(m.Result, m.Final)
-			}
 		case MsgError:
 			s.stats.Errors.Add(1)
 			s.mu.Lock()
@@ -666,6 +660,31 @@ func (s *RemoteSession) readLoop() {
 			// Duplicate hello: harmless.
 		}
 	}
+}
+
+// onSnapshot hands one snapshot frame to its query's handle.
+func (s *RemoteSession) onSnapshot(f snapshotFrame) {
+	if f.final {
+		s.stats.Final.Add(1)
+	} else {
+		s.stats.Intermediate.Add(1)
+	}
+	s.mu.Lock()
+	h := s.handles[f.id]
+	if f.final {
+		delete(s.handles, f.id)
+	}
+	s.mu.Unlock()
+	if h == nil {
+		return
+	}
+	if f.final && f.shed {
+		h.markShed()
+	}
+	if f.partial != nil {
+		h.setPartial(f.partial)
+	}
+	h.deliver(f.result, f.final)
 }
 
 // casMax raises w to v if v is higher (monotone max: broadcasts from
@@ -870,12 +889,18 @@ var _ engine.Session = (*RemoteSession)(nil)
 // remoteHandle is the client-side engine.Handle of one in-flight query:
 // Snapshot returns the freshest streamed result, Done closes on the final
 // frame, Cancel asks the server to stop (the final frame still closes Done).
+//
+// The handle keeps the freshest result as the frame delivered it — its binary
+// form, checked on arrival — and decodes it when Snapshot is called: a
+// driver looks at a query once or twice (at the time requirement, at the
+// final) however many intermediates streamed past, and a caller that holds
+// finished handles holds a frame's bytes each, not a decoded bin table.
 type remoteHandle struct {
 	sess *RemoteSession
 	id   int64
 
 	mu        sync.RWMutex
-	res       *query.Result
+	res       []byte // binary form of the freshest result; nil before the first
 	partial   *engine.Partial
 	rejected  bool
 	rejReason string
@@ -885,13 +910,15 @@ type remoteHandle struct {
 	once      sync.Once
 }
 
-// deliver installs a streamed snapshot. Final frames may carry nil (a query
-// cancelled before any rows, or a server-side error); the last good
-// intermediate then remains the fetchable result.
-func (h *remoteHandle) deliver(res *query.Result, final bool) {
+// deliver installs a streamed result, copying its checked binary form out of
+// the connection's read buffer (into the previous frame's space when it
+// fits). Final frames may carry nil (a query cancelled before any rows, or a
+// server-side error); the last good intermediate then remains the fetchable
+// result.
+func (h *remoteHandle) deliver(res []byte, final bool) {
 	h.mu.Lock()
 	if res != nil {
-		h.res = res
+		h.res = append(h.res[:0], res...)
 	}
 	h.mu.Unlock()
 	if final {
@@ -959,11 +986,19 @@ func (h *remoteHandle) PartialSnapshot() *engine.Partial {
 	return h.partial
 }
 
-// Snapshot implements engine.Handle.
+// Snapshot implements engine.Handle: the freshest streamed result, decoded
+// for this caller, or nil before the first.
 func (h *remoteHandle) Snapshot() *query.Result {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.res
+	if h.res == nil {
+		return nil
+	}
+	res := new(query.Result)
+	if err := res.UnmarshalBinary(h.res); err != nil {
+		return nil // unreachable: the frame was checked when it arrived
+	}
+	return res
 }
 
 // Done implements engine.Handle.

@@ -276,7 +276,7 @@ func TestIdleTimeoutReleasesSilentClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ws.Close()
-	if _, err := ws.ReadMessage(); err != nil { // hello
+	if _, _, err := ws.ReadMessage(); err != nil { // hello
 		t.Fatal(err)
 	}
 	// Issue real queries so the connection holds engine state, then go

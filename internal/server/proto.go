@@ -1,44 +1,59 @@
-// The idebench wire protocol: versioned JSON messages over one WebSocket
-// connection, one engine session per connection (paper Sec. 4.5 — the
-// driver/backend split puts the system adapter behind a connection, not a
-// function call).
+// The idebench wire protocol: one WebSocket connection per engine session
+// (paper Sec. 4.5 — the driver/backend split puts the system adapter behind a
+// connection, not a function call), protocol version 6, current or refuse:
+// the server states ProtoVersion in its hello frame and a client that speaks
+// another version hangs up. There are no external clients, so there is no
+// negotiation and no second decoder.
 //
-// The client speaks first with every message type below except "hello";
-// the server streams zero or more intermediate "snapshot" frames per query
-// followed by exactly one final frame (final:true), or an "error" frame.
-// Frames for distinct queries interleave freely; seq increases per query so
-// a client can detect (harmless) reordering introduced by coalescing.
+// The client speaks first with every message type below except "hello"; the
+// server streams zero or more intermediate "snapshot" frames per query
+// followed by exactly one final frame, or an "error" frame. Frames for
+// distinct queries interleave freely; seq increases per query so a client can
+// detect (harmless) reordering introduced by coalescing.
+//
+// Every message type has exactly one encoding, and the WebSocket opcode is
+// the only discriminator:
+//
+//	opcode 1 (text)    JSON control messages: every client→server frame
+//	                   (ClientMsg) and the server's hello, error, reject and
+//	                   ingest-watermark frames (ServerMsg). A text frame of
+//	                   type "snapshot" is a protocol error.
+//	opcode 2 (binary)  snapshot frames, server→client only:
+//
+//	  byte     snapshotTag: kind 1 in the high nibble, ProtoVersion in the low
+//	  byte     flags: final | shed | result | partial
+//	  uvarint  id   query the frame belongs to
+//	  uvarint  seq  per-query frame sequence
+//	  payload  the binary form of the query.Result (flag result) or of the
+//	           engine.Partial (flag partial — what a query that asked for
+//	           Partials streams instead), running to the end of the frame;
+//	           absent when neither flag is set (a query cancelled before any
+//	           row). Both forms are a small header — rows seen, total rows or
+//	           population, watermark, complete, coverage — and a columnar
+//	           body: keys as varints in ascending order, then raw
+//	           little-endian IEEE-754 columns. See query/binary.go and
+//	           engine/partial.go for the two layouts.
+//
+// The server encodes a snapshot by appending into its connection's write
+// buffer behind the WebSocket header's headroom, so a frame is one buffer and
+// one conn.Write; the client decodes out of its connection's read buffer into
+// slabs it owns.
 package server
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 
 	"idebench/internal/engine"
 	"idebench/internal/ingest"
 	"idebench/internal/query"
+	"idebench/internal/wire"
 )
 
 // ProtoVersion is the wire-protocol version. The server states its version
 // in the hello frame; clients reject a mismatch rather than guessing.
-// Version 2 added admission control: the "reject" frame, the client-side
-// deadline hint on "query", and the shed marker on final snapshots.
-// Version 3 added scatter-gather serving: the Partials request flag on
-// "query" frames, the raw Partial payload on snapshot frames, and the
-// server's Role in the hello frame.
-// Version 4 added shard elasticity: the coverage block on degraded results
-// (query.Result.Coverage — partitions answered/total, population fraction)
-// and the topology/schema_version fields on /healthz. Fully-covered results
-// omit the block, so v4 result documents for healthy tiers are byte-for-byte
-// the v3 documents; a v3 client parsing a degraded v4 result ignores the
-// unknown "coverage" key and must instead key off Complete, which a degraded
-// merge always clears.
-// Version 5 added coordinator redundancy: the Peers list on the hello frame
-// (every address the serving tier may be reached at — the primary plus its
-// warm standbys), which clients merge into their redial address list, and
-// the quarantined/addr fields and anti-entropy error counter on the
-// /healthz topology block.
-const ProtoVersion = 5
+const ProtoVersion = 6
 
 // Client→server message types.
 const (
@@ -99,10 +114,9 @@ type ClientMsg struct {
 	// running well past the deadline (Options.LateFactor multiples of it) is
 	// cancelled, its partial final marked Shed. 0 means no deadline.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Partials on a "query" frame asks the server to attach the query's raw
-	// accumulator state (ServerMsg.Partial) to every snapshot frame, in
-	// addition to the rendered Result. Scatter-gather coordinators set it;
-	// plain clients never pay the extra payload.
+	// Partials on a "query" frame asks the server to stream the query's raw
+	// accumulator state (ServerMsg.Partial) in place of the rendered Result
+	// on every snapshot frame. Scatter-gather coordinators set it.
 	Partials bool `json:"partials,omitempty"`
 }
 
@@ -116,6 +130,9 @@ func (m *ClientMsg) Validate() error {
 		}
 		if m.ID <= 0 {
 			return fmt.Errorf("server: %s message needs a positive id", m.Type)
+		}
+		if m.Partials && len(m.Query.Aggs) > engine.MaxPartialAggs {
+			return fmt.Errorf("server: partials of %d aggregates, limit %d", len(m.Query.Aggs), engine.MaxPartialAggs)
 		}
 	case MsgCancel:
 		if m.ID <= 0 {
@@ -144,8 +161,10 @@ func (m *ClientMsg) Validate() error {
 }
 
 // ServerMsg is any server→client message. Type selects which fields apply:
-// Version/Engine/Rows/Seed for "hello", ID/Seq/Final/Result for "snapshot",
-// ID/Error for "error", Watermark for "ingest".
+// Version/Engine/Rows/Seed for "hello", ID/Seq/Final/Shed and Result or
+// Partial for "snapshot", ID/Error for "error", Watermark for "ingest". The
+// JSON tags are the encoding of the control messages only; a snapshot travels
+// as a binary frame (appendSnapshot).
 type ServerMsg struct {
 	Type    string        `json:"type"`
 	ID      int64         `json:"id,omitempty"`
@@ -169,11 +188,10 @@ type ServerMsg struct {
 	// shedding rather than run to completion: the result is the progressive
 	// estimate as of the cancel, valid but not converged.
 	Shed bool `json:"shed,omitempty"`
-	// Partial is the query's raw accumulator state, attached to snapshot
-	// frames when the query frame requested Partials (and the engine has the
-	// capability). Floats travel as IEEE-754 bits (engine.F64), so a
-	// coordinator's merge is bitwise the merge a local scan would do.
-	Partial *engine.Partial `json:"partial,omitempty"`
+	// Partial is the query's raw accumulator state, carried by snapshot
+	// frames in place of Result when the query frame requested Partials (and
+	// the engine has the capability).
+	Partial *engine.Partial `json:"-"`
 	// Role identifies the serving topology position in the hello frame:
 	// "" or "single" for a standalone server, "shard" for one partition of a
 	// scatter-gather tier, "coord" for the coordinator fronting it.
@@ -185,8 +203,12 @@ type ServerMsg struct {
 	Peers []string `json:"peers,omitempty"`
 }
 
-// encodeMsg marshals a protocol message for the wire.
+// encodeMsg marshals a JSON control message — any ClientMsg, or a ServerMsg
+// other than a snapshot — for a text frame.
 func encodeMsg(v any) ([]byte, error) {
+	if m, ok := v.(*ServerMsg); ok && m.Type == MsgSnapshot {
+		return nil, fmt.Errorf("server: a %s travels as a binary frame", MsgSnapshot)
+	}
 	data, err := json.Marshal(v)
 	if err != nil {
 		return nil, fmt.Errorf("server: encode %T: %w", v, err)
@@ -194,8 +216,96 @@ func encodeMsg(v any) ([]byte, error) {
 	return data, nil
 }
 
-// decodeClientMsg parses and validates one client frame.
-func decodeClientMsg(data []byte) (*ClientMsg, error) {
+// snapshotTag opens every binary frame: the frame kind (1, a snapshot) in
+// the high nibble, the protocol version in the low one.
+const snapshotTag = 0x10 | ProtoVersion
+
+const (
+	snapFinal = 1 << iota
+	snapShed
+	snapResult
+	snapPartial
+	snapFlagsEnd
+)
+
+// appendSnapshot appends the binary frame of snapshot message m to dst. It
+// cannot fail: every result and partial has a binary form.
+func appendSnapshot(dst []byte, m *ServerMsg) []byte {
+	flags := byte(0)
+	if m.Final {
+		flags |= snapFinal
+	}
+	if m.Shed {
+		flags |= snapShed
+	}
+	switch {
+	case m.Partial != nil:
+		flags |= snapPartial
+	case m.Result != nil:
+		flags |= snapResult
+	}
+	dst = append(dst, snapshotTag, flags)
+	dst = binary.AppendUvarint(dst, uint64(m.ID))
+	dst = binary.AppendUvarint(dst, uint64(m.Seq))
+	switch {
+	case m.Partial != nil:
+		dst = m.Partial.AppendBinary(dst)
+	case m.Result != nil:
+		dst = m.Result.AppendBinary(dst)
+	}
+	return dst
+}
+
+// snapshotFrame is one parsed binary frame. A result payload stays encoded —
+// checked end to end, but aliasing the frame's bytes — because a client keeps
+// the freshest frame of a query and decodes it only when someone looks at it;
+// a partial is decoded, into memory of its own.
+type snapshotFrame struct {
+	id, seq     int64
+	final, shed bool
+	result      []byte
+	partial     *engine.Partial
+}
+
+// parseSnapshot parses and checks one binary frame.
+func parseSnapshot(data []byte) (snapshotFrame, error) {
+	var f snapshotFrame
+	rd := wire.NewReader(data)
+	if tag := rd.Byte(); tag != snapshotTag {
+		return f, fmt.Errorf("server: binary frame tag %#x, want %#x (a version-%d snapshot)", tag, snapshotTag, ProtoVersion)
+	}
+	flags := rd.Byte()
+	if flags >= snapFlagsEnd || flags&(snapResult|snapPartial) == snapResult|snapPartial {
+		return f, fmt.Errorf("server: bad snapshot flags %#x", flags)
+	}
+	f.final, f.shed = flags&snapFinal != 0, flags&snapShed != 0
+	f.id = int64(rd.Uvarint())
+	f.seq = int64(rd.Uvarint())
+	if err := rd.Err(); err != nil {
+		return f, fmt.Errorf("server: decode snapshot: %w", err)
+	}
+	var err error
+	switch payload := rd.Take(rd.Len()); {
+	case flags&snapResult != 0:
+		f.result, err = payload, query.CheckBinary(payload)
+	case flags&snapPartial != 0:
+		f.partial = new(engine.Partial)
+		err = f.partial.UnmarshalBinary(payload)
+	case len(payload) != 0:
+		err = fmt.Errorf("%d payload bytes on a frame that flags none", len(payload))
+	}
+	if err != nil {
+		return f, fmt.Errorf("server: decode snapshot %d: %w", f.id, err)
+	}
+	return f, nil
+}
+
+// decodeClientMsg parses and validates one client frame; every client
+// message is a JSON text frame.
+func decodeClientMsg(op byte, data []byte) (*ClientMsg, error) {
+	if op != opText {
+		return nil, fmt.Errorf("server: client frame with opcode %#x, want text", op)
+	}
 	var m ClientMsg
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("server: decode client message: %w", err)
@@ -206,15 +316,32 @@ func decodeClientMsg(data []byte) (*ClientMsg, error) {
 	return &m, nil
 }
 
-// decodeServerMsg parses one server frame.
-func decodeServerMsg(data []byte) (*ServerMsg, error) {
+// decodeServerMsg decodes one server frame completely: a binary frame is a
+// snapshot, a text frame is a JSON control message and never a snapshot.
+func decodeServerMsg(op byte, data []byte) (*ServerMsg, error) {
+	if op == opBinary {
+		f, err := parseSnapshot(data)
+		if err != nil {
+			return nil, err
+		}
+		m := &ServerMsg{Type: MsgSnapshot, ID: f.id, Seq: f.seq, Final: f.final, Shed: f.shed, Partial: f.partial}
+		if f.result != nil {
+			m.Result = new(query.Result)
+			if err := m.Result.UnmarshalBinary(f.result); err != nil {
+				return nil, err // unreachable: parseSnapshot checked the payload
+			}
+		}
+		return m, nil
+	}
 	var m ServerMsg
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("server: decode server message: %w", err)
 	}
 	switch m.Type {
-	case MsgHello, MsgSnapshot, MsgError, MsgIngest, MsgReject:
+	case MsgHello, MsgError, MsgIngest, MsgReject:
 		return &m, nil
+	case MsgSnapshot:
+		return nil, fmt.Errorf("server: %s in a text frame", MsgSnapshot)
 	default:
 		return nil, fmt.Errorf("server: unknown server message type %q", m.Type)
 	}

@@ -1,10 +1,15 @@
 package server
 
 import (
+	"encoding/binary"
+	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"idebench/internal/dataset"
+	"idebench/internal/engine"
 	"idebench/internal/query"
 )
 
@@ -54,7 +59,7 @@ func TestClientMsgRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: encode: %v", m.Type, err)
 		}
-		got, err := decodeClientMsg(data)
+		got, err := decodeClientMsg(opText, data)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", m.Type, err)
 		}
@@ -74,7 +79,7 @@ func TestQuerySignatureSurvivesWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeClientMsg(data)
+	got, err := decodeClientMsg(opText, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,24 +88,53 @@ func TestQuerySignatureSurvivesWire(t *testing.T) {
 	}
 }
 
-// TestServerMsgRoundTrip proves server frames (hello, snapshot, error)
-// survive the wire, including the embedded query.Result with its custom
-// bin-key JSON encoding.
+func testPartial() *engine.Partial {
+	lo, hi := math.Inf(-1), math.Inf(1)
+	return &engine.Partial{RowsSeen: 1234, Population: 50000, Watermark: 50000, Bins: []engine.PartialBin{
+		{Key: query.BinKey{A: -2}, N: 9, W: []engine.WelfordWire{{}, {N: 9, Mean: -3, M2: 0.75}},
+			Mins: []float64{hi, hi}, Maxs: []float64{lo, lo}},
+		{Key: query.BinKey{A: 3, B: 1}, N: 17, W: []engine.WelfordWire{{}, {N: 17, Mean: 4.25, M2: 1.5}},
+			Mins: []float64{hi, hi}, Maxs: []float64{lo, lo}},
+	}}
+}
+
+// wireOf encodes m the one way its type travels and reports the opcode of
+// the frame that carries it.
+func wireOf(t *testing.T, m *ServerMsg) (byte, []byte) {
+	t.Helper()
+	if m.Type == MsgSnapshot {
+		return opBinary, appendSnapshot(nil, m)
+	}
+	data, err := encodeMsg(m)
+	if err != nil {
+		t.Fatalf("%s: encode: %v", m.Type, err)
+	}
+	return opText, data
+}
+
+// TestServerMsgRoundTrip proves server frames survive the wire: the JSON
+// control messages (hello, error, reject, ingest) as text frames, snapshots —
+// with a result, with a partial, with neither — as binary frames.
 func TestServerMsgRoundTrip(t *testing.T) {
+	covered := testResult()
+	covered.Complete, covered.Watermark = true, 49000
+	covered.Coverage = &query.Coverage{PartitionsAnswered: 1, PartitionsTotal: 2, PopulationFraction: 0.5, Degraded: true}
 	msgs := []*ServerMsg{
 		{Type: MsgHello, Version: ProtoVersion, Engine: "progressive", Rows: 50000, Seed: 7},
 		{Type: MsgHello, Version: ProtoVersion, Engine: "progressive", Rows: 50000, Seed: 7,
 			Role: "coord", Peers: []string{"127.0.0.1:7001", "127.0.0.1:7002"}},
 		{Type: MsgSnapshot, ID: 7, Seq: 3, Result: testResult()},
 		{Type: MsgSnapshot, ID: 7, Seq: 4, Final: true, Result: testResult()},
+		{Type: MsgSnapshot, ID: 8, Seq: 2, Final: true, Shed: true, Result: covered},
+		{Type: MsgSnapshot, ID: 9, Seq: 1, Partial: testPartial()},
+		{Type: MsgSnapshot, ID: 1 << 40, Seq: 1, Final: true},
 		{Type: MsgError, ID: 9, Error: "engine: unknown table"},
+		{Type: MsgReject, ID: 4, Error: "server query limit reached", RetryMS: 50},
+		{Type: MsgIngest, Watermark: 50500},
 	}
 	for _, m := range msgs {
-		data, err := encodeMsg(m)
-		if err != nil {
-			t.Fatalf("%s: encode: %v", m.Type, err)
-		}
-		got, err := decodeServerMsg(data)
+		op, data := wireOf(t, m)
+		got, err := decodeServerMsg(op, data)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", m.Type, err)
 		}
@@ -115,11 +149,8 @@ func TestServerMsgRoundTrip(t *testing.T) {
 // them).
 func TestResultBinsSurviveWire(t *testing.T) {
 	in := testResult()
-	data, err := encodeMsg(&ServerMsg{Type: MsgSnapshot, ID: 1, Seq: 1, Result: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := decodeServerMsg(data)
+	op, data := wireOf(t, &ServerMsg{Type: MsgSnapshot, ID: 1, Seq: 1, Result: in})
+	m, err := decodeServerMsg(op, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,6 +172,80 @@ func TestResultBinsSurviveWire(t *testing.T) {
 	}
 }
 
+// TestOneEncodingPerMessage: the opcode is the only discriminator, and each
+// message type is accepted in exactly one encoding.
+func TestOneEncodingPerMessage(t *testing.T) {
+	if _, err := encodeMsg(&ServerMsg{Type: MsgSnapshot, ID: 1, Seq: 1, Result: testResult()}); err == nil {
+		t.Error("a snapshot encoded as a JSON control message")
+	}
+	text := `{"type":"snapshot","id":1,"seq":1,"final":true,"result":{"bins":[],"rows_seen":1,"total_rows":1,"complete":true}}`
+	if _, err := decodeServerMsg(opText, []byte(text)); err == nil || !strings.Contains(err.Error(), "text frame") {
+		t.Errorf("text snapshot frame: err %v, want a refusal", err)
+	}
+	hello, _ := encodeMsg(&ServerMsg{Type: MsgHello, Version: ProtoVersion})
+	if _, err := decodeServerMsg(opBinary, hello); err == nil {
+		t.Error("a JSON hello decoded out of a binary frame")
+	}
+	q, _ := encodeMsg(&ClientMsg{Type: MsgQuery, ID: 1, Query: testQuery()})
+	if _, err := decodeClientMsg(opBinary, q); err == nil {
+		t.Error("a client message decoded out of a binary frame")
+	}
+	// A snapshot frame of another protocol version is not a snapshot.
+	old := appendSnapshot(nil, &ServerMsg{Type: MsgSnapshot, ID: 1, Seq: 1, Result: testResult()})
+	old[0] = 0x10 | (ProtoVersion - 1)
+	if _, err := decodeServerMsg(opBinary, old); err == nil {
+		t.Error("a version-5 snapshot tag decoded")
+	}
+}
+
+// TestSnapshotFrameHostile: every strict prefix of a valid frame is an error,
+// flags that contradict each other are refused, and a 24-byte frame whose
+// payload announces 2^31 bins of 2^16 aggregates is refused before any slab
+// is sized from it.
+func TestSnapshotFrameHostile(t *testing.T) {
+	for name, m := range map[string]*ServerMsg{
+		"result":  {Type: MsgSnapshot, ID: 300, Seq: 2, Final: true, Result: testResult()},
+		"partial": {Type: MsgSnapshot, ID: 300, Seq: 2, Partial: testPartial()},
+	} {
+		valid := appendSnapshot(nil, m)
+		for n := 0; n < len(valid); n++ {
+			if _, err := parseSnapshot(valid[:n]); err == nil {
+				t.Fatalf("%s: prefix of %d/%d bytes decoded", name, n, len(valid))
+			}
+		}
+		if _, err := parseSnapshot(append(valid, 0)); err == nil {
+			t.Errorf("%s: trailing byte accepted", name)
+		}
+		both := append([]byte(nil), valid...)
+		both[1] |= snapResult | snapPartial
+		if _, err := parseSnapshot(both); err == nil {
+			t.Errorf("%s: frame flagged as both result and partial decoded", name)
+		}
+	}
+	if _, err := parseSnapshot([]byte{snapshotTag, snapFinal, 1, 1, 0}); err == nil {
+		t.Error("payload bytes on a frame that flags no payload decoded")
+	}
+	for _, flag := range []byte{snapResult, snapPartial} {
+		tag := byte(0x21) // query's result tag; engine's partial tag is 0x31
+		if flag == snapPartial {
+			tag = 0x31
+		}
+		huge := []byte{snapshotTag, flag, 1, 1, tag, 0, 0, 0, 0}
+		huge = binary.AppendUvarint(huge, 1<<31)
+		huge = binary.AppendUvarint(huge, 1<<16)
+		huge = append(huge, make([]byte, 24-len(huge))...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := parseSnapshot(huge); err == nil {
+			t.Errorf("flag %#x: 2^31 × 2^16 frame decoded", flag)
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 { // the message and the errors, not the slabs
+			t.Errorf("flag %#x: refusal allocated %d bytes", flag, grew)
+		}
+	}
+}
+
 // TestClientMsgValidation covers the structural checks that protect the
 // server's read loop.
 func TestClientMsgValidation(t *testing.T) {
@@ -158,10 +263,20 @@ func TestClientMsgValidation(t *testing.T) {
 			t.Errorf("message %+v validated unexpectedly", m)
 		}
 	}
-	if _, err := decodeClientMsg([]byte(`{not json`)); err == nil {
+	if _, err := decodeClientMsg(opText, []byte(`{not json`)); err == nil {
 		t.Error("malformed JSON decoded unexpectedly")
 	}
-	if _, err := decodeServerMsg([]byte(`{"type":"mystery"}`)); err == nil {
+	if _, err := decodeServerMsg(opText, []byte(`{"type":"mystery"}`)); err == nil {
 		t.Error("unknown server message type decoded unexpectedly")
+	}
+	wide := testQuery()
+	for len(wide.Aggs) <= engine.MaxPartialAggs {
+		wide.Aggs = append(wide.Aggs, query.Aggregate{Func: query.Count})
+	}
+	if err := (&ClientMsg{Type: MsgQuery, ID: 1, Query: wide}).Validate(); err != nil {
+		t.Errorf("wide plain query refused: %v", err)
+	}
+	if err := (&ClientMsg{Type: MsgQuery, ID: 1, Query: wide, Partials: true}).Validate(); err == nil {
+		t.Error("partials query wider than a partial frame can carry validated")
 	}
 }

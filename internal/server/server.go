@@ -758,7 +758,7 @@ func (c *serverConn) pingLoop(every time.Duration) {
 func (c *serverConn) readLoop() {
 	defer c.teardown()
 	for {
-		data, err := c.ws.ReadMessage()
+		op, data, err := c.ws.ReadMessage()
 		if err != nil {
 			// A read deadline here is the idle-liveness timeout tripping: the
 			// peer sent nothing (not even pongs) for IdleTimeout — it is gone
@@ -771,7 +771,7 @@ func (c *serverConn) readLoop() {
 			}
 			return
 		}
-		m, err := decodeClientMsg(data)
+		m, err := decodeClientMsg(op, data)
 		if err != nil {
 			// Malformed frames are protocol violations: report and hang up.
 			// The diagnostic is written synchronously — pushing it through
@@ -882,19 +882,27 @@ func (c *serverConn) startQuery(m *ClientMsg) {
 func (c *serverConn) watch(id int64, h engine.Handle, lateBudget time.Duration, partials bool) {
 	defer c.srv.inflight.Add(-1)
 	defer c.watchers.Done()
-	// A client that asked for partials gets the raw accumulator state on
-	// every snapshot frame — if the engine's handle has the capability; a
-	// capability-less handle sends plain frames and the coordinator reports
-	// the missing partials itself.
+	// A client that asked for partials gets the raw accumulator state alone
+	// on every snapshot frame — nothing on such a connection reads a rendered
+	// result. A handle without the capability, or with no fragment to give,
+	// answers with the rendered result and the coordinator reports the
+	// missing partials itself.
 	var ps engine.PartialSnapshotter
 	if partials {
 		ps, _ = h.(engine.PartialSnapshotter)
 	}
-	takePartial := func() *engine.Partial {
-		if ps == nil {
-			return nil
+	// fill loads the query's current state into m and returns the rows it
+	// reflects, -1 when there is no state yet.
+	fill := func(m *ServerMsg) int64 {
+		if ps != nil {
+			if m.Partial = ps.PartialSnapshot(); m.Partial != nil {
+				return m.Partial.RowsSeen
+			}
 		}
-		return ps.PartialSnapshot()
+		if m.Result = h.Snapshot(); m.Result != nil {
+			return m.Result.RowsSeen
+		}
+		return -1
 	}
 	ticker := time.NewTicker(c.poll)
 	defer ticker.Stop()
@@ -905,11 +913,12 @@ func (c *serverConn) watch(id int64, h engine.Handle, lateBudget time.Duration, 
 	for {
 		select {
 		case <-h.Done():
-			snap := h.Snapshot()
 			seq++
+			m := &ServerMsg{Type: MsgSnapshot, ID: id, Seq: seq, Final: true, Shed: shed}
+			fill(m)
 			// Push before dropping from inflight so drain's idle check never
 			// sees "no queries, empty outbox" with the final still unqueued.
-			c.push(&ServerMsg{Type: MsgSnapshot, ID: id, Seq: seq, Final: true, Result: snap, Shed: shed, Partial: takePartial()})
+			c.push(m)
 			c.finishQuery(id)
 			return
 		case <-c.closed:
@@ -923,13 +932,14 @@ func (c *serverConn) watch(id int64, h engine.Handle, lateBudget time.Duration, 
 				h.Cancel() // Done closes with the partial result; loop drains it
 				continue
 			}
-			snap := h.Snapshot()
-			if snap == nil || snap.RowsSeen == lastRows {
+			m := &ServerMsg{Type: MsgSnapshot, ID: id, Seq: seq + 1}
+			rows := fill(m)
+			if rows < 0 || rows == lastRows {
 				continue
 			}
-			lastRows = snap.RowsSeen
+			lastRows = rows
 			seq++
-			c.push(&ServerMsg{Type: MsgSnapshot, ID: id, Seq: seq, Result: snap, Partial: takePartial()})
+			c.push(m)
 		}
 	}
 }
@@ -1019,8 +1029,11 @@ func (c *serverConn) idle() bool {
 }
 
 // writeLoop owns the socket's write side: it drains the outbox whenever
-// woken and exits when the connection closes or a write fails.
+// woken and exits when the connection closes or a write fails. A snapshot is
+// encoded by appending into the loop's one frame buffer, behind the room the
+// WebSocket header needs, and leaves in a single Write.
 func (c *serverConn) writeLoop() {
+	frame := make([]byte, wsHeadroom, 4096)
 	for {
 		select {
 		case <-c.wake:
@@ -1032,17 +1045,22 @@ func (c *serverConn) writeLoop() {
 			if m == nil {
 				break
 			}
-			data, err := encodeMsg(m)
-			if err != nil {
-				c.doneWrite() // unencodable frame: drop, keep the connection
-				continue
-			}
 			// Bounded write: a client that stopped reading trips the
 			// deadline and is disconnected (teardown below releases its
 			// session), instead of parking this goroutine while finals
 			// accumulate for it without limit.
 			c.ws.SetWriteDeadline(time.Now().Add(c.writeLimit))
-			werr := c.ws.WriteMessage(data)
+			var werr error
+			if m.Type == MsgSnapshot {
+				frame = appendSnapshot(frame[:wsHeadroom], m)
+				werr = c.ws.WriteBinary(frame)
+			} else if data, err := encodeMsg(m); err == nil {
+				werr = c.ws.WriteMessage(data)
+			} else if m.ID != 0 && m.Type != MsgError {
+				// A control frame that will not encode must not leave its
+				// query waiting for a terminal frame that never comes.
+				c.push(&ServerMsg{Type: MsgError, ID: m.ID, Error: err.Error()})
+			}
 			c.doneWrite()
 			if werr != nil {
 				c.teardown()

@@ -91,7 +91,9 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 // the WebSocket client — the driver is byte-for-byte the in-process one; only
 // the engine behind it is remote.
 func TestRemoteReplaySingleUser(t *testing.T) {
-	f := newFixture(t, Options{})
+	// A 40k-row scan is ~100µs: poll an order of magnitude finer, or a
+	// six-query workflow now and then completes without one intermediate.
+	f := newFixture(t, Options{PollInterval: 10 * time.Microsecond})
 	rem, err := NewRemote(f.addr)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,8 @@
 // Minimal RFC 6455 WebSocket transport. The repo is dependency-free by
-// policy, so the serving layer carries its own framing: text messages,
-// client-to-server masking, ping/pong keepalive and close handshake — the
-// subset the idebench wire protocol needs, not a general-purpose library.
+// policy, so the serving layer carries its own framing: text and binary
+// messages, client-to-server masking, ping/pong keepalive and close handshake
+// — the subset the idebench wire protocol needs, not a general-purpose
+// library.
 package server
 
 import (
@@ -16,6 +17,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -79,6 +81,14 @@ func (e *CloseError) Error() string {
 	return fmt.Sprintf("server: websocket closed by peer (code %d: %s)", e.Code, e.Reason)
 }
 
+// wsHeadroom is the longest frame header: two bytes, an eight-byte extended
+// length and a four-byte mask key. A frame buffer reserves that much in front
+// of its payload so the header can be written where it will be sent from.
+const wsHeadroom = 14
+
+// maxControlBytes is the RFC 6455 limit on a control frame's payload.
+const maxControlBytes = 125
+
 // WSConn is one WebSocket connection. Reads must come from a single
 // goroutine; writes are internally serialized and may come from any
 // goroutine (the connection writer, and the reader answering pings).
@@ -90,43 +100,85 @@ type WSConn struct {
 	// any inbound traffic (data, ping, pong) proves liveness.
 	idle time.Duration
 
+	// Reader-owned scratch: rbuf holds the unfragmented message ReadMessage
+	// last returned, hdr a frame header's extended length and mask key while
+	// they are parsed, ctl a control frame's payload while it is answered.
+	rbuf []byte
+	hdr  [12]byte
+	ctl  [maxControlBytes]byte
+
 	wmu    sync.Mutex
 	closed bool
+	// wbuf frames the payloads of WriteMessage, pings, pongs and closes:
+	// headroom, then a copy of the payload. Guarded by wmu.
+	wbuf []byte
 }
 
-// ReadMessage returns the next complete text/binary message payload,
-// transparently answering pings and completing the close handshake.
-func (c *WSConn) ReadMessage() ([]byte, error) {
-	var msg []byte
+// ReadMessage returns the next complete message's opcode (opText or
+// opBinary) and payload, transparently answering pings and completing the
+// close handshake. The payload of an unfragmented message lives in the
+// connection's read buffer and is valid only until the next ReadMessage.
+func (c *WSConn) ReadMessage() (op byte, payload []byte, err error) {
+	var msg []byte // accumulates a fragmented message; nil between messages
 	for {
-		fin, opcode, payload, err := c.readFrame()
+		fin, opcode, length, mask, err := c.readHeader()
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 		switch opcode {
-		case opPing:
-			if err := c.writeFrame(opPong, payload); err != nil {
-				return nil, err
+		case opPing, opPong, opClose:
+			if !fin || length > maxControlBytes {
+				return 0, nil, fmt.Errorf("server: malformed websocket control frame (opcode %#x, %d bytes)", opcode, length)
 			}
-		case opPong:
+			ctl := c.ctl[:length]
+			if err := c.readPayload(ctl, mask); err != nil {
+				return 0, nil, err
+			}
+			switch opcode {
+			case opPing:
+				if err := c.writeFrame(opPong, ctl); err != nil {
+					return 0, nil, err
+				}
+			case opClose:
+				c.writeClose()
+				if len(ctl) >= 2 {
+					return 0, nil, &CloseError{Code: binary.BigEndian.Uint16(ctl), Reason: string(ctl[2:])}
+				}
+				return 0, nil, ErrWSClosed
+			}
 			// Unsolicited pongs are legal no-ops.
-		case opClose:
-			c.writeClose()
-			if len(payload) >= 2 {
-				code := binary.BigEndian.Uint16(payload[:2])
-				return nil, &CloseError{Code: code, Reason: string(payload[2:])}
-			}
-			return nil, ErrWSClosed
-		case opText, opBinary, opContinuation:
-			msg = append(msg, payload...)
-			if len(msg) > maxMessageBytes {
-				return nil, fmt.Errorf("server: websocket message exceeds %d bytes", maxMessageBytes)
+		case opText, opBinary:
+			if msg != nil {
+				return 0, nil, errors.New("server: websocket data frame inside a fragmented message")
 			}
 			if fin {
-				return msg, nil
+				c.rbuf = slices.Grow(c.rbuf[:0], length)[:length]
+				if err := c.readPayload(c.rbuf, mask); err != nil {
+					return 0, nil, err
+				}
+				return opcode, c.rbuf, nil
+			}
+			op = opcode
+			msg = make([]byte, length)
+			if err := c.readPayload(msg, mask); err != nil {
+				return 0, nil, err
+			}
+		case opContinuation:
+			if msg == nil {
+				return 0, nil, errors.New("server: websocket continuation frame without a message to continue")
+			}
+			if len(msg)+length > maxMessageBytes {
+				return 0, nil, fmt.Errorf("server: websocket message exceeds %d bytes", maxMessageBytes)
+			}
+			msg = append(msg, make([]byte, length)...)
+			if err := c.readPayload(msg[len(msg)-length:], mask); err != nil {
+				return 0, nil, err
+			}
+			if fin {
+				return op, msg, nil
 			}
 		default:
-			return nil, fmt.Errorf("server: unknown websocket opcode %#x", opcode)
+			return 0, nil, fmt.Errorf("server: unknown websocket opcode %#x", opcode)
 		}
 	}
 }
@@ -134,6 +186,20 @@ func (c *WSConn) ReadMessage() ([]byte, error) {
 // WriteMessage sends one text message as a single unfragmented frame.
 func (c *WSConn) WriteMessage(payload []byte) error {
 	return c.writeFrame(opText, payload)
+}
+
+// WriteBinary sends frame[wsHeadroom:] as one unfragmented binary message.
+// The caller encoded its payload behind wsHeadroom reserved bytes; the header
+// is written backwards into that room, so header and payload leave in one
+// conn.Write without being copied. The client side masks the payload in
+// place.
+func (c *WSConn) WriteBinary(frame []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.closed {
+		return ErrWSClosed
+	}
+	return c.writeInPlaceLocked(opBinary, frame)
 }
 
 // WritePing sends a ping frame; the peer's ReadMessage answers with a pong
@@ -199,55 +265,60 @@ func (c *WSConn) writeClose() {
 	c.wmu.Unlock()
 }
 
-// readFrame reads one frame, unmasking if needed.
-func (c *WSConn) readFrame() (fin bool, opcode byte, payload []byte, err error) {
+// readHeader reads one frame's header: the payload that follows is length
+// bytes, masked with mask when mask is non-nil.
+func (c *WSConn) readHeader() (fin bool, opcode byte, length int, mask []byte, err error) {
 	if c.idle > 0 {
 		c.conn.SetReadDeadline(time.Now().Add(c.idle))
 	}
-	var hdr [2]byte
-	if _, err = io.ReadFull(c.br, hdr[:]); err != nil {
-		return false, 0, nil, err
+	hdr := c.hdr[:2]
+	if _, err = io.ReadFull(c.br, hdr); err != nil {
+		return false, 0, 0, nil, err
 	}
 	fin = hdr[0]&0x80 != 0
 	if hdr[0]&0x70 != 0 {
-		return false, 0, nil, errors.New("server: websocket RSV bits set without extension")
+		return false, 0, 0, nil, errors.New("server: websocket RSV bits set without extension")
 	}
 	opcode = hdr[0] & 0x0F
 	masked := hdr[1]&0x80 != 0
-	length := uint64(hdr[1] & 0x7F)
-	switch length {
+	n := uint64(hdr[1] & 0x7F)
+	switch n {
 	case 126:
-		var ext [2]byte
-		if _, err = io.ReadFull(c.br, ext[:]); err != nil {
-			return false, 0, nil, err
+		ext := c.hdr[:2]
+		if _, err = io.ReadFull(c.br, ext); err != nil {
+			return false, 0, 0, nil, err
 		}
-		length = uint64(binary.BigEndian.Uint16(ext[:]))
+		n = uint64(binary.BigEndian.Uint16(ext))
 	case 127:
-		var ext [8]byte
-		if _, err = io.ReadFull(c.br, ext[:]); err != nil {
-			return false, 0, nil, err
+		ext := c.hdr[:8]
+		if _, err = io.ReadFull(c.br, ext); err != nil {
+			return false, 0, 0, nil, err
 		}
-		length = binary.BigEndian.Uint64(ext[:])
+		n = binary.BigEndian.Uint64(ext)
 	}
-	if length > maxMessageBytes {
-		return false, 0, nil, fmt.Errorf("server: websocket frame of %d bytes exceeds limit", length)
-	}
-	var mask [4]byte
-	if masked {
-		if _, err = io.ReadFull(c.br, mask[:]); err != nil {
-			return false, 0, nil, err
-		}
-	}
-	payload = make([]byte, length)
-	if _, err = io.ReadFull(c.br, payload); err != nil {
-		return false, 0, nil, err
+	if n > maxMessageBytes {
+		return false, 0, 0, nil, fmt.Errorf("server: websocket frame of %d bytes exceeds limit", n)
 	}
 	if masked {
-		for i := range payload {
-			payload[i] ^= mask[i&3]
+		mask = c.hdr[8:12]
+		if _, err = io.ReadFull(c.br, mask); err != nil {
+			return false, 0, 0, nil, err
 		}
 	}
-	return fin, opcode, payload, nil
+	return fin, opcode, int(n), mask, nil
+}
+
+// readPayload fills dst with the frame's payload, unmasking if needed.
+func (c *WSConn) readPayload(dst []byte, mask []byte) error {
+	if _, err := io.ReadFull(c.br, dst); err != nil {
+		return err
+	}
+	if mask != nil {
+		for i := range dst {
+			dst[i] ^= mask[i&3]
+		}
+	}
+	return nil
 }
 
 // writeFrame sends one complete frame, masking when this is the client side.
@@ -260,40 +331,50 @@ func (c *WSConn) writeFrame(opcode byte, payload []byte) error {
 	return c.writeFrameLocked(opcode, payload)
 }
 
+// writeFrameLocked frames a copy of payload in the connection's write buffer.
 func (c *WSConn) writeFrameLocked(opcode byte, payload []byte) error {
+	if c.wbuf == nil {
+		c.wbuf = make([]byte, wsHeadroom, 512)
+	}
+	c.wbuf = append(c.wbuf[:wsHeadroom], payload...)
+	return c.writeInPlaceLocked(opcode, c.wbuf)
+}
+
+// writeInPlaceLocked sends frame[wsHeadroom:] as one frame, writing the
+// header into the end of frame[:wsHeadroom].
+func (c *WSConn) writeInPlaceLocked(opcode byte, frame []byte) error {
 	// Header and payload go out in ONE Write: two small writes per frame
 	// would interact with Nagle + delayed ACK into ~40ms stalls per frame,
 	// which is fatal for a protocol whose deadlines are single-digit ms.
-	buf := make([]byte, 0, 14+len(payload))
-	buf = append(buf, 0x80|opcode)
+	payload := frame[wsHeadroom:]
+	at := wsHeadroom
 	maskBit := byte(0)
 	if c.client {
+		at -= 4
+		key := frame[at:wsHeadroom]
+		if _, err := rand.Read(key); err != nil {
+			return err
+		}
+		for i := range payload {
+			payload[i] ^= key[i&3]
+		}
 		maskBit = 0x80
 	}
 	switch n := len(payload); {
 	case n < 126:
-		buf = append(buf, maskBit|byte(n))
+		at -= 2
+		frame[at+1] = maskBit | byte(n)
 	case n <= 0xFFFF:
-		buf = append(buf, maskBit|126, byte(n>>8), byte(n))
+		at -= 4
+		frame[at+1] = maskBit | 126
+		binary.BigEndian.PutUint16(frame[at+2:], uint16(n))
 	default:
-		buf = append(buf, maskBit|127)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(n))
+		at -= 10
+		frame[at+1] = maskBit | 127
+		binary.BigEndian.PutUint64(frame[at+2:], uint64(n))
 	}
-	if c.client {
-		var mask [4]byte
-		if _, err := rand.Read(mask[:]); err != nil {
-			return err
-		}
-		buf = append(buf, mask[:]...)
-		off := len(buf)
-		buf = append(buf, payload...)
-		for i := off; i < len(buf); i++ {
-			buf[i] ^= mask[(i-off)&3]
-		}
-	} else {
-		buf = append(buf, payload...)
-	}
-	_, err := c.conn.Write(buf)
+	frame[at] = 0x80 | opcode
+	_, err := c.conn.Write(frame[at:])
 	return err
 }
 

@@ -20,11 +20,18 @@ func echoServer(t *testing.T) *httptest.Server {
 		}
 		defer ws.Close()
 		for {
-			msg, err := ws.ReadMessage()
+			op, msg, err := ws.ReadMessage()
 			if err != nil {
 				return
 			}
-			if err := ws.WriteMessage(msg); err != nil {
+			// Echo in kind: text through the copying path, binary through
+			// the in-place one (which wants headroom before the payload).
+			if op == opBinary {
+				err = ws.WriteBinary(append(make([]byte, wsHeadroom), msg...))
+			} else {
+				err = ws.WriteMessage(msg)
+			}
+			if err != nil {
 				return
 			}
 		}
@@ -57,13 +64,54 @@ func TestWSEcho(t *testing.T) {
 		if err := c.WriteMessage(msg); err != nil {
 			t.Fatalf("write %d bytes: %v", n, err)
 		}
-		got, err := c.ReadMessage()
+		op, got, err := c.ReadMessage()
 		if err != nil {
 			t.Fatalf("read %d bytes: %v", n, err)
 		}
-		if !bytes.Equal(got, msg) {
-			t.Fatalf("echo mismatch at %d bytes: got %d bytes back", n, len(got))
+		if op != opText || !bytes.Equal(got, msg) {
+			t.Fatalf("echo mismatch at %d bytes: opcode %d, %d bytes back", n, op, len(got))
 		}
+		// The same payload as a binary frame, written in place: the client
+		// side masks the caller's buffer, so it gets a copy.
+		frame := append(make([]byte, wsHeadroom), msg...)
+		if err := c.WriteBinary(frame); err != nil {
+			t.Fatalf("binary write %d bytes: %v", n, err)
+		}
+		if op, got, err = c.ReadMessage(); err != nil || op != opBinary || !bytes.Equal(got, msg) {
+			t.Fatalf("binary echo mismatch at %d bytes: opcode %d, %d bytes back, err %v", n, op, len(got), err)
+		}
+	}
+}
+
+// TestWSFragmentedMessage: a message split over continuation frames, with a
+// ping between the fragments, is reassembled under its first frame's opcode.
+func TestWSFragmentedMessage(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ws, err := upgradeWS(w, r)
+		if err != nil {
+			return
+		}
+		defer ws.Close()
+		ws.conn.Write([]byte{opBinary, 3, 'a', 'b', 'c'})  // FIN clear
+		ws.conn.Write([]byte{0x80 | opPing, 1, '!'})       // control frame mid-message
+		ws.conn.Write([]byte{opContinuation, 2, 'd', 'e'}) // FIN clear
+		ws.conn.Write([]byte{0x80 | opContinuation, 1, 'f'})
+		ws.conn.Write([]byte{0x80 | opContinuation, 1, 'x'}) // continues nothing
+		ws.ReadMessage()
+	}))
+	defer srv.Close()
+	c, err := dialWS(wsURL(srv), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	op, got, err := c.ReadMessage()
+	if err != nil || op != opBinary || string(got) != "abcdef" {
+		t.Fatalf("fragmented message: opcode %d, %q, err %v", op, got, err)
+	}
+	if _, _, err := c.ReadMessage(); err == nil {
+		t.Fatal("stray continuation frame accepted")
 	}
 }
 
@@ -81,7 +129,11 @@ func TestWSPing(t *testing.T) {
 		if err := ws.writeFrame(opPing, []byte("heartbeat")); err != nil {
 			return
 		}
-		fin, opcode, payload, err := ws.readFrame()
+		fin, opcode, length, mask, err := ws.readHeader()
+		payload := make([]byte, length)
+		if err == nil {
+			err = ws.readPayload(payload, mask)
+		}
 		if err != nil || !fin || opcode != opPong || string(payload) != "heartbeat" {
 			ws.WriteMessage([]byte("bad pong"))
 			return
@@ -96,7 +148,7 @@ func TestWSPing(t *testing.T) {
 	}
 	defer c.Close()
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	got, err := c.ReadMessage() // answers the ping, then returns "ok"
+	_, got, err := c.ReadMessage() // answers the ping, then returns "ok"
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +174,7 @@ func TestWSCloseHandshake(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c.ReadMessage(); !errors.Is(err, ErrWSClosed) {
+	if _, _, err := c.ReadMessage(); !errors.Is(err, ErrWSClosed) {
 		t.Fatalf("read after peer close: %v, want ErrWSClosed", err)
 	}
 	if err := c.WriteMessage([]byte("late")); !errors.Is(err, ErrWSClosed) {

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -212,16 +211,7 @@ func (co *Coordinator) AntiEntropyCheck(q *query.Query, timeout time.Duration) (
 			// support); try again next round.
 			continue
 		}
-		ea, err := json.Marshal(pa)
-		if err != nil {
-			fail(i, a.name, err)
-			continue
-		}
-		eb, err := json.Marshal(pb)
-		if err != nil {
-			fail(i, b.name, err)
-			continue
-		}
+		ea, eb := pa.AppendBinary(nil), pb.AppendBinary(nil)
 		co.aeChecks.Add(1)
 		if bytes.Equal(ea, eb) {
 			continue
@@ -257,11 +247,7 @@ func (co *Coordinator) outvoted(part int, elig []*replica, a, b *replica, ea, eb
 		if pw == nil || !pw.Complete || pw.Watermark != wm {
 			continue
 		}
-		ew, err := json.Marshal(pw)
-		if err != nil {
-			continue
-		}
-		switch {
+		switch ew := pw.AppendBinary(nil); {
 		case bytes.Equal(ew, ea):
 			return b
 		case bytes.Equal(ew, eb):
