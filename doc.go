@@ -17,7 +17,15 @@
 // that evaluate filters into selection vectors, compute bin keys, and fold
 // aggregates over raw column slices ~4096 rows at a time, with a dense
 // flat-array group-by fast path when the bin-key domain is small and known
-// (see internal/engine/README.md). The archetypes differ only in their
+// (see internal/engine/README.md). A quantitative fact column's bin index is
+// not re-derived per query: the first plan to bin a column by a given
+// (width, origin) memoizes one uint8 code per row on the column
+// (dataset.Column.BinCodes — derived storage beside the bounds memo, 1 B/row
+// per distinct binning, at most four per column, carried through the append
+// lineage and never written to a checkpoint), and every later scan of a
+// domain of up to 256 bins widens that byte instead of dividing; results are
+// bitwise the arithmetic kernels', which remain for FK-indirected
+// dimensions and wider domains. The archetypes differ only in their
 // execution *models* — blocking parallel scan (exactdb), offline stratified
 // sample (sampledb), online aggregation with a row-store cost model
 // (onlinedb), and fully progressive permuted scanning with reuse and

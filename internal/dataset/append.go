@@ -37,6 +37,10 @@ type TableAppender struct {
 	mmLo, mmHi []float64
 	mmOK       []bool
 
+	// One bin-code registry per quantitative column, handed to every view:
+	// codes built or extended through any view serve all of them.
+	bins []*binCodeSet
+
 	cur *Table
 }
 
@@ -55,6 +59,7 @@ func NewTableAppender(t *Table, adopt bool) *TableAppender {
 		mmLo:   make([]float64, len(t.Columns)),
 		mmHi:   make([]float64, len(t.Columns)),
 		mmOK:   make([]bool, len(t.Columns)),
+		bins:   make([]*binCodeSet, len(t.Columns)),
 		cur:    t,
 	}
 	for i, c := range t.Columns {
@@ -67,9 +72,12 @@ func NewTableAppender(t *Table, adopt bool) *TableAppender {
 			}
 		} else {
 			if adopt {
-				a.nums[i] = c.Nums
+				// The storage changes hands, and with it whatever codes t's
+				// plans already built over it.
+				a.nums[i], a.bins[i] = c.Nums, c.binCodeSet()
 			} else {
 				a.nums[i] = append(make([]float64, 0, n+n/4+64), c.Nums...)
+				a.bins[i] = &binCodeSet{}
 			}
 			a.mmLo[i], a.mmHi[i], a.mmOK[i] = c.MinMax()
 		}
@@ -147,7 +155,8 @@ func (a *TableAppender) checkBatchLocked(batch *Table) error {
 }
 
 // viewLocked builds an immutable Table over the current storage, seeding
-// every quantitative column's bounds memo from the running fold.
+// every quantitative column's bounds memo from the running fold and handing
+// it the lineage's bin-code registry.
 func (a *TableAppender) viewLocked() *Table {
 	cols := make([]*Column, a.schema.Len())
 	for i, f := range a.schema.Fields {
@@ -157,6 +166,7 @@ func (a *TableAppender) viewLocked() *Table {
 		} else {
 			c.Nums = a.nums[i][:len(a.nums[i]):len(a.nums[i])]
 			c.seedMinMax(a.mmLo[i], a.mmHi[i], a.mmOK[i])
+			c.bins = a.bins[i]
 		}
 		cols[i] = c
 	}

@@ -6,6 +6,28 @@
 // All engines in internal/engine operate on the same dataset.Table; their
 // differences — blocking vs. progressive vs. sampled execution — are
 // execution-model differences, which is exactly the axis the paper measures.
+//
+// # Derived storage
+//
+// A quantitative column carries two memos computed from its values, both
+// lazily, both absent from EncodeTable's bytes and so from every checkpoint:
+// its value bounds (Column.MinMax) and, per distinct binning a compiled plan
+// has asked for, a bin-code column (Column.BinCodes, bincodes.go) — one
+// uint8 per row holding the row's bin index less a fixed base, at most four
+// per column, 1 B/row each, built by the first caller in one pass. Who owns
+// them: the bounds belong to the Column value (builders of derived tables —
+// ReorderTable, DecodeTable, TableAppender — seed them from what they know
+// instead of re-scanning); the bin codes belong to the column's append
+// lineage — a TableAppender hands one registry to every view it mints, a
+// view extends the codes by the rows it has and the registry lacks, and
+// tables made any other way (NewTableAppender(t, false), ReorderTable,
+// SelectRows, shard.Partition, DecodeTable) start with none. What
+// invalidates them: nothing, for a built table — its Nums are immutable
+// except by append, and an append only widens bounds and extends codes. An
+// in-place mutation (Column.AppendNum, a Builder between builds) drops both
+// through InvalidateMinMax; a lineage whose values move outside the byte a
+// binning was built for stops using that binning's codes for good and bins
+// from the values again.
 package dataset
 
 import (

@@ -10,6 +10,13 @@ import (
 // Column is one attribute's storage. Exactly one of Nums/Codes is non-nil,
 // depending on the field kind. Nominal values are dictionary-encoded: Codes
 // holds indices into Dict.
+//
+// Once a column is part of a built table its Nums are immutable except by
+// append (AppendNum, or a TableAppender growing the lineage): the derived
+// storage below — the bounds memo and the bin-code columns compiled plans
+// read instead of Nums — is computed from the values once and never
+// re-checked, so a value overwritten in place would leave both silently
+// stale.
 type Column struct {
 	Field Field
 	Nums  []float64 // quantitative storage
@@ -26,6 +33,11 @@ type Column struct {
 	mmDone     bool
 	mmLo, mmHi float64
 	mmOK       bool
+
+	// Derived bin-code columns (bincodes.go), guarded by mmMu like the bounds:
+	// nil until first asked for, shared by every view of an append lineage,
+	// dropped with the bounds memo by an in-place mutation.
+	bins *binCodeSet
 }
 
 // Len returns the number of rows stored in the column.
@@ -67,16 +79,18 @@ func (c *Column) MinMax() (lo, hi float64, ok bool) {
 	return c.mmLo, c.mmHi, c.mmOK
 }
 
-// InvalidateMinMax drops the memoized bounds; every in-place mutation of
-// quantitative storage must either call it (Column.AppendNum does per
-// value, Builder.Build once per build) or re-seed the memo with bounds
-// covering the new contents (the table-growth lineage does, via
-// seedMinMax). Without the guard a memoized bound computed before an
-// append would silently under-size the engine's dense group-by
+// InvalidateMinMax drops the memoized bounds and, with them, the derived
+// bin-code columns; every in-place mutation of quantitative storage must
+// either call it (Column.AppendNum does per value, Builder.Build once per
+// build) or re-seed the memo with bounds covering the new contents (the
+// table-growth lineage does, via seedMinMax, and extends its bin codes
+// by the appended rows). Without the guard a memoized bound computed
+// before an append would silently under-size the engine's dense group-by
 // accumulators for rows appended outside the old value range.
 func (c *Column) InvalidateMinMax() {
 	c.mmMu.Lock()
 	c.mmDone = false
+	c.bins = nil
 	c.mmMu.Unlock()
 }
 

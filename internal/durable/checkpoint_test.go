@@ -10,7 +10,10 @@ import (
 	"testing"
 
 	"idebench/internal/core"
+	"idebench/internal/dataset"
 	"idebench/internal/durable"
+	"idebench/internal/engine"
+	"idebench/internal/query"
 )
 
 // readManifestSHA extracts the content digest of the single checkpoint in
@@ -65,7 +68,9 @@ func readManifestSHA(t *testing.T, dir string) (manifestSHA string, rawSHA [32]b
 // separate directories — hash equal, both by the manifest's own digest and
 // by an independent pass over the segment bytes. This is what makes a
 // checkpoint's content digest a usable identity for the offline inspector
-// and for replication-style comparisons.
+// and for replication-style comparisons. The second build is checkpointed
+// with derived storage present — plans compiled against it have memoized bin
+// codes on its fact columns — which must not reach the bytes either.
 func TestCheckpointDeterminism(t *testing.T) {
 	shas := make([]string, 2)
 	raws := make([][32]byte, 2)
@@ -77,6 +82,21 @@ func TestCheckpointDeterminism(t *testing.T) {
 		db, err := core.BuildData(testBaseRows, true, testSeed) // star schema: dims + FK columns too
 		if err != nil {
 			t.Fatal(err)
+		}
+		if i == 1 {
+			for _, b := range []query.Binning{
+				{Field: "dep_delay", Kind: dataset.Quantitative, Width: 20},
+				{Field: "distance", Kind: dataset.Quantitative, Width: 250},
+			} {
+				q := &query.Query{VizName: "v", Table: db.Fact.Name, Bins: []query.Binning{b},
+					Aggs: []query.Aggregate{{Func: query.Count}}}
+				if _, err := engine.Compile(db, q); err != nil {
+					t.Fatal(err)
+				}
+				if db.Fact.Column(b.Field).BinCodeBuilds() != 1 {
+					t.Fatalf("compiling a %s histogram built no code column", b.Field)
+				}
+			}
 		}
 		st := openTestStore(t, dir, durable.Options{})
 		if err := st.Bootstrap(db, nil); err != nil {

@@ -7,6 +7,7 @@ package engine
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"idebench/internal/dataset"
@@ -50,5 +51,50 @@ func TestScanRangeSteadyStateAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: %v allocations per steady-state 4096-row ScanRange, want 0", name, allocs)
 		}
+	}
+}
+
+// TestCompileMemoizedBinningAllocs pins what a plan costs once its binning's
+// code column exists: the plan's own closures and kernels, nothing that grows
+// with the table. The byte budget is a small fraction of one code column, so
+// a Compile that rebuilt or copied one fails it; the same holds for a fifth
+// binning on the column, which must get the arithmetic kernel without a code
+// column being built and thrown away.
+func TestCompileMemoizedBinningAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const rows = 16 * BatchRows
+	db := randomDB(t, rng, rows, false)
+	hist := func(width float64) *query.Query {
+		return &query.Query{VizName: "v", Table: "fact",
+			Bins: []query.Binning{{Field: "y", Kind: dataset.Quantitative, Width: width}},
+			Aggs: []query.Aggregate{{Func: query.Count}}}
+	}
+	compileBytes := func(q *query.Query, wantCodes bool) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		plan, err := Compile(db, q)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := plan.binKern[0].(codeBin); ok != wantCodes {
+			t.Fatalf("width %v runs %T", q.Bins[0].Width, plan.binKern[0])
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// y spans 10 000: 20 to 100 bins at these widths.
+	widths := []float64{500, 400, 250, 100}
+	for _, w := range widths {
+		if first := compileBytes(hist(w), true); first < rows {
+			t.Fatalf("width %v: first compile allocated %d B, less than the %d B code column it builds", w, first, rows)
+		}
+	}
+	for _, w := range widths {
+		if again := compileBytes(hist(w), true); again > rows/16 {
+			t.Errorf("width %v: memoized compile allocated %d B on a %d-row table", w, again, rows)
+		}
+	}
+	if fifth := compileBytes(hist(200), false); fifth > rows/16 {
+		t.Errorf("a fifth binning's compile allocated %d B on a %d-row table", fifth, rows)
 	}
 }

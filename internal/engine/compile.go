@@ -33,10 +33,10 @@ type Compiled struct {
 	// quantitative), used to render bin labels in reports.
 	BinDicts []*dataset.Dict
 
-	// Vectorized form: one kernel per bin dimension (nil where the dimension
-	// has no bounded domain — such a plan is never dense and never runs
-	// them), one gather kernel per non-COUNT aggregate (nil for COUNT slots),
-	// one predicate kernel per filter conjunct (empty means match-all).
+	// Vectorized form: one kernel per bin dimension of a dense plan (none
+	// otherwise — only a dense table addresses slots through them), one
+	// gather kernel per non-COUNT aggregate (nil for COUNT slots), one
+	// predicate kernel per filter conjunct (empty means match-all).
 	binKern  []binKernel
 	aggKern  []aggKernel
 	predKern []predKernel
@@ -96,8 +96,25 @@ func aggOpsOf(aggs []query.Aggregate) []aggOp {
 // engine's dozens of speculative states).
 const denseMaxSlots = 1 << 13
 
-// Compile validates q against db and builds the plan.
+// Compile validates q against db and builds the plan. The first plan to bin
+// a fact column by a given (width, origin) also builds that binning's derived
+// code column (dataset.Column.BinCodes), one pass over the column; every
+// later plan finds it memoized.
 func Compile(db *dataset.Database, q *query.Query) (*Compiled, error) {
+	return compile(db, q, true)
+}
+
+// Recompile rebinds plan's query to db, a grown view of the table plan was
+// compiled against. It extends the memoized bin codes the query uses by the
+// rows the view adds but never builds one — a dimension whose codes are
+// missing gets the arithmetic kernel — so its cost is bounded by the rows
+// appended, which is what sharedscan's Extend, recompiling under the
+// scheduler lock, needs.
+func Recompile(db *dataset.Database, plan *Compiled) (*Compiled, error) {
+	return compile(db, plan.Query, false)
+}
+
+func compile(db *dataset.Database, q *query.Query, buildCodes bool) (*Compiled, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -112,16 +129,17 @@ func Compile(db *dataset.Database, q *query.Query) (*Compiled, error) {
 	}
 	c := &Compiled{Query: q, NumRows: db.Fact.NumRows()}
 
+	var dims []binDim
 	var domains []binDomain
 	for _, b := range q.Bins {
-		getter, kern, dom, dict, err := binAccessor(db, b)
+		getter, dim, err := binAccessor(db, b)
 		if err != nil {
 			return nil, err
 		}
 		c.binGet = append(c.binGet, getter)
-		c.binKern = append(c.binKern, kern)
-		domains = append(domains, dom)
-		c.BinDicts = append(c.BinDicts, dict)
+		dims = append(dims, dim)
+		domains = append(domains, dim.domain())
+		c.BinDicts = append(c.BinDicts, dim.col.Dict)
 	}
 	for _, a := range q.Aggs {
 		if a.Func == query.Count && a.Field == "" {
@@ -144,6 +162,11 @@ func Compile(db *dataset.Database, q *query.Query) (*Compiled, error) {
 	c.filter = f
 	c.predKern = preds
 	c.planDense(domains)
+	if c.geom.slots() > 0 {
+		for i, dim := range dims {
+			c.binKern = append(c.binKern, newBinKernel(dim, domains[i], buildCodes))
+		}
+	}
 	return c, nil
 }
 
@@ -245,31 +268,32 @@ func (c *Compiled) AggInput(row int, dst []float64) {
 // NumAggs returns the number of aggregates in the plan.
 func (c *Compiled) NumAggs() int { return len(c.aggGet) }
 
-// binAccessor builds the per-row bin-key component reader for one binning,
-// plus its vectorized kernel and key domain.
-func binAccessor(db *dataset.Database, b query.Binning) (func(int) int64, binKernel, binDomain, *dataset.Dict, error) {
+// binAccessor resolves one binning: the per-row bin-key component reader —
+// always arithmetic, the reference the kernels are tested against — and the
+// resolved dimension its vectorized kernel and key domain derive from.
+func binAccessor(db *dataset.Database, b query.Binning) (func(int) int64, binDim, error) {
 	col, _, fk, err := db.ResolveColumn(b.Field)
 	if err != nil {
-		return nil, nil, binDomain{}, nil, err
+		return nil, binDim{}, err
 	}
 	if col.Field.Kind != b.Kind {
-		return nil, nil, binDomain{}, nil, fmt.Errorf("engine: binning on %q declares %v but column is %v",
+		return nil, binDim{}, fmt.Errorf("engine: binning on %q declares %v but column is %v",
 			b.Field, b.Kind, col.Field.Kind)
 	}
-	kern, dom := newBinKernel(col, fk, binShape{width: b.Width, origin: b.Origin})
+	dim := binDim{col: col, fk: fk, width: b.Width, origin: b.Origin}
 	switch {
 	case b.Kind == dataset.Nominal && fk == nil:
 		codes := col.Codes
-		return func(row int) int64 { return int64(codes[row]) }, kern, dom, col.Dict, nil
+		return func(row int) int64 { return int64(codes[row]) }, dim, nil
 	case b.Kind == dataset.Nominal:
 		codes, fkNums := col.Codes, fk.Nums
-		return func(row int) int64 { return int64(codes[int(fkNums[row])]) }, kern, dom, col.Dict, nil
+		return func(row int) int64 { return int64(codes[int(fkNums[row])]) }, dim, nil
 	case fk == nil:
 		nums, width, origin := col.Nums, b.Width, b.Origin
-		return func(row int) int64 { return binIdx(nums[row], width, origin) }, kern, dom, nil, nil
+		return func(row int) int64 { return binIdx(nums[row], width, origin) }, dim, nil
 	default:
 		nums, fkNums, width, origin := col.Nums, fk.Nums, b.Width, b.Origin
-		return func(row int) int64 { return binIdx(nums[int(fkNums[row])], width, origin) }, kern, dom, nil, nil
+		return func(row int) int64 { return binIdx(nums[int(fkNums[row])], width, origin) }, dim, nil
 	}
 }
 
@@ -281,6 +305,20 @@ func binIdx(v, width, origin float64) int64 {
 	d := (v - origin) / width
 	i := int64(d)
 	return i - int64(b2i(float64(i) > d))
+}
+
+// binCodes is the dataset.BinCoder of binIdx: a derived code column holds
+// exactly what the arithmetic kernels would compute, less base. all ORs the
+// differences so one test after the loop finds any that left the byte
+// (negative ones carry the sign bits).
+func binCodes(dst []uint8, src []float64, width, origin float64, base int64) bool {
+	var all int64
+	for i, v := range src {
+		d := binIdx(v, width, origin) - base
+		all |= d
+		dst[i] = uint8(d)
+	}
+	return all>>8 == 0
 }
 
 // numAccessor builds a float64 reader for a quantitative attribute, plus

@@ -1,12 +1,16 @@
 package progressive
 
 import (
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"idebench/internal/dataset"
 	"idebench/internal/engine"
 	"idebench/internal/enginetest"
+	"idebench/internal/ingest"
 	"idebench/internal/query"
 )
 
@@ -353,4 +357,115 @@ func TestMinMaxAggProgressive(t *testing.T) {
 	if err := enginetest.ResultsEqual(gt, res, 0); err != nil {
 		t.Errorf("min/max mismatch: %v", err)
 	}
+}
+
+// TestBinnedQueriesRaceAppends is the -race wall for the derived bin-code
+// columns on a live engine: sessions keep compiling quantitative binnings —
+// the same few, so first builds, memo hits and extensions by fresh views all
+// collide — while batches land back to back (each Append recompiling every
+// cached consumer under the scheduler lock) and the scan workers read the
+// codes. Every complete answer must equal the exact truth of the data
+// version its watermark names.
+func TestBinnedQueriesRaceAppends(t *testing.T) {
+	db := enginetest.SmallDB(60000, 77)
+	e := New(Config{ChunkRows: 512})
+	if err := e.Prepare(db, engine.Options{Parallelism: 3}); err != nil {
+		t.Fatal(err)
+	}
+	donor := enginetest.SmallDB(15000, 78)
+	const batchRows = 100
+	var stream []*ingest.Batch
+	for lo := 0; lo+batchRows <= donor.NumRows(); lo += batchRows {
+		stream = append(stream, ingest.FromTable(donor.Fact, lo, lo+batchRows))
+	}
+	h := ingest.NewHarness(db, ingest.NewFixedSource(stream...), ingest.EngineSink{A: e})
+
+	hist := func(field string, width float64, agg query.Aggregate) *query.Query {
+		return &query.Query{Table: "flights",
+			Bins: []query.Binning{{Field: field, Kind: dataset.Quantitative, Width: width}},
+			Aggs: []query.Aggregate{agg}}
+	}
+	shapes := []*query.Query{
+		hist("dep_delay", 5, query.Aggregate{Func: query.Count}),
+		hist("dep_delay", 10, query.Aggregate{Func: query.Avg, Field: "distance"}),
+		hist("distance", 100, query.Aggregate{Func: query.Count}),
+		hist("distance", 1, query.Aggregate{Func: query.Count}), // 2400 bins: arithmetic
+		{Table: "flights",
+			Bins: []query.Binning{{Field: "arr_delay", Kind: dataset.Quantitative, Width: 20},
+				{Field: "carrier", Kind: dataset.Nominal}},
+			Aggs: []query.Aggregate{{Func: query.Sum, Field: "dep_delay"}}},
+		{Table: "flights",
+			Bins: []query.Binning{{Field: "dep_delay", Kind: dataset.Quantitative, Width: 10},
+				{Field: "distance", Kind: dataset.Quantitative, Width: 250}},
+			Aggs: []query.Aggregate{{Func: query.Count}},
+			Filter: query.Filter{Predicates: []query.Predicate{
+				{Field: "carrier", Op: query.OpIn, Values: []string{"AA"}}}}},
+	}
+
+	const users = 4
+	var wg sync.WaitGroup
+	var checked atomic.Int64
+	stop := make(chan struct{})
+	for u := 0; u < users; u++ {
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			sess := e.OpenSession()
+			defer sess.Close()
+			sess.WorkflowStart()
+			defer sess.WorkflowEnd()
+			for round := 0; round < 25; round++ {
+				q := *shapes[(u+round)%len(shapes)]
+				q.VizName = fmt.Sprintf("u%d_r%d", u, round)
+				hdl, err := sess.StartQuery(&q)
+				if err != nil {
+					t.Errorf("%s: %v", q.VizName, err)
+					return
+				}
+				select {
+				case <-hdl.Done():
+				case <-time.After(30 * time.Second):
+					t.Errorf("%s did not complete", q.VizName)
+					return
+				}
+				res := hdl.Snapshot()
+				if res == nil || !res.Complete {
+					continue // an append re-armed the state between Done and the fetch
+				}
+				gt, err := h.TruthAt(&q, res.Watermark)
+				if err != nil {
+					t.Errorf("%s: %v", q.VizName, err)
+					return
+				}
+				if err := enginetest.ResultsEqual(gt, res, 1e-9); err != nil {
+					t.Errorf("%s at watermark %d: %v", q.VizName, res.Watermark, err)
+					return
+				}
+				checked.Add(1)
+			}
+		}(u)
+	}
+	ingested := make(chan struct{})
+	go func() {
+		defer close(ingested)
+		for range stream {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := h.Ingest(batchRows); err != nil {
+				t.Errorf("ingest: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-ingested
+	if h.Batches() == 0 || checked.Load() == 0 {
+		t.Fatalf("%d batches landed and %d complete answers were checked while the sessions ran; want some of both",
+			h.Batches(), checked.Load())
+	}
+	t.Logf("%d complete answers checked across %d batches", checked.Load(), h.Batches())
 }

@@ -159,3 +159,53 @@ func BenchmarkScanRowsPermuted(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkScanQuantBin1D is the histogram shape — every new viz's first
+// query — and the code-vs-arithmetic ablation: distance spans 0..3000, so a
+// width of 120 plans 25 bins and reads the derived code column (codeBin),
+// while a width of 7.5 plans 400, past a code byte's 256 slots, and computes
+// each index from the value (quantDirectBin). Same column, same table kind,
+// COUNT and AVG, unfiltered (slotsRange) and behind a 10%-selective range
+// predicate on the other column (slotsSel).
+func BenchmarkScanQuantBin1D(b *testing.B) {
+	db := benchDB(b)
+	for _, agg := range []struct {
+		name string
+		aggs []query.Aggregate
+	}{
+		{"count", []query.Aggregate{{Func: query.Count}}},
+		{"avg", []query.Aggregate{{Func: query.Avg, Field: "delay"}}},
+	} {
+		for _, filter := range []struct {
+			name  string
+			preds []query.Predicate
+		}{
+			{"all", nil},
+			// delay is N(0, 30): [38.4, +inf) keeps the upper 10%.
+			{"sel10", []query.Predicate{{Field: "delay", Op: query.OpRange, Lo: 38.4, Hi: 1e9}}},
+		} {
+			for _, bins := range []struct {
+				name  string
+				width float64
+				codes bool
+			}{
+				{"code25", 120, true},
+				{"arith400", 7.5, false},
+			} {
+				plan, err := Compile(db, &query.Query{
+					VizName: "v", Table: "flights",
+					Bins:   []query.Binning{{Field: "distance", Kind: dataset.Quantitative, Width: bins.width}},
+					Aggs:   agg.aggs,
+					Filter: query.Filter{Predicates: filter.preds},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, ok := plan.binKern[0].(codeBin); ok != bins.codes {
+					b.Fatalf("%s: kernel is %T", bins.name, plan.binKern[0])
+				}
+				b.Run(agg.name+"/"+filter.name+"/"+bins.name, func(b *testing.B) { runScanBench(b, plan, false) })
+			}
+		}
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"idebench/internal/dataset"
+	"idebench/internal/engine"
+	"idebench/internal/query"
 )
 
 // ingestFixture wraps the shared-scan fixture with an append lineage, the
@@ -241,5 +243,95 @@ func TestExtendCountBitwise(t *testing.T) {
 		if !ok || gv.Values[0] != wv.Values[0] {
 			t.Fatalf("bin %v: %v, want exactly %v", k, gv, wv.Values[0])
 		}
+	}
+}
+
+// TestExtendNeverBuildsBinCodes drives 200 appends through a scanner holding
+// cached (complete, released) and in-flight consumers whose plans bin the
+// quantitative column: Extend recompiles every one of them per batch under
+// the scheduler lock, so it may extend the derived code columns by the batch
+// but must never build one — the lineage's build count stays where the
+// StartQuery-style compiles left it — and at each checked watermark every
+// consumer's quiesced answer equals a cold prepare of that version: the same
+// rows decoded into a fresh table that has no memo at all.
+func TestExtendNeverBuildsBinCodes(t *testing.T) {
+	f := newIngestFixture(t, 20000, 28)
+	hist := func(width float64, aggs ...query.Aggregate) *query.Query {
+		return &query.Query{VizName: "h", Table: "tbl",
+			Bins: []query.Binning{{Field: "val", Kind: dataset.Quantitative, Width: width}}, Aggs: aggs}
+	}
+	queries := []*query.Query{
+		hist(20, query.Aggregate{Func: query.Count}),
+		hist(20, query.Aggregate{Func: query.Avg, Field: "val"}), // same binning, another plan
+		{VizName: "heat", Table: "tbl",
+			Bins: []query.Binning{{Field: "val", Kind: dataset.Quantitative, Width: 50}, {Field: "cat", Kind: dataset.Nominal}},
+			Aggs: []query.Aggregate{{Func: query.Count}}},
+		hist(1, query.Aggregate{Func: query.Count}), // ~700 bins: past a code byte, arithmetic throughout
+	}
+	compile := func(db *dataset.Database, q *query.Query) *engine.Compiled {
+		t.Helper()
+		p, err := engine.Compile(db, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	exact := func(db *dataset.Database, q *query.Query) *query.Result {
+		t.Helper()
+		p := compile(db, q)
+		gs := engine.NewGroupState(p)
+		gs.ScanRange(0, p.NumRows)
+		return gs.SnapshotExact()
+	}
+	s := New(f.db.Fact.NumRows(), 512, 2)
+	cached := make([]*Consumer, len(queries))
+	for i, q := range queries {
+		cached[i] = s.NewConsumer(compile(f.db, q))
+		cached[i].Acquire()
+		waitDone(t, cached[i])
+		cached[i].Release()
+	}
+	inflight := s.NewConsumer(compile(f.db, queries[0]))
+	inflight.Acquire()
+	defer inflight.Release()
+	val := func() *dataset.Column { return f.db.Fact.Column("val") }
+	builds := val().BinCodeBuilds()
+	if builds != 2 {
+		t.Fatalf("%d builds for two code-sized binnings", builds)
+	}
+
+	for i := 0; i < 200; i++ {
+		db := f.appendBatch(t, 50+i%7, int64(900+i))
+		if err := s.Extend(db, db.Fact.NumRows()); err != nil {
+			t.Fatal(err)
+		}
+		if got := val().BinCodeBuilds(); got != builds {
+			t.Fatalf("append %d: Extend built a code column (%d builds, was %d)", i, got, builds)
+		}
+		if i%25 != 24 {
+			continue
+		}
+		// A fresh table of exactly this version's rows.
+		fact, err := dataset.DecodeTable(dataset.EncodeTable(db.Fact))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold := &dataset.Database{Fact: fact}
+		for qi, q := range queries {
+			c := cached[qi]
+			c.Acquire()
+			waitDone(t, c)
+			c.Release()
+			got := c.Snapshot(1.96)
+			if got.Watermark != int64(db.Fact.NumRows()) {
+				t.Fatalf("append %d query %d: watermark %d, want %d", i, qi, got.Watermark, db.Fact.NumRows())
+			}
+			resultsIdentical(t, fmt.Sprintf("append %d query %d", i, qi), exact(cold, q), got)
+		}
+	}
+	waitDone(t, inflight)
+	resultsIdentical(t, "in-flight histogram", exact(f.db, queries[0]), inflight.Snapshot(1.96))
+	if got := val().BinCodeBuilds(); got != builds {
+		t.Fatalf("%d builds after 200 appends, want %d", got, builds)
 	}
 }

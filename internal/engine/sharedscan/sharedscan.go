@@ -135,21 +135,21 @@ func (s *Scanner) Extend(db *dataset.Database, newRows int) error {
 	var firstErr error
 	// Plans are deduplicated by query signature: sessions routinely cache
 	// the same query, and this loop runs under the scheduler lock every
-	// worker needs per chunk claim — one compile per distinct query keeps
+	// worker needs per chunk claim — one recompile per distinct query keeps
 	// the scan stall per batch proportional to the query mix, not the
-	// consumer count.
+	// consumer count. Each is engine.Recompile, whose cost is bounded by the
+	// rows appended: it extends the bin-code memos the query reads and never
+	// builds one (only a StartQuery compile, outside this lock, does).
 	plans := make(map[string]*engine.Compiled)
 	for c := range s.all {
 		oldTarget := int(c.target.Load())
 		if oldTarget >= newRows {
 			continue // already bound to this version (or a newer view)
 		}
-		q := c.plan.Load().Query
-		sig := q.Signature()
-		plan, ok := plans[sig]
+		plan, ok := plans[c.sig]
 		if !ok {
 			var err error
-			plan, err = engine.Compile(db, q)
+			plan, err = engine.Recompile(db, c.plan.Load())
 			if err != nil {
 				// A query that compiled against the old view failing against
 				// the grown one means the append broke an invariant; surface
@@ -160,7 +160,7 @@ func (s *Scanner) Extend(db *dataset.Database, newRows int) error {
 				}
 				continue
 			}
-			plans[sig] = plan
+			plans[c.sig] = plan
 		}
 		c.extendLocked(plan, oldTarget, newRows)
 	}
@@ -210,6 +210,7 @@ func (s *Scanner) ShedSpeculative() int {
 func (s *Scanner) NewConsumer(plan *engine.Compiled) *Consumer {
 	c := &Consumer{
 		s:      s,
+		sig:    plan.Query.Signature(),
 		shards: make([]shard, s.workers),
 		done:   make(chan struct{}),
 	}
@@ -370,7 +371,11 @@ type shard struct {
 // across attach/detach cycles (and across Extend-grown tails) and completes
 // when every row of its current target version has been folded.
 type Consumer struct {
-	s      *Scanner
+	s *Scanner
+	// sig is the query's signature, fixed at NewConsumer: Extend's key for
+	// sharing one recompile among consumers of the same query, derived once
+	// here rather than per batch under the scheduler lock.
+	sig    string
 	plan   atomic.Pointer[engine.Compiled]
 	target atomic.Int64 // rows of the data version this consumer covers
 

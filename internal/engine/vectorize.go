@@ -52,8 +52,7 @@ func b2i(b bool) int {
 
 // binKernel computes one bin dimension's dense slot component — the bin key
 // minus the dimension's planned domain origin — for a batch of rows. Only
-// plans with a dense table run it; its domain is the one newBinKernel
-// reports.
+// plans with a dense table have one, over the domain binDim.domain reports.
 type binKernel interface {
 	// slotsRange writes the components of rows [lo, lo+len(dst)) into dst.
 	slotsRange(lo int, dst []int32)
@@ -139,6 +138,33 @@ func (k quantDirectBin) slotsSel(sel []uint32, dst []int32) {
 		dst[i] = int32(d)
 	}
 	checkNarrowed(all)
+}
+
+// codeBin bins a fact-table quantitative column through its derived bin-code
+// column (dataset.Column.BinCodes): one byte per row holding the row's bin
+// index less the memo's base, so a slot component is a widened byte plus
+// off = base - domain origin — no divide, an eighth of the memory traffic.
+// The code is binIdx's own output, which is why results stay bitwise those of
+// quantDirectBin. A code outside the planned domain (a column invariant
+// broken behind the memo) yields a component in [-255, 255], so unlike the
+// arithmetic kernels it cannot wrap int32: it faults on the table access
+// (1-D) or in combine (2-D).
+type codeBin struct {
+	codes []uint8
+	off   int32
+}
+
+func (k codeBin) slotsRange(lo int, dst []int32) {
+	src := k.codes[lo : lo+len(dst)]
+	for i, c := range src {
+		dst[i] = int32(c) + k.off
+	}
+}
+
+func (k codeBin) slotsSel(sel []uint32, dst []int32) {
+	for i, r := range sel {
+		dst[i] = int32(k.codes[r]) + k.off
+	}
 }
 
 // quantFKBin bins an FK-indirected dimension quantitative column.
@@ -438,31 +464,52 @@ type binDomain struct {
 	known bool
 }
 
-func newBinKernel(col *dataset.Column, fk *dataset.Column, b binShape) (binKernel, binDomain) {
-	switch {
-	case col.Field.Kind == dataset.Nominal && fk == nil:
-		return nominalDirectBin{codes: col.Codes},
-			binDomain{lo: 0, size: int64(col.Dict.Len()), known: true}
-	case col.Field.Kind == dataset.Nominal:
-		return nominalFKBin{codes: col.Codes, fk: fk.Nums},
-			binDomain{lo: 0, size: int64(col.Dict.Len()), known: true}
-	default:
-		mn, mx, ok := col.MinMax()
-		if !ok {
-			return nil, binDomain{}
-		}
-		lo := binIdx(mn, b.width, b.origin)
-		hi := binIdx(mx, b.width, b.origin)
-		dom := binDomain{lo: lo, size: hi - lo + 1, known: hi >= lo}
-		if fk == nil {
-			return quantDirectBin{nums: col.Nums, width: b.width, origin: b.origin, base: lo}, dom
-		}
-		return quantFKBin{nums: col.Nums, fk: fk.Nums, width: b.width, origin: b.origin, base: lo}, dom
-	}
+// binDim is one resolved binning dimension: the column, the fact-side FK
+// column it is reached through (nil for a fact column) and, for a
+// quantitative column, the binning parameters.
+type binDim struct {
+	col, fk       *dataset.Column
+	width, origin float64
 }
 
-// binShape carries the quantitative binning parameters into newBinKernel.
-type binShape struct{ width, origin float64 }
+// domain is the dimension's key domain: a nominal column's dictionary, or
+// the bin indices of a quantitative column's bounds.
+func (d binDim) domain() binDomain {
+	if d.col.Field.Kind == dataset.Nominal {
+		return binDomain{lo: 0, size: int64(d.col.Dict.Len()), known: true}
+	}
+	mn, mx, ok := d.col.MinMax()
+	if !ok {
+		return binDomain{}
+	}
+	lo := binIdx(mn, d.width, d.origin)
+	hi := binIdx(mx, d.width, d.origin)
+	return binDomain{lo: lo, size: hi - lo + 1, known: hi >= lo}
+}
+
+// newBinKernel picks the kernel of one dimension of a dense plan over dom,
+// the dimension's domain. A quantitative fact column reads its derived code
+// column whenever the lineage has (or, with buildCodes, may now build) one
+// covering this view — dataset.Column.BinCodes says when it cannot: a domain
+// past a byte's 256 slots, a lineage at its cap of distinct binnings, values
+// that outgrew the byte. Those, and every FK-indirected dimension, compute
+// the index from the values.
+func newBinKernel(d binDim, dom binDomain, buildCodes bool) binKernel {
+	col := d.col
+	switch {
+	case col.Field.Kind == dataset.Nominal && d.fk == nil:
+		return nominalDirectBin{codes: col.Codes}
+	case col.Field.Kind == dataset.Nominal:
+		return nominalFKBin{codes: col.Codes, fk: d.fk.Nums}
+	case d.fk != nil:
+		return quantFKBin{nums: col.Nums, fk: d.fk.Nums, width: d.width, origin: d.origin, base: dom.lo}
+	}
+	codes, base, ok := col.BinCodes(d.width, d.origin, dom.lo, dom.lo+dom.size-1, binCodes, buildCodes)
+	if !ok {
+		return quantDirectBin{nums: col.Nums, width: d.width, origin: d.origin, base: dom.lo}
+	}
+	return codeBin{codes: codes, off: int32(base - dom.lo)}
+}
 
 func newAggKernel(col *dataset.Column, fk *dataset.Column) aggKernel {
 	if fk == nil {

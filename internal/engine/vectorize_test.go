@@ -171,10 +171,38 @@ func assertStatesEqual(t *testing.T, label string, want, got *GroupState) {
 	}
 }
 
+// arithmeticTwin compiles q the way a plan looks when no bin codes exist and
+// none may be built: against a copy of db's fact table that shares its
+// storage but none of its memos. Every quantitative dimension of the result
+// computes its index from the values — the kernels a code-reading plan must
+// equal bitwise.
+func arithmeticTwin(t *testing.T, db *dataset.Database, q *query.Query) *Compiled {
+	t.Helper()
+	cols := make([]*dataset.Column, len(db.Fact.Columns))
+	for i, c := range db.Fact.Columns {
+		cols[i] = &dataset.Column{Field: c.Field, Nums: c.Nums, Codes: c.Codes, Dict: c.Dict}
+	}
+	fact, err := dataset.NewTable(db.Fact.Name, db.Fact.Schema, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := compile(&dataset.Database{Fact: fact, Dimensions: db.Dimensions}, q, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range plan.binKern {
+		if _, ok := k.(codeBin); ok {
+			t.Fatal("a plan compiled without building codes on a memo-less table reads a code column")
+		}
+	}
+	return plan
+}
+
 // checkVectorizedMatchesScalar runs one (database, query) pair through every
-// scan path — scalar reference, batch over the dense table, batch over the
-// key-indexed table, explicit row lists, chunk-split + Merge — and asserts
-// they produce bitwise-identical group states.
+// scan path — scalar reference, batch over the dense table (reading bin-code
+// columns where the plan has them, and again computing every index from the
+// values), batch over the key-indexed table, explicit row lists, chunk-split
+// + Merge — and asserts they produce bitwise-identical group states.
 func checkVectorizedMatchesScalar(t *testing.T, rng *rand.Rand, label string, db *dataset.Database, q *query.Query) {
 	t.Helper()
 	if err := q.Validate(); err != nil {
@@ -197,6 +225,11 @@ func checkVectorizedMatchesScalar(t *testing.T, rng *rand.Rand, label string, db
 	vec.ScanRange(0, plan.NumRows)
 	assertStatesEqual(t, fmt.Sprintf("%s range (dense=%v)", label, plan.geom.slots() > 0), ref, vec)
 
+	planArith := arithmeticTwin(t, db, q)
+	arith := NewGroupState(planArith)
+	arith.ScanRange(0, plan.NumRows)
+	assertStatesEqual(t, label+" range arithmetic kernels", ref, arith)
+
 	viaMap := NewGroupState(planMap)
 	viaMap.ScanRange(0, plan.NumRows)
 	assertStatesEqual(t, label+" range map-path", ref, viaMap)
@@ -214,6 +247,9 @@ func checkVectorizedMatchesScalar(t *testing.T, rng *rand.Rand, label string, db
 	vecRows := NewGroupState(plan)
 	vecRows.ScanRows(prefix)
 	assertStatesEqual(t, label+" rows", refRows, vecRows)
+	arithRows := NewGroupState(planArith)
+	arithRows.ScanRows(prefix)
+	assertStatesEqual(t, label+" rows arithmetic kernels", refRows, arithRows)
 
 	// Chunked parallel-scan shape: split into worker states and Merge.
 	// Merged Welford moments differ bitwise from a sequential whole
@@ -353,6 +389,83 @@ func TestVectorizedMatchesScalarEdges(t *testing.T) {
 	}
 }
 
+// TestCodeKernelMatchesArithmetic is the property test of the derived code
+// columns: on tables built to sit on every edge binIdx has — values exactly
+// on bin boundaries on both sides of a negative origin, signed zeros,
+// integer-valued columns under integer widths, one row, no rows — a plan
+// reading codes, its arithmetic twin and the scalar closures agree bitwise,
+// 1-D and 2-D (quant×quant, quant×nominal, either order), over ranges,
+// selection vectors and explicit row lists.
+func TestCodeKernelMatchesArithmetic(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	schema := dataset.MustSchema([]dataset.Field{
+		{Name: "cat", Kind: dataset.Nominal},
+		{Name: "edge", Kind: dataset.Quantitative},
+		{Name: "ints", Kind: dataset.Quantitative},
+		{Name: "y", Kind: dataset.Quantitative},
+	})
+	for _, shape := range []struct{ width, origin float64 }{
+		{1, 0}, {5, -3}, {0.25, -37.5}, {20, 12.25},
+	} {
+		for _, rows := range []int{0, 1, 2, BatchRows - 1, 2*BatchRows + 37} {
+			b := dataset.NewBuilder("fact", schema, rows)
+			for i := 0; i < rows; i++ {
+				b.AppendString(0, fmt.Sprintf("c%d", rng.Intn(6)))
+				// A bin boundary, k bins from the origin on either side; every
+				// eighth row steps just inside the bin below it.
+				edge := shape.origin + float64(rng.Intn(201)-100)*shape.width
+				switch i % 8 {
+				case 0:
+					edge = math.Nextafter(edge, math.Inf(-1))
+				case 1:
+					edge = math.Copysign(0, -1)
+				case 2:
+					edge = 0
+				}
+				b.AppendNum(1, edge)
+				b.AppendNum(2, float64(rng.Intn(241)-120))
+				b.AppendNum(3, rng.NormFloat64()*50)
+			}
+			fact, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			db := &dataset.Database{Fact: fact}
+			edge := query.Binning{Field: "edge", Kind: dataset.Quantitative, Width: shape.width, Origin: shape.origin}
+			ints := query.Binning{Field: "ints", Kind: dataset.Quantitative, Width: math.Ceil(shape.width), Origin: math.Trunc(shape.origin)}
+			cat := query.Binning{Field: "cat", Kind: dataset.Nominal}
+			for bi, bins := range [][]query.Binning{
+				{edge}, {ints}, {edge, cat}, {cat, ints},
+				{{Field: "edge", Kind: dataset.Quantitative, Width: 16 * shape.width, Origin: shape.origin}, ints},
+			} {
+				for fi, filter := range []query.Filter{
+					{},
+					{Predicates: []query.Predicate{{Field: "y", Op: query.OpRange, Lo: -20, Hi: 60}}},
+				} {
+					q := &query.Query{VizName: "v", Table: "fact", Bins: bins, Filter: filter,
+						Aggs: []query.Aggregate{{Func: query.Count}, {Func: query.Avg, Field: "y"}, {Func: query.Min, Field: "edge"}}}
+					label := fmt.Sprintf("width %v origin %v rows %d bins %d filter %d", shape.width, shape.origin, rows, bi, fi)
+					plan, err := Compile(db, q)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if rows > 0 {
+						if plan.geom.slots() == 0 {
+							t.Fatalf("%s: want a dense plan", label)
+						}
+						for d, k := range plan.binKern {
+							if _, ok := k.(codeBin); ok != (bins[d].Kind == dataset.Quantitative) {
+								t.Fatalf("%s: dimension %d runs %T", label, d, k)
+							}
+						}
+					}
+					checkVectorizedMatchesScalar(t, rng, label, db, q)
+				}
+			}
+		}
+	}
+}
+
 // TestMergeAcrossDenseGeometry is the shape sharedscan's Extend produces: a
 // shard filled under one plan merges into a state of the same query
 // recompiled against a grown table, whose dense domain is wider — different
@@ -477,37 +590,45 @@ func TestInMapPredKernel(t *testing.T) {
 		inBitmapFKPred{codes: dimCodes, fk: fk, want: bits})
 }
 
+// outOfDomainDB is the table the two out-of-domain walls corrupt: 100 rows, a
+// 3-value nominal column and x = 0, step, 2·step, …
+func outOfDomainDB(t *testing.T, step float64) *dataset.Database {
+	t.Helper()
+	schema := dataset.MustSchema([]dataset.Field{
+		{Name: "cat", Kind: dataset.Nominal},
+		{Name: "x", Kind: dataset.Quantitative},
+	})
+	b := dataset.NewBuilder("fact", schema, 100)
+	for i := 0; i < 100; i++ {
+		b.AppendString(0, fmt.Sprintf("c%d", i%3))
+		b.AppendNum(1, step*float64(i))
+	}
+	fact, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &dataset.Database{Fact: fact}
+}
+
 // TestDenseOutOfDomainKeyPanics pins the failure mode of a broken column
 // invariant — values changed under a compiled plan, so the planned dense
 // domain is stale: the row must panic the scan, never fold into another bin.
 // The 2-D plan range-checks in combine; the 1-D plan has only the table's
 // bounds check, which a component wrapping int32 would slip past but for the
-// kernels' narrowing guard (the +2^32 case lands exactly on slot 1).
+// arithmetic kernels' narrowing guard (the +2^32 case lands exactly on slot
+// 1). The 298-bin domain is past a code byte, so these plans compute the
+// index from Nums; TestCodeBinOutOfDomainCodePanics is the twin for plans
+// that read a code column instead.
 func TestDenseOutOfDomainKeyPanics(t *testing.T) {
 	const width = 10.0
-	build := func() *dataset.Database {
-		schema := dataset.MustSchema([]dataset.Field{
-			{Name: "cat", Kind: dataset.Nominal},
-			{Name: "x", Kind: dataset.Quantitative},
-		})
-		b := dataset.NewBuilder("fact", schema, 100)
-		for i := 0; i < 100; i++ {
-			b.AppendString(0, fmt.Sprintf("c%d", i%3))
-			b.AppendNum(1, float64(i)) // bins 0..9
-		}
-		fact, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &dataset.Database{Fact: fact}
-	}
+	build := func() *dataset.Database { return outOfDomainDB(t, 30) } // bins 0..297, every third
 	quant := query.Binning{Field: "x", Kind: dataset.Quantitative, Width: width}
 	all := query.Filter{Predicates: []query.Predicate{{Field: "x", Op: query.OpRange, Lo: -1e300, Hi: 1e300}}}
 	for _, stale := range []struct {
 		name string
 		v    float64
 	}{
-		{"one bin above", 100},
+		{"one bin above", 2980},
 		{"one bin below", -1},
 		{"wraps int32 onto slot 1", width * (1<<32 + 1)},
 		{"wraps int32 from below", -width * (1<<32 - 1)},
@@ -530,12 +651,73 @@ func TestDenseOutOfDomainKeyPanics(t *testing.T) {
 			if plan.geom.slots() == 0 {
 				t.Fatal("want a dense plan")
 			}
+			if _, ok := plan.binKern[0].(quantDirectBin); !ok {
+				t.Fatalf("want the arithmetic kernel on a 298-bin domain, got %T", plan.binKern[0])
+			}
 			db.Fact.Column("x").Nums[50] = stale.v // behind the plan's back
 			gs := NewGroupState(plan)
 			func() {
 				defer func() {
 					if recover() == nil {
 						t.Errorf("%s, %s: scan folded an out-of-domain key (%d bins)", stale.name, shape.name, gs.NumGroups())
+					}
+				}()
+				gs.ScanRange(0, plan.NumRows)
+			}()
+		}
+	}
+}
+
+// TestCodeBinOutOfDomainCodePanics is the same wall for plans that bin
+// through a derived code column: a code at or past the planned domain —
+// written into the memo behind the plan, the one way to get there, since a
+// code column is only ever computed from values inside the bounds the domain
+// came from — must panic the scan, in the table access (1-D) or in combine
+// (2-D), and never fold into another bin. A widened byte plus the plan's
+// offset cannot wrap int32, so there is no narrowing case to guard.
+func TestCodeBinOutOfDomainCodePanics(t *testing.T) {
+	build := func() *dataset.Database { return outOfDomainDB(t, 1) } // bins 0..9
+	quant := query.Binning{Field: "x", Kind: dataset.Quantitative, Width: 10}
+	all := query.Filter{Predicates: []query.Predicate{{Field: "x", Op: query.OpRange, Lo: -1e300, Hi: 1e300}}}
+	for _, stale := range []struct {
+		name string
+		code func(k codeBin) uint8 // k.off is minus the code of the domain's first bin
+	}{
+		{"one bin above", func(k codeBin) uint8 { return uint8(10 - k.off) }},
+		{"one bin below", func(k codeBin) uint8 { return uint8(-1 - k.off) }},
+		{"byte minimum", func(codeBin) uint8 { return 0 }},
+		{"byte maximum", func(codeBin) uint8 { return 255 }},
+	} {
+		for _, shape := range []struct {
+			name   string
+			bins   []query.Binning
+			filter query.Filter
+		}{
+			{"1-D range", []query.Binning{quant}, query.Filter{}},
+			{"1-D selection", []query.Binning{quant}, all},
+			{"2-D range", []query.Binning{quant, {Field: "cat", Kind: dataset.Nominal}}, query.Filter{}},
+			{"2-D selection", []query.Binning{{Field: "cat", Kind: dataset.Nominal}, quant}, all},
+		} {
+			plan, err := Compile(build(), &query.Query{VizName: "v", Table: "fact", Bins: shape.bins,
+				Aggs: []query.Aggregate{{Func: query.Count}}, Filter: shape.filter})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var kern codeBin
+			for _, k := range plan.binKern {
+				if ck, ok := k.(codeBin); ok {
+					kern = ck
+				}
+			}
+			if kern.codes == nil {
+				t.Fatalf("%s: want a code kernel on a 10-bin fact column, got %T", shape.name, plan.binKern)
+			}
+			kern.codes[50] = stale.code(kern) // the plan's slice is the memo's storage
+			gs := NewGroupState(plan)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s, %s: scan folded an out-of-domain code (%d bins)", stale.name, shape.name, gs.NumGroups())
 					}
 				}()
 				gs.ScanRange(0, plan.NumRows)
