@@ -111,34 +111,14 @@ func (w *lockedWriter) Write(b []byte) (int, error) {
 	return w.buf.Write(b)
 }
 
-// healthz is the subset of /healthz this test asserts on.
-type healthz struct {
-	Durable            bool  `json:"durable"`
-	Recovered          bool  `json:"recovered"`
-	CheckpointVersion  int64 `json:"checkpoint_version"`
-	RecoveredWatermark int64 `json:"recovered_watermark"`
-	WALReplayedBatches int   `json:"wal_replayed_batches"`
-	Checkpoints        int   `json:"checkpoints"`
-	Watermark          int64 `json:"watermark"`
-	Rows               int64 `json:"rows"`
-
-	Role              string  `json:"role"`
-	Shards            int     `json:"shards"`
-	ShardWatermarks   []int64 `json:"shard_watermarks"`
-	MinShardWatermark int64   `json:"min_shard_watermark"`
-
-	SchemaVersion int              `json:"schema_version"`
-	Topology      *engine.Topology `json:"topology"`
-}
-
-func getHealthz(t *testing.T, addr string) healthz {
+func getHealthz(t *testing.T, addr string) server.Health {
 	t.Helper()
 	resp, err := http.Get("http://" + addr + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var h healthz
+	var h server.Health
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +220,8 @@ func TestServeCrashRecoveryE2E(t *testing.T) {
 	// Boot 2: recovery on the same data directory.
 	p2 := startServe(t, bin, serveArgs...)
 	hz := getHealthz(t, p2.addr)
-	if !hz.Durable || !hz.Recovered {
-		t.Fatalf("restart did not recover durable state: %+v\noutput:\n%s", hz, p2.output())
+	if hz.Durable == nil || !hz.Durable.Recovered {
+		t.Fatalf("restart did not recover durable state: %+v\noutput:\n%s", hz.Durable, p2.output())
 	}
 	w := hz.Watermark
 	// Every acknowledged batch survived (WAL-before-ack), nothing beyond
@@ -255,8 +235,8 @@ func TestServeCrashRecoveryE2E(t *testing.T) {
 	if (w-rows)%batchRows != 0 {
 		t.Fatalf("recovered watermark %d is not batch-aligned (base %d, batch %d)", w, rows, batchRows)
 	}
-	if hz.RecoveredWatermark != w {
-		t.Fatalf("healthz recovered_watermark %d != served watermark %d", hz.RecoveredWatermark, w)
+	if hz.Durable.Watermark != w {
+		t.Fatalf("healthz durable.watermark %d != served watermark %d", hz.Durable.Watermark, w)
 	}
 
 	// Bitwise check: the served state at watermark w must answer exactly
@@ -335,10 +315,10 @@ func TestServeCrashRecoveryE2E(t *testing.T) {
 	// recovery replays an empty WAL tail.
 	p3 := startServe(t, bin, serveArgs...)
 	hz3 := getHealthz(t, p3.addr)
-	if !hz3.Recovered || hz3.Watermark != w {
-		t.Fatalf("post-drain restart: %+v, want recovered at watermark %d", hz3, w)
+	if hz3.Durable == nil || !hz3.Durable.Recovered || hz3.Watermark != w {
+		t.Fatalf("post-drain restart: %+v (durable %+v), want recovered at watermark %d", hz3, hz3.Durable, w)
 	}
-	if hz3.WALReplayedBatches != 0 {
-		t.Fatalf("post-drain restart replayed %d batches, want 0 (final checkpoint should cover the tail)", hz3.WALReplayedBatches)
+	if hz3.Durable.ReplayedBatches != 0 {
+		t.Fatalf("post-drain restart replayed %d batches, want 0 (final checkpoint should cover the tail)", hz3.Durable.ReplayedBatches)
 	}
 }

@@ -83,8 +83,8 @@ func TestElasticFailoverE2E(t *testing.T) {
 
 	// Versioned health document with the replica topology block.
 	chz := getHealthz(t, coord.addr)
-	if chz.Role != "coord" || chz.Shards != parts {
-		t.Fatalf("coordinator healthz role=%q shards=%d, want coord/%d", chz.Role, chz.Shards, parts)
+	if n := len(partitionWatermarks(chz)); chz.Role != "coord" || n != parts {
+		t.Fatalf("coordinator healthz role=%q partitions=%d, want coord/%d", chz.Role, n, parts)
 	}
 	if chz.SchemaVersion != server.HealthSchemaVersion {
 		t.Fatalf("healthz schema_version = %d, want %d", chz.SchemaVersion, server.HealthSchemaVersion)

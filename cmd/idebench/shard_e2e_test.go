@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -96,11 +97,12 @@ func TestShardScatterGatherE2E(t *testing.T) {
 		t.Fatalf("shard partitions cover %d rows, want %d", shardRows, rows)
 	}
 	chz := getHealthz(t, coord.addr)
-	if chz.Role != "coord" || chz.Shards != shardCount {
-		t.Fatalf("coordinator healthz role=%q shards=%d, want coord/%d", chz.Role, chz.Shards, shardCount)
+	marks := partitionWatermarks(chz)
+	if chz.Role != "coord" || len(marks) != shardCount {
+		t.Fatalf("coordinator healthz role=%q partitions=%d, want coord/%d", chz.Role, len(marks), shardCount)
 	}
-	if len(chz.ShardWatermarks) != shardCount || chz.MinShardWatermark != rows || chz.Watermark != rows {
-		t.Fatalf("coordinator pre-ingest watermarks %+v, want all at %d", chz, rows)
+	if slices.Min(marks) != rows || chz.Watermark != rows {
+		t.Fatalf("coordinator pre-ingest watermarks %v (served %d), want all at %d", marks, chz.Watermark, rows)
 	}
 
 	// 8-user ingest-aware replay through the chaos proxy, exactly the
@@ -175,10 +177,11 @@ func TestShardScatterGatherE2E(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	chz = getHealthz(t, coord.addr)
-	if chz.Watermark != fed || chz.MinShardWatermark != fed {
-		t.Fatalf("quiesced coordinator healthz watermark=%d min_shard=%d, want %d", chz.Watermark, chz.MinShardWatermark, fed)
+	marks = partitionWatermarks(chz)
+	if len(marks) != shardCount || chz.Watermark != fed || slices.Min(marks) != fed {
+		t.Fatalf("quiesced coordinator healthz watermark=%d partitions %v, want %d", chz.Watermark, marks, fed)
 	}
-	for i, w := range chz.ShardWatermarks {
+	for i, w := range marks {
 		if w != fed {
 			t.Fatalf("quiesced shard %d watermark %d, want %d", i, w, fed)
 		}
@@ -217,6 +220,19 @@ func TestShardScatterGatherE2E(t *testing.T) {
 	for i, sp := range shardProcs {
 		sigtermDrain(t, sp, fmt.Sprintf("shard %d", i))
 	}
+}
+
+// partitionWatermarks lists the confirmed watermark of each partition in a
+// coordinator's /healthz topology block (nil without one).
+func partitionWatermarks(h server.Health) []int64 {
+	if h.Topology == nil {
+		return nil
+	}
+	marks := make([]int64, len(h.Topology.Partitions))
+	for i, pt := range h.Topology.Partitions {
+		marks[i] = pt.Watermark
+	}
+	return marks
 }
 
 // runQueryToDone runs q on eng and returns the final snapshot.

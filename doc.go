@@ -6,9 +6,10 @@
 //
 // [![CI](https://github.com/idebench/idebench-go/actions/workflows/ci.yml/badge.svg)](.github/workflows/ci.yml)
 //
-// The root package only anchors the module and its benchmark suite
-// (bench_test.go); the implementation lives under internal/ and the
-// runnable entry points under cmd/idebench and examples/.
+// The root package only anchors the module; the implementation lives under
+// internal/, the runnable entry points under cmd/idebench and examples/, and
+// the repository benchmark under bench/. The paper's tables and figures are
+// regenerated by `idebench exp -name fig5…table1`.
 //
 // # Execution architecture
 //
@@ -113,6 +114,13 @@
 // latency an apples-to-apples comparison. See the wire-protocol section of
 // internal/engine/README.md.
 //
+// `serve`, `shard` and `coord` are one bring-up — one shared flag set, one
+// place assembling server.Options, one listen/banner/drain function — each
+// adding only its role's hooks. /healthz serves server.Health (schema 3):
+// live state top-level, the cumulative counters in an "admission" block, and
+// where they apply the coordinator's "topology" and the data directory's
+// "durable" blocks.
+//
 // # Overload survival
 //
 // The serving layer survives offered load past its capacity by answering
@@ -205,8 +213,9 @@
 // -op add|remove` grows or shrinks a partition, with capture-window catch-up
 // and watermark-proof promotion at a version barrier; `idebench probe
 // -expect full|degraded|refused` asserts the tier's answer quality (and
-// prints a result digest) from the shell. The /healthz schema is versioned
-// (server.Health, schema_version) and reports the full per-replica topology.
+// prints a result digest) from the shell. The coordinator's /healthz
+// topology block reports the full per-replica state and each partition's
+// confirmed watermark.
 // Engine capability discovery is consolidated behind engine.CapabilitiesOf,
 // one struct resolving all optional interfaces in a single pass. The elastic
 // wall kills a primary mid-replay, then a whole partition, then rebalances
@@ -239,12 +248,13 @@
 // engine.ReorderedPreparer (progressive, exactdb) adopt the checkpoint's
 // storage order directly and skip the sampling reorder, and engines
 // exposing engine.ViewSnapshotter hand the background checkpointer
-// copy-on-write views so checkpointing never pauses ingestion. /healthz
-// reports the recovery provenance, `idebench inspect -data-dir` verifies a
-// directory offline, the crash wall (internal/durable fault-injection tests
-// plus the kill -9 e2e in cmd/idebench) proves acked batches survive real
-// SIGKILL, and `idebench exp -name restart` gates warm boot beating cold
-// prepare.
+// copy-on-write views so checkpointing never pauses ingestion. That boot
+// exists once, as core.Boot, shared by `serve -data-dir` and `exp -name
+// restart`. The /healthz "durable" block is the store's durable.Status,
+// `idebench inspect -data-dir` verifies a directory offline, the crash wall
+// (internal/durable fault-injection tests plus the kill -9 e2e in
+// cmd/idebench) proves acked batches survive real SIGKILL, and `idebench
+// exp -name restart` gates warm boot beating cold prepare.
 //
 // # Continuous integration
 //
@@ -282,7 +292,5 @@
 // replay sweeps are tables of topologies × user counts over one harness
 // (internal/experiments/replay.go) and return one row type, and every sweep
 // returns an error — so the command exits non-zero — when one of its
-// correctness gates fails. BENCH_2.json … BENCH_9.json at the repo root are
-// a frozen historical record, written by a tool that has since been removed;
-// nothing reads or regenerates them.
+// correctness gates fails.
 package idebench

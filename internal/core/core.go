@@ -1,13 +1,18 @@
 // Package core is the top-level façade of IDEBench-Go: benchmark settings
-// with the paper's default configurations (scaled to laptop size — see
-// TimeScale), the engine registry, dataset construction, and one-call
-// prepare/run helpers tying datagen, workflows, engines, driver and
-// reporting together.
+// with the paper's default configurations, the engine registry, dataset
+// construction, one-call prepare/run helpers tying datagen, workflows,
+// engines, driver and reporting together, and the serving tier's durable
+// boot (Boot).
+//
+// The defaults are scaled to laptop size: the paper runs 100M–1B rows with
+// 0.5–10s time requirements on a 20-core server; we default to 250k–1M rows
+// with 2–40ms TRs on one core. Both axes shrink by the same ~250×,
+// preserving the relative behaviour of the engines (who violates TRs, who
+// converges).
 package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"idebench/internal/datagen"
@@ -24,18 +29,10 @@ import (
 	"idebench/internal/workflow"
 )
 
-// TimeScale is the wall-clock scale-down factor relative to the paper's
-// setup: the paper runs 100M–1B rows with 0.5–10s time requirements on a
-// 20-core server; we default to 250k–1M rows with 2–40ms TRs on one core.
-// Both axes shrink by the same ~250×, preserving the relative behaviour of
-// the engines (who violates TRs, who converges).
-const TimeScale = 250
-
-// Default dataset sizes (paper: S=100M, M=500M, L=1B tuples).
+// Default dataset sizes (paper: S=100M, M=500M tuples).
 const (
 	SizeS = 250_000
 	SizeM = 500_000
-	SizeL = 1_000_000
 )
 
 // SizeLabel renders a row count like the paper's "500m" labels.
@@ -51,7 +48,7 @@ func SizeLabel(rows int) string {
 }
 
 // DefaultTimeRequirements mirrors the paper's sweep {0.5, 1, 3, 5, 10}s at
-// 1/TimeScale.
+// ~1/250 scale.
 func DefaultTimeRequirements() []time.Duration {
 	return []time.Duration{
 		2 * time.Millisecond,
@@ -287,13 +284,5 @@ func MixedOnly(flows []*workflow.Workflow) []*workflow.Workflow {
 			out = append(out, f)
 		}
 	}
-	return out
-}
-
-// SortDurations returns ds sorted ascending (convenience for experiment
-// sweeps assembled from CLI flags).
-func SortDurations(ds []time.Duration) []time.Duration {
-	out := append([]time.Duration(nil), ds...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

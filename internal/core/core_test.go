@@ -174,17 +174,6 @@ func TestGenerateWorkflowsSet(t *testing.T) {
 	}
 }
 
-func TestSortDurations(t *testing.T) {
-	in := []time.Duration{5, 1, 3}
-	out := SortDurations(in)
-	if out[0] != 1 || out[2] != 5 {
-		t.Error("not sorted")
-	}
-	if in[0] != 5 {
-		t.Error("input mutated")
-	}
-}
-
 func TestMixedOnly(t *testing.T) {
 	flows := []*workflow.Workflow{
 		{Type: workflow.Mixed}, {Type: workflow.SequentialLinking}, {Type: workflow.Mixed},

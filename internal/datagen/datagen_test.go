@@ -349,3 +349,23 @@ func TestNormalizeEmptySpecs(t *testing.T) {
 		t.Error("fact table should pass through unchanged")
 	}
 }
+
+// BenchmarkCopulaScaler measures synthetic tuple generation throughput.
+func BenchmarkCopulaScaler(b *testing.B) {
+	seed, err := GenerateSeed(10_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scaler, err := NewScaler(seed, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const rows = 50_000
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := scaler.Generate(rows, int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
+}

@@ -37,6 +37,9 @@ var airports = []struct{ code, state string }{
 	{"RIC", "VA"}, {"MEM", "TN"}, {"BHM", "AL"}, {"TUS", "AZ"}, {"BOI", "ID"},
 }
 
+// FlightsTable is the name of the generated fact table.
+const FlightsTable = "flights"
+
 // FlightsSchema returns the schema of the de-normalized flights table
 // (paper Fig. 2).
 func FlightsSchema() *dataset.Schema {
@@ -84,7 +87,7 @@ func GenerateSeed(n int, seed int64) (*dataset.Table, error) {
 	}
 
 	schema := FlightsSchema()
-	b := dataset.NewBuilder("flights", schema, n)
+	b := dataset.NewBuilder(FlightsTable, schema, n)
 	col := schema.FieldIndex
 
 	for i := 0; i < n; i++ {

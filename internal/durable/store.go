@@ -38,27 +38,27 @@ type Options struct {
 // the serve banner.
 type RecoveryInfo struct {
 	// Recovered is true when a checkpoint was loaded (warm start).
-	Recovered bool
+	Recovered bool `json:"recovered"`
 	// FellBack is true when the newest checkpoint failed verification and
 	// an older one was used.
-	FellBack          bool
-	CheckpointVersion int64
-	ReplayedBatches   int
-	ReplayedRows      int64
+	FellBack          bool  `json:"fell_back"`
+	CheckpointVersion int64 `json:"checkpoint_version"`
+	ReplayedBatches   int   `json:"replayed_batches"`
+	ReplayedRows      int64 `json:"replayed_rows"`
 	// TruncatedTail is true when a torn or corrupt WAL tail was cut off.
-	TruncatedTail bool
+	TruncatedTail bool `json:"truncated_tail"`
 	// Watermark is the recovered data version: checkpoint + replayed WAL.
-	Watermark int64
+	Watermark int64 `json:"watermark"`
 }
 
-// Status is a point-in-time view of the durable state, for /healthz and
-// the offline inspector.
+// Status is a point-in-time view of the durable state: the /healthz
+// "durable" block, and the offline inspector's summary.
 type Status struct {
 	RecoveryInfo
-	WALBytes              int64
-	Checkpoints           int
-	LastCheckpointVersion int64
-	LastCheckpointBytes   int64
+	WALBytes              int64 `json:"wal_bytes"`
+	Checkpoints           int   `json:"checkpoints"`
+	LastCheckpointVersion int64 `json:"last_checkpoint_version"`
+	LastCheckpointBytes   int64 `json:"last_checkpoint_bytes"`
 }
 
 // Recovery is the result of Store.Recover: the checkpoint to prepare from

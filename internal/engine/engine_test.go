@@ -496,7 +496,7 @@ func TestSnapshotScaledEstimates(t *testing.T) {
 	}
 	gs := NewGroupState(plan)
 	gs.ScanRange(0, 100) // first 100 rows: 50 AA, 50 UA
-	z := stats.MustZScore(0.95)
+	z, _ := stats.ZScore(0.95)
 	res := gs.SnapshotScaled(100, 1000, 700, 0, z)
 	if res.Complete {
 		t.Error("partial snapshot should not be complete")

@@ -7,7 +7,6 @@ import (
 
 	"idebench/internal/core"
 	"idebench/internal/dataset"
-	"idebench/internal/durable"
 	"idebench/internal/engine"
 	"idebench/internal/ingest"
 )
@@ -26,7 +25,8 @@ type RestartResult struct {
 	// ColdPrepareMS is datagen + Prepare from nothing (what every boot costs
 	// without -data-dir).
 	ColdPrepareMS float64
-	// CheckpointMS/CheckpointBytes price the durability write side.
+	// CheckpointMS/CheckpointBytes price the durability write side: the
+	// checkpoint taken mid-ingest.
 	CheckpointMS    float64
 	CheckpointBytes int64
 	// WarmLoadMS is checkpoint load + verification + PrepareReordered;
@@ -67,49 +67,25 @@ func Restart(cfg Config) (*RestartResult, error) {
 	defer os.RemoveAll(dir)
 
 	res := &RestartResult{Rows: cfg.Rows, Batches: batches}
-
-	// Serve side: cold-build the base, bootstrap the durable directory, and
-	// ingest through the WAL exactly like `serve -data-dir`.
-	db, err := core.BuildData(cfg.Rows, false, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
 	s := core.DefaultSettings()
 	s.DataSize = cfg.Rows
 	s.Seed = cfg.Seed
-	p, err := core.Prepare("progressive", db, s)
-	if err != nil {
-		return nil, err
-	}
-	caps := engine.CapabilitiesOf(p.Engine)
-	vs := caps.ViewSnapshotter
-	if vs == nil {
-		return nil, fmt.Errorf("experiments: progressive lost the ViewSnapshotter capability")
-	}
-	meta := durable.Meta{Engine: "progressive", Seed: cfg.Seed, BaseRows: int64(cfg.Rows)}
-	st, err := durable.Open(dir, durable.Options{Meta: meta})
-	if err != nil {
-		return nil, err
-	}
-	ckStart := time.Now()
-	vdb, perm := vs.SnapshotView()
-	if err := st.Bootstrap(vdb, perm); err != nil {
-		return nil, err
-	}
-	res.CheckpointMS = msSince(ckStart)
-	res.CheckpointBytes = st.Status().LastCheckpointBytes
 
-	app := caps.Appender
-	if app == nil {
+	// Serve side: the first boot of the directory builds cold and
+	// bootstraps it; batches ingest through the WAL exactly like
+	// `serve -data-dir`.
+	b, err := core.Boot("progressive", dir, s)
+	if err != nil {
+		return nil, err
+	}
+	if b.Apply == nil {
 		return nil, fmt.Errorf("experiments: progressive lost the Appender capability")
 	}
-	ap := ingest.NewApplier(db, app)
-	ap.SetLog(st.LogBatch)
 	src, err := ingest.NewSource(cfg.Rows, cfg.Seed+17)
 	if err != nil {
 		return nil, err
 	}
-	h := ingest.NewHarness(db, src, walSink{ap})
+	h := ingest.NewHarness(b.DB, src, walSink{b.Apply})
 	for i := 0; i < batches; i++ {
 		if _, err := h.Ingest(batchRows); err != nil {
 			return nil, err
@@ -117,25 +93,24 @@ func Restart(cfg Config) (*RestartResult, error) {
 		if i == batches/2 {
 			// Mid-run checkpoint: recovery below must stitch checkpoint +
 			// WAL tail, not just one or the other.
-			cdb, cperm := vs.SnapshotView()
-			if err := st.Checkpoint(cdb, cperm); err != nil {
+			ckStart := time.Now()
+			if err := b.Checkpoint(); err != nil {
 				return nil, err
 			}
+			res.CheckpointMS = msSince(ckStart)
+			res.CheckpointBytes = b.Store.Status().LastCheckpointBytes
 		}
 	}
 	res.IngestedRows = h.IngestedRows()
-	if err := st.Close(); err != nil {
+	// Close without a final checkpoint, leaving the WAL tail to replay.
+	if err := b.Store.Close(); err != nil {
 		return nil, err
 	}
 
 	// Cold side: what a boot without durable state costs to merely reach the
 	// base version (the warm path additionally reaches base+ingested).
 	coldStart := time.Now()
-	coldDB, err := core.BuildData(cfg.Rows, false, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := core.Prepare("progressive", coldDB, s); err != nil {
+	if _, err := core.Boot("progressive", "", s); err != nil {
 		return nil, err
 	}
 	res.ColdPrepareMS = msSince(coldStart)
@@ -143,57 +118,30 @@ func Restart(cfg Config) (*RestartResult, error) {
 	// Warm side: recover the directory, adopt the checkpoint's own order,
 	// redo the WAL tail.
 	warmStart := time.Now()
-	st2, err := durable.Open(dir, durable.Options{Meta: meta})
+	warm, err := core.Boot("progressive", dir, s)
 	if err != nil {
 		return nil, err
 	}
-	rec, err := st2.Recover()
-	if err != nil {
+	warmMS := msSince(warmStart)
+	if err := warm.Store.Close(); err != nil {
 		return nil, err
 	}
-	if rec.Checkpoint == nil {
+	if !warm.Info.Recovered {
 		return nil, fmt.Errorf("experiments: restart: no checkpoint recovered")
 	}
-	eng2, err := core.NewEngine("progressive")
-	if err != nil {
-		return nil, err
-	}
-	caps2 := engine.CapabilitiesOf(eng2)
-	rp := caps2.ReorderedPreparer
-	if rp == nil {
-		return nil, fmt.Errorf("experiments: progressive lost the ReorderedPreparer capability")
-	}
-	eopts := engine.Options{Confidence: s.Confidence, Seed: s.Seed}
-	if err := rp.PrepareReordered(rec.Checkpoint.DB, rec.Checkpoint.Perm, eopts); err != nil {
-		return nil, err
-	}
-	res.WarmLoadMS = msSince(warmStart)
-
-	replayStart := time.Now()
-	app2 := caps2.Appender
-	if app2 == nil {
-		return nil, fmt.Errorf("experiments: progressive lost the Appender capability")
-	}
-	ap2 := ingest.NewApplier(rec.Checkpoint.DB, app2)
-	for _, b := range rec.Batches {
-		if _, err := ap2.Apply(b); err != nil {
-			return nil, fmt.Errorf("experiments: wal replay: %w", err)
-		}
-	}
-	res.WALReplayMS = msSince(replayStart)
-	res.WarmTotalMS = res.WarmLoadMS + res.WALReplayMS
-	if err := st2.Close(); err != nil {
-		return nil, err
-	}
-	if got, want := app2.Watermark(), h.Watermark(); got != want {
+	res.WALReplayMS = float64(warm.ReplayTime) / float64(time.Millisecond)
+	res.WarmLoadMS = warmMS - res.WALReplayMS
+	res.WarmTotalMS = warmMS
+	app := engine.CapabilitiesOf(warm.Engine).Appender
+	if got, want := app.Watermark(), h.Watermark(); got != want {
 		return nil, fmt.Errorf("experiments: restart: replayed watermark %d, want %d", got, want)
 	}
 
 	// Correctness gate: the warm-recovered engine answers like a cold exact
 	// scan of the same data version.
-	q, probe, err := countToDone(eng2, db.Fact.Name)
+	q, probe, err := countToDone(warm.Engine, b.DB.Fact.Name)
 	if err == nil {
-		err = checkQuiesced(q, probe, app2, h)
+		err = checkQuiesced(q, probe, app, h)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("experiments: restart bitwise check: %w", err)

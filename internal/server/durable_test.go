@@ -2,66 +2,49 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"idebench/internal/durable"
 )
 
 // fakeDurable implements Durability for serving-layer tests.
 type fakeDurable struct {
-	status  DurableStatus
+	status  durable.Status
 	flushes atomic.Int64
 }
 
-func (f *fakeDurable) DurableStatus() DurableStatus { return f.status }
-func (f *fakeDurable) Flush() error                 { f.flushes.Add(1); return nil }
+func (f *fakeDurable) Status() durable.Status { return f.status }
+func (f *fakeDurable) Flush() error           { f.flushes.Add(1); return nil }
 
-// TestHealthzDurableFields: with a durability backend wired in, /healthz
-// reports the recovery state, and a drain flushes the log exactly once as
-// its final step.
-func TestHealthzDurableFields(t *testing.T) {
-	fd := &fakeDurable{status: DurableStatus{
-		Recovered:             true,
-		CheckpointVersion:     40_000,
-		ReplayedBatches:       3,
-		ReplayedRows:          1_500,
-		TruncatedTail:         true,
-		RecoveredWatermark:    41_500,
+// recoveredStatus is a warm-boot status with every field set.
+func recoveredStatus() durable.Status {
+	return durable.Status{
+		RecoveryInfo: durable.RecoveryInfo{
+			Recovered:         true,
+			CheckpointVersion: 40_000,
+			ReplayedBatches:   3,
+			ReplayedRows:      1_500,
+			TruncatedTail:     true,
+			Watermark:         41_500,
+		},
 		WALBytes:              12_345,
 		Checkpoints:           2,
 		LastCheckpointVersion: 40_000,
-	}}
+	}
+}
+
+// TestHealthzDurableFields: with a durability backend wired in, /healthz
+// reports its status verbatim as the "durable" block, and a drain flushes
+// the log exactly once as its final step.
+func TestHealthzDurableFields(t *testing.T) {
+	fd := &fakeDurable{status: recoveredStatus()}
 	f := newFixture(t, Options{Durable: fd})
 
-	resp, err := http.Get(f.hsrv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var h struct {
-		Durable            bool  `json:"durable"`
-		Recovered          bool  `json:"recovered"`
-		CheckpointVersion  int64 `json:"checkpoint_version"`
-		RecoveredWatermark int64 `json:"recovered_watermark"`
-		WALReplayedBatches int   `json:"wal_replayed_batches"`
-		WALReplayedRows    int64 `json:"wal_replayed_rows"`
-		WALTruncatedTail   bool  `json:"wal_truncated_tail"`
-		WALBytes           int64 `json:"wal_bytes"`
-		Checkpoints        int   `json:"checkpoints"`
-		Watermark          int64 `json:"watermark"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	if !h.Durable || !h.Recovered {
-		t.Fatalf("durable/recovered not reported: %+v", h)
-	}
-	if h.CheckpointVersion != 40_000 || h.RecoveredWatermark != 41_500 ||
-		h.WALReplayedBatches != 3 || h.WALReplayedRows != 1_500 ||
-		!h.WALTruncatedTail || h.WALBytes != 12_345 || h.Checkpoints != 2 {
-		t.Fatalf("durable status not faithfully surfaced: %+v", h)
+	h, _ := getHealth(t, f.hsrv.URL)
+	if h.Durable == nil || *h.Durable != fd.status {
+		t.Fatalf("durable status not faithfully surfaced: %+v", h.Durable)
 	}
 	// The live watermark (the single liveWatermark() source) still reports
 	// the engine's absorbed rows.
@@ -79,23 +62,12 @@ func TestHealthzDurableFields(t *testing.T) {
 	}
 }
 
-// TestHealthzNotDurable: without a backend the durability fields stay at
-// their zero values and "durable" reads false.
+// TestHealthzNotDurable: without a backend the document carries no
+// "durable" block at all.
 func TestHealthzNotDurable(t *testing.T) {
 	f := newFixture(t, Options{})
-	resp, err := http.Get(f.hsrv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var h struct {
-		Durable   bool `json:"durable"`
-		Recovered bool `json:"recovered"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	if h.Durable || h.Recovered {
-		t.Fatalf("non-durable server claims durability: %+v", h)
+	h, raw := getHealth(t, f.hsrv.URL)
+	if _, ok := raw["durable"]; ok || h.Durable != nil {
+		t.Fatalf("non-durable server claims durability: %s", raw["durable"])
 	}
 }

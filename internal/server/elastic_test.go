@@ -4,33 +4,110 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
+
+	"idebench/internal/engine"
 )
 
-// TestHealthSchemaVersioned asserts the /healthz document is the exported,
-// versioned Health struct: it decodes into it, states the current schema
-// version and wire protocol version, and carries no topology block for a
-// standalone engine.
-func TestHealthSchemaVersioned(t *testing.T) {
-	f := newFixture(t, Options{})
-	resp, err := http.Get(f.hsrv.URL + "/healthz")
+// getHealth fetches base/healthz, decoded both as the Health document and
+// as a raw key map (for key-presence assertions).
+func getHealth(t *testing.T, base string) (Health, map[string]json.RawMessage) {
+	t.Helper()
+	resp, err := http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if h.SchemaVersion != HealthSchemaVersion {
-		t.Errorf("schema_version = %d, want %d", h.SchemaVersion, HealthSchemaVersion)
+	var h Health
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(body, &h); err != nil {
+		t.Fatal(err)
 	}
-	if h.Version != ProtoVersion {
-		t.Errorf("version = %d, want %d", h.Version, ProtoVersion)
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
 	}
-	if h.Topology != nil {
-		t.Errorf("standalone server reported a topology block: %+v", h.Topology)
+	return h, raw
+}
+
+// topoEngine gives an engine the topology-observer capability, standing in
+// for a coordinator.
+type topoEngine struct {
+	engine.Engine
+	topo engine.Topology
+}
+
+func (e topoEngine) Topology() engine.Topology { return e.topo }
+
+// TestHealthSchemaVersioned asserts the /healthz document is the exported,
+// schema-3 Health struct for each server shape: live state top-level, the
+// admission block always, the durable block only with a data directory,
+// the topology block only on a coordinator, and none of the schema-2 shard
+// fields that restated the topology.
+func TestHealthSchemaVersioned(t *testing.T) {
+	f := newFixture(t, Options{})
+	topo := engine.Topology{
+		Partitions: []engine.PartitionTopology{
+			{Replicas: []engine.ReplicaTopology{{Name: "p0r0", Healthy: true, Synced: true}}, Watermark: 120},
+			{Replicas: []engine.ReplicaTopology{{Name: "p1r0", Healthy: true, Synced: true}}, Watermark: 100},
+		},
+		MinCoverage: 0.25,
+	}
+	cases := []struct {
+		name         string
+		eng          engine.Engine
+		opts         Options
+		wantTopology bool
+		wantDurable  bool
+	}{
+		{name: "standalone", eng: f.eng},
+		{name: "durable", eng: f.eng, opts: Options{Durable: &fakeDurable{status: recoveredStatus()}}, wantDurable: true},
+		{name: "coordinator", eng: topoEngine{Engine: f.eng, topo: topo}, opts: Options{Role: "coord"}, wantTopology: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			c.opts.Rows = int64(f.db.Fact.NumRows())
+			hsrv := httptest.NewServer(New(c.eng, c.opts))
+			defer hsrv.Close()
+			h, raw := getHealth(t, hsrv.URL)
+			if h.SchemaVersion != 3 || HealthSchemaVersion != 3 {
+				t.Errorf("schema_version = %d (const %d), want 3", h.SchemaVersion, HealthSchemaVersion)
+			}
+			if h.Version != ProtoVersion {
+				t.Errorf("version = %d, want %d", h.Version, ProtoVersion)
+			}
+			if h.Role != c.opts.Role {
+				t.Errorf("role = %q, want %q", h.Role, c.opts.Role)
+			}
+			for _, key := range []string{"conns", "inflight", "watermark", "scan_consumers", "admission"} {
+				if _, ok := raw[key]; !ok {
+					t.Errorf("missing top-level %q", key)
+				}
+			}
+			for _, key := range []string{"shards", "shard_watermarks", "min_shard_watermark", "admitted", "recovered"} {
+				if _, ok := raw[key]; ok {
+					t.Errorf("schema-2 key %q is still top-level", key)
+				}
+			}
+			if _, ok := raw["topology"]; ok != c.wantTopology {
+				t.Errorf("topology block present = %v, want %v", ok, c.wantTopology)
+			}
+			if c.wantTopology && (len(h.Topology.Partitions) != 2 || h.Topology.Partitions[1].Watermark != 100) {
+				t.Errorf("topology block not faithfully surfaced: %+v", h.Topology)
+			}
+			if _, ok := raw["durable"]; ok != c.wantDurable {
+				t.Errorf("durable block present = %v, want %v", ok, c.wantDurable)
+			}
+			if c.wantDurable && *h.Durable != recoveredStatus() {
+				t.Errorf("durable block not faithfully surfaced: %+v", h.Durable)
+			}
+		})
 	}
 }
 

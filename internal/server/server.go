@@ -43,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"idebench/internal/durable"
 	"idebench/internal/engine"
 	"idebench/internal/ingest"
 )
@@ -127,35 +128,14 @@ type Options struct {
 	Durable Durability
 }
 
-// Durability is the serving layer's view of the durable-state subsystem
-// (implemented by internal/durable's Store via a thin adapter).
+// Durability is the serving layer's view of the durable-state subsystem;
+// *durable.Store implements it.
 type Durability interface {
-	// DurableStatus reports recovery and log state for /healthz.
-	DurableStatus() DurableStatus
+	// Status reports recovery and log state: the /healthz "durable" block.
+	Status() durable.Status
 	// Flush forces the write-ahead log to stable storage; the drain path
 	// calls it last, so a clean shutdown never leaves an unflushed tail.
 	Flush() error
-}
-
-// DurableStatus mirrors the durable store's health for /healthz: what
-// recovery found at startup plus the live checkpoint/WAL state.
-type DurableStatus struct {
-	// Recovered is true when startup warm-loaded a checkpoint rather than
-	// building cold.
-	Recovered bool
-	// FellBack is true when the newest checkpoint failed verification and
-	// an older one was used.
-	FellBack          bool
-	CheckpointVersion int64
-	ReplayedBatches   int
-	ReplayedRows      int64
-	// TruncatedTail is true when recovery cut off a torn/corrupt WAL tail.
-	TruncatedTail bool
-	// RecoveredWatermark is the data version serving resumed at.
-	RecoveredWatermark    int64
-	WALBytes              int64
-	Checkpoints           int
-	LastCheckpointVersion int64
 }
 
 // DefaultMaxConns bounds concurrent sessions when Options.MaxConns is 0.
@@ -236,7 +216,8 @@ func (o Options) withDefaults() Options {
 }
 
 // Counters are the server's cumulative overload and liveness counters,
-// exposed on /healthz. All fields are monotone; read them with Load.
+// exposed as the /healthz "admission" block. All fields are monotone; read
+// them with Load.
 type Counters struct {
 	// Admitted counts queries accepted past admission control.
 	Admitted atomic.Int64
@@ -399,15 +380,17 @@ func (s *Server) shedSpeculation() {
 // HealthSchemaVersion identifies the /healthz document layout. Monitoring
 // that scrapes the endpoint keys off this field instead of sniffing for
 // marker fields. Version 1 is the pre-elasticity document (implicit — it
-// carried no schema_version field, so its absence identifies it); version 2
-// added schema_version itself plus the replica-set topology block.
-const HealthSchemaVersion = 2
+// carried no schema_version field); version 2 added schema_version itself
+// plus the replica-set topology block; version 3 nests the cumulative
+// counters under "admission" and the durable store's status under
+// "durable", and drops the shard fields that restated the topology block.
+const HealthSchemaVersion = 3
 
 // Health is the /healthz document — THE wire schema for server health, one
-// struct instead of ad-hoc map building, versioned by SchemaVersion.
+// struct instead of ad-hoc map building, versioned by SchemaVersion. Live
+// state is top-level; each subsystem's state is one nested block.
 type Health struct {
-	// SchemaVersion is HealthSchemaVersion; absent (0) on documents from
-	// pre-elasticity servers.
+	// SchemaVersion is HealthSchemaVersion.
 	SchemaVersion int    `json:"schema_version"`
 	Engine        string `json:"engine"`
 	Rows          int64  `json:"rows"`
@@ -425,22 +408,24 @@ type Health struct {
 	// (engines with the observer capability; otherwise 0). After a full
 	// drain this must read 0 — anything else is a leak.
 	ScanConsumers int `json:"scan_consumers"`
-	// Role/Shards/ShardWatermarks describe the scatter-gather topology:
-	// Role mirrors Options.Role; the shard fields appear on coordinators
-	// (engines with the topology-observer capability) and restate the
-	// Topology block's per-partition confirmed watermarks on the
-	// coordinator's global axis, and their min, which is the freshness bound
-	// every merged snapshot's Watermark obeys.
-	Role              string  `json:"role,omitempty"`
-	Shards            int     `json:"shards,omitempty"`
-	ShardWatermarks   []int64 `json:"shard_watermarks,omitempty"`
-	MinShardWatermark int64   `json:"min_shard_watermark,omitempty"`
-	// Topology is the replica-set topology of a replicated coordinator
-	// (engines with the topology-observer capability): which replicas serve
-	// each partition, their health/sync state, and the anti-entropy alarm
-	// counters. Absent on standalone servers and plain shards.
+	// Role mirrors Options.Role.
+	Role string `json:"role,omitempty"`
+	// Topology is the replica-set topology of a coordinator (engines with
+	// the topology-observer capability): which replicas serve each
+	// partition, their health/sync state and confirmed watermarks — the min
+	// over partitions bounds every merged snapshot's Watermark — and the
+	// anti-entropy alarm counters. Absent on standalone servers and shards.
 	Topology *engine.Topology `json:"topology,omitempty"`
-	// Cumulative overload/liveness counters (see Counters).
+	// Admission is the cumulative overload/liveness counters.
+	Admission Admission `json:"admission"`
+	// Durable is the durable store's recovery and log state; absent on
+	// servers running without a data directory.
+	Durable *durable.Status `json:"durable,omitempty"`
+}
+
+// Admission is a point-in-time copy of Counters: the /healthz "admission"
+// block, one field per counter.
+type Admission struct {
 	Admitted             int64 `json:"admitted"`
 	RejectedOverload     int64 `json:"rejected_overload"`
 	RejectedPerConn      int64 `json:"rejected_per_conn"`
@@ -450,18 +435,20 @@ type Health struct {
 	ShedSpeculative      int64 `json:"shed_speculative"`
 	DroppedIntermediates int64 `json:"dropped_intermediates"`
 	IdleDisconnects      int64 `json:"idle_disconnects"`
-	// Durability fields (servers running with a data directory).
-	Durable               bool  `json:"durable"`
-	Recovered             bool  `json:"recovered,omitempty"`
-	RecoveryFellBack      bool  `json:"recovery_fell_back,omitempty"`
-	CheckpointVersion     int64 `json:"checkpoint_version,omitempty"`
-	RecoveredWatermark    int64 `json:"recovered_watermark,omitempty"`
-	WALReplayedBatches    int   `json:"wal_replayed_batches,omitempty"`
-	WALReplayedRows       int64 `json:"wal_replayed_rows,omitempty"`
-	WALTruncatedTail      bool  `json:"wal_truncated_tail,omitempty"`
-	WALBytes              int64 `json:"wal_bytes,omitempty"`
-	Checkpoints           int   `json:"checkpoints,omitempty"`
-	LastCheckpointVersion int64 `json:"last_checkpoint_version,omitempty"`
+}
+
+func (c *Counters) admission() Admission {
+	return Admission{
+		Admitted:             c.Admitted.Load(),
+		RejectedOverload:     c.RejectedOverload.Load(),
+		RejectedPerConn:      c.RejectedPerConn.Load(),
+		RejectedDraining:     c.RejectedDraining.Load(),
+		ConnsRejected:        c.ConnsRejected.Load(),
+		ShedLate:             c.ShedLate.Load(),
+		ShedSpeculative:      c.ShedSpeculative.Load(),
+		DroppedIntermediates: c.DroppedIntermediates.Load(),
+		IdleDisconnects:      c.IdleDisconnects.Load(),
+	}
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -478,20 +465,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	h.Inflight = s.inflight.Load()
 	h.Watermark = s.liveWatermark()
-	if d := s.opts.Durable; d != nil {
-		ds := d.DurableStatus()
-		h.Durable = true
-		h.Recovered = ds.Recovered
-		h.RecoveryFellBack = ds.FellBack
-		h.CheckpointVersion = ds.CheckpointVersion
-		h.RecoveredWatermark = ds.RecoveredWatermark
-		h.WALReplayedBatches = ds.ReplayedBatches
-		h.WALReplayedRows = ds.ReplayedRows
-		h.WALTruncatedTail = ds.TruncatedTail
-		h.WALBytes = ds.WALBytes
-		h.Checkpoints = ds.Checkpoints
-		h.LastCheckpointVersion = ds.LastCheckpointVersion
-	}
 	if obs := s.caps.ScanObserver; obs != nil {
 		h.ScanConsumers = obs.ActiveScanConsumers()
 	}
@@ -499,24 +472,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if to := s.caps.TopologyObserver; to != nil {
 		topo := to.Topology()
 		h.Topology = &topo
-		h.Shards = len(topo.Partitions)
-		h.ShardWatermarks = make([]int64, len(topo.Partitions))
-		for i, pt := range topo.Partitions {
-			h.ShardWatermarks[i] = pt.Watermark
-			if i == 0 || pt.Watermark < h.MinShardWatermark {
-				h.MinShardWatermark = pt.Watermark
-			}
-		}
 	}
-	h.Admitted = s.ctr.Admitted.Load()
-	h.RejectedOverload = s.ctr.RejectedOverload.Load()
-	h.RejectedPerConn = s.ctr.RejectedPerConn.Load()
-	h.RejectedDraining = s.ctr.RejectedDraining.Load()
-	h.ConnsRejected = s.ctr.ConnsRejected.Load()
-	h.ShedLate = s.ctr.ShedLate.Load()
-	h.ShedSpeculative = s.ctr.ShedSpeculative.Load()
-	h.DroppedIntermediates = s.ctr.DroppedIntermediates.Load()
-	h.IdleDisconnects = s.ctr.IdleDisconnects.Load()
+	h.Admission = s.ctr.admission()
+	if d := s.opts.Durable; d != nil {
+		st := d.Status()
+		h.Durable = &st
+	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(h)
 }

@@ -2,9 +2,7 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -360,20 +358,7 @@ func TestMaxConns(t *testing.T) {
 // TestHealthz covers the health endpoint shape.
 func TestHealthz(t *testing.T) {
 	f := newFixture(t, Options{})
-	resp, err := http.Get(f.hsrv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var h struct {
-		Engine   string `json:"engine"`
-		Rows     int64  `json:"rows"`
-		Version  int    `json:"version"`
-		Draining bool   `json:"draining"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
+	h, _ := getHealth(t, f.hsrv.URL)
 	if h.Engine != "progressive" || h.Rows != int64(f.db.Fact.NumRows()) || h.Version != ProtoVersion || h.Draining {
 		t.Fatalf("healthz = %+v", h)
 	}

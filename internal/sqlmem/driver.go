@@ -10,7 +10,6 @@ import (
 
 	"idebench/internal/dataset"
 	"idebench/internal/engine"
-	"idebench/internal/query"
 )
 
 // Driver implements database/sql/driver.Driver over registered in-memory
@@ -184,14 +183,4 @@ func (r *rows) Next(dest []driver.Value) error {
 	copy(dest, r.data[r.pos])
 	r.pos++
 	return nil
-}
-
-// BinningsOf re-parses a SQL string and returns its binnings; the sqldb
-// adapter uses it to map returned rows back onto bin keys.
-func BinningsOf(sqlText string, db *dataset.Database) ([]query.Binning, error) {
-	q, err := Parse(sqlText, db)
-	if err != nil {
-		return nil, err
-	}
-	return q.Bins, nil
 }

@@ -301,20 +301,6 @@ func TestDriverErrors(t *testing.T) {
 	}
 }
 
-func TestBinningsOf(t *testing.T) {
-	db := enginetest.SmallDB(100, 15)
-	bins, err := BinningsOf("SELECT FLOOR(dep_delay/10) AS bin0, COUNT(*) FROM flights GROUP BY bin0", db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bins) != 1 || bins[0].Width != 10 {
-		t.Errorf("binnings wrong: %+v", bins)
-	}
-	if _, err := BinningsOf("garbage", db); err == nil {
-		t.Error("garbage should fail")
-	}
-}
-
 // newRng is a tiny deterministic RNG to avoid importing math/rand at top
 // level twice in tests.
 type simpleRng struct{ state uint64 }

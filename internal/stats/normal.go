@@ -16,11 +16,6 @@ func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
-// NormalPDF returns φ(x), the standard normal density at x.
-func NormalPDF(x float64) float64 {
-	return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
-}
-
 // NormalQuantile returns Φ⁻¹(p) for p in (0,1) using the Acklam rational
 // approximation refined by one step of Halley's method. The result is
 // accurate to ~1e-15, far beyond what the benchmark needs.
@@ -82,14 +77,4 @@ func ZScore(confidence float64) (float64, error) {
 		return 0, errors.New("stats: confidence level must be in (0,1)")
 	}
 	return NormalQuantile(0.5 + confidence/2), nil
-}
-
-// MustZScore is ZScore for statically known confidence levels; it panics on
-// invalid input and is intended for package-level defaults.
-func MustZScore(confidence float64) float64 {
-	z, err := ZScore(confidence)
-	if err != nil {
-		panic(err)
-	}
-	return z
 }

@@ -25,17 +25,6 @@ func TestNormalCDFKnownValues(t *testing.T) {
 	}
 }
 
-func TestNormalPDFSymmetryAndPeak(t *testing.T) {
-	if got := NormalPDF(0); math.Abs(got-1/math.Sqrt(2*math.Pi)) > 1e-15 {
-		t.Errorf("NormalPDF(0) = %v", got)
-	}
-	for _, x := range []float64{0.3, 1.5, 2.7} {
-		if math.Abs(NormalPDF(x)-NormalPDF(-x)) > 1e-15 {
-			t.Errorf("NormalPDF not symmetric at %v", x)
-		}
-	}
-}
-
 func TestNormalQuantileKnownValues(t *testing.T) {
 	cases := []struct {
 		p, want float64
@@ -89,13 +78,4 @@ func TestZScore(t *testing.T) {
 	if _, err := ZScore(1); err == nil {
 		t.Error("ZScore(1) should error")
 	}
-}
-
-func TestMustZScorePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustZScore(2) should panic")
-		}
-	}()
-	MustZScore(2)
 }

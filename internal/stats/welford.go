@@ -98,14 +98,3 @@ func FractionCI(k, n int64, populationN float64, z float64) float64 {
 	se := math.Sqrt(p * (1 - p) / float64(n))
 	return z * populationN * se
 }
-
-// SumCI returns the half-width of the CLT interval for a population SUM
-// estimated from a sample: the estimator is N·mean(x·indicator) where the
-// accumulator tracks per-row contributions (x when the row falls in the bin,
-// 0 otherwise) over all n sampled rows.
-func SumCI(w Welford, populationN float64, z float64) float64 {
-	if w.n < 2 {
-		return math.Inf(1)
-	}
-	return z * populationN * w.StdErr()
-}

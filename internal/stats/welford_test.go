@@ -117,19 +117,6 @@ func TestFractionCI(t *testing.T) {
 	}
 }
 
-func TestSumCI(t *testing.T) {
-	var w Welford
-	if !math.IsInf(SumCI(w, 100, 1.96), 1) {
-		t.Error("empty accumulator should give infinite margin")
-	}
-	for i := 0; i < 100; i++ {
-		w.Add(rand.New(rand.NewSource(int64(i))).Float64())
-	}
-	if SumCI(w, 100, 1.96) <= 0 {
-		t.Error("SumCI should be positive")
-	}
-}
-
 func TestZipf(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	z, err := NewZipf(10, 1.2)

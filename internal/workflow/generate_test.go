@@ -216,3 +216,21 @@ func TestGeneratedWorkflowsProduceConcurrentQueries(t *testing.T) {
 		t.Errorf("1:N workflow never triggered concurrent queries (max %d)", maxConcurrent)
 	}
 }
+
+// BenchmarkWorkloadGenerator measures workflow generation cost.
+func BenchmarkWorkloadGenerator(b *testing.B) {
+	seed, err := datagen.GenerateSeed(10_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := NewGenerator(seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := gen.Generate(GenConfig{Type: Mixed, Interactions: 18, Seed: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
