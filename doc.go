@@ -225,15 +225,28 @@
 // # Durable state
 //
 // `idebench serve -data-dir` makes the served state survive crashes
-// (internal/durable). The layout has two halves. Checkpoints are immutable
-// directories of checksummed, versioned column segments — the stable table
-// codec (dataset.EncodeTable) serializes dictionary values in code order,
-// making two checkpoints of the same logical database byte-identical — plus
-// the engine's sampling permutation and a MANIFEST.json naming every file
-// with its CRC and an overall content digest; a checkpoint is written to a
-// temp directory, fsynced, and renamed into place with the manifest last,
-// so a crashed writer leaves either a fully valid checkpoint or ignorable
-// debris. The ingest WAL records every batch (the same fuzzed wire format
+// (internal/durable). The layout has two halves. Checkpoints are
+// incremental: table data lives in content-addressed segments
+// (<data-dir>/segments/<sha256>.seg) of the stable segment codec
+// (dataset.TableSegment — rows [from, to) of a table, dictionary deltas in
+// code order, so two checkpoints of the same logical database are
+// byte-identical), and a checkpoint is a ckpt-<version> directory holding
+// only a MANIFEST.json that lists its segments with role, row range, CRC-32
+// and SHA-256. Bootstrap writes the base (dimension tables, sampling
+// permutation, fact rows); every later checkpoint streams one fact segment
+// — the rows since the previous checkpoint — and a manifest naming the
+// previous segments plus it, so a checkpoint costs the tail, not the table,
+// and never holds a table-sized buffer. A view that does not extend the
+// newest checkpoint is rewritten in full through the same path. Commit
+// order is segment temp file → fsync → rename → fsync segments/, then
+// manifest temp directory → fsync → rename to ckpt-<version> → fsync
+// checkpoints/: a crash between the two leaves an orphan segment, which the
+// next checkpoint's prune removes. The two retained checkpoints share every
+// segment but the newest tail, which is the stated trade against keeping
+// two full copies: the fallback covers a torn or corrupt newest tail, while
+// a corrupt shared segment makes recovery refuse loudly, naming it. The
+// background checkpointer fires on WAL bytes logged since the newest
+// checkpoint, not on the WAL's size. The ingest WAL records every batch (the same fuzzed wire format
 // ingest frames use) in CRC-framed, version-chained records, fsynced
 // *before* the engine applies the batch or any client hears an ack — the
 // write-ahead hook (ingest.Applier.SetLog) runs under the apply mutex after

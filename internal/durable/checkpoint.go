@@ -1,13 +1,19 @@
 package durable
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
+	"io"
+	"math"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -15,24 +21,32 @@ import (
 )
 
 // FormatVersion is bumped whenever the checkpoint layout or the segment
-// encoding changes incompatibly; loaders refuse other versions.
-const FormatVersion = 1
+// encoding changes incompatibly; loaders refuse other versions. Format 1
+// held one full copy of every table per checkpoint directory; format 2
+// holds content-addressed segments shared between checkpoints.
+const FormatVersion = 2
 
-// manifestName is the file written last inside a checkpoint directory — a
+// manifestName is the file a checkpoint directory commits with — a
 // directory without it is not a checkpoint.
 const manifestName = "MANIFEST.json"
 
-// File roles inside a checkpoint.
+// Segment roles.
 const (
 	roleFact = "fact"
 	roleDim  = "dimension"
 	rolePerm = "permutation"
 )
 
-// ManifestFile describes one checkpoint segment.
-type ManifestFile struct {
-	Name  string `json:"name"`
-	Role  string `json:"role"`
+// ManifestSegment describes one segment a checkpoint references. The
+// segment's file is <data-dir>/segments/<SHA256>.seg.
+type ManifestSegment struct {
+	SHA256 string `json:"sha256"`
+	Role   string `json:"role"`
+	// From and To are the rows the segment holds: [From, To) of the fact
+	// table for a fact segment, [0, rows) for a dimension table, [0, n) of
+	// the permutation's entries.
+	From  int64  `json:"from"`
+	To    int64  `json:"to"`
 	Bytes int64  `json:"bytes"`
 	CRC32 uint32 `json:"crc32"`
 	// FKColumn is the fact-side foreign-key column for dimension segments.
@@ -40,7 +54,8 @@ type ManifestFile struct {
 }
 
 // Manifest is a checkpoint's self-description, written last and fsynced;
-// its presence commits the checkpoint.
+// its presence commits the checkpoint. Segments lists dimension tables and
+// the permutation first, then the fact segments in row order.
 type Manifest struct {
 	Format   int    `json:"format"`
 	Engine   string `json:"engine"`
@@ -48,11 +63,11 @@ type Manifest struct {
 	BaseRows int64  `json:"base_rows"`
 	// Version is the fact-table row count — the data version / watermark
 	// this checkpoint captures.
-	Version int64          `json:"version"`
-	Files   []ManifestFile `json:"files"`
-	// ContentSHA256 digests every file's contents in Files order: the
-	// whole-checkpoint identity the determinism test and the offline
-	// inspector use.
+	Version  int64             `json:"version"`
+	Segments []ManifestSegment `json:"segments"`
+	// ContentSHA256 digests the segments' SHA-256 digests in Segments
+	// order: the whole-checkpoint identity the determinism test and the
+	// offline inspector use.
 	ContentSHA256 string `json:"content_sha256"`
 }
 
@@ -81,17 +96,37 @@ func parseCheckpointDirName(name string) (int64, bool) {
 	return v, true
 }
 
+func segmentFileName(sha string) string { return sha + ".seg" }
+
+// contentDigest is the checkpoint identity over its segments' digests.
+func contentDigest(segs []ManifestSegment) string {
+	h := sha256.New()
+	for _, s := range segs {
+		h.Write([]byte(s.SHA256))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // permMagic frames the serialized sampling permutation.
 var permMagic = []byte("IDBP1\x00")
 
-func encodePerm(perm []uint32) []byte {
-	buf := make([]byte, 0, len(permMagic)+8+4*len(perm))
+func encodePerm(w io.Writer, perm []uint32) error {
+	buf := make([]byte, 0, 32<<10)
 	buf = append(buf, permMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(perm)))
-	for _, p := range perm {
-		buf = binary.LittleEndian.AppendUint32(buf, p)
+	for len(perm) > 0 {
+		n := min(len(perm), (cap(buf)-len(buf))/4)
+		for _, p := range perm[:n] {
+			buf = binary.LittleEndian.AppendUint32(buf, p)
+		}
+		perm = perm[n:]
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		buf = buf[:0]
 	}
-	return buf
+	_, err := w.Write(buf)
+	return err
 }
 
 func decodePerm(data []byte) ([]uint32, error) {
@@ -110,83 +145,98 @@ func decodePerm(data []byte) ([]uint32, error) {
 	return perm, nil
 }
 
-// writeCheckpoint writes one checkpoint atomically under root
-// (<data-dir>/checkpoints) and returns the total segment bytes. Sequence:
-// segments into a .tmp- directory, each fsynced; manifest last, fsynced;
-// directory rename; parent fsync. Any failure removes the temp directory
-// and leaves previously committed checkpoints untouched.
-func writeCheckpoint(fs FS, root string, meta Meta, db *dataset.Database, perm []uint32) (int64, error) {
-	version := int64(db.Fact.NumRows())
-	tmp := filepath.Join(root, fmt.Sprintf(".tmp-%016d", version))
-	final := filepath.Join(root, checkpointDirName(version))
+// hashingFile counts, CRCs and hashes what it writes through to a file.
+type hashingFile struct {
+	f     File
+	crc   hash.Hash32
+	sha   hash.Hash
+	bytes int64
+}
+
+func (h *hashingFile) Write(p []byte) (int, error) {
+	n, err := h.f.Write(p)
+	h.crc.Write(p[:n])
+	h.sha.Write(p[:n])
+	h.bytes += int64(n)
+	return n, err
+}
+
+// writeSegment streams one segment into segDir: encode writes through a
+// buffered writer into a temp file while its byte count, CRC-32 and SHA-256
+// are computed on the way; the file is fsynced and renamed to its content
+// address. The caller fsyncs segDir once every segment of the checkpoint is
+// in place. On error the temp file is removed.
+func writeSegment(fs FS, segDir, tmpName string, ms ManifestSegment, encode func(io.Writer) error) (ManifestSegment, error) {
+	tmp := filepath.Join(segDir, tmpName)
+	f, err := fs.Create(tmp)
+	if err != nil {
+		return ms, err
+	}
+	h := &hashingFile{f: f, crc: crc32.NewIEEE(), sha: sha256.New()}
+	bw := bufio.NewWriterSize(h, 64<<10)
+	err = encode(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		ms.SHA256 = hex.EncodeToString(h.sha.Sum(nil))
+		ms.Bytes, ms.CRC32 = h.bytes, h.crc.Sum32()
+		err = fs.Rename(tmp, filepath.Join(segDir, segmentFileName(ms.SHA256)))
+	}
+	if err != nil {
+		_ = fs.Remove(tmp)
+	}
+	return ms, err
+}
+
+// writeTableSegment streams rows [from, to) of t (see dataset.TableSegment)
+// and returns its manifest entry plus each column's dictionary end.
+func writeTableSegment(fs FS, segDir, tmpName string, ms ManifestSegment, t *dataset.Table, from, to int, dictFrom []int) (ManifestSegment, []int, error) {
+	seg, err := dataset.TableSegment(t, from, to, dictFrom)
+	if err != nil {
+		return ms, nil, err
+	}
+	ms.From, ms.To = int64(from), int64(to)
+	ms, err = writeSegment(fs, segDir, tmpName, ms, seg.Encode)
+	dictTo := make([]int, len(seg.Columns))
+	for i := range seg.Columns {
+		dictTo[i] = seg.Columns[i].DictTo()
+	}
+	return ms, dictTo, err
+}
+
+// commitManifest publishes a checkpoint: the manifest goes into a temp
+// directory under root (<data-dir>/checkpoints) and is fsynced, the
+// directory is renamed to ckpt-<version> and root is fsynced. It returns
+// the manifest's byte count. On error the temp directory is removed and
+// previously committed checkpoints are untouched.
+func commitManifest(fs FS, root string, m *Manifest) (int64, error) {
+	tmp := filepath.Join(root, fmt.Sprintf(".tmp-%016d", m.Version))
+	final := filepath.Join(root, checkpointDirName(m.Version))
 	_ = fs.RemoveAll(tmp) // clobber litter from a crashed writer
 	if err := fs.MkdirAll(tmp); err != nil {
-		return 0, fmt.Errorf("durable: checkpoint: %w", err)
+		return 0, err
 	}
 	fail := func(err error) (int64, error) {
 		_ = fs.RemoveAll(tmp)
-		return 0, fmt.Errorf("durable: checkpoint: %w", err)
+		return 0, err
 	}
-
-	m := Manifest{
-		Format:   FormatVersion,
-		Engine:   meta.Engine,
-		Seed:     meta.Seed,
-		BaseRows: meta.BaseRows,
-		Version:  version,
-	}
-	sha := sha256.New()
-	var total int64
-	writeSeg := func(name, role, fk string, data []byte) error {
-		f, err := fs.Create(filepath.Join(tmp, name))
-		if err != nil {
-			return err
-		}
-		if _, err := f.Write(data); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		sha.Write(data)
-		total += int64(len(data))
-		m.Files = append(m.Files, ManifestFile{
-			Name: name, Role: role, Bytes: int64(len(data)),
-			CRC32: crc32.ChecksumIEEE(data), FKColumn: fk,
-		})
-		return nil
-	}
-
-	if err := writeSeg("fact.seg", roleFact, "", dataset.EncodeTable(db.Fact)); err != nil {
-		return fail(err)
-	}
-	for i, d := range db.Dimensions {
-		name := fmt.Sprintf("dim-%02d.seg", i)
-		if err := writeSeg(name, roleDim, d.FKColumn, dataset.EncodeTable(d.Table)); err != nil {
-			return fail(err)
-		}
-	}
-	if len(perm) > 0 {
-		if err := writeSeg("perm.seg", rolePerm, "", encodePerm(perm)); err != nil {
-			return fail(err)
-		}
-	}
-	m.ContentSHA256 = hex.EncodeToString(sha.Sum(nil))
-
-	mf, err := json.MarshalIndent(&m, "", "  ")
+	mf, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fail(err)
 	}
+	mf = append(mf, '\n')
 	f, err := fs.Create(filepath.Join(tmp, manifestName))
 	if err != nil {
 		return fail(err)
 	}
-	if _, err := f.Write(append(mf, '\n')); err != nil {
+	if _, err := f.Write(mf); err != nil {
 		_ = f.Close()
 		return fail(err)
 	}
@@ -204,12 +254,17 @@ func writeCheckpoint(fs FS, root string, meta Meta, db *dataset.Database, perm [
 		return fail(err)
 	}
 	if err := fs.SyncDir(root); err != nil {
-		return 0, fmt.Errorf("durable: checkpoint: %w", err)
+		return 0, err
 	}
-	return total, nil
+	return int64(len(mf)), nil
 }
 
-// readManifest loads and sanity-checks a checkpoint's manifest.
+// errFormat marks a checkpoint this build cannot read at all; recovery
+// refuses it outright instead of falling back.
+var errFormat = errors.New("unsupported checkpoint format")
+
+// readManifest loads and sanity-checks a checkpoint's manifest: format,
+// content digest, and fact segments tiling [0, version).
 func readManifest(fs FS, dir string) (Manifest, error) {
 	var m Manifest
 	data, err := fs.ReadFile(filepath.Join(dir, manifestName))
@@ -220,63 +275,99 @@ func readManifest(fs FS, dir string) (Manifest, error) {
 		return m, fmt.Errorf("durable: checkpoint manifest: %w", err)
 	}
 	if m.Format != FormatVersion {
-		return m, fmt.Errorf("durable: checkpoint format %d, this build reads %d", m.Format, FormatVersion)
+		return m, fmt.Errorf("durable: %s: %w %d (this build reads format %d, segmented checkpoints; "+
+			"format 1 directories are not converted — rebuild the data directory)", dir, errFormat, m.Format, FormatVersion)
+	}
+	if contentDigest(m.Segments) != m.ContentSHA256 {
+		return m, fmt.Errorf("durable: checkpoint manifest: content digest mismatch")
+	}
+	next, perms := int64(0), 0
+	for _, s := range m.Segments {
+		switch s.Role {
+		case roleFact:
+			if s.From != next || s.To < s.From {
+				return m, fmt.Errorf("durable: checkpoint manifest: fact segment %s holds rows [%d, %d), expected to start at %d",
+					segmentFileName(s.SHA256), s.From, s.To, next)
+			}
+			next = s.To
+		case rolePerm:
+			perms++
+		case roleDim:
+		default:
+			return m, fmt.Errorf("durable: checkpoint manifest: segment %s: unknown role %q", segmentFileName(s.SHA256), s.Role)
+		}
+	}
+	if next != m.Version || perms > 1 {
+		return m, fmt.Errorf("durable: checkpoint manifest: fact segments cover %d rows and %d permutations, version is %d", next, perms, m.Version)
 	}
 	return m, nil
 }
 
+// readSegment reads one referenced segment and verifies its size, CRC-32
+// and SHA-256 against the manifest entry.
+func readSegment(fs FS, segDir string, s ManifestSegment) ([]byte, error) {
+	name := segmentFileName(s.SHA256)
+	data, err := fs.ReadFile(filepath.Join(segDir, name))
+	if err != nil {
+		return nil, fmt.Errorf("durable: %s segment %s: %w", s.Role, name, err)
+	}
+	if int64(len(data)) != s.Bytes {
+		return nil, fmt.Errorf("durable: %s segment %s: %d bytes, manifest says %d", s.Role, name, len(data), s.Bytes)
+	}
+	if crc32.ChecksumIEEE(data) != s.CRC32 {
+		return nil, fmt.Errorf("durable: %s segment %s: CRC mismatch", s.Role, name)
+	}
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != s.SHA256 {
+		return nil, fmt.Errorf("durable: %s segment %s: SHA-256 mismatch", s.Role, name)
+	}
+	return data, nil
+}
+
 // loadCheckpoint reads and fully verifies the checkpoint in dir: every
-// listed file must exist with the manifested size, CRC and aggregate
-// SHA-256, and decode cleanly. Anything less is an error — the caller
-// falls back to an older checkpoint rather than serve partial state.
-func loadCheckpoint(fs FS, dir string) (*Checkpoint, error) {
+// listed segment must exist with the manifested size, CRC and SHA-256, and
+// the lineage must decode cleanly. Fact segments decode straight into one
+// set of columns presized for the manifest's version. Anything less is an
+// error — the caller falls back to an older checkpoint rather than serve
+// partial state.
+func loadCheckpoint(fs FS, dir, segDir string) (*Checkpoint, error) {
 	m, err := readManifest(fs, dir)
 	if err != nil {
 		return nil, err
 	}
+	// Presize for the whole lineage, but never beyond what the listed fact
+	// segments could hold: a row takes at least a byte in any real table.
+	var factBytes int64
+	for _, s := range m.Segments {
+		if s.Role == roleFact {
+			factBytes += s.Bytes
+		}
+	}
+	facts := dataset.NewTableLoader(int(min(m.Version, factBytes)))
 	ck := &Checkpoint{Manifest: m}
-	sha := sha256.New()
-	var fact *dataset.Table
 	var dims []*dataset.Dimension
-	for _, mf := range m.Files {
-		data, err := fs.ReadFile(filepath.Join(dir, mf.Name))
+	for _, s := range m.Segments {
+		data, err := readSegment(fs, segDir, s)
 		if err != nil {
-			return nil, fmt.Errorf("durable: checkpoint segment %s: %w", mf.Name, err)
+			return nil, err
 		}
-		if int64(len(data)) != mf.Bytes {
-			return nil, fmt.Errorf("durable: checkpoint segment %s: %d bytes, manifest says %d", mf.Name, len(data), mf.Bytes)
-		}
-		if crc32.ChecksumIEEE(data) != mf.CRC32 {
-			return nil, fmt.Errorf("durable: checkpoint segment %s: CRC mismatch", mf.Name)
-		}
-		sha.Write(data)
-		switch mf.Role {
+		switch s.Role {
 		case roleFact:
-			if fact, err = dataset.DecodeTable(data); err != nil {
-				return nil, err
-			}
+			err = facts.Add(data)
 		case roleDim:
-			t, err := dataset.DecodeTable(data)
-			if err != nil {
-				return nil, err
+			var t *dataset.Table
+			if t, err = dataset.DecodeTable(data); err == nil {
+				dims = append(dims, &dataset.Dimension{Table: t, FKColumn: s.FKColumn})
 			}
-			dims = append(dims, &dataset.Dimension{Table: t, FKColumn: mf.FKColumn})
 		case rolePerm:
-			if ck.Perm, err = decodePerm(data); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("durable: checkpoint segment %s: unknown role %q", mf.Name, mf.Role)
+			ck.Perm, err = decodePerm(data)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("durable: %s segment %s: %w", s.Role, segmentFileName(s.SHA256), err)
 		}
 	}
-	if got := hex.EncodeToString(sha.Sum(nil)); got != m.ContentSHA256 {
-		return nil, fmt.Errorf("durable: checkpoint content digest mismatch")
-	}
-	if fact == nil {
-		return nil, fmt.Errorf("durable: checkpoint has no fact segment")
-	}
-	if int64(fact.NumRows()) != m.Version {
-		return nil, fmt.Errorf("durable: checkpoint fact has %d rows, manifest version is %d", fact.NumRows(), m.Version)
+	fact, err := facts.Table()
+	if err != nil {
+		return nil, fmt.Errorf("durable: checkpoint fact table: %w", err)
 	}
 	if len(ck.Perm) > fact.NumRows() {
 		return nil, fmt.Errorf("durable: checkpoint permutation has %d entries for %d rows", len(ck.Perm), fact.NumRows())
@@ -299,4 +390,83 @@ func listCheckpoints(fs FS, root string) ([]int64, error) {
 		}
 	}
 	return versions, nil // ReadDir sorts; zero-padded names sort numerically
+}
+
+// tip is what the newest committed checkpoint holds: the prefix the next
+// checkpoint extends with one fact segment instead of rewriting it.
+type tip struct {
+	version int64
+	segs    []ManifestSegment
+	name    string
+	fields  []dataset.Field
+	// dictTo is, per fact column, where the last fact segment's dictionary
+	// delta ended: the next segment's delta starts there.
+	dictTo []int
+	// boundary is fact row version-1, per column: the float bits or the
+	// dictionary code, and a nominal code's value.
+	boundary []boundaryValue
+	dims     []*dataset.Dimension
+	perm     []uint32
+}
+
+type boundaryValue struct {
+	bits  uint64
+	value string
+}
+
+func newTip(segs []ManifestSegment, db *dataset.Database, perm []uint32, dictTo []int) *tip {
+	f := db.Fact
+	t := &tip{
+		version: int64(f.NumRows()),
+		segs:    segs,
+		name:    f.Name,
+		fields:  f.Schema.Fields,
+		dictTo:  dictTo,
+		dims:    db.Dimensions,
+		perm:    perm,
+	}
+	if r := f.NumRows() - 1; r >= 0 {
+		t.boundary = make([]boundaryValue, len(f.Columns))
+		for i, c := range f.Columns {
+			if c.Field.Kind == dataset.Nominal {
+				t.boundary[i] = boundaryValue{uint64(c.Codes[r]), c.Dict.Value(c.Codes[r])}
+			} else {
+				t.boundary[i] = boundaryValue{bits: math.Float64bits(c.Nums[r])}
+			}
+		}
+	}
+	return t
+}
+
+// extendedBy reports whether db (with perm) continues this checkpoint's
+// lineage: the same table, dimension tables and permutation, at least as
+// many rows, the same boundary row, and dictionaries that still hold every
+// value the checkpoint wrote. A view that fails any of these is written in
+// full rather than appended to a prefix it does not share.
+func (t *tip) extendedBy(db *dataset.Database, perm []uint32) bool {
+	f := db.Fact
+	if t == nil || int64(f.NumRows()) < t.version || f.Name != t.name ||
+		!slices.Equal(f.Schema.Fields, t.fields) || !slices.Equal(perm, t.perm) ||
+		len(db.Dimensions) != len(t.dims) {
+		return false
+	}
+	for i, d := range db.Dimensions {
+		if d.Table != t.dims[i].Table || d.FKColumn != t.dims[i].FKColumn {
+			return false
+		}
+	}
+	r := int(t.version) - 1
+	for i, c := range f.Columns {
+		if c.Field.Kind == dataset.Nominal {
+			if c.Dict.Len() < t.dictTo[i] {
+				return false
+			}
+			if r >= 0 && (uint64(c.Codes[r]) != t.boundary[i].bits || c.Dict.Value(c.Codes[r]) != t.boundary[i].value) {
+				return false
+			}
+		} else if r >= 0 && math.Float64bits(c.Nums[r]) != t.boundary[i].bits {
+			return false
+		}
+	}
+	return true
 }

@@ -3,6 +3,7 @@ package durable_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -13,73 +14,105 @@ import (
 	"idebench/internal/dataset"
 	"idebench/internal/durable"
 	"idebench/internal/engine"
+	"idebench/internal/ingest"
 	"idebench/internal/query"
 )
 
-// readManifestSHA extracts the content digest of the single checkpoint in
-// dir, plus a digest over the raw segment bytes computed independently of
-// the manifest (catching a manifest that lies consistently).
-func readManifestSHA(t *testing.T, dir string) (manifestSHA string, rawSHA [32]byte) {
+// checkpointManifests returns the manifests of every committed checkpoint
+// in dir, oldest first.
+func checkpointManifests(t *testing.T, dir string) []durable.Manifest {
 	t.Helper()
 	root := filepath.Join(dir, "checkpoints")
 	ents, err := os.ReadDir(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ckpt string
+	var ms []durable.Manifest
 	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "ckpt-") {
-			if ckpt != "" {
-				t.Fatalf("expected one checkpoint, found %s and %s", ckpt, e.Name())
-			}
-			ckpt = e.Name()
+		if !strings.HasPrefix(e.Name(), "ckpt-") {
+			continue
 		}
-	}
-	if ckpt == "" {
-		t.Fatal("no checkpoint written")
-	}
-	mf, err := os.ReadFile(filepath.Join(root, ckpt, "MANIFEST.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m struct {
-		ContentSHA256 string `json:"content_sha256"`
-		Files         []struct {
-			Name string `json:"name"`
-		} `json:"files"`
-	}
-	if err := json.Unmarshal(mf, &m); err != nil {
-		t.Fatal(err)
-	}
-	h := sha256.New()
-	for _, f := range m.Files {
-		data, err := os.ReadFile(filepath.Join(root, ckpt, f.Name))
+		data, err := os.ReadFile(filepath.Join(root, e.Name(), "MANIFEST.json"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Write(data)
+		var m durable.Manifest
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, m)
 	}
-	copy(rawSHA[:], h.Sum(nil))
-	return m.ContentSHA256, rawSHA
+	return ms
 }
 
-// TestCheckpointDeterminism pins the byte-identity guarantee: two
-// checkpoints of the same logical database — built twice from scratch, in
-// separate directories — hash equal, both by the manifest's own digest and
-// by an independent pass over the segment bytes. This is what makes a
-// checkpoint's content digest a usable identity for the offline inspector
-// and for replication-style comparisons. The second build is checkpointed
-// with derived storage present — plans compiled against it have memoized bin
-// codes on its fact columns — which must not reach the bytes either.
+// segmentPath is where a checkpoint segment with the given digest lives.
+func segmentPath(dir, sha string) string {
+	return filepath.Join(dir, "segments", sha+".seg")
+}
+
+// segmentFiles returns the names of the files under dir's segments/.
+func segmentFiles(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Join(dir, "segments"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make(map[string]bool, len(ents))
+	for _, e := range ents {
+		names[e.Name()] = true
+	}
+	return names
+}
+
+// checkpointBytes returns every committed checkpoint's MANIFEST.json and
+// every segment file of dir, keyed by name, after checking each segment
+// hashes to its own name — a content address that lies would not show up
+// in a comparison of two directories that lie the same way.
+func checkpointBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	root := filepath.Join(dir, "checkpoints")
+	ents, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(root, e.Name(), "MANIFEST.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = data
+	}
+	for name := range segmentFiles(t, dir) {
+		data, err := os.ReadFile(filepath.Join(dir, "segments", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:])+".seg" != name {
+			t.Fatalf("segment %s does not hash to its name", name)
+		}
+		out[name] = data
+	}
+	return out
+}
+
+// TestCheckpointDeterminism pins the byte-identity guarantee: two builds of
+// the same logical database — each from scratch, in separate directories —
+// checkpointed at the same versions produce identical manifests and
+// identical segment bytes, each segment hashing to its own name. This is
+// what makes a checkpoint's content digest a usable identity for the
+// offline inspector and for replication-style comparisons. The second
+// build is checkpointed with derived storage present — plans compiled
+// against it have memoized bin codes on its fact columns — which must not
+// reach the bytes either.
 func TestCheckpointDeterminism(t *testing.T) {
-	shas := make([]string, 2)
-	raws := make([][32]byte, 2)
-	for i := range shas {
+	var dirs [2]map[string][]byte
+	for i := range dirs {
 		dir := t.TempDir()
 		// Re-derive the database from scratch each round: determinism must
 		// hold across independent builds, not just repeated encodes of one
 		// in-memory object.
-		db, err := core.BuildData(testBaseRows, true, testSeed) // star schema: dims + FK columns too
+		db, err := core.BuildData(testBaseRows, false, testSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,14 +135,46 @@ func TestCheckpointDeterminism(t *testing.T) {
 		if err := st.Bootstrap(db, nil); err != nil {
 			t.Fatal(err)
 		}
+		cur := db
+		for _, b := range testBatches(t, 2, 300) {
+			cur = growDB(t, cur, []*ingest.Batch{b})
+			if err := st.Checkpoint(cur, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
 		st.Close()
-		shas[i], raws[i] = readManifestSHA(t, dir)
+		dirs[i] = checkpointBytes(t, dir)
+	}
+	if len(dirs[0]) != len(dirs[1]) {
+		t.Fatalf("builds hold %d and %d checkpoint files", len(dirs[0]), len(dirs[1]))
+	}
+	for name, a := range dirs[0] {
+		if b, ok := dirs[1][name]; !ok || !bytes.Equal(a, b) {
+			t.Fatalf("%s differs between checkpoints of the same logical database", name)
+		}
+	}
+	// The star schema's dimension tables are part of the base: the same
+	// holds for them.
+	shas := make([]string, 2)
+	for i := range shas {
+		dir := t.TempDir()
+		db, err := core.BuildData(testBaseRows, true, testSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := openTestStore(t, dir, durable.Options{})
+		if err := st.Bootstrap(db, nil); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		ms := checkpointManifests(t, dir)
+		if len(ms) != 1 || len(ms[0].Segments) != len(db.Dimensions)+1 {
+			t.Fatalf("star-schema bootstrap: %d checkpoints, want 1 with %d segments", len(ms), len(db.Dimensions)+1)
+		}
+		shas[i] = ms[0].ContentSHA256
 	}
 	if shas[0] != shas[1] {
-		t.Fatalf("checkpoints of the same logical database hash differently:\n %s\n %s", shas[0], shas[1])
-	}
-	if !bytes.Equal(raws[0][:], raws[1][:]) {
-		t.Fatal("raw segment bytes differ between checkpoints of the same logical database")
+		t.Fatalf("star-schema checkpoints of the same logical database hash differently:\n %s\n %s", shas[0], shas[1])
 	}
 }
 
@@ -127,12 +192,13 @@ func TestCheckpointLoadRejectsTamper(t *testing.T) {
 	}
 	st.Close()
 
-	root := filepath.Join(dir, "checkpoints")
-	ents, err := os.ReadDir(root)
-	if err != nil {
-		t.Fatal(err)
+	// The base fact segment, under segments/.
+	var seg string
+	for _, s := range checkpointManifests(t, dir)[0].Segments {
+		if s.Role == "fact" {
+			seg = segmentPath(dir, s.SHA256)
+		}
 	}
-	seg := filepath.Join(root, ents[0].Name(), "fact.seg")
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -155,29 +221,44 @@ func TestCheckpointLoadRejectsTamper(t *testing.T) {
 	}
 }
 
-// TestInspectCleanDirectory: a healthy directory inspects clean and the
-// report covers both the checkpoint and the WAL.
+// TestInspectCleanDirectory: a healthy directory inspects clean, the report
+// covers both checkpoints segment by segment and the WAL, the base the two
+// checkpoints share is marked shared, and an orphan segment is reported
+// without failing the inspection.
 func TestInspectCleanDirectory(t *testing.T) {
 	dir := t.TempDir()
+	db := testDB(t)
 	st := openTestStore(t, dir, durable.Options{})
-	if err := st.Bootstrap(testDB(t), nil); err != nil {
+	if err := st.Bootstrap(db, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range testBatches(t, 2, 100) {
+	batches := testBatches(t, 2, 100)
+	for _, b := range batches {
 		if err := st.LogBatch(b); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := st.Checkpoint(growDB(t, db, batches), nil); err != nil {
+		t.Fatal(err)
+	}
 	st.Close()
+	orphan := filepath.Join(dir, "segments", strings.Repeat("0", 64)+".seg")
+	if err := os.WriteFile(orphan, []byte("left by a crashed checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	var out strings.Builder
 	if err := durable.Inspect(dir, nil, &out); err != nil {
 		t.Fatalf("inspect: %v\n%s", err, out.String())
 	}
 	got := out.String()
-	for _, want := range []string{"all checksums OK", "content_sha256=", "wal seg-", "2 records"} {
+	for _, want := range []string{"all checksums OK", "content_sha256=", "wal seg-", "2 records",
+		"fact        rows [0, 3000)", "fact        rows [3000, 3200)", " shared\n", "orphan segment " + filepath.Base(orphan)} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("inspect output missing %q:\n%s", want, got)
 		}
+	}
+	if n := strings.Count(got, "verify: all checksums OK"); n != 2 {
+		t.Fatalf("%d checkpoints verified, want 2:\n%s", n, got)
 	}
 }

@@ -2,6 +2,7 @@ package durable_test
 
 import (
 	"errors"
+	"path/filepath"
 	"testing"
 
 	"idebench/internal/durable"
@@ -171,5 +172,68 @@ func TestCheckpointRenameFailure(t *testing.T) {
 	}
 	if len(rec.Batches) != 0 {
 		t.Fatalf("replayed %d batches, want 0 (checkpoint covers the log)", len(rec.Batches))
+	}
+}
+
+// TestCheckpointCrashBetweenSegmentAndManifest: the tail segment lands and
+// then the manifest's publishing rename fails — a crash between the two
+// commit steps. The segment is an orphan and nothing else: the previous
+// checkpoint recovers bitwise with the WAL replaying over it, and the next
+// checkpoint's prune sweeps the orphan.
+func TestCheckpointCrashBetweenSegmentAndManifest(t *testing.T) {
+	dir := t.TempDir()
+	ffs := durable.NewFaultFS(durable.OSFS{})
+	db := testDB(t)
+	st := openTestStore(t, dir, durable.Options{FS: ffs})
+	if err := st.Bootstrap(db, nil); err != nil {
+		t.Fatal(err)
+	}
+	batches := testBatches(t, 2, 300)
+	if err := st.LogBatch(batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	grown := growDB(t, db, batches[:1])
+	before := segmentFiles(t, dir)
+
+	ffs.FailNextRenamesInto(filepath.Join(dir, "checkpoints"), 1)
+	if err := st.Checkpoint(grown, nil); !errors.Is(err, durable.ErrRenameFailed) {
+		t.Fatalf("want the injected manifest rename failure, got %v", err)
+	}
+	var orphan string
+	for name := range segmentFiles(t, dir) {
+		if !before[name] {
+			if orphan != "" {
+				t.Fatalf("more than one new segment: %s and %s", orphan, name)
+			}
+			orphan = name
+		}
+	}
+	if orphan == "" {
+		t.Fatal("the tail segment did not land before the manifest step")
+	}
+	if ms := checkpointManifests(t, dir); len(ms) != 1 {
+		t.Fatalf("%d committed checkpoints, want only the bootstrap", len(ms))
+	}
+
+	rec, err := openTestStore(t, dir, durable.Options{}).Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Info.FellBack || rec.Checkpoint.Version() != testBaseRows || len(rec.Batches) != 1 {
+		t.Fatalf("recovered checkpoint %d (fell back %v) with %d batches, want the bootstrap and 1",
+			rec.Checkpoint.Version(), rec.Info.FellBack, len(rec.Batches))
+	}
+	assertTableBitwise(t, rec.Checkpoint.DB.Fact, db.Fact)
+
+	// The store carries on: the next checkpoint extends the bootstrap and
+	// its prune sweeps the orphan.
+	if err := st.LogBatch(batches[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Checkpoint(growDB(t, db, batches), nil); err != nil {
+		t.Fatal(err)
+	}
+	if segmentFiles(t, dir)[orphan] {
+		t.Fatal("the next checkpoint left the orphan segment behind")
 	}
 }

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"errors"
+	"path/filepath"
 	"sync"
 )
 
@@ -30,9 +31,10 @@ type FaultFS struct {
 	base FS
 
 	mu          sync.Mutex
-	writeBudget int64 // -1: unlimited
-	failSyncs   int   // next n Sync calls fail
-	failRenames int   // next n Rename calls fail
+	writeBudget int64  // -1: unlimited
+	failSyncs   int    // next n Sync calls fail
+	failRenames int    // next n Rename calls (into renameDir, if set) fail
+	renameDir   string // "": any rename
 	bytes       int64
 	syncs       int
 }
@@ -58,9 +60,15 @@ func (f *FaultFS) FailNextSyncs(n int) {
 }
 
 // FailNextRenames makes the next n Rename calls fail with ErrRenameFailed.
-func (f *FaultFS) FailNextRenames(n int) {
+func (f *FaultFS) FailNextRenames(n int) { f.FailNextRenamesInto("", n) }
+
+// FailNextRenamesInto makes the next n Rename calls whose destination lies
+// directly in dir fail with ErrRenameFailed; renames elsewhere go through.
+// It models a crash at one chosen publish step — a checkpoint's manifest,
+// say, after its segments landed.
+func (f *FaultFS) FailNextRenamesInto(dir string, n int) {
 	f.mu.Lock()
-	f.failRenames = n
+	f.failRenames, f.renameDir = n, dir
 	f.mu.Unlock()
 }
 
@@ -108,7 +116,7 @@ func (f *FaultFS) ReadDir(path string) ([]string, error) { return f.base.ReadDir
 // Rename implements FS.
 func (f *FaultFS) Rename(oldPath, newPath string) error {
 	f.mu.Lock()
-	if f.failRenames > 0 {
+	if f.failRenames > 0 && (f.renameDir == "" || filepath.Dir(newPath) == filepath.Clean(f.renameDir)) {
 		f.failRenames--
 		f.mu.Unlock()
 		return ErrRenameFailed

@@ -5,27 +5,49 @@
 //
 // # Checkpoint layout
 //
-// A checkpoint is one directory under <data-dir>/checkpoints/, named
+// Checkpoints are incremental and content-addressed. Table data lives in
+// <data-dir>/segments/<sha256>.seg, one file per segment of the stable
+// dataset codec (rows [from, to) of a table, each nominal column carrying
+// the dictionary delta its rows first reference, each quantitative column
+// the memoized bounds through its last row), named by the SHA-256 of its
+// bytes. A checkpoint is one directory under <data-dir>/checkpoints/, named
 // ckpt-<version> where version is the fact-table row count (= the data
 // version / ingest watermark, per the versioned-watermark model from the
-// live-ingestion subsystem). It holds one binary segment per table in the
-// stable dataset codec (fact.seg, dim-NN.seg), the sampling permutation the
-// fact prefix is stored in (perm.seg, absent for arrival-order engines),
-// and MANIFEST.json — format version, engine name, dataset seed, base row
-// count, per-file byte counts and CRC-32 checksums, and a SHA-256 over all
-// segment contents. Segments carry the dictionary contents (code order) and
-// the memoized min/max bounds, so a warm load rebuilds a fully prepared
-// database without any per-row pass.
+// live-ingestion subsystem), holding only MANIFEST.json: format version,
+// engine name, dataset seed, base row count, and the segments it is made
+// of — role, row range, byte count, CRC-32 and SHA-256 each — plus a
+// content digest over the segments' digests. Bootstrap writes the base:
+// the dimension tables, the sampling permutation (absent for arrival-order
+// engines) and the fact table's rows [0, base). Every later checkpoint of a
+// view that extends the newest one writes a single new fact segment, the
+// rows since that checkpoint, and a manifest listing the previous
+// checkpoint's segments plus the new one. A view that does not extend it
+// (fewer rows, a different boundary row, other dimension tables or
+// permutation) is written in full. Segments are streamed to disk through a
+// buffered writer that computes the byte count and both checksums on the
+// way, so no table-sized buffer exists; a warm load decodes the fact
+// segments straight into columns presized from the manifest and rebuilds
+// a fully prepared database without any per-row pass.
 //
-// Checkpoints are written atomically: all segments land in a .tmp-
-// directory and are fsynced, the manifest is written last (a directory
-// without a manifest is by definition not a checkpoint), then the
-// directory is renamed into place and the parent fsynced. A crash at any
-// point leaves either the previous checkpoints intact or a .tmp- litter
-// directory that recovery ignores and the next checkpoint clobbers. The
-// newest two checkpoints are retained, so a checkpoint whose files are
-// later found corrupt (CRC mismatch, missing segment) falls back to its
-// predecessor — partial state is never served.
+// Commit order: each segment goes to a temp file in segments/, is fsynced
+// and renamed to its content address; segments/ is fsynced; then the
+// manifest goes into a temp directory under checkpoints/, is fsynced, the
+// directory is renamed to ckpt-<version> (the checkpoint's single commit
+// point), and checkpoints/ is fsynced. A crash before the last rename
+// leaves the previous checkpoints intact plus orphan segments and temp
+// litter, which recovery ignores and the next checkpoint's prune removes
+// (prune runs under the checkpoint lock, so it never races a checkpoint in
+// flight).
+//
+// The newest two checkpoints are retained and share every segment but the
+// newest one's tail; prune deletes only segments no retained manifest
+// references. The trade against keeping two independent full copies: the
+// fallback protects against a torn or corrupt newest tail — recovery loads
+// the previous checkpoint and replays a longer WAL — but a corrupt or
+// missing shared segment (the base, an older tail) fails both, and
+// recovery refuses loudly ("no checkpoint verifies", naming the segment)
+// rather than serve partial state. Format-1 directories (one full copy per
+// checkpoint) are refused with a message naming the format.
 //
 // # WAL framing and commit ordering
 //

@@ -1,8 +1,11 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -58,7 +61,11 @@ type Status struct {
 	WALBytes              int64 `json:"wal_bytes"`
 	Checkpoints           int   `json:"checkpoints"`
 	LastCheckpointVersion int64 `json:"last_checkpoint_version"`
-	LastCheckpointBytes   int64 `json:"last_checkpoint_bytes"`
+	// LastCheckpointBytes is what the last checkpoint this process
+	// committed wrote: its new segments plus its manifest — the whole base
+	// at Bootstrap or after a full rewrite, the tail since the previous
+	// checkpoint otherwise.
+	LastCheckpointBytes int64 `json:"last_checkpoint_bytes"`
 }
 
 // Recovery is the result of Store.Recover: the checkpoint to prepare from
@@ -79,18 +86,25 @@ type Store struct {
 	dir      string
 	walDir   string
 	ckptRoot string
+	segDir   string
 	segBytes int64
 	keep     int
 	meta     Meta
 
-	mu   sync.Mutex // guards wal and WAL-file pruning
-	wal  *wal
-	info RecoveryInfo
+	mu     sync.Mutex // guards wal, logged and WAL-file pruning
+	wal    *wal
+	logged int64 // WAL bytes logged since Open, counting a recovered tail
+	info   RecoveryInfo
 
-	ckptMu        sync.Mutex // serializes checkpoint writes
+	ckptMu sync.Mutex // serializes checkpoint writes and segment pruning
+	tip    *tip       // the newest committed checkpoint; guarded by ckptMu
+
 	statMu        sync.Mutex
 	lastCkptVer   int64
 	lastCkptBytes int64
+	// ckptLogged is logged as it stood when the view the newest committed
+	// checkpoint holds was taken: AutoCheckpoint's trigger counts from it.
+	ckptLogged int64
 }
 
 // Open prepares a store over dir, creating the layout if absent. It does
@@ -114,11 +128,12 @@ func Open(dir string, o Options) (*Store, error) {
 		dir:      dir,
 		walDir:   filepath.Join(dir, "wal"),
 		ckptRoot: filepath.Join(dir, "checkpoints"),
+		segDir:   filepath.Join(dir, "segments"),
 		segBytes: o.SegmentBytes,
 		keep:     o.Keep,
 		meta:     o.Meta,
 	}
-	for _, d := range []string{dir, s.walDir, s.ckptRoot} {
+	for _, d := range []string{dir, s.walDir, s.ckptRoot, s.segDir} {
 		if err := s.fs.MkdirAll(d); err != nil {
 			return nil, fmt.Errorf("durable: open: %w", err)
 		}
@@ -142,7 +157,10 @@ func (s *Store) Recover() (*Recovery, error) {
 	var loadErr error
 	fellBack := false
 	for i := len(versions) - 1; i >= 0; i-- {
-		c, err := loadCheckpoint(s.fs, filepath.Join(s.ckptRoot, checkpointDirName(versions[i])))
+		c, err := loadCheckpoint(s.fs, filepath.Join(s.ckptRoot, checkpointDirName(versions[i])), s.segDir)
+		if errors.Is(err, errFormat) {
+			return nil, fmt.Errorf("durable: recover: %w", err)
+		}
 		if err != nil {
 			loadErr = err
 			fellBack = true // anything older that loads was not the newest
@@ -197,8 +215,20 @@ func (s *Store) Recover() (*Recovery, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The next checkpoint extends this one. Its dictionary ends are the
+	// decoded dictionaries' lengths, read before replay grows them.
+	dictTo := make([]int, len(ck.DB.Fact.Columns))
+	for i, c := range ck.DB.Fact.Columns {
+		if c.Dict != nil {
+			dictTo[i] = c.Dict.Len()
+		}
+	}
+	s.ckptMu.Lock()
+	s.tip = newTip(ck.Manifest.Segments, ck.DB, ck.Perm, dictTo)
+	s.ckptMu.Unlock()
 	s.mu.Lock()
 	s.wal = w
+	s.logged = scan.tailBytes
 	s.info = rec.Info
 	s.mu.Unlock()
 	s.statMu.Lock()
@@ -208,8 +238,9 @@ func (s *Store) Recover() (*Recovery, error) {
 }
 
 // Bootstrap initializes a fresh data directory from a cold-prepared
-// engine: it writes the initial checkpoint (the base database in the
-// engine's prepared order) and opens the WAL at its version.
+// engine: it writes the initial checkpoint — the base database in the
+// engine's prepared order, the segments every later checkpoint shares —
+// and opens the WAL at its version.
 func (s *Store) Bootstrap(db *dataset.Database, perm []uint32) error {
 	if err := s.Checkpoint(db, perm); err != nil {
 		return err
@@ -236,8 +267,28 @@ func (s *Store) LogBatch(b *ingest.Batch) error {
 	if err != nil {
 		return err
 	}
-	_, err = s.wal.append(appendWALRecord(nil, body), int64(b.NumRows()))
-	return err
+	rec := appendWALRecord(nil, body)
+	if _, err := s.wal.append(rec, int64(b.NumRows())); err != nil {
+		return err
+	}
+	s.logged += int64(len(rec))
+	return nil
+}
+
+// loggedBytes returns the WAL bytes logged since Open.
+func (s *Store) loggedBytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.logged
+}
+
+// walSinceCheckpoint returns the WAL bytes logged since the view the
+// newest committed checkpoint holds was taken.
+func (s *Store) walSinceCheckpoint() int64 {
+	logged := s.loggedBytes()
+	s.statMu.Lock()
+	defer s.statMu.Unlock()
+	return logged - s.ckptLogged
 }
 
 // Watermark returns the version after the last durably logged batch.
@@ -252,33 +303,89 @@ func (s *Store) Watermark() int64 {
 
 // Checkpoint writes a checkpoint of the given immutable view (safe to call
 // while LogBatch runs: views are copy-on-write) and then prunes — old
-// checkpoints beyond the retention count, and WAL segments wholly covered
-// by the oldest retained checkpoint.
+// checkpoints beyond the retention count, segments no retained checkpoint
+// references, and WAL segments wholly covered by the oldest retained
+// checkpoint. A view that extends the newest checkpoint costs one fact
+// segment holding the rows since it; any other view is written in full.
 func (s *Store) Checkpoint(db *dataset.Database, perm []uint32) error {
+	return s.checkpoint(db, perm, s.loggedBytes())
+}
+
+// checkpoint is Checkpoint for a view taken when logged stood at mark.
+func (s *Store) checkpoint(db *dataset.Database, perm []uint32, mark int64) error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	version := int64(db.Fact.NumRows())
-	s.statMu.Lock()
-	last := s.lastCkptVer
-	s.statMu.Unlock()
-	if version == last {
+	if s.tip != nil && version == s.tip.version {
 		return nil // nothing new to capture
 	}
-	bytes, err := writeCheckpoint(s.fs, s.ckptRoot, s.meta, db, perm)
-	if err != nil {
-		return err
+	var segs []ManifestSegment
+	var written int64
+	from, dictFrom := 0, []int(nil)
+	tmpName := func(role string) string { return fmt.Sprintf(".tmp-%016d-%s-%d.seg", version, role, len(segs)) }
+	if s.tip.extendedBy(db, perm) {
+		segs = slices.Clone(s.tip.segs)
+		from, dictFrom = int(s.tip.version), s.tip.dictTo
+	} else {
+		// The base: dimension tables and the permutation, then the fact
+		// table from row 0.
+		for _, d := range db.Dimensions {
+			ms, _, err := writeTableSegment(s.fs, s.segDir, tmpName(roleDim),
+				ManifestSegment{Role: roleDim, FKColumn: d.FKColumn}, d.Table, 0, d.Table.NumRows(), nil)
+			if err != nil {
+				return fmt.Errorf("durable: checkpoint: %w", err)
+			}
+			segs, written = append(segs, ms), written+ms.Bytes
+		}
+		if len(perm) > 0 {
+			ms, err := writeSegment(s.fs, s.segDir, tmpName(rolePerm),
+				ManifestSegment{Role: rolePerm, To: int64(len(perm))},
+				func(w io.Writer) error { return encodePerm(w, perm) })
+			if err != nil {
+				return fmt.Errorf("durable: checkpoint: %w", err)
+			}
+			segs, written = append(segs, ms), written+ms.Bytes
+		}
 	}
+	ms, dictTo, err := writeTableSegment(s.fs, s.segDir, tmpName(roleFact),
+		ManifestSegment{Role: roleFact}, db.Fact, from, int(version), dictFrom)
+	if err != nil {
+		return fmt.Errorf("durable: checkpoint: %w", err)
+	}
+	segs, written = append(segs, ms), written+ms.Bytes
+	if err := s.fs.SyncDir(s.segDir); err != nil {
+		return fmt.Errorf("durable: checkpoint: %w", err)
+	}
+	m := &Manifest{
+		Format:        FormatVersion,
+		Engine:        s.meta.Engine,
+		Seed:          s.meta.Seed,
+		BaseRows:      s.meta.BaseRows,
+		Version:       version,
+		Segments:      segs,
+		ContentSHA256: contentDigest(segs),
+	}
+	mbytes, err := commitManifest(s.fs, s.ckptRoot, m)
+	if err != nil {
+		// The new segments are orphans now; the next prune sweeps them.
+		return fmt.Errorf("durable: checkpoint: %w", err)
+	}
+	s.tip = newTip(segs, db, perm, dictTo)
 	s.statMu.Lock()
 	s.lastCkptVer = version
-	s.lastCkptBytes = bytes
+	s.lastCkptBytes = written + mbytes
+	s.ckptLogged = max(s.ckptLogged, mark)
 	s.statMu.Unlock()
 	s.prune()
 	return nil
 }
 
-// prune drops checkpoints beyond the retention count and WAL segments
-// every retained checkpoint already covers. Failures are ignored: pruning
-// is space reclamation, never correctness.
+// prune drops checkpoints beyond the retention count, segments no retained
+// checkpoint references (a tail the fallback no longer shares, orphans of a
+// checkpoint that failed between its segments and its manifest), and WAL
+// segments every retained checkpoint already covers. It runs under ckptMu,
+// so no checkpoint is in flight. Failures are ignored: pruning is space
+// reclamation, never correctness.
 func (s *Store) prune() {
 	versions, err := listCheckpoints(s.fs, s.ckptRoot)
 	if err != nil {
@@ -291,6 +398,7 @@ func (s *Store) prune() {
 	if len(versions) == 0 {
 		return
 	}
+	s.sweepSegments(versions)
 	floor := versions[0] // oldest retained checkpoint
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -314,6 +422,31 @@ func (s *Store) prune() {
 	for i := 0; i+1 < len(segs); i++ {
 		if segs[i+1].start <= floor {
 			_ = s.fs.Remove(filepath.Join(s.walDir, segs[i].name))
+		}
+	}
+}
+
+// sweepSegments removes every file under segments/ that no retained
+// checkpoint's manifest references. A manifest that cannot be read stops
+// the sweep: what it references is unknown.
+func (s *Store) sweepSegments(versions []int64) {
+	live := make(map[string]bool)
+	for _, v := range versions {
+		m, err := readManifest(s.fs, filepath.Join(s.ckptRoot, checkpointDirName(v)))
+		if err != nil {
+			return
+		}
+		for _, seg := range m.Segments {
+			live[segmentFileName(seg.SHA256)] = true
+		}
+	}
+	names, err := s.fs.ReadDir(s.segDir)
+	if err != nil {
+		return
+	}
+	for _, n := range names {
+		if !live[n] {
+			_ = s.fs.Remove(filepath.Join(s.segDir, n))
 		}
 	}
 }
@@ -370,8 +503,9 @@ func (s *Store) Close() error {
 }
 
 // AutoCheckpoint starts a background goroutine that checkpoints whenever
-// the WAL since the last checkpoint exceeds walLimit bytes, polling every
-// interval. snap must return the engine's current immutable view (the
+// the WAL bytes logged since the newest committed checkpoint's view was
+// taken reach walLimit, polling every interval. Batches logged while a
+// checkpoint runs count toward the next one. snap must return the engine's current immutable view (the
 // ViewSnapshotter capability); onErr receives checkpoint failures (which
 // leave the previous checkpoint serving — durability degrades to a longer
 // replay, never to data loss). The returned stop function blocks until the
@@ -395,16 +529,17 @@ func (s *Store) AutoCheckpoint(interval time.Duration, walLimit int64, snap func
 				return
 			case <-tick.C:
 			}
-			// Total WAL size approximates "bytes since last checkpoint":
-			// pruning after each checkpoint removes covered segments.
-			if s.Status().WALBytes < walLimit {
+			if s.walSinceCheckpoint() < walLimit {
 				continue
 			}
+			// Taken before the view: a batch logged in between counts
+			// toward the next checkpoint even if this view holds it.
+			mark := s.loggedBytes()
 			db, perm := snap()
 			if db == nil {
 				continue
 			}
-			if err := s.Checkpoint(db, perm); err != nil && onErr != nil {
+			if err := s.checkpoint(db, perm, mark); err != nil && onErr != nil {
 				onErr(err)
 			}
 		}

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"idebench/internal/core"
 	"idebench/internal/dataset"
@@ -307,9 +310,10 @@ func TestRecoverCorruptCRCMidSegment(t *testing.T) {
 }
 
 // TestRecoverCheckpointSegmentMissing: the newest checkpoint's manifest is
-// present but a data segment is gone. Recovery must fall back to the
-// previous checkpoint and reach the same watermark via a longer WAL
-// replay — never serve the newest checkpoint partially.
+// present but its unique tail segment — the one fact segment the fallback
+// does not share — is gone. Recovery must fall back to the previous
+// checkpoint and reach the same watermark via a longer WAL replay — never
+// serve the newest checkpoint partially.
 func TestRecoverCheckpointSegmentMissing(t *testing.T) {
 	dir := t.TempDir()
 	db := testDB(t)
@@ -333,9 +337,16 @@ func TestRecoverCheckpointSegmentMissing(t *testing.T) {
 	}
 	st.Close()
 
-	// Delete the newest checkpoint's fact segment, keeping its manifest.
-	newest := filepath.Join(dir, "checkpoints", "ckpt-"+padVersion(int64(grown.Fact.NumRows())), "fact.seg")
-	if err := os.Remove(newest); err != nil {
+	// Delete the newest checkpoint's tail segment, keeping its manifest.
+	ms := checkpointManifests(t, dir)
+	if len(ms) != 2 || ms[1].Version != int64(grown.Fact.NumRows()) {
+		t.Fatalf("want the bootstrap and the grown checkpoint, got %d", len(ms))
+	}
+	tail := ms[1].Segments[len(ms[1].Segments)-1]
+	if tail.From != testBaseRows || slices.ContainsFunc(ms[0].Segments, func(s durable.ManifestSegment) bool { return s.SHA256 == tail.SHA256 }) {
+		t.Fatalf("newest checkpoint's last segment %+v is not its unique tail", tail)
+	}
+	if err := os.Remove(segmentPath(dir, tail.SHA256)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -356,6 +367,41 @@ func TestRecoverCheckpointSegmentMissing(t *testing.T) {
 	}
 	if want := int64(testBaseRows + 3*250); rec.Info.Watermark != want {
 		t.Fatalf("watermark %d, want %d", rec.Info.Watermark, want)
+	}
+}
+
+// TestRecoverSharedSegmentMissing: a segment both retained checkpoints
+// share — the base — is gone. No fallback holds the data, so recovery must
+// refuse, naming the segment, rather than serve either checkpoint.
+func TestRecoverSharedSegmentMissing(t *testing.T) {
+	dir := t.TempDir()
+	db := testDB(t)
+	st := openTestStore(t, dir, durable.Options{})
+	if err := st.Bootstrap(db, nil); err != nil {
+		t.Fatal(err)
+	}
+	batches := testBatches(t, 2, 250)
+	for _, b := range batches {
+		if err := st.LogBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Checkpoint(growDB(t, db, batches), nil); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	base := checkpointManifests(t, dir)[0].Segments[0]
+	if base.Role != "fact" || base.From != 0 {
+		t.Fatalf("bootstrap's first segment %+v is not the base", base)
+	}
+	if err := os.Remove(segmentPath(dir, base.SHA256)); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openTestStore(t, dir, durable.Options{})
+	_, err := st2.Recover()
+	if err == nil || !strings.Contains(err.Error(), "no checkpoint verifies") || !strings.Contains(err.Error(), base.SHA256+".seg") {
+		t.Fatalf("recovery without the shared base must refuse and name it, got %v", err)
 	}
 }
 
@@ -407,8 +453,10 @@ func TestRecoverMetaMismatchRefused(t *testing.T) {
 }
 
 // TestCheckpointPruning: old checkpoints beyond the retention count are
-// dropped, and WAL segments covered by the oldest retained checkpoint go
-// with them.
+// dropped, WAL segments covered by the oldest retained checkpoint go with
+// them, and a segment no retained checkpoint references — here the orphan
+// of a checkpoint that crashed before its manifest — is swept while the
+// base every checkpoint shares survives.
 func TestCheckpointPruning(t *testing.T) {
 	dir := t.TempDir()
 	db := testDB(t)
@@ -416,8 +464,15 @@ func TestCheckpointPruning(t *testing.T) {
 	if err := st.Bootstrap(db, nil); err != nil {
 		t.Fatal(err)
 	}
+	base := checkpointManifests(t, dir)[0].Segments[0].SHA256
+	orphan := strings.Repeat("0", 64) + ".seg"
 	cur := db
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
+		if i == 3 {
+			if err := os.WriteFile(filepath.Join(dir, "segments", orphan), []byte("torn"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 		bs := testBatches(t, 1, 100+i) // distinct sizes keep versions distinct
 		if err := st.LogBatch(bs[0]); err != nil {
 			t.Fatal(err)
@@ -436,6 +491,24 @@ func TestCheckpointPruning(t *testing.T) {
 	if len(ents) != 2 {
 		t.Fatalf("retained %d checkpoints, want 2", len(ents))
 	}
+	segs := segmentFiles(t, dir)
+	if segs[orphan] {
+		t.Fatal("an unreferenced segment survived the prune")
+	}
+	if !segs[base+".seg"] {
+		t.Fatal("the base the retained checkpoints share was pruned")
+	}
+	// Retained: the base and the four tails the newest lineage lists.
+	if len(segs) != 5 {
+		t.Fatalf("%d segment files after pruning, want 5: %v", len(segs), segs)
+	}
+	wal, err := os.ReadDir(filepath.Join(dir, "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wal) != 1 {
+		t.Fatalf("%d WAL segments after pruning, want only the one past the older retained checkpoint", len(wal))
+	}
 	// Recovery still works from the retained pair.
 	st2 := openTestStore(t, dir, durable.Options{})
 	rec, err := st2.Recover()
@@ -447,12 +520,146 @@ func TestCheckpointPruning(t *testing.T) {
 	}
 }
 
-func padVersion(v int64) string {
-	s := "0000000000000000"
-	d := []byte(s)
-	for i := len(d) - 1; v > 0 && i >= 0; i-- {
-		d[i] = byte('0' + v%10)
-		v /= 10
+// TestCheckpointNonExtendingViewRewrites: a view that does not extend the
+// newest checkpoint — fewer rows, or a different row at the checkpoint's
+// boundary — is written in full, never appended to a prefix it does not
+// share, and recovers bitwise.
+func TestCheckpointNonExtendingViewRewrites(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rows int
+	}{{"shorter", testBaseRows - 400}, {"different boundary row", testBaseRows + 400}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st := openTestStore(t, dir, durable.Options{})
+			if err := st.Bootstrap(testDB(t), nil); err != nil {
+				t.Fatal(err)
+			}
+			other, err := core.BuildData(tc.rows, false, testSeed+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Checkpoint(other, nil); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+			ms := checkpointManifests(t, dir)
+			var newest durable.Manifest
+			for _, m := range ms {
+				if m.Version == int64(tc.rows) {
+					newest = m
+				}
+			}
+			if len(newest.Segments) != 1 || newest.Segments[0].From != 0 || newest.Segments[0].To != int64(tc.rows) {
+				t.Fatalf("non-extending view written as %+v, want one fact segment [0, %d)", newest.Segments, tc.rows)
+			}
+			if tc.rows < testBaseRows {
+				return // the bootstrap is newer by version; recovery picks it
+			}
+			rec, err := openTestStore(t, dir, durable.Options{}).Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertTableBitwise(t, rec.Checkpoint.DB.Fact, other.Fact)
+		})
 	}
-	return string(d)
+}
+
+// TestAutoCheckpointCountsBytesSinceCheckpoint: the trigger counts WAL bytes
+// logged since the newest checkpoint, not the WAL's size. After a
+// checkpoint nothing fires — however many polls pass, and although the
+// WAL still holds every record the fallback checkpoint needs — until
+// walLimit more bytes are logged.
+func TestAutoCheckpointCountsBytesSinceCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	db := testDB(t)
+	st := openTestStore(t, dir, durable.Options{})
+	if err := st.Bootstrap(db, nil); err != nil {
+		t.Fatal(err)
+	}
+	batches := testBatches(t, 6, 200)
+	rec, err := durable.EncodeWALRecord(0, batches[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := int64(len(rec)) * 3 / 2 // between one and two batches' records
+
+	var mu sync.Mutex
+	cur, logged, snaps := db, 0, 0
+	logBatch := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if err := st.LogBatch(batches[logged]); err != nil {
+			t.Fatal(err)
+		}
+		cur = growDB(t, cur, batches[logged:logged+1])
+		logged++
+	}
+	snapCount := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return snaps
+	}
+	stop := st.AutoCheckpoint(2*time.Millisecond, limit, func() (*dataset.Database, []uint32) {
+		mu.Lock()
+		defer mu.Unlock()
+		snaps++
+		return cur, nil
+	}, func(err error) { t.Error(err) })
+	defer stop()
+
+	waitFor := func(want int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for snapCount() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d checkpoints fired, want %d", snapCount(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	quiet := func(want int) {
+		t.Helper()
+		time.Sleep(40 * time.Millisecond) // twenty polls
+		if got := snapCount(); got != want {
+			t.Fatalf("%d checkpoints fired, want %d", got, want)
+		}
+	}
+	quiet(0)
+	logBatch() // one batch: under the limit
+	quiet(0)
+	logBatch() // two: over it
+	waitFor(1)
+	quiet(1) // the WAL is over the limit, the bytes since the checkpoint are not
+	if st.Status().WALBytes < limit {
+		t.Fatalf("WAL holds %d bytes, want at least the limit %d for this test to mean anything", st.Status().WALBytes, limit)
+	}
+	logBatch()
+	quiet(1)
+	logBatch()
+	waitFor(2)
+	quiet(2)
+	if got, want := st.Status().LastCheckpointVersion, int64(testBaseRows+4*200); got != want {
+		t.Fatalf("last checkpoint at %d, want %d", got, want)
+	}
+}
+
+// TestRecoverFormat1Refused: a data directory from the unsegmented format
+// is refused outright — no fallback, no partial read — with an error that
+// names the format.
+func TestRecoverFormat1Refused(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "checkpoints", "ckpt-0000000000003000")
+	if err := os.MkdirAll(ckpt, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	old := `{"format": 1, "engine": "testeng", "seed": 42, "base_rows": 3000, "version": 3000,
+  "files": [{"name": "fact.seg", "role": "fact", "bytes": 1, "crc32": 0}], "content_sha256": ""}`
+	if err := os.WriteFile(filepath.Join(ckpt, "MANIFEST.json"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := openTestStore(t, dir, durable.Options{}).Recover()
+	if err == nil || !strings.Contains(err.Error(), "format 1") {
+		t.Fatalf("recovering a format-1 directory must refuse, naming the format; got %v", err)
+	}
 }

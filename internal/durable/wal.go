@@ -171,6 +171,7 @@ type walScan struct {
 	records    []WALRecord // records beyond `after`, in order
 	endVersion int64       // version after the last valid record (>= after)
 	truncated  bool        // a torn/corrupt tail was cut off
+	tailBytes  int64       // framed bytes of records beyond `after`
 	segments   int         // segment files seen
 }
 
@@ -237,6 +238,7 @@ func recoverWAL(fs FS, dir string, after int64) (walScan, error) {
 			version += int64(rec.Batch.NumRows())
 			if version > after {
 				scan.records = append(scan.records, rec)
+				scan.tailBytes += int64(next - off)
 			}
 			off = next
 		}

@@ -177,7 +177,12 @@ type ScanObserver interface {
 // (nil when the engine stores rows in arrival order). Views are
 // copy-on-write, so the returned database is safe to serialize concurrently
 // with queries and further appends; the durable checkpointer calls this from
-// a background goroutine without stopping ingestion.
+// a background goroutine without stopping ingestion. Successive views
+// should extend one another — the same dimension tables and permutation,
+// every earlier row unchanged — because the checkpointer then writes only
+// the rows since its last checkpoint; a view that does not is written in
+// full. Every in-tree implementation (progressive, exactdb) extends by
+// construction: its views come from one dataset.TableAppender lineage.
 type ViewSnapshotter interface {
 	SnapshotView() (db *dataset.Database, perm []uint32)
 }

@@ -26,7 +26,8 @@ type RestartResult struct {
 	// without -data-dir).
 	ColdPrepareMS float64
 	// CheckpointMS/CheckpointBytes price the durability write side: the
-	// checkpoint taken mid-ingest.
+	// checkpoint taken mid-ingest, which writes the rows ingested since
+	// the bootstrap checkpoint.
 	CheckpointMS    float64
 	CheckpointBytes int64
 	// WarmLoadMS is checkpoint load + verification + PrepareReordered;
