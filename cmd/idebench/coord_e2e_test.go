@@ -131,9 +131,11 @@ func TestCoordFailoverE2E(t *testing.T) {
 		t.Fatalf("client rotation after hello = %v, want [%s %s]", addrs, primary.addr, standbyAddr)
 	}
 
+	sess := rem.OpenSession().(*server.RemoteSession)
+	defer sess.Close()
 	query1 := func(who string) *query.Result {
 		t.Helper()
-		h, err := rem.StartQuery(countQ)
+		h, err := sess.StartQuery(countQ)
 		if err != nil {
 			t.Fatalf("%s: start: %v", who, err)
 		}
@@ -141,7 +143,7 @@ func TestCoordFailoverE2E(t *testing.T) {
 		case <-h.Done():
 		case <-time.After(60 * time.Second):
 			t.Fatalf("%s: query did not complete (connected to %s, snapshot %+v)",
-				who, rem.ConnectedAddr(), h.Snapshot())
+				who, sess.RemoteAddr(), h.Snapshot())
 		}
 		return h.Snapshot()
 	}

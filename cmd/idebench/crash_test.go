@@ -262,7 +262,9 @@ func TestServeCrashRecoveryE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdl, err := remote2.StartQuery(q)
+	sess := remote2.OpenSession()
+	defer sess.Close()
+	hdl, err := sess.StartQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,7 +136,9 @@ func TestElasticFailoverE2E(t *testing.T) {
 			t.Fatalf("%s: dial: %v", who, err)
 		}
 		defer rem.Close()
-		h, err := rem.StartQuery(countQ)
+		sess := rem.OpenSession()
+		defer sess.Close()
+		h, err := sess.StartQuery(countQ)
 		if err != nil {
 			t.Fatalf("%s: start: %v", who, err)
 		}

@@ -169,7 +169,7 @@ func TestCmdRunUnknownEngine(t *testing.T) {
 // server.Server on a real loopback listener — the CLI half of the network
 // path (cmdServe's flag wiring and drain are covered by the CI e2e job).
 func TestCmdRunRemote(t *testing.T) {
-	const rows = 10000
+	const rows = 60000
 	db, err := core.BuildData(rows, false, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestCmdRunRemote(t *testing.T) {
 	defer srv.Shutdown(context.Background())
 
 	if err := cmdRun([]string{
-		"-addr", l.Addr().String(), "-rows", "10000", "-tr", "2s", "-think", "0s",
+		"-addr", l.Addr().String(), "-rows", "60000", "-tr", "2s", "-think", "0s",
 		"-count", "2", "-interactions", "5", "-users", "2",
 		"-maxviol", "0", "-expect-stream",
 	}); err != nil {
@@ -210,7 +210,7 @@ func TestCmdRunRemote(t *testing.T) {
 		t.Fatal("run with mismatched -rows succeeded")
 	}
 	if err := cmdRun([]string{
-		"-addr", l.Addr().String(), "-rows", "10000", "-seed", "2", "-tr", "2s", "-think", "0s",
+		"-addr", l.Addr().String(), "-rows", "60000", "-seed", "2", "-tr", "2s", "-think", "0s",
 		"-count", "1", "-interactions", "4",
 	}); err == nil {
 		t.Fatal("run with mismatched -seed succeeded")

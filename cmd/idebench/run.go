@@ -203,9 +203,10 @@ func runRemote(addr string, db *dataset.Database, flows []*workflow.Workflow, s 
 		}
 		recs = res.Records
 	} else {
-		r := driver.New(rem, gt, cfg)
+		sess := rem.OpenSession()
+		defer sess.Close()
 		var rerr error
-		recs, rerr = r.RunWorkflows(flows)
+		recs, rerr = driver.NewOnSession(rem.Name(), sess, gt, cfg).RunWorkflows(flows)
 		if rerr != nil {
 			return nil, nil, nil, rerr
 		}

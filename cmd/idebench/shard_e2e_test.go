@@ -238,7 +238,9 @@ func partitionWatermarks(h server.Health) []int64 {
 // runQueryToDone runs q on eng and returns the final snapshot.
 func runQueryToDone(t *testing.T, eng engine.Engine, q *query.Query, who string) *query.Result {
 	t.Helper()
-	hdl, err := eng.StartQuery(q)
+	sess := eng.OpenSession()
+	defer sess.Close()
+	hdl, err := sess.StartQuery(q)
 	if err != nil {
 		t.Fatalf("%s: start: %v", who, err)
 	}

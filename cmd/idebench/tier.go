@@ -408,7 +408,9 @@ func cmdProbe(args []string) error {
 		return fmt.Errorf("probe: %w", err)
 	}
 	defer rem.Close()
-	h, err := rem.StartQuery(antiEntropyQuery())
+	sess := rem.OpenSession().(*server.RemoteSession)
+	defer sess.Close()
+	h, err := sess.StartQuery(antiEntropyQuery())
 	if err != nil {
 		return fmt.Errorf("probe: %w", err)
 	}
@@ -445,7 +447,7 @@ func cmdProbe(args []string) error {
 		}
 	} else {
 		fmt.Printf("probe %s: refused (no result", *addr)
-		if err := rem.Err(); err != nil {
+		if err := sess.Err(); err != nil {
 			fmt.Printf("; server said: %v", err)
 		}
 		fmt.Println(")")

@@ -47,11 +47,14 @@
 //
 // # Multi-user sessions
 //
-// Prepared engines are multi-user: engine.Engine.OpenSession hands out one
-// engine.Session per simulated analyst, scoping visualization namespaces,
-// link hints, reuse caches and speculation rounds per session while the
-// prepared data — and, on the progressive engine, the shared scan cursor —
-// serves all sessions at once. The driver layer mirrors this split:
+// The paper's system adapter (Sec. 4.5, Listing 1) is engine.Engine — Name,
+// Prepare and OpenSession, nothing more — plus engine.Session, which carries
+// every query verb (start query, link, delete viz, workflow start/end): all
+// queries go through a session. Prepared engines are multi-user: OpenSession
+// hands out one session per simulated analyst, scoping visualization
+// namespaces, link hints, reuse caches and speculation rounds per session
+// while the prepared data — and, on the progressive engine, the shared scan
+// cursor — serves all sessions at once. The driver layer mirrors this split:
 // driver.Runner replays one analyst on one session (the paper's driver),
 // and driver.MultiRunner replays K workflows as K concurrent simulated
 // users against one prepared engine, with per-user think-time jitter and
@@ -273,8 +276,9 @@
 //
 // CI (.github/workflows/ci.yml) fans out into parallel jobs: lint
 // (gofmt/vet/staticcheck), the race-enabled test suite on a Go 1.23/1.24
-// matrix, fuzz smokes over the wire formats (the binary result, partial and
-// snapshot-frame decoders included), benchmark smokes plus a tiny
+// matrix, fuzz smokes over the wire formats and decoders (the binary result,
+// partial and snapshot-frame decoders, client control messages and the
+// coordinator state log included), benchmark smokes plus a tiny
 // pass of the repository benchmark, and an end-to-end job that boots `idebench serve`,
 // replays an 8-user workflow set through the WebSocket client, and requires
 // streamed intermediates, finals, zero TR violations and a clean SIGTERM

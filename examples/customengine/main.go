@@ -1,5 +1,7 @@
 // Customengine: how to benchmark your own system. The paper's adapter
-// interface (Sec. 4.5, Listing 1) maps to engine.Engine; this example
+// interface (Sec. 4.5, Listing 1) maps to engine.Engine, which prepares the
+// data and opens sessions, plus engine.Session, which carries the query
+// verbs (start query, link, delete viz, workflow start/end). This example
 // implements a small custom engine — a memoizing layer over the blocking
 // column store that caches completed results per query signature (so
 // repeated queries, common in exploration, return instantly) — and runs it
@@ -25,10 +27,11 @@ import (
 )
 
 // cachingEngine memoizes complete results by query signature. It
-// implements engine.Engine and demonstrates everything an adapter author
-// needs: delegation, handle wrapping, and per-workflow lifecycle hooks.
+// implements engine.Engine and engine.Session and demonstrates everything an
+// adapter author needs: delegation, handle wrapping, and per-workflow
+// lifecycle hooks.
 type cachingEngine struct {
-	backend engine.Engine
+	backend *exactdb.Engine // stateless: the engine is its own session
 
 	mu    sync.Mutex
 	cache map[string]*query.Result
@@ -81,11 +84,11 @@ func (e *cachingEngine) StartQuery(q *query.Query) (engine.Handle, error) {
 	return h, nil
 }
 
-// OpenSession uses the stateless-session helper: the result cache is shared
-// across sessions on purpose (a server-side cache serves every user), so
-// engine-level delegation is the correct multi-user behaviour here. Engines
-// with per-user state implement their own engine.Session instead.
-func (e *cachingEngine) OpenSession() engine.Session { return engine.NewEngineSession(e) }
+// OpenSession returns the engine itself: the result cache is shared across
+// sessions on purpose (a server-side cache serves every user), so one
+// session object serving everyone is the correct multi-user behaviour here.
+// Engines with per-user state return a fresh engine.Session instead.
+func (e *cachingEngine) OpenSession() engine.Session { return e }
 
 func (e *cachingEngine) LinkVizs(from, to string) { e.backend.LinkVizs(from, to) }
 func (e *cachingEngine) DeleteViz(name string)    { e.backend.DeleteViz(name) }
@@ -98,6 +101,7 @@ func (e *cachingEngine) WorkflowStart() {
 	e.backend.WorkflowStart()
 }
 func (e *cachingEngine) WorkflowEnd() { e.backend.WorkflowEnd() }
+func (e *cachingEngine) Close()       {}
 
 var _ engine.Engine = (*cachingEngine)(nil)
 
@@ -136,5 +140,5 @@ func main() {
 				s.Queries, s.TRViolatedPct)
 		}
 	}
-	fmt.Println("\nimplementing engine.Engine + engine.Handle is all an adapter needs")
+	fmt.Println("\nimplementing engine.Engine + engine.Session + engine.Handle is all an adapter needs")
 }

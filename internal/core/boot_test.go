@@ -88,7 +88,9 @@ func TestBootColdThenWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdl, err := warm.Engine.StartQuery(q)
+	sess := warm.Engine.OpenSession()
+	defer sess.Close()
+	hdl, err := sess.StartQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,7 +204,9 @@ func Prepare(name string, db *dataset.Database, s Settings) (*Prepared, error) {
 // records. The ground-truth cache persists across calls on the same
 // Prepared, so TR sweeps pay for each unique query once.
 func (p *Prepared) Run(flows []*workflow.Workflow, s Settings) ([]driver.Record, error) {
-	r := driver.New(p.Engine, p.GT, driver.Config{
+	sess := p.Engine.OpenSession()
+	defer sess.Close()
+	r := driver.NewOnSession(p.Engine.Name(), sess, p.GT, driver.Config{
 		TimeRequirement: s.TimeRequirement,
 		ThinkTime:       s.ThinkTime,
 		DataSizeLabel:   SizeLabel(s.DataSize),

@@ -142,11 +142,13 @@ type deferredEval struct {
 	live int64         // sink watermark at fetch time
 }
 
-// New builds a runner on the engine's shared default session. The engine
+// New builds a runner on a fresh session of eng that is never closed: fine
+// for a one-off replay, while a caller replaying repeatedly on one engine
+// opens and closes its sessions itself and uses NewOnSession. The engine
 // must already be prepared for the same database the ground-truth cache is
 // bound to.
 func New(eng engine.Engine, gt *groundtruth.Cache, cfg Config) *Runner {
-	return NewOnSession(eng.Name(), engine.NewEngineSession(eng), gt, cfg)
+	return NewOnSession(eng.Name(), eng.OpenSession(), gt, cfg)
 }
 
 // NewOnSession builds a runner on an explicit session; name labels records

@@ -173,7 +173,9 @@ func (l *StateLog) rollback(cause error) {
 
 // Compact atomically replaces the whole log with the given records (usually
 // one full-state snapshot): write to a temp file, fsync, rename into place,
-// fsync the directory. On any failure the existing log is untouched.
+// fsync the directory. A failure before the rename leaves the existing log
+// untouched; once the rename lands, the compacted log is the one appends
+// extend, even when the directory fsync then fails.
 func (l *StateLog) Compact(recs ...StateRecord) error {
 	var data []byte
 	for _, rec := range recs {
@@ -218,10 +220,12 @@ func (l *StateLog) Compact(recs ...StateRecord) error {
 	if err := l.fs.Rename(tmp, l.path); err != nil {
 		return fmt.Errorf("durable: state log compact rename: %w", err)
 	}
+	// The compacted file is the log from here on, even if the directory sync
+	// below fails: appends and rollbacks must count from its size.
+	l.size = int64(len(data))
 	if err := l.fs.SyncDir(filepath.Dir(l.path)); err != nil {
 		return fmt.Errorf("durable: state log compact sync: %w", err)
 	}
-	l.size = int64(len(data))
 	return nil
 }
 

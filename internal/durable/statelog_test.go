@@ -2,8 +2,11 @@ package durable
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -242,5 +245,74 @@ func TestStateLogCompactFailureKeepsOld(t *testing.T) {
 	defer l2.Close()
 	if got := len(l2.Records()); got != 5 {
 		t.Fatalf("old log lost: %d records, want 5", got)
+	}
+}
+
+// failSyncDirFS fails the next SyncDir once it is armed; everything else
+// passes through.
+type failSyncDirFS struct {
+	FS
+	armed bool
+}
+
+func (f *failSyncDirFS) SyncDir(path string) error {
+	if f.armed {
+		f.armed = false
+		return errors.New("injected directory fsync failure")
+	}
+	return f.FS.SyncDir(path)
+}
+
+// TestStateLogCompactSyncDirFailureKeepsSize: a compaction whose rename
+// landed but whose directory fsync failed has still replaced the log, so
+// later appends and rollbacks must count from the compacted size. With the
+// old size kept, a rolled-back append truncated the file to that stale
+// length — here cutting into the compacted records — and acknowledged
+// records were lost on reopen.
+func TestStateLogCompactSyncDirFailureKeepsSize(t *testing.T) {
+	dir := t.TempDir()
+	ffs := NewFaultFS(OSFS{})
+	fs := &failSyncDirFS{FS: ffs}
+	l, err := OpenStateLog(dir, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendEvents(t, l, 0, 1)
+
+	// The compacted log is larger than the one it replaces.
+	var snap []StateRecord
+	for i := 0; i < 4; i++ {
+		p, err := json.Marshal(testEvent{N: 50 + i, S: strings.Repeat("x", 64)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap = append(snap, StateRecord{Kind: "ev", Payload: p})
+	}
+	fs.armed = true
+	if err := l.Compact(snap...); err == nil {
+		t.Fatal("compact with a failing directory fsync succeeded")
+	}
+	appendEvents(t, l, 100, 101)
+
+	// A short write is rolled back; the log must stay appendable after it.
+	ffs.SetWriteBudget(4)
+	if err := l.Append("ev", testEvent{N: 101}); err == nil {
+		t.Fatal("append past the write budget succeeded")
+	}
+	ffs.SetWriteBudget(-1)
+	appendEvents(t, l, 102, 103)
+	l.Close()
+
+	l2, err := OpenStateLog(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	var got []int
+	for _, ev := range decodeEvents(t, l2.Records()) {
+		got = append(got, ev.N)
+	}
+	if want := []int{50, 51, 52, 53, 100, 102}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered records %v, want %v", got, want)
 	}
 }

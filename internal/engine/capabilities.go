@@ -31,11 +31,6 @@ type Capabilities struct {
 	// TopologyObserver reports replica-set topology and health
 	// (replicated coordinator engines).
 	TopologyObserver TopologyObserver
-	// PartialSnapshotter exposes raw accumulator fragments. Note this is
-	// normally a capability of query *handles*, not engines; it is resolved
-	// here too for the rare engine that implements it directly, and so the
-	// conformance suite can assert the full set in one place.
-	PartialSnapshotter PartialSnapshotter
 }
 
 // CapabilitiesOf resolves every optional capability of e in one pass.
@@ -66,9 +61,6 @@ func CapabilitiesOf(e Engine) Capabilities {
 	}
 	if v, ok := e.(TopologyObserver); ok {
 		c.TopologyObserver = v
-	}
-	if v, ok := e.(PartialSnapshotter); ok {
-		c.PartialSnapshotter = v
 	}
 	return c
 }

@@ -83,10 +83,9 @@ func (o Options) Normalize() Options {
 // Prepared engines are multi-user: OpenSession hands out independent
 // Sessions, one per concurrent simulated analyst, which share the prepared
 // data (and any shared-scan scheduling) but keep visualization namespaces,
-// link hints and reuse caches apart. The query methods declared directly on
-// Engine operate on a shared default session and exist for single-user
-// replays and as the simplest adapter surface; the multi-user driver always
-// goes through OpenSession.
+// link hints and reuse caches apart. Every query goes through a Session; the
+// adapter verbs (start query, link, delete viz, workflow start/end) live
+// there and nowhere else.
 type Engine interface {
 	// Name identifies the engine in reports.
 	Name() string
@@ -96,19 +95,6 @@ type Engine interface {
 	// OpenSession returns a new session on the prepared engine. Sessions
 	// opened before Prepare fail their first StartQuery with ErrNotPrepared.
 	OpenSession() Session
-	// StartQuery begins asynchronous execution on the default session and
-	// returns immediately.
-	StartQuery(q *query.Query) (Handle, error)
-	// LinkVizs hints that selections on viz `from` will re-query viz `to`
-	// (speculative engines exploit this; others ignore it).
-	LinkVizs(from, to string)
-	// DeleteViz tells the engine a visualization was discarded so it can
-	// free cached state.
-	DeleteViz(name string)
-	// WorkflowStart is called before a workflow begins.
-	WorkflowStart()
-	// WorkflowEnd is called after a workflow completes.
-	WorkflowEnd()
 }
 
 // Watermarker is the optional data-version observability capability:
@@ -212,7 +198,7 @@ type PartialSnapshotter interface {
 	PartialSnapshot() *Partial
 }
 
-// ErrNotPrepared is returned by StartQuery before Prepare.
+// ErrNotPrepared is returned by Session.StartQuery before Prepare.
 var ErrNotPrepared = errors.New("engine: not prepared")
 
 // ErrUnknownTable is returned when a query references a table the prepared

@@ -103,7 +103,7 @@ func (e *Engine) Watermark() int64 {
 	return int64(e.db.Fact.NumRows())
 }
 
-// StartQuery implements engine.Engine: it launches a parallel scan and
+// StartQuery implements engine.Session: it launches a parallel scan and
 // publishes the exact result when every worker finishes.
 func (e *Engine) StartQuery(q *query.Query) (engine.Handle, error) {
 	e.mu.RLock()
@@ -170,20 +170,23 @@ func (e *Engine) run(plan *engine.Compiled, h *engine.AsyncHandle, workers int) 
 }
 
 // OpenSession implements engine.Engine. Blocking exact scans carry no
-// per-visualization state, so every session shares the engine directly.
-func (e *Engine) OpenSession() engine.Session { return engine.NewEngineSession(e) }
+// per-visualization state, so the engine is its own session.
+func (e *Engine) OpenSession() engine.Session { return e }
 
-// LinkVizs implements engine.Engine; a blocking engine ignores link hints.
+// LinkVizs implements engine.Session; a blocking engine ignores link hints.
 func (e *Engine) LinkVizs(from, to string) {}
 
-// DeleteViz implements engine.Engine; nothing is cached per visualization.
+// DeleteViz implements engine.Session; nothing is cached per visualization.
 func (e *Engine) DeleteViz(name string) {}
 
-// WorkflowStart implements engine.Engine.
+// WorkflowStart implements engine.Session.
 func (e *Engine) WorkflowStart() {}
 
-// WorkflowEnd implements engine.Engine.
+// WorkflowEnd implements engine.Session.
 func (e *Engine) WorkflowEnd() {}
+
+// Close implements engine.Session; the session holds nothing.
+func (e *Engine) Close() {}
 
 var (
 	_ engine.Engine   = (*Engine)(nil)

@@ -70,17 +70,6 @@ func (e *Engine) Watermark() int64 {
 	return 0
 }
 
-// StartQuery delegates to the backend and wraps the handle so the result
-// (and completion) surface only after the render delay has elapsed on top
-// of backend completion.
-func (e *Engine) StartQuery(q *query.Query) (engine.Handle, error) {
-	inner, err := e.backend.StartQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	return e.delay(inner), nil
-}
-
 // delay wraps a backend handle with the render-delay visibility rule.
 func (e *Engine) delay(inner engine.Handle) engine.Handle {
 	h := &delayedHandle{
@@ -119,6 +108,9 @@ type session struct {
 	inner engine.Session
 }
 
+// StartQuery delegates to the backend session and wraps the handle so the
+// result (and completion) surface only after the render delay has elapsed
+// on top of backend completion.
 func (s *session) StartQuery(q *query.Query) (engine.Handle, error) {
 	inner, err := s.inner.StartQuery(q)
 	if err != nil {
@@ -132,20 +124,6 @@ func (s *session) DeleteViz(name string)    { s.inner.DeleteViz(name) }
 func (s *session) WorkflowStart()           { s.inner.WorkflowStart() }
 func (s *session) WorkflowEnd()             { s.inner.WorkflowEnd() }
 func (s *session) Close()                   { s.inner.Close() }
-
-var _ engine.Session = (*session)(nil)
-
-// LinkVizs implements engine.Engine.
-func (e *Engine) LinkVizs(from, to string) { e.backend.LinkVizs(from, to) }
-
-// DeleteViz implements engine.Engine.
-func (e *Engine) DeleteViz(name string) { e.backend.DeleteViz(name) }
-
-// WorkflowStart implements engine.Engine.
-func (e *Engine) WorkflowStart() { e.backend.WorkflowStart() }
-
-// WorkflowEnd implements engine.Engine.
-func (e *Engine) WorkflowEnd() { e.backend.WorkflowEnd() }
 
 var _ engine.Engine = (*Engine)(nil)
 

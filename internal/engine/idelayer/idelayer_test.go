@@ -41,8 +41,10 @@ func TestRenderDelayHidesResult(t *testing.T) {
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
+	sess := e.OpenSession()
+	defer sess.Close()
 	start := time.Now()
-	h, err := e.StartQuery(enginetest.CountByCarrier())
+	h, err := sess.StartQuery(enginetest.CountByCarrier())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,9 @@ func TestCancelShortCircuitsDelay(t *testing.T) {
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	h, err := e.StartQuery(enginetest.CountByCarrier())
+	sess := e.OpenSession()
+	defer sess.Close()
+	h, err := sess.StartQuery(enginetest.CountByCarrier())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +103,11 @@ func TestDelegation(t *testing.T) {
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
+	sess := e.OpenSession()
+	defer sess.Close()
 	// These must all pass through without panics.
-	e.WorkflowStart()
-	e.LinkVizs("a", "b")
-	e.DeleteViz("a")
-	e.WorkflowEnd()
+	sess.WorkflowStart()
+	sess.LinkVizs("a", "b")
+	sess.DeleteViz("a")
+	sess.WorkflowEnd()
 }

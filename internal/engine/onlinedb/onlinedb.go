@@ -183,7 +183,7 @@ func SupportsOnline(q *query.Query) bool {
 	return false
 }
 
-// StartQuery implements engine.Engine. Online-capable queries compile
+// StartQuery implements engine.Session. Online-capable queries compile
 // against the permutation-ordered copy of the fact table; the blocking
 // fallback scans the original in storage order (a regular Postgres query has
 // no sampling order to honour).
@@ -276,21 +276,24 @@ func (e *Engine) runBlocking(plan *engine.Compiled, h *engine.AsyncHandle) {
 }
 
 // OpenSession implements engine.Engine. Online aggregation runs one
-// goroutine per query with no cross-query state, so every session shares the
-// engine directly (concurrent sessions model concurrent XDB connections).
-func (e *Engine) OpenSession() engine.Session { return engine.NewEngineSession(e) }
+// goroutine per query with no cross-query state, so the engine is its own
+// session (concurrent sessions model concurrent XDB connections).
+func (e *Engine) OpenSession() engine.Session { return e }
 
-// LinkVizs implements engine.Engine; XDB has no speculative layer.
+// LinkVizs implements engine.Session; XDB has no speculative layer.
 func (e *Engine) LinkVizs(from, to string) {}
 
-// DeleteViz implements engine.Engine.
+// DeleteViz implements engine.Session.
 func (e *Engine) DeleteViz(name string) {}
 
-// WorkflowStart implements engine.Engine.
+// WorkflowStart implements engine.Session.
 func (e *Engine) WorkflowStart() {}
 
-// WorkflowEnd implements engine.Engine.
+// WorkflowEnd implements engine.Session.
 func (e *Engine) WorkflowEnd() {}
+
+// Close implements engine.Session; the session holds nothing.
+func (e *Engine) Close() {}
 
 var (
 	_ engine.Engine   = (*Engine)(nil)

@@ -74,13 +74,15 @@ func BenchmarkProgressiveConcurrent8(b *testing.B) {
 		if err := e.Prepare(db, engine.Options{}); err != nil {
 			b.Fatal(err)
 		}
+		sess := e.OpenSession()
+		defer sess.Close()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.WorkflowStart() // cold cache: every query scans
+			sess.WorkflowStart() // cold cache: every query scans
 			handles := make([]engine.Handle, len(queries))
 			for j, q := range queries {
-				h, err := e.StartQuery(q)
+				h, err := sess.StartQuery(q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -150,12 +152,14 @@ func BenchmarkProgressiveFirstSnapshot(b *testing.B) {
 		if err := e.Prepare(db, engine.Options{Parallelism: 1}); err != nil {
 			b.Fatal(err)
 		}
+		sess := e.OpenSession()
+		defer sess.Close()
 		q := enginetest.CountByCarrier()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.WorkflowStart()
-			h, err := e.StartQuery(q)
+			sess.WorkflowStart()
+			h, err := sess.StartQuery(q)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -235,7 +239,9 @@ func TestBenchTableYieldsPartialSnapshots(t *testing.T) {
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	h, err := e.StartQuery(enginetest.CountByCarrier())
+	sess := e.OpenSession()
+	defer sess.Close()
+	h, err := sess.StartQuery(enginetest.CountByCarrier())
 	if err != nil {
 		t.Fatal(err)
 	}

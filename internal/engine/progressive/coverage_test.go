@@ -20,8 +20,10 @@ func TestMarginCoverage(t *testing.T) {
 	if err := e.Prepare(db, engine.Options{Confidence: 0.95, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
-	e.WorkflowStart()
-	defer e.WorkflowEnd()
+	sess := e.OpenSession()
+	defer sess.Close()
+	sess.WorkflowStart()
+	defer sess.WorkflowEnd()
 
 	q := enginetest.CountByCarrier()
 	gt, err := enginetest.Exact(db, q)
@@ -32,8 +34,8 @@ func TestMarginCoverage(t *testing.T) {
 	inMargin, total := 0, 0
 	// Repeat over several fresh partial snapshots for statistical power.
 	for rep := 0; rep < 10; rep++ {
-		e.WorkflowStart() // cold state each repetition
-		h, err := e.StartQuery(q)
+		sess.WorkflowStart() // cold state each repetition
+		h, err := sess.StartQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}

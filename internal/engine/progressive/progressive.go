@@ -89,7 +89,6 @@ type Engine struct {
 	perm []uint32 // sampling permutation the prepared fact rows are stored in
 	scan *sharedscan.Scanner
 	app  *dataset.TableAppender // owns the permuted fact lineage
-	def  *session               // shared default session for engine-level query methods
 }
 
 // New returns an unprepared engine.
@@ -160,7 +159,6 @@ func (e *Engine) adopt(permDB *dataset.Database, perm []uint32, opts engine.Opti
 	e.perm = perm
 	e.scan = sharedscan.New(permDB.Fact.NumRows(), e.cfg.ChunkRows, opts.Parallelism)
 	e.app = dataset.NewTableAppender(permDB.Fact, true) // caller hands over private storage
-	e.def = nil                                         // default session re-opens lazily against the new scan
 }
 
 // SnapshotView implements engine.ViewSnapshotter: the current immutable
@@ -218,12 +216,6 @@ func (e *Engine) Watermark() int64 {
 func (e *Engine) OpenSession() engine.Session {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.newSessionLocked()
-}
-
-// newSessionLocked builds a session against the current prepared state.
-// Caller holds e.mu.
-func (e *Engine) newSessionLocked() *session {
 	return &session{
 		e:          e,
 		cfg:        e.cfg,
@@ -233,40 +225,6 @@ func (e *Engine) newSessionLocked() *session {
 		states:     make(map[string]*sharedscan.Consumer),
 		vizQueries: make(map[string]*query.Query),
 	}
-}
-
-// defaultSession returns the engine-level shared session, opening it on
-// first use after Prepare.
-func (e *Engine) defaultSession() *session {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.def == nil {
-		e.def = e.newSessionLocked()
-	}
-	return e.def
-}
-
-// StartQuery implements engine.Engine on the shared default session.
-func (e *Engine) StartQuery(q *query.Query) (engine.Handle, error) {
-	return e.defaultSession().StartQuery(q)
-}
-
-// LinkVizs implements engine.Engine on the shared default session.
-func (e *Engine) LinkVizs(from, to string) { e.defaultSession().LinkVizs(from, to) }
-
-// DeleteViz implements engine.Engine on the shared default session.
-func (e *Engine) DeleteViz(name string) { e.defaultSession().DeleteViz(name) }
-
-// WorkflowStart implements engine.Engine on the shared default session.
-func (e *Engine) WorkflowStart() { e.defaultSession().WorkflowStart() }
-
-// WorkflowEnd implements engine.Engine on the shared default session.
-func (e *Engine) WorkflowEnd() { e.defaultSession().WorkflowEnd() }
-
-// StateProgress reports the scan progress of the default session's cached
-// state for q, used by tests and the speculation example to observe reuse.
-func (e *Engine) StateProgress(q *query.Query) float64 {
-	return e.defaultSession().stateProgress(q)
 }
 
 // ActiveScanConsumers reports how many consumers (across all sessions) are

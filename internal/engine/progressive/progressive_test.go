@@ -23,7 +23,7 @@ func TestMultiUserScenario(t *testing.T) {
 }
 
 // A session opened before Prepare must start working once the engine is
-// prepared (the stateless engines behave this way via NewEngineSession, so
+// prepared (the stateless engines, their own sessions, behave this way, so
 // the progressive session late-binds to match).
 func TestSessionOpenedBeforePrepare(t *testing.T) {
 	e := New(Config{})
@@ -76,9 +76,11 @@ func TestPartialSnapshotsImprove(t *testing.T) {
 	if err := e.Prepare(db, engine.Options{Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
-	e.WorkflowStart()
-	defer e.WorkflowEnd()
-	h, err := e.StartQuery(enginetest.CountByCarrier())
+	sess := e.OpenSession()
+	defer sess.Close()
+	sess.WorkflowStart()
+	defer sess.WorkflowEnd()
+	h, err := sess.StartQuery(enginetest.CountByCarrier())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +108,11 @@ func TestPartialEstimateIsUnbiasedish(t *testing.T) {
 	if err := e.Prepare(db, engine.Options{Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	e.WorkflowStart()
-	defer e.WorkflowEnd()
-	h, err := e.StartQuery(enginetest.CountByCarrier())
+	sess := e.OpenSession()
+	defer sess.Close()
+	sess.WorkflowStart()
+	defer sess.WorkflowEnd()
+	h, err := sess.StartQuery(enginetest.CountByCarrier())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,19 +146,21 @@ func TestResultReuseWithinWorkflow(t *testing.T) {
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	e.WorkflowStart()
+	sess := e.OpenSession().(*session)
+	defer sess.Close()
+	sess.WorkflowStart()
 	q := enginetest.CountByCarrier()
-	h1, err := e.StartQuery(q)
+	h1, err := sess.StartQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-h1.Done()
-	if p := e.StateProgress(q); p != 1 {
+	if p := sess.stateProgress(q); p != 1 {
 		t.Fatalf("state progress = %v, want 1", p)
 	}
 	// Re-issuing the same query must complete instantly from cache.
 	start := time.Now()
-	h2, err := e.StartQuery(q)
+	h2, err := sess.StartQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +174,11 @@ func TestResultReuseWithinWorkflow(t *testing.T) {
 	}
 
 	// WorkflowStart clears the cache.
-	e.WorkflowStart()
-	if p := e.StateProgress(q); p != 0 {
+	sess.WorkflowStart()
+	if p := sess.stateProgress(q); p != 0 {
 		t.Errorf("cache survived WorkflowStart: progress %v", p)
 	}
-	e.WorkflowEnd()
+	sess.WorkflowEnd()
 }
 
 func TestSpeculationWarmsLinkedQueries(t *testing.T) {
@@ -181,18 +187,20 @@ func TestSpeculationWarmsLinkedQueries(t *testing.T) {
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	e.WorkflowStart()
-	defer e.WorkflowEnd()
+	sess := e.OpenSession().(*session)
+	defer sess.Close()
+	sess.WorkflowStart()
+	defer sess.WorkflowEnd()
 
 	// Source: count by carrier. Target: avg delay by distance.
 	src := enginetest.CountByCarrier()
 	dst := enginetest.AvgDelayByDistance()
-	h1, _ := e.StartQuery(src)
+	h1, _ := sess.StartQuery(src)
 	<-h1.Done()
-	h2, _ := e.StartQuery(dst)
+	h2, _ := sess.StartQuery(dst)
 	<-h2.Done()
 
-	e.LinkVizs(src.VizName, dst.VizName)
+	sess.LinkVizs(src.VizName, dst.VizName)
 	time.Sleep(100 * time.Millisecond) // think time: speculation runs
 
 	// The query a selection of carrier "AA" would trigger:
@@ -202,12 +210,12 @@ func TestSpeculationWarmsLinkedQueries(t *testing.T) {
 	selQ := *dst
 	selQ.Filter = dst.Filter.And(sel)
 
-	if p := e.StateProgress(&selQ); p <= 0 {
+	if p := sess.stateProgress(&selQ); p <= 0 {
 		t.Error("speculation did not warm the selection query")
 	}
 
 	// Issuing the actual query picks up the speculative state.
-	h3, err := e.StartQuery(&selQ)
+	h3, err := sess.StartQuery(&selQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,19 +240,21 @@ func TestSpeculationSurvivesCompletedRound(t *testing.T) {
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	e.WorkflowStart()
-	defer e.WorkflowEnd()
+	sess := e.OpenSession().(*session)
+	defer sess.Close()
+	sess.WorkflowStart()
+	defer sess.WorkflowEnd()
 
 	src := enginetest.CountByCarrier()
 	dst := enginetest.AvgDelayByDistance()
-	h1, _ := e.StartQuery(src)
+	h1, _ := sess.StartQuery(src)
 	<-h1.Done()
-	h2, _ := e.StartQuery(dst)
+	h2, _ := sess.StartQuery(dst)
 	<-h2.Done()
 
 	// Round 1: link src -> dst and wait until every speculated selection
 	// completes (the condition that killed the old speculator).
-	e.LinkVizs(src.VizName, dst.VizName)
+	sess.LinkVizs(src.VizName, dst.VizName)
 	dict := db.Fact.Column("carrier").Dict
 	round1 := make([]*query.Query, 0, len(enginetest.Carriers))
 	for _, c := range enginetest.Carriers {
@@ -257,7 +267,7 @@ func TestSpeculationSurvivesCompletedRound(t *testing.T) {
 	for {
 		done := 0
 		for _, q := range round1 {
-			if e.StateProgress(q) == 1 {
+			if sess.stateProgress(q) == 1 {
 				done++
 			}
 		}
@@ -271,7 +281,7 @@ func TestSpeculationSurvivesCompletedRound(t *testing.T) {
 	}
 
 	// Round 2: link the other way. The old engine would silently do nothing.
-	e.LinkVizs(dst.VizName, src.VizName)
+	sess.LinkVizs(dst.VizName, src.VizName)
 	gt, err := enginetest.Exact(db, dst)
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +293,7 @@ func TestSpeculationSurvivesCompletedRound(t *testing.T) {
 	selQ2 := *src
 	selQ2.Filter = src.Filter.And(query.SelectionPredicate(dst.Bins[0], keys[0].A, nil))
 	deadline = time.Now().Add(30 * time.Second)
-	for e.StateProgress(&selQ2) == 0 {
+	for sess.stateProgress(&selQ2) == 0 {
 		if !time.Now().Before(deadline) {
 			t.Fatal("second speculation round made no progress (speculator lifecycle bug)")
 		}
@@ -297,22 +307,24 @@ func TestSpeculationDisabledByDefault(t *testing.T) {
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	e.WorkflowStart()
-	defer e.WorkflowEnd()
+	sess := e.OpenSession().(*session)
+	defer sess.Close()
+	sess.WorkflowStart()
+	defer sess.WorkflowEnd()
 	src := enginetest.CountByCarrier()
 	dst := enginetest.AvgDelayByDistance()
-	h1, _ := e.StartQuery(src)
+	h1, _ := sess.StartQuery(src)
 	<-h1.Done()
-	h2, _ := e.StartQuery(dst)
+	h2, _ := sess.StartQuery(dst)
 	<-h2.Done()
-	e.LinkVizs(src.VizName, dst.VizName)
+	sess.LinkVizs(src.VizName, dst.VizName)
 	time.Sleep(20 * time.Millisecond)
 
 	dict := db.Fact.Column("carrier").Dict
 	code, _ := dict.Lookup("AA")
 	selQ := *dst
 	selQ.Filter = dst.Filter.And(query.SelectionPredicate(src.Bins[0], int64(code), dict))
-	if p := e.StateProgress(&selQ); p != 0 {
+	if p := sess.stateProgress(&selQ); p != 0 {
 		t.Error("speculation ran despite being disabled")
 	}
 }
@@ -323,14 +335,16 @@ func TestDeleteVizForgetsQuery(t *testing.T) {
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	e.WorkflowStart()
-	defer e.WorkflowEnd()
+	sess := e.OpenSession()
+	defer sess.Close()
+	sess.WorkflowStart()
+	defer sess.WorkflowEnd()
 	src := enginetest.CountByCarrier()
-	h, _ := e.StartQuery(src)
+	h, _ := sess.StartQuery(src)
 	<-h.Done()
-	e.DeleteViz(src.VizName)
+	sess.DeleteViz(src.VizName)
 	// Linking a deleted viz must be a no-op (no panic, no speculation).
-	e.LinkVizs(src.VizName, "ghost")
+	sess.LinkVizs(src.VizName, "ghost")
 }
 
 func TestMinMaxAggProgressive(t *testing.T) {
@@ -339,6 +353,8 @@ func TestMinMaxAggProgressive(t *testing.T) {
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
+	sess := e.OpenSession()
+	defer sess.Close()
 	q := &query.Query{
 		VizName: "v",
 		Table:   "flights",
@@ -348,7 +364,7 @@ func TestMinMaxAggProgressive(t *testing.T) {
 			{Func: query.Max, Field: "dep_delay"},
 		},
 	}
-	h, err := e.StartQuery(q)
+	h, err := sess.StartQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -226,7 +226,7 @@ func (e *Engine) Watermark() int64 {
 // checks: two vectorized batches.
 const scanChunk = 2 * engine.BatchRows
 
-// StartQuery implements engine.Engine: a single-threaded blocking scan over
+// StartQuery implements engine.Session: a single-threaded blocking scan over
 // the sample table (vectorized batch kernels, like the column stores the
 // engine models), published as a scaled estimate with CLT margins.
 func (e *Engine) StartQuery(q *query.Query) (engine.Handle, error) {
@@ -271,20 +271,23 @@ func (e *Engine) StartQuery(q *query.Query) (engine.Handle, error) {
 }
 
 // OpenSession implements engine.Engine. The offline sample is immutable and
-// queries are stateless, so every session shares the engine directly.
-func (e *Engine) OpenSession() engine.Session { return engine.NewEngineSession(e) }
+// queries are stateless, so the engine is its own session.
+func (e *Engine) OpenSession() engine.Session { return e }
 
-// LinkVizs implements engine.Engine; offline sampling ignores link hints.
+// LinkVizs implements engine.Session; offline sampling ignores link hints.
 func (e *Engine) LinkVizs(from, to string) {}
 
-// DeleteViz implements engine.Engine.
+// DeleteViz implements engine.Session.
 func (e *Engine) DeleteViz(name string) {}
 
-// WorkflowStart implements engine.Engine.
+// WorkflowStart implements engine.Session.
 func (e *Engine) WorkflowStart() {}
 
-// WorkflowEnd implements engine.Engine.
+// WorkflowEnd implements engine.Session.
 func (e *Engine) WorkflowEnd() {}
+
+// Close implements engine.Session; the session holds nothing.
+func (e *Engine) Close() {}
 
 // SampleRows reports the materialized sample size (for tests and the data
 // preparation report).

@@ -11,16 +11,19 @@ import "idebench/internal/query"
 // visualizations.
 //
 // Sessions are safe to use from one goroutine each; distinct sessions may
-// run fully concurrently. The zero-session convenience path (calling the
-// query methods directly on an Engine) remains available for single-user
-// replays and operates on the engine's shared default session.
+// run fully concurrently. An engine whose execution carries no
+// per-visualization state (blocking scans, offline samples, SQL adapters)
+// may implement Session itself and return itself from OpenSession: every
+// session of it is behaviourally identical.
 type Session interface {
 	// StartQuery begins asynchronous execution and returns immediately.
 	StartQuery(q *query.Query) (Handle, error)
 	// LinkVizs hints that selections on viz `from` will re-query viz `to`
-	// within this session.
+	// within this session (speculative engines exploit this; others ignore
+	// it).
 	LinkVizs(from, to string)
-	// DeleteViz tells the session a visualization was discarded.
+	// DeleteViz tells the session a visualization was discarded so it can
+	// free cached state.
 	DeleteViz(name string)
 	// WorkflowStart is called before a workflow begins; session-local caches
 	// start cold.
@@ -31,22 +34,3 @@ type Session interface {
 	// consumers). Using a session after Close is undefined.
 	Close()
 }
-
-// engineSession adapts an Engine's own query methods into a Session. It is
-// the correct session implementation for engines whose execution carries no
-// per-visualization state (blocking scans, offline samples, SQL adapters):
-// every session is behaviourally identical, so all of them may share the
-// engine's methods directly.
-type engineSession struct{ e Engine }
-
-// NewEngineSession wraps e's engine-level query methods as a Session.
-// Engines with genuinely session-scoped state (reuse caches, speculation)
-// must implement their own Session instead of using this helper.
-func NewEngineSession(e Engine) Session { return engineSession{e} }
-
-func (s engineSession) StartQuery(q *query.Query) (Handle, error) { return s.e.StartQuery(q) }
-func (s engineSession) LinkVizs(from, to string)                  { s.e.LinkVizs(from, to) }
-func (s engineSession) DeleteViz(name string)                     { s.e.DeleteViz(name) }
-func (s engineSession) WorkflowStart()                            { s.e.WorkflowStart() }
-func (s engineSession) WorkflowEnd()                              { s.e.WorkflowEnd() }
-func (s engineSession) Close()                                    {}

@@ -71,7 +71,7 @@ func (e *Engine) Prepare(db *dataset.Database, opts engine.Options) error {
 	return nil
 }
 
-// StartQuery implements engine.Engine.
+// StartQuery implements engine.Session.
 func (e *Engine) StartQuery(q *query.Query) (engine.Handle, error) {
 	e.mu.RLock()
 	db, sqdb := e.db, e.sqdb
@@ -180,19 +180,22 @@ func binKeyOf(db *dataset.Database, q *query.Query, binStr []sql.NullString, bin
 
 // OpenSession implements engine.Engine. database/sql connection pools are
 // already safe for concurrent use, and the adapter keeps no per-viz state,
-// so every session shares the engine (and the pool) directly.
-func (e *Engine) OpenSession() engine.Session { return engine.NewEngineSession(e) }
+// so the engine (and the pool) is its own session.
+func (e *Engine) OpenSession() engine.Session { return e }
 
-// LinkVizs implements engine.Engine; a plain SQL backend ignores hints.
+// LinkVizs implements engine.Session; a plain SQL backend ignores hints.
 func (e *Engine) LinkVizs(from, to string) {}
 
-// DeleteViz implements engine.Engine.
+// DeleteViz implements engine.Session.
 func (e *Engine) DeleteViz(name string) {}
 
-// WorkflowStart implements engine.Engine.
+// WorkflowStart implements engine.Session.
 func (e *Engine) WorkflowStart() {}
 
-// WorkflowEnd implements engine.Engine.
+// WorkflowEnd implements engine.Session.
 func (e *Engine) WorkflowEnd() {}
+
+// Close implements engine.Session; the session holds nothing.
+func (e *Engine) Close() {}
 
 var _ engine.Engine = (*Engine)(nil)

@@ -239,13 +239,15 @@ func ConcurrentMultiViz(t *testing.T, factory func() engine.Engine, exactWhenCom
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	e.WorkflowStart()
-	defer e.WorkflowEnd()
+	s := e.OpenSession()
+	defer s.Close()
+	s.WorkflowStart()
+	defer s.WorkflowEnd()
 
 	queries := MultiVizQueries(8)
 	handles := make([]engine.Handle, len(queries))
 	for i, q := range queries {
-		h, err := e.StartQuery(q)
+		h, err := s.StartQuery(q)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -322,7 +324,6 @@ func CapabilitiesAgree(t *testing.T, e engine.Engine) {
 	_, hasViewSnapshotter := e.(engine.ViewSnapshotter)
 	_, hasReorderedPreparer := e.(engine.ReorderedPreparer)
 	_, hasTopologyObserver := e.(engine.TopologyObserver)
-	_, hasPartialSnapshotter := e.(engine.PartialSnapshotter)
 	checks := []struct {
 		name     string
 		resolved any
@@ -336,7 +337,6 @@ func CapabilitiesAgree(t *testing.T, e engine.Engine) {
 		{"ViewSnapshotter", caps.ViewSnapshotter, caps.ViewSnapshotter != nil, hasViewSnapshotter},
 		{"ReorderedPreparer", caps.ReorderedPreparer, caps.ReorderedPreparer != nil, hasReorderedPreparer},
 		{"TopologyObserver", caps.TopologyObserver, caps.TopologyObserver != nil, hasTopologyObserver},
-		{"PartialSnapshotter", caps.PartialSnapshotter, caps.PartialSnapshotter != nil, hasPartialSnapshotter},
 	}
 	for _, c := range checks {
 		if c.present != c.direct {
@@ -357,46 +357,49 @@ func CapabilitiesAgree(t *testing.T, e engine.Engine) {
 func Conformance(t *testing.T, factory func() engine.Engine, exactWhenComplete bool) {
 	t.Helper()
 	db := SmallDB(20000, 42)
+	// open prepares a fresh engine and opens a session on it, closed when
+	// the subtest ends.
+	open := func(t *testing.T) engine.Session {
+		e := factory()
+		if err := e.Prepare(db, engine.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		s := e.OpenSession()
+		t.Cleanup(s.Close)
+		return s
+	}
 
 	t.Run("StartBeforePrepare", func(t *testing.T) {
-		e := factory()
-		if _, err := e.StartQuery(CountByCarrier()); err == nil {
+		s := factory().OpenSession()
+		defer s.Close()
+		if _, err := s.StartQuery(CountByCarrier()); err == nil {
 			t.Error("StartQuery before Prepare should fail")
 		}
 	})
 
 	t.Run("UnknownTable", func(t *testing.T) {
-		e := factory()
-		if err := e.Prepare(db, engine.Options{}); err != nil {
-			t.Fatal(err)
-		}
+		s := open(t)
 		q := CountByCarrier()
 		q.Table = "nope"
-		if _, err := e.StartQuery(q); err == nil {
+		if _, err := s.StartQuery(q); err == nil {
 			t.Error("unknown table should fail")
 		}
 	})
 
 	t.Run("InvalidQuery", func(t *testing.T) {
-		e := factory()
-		if err := e.Prepare(db, engine.Options{}); err != nil {
-			t.Fatal(err)
-		}
+		s := open(t)
 		q := CountByCarrier()
 		q.Aggs = nil
-		if _, err := e.StartQuery(q); err == nil {
+		if _, err := s.StartQuery(q); err == nil {
 			t.Error("invalid query should fail")
 		}
 	})
 
 	t.Run("CompleteCount", func(t *testing.T) {
-		e := factory()
-		if err := e.Prepare(db, engine.Options{}); err != nil {
-			t.Fatal(err)
-		}
-		e.WorkflowStart()
-		defer e.WorkflowEnd()
-		h, err := e.StartQuery(CountByCarrier())
+		s := open(t)
+		s.WorkflowStart()
+		defer s.WorkflowEnd()
+		h, err := s.StartQuery(CountByCarrier())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,17 +429,14 @@ func Conformance(t *testing.T, factory func() engine.Engine, exactWhenComplete b
 	})
 
 	t.Run("FilteredQuery", func(t *testing.T) {
-		e := factory()
-		if err := e.Prepare(db, engine.Options{}); err != nil {
-			t.Fatal(err)
-		}
-		e.WorkflowStart()
-		defer e.WorkflowEnd()
+		s := open(t)
+		s.WorkflowStart()
+		defer s.WorkflowEnd()
 		q := CountByCarrier()
 		q.Filter = query.Filter{Predicates: []query.Predicate{
 			{Field: "origin_state", Op: query.OpIn, Values: []string{"CA"}},
 		}}
-		h, err := e.StartQuery(q)
+		h, err := s.StartQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -468,13 +468,10 @@ func Conformance(t *testing.T, factory func() engine.Engine, exactWhenComplete b
 	})
 
 	t.Run("CancelStopsExecution", func(t *testing.T) {
-		e := factory()
-		if err := e.Prepare(db, engine.Options{}); err != nil {
-			t.Fatal(err)
-		}
-		e.WorkflowStart()
-		defer e.WorkflowEnd()
-		h, err := e.StartQuery(AvgDelayByDistance())
+		s := open(t)
+		s.WorkflowStart()
+		defer s.WorkflowEnd()
+		h, err := s.StartQuery(AvgDelayByDistance())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,17 +484,14 @@ func Conformance(t *testing.T, factory func() engine.Engine, exactWhenComplete b
 	})
 
 	t.Run("ConcurrentQueries", func(t *testing.T) {
-		e := factory()
-		if err := e.Prepare(db, engine.Options{}); err != nil {
-			t.Fatal(err)
-		}
-		e.WorkflowStart()
-		defer e.WorkflowEnd()
+		s := open(t)
+		s.WorkflowStart()
+		defer s.WorkflowEnd()
 		handles := make([]engine.Handle, 0, 6)
 		for i := 0; i < 6; i++ {
 			q := CountByCarrier()
 			q.VizName = fmt.Sprintf("viz_%d", i)
-			h, err := e.StartQuery(q)
+			h, err := s.StartQuery(q)
 			if err != nil {
 				t.Fatal(err)
 			}

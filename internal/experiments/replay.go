@@ -386,11 +386,14 @@ func UserSweepUsers(cfg Config, userCounts []int) ([]ReplayRow, error) {
 			seqCfg := replayConfig(cfg)
 			noWarm := false
 			seqCfg.PrecomputeGroundTruth = &noWarm
+			sess := p.Engine.OpenSession()
 			seqStart := time.Now()
-			if _, err := driver.New(p.Engine, gt, seqCfg).RunWorkflows(flows[:users]); err != nil {
+			_, err = driver.NewOnSession(p.Engine.Name(), sess, gt, seqCfg).RunWorkflows(flows[:users])
+			row.SequentialMS = durationMS(time.Since(seqStart))
+			sess.Close()
+			if err != nil {
 				return nil, fmt.Errorf("experiments: %s users=%d sequential: %w", name, users, err)
 			}
-			row.SequentialMS = durationMS(time.Since(seqStart))
 			if row.WallClockMS > 0 {
 				row.SpeedupVsSequential = row.SequentialMS / row.WallClockMS
 			}

@@ -149,8 +149,8 @@ func (r *Remote) jitter(d time.Duration) time.Duration {
 	return half + time.Duration(n)
 }
 
-// Remote is a network-backed engine.Engine: every method is forwarded over
-// the idebench wire protocol to a remote Server. OpenSession dials one
+// Remote is a network-backed engine.Engine: every session speaks the
+// idebench wire protocol to a remote Server. OpenSession dials one
 // WebSocket connection per session (the server's session-per-connection
 // model), so driver.Runner and driver.MultiRunner replay workflows over the
 // network exactly as they do in-process.
@@ -177,8 +177,9 @@ type Remote struct {
 	addrs []string
 	cur   int
 
-	mu  sync.Mutex
-	def *RemoteSession
+	// hello is the connection NewRemote dialed for the hello exchange. It
+	// carries no queries: Ingest, Err and ConnectedAddr use it.
+	hello *RemoteSession
 }
 
 // currentAddr returns the address the next dial attempt targets.
@@ -203,10 +204,10 @@ func (r *Remote) addrCount() int {
 	return len(r.addrs)
 }
 
-// ConnectedAddr reports the remote TCP address the default session is
+// ConnectedAddr reports the remote TCP address the hello connection is
 // currently connected to — after a failover this is the rotation member
-// actually serving the session, which the rotation index alone cannot tell.
-func (r *Remote) ConnectedAddr() string { return r.def.RemoteAddr() }
+// actually serving it, which the rotation index alone cannot tell.
+func (r *Remote) ConnectedAddr() string { return r.hello.RemoteAddr() }
 
 // Addrs returns a copy of the current dial rotation, primary-first.
 func (r *Remote) Addrs() []string {
@@ -243,8 +244,8 @@ func (r *Remote) mergePeers(peers []string) {
 }
 
 // NewRemote connects to a Server at addr ("host:port") and performs the
-// hello exchange on an initial connection, which becomes the engine-level
-// default session.
+// hello exchange on an initial connection, which stays open as the
+// connection ingest travels on.
 func NewRemote(addr string) (*Remote, error) {
 	return NewRemoteWithOptions(addr, RemoteOptions{})
 }
@@ -262,7 +263,7 @@ func NewRemoteWithOptions(addr string, opts RemoteOptions) (*Remote, error) {
 	r.rows = sess.rows
 	r.seed = sess.seed
 	r.role = sess.role
-	r.def = sess
+	r.hello = sess
 	r.wm.Store(sess.rows)
 	return r, nil
 }
@@ -421,43 +422,28 @@ func (r *Remote) dial() (*RemoteSession, error) {
 	return s, nil
 }
 
-// StartQuery implements engine.Engine on the default session.
-func (r *Remote) StartQuery(q *query.Query) (engine.Handle, error) { return r.def.StartQuery(q) }
+// Close closes the hello connection. Sessions from OpenSession are closed
+// by their users (the driver defers sess.Close per user).
+func (r *Remote) Close() { r.hello.Close() }
 
-// LinkVizs implements engine.Engine on the default session.
-func (r *Remote) LinkVizs(from, to string) { r.def.LinkVizs(from, to) }
-
-// DeleteViz implements engine.Engine on the default session.
-func (r *Remote) DeleteViz(name string) { r.def.DeleteViz(name) }
-
-// WorkflowStart implements engine.Engine on the default session.
-func (r *Remote) WorkflowStart() { r.def.WorkflowStart() }
-
-// WorkflowEnd implements engine.Engine on the default session.
-func (r *Remote) WorkflowEnd() { r.def.WorkflowEnd() }
-
-// Close closes the default session's connection. Sessions from OpenSession
-// are closed by their users (the driver defers sess.Close per user).
-func (r *Remote) Close() { r.def.Close() }
-
-// Ingest ships one batch to the server over the default session. The call
+// Ingest ships one batch to the server over the hello connection. The call
 // is asynchronous: the server's ingest broadcast (on every session)
 // confirms application and advances Watermark. A server-side rejection of
 // an earlier frame (engine without the append capability, draining,
-// malformed batch) arrives as an error frame on the default session and
+// malformed batch) arrives as an error frame on the hello connection and
 // fails the next Ingest call here, so a feeder cannot keep pumping batches
 // into a void.
 func (r *Remote) Ingest(b *ingest.Batch) error {
-	if err := r.def.Err(); err != nil {
+	if err := r.hello.Err(); err != nil {
 		return err
 	}
-	return r.def.send(&ClientMsg{Type: MsgIngest, Batch: b})
+	return r.hello.send(&ClientMsg{Type: MsgIngest, Batch: b})
 }
 
-// Err surfaces the first connection- or server-reported error on the
-// default session (ingest rejections land here: ingest frames carry no
-// query id, so no handle observes them).
-func (r *Remote) Err() error { return r.def.Err() }
+// Err surfaces the first connection- or server-reported error on the hello
+// connection (ingest rejections land here: ingest frames carry no query
+// id, so no handle observes them).
+func (r *Remote) Err() error { return r.hello.Err() }
 
 // ApplyBatch implements ingest.Sink, so a Remote slots into an
 // ingest.Harness exactly like an in-process engine: the client-side harness

@@ -143,7 +143,9 @@ func TestQueryDuringReconnectWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rem.Close()
-	h, err := rem.StartQuery(firstQuery(t, primary.flows[0]))
+	sess := rem.OpenSession()
+	defer sess.Close()
+	h, err := sess.StartQuery(firstQuery(t, primary.flows[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +167,7 @@ func TestQueryDuringReconnectWindow(t *testing.T) {
 	}
 	ch := make(chan started, 1)
 	go func() {
-		h, err := rem.StartQuery(firstQuery(t, standby.flows[0]))
+		h, err := sess.StartQuery(firstQuery(t, standby.flows[0]))
 		ch <- started{h, err}
 	}()
 	select {

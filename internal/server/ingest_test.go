@@ -49,7 +49,9 @@ func TestIngestFrameBroadcast(t *testing.T) {
 
 	// A fresh query over the wire must cover the grown table.
 	q := firstQuery(t, f.flows[0])
-	h, err := bystander.StartQuery(q)
+	sess := bystander.OpenSession()
+	defer sess.Close()
+	h, err := sess.StartQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"idebench/internal/dataset"
 	"idebench/internal/engine"
+	"idebench/internal/ingest"
 	"idebench/internal/query"
 )
 
@@ -279,4 +280,49 @@ func TestClientMsgValidation(t *testing.T) {
 	if err := (&ClientMsg{Type: MsgQuery, ID: 1, Query: wide, Partials: true}).Validate(); err == nil {
 		t.Error("partials query wider than a partial frame can carry validated")
 	}
+}
+
+// FuzzClientMsg feeds arbitrary bytes, as a socket would, to the decoder
+// the server's read loop hands every client frame to. It must never panic,
+// and a message it accepts must re-encode through encodeMsg to a frame that
+// decodes to a deep-equal message.
+func FuzzClientMsg(f *testing.F) {
+	wide := testQuery()
+	for len(wide.Aggs) <= engine.MaxPartialAggs {
+		wide.Aggs = append(wide.Aggs, query.Aggregate{Func: query.Count})
+	}
+	for _, m := range []*ClientMsg{
+		{Type: MsgQuery, ID: 7, Query: testQuery(), DeadlineMS: 40, Partials: true},
+		{Type: MsgCancel, ID: 7},
+		{Type: MsgLink, From: "viz_1", To: "viz_2"},
+		{Type: MsgDeleteViz, Name: "viz_1"},
+		{Type: MsgWorkflowStart},
+		{Type: MsgWorkflowEnd},
+		{Type: MsgIngest, Batch: &ingest.Batch{Table: "flights", Seq: 3, Rows: []ingest.Row{
+			{{Str: "AA", IsStr: true}, {Num: 12.5}}, {{Str: "O'Hare", IsStr: true}, {Num: -0.25}}}}},
+		{Type: MsgQuery, ID: 8, Query: wide, Partials: true}, // refused: too wide for a partial frame
+	} {
+		data, err := encodeMsg(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := decodeClientMsg(opText, data)
+		if err != nil {
+			return
+		}
+		enc, err := encodeMsg(m)
+		if err != nil {
+			t.Fatalf("accepted message does not encode: %v", err)
+		}
+		again, err := decodeClientMsg(opText, enc)
+		if err != nil {
+			t.Fatalf("own encoding does not decode: %v\n%s", err, enc)
+		}
+		if !reflect.DeepEqual(m, again) {
+			t.Fatalf("decode∘encode changed the message:\n was: %#v\n now: %#v", m, again)
+		}
+	})
 }

@@ -24,11 +24,12 @@ type cannedEngine struct {
 }
 
 func (e *cannedEngine) Name() string                { return "canned" }
-func (e *cannedEngine) OpenSession() engine.Session { return engine.NewEngineSession(e) }
+func (e *cannedEngine) OpenSession() engine.Session { return e }
 func (e *cannedEngine) LinkVizs(from, to string)    {}
 func (e *cannedEngine) DeleteViz(name string)       {}
 func (e *cannedEngine) WorkflowStart()              {}
 func (e *cannedEngine) WorkflowEnd()                {}
+func (e *cannedEngine) Close()                      {}
 
 func (e *cannedEngine) StartQuery(*query.Query) (engine.Handle, error) {
 	done := make(chan struct{})
@@ -66,7 +67,9 @@ func serveCanned(t *testing.T, eng *cannedEngine) string {
 // finalOf runs one query on rem and waits for its final frame.
 func finalOf(t *testing.T, rem *Remote) engine.Handle {
 	t.Helper()
-	h, err := rem.StartQuery(testQuery())
+	sess := rem.OpenSession().(*RemoteSession)
+	defer sess.Close()
+	h, err := sess.StartQuery(testQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +78,7 @@ func finalOf(t *testing.T, rem *Remote) engine.Handle {
 	case <-time.After(10 * time.Second):
 		t.Fatal("query never completed")
 	}
-	if err := rem.Err(); err != nil {
+	if err := sess.Err(); err != nil {
 		t.Fatal(err)
 	}
 	return h

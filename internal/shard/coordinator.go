@@ -188,6 +188,10 @@ type Coordinator struct {
 	// legitimate apply.
 	applySeq  atomic.Int64
 	applyDone atomic.Int64
+
+	// probe is the coordinator's own session, through which the anti-entropy
+	// sweep runs its fragments: one standing sub-session per replica probed.
+	probe *coordSession
 }
 
 // NewCoordinator wraps one backend per partition (no replication): the
@@ -238,6 +242,7 @@ func NewReplicatedSpecs(opts Options, specs ...[]ReplicaSpec) (*Coordinator, err
 		return nil, fmt.Errorf("shard: min coverage %v outside [0,1]", opts.MinCoverage)
 	}
 	co := &Coordinator{opts: opts, sets: make([][]*replica, len(specs))}
+	co.probe = co.newSession()
 	for i, set := range specs {
 		if len(set) == 0 {
 			return nil, fmt.Errorf("shard: partition %d has no replicas", i)
@@ -615,46 +620,10 @@ func (co *Coordinator) waitWatermark(r *replica, target int64, timeout time.Dura
 // OpenSession returns a session that fans every call out, creating one
 // sub-session per replica on demand (a failover may route a query to a
 // replica the session never touched before).
-func (co *Coordinator) OpenSession() engine.Session {
+func (co *Coordinator) OpenSession() engine.Session { return co.newSession() }
+
+func (co *Coordinator) newSession() *coordSession {
 	return &coordSession{co: co, subs: make(map[*replica]engine.Session)}
-}
-
-// StartQuery runs q via the backends' default sessions and returns a
-// merged handle.
-func (co *Coordinator) StartQuery(q *query.Query) (engine.Handle, error) {
-	co.mu.Lock()
-	prepared := co.prepared
-	co.mu.Unlock()
-	if !prepared {
-		return nil, engine.ErrNotPrepared
-	}
-	h, err := newCoordHandle(co, q, func(r *replica) (engine.Handle, error) {
-		return r.be.StartQuery(q)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// LinkVizs forwards the link hint to every replica.
-func (co *Coordinator) LinkVizs(from, to string) {
-	co.eachReplica(func(r *replica) { r.be.LinkVizs(from, to) })
-}
-
-// DeleteViz forwards the discard to every replica.
-func (co *Coordinator) DeleteViz(name string) {
-	co.eachReplica(func(r *replica) { r.be.DeleteViz(name) })
-}
-
-// WorkflowStart forwards to every replica.
-func (co *Coordinator) WorkflowStart() {
-	co.eachReplica(func(r *replica) { r.be.WorkflowStart() })
-}
-
-// WorkflowEnd forwards to every replica.
-func (co *Coordinator) WorkflowEnd() {
-	co.eachReplica(func(r *replica) { r.be.WorkflowEnd() })
 }
 
 func (co *Coordinator) eachReplica(f func(*replica)) {
@@ -726,6 +695,16 @@ func (s *coordSession) invalidate(r *replica, sub engine.Session) {
 	sub.Close()
 }
 
+// drop closes and forgets r's sub-session, if any: r left the topology.
+func (s *coordSession) drop(r *replica) {
+	s.mu.Lock()
+	sub, ok := s.subs[r]
+	s.mu.Unlock()
+	if ok {
+		s.invalidate(r, sub)
+	}
+}
+
 func (s *coordSession) StartQuery(q *query.Query) (engine.Handle, error) {
 	s.co.mu.Lock()
 	prepared := s.co.prepared
@@ -733,21 +712,24 @@ func (s *coordSession) StartQuery(q *query.Query) (engine.Handle, error) {
 	if !prepared {
 		return nil, engine.ErrNotPrepared
 	}
-	h, err := newCoordHandle(s.co, q, func(r *replica) (engine.Handle, error) {
-		sub := s.sessionOf(r)
-		sh, err := sub.StartQuery(q)
-		if err != nil {
-			// A session pinned to a dead connection stays dead; retry once on
-			// a fresh one so a recovered replica is actually reachable.
-			s.invalidate(r, sub)
-			return s.sessionOf(r).StartQuery(q)
-		}
-		return sh, nil
-	})
+	h, err := newCoordHandle(s.co, q, func(r *replica) (engine.Handle, error) { return s.startOn(r, q) })
 	if err != nil {
 		return nil, err
 	}
 	return h, nil
+}
+
+// startOn starts q on r's sub-session. A session pinned to a dead
+// connection stays dead; a failed start retries once on a fresh one so a
+// recovered replica is actually reachable.
+func (s *coordSession) startOn(r *replica, q *query.Query) (engine.Handle, error) {
+	sub := s.sessionOf(r)
+	sh, err := sub.StartQuery(q)
+	if err != nil {
+		s.invalidate(r, sub)
+		return s.sessionOf(r).StartQuery(q)
+	}
+	return sh, nil
 }
 
 func (s *coordSession) each(f func(engine.Session)) {

@@ -116,7 +116,9 @@ func TestFailoverMidStreamFullCoverage(t *testing.T) {
 
 func mustStart(t *testing.T, eng engine.Engine, q *query.Query) engine.Handle {
 	t.Helper()
-	h, err := eng.StartQuery(q)
+	sess := eng.OpenSession()
+	t.Cleanup(sess.Close)
+	h, err := sess.StartQuery(q)
 	if err != nil {
 		t.Fatalf("StartQuery: %v", err)
 	}
@@ -209,7 +211,9 @@ func TestMinCoverageRefusal(t *testing.T) {
 	for i := range faulty3 {
 		faulty3[i][0].Kill()
 	}
-	if _, err := co3.StartQuery(q); err == nil {
+	sess := co3.OpenSession()
+	defer sess.Close()
+	if _, err := sess.StartQuery(q); err == nil {
 		t.Fatalf("StartQuery succeeded with every partition dead")
 	}
 }

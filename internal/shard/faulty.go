@@ -78,37 +78,10 @@ func (f *Faulty) Prepare(db *dataset.Database, opts engine.Options) error {
 	return f.inner.Prepare(db, opts)
 }
 
-// StartQuery implements engine.Engine.
-func (f *Faulty) StartQuery(q *query.Query) (engine.Handle, error) {
-	f.mu.Lock()
-	down, gen := f.down, f.gen
-	f.mu.Unlock()
-	if down {
-		return nil, fmt.Errorf("faulty: %s is down", f.inner.Name())
-	}
-	h, err := f.inner.StartQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	return newFaultyHandle(f, h, gen), nil
-}
-
 // OpenSession implements engine.Engine.
 func (f *Faulty) OpenSession() engine.Session {
 	return &faultySession{f: f, inner: f.inner.OpenSession()}
 }
-
-// LinkVizs implements engine.Engine.
-func (f *Faulty) LinkVizs(from, to string) { f.inner.LinkVizs(from, to) }
-
-// DeleteViz implements engine.Engine.
-func (f *Faulty) DeleteViz(name string) { f.inner.DeleteViz(name) }
-
-// WorkflowStart implements engine.Engine.
-func (f *Faulty) WorkflowStart() { f.inner.WorkflowStart() }
-
-// WorkflowEnd implements engine.Engine.
-func (f *Faulty) WorkflowEnd() { f.inner.WorkflowEnd() }
 
 // Append implements engine.Appender (the inner engine must have it).
 func (f *Faulty) Append(rows *dataset.Table) error {

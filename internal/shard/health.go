@@ -196,12 +196,12 @@ func (co *Coordinator) AntiEntropyCheck(q *query.Query, timeout time.Duration) (
 		// every replica is in at least one audited pair.
 		a := elig[round%len(elig)]
 		b := elig[(round+1)%len(elig)]
-		pa, err := runFragment(a, q, timeout)
+		pa, err := co.runFragment(a, q, timeout)
 		if err != nil {
 			fail(i, a.name, err)
 			continue
 		}
-		pb, err := runFragment(b, q, timeout)
+		pb, err := co.runFragment(b, q, timeout)
 		if err != nil {
 			fail(i, b.name, err)
 			continue
@@ -239,7 +239,7 @@ func (co *Coordinator) outvoted(part int, elig []*replica, a, b *replica, ea, eb
 		if w == a || w == b {
 			continue
 		}
-		pw, err := runFragment(w, q, timeout)
+		pw, err := co.runFragment(w, q, timeout)
 		if err != nil {
 			co.aeErrors.Add(1)
 			continue
@@ -259,10 +259,11 @@ func (co *Coordinator) outvoted(part int, elig []*replica, a, b *replica, ea, eb
 	return nil
 }
 
-// runFragment executes q on one replica until done (or timeout, which
-// cancels) and returns its raw fragment.
-func runFragment(r *replica, q *query.Query, timeout time.Duration) (*engine.Partial, error) {
-	sh, err := r.be.StartQuery(q)
+// runFragment executes q on one replica through the coordinator's probe
+// session until done (or timeout, which cancels) and returns its raw
+// fragment.
+func (co *Coordinator) runFragment(r *replica, q *query.Query, timeout time.Duration) (*engine.Partial, error) {
+	sh, err := co.probe.startOn(r, q)
 	if err != nil {
 		return nil, err
 	}

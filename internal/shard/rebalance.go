@@ -77,6 +77,7 @@ func (co *Coordinator) RemoveReplica(part int, name string) error {
 		}
 		co.sets[part] = append(append([]*replica(nil), set[:j]...), set[j+1:]...)
 		co.mu.Unlock()
+		co.probe.drop(r)
 		return co.logTopology(TopologyEvent{Op: "remove", Partition: part, Name: name})
 	}
 	co.mu.Unlock()

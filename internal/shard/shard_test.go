@@ -177,7 +177,9 @@ func TestMergedCountBitwiseVsSingleNode(t *testing.T) {
 // runToDone starts q, waits for completion and returns the final snapshot.
 func runToDone(t *testing.T, eng engine.Engine, q *query.Query) *query.Result {
 	t.Helper()
-	h, err := eng.StartQuery(q)
+	sess := eng.OpenSession()
+	defer sess.Close()
+	h, err := sess.StartQuery(q)
 	if err != nil {
 		t.Fatalf("StartQuery: %v", err)
 	}
@@ -287,7 +289,7 @@ func (f *laggingEngine) Prepare(db *dataset.Database, _ engine.Options) error {
 	f.rows = int64(db.Fact.NumRows())
 	return nil
 }
-func (f *laggingEngine) OpenSession() engine.Session { panic("not used") }
+func (f *laggingEngine) OpenSession() engine.Session { return f }
 func (f *laggingEngine) StartQuery(q *query.Query) (engine.Handle, error) {
 	done := make(chan struct{})
 	close(done)
@@ -298,6 +300,7 @@ func (f *laggingEngine) LinkVizs(_, _ string) {}
 func (f *laggingEngine) DeleteViz(_ string)   {}
 func (f *laggingEngine) WorkflowStart()       {}
 func (f *laggingEngine) WorkflowEnd()         {}
+func (f *laggingEngine) Close()               {}
 func (f *laggingEngine) Append(rows *dataset.Table) error {
 	f.rows += int64(rows.NumRows())
 	return nil
