@@ -28,6 +28,10 @@ import (
 type servedProc struct {
 	cmd  *exec.Cmd
 	addr string
+	// eof is closed once the process's stdout reached EOF, so out holds
+	// everything it printed. cmd.Wait closes the pipe, possibly before the
+	// last lines were read: wait for eof first.
+	eof chan struct{}
 
 	mu  sync.Mutex
 	out bytes.Buffer
@@ -66,7 +70,7 @@ func startProc(t *testing.T, bin string, argv ...string) *servedProc {
 // (a warm standby) that deliberately do not bind until much later.
 func launchProc(t *testing.T, bin string, argv ...string) (*servedProc, <-chan string) {
 	t.Helper()
-	p := &servedProc{cmd: exec.Command(bin, argv...)}
+	p := &servedProc{cmd: exec.Command(bin, argv...), eof: make(chan struct{})}
 	stdout, err := p.cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -83,6 +87,7 @@ func launchProc(t *testing.T, bin string, argv ...string) (*servedProc, <-chan s
 	})
 	addrCh := make(chan string, 1)
 	go func() {
+		defer close(p.eof)
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
 			line := sc.Text()
@@ -296,22 +301,7 @@ func TestServeCrashRecoveryE2E(t *testing.T) {
 	}
 
 	// Graceful exit this time: drain, final checkpoint, close.
-	if err := p2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	werr := make(chan error, 1)
-	go func() { werr <- p2.cmd.Wait() }()
-	select {
-	case err := <-werr:
-		if err != nil {
-			t.Fatalf("drain exit: %v\noutput:\n%s", err, p2.output())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatalf("server did not drain; output:\n%s", p2.output())
-	}
-	if out := p2.output(); !bytes.Contains([]byte(out), []byte("drained, bye")) {
-		t.Fatalf("no clean drain banner:\n%s", out)
-	}
+	sigtermDrain(t, p2, "server")
 
 	// Boot 3: after a graceful drain the final checkpoint covers everything;
 	// recovery replays an empty WAL tail.

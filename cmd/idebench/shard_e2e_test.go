@@ -31,15 +31,13 @@ func sigtermDrain(t *testing.T, p *servedProc, who string) {
 	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("%s: signal: %v", who, err)
 	}
-	werr := make(chan error, 1)
-	go func() { werr <- p.cmd.Wait() }()
 	select {
-	case err := <-werr:
-		if err != nil {
-			t.Fatalf("%s: drain exit: %v\noutput:\n%s", who, err, p.output())
-		}
+	case <-p.eof:
 	case <-time.After(30 * time.Second):
 		t.Fatalf("%s did not drain; output:\n%s", who, p.output())
+	}
+	if err := p.cmd.Wait(); err != nil {
+		t.Fatalf("%s: drain exit: %v\noutput:\n%s", who, err, p.output())
 	}
 	if out := p.output(); !bytes.Contains([]byte(out), []byte("drained, bye")) {
 		t.Fatalf("%s: no clean drain banner:\n%s", who, out)

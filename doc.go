@@ -81,8 +81,10 @@
 //
 // Every result snapshot carries a Watermark — the fact-row count of the
 // data version it reflects. The ingest subsystem (internal/ingest) defines
-// the batch wire format (fuzzed), a deterministic copula-backed batch
-// source, and the Harness that replays mixed query+ingest timelines: it
+// the columnar batch and its one binary codec (fuzzed) — the form a batch
+// takes in memory, on the wire and in the WAL — a deterministic
+// copula-backed batch source, and the Harness that replays mixed
+// query+ingest timelines: it
 // owns a versioned ground-truth lineage, evaluates every result against
 // the truth of the version its watermark names, and records the staleness
 // metric (live watermark minus result watermark) in
@@ -107,10 +109,12 @@
 // varints, values and margins as raw IEEE-754 columns; query.Result's and
 // engine.Partial's binary forms), encoded by appending into the
 // connection's one write buffer and sent in one write, decoded into two or
-// three slabs the result owns; control messages — hello, error, reject,
-// ingest watermark and everything the client sends — stay JSON text frames.
-// The protocol is version 6, current or refuse: no negotiation, one encoding
-// per message type, the opcode the only discriminator. The matching Go client
+// three slabs the result owns. A client's ingest frame is binary too: the
+// columnar batch itself (ingest.Batch's binary form). Control messages —
+// hello, error, reject, ingest watermark and the client's query, cancel,
+// link and workflow frames — stay JSON text frames. The protocol is version
+// 7, current or refuse: no negotiation, one encoding per message type, the
+// opcode the only discriminator. The matching Go client
 // (server.Remote) implements engine.Engine, so driver.Runner and
 // driver.MultiRunner replay entire workflow sets over the wire unchanged
 // (`idebench run -addr host:port`), making in-process vs over-the-wire
@@ -249,12 +253,14 @@
 // two full copies: the fallback covers a torn or corrupt newest tail, while
 // a corrupt shared segment makes recovery refuse loudly, naming it. The
 // background checkpointer fires on WAL bytes logged since the newest
-// checkpoint, not on the WAL's size. The ingest WAL records every batch (the same fuzzed wire format
-// ingest frames use) in CRC-framed, version-chained records, fsynced
-// *before* the engine applies the batch or any client hears an ack — the
-// write-ahead hook (ingest.Applier.SetLog) runs under the apply mutex after
-// validation, so WAL order is apply order and the log never holds a batch
-// replay would reject.
+// checkpoint, not on the WAL's size. The ingest WAL records every batch in
+// its binary form (the bytes an ingest frame carries) in CRC-framed,
+// version-chained records, fsynced *before* the engine applies the batch or
+// any client hears an ack — the write-ahead hook (ingest.Applier.SetLog)
+// runs under the apply mutex after validation, so WAL order is apply order
+// and the log never holds a batch replay would reject. The data directory
+// is format 3; a directory of any other format, or a log record holding a
+// batch of another format, is refused by name rather than truncated.
 //
 // Recovery stitches the halves: load the newest checkpoint that fully
 // verifies (falling back to an older one on corruption), truncate any torn

@@ -20,11 +20,13 @@ import (
 	"idebench/internal/dataset"
 )
 
-// FormatVersion is bumped whenever the checkpoint layout or the segment
-// encoding changes incompatibly; loaders refuse other versions. Format 1
-// held one full copy of every table per checkpoint directory; format 2
-// holds content-addressed segments shared between checkpoints.
-const FormatVersion = 2
+// FormatVersion is bumped whenever the checkpoint layout, the segment
+// encoding or the WAL record body changes incompatibly; loaders refuse other
+// versions. Format 1 held one full copy of every table per checkpoint
+// directory; format 2 holds content-addressed segments shared between
+// checkpoints and logs JSON batches; format 3 keeps format 2's checkpoints
+// and logs binary batches.
+const FormatVersion = 3
 
 // manifestName is the file a checkpoint directory commits with — a
 // directory without it is not a checkpoint.
@@ -275,8 +277,8 @@ func readManifest(fs FS, dir string) (Manifest, error) {
 		return m, fmt.Errorf("durable: checkpoint manifest: %w", err)
 	}
 	if m.Format != FormatVersion {
-		return m, fmt.Errorf("durable: %s: %w %d (this build reads format %d, segmented checkpoints; "+
-			"format 1 directories are not converted — rebuild the data directory)", dir, errFormat, m.Format, FormatVersion)
+		return m, fmt.Errorf("durable: %s: %w %d (this build reads format %d and converts no other — "+
+			"rebuild the data directory)", dir, errFormat, m.Format, FormatVersion)
 	}
 	if contentDigest(m.Segments) != m.ContentSHA256 {
 		return m, fmt.Errorf("durable: checkpoint manifest: content digest mismatch")

@@ -46,8 +46,9 @@
 // the previous checkpoint and replays a longer WAL — but a corrupt or
 // missing shared segment (the base, an older tail) fails both, and
 // recovery refuses loudly ("no checkpoint verifies", naming the segment)
-// rather than serve partial state. Format-1 directories (one full copy per
-// checkpoint) are refused with a message naming the format.
+// rather than serve partial state. A directory of any other format (1: one
+// full copy per checkpoint; 2: this layout with a JSON WAL) is refused with a
+// message naming its format.
 //
 // # WAL framing and commit ordering
 //
@@ -55,7 +56,7 @@
 // named by the data version before their first record. Each record is
 //
 //	u32 body length | u32 CRC-32 (IEEE) of body | body
-//	body = u64 previous version | ingest batch JSON (the fuzzed wire format)
+//	body = u64 previous version | binary ingest batch (ingest/binary.go)
 //
 // The chained previous-version field makes every record's position in the
 // version sequence self-describing: replay verifies each record extends
@@ -84,7 +85,9 @@
 // engine.Appender. At the first framing or CRC error the segment is
 // truncated at the last valid record — a torn tail from a mid-write crash
 // — and any later segments are discarded; a torn or corrupt record is
-// therefore never applied. The recovered watermark is batch-aligned by
+// therefore never applied. A CRC-valid record holding a batch of another
+// format is not a torn tail: recovery refuses it, naming the format, and
+// changes no file. The recovered watermark is batch-aligned by
 // construction (appends are atomic; versions only ever advance by whole
 // batches). What is NOT guaranteed: batches the client never got an ack
 // for may or may not survive (the crash may have landed before or after

@@ -4,70 +4,87 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"idebench/internal/dataset"
 	"idebench/internal/durable"
 	"idebench/internal/ingest"
 )
 
-// FuzzWALRecord fuzzes the WAL record layer end to end: framing and body
-// decode must never panic on arbitrary bytes, any body that decodes must
-// round-trip to an identical record (decode→encode→decode is identity),
-// and a frame whose CRC does not match must be rejected. Seeds are real
-// framed records from the datagen-backed source — the same corpus shape
-// FuzzIngestRecord starts from — plus adversarial frames.
+// FuzzWALRecord fuzzes the WAL record body: decoding must never panic on
+// arbitrary bytes, and any body that decodes must round-trip to an identical
+// record whose encoding is a fixed point. Seeds are real record bodies from
+// the datagen-backed source — the corpus shape FuzzIngestRecord starts from —
+// plus the binary batch codec's edge cases and adversarial bodies.
 func FuzzWALRecord(f *testing.F) {
 	src, err := ingest.NewSource(2000, 7)
 	if err != nil {
 		f.Fatal(err)
 	}
 	version := int64(120000)
+	body := func(prev int64, b *ingest.Batch) []byte {
+		rec, err := durable.EncodeWALRecord(prev, b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return rec[8:]
+	}
 	for i := 0; i < 4; i++ {
 		b, err := src.Next(3 + i*5)
 		if err != nil {
 			f.Fatal(err)
 		}
-		rec, err := durable.EncodeWALRecord(version, b)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(rec)
+		f.Add(body(version, b))
 		version += int64(b.NumRows())
 	}
-	// Adversarial frames: empty, header-only, length lies (too long, too
-	// short, huge), CRC of nothing, valid CRC over junk bodies.
+	prev := binary.LittleEndian.AppendUint64(nil, uint64(version))
+	oneRow := &ingest.Batch{Table: "flights", Seq: 1, Columns: []ingest.Column{
+		{Kind: dataset.Nominal, Dict: []string{"AA"}, Codes: []uint32{0}}}}
+	f.Add(body(version, oneRow))
+	floats := &ingest.Batch{Table: "flights", Columns: []ingest.Column{
+		{Kind: dataset.Quantitative, Nums: []float64{math.Copysign(0, -1), 5e-324, -math.SmallestNonzeroFloat64}}}}
+	f.Add(body(version, floats))
+	wide := ingest.Column{Kind: dataset.Nominal}
+	for i := 0; i < 300; i++ {
+		wide.Dict = append(wide.Dict, fmt.Sprintf("v%d", i))
+		wide.Codes = append(wide.Codes, uint32(i))
+	}
+	f.Add(body(version, &ingest.Batch{Table: "flights", Columns: []ingest.Column{wide}}))
+	// 24 bytes claiming 2^31 rows of one column.
+	huge := binary.AppendUvarint(append(bytes.Clone(prev), 0x41, 1, 't', 0), 1<<31)
+	huge = binary.AppendUvarint(huge, 1)
+	f.Add(append(huge, make([]byte, 24-len(huge))...))
+	// Adversarial bodies: empty, a version alone, a JSON batch, a negative
+	// version.
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add(binary.LittleEndian.AppendUint32([]byte{0xFF, 0xFF, 0xFF, 0x7F}, 0))
-	junk := []byte("\x00\x00\x00\x00\x00\x00\x00\x00not json at all")
-	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(junk)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(junk))
-	f.Add(append(frame, junk...))
+	f.Add(bytes.Clone(prev))
+	f.Add(append(bytes.Clone(prev), `{"table":"flights","rows":[["AA",1]]}`...))
+	f.Add(append([]byte{0, 0, 0, 0, 0, 0, 0, 0x80}, body(0, oneRow)[8:]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The body decoder must survive raw bytes directly (recovery hands
-		// it CRC-verified bodies, but the fuzz contract is unconditional).
-		if rec, err := durable.DecodeWALBody(data); err == nil {
-			reEnc, err := durable.EncodeWALRecord(rec.PrevVersion, rec.Batch)
-			if err != nil {
-				t.Fatalf("accepted record failed to encode: %v", err)
-			}
-			again, err := durable.DecodeWALBody(reEnc[8:])
-			if err != nil {
-				t.Fatalf("round-trip decode failed: %v", err)
-			}
-			if again.PrevVersion != rec.PrevVersion {
-				t.Fatalf("round trip changed version: %d -> %d", rec.PrevVersion, again.PrevVersion)
-			}
-			a, _ := rec.Batch.Encode()
-			b, _ := again.Batch.Encode()
-			if !bytes.Equal(a, b) {
-				t.Fatalf("round trip changed the batch:\n was: %s\n now: %s", a, b)
-			}
+		rec, err := durable.DecodeWALBody(data)
+		if err != nil {
+			return
+		}
+		reEnc, err := durable.EncodeWALRecord(rec.PrevVersion, rec.Batch)
+		if err != nil {
+			t.Fatalf("accepted record failed to encode: %v", err)
+		}
+		again, err := durable.DecodeWALBody(reEnc[8:])
+		if err != nil {
+			t.Fatalf("round-trip decode failed: %v", err)
+		}
+		if again.PrevVersion != rec.PrevVersion || !reflect.DeepEqual(again.Batch, rec.Batch) {
+			t.Fatalf("round trip changed the record:\n was: %d %#v\n now: %d %#v", rec.PrevVersion, rec.Batch, again.PrevVersion, again.Batch)
+		}
+		if reEnc2, _ := durable.EncodeWALRecord(again.PrevVersion, again.Batch); !bytes.Equal(reEnc, reEnc2) {
+			t.Fatalf("record encoding not a fixed point:\n was: %x\n now: %x", reEnc, reEnc2)
 		}
 	})
 }

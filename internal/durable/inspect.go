@@ -1,11 +1,13 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
 
 	"idebench/internal/dataset"
+	"idebench/internal/ingest"
 )
 
 // Inspect prints a data directory's checkpoints, segment by segment, and
@@ -125,7 +127,10 @@ func Inspect(dir string, fs FS, w io.Writer) error {
 			off = next
 		}
 		fmt.Fprintf(w, "wal %s: %d records, versions %d..%d, %d bytes", name, records, start, version, len(data))
-		if torn != nil {
+		switch {
+		case errors.Is(torn, ingest.ErrFormat):
+			fmt.Fprintf(w, " [another format; recovery refuses it: %v]", torn)
+		case torn != nil:
 			fmt.Fprintf(w, " [tail not committed: %v]", torn)
 		}
 		fmt.Fprintln(w)

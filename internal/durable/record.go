@@ -12,11 +12,13 @@ import (
 // WAL record framing (see the package comment for the full layout):
 //
 //	u32 body length | u32 CRC-32 (IEEE) of body | body
-//	body = u64 previous data version | ingest batch JSON
+//	body = u64 previous data version | binary ingest batch
 //
-// The frame is deliberately minimal — the batch payload reuses the ingest
-// wire format, which is already fuzzed (FuzzIngestRecord) and versioned by
-// its JSON shape, so the WAL inherits its compatibility story.
+// The frame is deliberately minimal — the batch payload is the ingest
+// codec's binary form (ingest/binary.go), the same bytes the ingest frame
+// carries, already fuzzed (FuzzIngestRecord). A CRC-valid body whose batch is
+// of another format is not damage: recovery refuses it instead of
+// truncating it.
 
 // recordHeaderBytes is the fixed frame prefix: length + CRC.
 const recordHeaderBytes = 8
@@ -45,19 +47,15 @@ func appendWALRecord(dst, body []byte) []byte {
 	return append(dst, body...)
 }
 
-// encodeWALBody serializes one record body.
-func encodeWALBody(prevVersion int64, b *ingest.Batch) ([]byte, error) {
-	payload, err := b.Encode()
-	if err != nil {
-		return nil, fmt.Errorf("durable: encode wal record: %w", err)
-	}
-	body := make([]byte, 0, 8+len(payload))
-	body = binary.LittleEndian.AppendUint64(body, uint64(prevVersion))
-	return append(body, payload...), nil
+// appendWALBody appends one record body; b must be valid.
+func appendWALBody(dst []byte, prevVersion int64, b *ingest.Batch) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(prevVersion))
+	return b.AppendBinary(dst)
 }
 
 // DecodeWALBody parses one record body. It never panics on arbitrary
-// bytes (FuzzWALRecord's contract) and fully validates the embedded batch.
+// bytes (FuzzWALRecord's contract) and fully validates the embedded batch;
+// a batch of another format fails with an error wrapping ingest.ErrFormat.
 func DecodeWALBody(body []byte) (WALRecord, error) {
 	if len(body) < 8 {
 		return WALRecord{}, fmt.Errorf("durable: wal record body %d bytes, want >= 8", len(body))
@@ -73,14 +71,13 @@ func DecodeWALBody(body []byte) (WALRecord, error) {
 	return WALRecord{PrevVersion: prev, Batch: b}, nil
 }
 
-// EncodeWALRecord frames one record; exported for the fuzz harness and the
-// offline inspector, which both need to build valid records standalone.
+// EncodeWALRecord validates b and frames its record; exported for the fuzz
+// harness and the tests, which build valid records standalone.
 func EncodeWALRecord(prevVersion int64, b *ingest.Batch) ([]byte, error) {
-	body, err := encodeWALBody(prevVersion, b)
-	if err != nil {
-		return nil, err
+	if err := b.Validate(); err != nil {
+		return nil, fmt.Errorf("durable: encode wal record: %w", err)
 	}
-	return appendWALRecord(nil, body), nil
+	return appendWALRecord(nil, appendWALBody(nil, prevVersion, b)), nil
 }
 
 // nextWALRecord cuts the frame starting at data[off], returning the body

@@ -91,10 +91,11 @@ type Store struct {
 	keep     int
 	meta     Meta
 
-	mu     sync.Mutex // guards wal, logged and WAL-file pruning
-	wal    *wal
-	logged int64 // WAL bytes logged since Open, counting a recovered tail
-	info   RecoveryInfo
+	mu        sync.Mutex // guards wal, logged, the record buffers and WAL-file pruning
+	wal       *wal
+	logged    int64 // WAL bytes logged since Open, counting a recovered tail
+	info      RecoveryInfo
+	body, rec []byte // LogBatch's record body and frame, reused
 
 	ckptMu sync.Mutex // serializes checkpoint writes and segment pruning
 	tip    *tip       // the newest committed checkpoint; guarded by ckptMu
@@ -263,15 +264,17 @@ func (s *Store) LogBatch(b *ingest.Batch) error {
 	if s.wal == nil {
 		return fmt.Errorf("durable: log batch: store not recovered")
 	}
-	body, err := encodeWALBody(s.wal.version, b)
-	if err != nil {
+	// Validated here although the apply path validated it already: a record
+	// recovery cannot decode would read as a torn tail and be cut off.
+	if err := b.Validate(); err != nil {
+		return fmt.Errorf("durable: log batch: %w", err)
+	}
+	s.body = appendWALBody(s.body[:0], s.wal.version, b)
+	s.rec = appendWALRecord(s.rec[:0], s.body)
+	if _, err := s.wal.append(s.rec, int64(b.NumRows())); err != nil {
 		return err
 	}
-	rec := appendWALRecord(nil, body)
-	if _, err := s.wal.append(rec, int64(b.NumRows())); err != nil {
-		return err
-	}
-	s.logged += int64(len(rec))
+	s.logged += int64(len(s.rec))
 	return nil
 }
 

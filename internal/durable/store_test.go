@@ -2,8 +2,13 @@ package durable_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -662,4 +667,90 @@ func TestRecoverFormat1Refused(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "format 1") {
 		t.Fatalf("recovering a format-1 directory must refuse, naming the format; got %v", err)
 	}
+}
+
+// TestRecoverFormat2Refused: a directory written by the JSON-WAL format is
+// refused outright, naming its format — its log would not decode, and a
+// body that does not decode must never be mistaken for a torn tail.
+func TestRecoverFormat2Refused(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir, durable.Options{})
+	if err := st.Bootstrap(testDB(t), nil); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	ms := checkpointManifests(t, dir)
+	mpath := filepath.Join(dir, "checkpoints", fmt.Sprintf("ckpt-%016d", ms[0].Version), "MANIFEST.json")
+	data, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(data), fmt.Sprintf(`"format": %d`, durable.FormatVersion), `"format": 2`, 1)
+	if old == string(data) {
+		t.Fatal("manifest carries no format field to rewrite")
+	}
+	if err := os.WriteFile(mpath, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = openTestStore(t, dir, durable.Options{}).Recover()
+	if err == nil || !strings.Contains(err.Error(), "format 2") {
+		t.Fatalf("recovering a format-2 directory must refuse, naming the format; got %v", err)
+	}
+}
+
+// TestRecoverForeignBatchRefusedUntouched: a CRC-valid WAL record whose
+// batch is a JSON document — what a format-2 build logged — is not a torn
+// tail. Recovery fails naming the format, and leaves every file of the
+// directory byte-identical: truncating it would drop an acknowledged batch.
+func TestRecoverForeignBatchRefusedUntouched(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir, durable.Options{})
+	if err := st.Bootstrap(testDB(t), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range testBatches(t, 2, 100) {
+		if err := st.LogBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+	body := binary.LittleEndian.AppendUint64(nil, uint64(testBaseRows+200))
+	body = append(body, `{"table":"flights","rows":[["AA","SFO","CA","JFK","NY",1,2,3,4,5,6,7,8,9]]}`...)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(body))
+	seg := activeSegment(t, dir)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, append(append(data, frame...), body...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirContents(t, dir)
+
+	_, err = openTestStore(t, dir, durable.Options{}).Recover()
+	if err == nil || !strings.Contains(err.Error(), "JSON") || !errors.Is(err, ingest.ErrFormat) {
+		t.Fatalf("recovering a log holding a JSON batch must refuse, naming the format; got %v", err)
+	}
+	if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatal("a refused recovery changed the data directory")
+	}
+}
+
+// dirContents maps every file under dir to its bytes.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		out[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -1,10 +1,13 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"idebench/internal/ingest"
 )
 
 // DefaultSegmentBytes is the WAL rotation threshold: once the active
@@ -179,8 +182,10 @@ type walScan struct {
 // truncates the first torn or corrupt record and everything after it
 // (including later segments — nothing beyond a hole can be trusted), and
 // returns the records whose versions exceed `after` (the checkpoint
-// version) for replay. A gap in the version chain between segments is a
-// hard error: replaying past it would silently drop acked batches.
+// version) for replay. Two things are hard errors that leave every file as
+// it was, because truncating would silently drop acked batches: a gap in the
+// version chain between segments, and a CRC-valid record whose batch is of
+// another format.
 func recoverWAL(fs FS, dir string, after int64) (walScan, error) {
 	scan := walScan{endVersion: after}
 	names, err := fs.ReadDir(dir)
@@ -229,6 +234,12 @@ func recoverWAL(fs FS, dir string, after int64) (walScan, error) {
 				break
 			}
 			rec, err := DecodeWALBody(body)
+			if errors.Is(err, ingest.ErrFormat) {
+				// Intact bytes of another format are not a torn tail:
+				// truncating them would drop acknowledged batches.
+				return scan, fmt.Errorf("durable: recover wal: %s, record at byte %d: %w (this build reads format %d logs and converts none — rebuild the data directory)",
+					s.name, off, err, FormatVersion)
+			}
 			if err != nil || rec.PrevVersion != version {
 				// A record that decodes but chains to the wrong version is
 				// corruption just like a bad CRC.

@@ -11,9 +11,9 @@ import (
 )
 
 // Sink receives each applied ingest event. The harness hands every sink
-// both forms of the batch — the wire document and its materialization
-// against the live view — so in-process engines append the table while a
-// network forwarder ships the document.
+// both forms of the rows — the batch and its materialization against the
+// live view — so in-process engines append the table while a network
+// forwarder ships the batch.
 type Sink interface {
 	ApplyBatch(b *Batch, rows *dataset.Table) error
 }
@@ -196,7 +196,7 @@ func (h *Harness) FinalView() *dataset.Database {
 	return h.views[h.base+h.ingested]
 }
 
-// Applier applies wire batches to one engine, serialized: the server-side
+// Applier applies batches to one engine, serialized: the server-side
 // receiving end of the ingest frame type. db provides the schema and the
 // shared dictionaries batches are materialized against (its row count may
 // be stale; only schema, dictionaries and dimension tables are read).

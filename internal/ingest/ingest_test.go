@@ -1,6 +1,7 @@
 package ingest_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -52,12 +53,18 @@ func TestMaterializeRoundTrip(t *testing.T) {
 
 func TestMaterializeRejects(t *testing.T) {
 	db := fuzzDB(t)
+	valid := func() *ingest.Batch { return ingest.FromTable(db.Fact, 0, 2) }
+	wrongTable := valid()
+	wrongTable.Table = "nope"
+	wrongArity := valid()
+	wrongArity.Columns = wrongArity.Columns[:1]
+	kindConfusion := valid()
+	kindConfusion.Columns[0], kindConfusion.Columns[len(kindConfusion.Columns)-1] =
+		kindConfusion.Columns[len(kindConfusion.Columns)-1], kindConfusion.Columns[0]
 	cases := map[string]*ingest.Batch{
-		"wrong table": {Table: "nope", Rows: []ingest.Row{{{IsStr: true, Str: "AA"}}}},
-		"wrong arity": {Table: "flights", Rows: []ingest.Row{{{IsStr: true, Str: "AA"}}}},
-		"kind confusion": {Table: "flights", Rows: []ingest.Row{{
-			{Num: 1}, {IsStr: true, Str: "CA"}, {Num: 1}, {Num: 2}, {Num: 3},
-		}}},
+		"wrong table":    wrongTable,
+		"wrong arity":    wrongArity,
+		"kind confusion": kindConfusion,
 	}
 	for name, b := range cases {
 		if _, err := ingest.Materialize(db, b); err == nil {
@@ -66,23 +73,27 @@ func TestMaterializeRejects(t *testing.T) {
 	}
 }
 
+// TestMaterializeInternsNewValues: a batch's new nominal values enter the
+// fact dictionary in the order the rows first use them — the order a
+// row-by-row interning gives — so codes, and the checkpoint bytes built from
+// them, do not depend on the batch form.
 func TestMaterializeInternsNewValues(t *testing.T) {
 	db := fuzzDB(t)
 	dict := db.Fact.Columns[0].Dict
 	before := dict.Len()
-	b := &ingest.Batch{Table: "flights", Rows: []ingest.Row{{
-		{IsStr: true, Str: "ZZ-new-carrier"}, {IsStr: true, Str: "CA"},
-		{Num: 1}, {Num: 2}, {Num: 3},
-	}}}
+	b := ingest.FromTable(db.Fact, 0, 4)
+	b.Columns[0].Dict = []string{"ZZ-b", "ZZ-a"}
+	b.Columns[0].Codes = []uint32{0, 1, 0, 1}
 	rows, err := ingest.Materialize(db, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dict.Len() != before+1 {
-		t.Fatalf("dict grew by %d, want 1", dict.Len()-before)
+	if dict.Len() != before+2 || dict.Value(uint32(before)) != "ZZ-b" || dict.Value(uint32(before+1)) != "ZZ-a" {
+		t.Fatalf("dictionary grew to %v, want ZZ-b then ZZ-a", dict.Values()[before:])
 	}
-	if got := rows.Columns[0].Dict.Value(rows.Columns[0].Codes[0]); got != "ZZ-new-carrier" {
-		t.Fatalf("interned value renders as %q", got)
+	want := []uint32{uint32(before), uint32(before + 1), uint32(before), uint32(before + 1)}
+	if got := rows.Columns[0].Codes; !slices.Equal(got, want) || rows.Columns[0].Dict.Value(got[0]) != "ZZ-b" {
+		t.Fatalf("materialized codes %v, want %v", got, want)
 	}
 }
 

@@ -40,7 +40,7 @@ func NewSource(seedRows int, seed int64) (*Source, error) {
 }
 
 // Next generates the next batch of n rows. Batches are numbered from 1 in
-// generation order; the sequence is part of the wire document.
+// generation order; the number travels as the batch's Seq.
 func (s *Source) Next(n int) (*Batch, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("ingest: batch size %d", n)

@@ -437,7 +437,14 @@ func (r *Remote) Ingest(b *ingest.Batch) error {
 	if err := r.hello.Err(); err != nil {
 		return err
 	}
-	return r.hello.send(&ClientMsg{Type: MsgIngest, Batch: b})
+	if err := b.Validate(); err != nil {
+		return err
+	}
+	ws, err := r.hello.liveConn()
+	if err != nil {
+		return err
+	}
+	return ws.WriteBinary(b.AppendBinary(make([]byte, wsHeadroom)))
 }
 
 // Err surfaces the first connection- or server-reported error on the hello

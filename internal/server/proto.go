@@ -1,6 +1,6 @@
 // The idebench wire protocol: one WebSocket connection per engine session
 // (paper Sec. 4.5 — the driver/backend split puts the system adapter behind a
-// connection, not a function call), protocol version 6, current or refuse:
+// connection, not a function call), protocol version 7, current or refuse:
 // the server states ProtoVersion in its hello frame and a client that speaks
 // another version hangs up. There are no external clients, so there is no
 // negotiation and no second decoder.
@@ -14,11 +14,17 @@
 // Every message type has exactly one encoding, and the WebSocket opcode is
 // the only discriminator:
 //
-//	opcode 1 (text)    JSON control messages: every client→server frame
-//	                   (ClientMsg) and the server's hello, error, reject and
+//	opcode 1 (text)    JSON control messages: the client's query, cancel,
+//	                   link, delete_viz and workflow frames (ClientMsg) and
+//	                   the server's hello, error, reject and
 //	                   ingest-watermark frames (ServerMsg). A text frame of
-//	                   type "snapshot" is a protocol error.
-//	opcode 2 (binary)  snapshot frames, server→client only:
+//	                   type "snapshot", or a client's of type "ingest", is a
+//	                   protocol error.
+//	opcode 2 (binary)  client→server: one ingest batch, the frame being
+//	                   exactly the batch's binary form (ingest/binary.go:
+//	                   tag, table, seq, rows, columns, then per column raw
+//	                   floats or a dictionary and its codes).
+//	                   server→client: one snapshot frame:
 //
 //	  byte     snapshotTag: kind 1 in the high nibble, ProtoVersion in the low
 //	  byte     flags: final | shed | result | partial
@@ -37,7 +43,8 @@
 // The server encodes a snapshot by appending into its connection's write
 // buffer behind the WebSocket header's headroom, so a frame is one buffer and
 // one conn.Write; the client decodes out of its connection's read buffer into
-// slabs it owns.
+// slabs it owns. An ingest frame is built the same way on the client, and
+// the server decodes it into a batch that owns its memory.
 package server
 
 import (
@@ -53,7 +60,7 @@ import (
 
 // ProtoVersion is the wire-protocol version. The server states its version
 // in the hello frame; clients reject a mismatch rather than guessing.
-const ProtoVersion = 6
+const ProtoVersion = 7
 
 // Client→server message types.
 const (
@@ -71,9 +78,9 @@ const (
 	MsgWorkflowEnd   = "workflow_end"
 )
 
-// MsgIngest flows both ways: a client frame carries an append-only Batch
-// the server applies to its engine; the server then broadcasts an ingest
-// frame with the post-apply Watermark to every live session, so all
+// MsgIngest flows both ways: a client's binary frame carries an append-only
+// Batch the server applies to its engine; the server then broadcasts a text
+// ingest frame with the post-apply Watermark to every live session, so all
 // connected analysts learn the data moved (and by how much) regardless of
 // who fed it.
 const MsgIngest = "ingest"
@@ -107,8 +114,9 @@ type ClientMsg struct {
 	From  string       `json:"from,omitempty"`
 	To    string       `json:"to,omitempty"`
 	Name  string       `json:"name,omitempty"`
-	// Batch is the appended rows of an "ingest" frame.
-	Batch *ingest.Batch `json:"batch,omitempty"`
+	// Batch is the appended rows of an "ingest" message, which travels as a
+	// binary frame of the batch alone.
+	Batch *ingest.Batch `json:"-"`
 	// DeadlineMS is the client's interactivity deadline for a "query" frame,
 	// in milliseconds. The server treats it as a shedding hint: work still
 	// running well past the deadline (Options.LateFactor multiples of it) is
@@ -120,8 +128,9 @@ type ClientMsg struct {
 	Partials bool `json:"partials,omitempty"`
 }
 
-// Validate checks structural well-formedness (the query itself is validated
-// engine-side like any local query).
+// Validate checks a text control message's structural well-formedness (the
+// query itself is validated engine-side like any local query). An ingest is
+// not one: it travels as a binary frame of the batch alone.
 func (m *ClientMsg) Validate() error {
 	switch m.Type {
 	case MsgQuery:
@@ -147,12 +156,7 @@ func (m *ClientMsg) Validate() error {
 			return fmt.Errorf("server: %s message needs a name", m.Type)
 		}
 	case MsgIngest:
-		if m.Batch == nil {
-			return fmt.Errorf("server: %s message without batch", m.Type)
-		}
-		if err := m.Batch.Validate(); err != nil {
-			return err
-		}
+		return fmt.Errorf("server: %s in a text frame", m.Type)
 	case MsgWorkflowStart, MsgWorkflowEnd:
 	default:
 		return fmt.Errorf("server: unknown client message type %q", m.Type)
@@ -203,11 +207,18 @@ type ServerMsg struct {
 	Peers []string `json:"peers,omitempty"`
 }
 
-// encodeMsg marshals a JSON control message — any ClientMsg, or a ServerMsg
-// other than a snapshot — for a text frame.
+// encodeMsg marshals a JSON control message — a ClientMsg other than an
+// ingest, or a ServerMsg other than a snapshot — for a text frame.
 func encodeMsg(v any) ([]byte, error) {
-	if m, ok := v.(*ServerMsg); ok && m.Type == MsgSnapshot {
-		return nil, fmt.Errorf("server: a %s travels as a binary frame", MsgSnapshot)
+	switch m := v.(type) {
+	case *ServerMsg:
+		if m.Type == MsgSnapshot {
+			return nil, fmt.Errorf("server: a %s travels as a binary frame", MsgSnapshot)
+		}
+	case *ClientMsg:
+		if m.Type == MsgIngest {
+			return nil, fmt.Errorf("server: an %s travels as a binary frame", MsgIngest)
+		}
 	}
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -300,11 +311,20 @@ func parseSnapshot(data []byte) (snapshotFrame, error) {
 	return f, nil
 }
 
-// decodeClientMsg parses and validates one client frame; every client
-// message is a JSON text frame.
+// decodeClientMsg parses and validates one client frame: a binary frame is
+// an ingest batch, a text frame a JSON control message and never an ingest.
+// The message owns its memory; nothing aliases data.
 func decodeClientMsg(op byte, data []byte) (*ClientMsg, error) {
-	if op != opText {
-		return nil, fmt.Errorf("server: client frame with opcode %#x, want text", op)
+	switch op {
+	case opBinary:
+		b, err := ingest.DecodeBatch(data)
+		if err != nil {
+			return nil, fmt.Errorf("server: decode ingest frame: %w", err)
+		}
+		return &ClientMsg{Type: MsgIngest, Batch: b}, nil
+	case opText:
+	default:
+		return nil, fmt.Errorf("server: client frame with opcode %#x", op)
 	}
 	var m ClientMsg
 	if err := json.Unmarshal(data, &m); err != nil {

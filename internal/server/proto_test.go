@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -191,6 +193,17 @@ func TestOneEncodingPerMessage(t *testing.T) {
 	if _, err := decodeClientMsg(opBinary, q); err == nil {
 		t.Error("a client message decoded out of a binary frame")
 	}
+	// An ingest is a binary frame of the batch alone, never JSON.
+	if _, err := encodeMsg(&ClientMsg{Type: MsgIngest, Batch: testBatch()}); err == nil {
+		t.Error("an ingest encoded as a JSON control message")
+	}
+	text = `{"type":"ingest","batch":{"table":"flights","rows":[["AA",12.5]]}}`
+	if _, err := decodeClientMsg(opText, []byte(text)); err == nil || !strings.Contains(err.Error(), "text frame") {
+		t.Errorf("text ingest frame: err %v, want a refusal", err)
+	}
+	if _, err := decodeClientMsg(opText, testBatch().AppendBinary(nil)); err == nil {
+		t.Error("a binary batch decoded out of a text frame")
+	}
 	// A snapshot frame of another protocol version is not a snapshot.
 	old := appendSnapshot(nil, &ServerMsg{Type: MsgSnapshot, ID: 1, Seq: 1, Result: testResult()})
 	old[0] = 0x10 | (ProtoVersion - 1)
@@ -282,10 +295,19 @@ func TestClientMsgValidation(t *testing.T) {
 	}
 }
 
-// FuzzClientMsg feeds arbitrary bytes, as a socket would, to the decoder
-// the server's read loop hands every client frame to. It must never panic,
-// and a message it accepts must re-encode through encodeMsg to a frame that
-// decodes to a deep-equal message.
+// testBatch is a small ingest batch with both column kinds.
+func testBatch() *ingest.Batch {
+	return &ingest.Batch{Table: "flights", Seq: 3, Columns: []ingest.Column{
+		{Kind: dataset.Nominal, Dict: []string{"AA", "O'Hare"}, Codes: []uint32{0, 1, 0}},
+		{Kind: dataset.Quantitative, Nums: []float64{12.5, math.Copysign(0, -1), 5e-324}},
+	}}
+}
+
+// FuzzClientMsg feeds arbitrary frames, as a socket would, to the decoder
+// the server's read loop hands every client frame to: text control messages
+// and binary ingest batches. It must never panic, and a message it accepts
+// must re-encode the one way its type travels to a frame that decodes to a
+// deep-equal message.
 func FuzzClientMsg(f *testing.F) {
 	wide := testQuery()
 	for len(wide.Aggs) <= engine.MaxPartialAggs {
@@ -298,9 +320,66 @@ func FuzzClientMsg(f *testing.F) {
 		{Type: MsgDeleteViz, Name: "viz_1"},
 		{Type: MsgWorkflowStart},
 		{Type: MsgWorkflowEnd},
-		{Type: MsgIngest, Batch: &ingest.Batch{Table: "flights", Seq: 3, Rows: []ingest.Row{
-			{{Str: "AA", IsStr: true}, {Num: 12.5}}, {{Str: "O'Hare", IsStr: true}, {Num: -0.25}}}}},
 		{Type: MsgQuery, ID: 8, Query: wide, Partials: true}, // refused: too wide for a partial frame
+	} {
+		data, err := encodeMsg(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(byte(opText), data)
+	}
+	f.Add(byte(opBinary), testBatch().AppendBinary(nil))
+	dict := ingest.Column{Kind: dataset.Nominal}
+	for i := 0; i < 300; i++ {
+		dict.Dict = append(dict.Dict, fmt.Sprintf("airport-%03d", i))
+		dict.Codes = append(dict.Codes, uint32(i))
+	}
+	f.Add(byte(opBinary), (&ingest.Batch{Table: "flights", Columns: []ingest.Column{dict}}).AppendBinary(nil))
+	huge := binary.AppendUvarint([]byte{0x41, 1, 't', 0}, 1<<31)
+	huge = binary.AppendUvarint(huge, 1)
+	f.Add(byte(opBinary), append(huge, make([]byte, 24-len(huge))...))
+	// Refused: an ingest as JSON, in either frame.
+	f.Add(byte(opText), []byte(`{"type":"ingest","batch":{"table":"flights","rows":[["AA",12.5]]}}`))
+	f.Add(byte(opBinary), []byte(`{"table":"flights","rows":[["AA",12.5]]}`))
+
+	f.Fuzz(func(t *testing.T, op byte, data []byte) {
+		m, err := decodeClientMsg(op, data)
+		if err != nil {
+			return
+		}
+		var again *ClientMsg
+		if m.Type == MsgIngest {
+			again, err = decodeClientMsg(opBinary, m.Batch.AppendBinary(nil))
+		} else {
+			var enc []byte
+			if enc, err = encodeMsg(m); err != nil {
+				t.Fatalf("accepted message does not encode: %v", err)
+			}
+			again, err = decodeClientMsg(opText, enc)
+		}
+		if err != nil {
+			t.Fatalf("own encoding does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(m, again) {
+			t.Fatalf("decode∘encode changed the message:\n was: %#v\n now: %#v", m, again)
+		}
+	})
+}
+
+// FuzzServerMsg feeds arbitrary text frames to the decoder a client's read
+// loop hands the server's control messages to — hello, error, reject and the
+// ingest watermark. It must never panic, must never return a snapshot from a
+// text frame, and a message it accepts must re-encode to a frame that
+// decodes to a message whose encoding is the same frame (an empty list and
+// an absent one are the same message).
+func FuzzServerMsg(f *testing.F) {
+	for _, m := range []*ServerMsg{
+		{Type: MsgHello, Version: ProtoVersion, Engine: "progressive", Rows: 50000, Seed: 7},
+		{Type: MsgHello, Version: ProtoVersion, Engine: "coord", Rows: 9, Role: "coord", Peers: []string{"127.0.0.1:7001", "[::1]:7002"}},
+		{Type: MsgError, ID: 9, Error: "engine: unknown table"},
+		{Type: MsgError, Error: "server draining"},
+		{Type: MsgReject, ID: 4, Error: "server query limit reached", RetryMS: 50},
+		{Type: MsgIngest, Watermark: 50500},
 	} {
 		data, err := encodeMsg(m)
 		if err != nil {
@@ -308,21 +387,28 @@ func FuzzClientMsg(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	f.Add([]byte(`{"type":"snapshot","id":1,"seq":1,"final":true,"result":{"bins":[],"rows_seen":1,"total_rows":1,"complete":true}}`))
+	f.Add([]byte(`{"type":"hello","version":6,"peers":null,"rows":-1}`))
+	f.Add([]byte(`{"type":"ingest","watermark":1e400}`))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeClientMsg(opText, data)
+		m, err := decodeServerMsg(opText, data)
 		if err != nil {
 			return
+		}
+		if m.Type == MsgSnapshot || m.Partial != nil {
+			t.Fatalf("a text frame decoded to a snapshot: %+v", m)
 		}
 		enc, err := encodeMsg(m)
 		if err != nil {
 			t.Fatalf("accepted message does not encode: %v", err)
 		}
-		again, err := decodeClientMsg(opText, enc)
+		again, err := decodeServerMsg(opText, enc)
 		if err != nil {
 			t.Fatalf("own encoding does not decode: %v\n%s", err, enc)
 		}
-		if !reflect.DeepEqual(m, again) {
-			t.Fatalf("decode∘encode changed the message:\n was: %#v\n now: %#v", m, again)
+		if enc2, err := encodeMsg(again); err != nil || !bytes.Equal(enc, enc2) {
+			t.Fatalf("encode∘decode is not a fixed point (%v):\n was: %s\n now: %s", err, enc, enc2)
 		}
 	})
 }

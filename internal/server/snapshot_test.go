@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -214,18 +215,18 @@ func scriptedServer(t *testing.T, frames ...string) string {
 	return strings.TrimPrefix(srv.URL, "http://")
 }
 
-// TestOtherVersionsRefused: the protocol is current-or-refuse. A version-5
-// hello ends the dial, and a version-6 peer that sends a snapshot as a text
-// frame has broken the protocol: the session fails, as it does on any
-// malformed frame.
+// TestOtherVersionsRefused: the protocol is current-or-refuse. A version-6
+// hello — the last version whose ingest frames were JSON — ends the dial, and
+// a current peer that sends a snapshot as a text frame has broken the
+// protocol: the session fails, as it does on any malformed frame.
 func TestOtherVersionsRefused(t *testing.T) {
-	_, err := NewRemote(scriptedServer(t, `{"type":"hello","version":5,"engine":"progressive","rows":10}`))
-	if err == nil || !strings.Contains(err.Error(), "protocol version 5") {
-		t.Fatalf("version-5 hello: err %v, want a version refusal", err)
+	_, err := NewRemote(scriptedServer(t, `{"type":"hello","version":6,"engine":"progressive","rows":10}`))
+	if err == nil || !strings.Contains(err.Error(), "protocol version 6") {
+		t.Fatalf("version-6 hello: err %v, want a version refusal", err)
 	}
 
 	rem, err := NewRemote(scriptedServer(t,
-		`{"type":"hello","version":6,"engine":"progressive","rows":10}`,
+		fmt.Sprintf(`{"type":"hello","version":%d,"engine":"progressive","rows":10}`, ProtoVersion),
 		`{"type":"snapshot","id":1,"seq":1,"final":true,"result":{"bins":[],"rows_seen":10,"total_rows":10,"complete":true}}`))
 	if err != nil {
 		t.Fatal(err)

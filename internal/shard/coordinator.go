@@ -467,8 +467,8 @@ func (co *Coordinator) Topology() engine.Topology {
 	return topo
 }
 
-// Append implements engine.Appender: it reconstructs the wire batch from
-// the materialized rows (the inverse the ingest codec defines) and routes
+// Append implements engine.Appender: it converts the materialized rows
+// back into a batch (ingest.FromTable, Materialize's inverse) and routes
 // it. This is what lets an ingest.EngineSink or the durable WAL replay
 // treat a coordinator like any other appending engine.
 func (co *Coordinator) Append(rows *dataset.Table) error {
@@ -479,11 +479,10 @@ func (co *Coordinator) Append(rows *dataset.Table) error {
 // partitions, apply every non-empty sub-batch to each in-sync live replica,
 // wait until each confirms absorption, then publish the new global version.
 // A replica that fails (or is skipped because it is down) is marked
-// unsynced — it keeps serving at its honestly stale watermark and only
-// rejoins the ingest path once its watermark proves it caught back up (a
-// durable restart) or a rebalance hands it the current state. The batch as
-// a whole fails only when some partition with routed rows has no live
-// replica left to absorb them.
+// unsynced — it keeps serving at its honestly stale watermark and rejoins
+// the ingest path only once a rebalance hands it the current state. The
+// batch as a whole fails only when some partition with routed rows has no
+// live replica left to absorb them.
 func (co *Coordinator) ApplyBatch(b *ingest.Batch, _ *dataset.Table) error {
 	n := co.Shards()
 	subs, err := RouteBatch(b, n)
@@ -501,15 +500,15 @@ func (co *Coordinator) ApplyBatch(b *ingest.Batch, _ *dataset.Table) error {
 	// Reserve the new steps under the lock: concurrent ApplyBatch calls are
 	// the caller's bug, but a racing reader must still see consistent steps.
 	targets := make([]int64, n)
-	newGlobal := co.global + int64(len(b.Rows))
+	newGlobal := co.global + int64(b.NumRows())
 	sets := make([][]*replica, n)
 	for i := range co.sets {
 		prev := co.steps[i][len(co.steps[i])-1].Local
-		targets[i] = prev + int64(len(subs[i].Rows))
+		targets[i] = prev + int64(subs[i].NumRows())
 		sets[i] = append([]*replica(nil), co.sets[i]...)
 		// A rebalance in flight captures the tail it must replay before the
 		// routing flip; the capturing goroutine owns batches appended here.
-		if co.capture[i] != nil && len(subs[i].Rows) > 0 {
+		if co.capture[i] != nil && subs[i].NumRows() > 0 {
 			co.capture[i] = append(co.capture[i], subs[i])
 		}
 	}
@@ -520,7 +519,7 @@ func (co *Coordinator) ApplyBatch(b *ingest.Batch, _ *dataset.Table) error {
 	}
 
 	for i, set := range sets {
-		if len(subs[i].Rows) == 0 {
+		if subs[i].NumRows() == 0 {
 			continue
 		}
 		applied := false

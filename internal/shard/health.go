@@ -16,9 +16,9 @@ import (
 // outcome; backends without one keep whatever the query/ingest paths last
 // observed. A replica that comes back healthy is re-marked in-sync only
 // when its confirmed watermark proves it holds the partition's current
-// version (a durable restart recovered the WAL tail, or no batch was
-// routed while it was down) — otherwise it keeps serving at its honestly
-// stale watermark until a rebalance hands it fresh state.
+// version (no batch was routed while it was down) — otherwise it keeps
+// serving at its honestly stale watermark until a rebalance hands it fresh
+// state.
 //
 // The pass also audits for phantom rows: a replica whose watermark exceeds
 // the partition's published ingest target holds rows the coordinator never

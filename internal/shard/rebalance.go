@@ -11,10 +11,11 @@ import (
 // AddReplica attaches be as a new replica of partition part. The backend
 // prepares (or, for a *server.Remote, sanity-checks) the partition's base
 // database — the same deterministic derivation every replica starts from —
-// so a newcomer that missed routed ingest batches joins unsynced and is
-// promoted by the health loop once its watermark proves it caught up (a
-// shard process recovering its durable WAL does this on its own; see
-// Rebalance for the in-process checkpoint handoff that syncs immediately).
+// so a newcomer that missed routed ingest batches joins unsynced. Nothing
+// re-sends it what it missed: an idebench shard process has no -data-dir,
+// keeps no WAL and re-applies nothing, so a remote replica that missed a
+// batch stays unsynced for good. Rebalance's in-process checkpoint handoff
+// is the one path that brings a replica in sync.
 func (co *Coordinator) AddReplica(part int, be engine.Engine) error {
 	return co.AddReplicaAddr(part, be, "")
 }
@@ -99,8 +100,9 @@ func (co *Coordinator) RemoveReplica(part int, name string) error {
 //
 // Queries and ingest keep flowing during the whole handoff; only the final
 // flip takes the lock. The source must be an in-process backend with view
-// snapshots; remote topology changes go through AddReplica (a shard
-// process owns its durable state and re-syncs from its own WAL).
+// snapshots. Remote topology changes go through AddReplica, which leaves a
+// remote replica that missed batches unsynced: a shard process keeps no
+// durable state to re-sync from.
 func (co *Coordinator) Rebalance(part int, be engine.Engine) error {
 	co.mu.Lock()
 	if !co.prepared {

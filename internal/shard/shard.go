@@ -60,6 +60,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"idebench/internal/dataset"
 	"idebench/internal/ingest"
@@ -120,25 +121,26 @@ func rowHashTable(t *dataset.Table, r int) uint64 {
 	return h
 }
 
-// rowHashIngest hashes one wire-format ingest row. The ingest codec carries
-// nominal cells as bare strings and quantitative cells as numbers, so the
-// byte stream fed to FNV is identical to rowHashTable's for the same row.
-func rowHashIngest(row ingest.Row) uint64 {
+// rowHashIngest hashes row r of an ingest batch. Nominal cells hash their
+// dictionary string and quantitative cells their number, so the byte stream
+// fed to FNV is identical to rowHashTable's for the same row.
+func rowHashIngest(b *ingest.Batch, r int) uint64 {
 	h := uint64(fnvOffset64)
-	for _, v := range row {
-		if v.IsStr {
-			h = hashString(h, v.Str)
+	for j := range b.Columns {
+		c := &b.Columns[j]
+		if c.Kind == dataset.Nominal {
+			h = hashString(h, c.Dict[c.Codes[r]])
 		} else {
-			h = hashNum(h, v.Num)
+			h = hashNum(h, c.Nums[r])
 		}
 	}
 	return h
 }
 
-// HomeShard returns the shard index for one ingest row under an n-way
-// partitioning.
-func HomeShard(row ingest.Row, n int) int {
-	return int(rowHashIngest(row) % uint64(n))
+// HomeShard returns the shard index for row r of an ingest batch under an
+// n-way partitioning.
+func HomeShard(b *ingest.Batch, r, n int) int {
+	return int(rowHashIngest(b, r) % uint64(n))
 }
 
 // Partition splits db's fact table into n hash partitions. Each returned
@@ -169,21 +171,62 @@ func Partition(db *dataset.Database, n int) ([]*dataset.Database, error) {
 	return out, nil
 }
 
-// RouteBatch splits one ingest batch into n per-shard sub-batches by row
-// hash. Sub-batches keep the parent's table name and sequence number; a
-// shard whose slice of the batch is empty gets a zero-row sub-batch (never
-// nil) so callers can still advance that shard's watermark bookkeeping.
+// RouteBatch validates one ingest batch and splits it into n per-shard
+// sub-batches by row hash. Each sub-batch holds its rows in the parent's
+// row order, keeps the parent's table name and sequence number, and carries
+// its own canonical dictionaries: only the values its rows use, in their
+// first-use order. A shard whose slice of the batch is empty gets a zero-row
+// sub-batch (never nil) so callers can still advance that shard's watermark
+// bookkeeping.
 func RouteBatch(b *ingest.Batch, n int) ([]*ingest.Batch, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("shard: route across %d shards, want >= 1", n)
 	}
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	rows := b.NumRows()
+	home := make([]int, rows)
+	count := make([]int, n)
+	for r := range home {
+		home[r] = HomeShard(b, r, n)
+		count[home[r]]++
+	}
+	// local maps a parent dictionary code to the sub-batch's, -1 when unused.
+	var local []int32
 	out := make([]*ingest.Batch, n)
 	for i := range out {
-		out[i] = &ingest.Batch{Table: b.Table, Seq: b.Seq}
-	}
-	for _, row := range b.Rows {
-		i := HomeShard(row, n)
-		out[i].Rows = append(out[i].Rows, row)
+		sub := &ingest.Batch{Table: b.Table, Seq: b.Seq, Columns: make([]ingest.Column, len(b.Columns))}
+		for j := range b.Columns {
+			c, sc := &b.Columns[j], &sub.Columns[j]
+			sc.Kind = c.Kind
+			if c.Kind != dataset.Nominal {
+				sc.Nums = make([]float64, 0, count[i])
+				for r, h := range home {
+					if h == i {
+						sc.Nums = append(sc.Nums, c.Nums[r])
+					}
+				}
+				continue
+			}
+			local = slices.Grow(local[:0], len(c.Dict))[:len(c.Dict)]
+			for k := range local {
+				local[k] = -1
+			}
+			sc.Codes = make([]uint32, 0, count[i])
+			for r, h := range home {
+				if h != i {
+					continue
+				}
+				code := c.Codes[r]
+				if local[code] < 0 {
+					local[code] = int32(len(sc.Dict))
+					sc.Dict = append(sc.Dict, c.Dict[code])
+				}
+				sc.Codes = append(sc.Codes, uint32(local[code]))
+			}
+		}
+		out[i] = sub
 	}
 	return out, nil
 }

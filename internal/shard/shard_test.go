@@ -1,8 +1,12 @@
 package shard_test
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -42,14 +46,66 @@ func TestPartitionRoutesConsistently(t *testing.T) {
 	for i, p := range parts {
 		total += p.Fact.NumRows()
 		b := ingest.FromTable(p.Fact, 0, p.Fact.NumRows())
-		for r, row := range b.Rows {
-			if home := shard.HomeShard(row, n); home != i {
+		for r := 0; r < b.NumRows(); r++ {
+			if home := shard.HomeShard(b, r, n); home != i {
 				t.Fatalf("shard %d row %d routes to %d via ingest path", i, r, home)
 			}
 		}
 	}
 	if total != db.Fact.NumRows() {
 		t.Fatalf("partitions cover %d rows, want %d", total, db.Fact.NumRows())
+	}
+}
+
+// TestRouteBatchKeepsRowsInOrder: for every partition, the sub-batches
+// RouteBatch cuts from a stream of batches, concatenated in order, hold
+// exactly the parent rows homed there, in row order; and every sub-batch
+// carries a canonical dictionary of its own (Validate refuses any other).
+func TestRouteBatchKeepsRowsInOrder(t *testing.T) {
+	db := buildDB(t, 3000, 5)
+	const n = 3
+	want := make([][]string, n) // per partition, its rows rendered in order
+	got := make([][]string, n)
+	render := func(b *ingest.Batch, r int) string {
+		var sb strings.Builder
+		for j := range b.Columns {
+			c := &b.Columns[j]
+			if c.Kind == dataset.Nominal {
+				fmt.Fprintf(&sb, "%q,", c.Dict[c.Codes[r]])
+			} else {
+				fmt.Fprintf(&sb, "%x,", math.Float64bits(c.Nums[r]))
+			}
+		}
+		return sb.String()
+	}
+	for lo := 0; lo < db.Fact.NumRows(); lo += 700 {
+		parent := ingest.FromTable(db.Fact, lo, lo+700)
+		for r := 0; r < parent.NumRows(); r++ {
+			i := shard.HomeShard(parent, r, n)
+			want[i] = append(want[i], render(parent, r))
+		}
+		subs, err := shard.RouteBatch(parent, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sub := range subs {
+			if sub.Table != parent.Table || len(sub.Columns) != len(parent.Columns) {
+				t.Fatalf("sub-batch %d lost the parent's shape", i)
+			}
+			if sub.NumRows() > 0 {
+				if err := sub.Validate(); err != nil {
+					t.Fatalf("sub-batch %d: %v", i, err)
+				}
+			}
+			for r := 0; r < sub.NumRows(); r++ {
+				got[i] = append(got[i], render(sub, r))
+			}
+		}
+	}
+	for i := range want {
+		if len(want[i]) == 0 || !slices.Equal(want[i], got[i]) {
+			t.Fatalf("partition %d: sub-batches hold %d rows, the parents homed %d there (or in another order)", i, len(got[i]), len(want[i]))
+		}
 	}
 }
 
