@@ -69,15 +69,18 @@
 //
 // The fact table is not frozen at Prepare: engines implementing the
 // optional engine.Appender capability absorb append-only row batches while
-// queries run. Storage growth is copy-on-write (dataset.TableAppender): a
-// batch lands in amortized O(batch) on privately owned column buffers, a
-// fresh immutable table view is published per data version, and in-flight
-// plans keep scanning the view they compiled against. Each engine absorbs
-// per its execution model — exactdb grows its columns and rescans, sampledb
+// queries run. Each engine's data is one engine.Lineage: a single writer
+// that grows the fact table copy-on-write (dataset.TableAppender, amortized
+// O(batch) on privately owned column buffers) and publishes every data
+// version as an immutable engine.View through an atomic pointer. Queries
+// bind to the view they load and never wait for an append; in-flight plans
+// keep scanning the view they compiled against. Each engine absorbs per its
+// execution model — exactdb grows its columns and rescans, sampledb
 // re-stratifies the batch into its offline sample, onlinedb appends to both
 // its heap and its sampling-order copy, and the progressive engine extends
 // the shared scan (sharedscan.Scanner.Extend) so every active, cached and
-// speculative query state folds the new rows exactly once mid-sweep.
+// speculative query state folds the new rows exactly once mid-sweep, while
+// a query that had already completed keeps the final of its version.
 //
 // Every result snapshot carries a Watermark — the fact-row count of the
 // data version it reflects. The ingest subsystem (internal/ingest) defines

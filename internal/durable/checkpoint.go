@@ -265,20 +265,40 @@ func commitManifest(fs FS, root string, m *Manifest) (int64, error) {
 // refuses it outright instead of falling back.
 var errFormat = errors.New("unsupported checkpoint format")
 
-// readManifest loads and sanity-checks a checkpoint's manifest: format,
-// content digest, and fact segments tiling [0, version).
+// readManifest loads and sanity-checks a checkpoint's manifest (see
+// parseManifest).
 func readManifest(fs FS, dir string) (Manifest, error) {
-	var m Manifest
 	data, err := fs.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
-		return m, fmt.Errorf("durable: checkpoint manifest: %w", err)
+		return Manifest{}, fmt.Errorf("durable: checkpoint manifest: %w", err)
 	}
+	m, err := parseManifest(data)
+	if errors.Is(err, errFormat) {
+		err = fmt.Errorf("durable: %s: %w", dir, err)
+	}
+	return m, err
+}
+
+// parseManifest decodes and sanity-checks a manifest: format, segment
+// digests, content digest, and fact segments tiling [0, version). Every
+// digest must be 64 lowercase hex characters before anything joins it into
+// a path under segments/. A manifest of another format or with any other
+// digest comes back without segments, so no caller can read, keep or list
+// a file it names.
+func parseManifest(data []byte) (Manifest, error) {
+	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("durable: checkpoint manifest: %w", err)
+		return Manifest{}, fmt.Errorf("durable: checkpoint manifest: %w", err)
 	}
 	if m.Format != FormatVersion {
-		return m, fmt.Errorf("durable: %s: %w %d (this build reads format %d and converts no other — "+
-			"rebuild the data directory)", dir, errFormat, m.Format, FormatVersion)
+		return Manifest{Format: m.Format}, fmt.Errorf("%w %d (this build reads format %d and converts no other — "+
+			"rebuild the data directory)", errFormat, m.Format, FormatVersion)
+	}
+	for i, s := range m.Segments {
+		if !isSHA256Hex(s.SHA256) {
+			return Manifest{}, fmt.Errorf("durable: checkpoint manifest: segment %d (%s) has digest %q, not 64 lowercase hex characters",
+				i, s.Role, s.SHA256)
+		}
 	}
 	if contentDigest(m.Segments) != m.ContentSHA256 {
 		return m, fmt.Errorf("durable: checkpoint manifest: content digest mismatch")
@@ -303,6 +323,13 @@ func readManifest(fs FS, dir string) (Manifest, error) {
 		return m, fmt.Errorf("durable: checkpoint manifest: fact segments cover %d rows and %d permutations, version is %d", next, perms, m.Version)
 	}
 	return m, nil
+}
+
+// isSHA256Hex reports whether s is a SHA-256 digest as writeSegment names
+// segments: 64 lowercase hex characters.
+func isSHA256Hex(s string) bool {
+	b, err := hex.DecodeString(s)
+	return err == nil && len(b) == sha256.Size && s == strings.ToLower(s)
 }
 
 // readSegment reads one referenced segment and verifies its size, CRC-32

@@ -120,12 +120,19 @@ type Watermarker interface {
 // (the dictionary-sharing part is still cheaply re-checked by the storage
 // appender).
 //
-// Semantics are per-engine: a blocking engine grows its storage so new
-// queries see the new rows; a sampling engine re-stratifies the tail into
-// its sample; a shared-scan progressive engine additionally folds the new
-// rows into every active query state exactly once, mid-sweep. In-flight
-// queries that cannot absorb the batch keep answering from the data version
-// they compiled against — which is why snapshots carry a Watermark.
+// The four engines that store data (exactdb, sampledb, onlinedb,
+// progressive) keep it in a Lineage: Append builds the next View — with
+// what the engine does per batch (sampledb re-stratifies the batch into its
+// sample, onlinedb pays its tuple cost and grows its heap too) — and
+// publishes it with one atomic store, and progressive then extends its
+// shared scan so every standing query state folds the new rows exactly
+// once, mid-sweep. Queries never wait for an Append: each binds to the view
+// it loads, and in-flight ones keep answering from the data version they
+// compiled against — which is why snapshots carry a Watermark, and why a
+// result's watermark never exceeds Watermark(). Wrappers hold no lineage:
+// idelayer forwards to its backend, shard.Coordinator routes rows to the
+// owning partitions, and shard.Faulty forwards to the engine it injects
+// faults into.
 //
 // Append must be safe to call concurrently with queries and with other
 // sessions; calls for one engine are serialized by the caller (the ingest
@@ -157,18 +164,19 @@ type ScanObserver interface {
 
 // ViewSnapshotter is the optional durability capability: engines that can
 // expose their current prepared storage implement it. SnapshotView returns
-// the engine's live immutable database view — the prepared fact table plus
-// any batches absorbed since, in the engine's own storage order — and the
+// the engine's current published view — the prepared fact table plus any
+// batches absorbed since, in the engine's own storage order — and the
 // sampling permutation its first len(perm) fact rows were materialized in
-// (nil when the engine stores rows in arrival order). Views are
-// copy-on-write, so the returned database is safe to serialize concurrently
+// (nil when the engine stores rows in arrival order). A published view is
+// immutable, so the returned database is safe to serialize concurrently
 // with queries and further appends; the durable checkpointer calls this from
 // a background goroutine without stopping ingestion. Successive views
 // should extend one another — the same dimension tables and permutation,
 // every earlier row unchanged — because the checkpointer then writes only
 // the rows since its last checkpoint; a view that does not is written in
-// full. Every in-tree implementation (progressive, exactdb) extends by
-// construction: its views come from one dataset.TableAppender lineage.
+// full. progressive and exactdb implement it as Lineage.SnapshotView, whose
+// views extend by construction (shard.Faulty forwards it); sampledb, whose
+// storage is a sample, and onlinedb do not implement it.
 type ViewSnapshotter interface {
 	SnapshotView() (db *dataset.Database, perm []uint32)
 }

@@ -22,12 +22,11 @@ import (
 // fetch.
 const chunkRows = 16 * engine.BatchRows
 
-// Engine is a blocking, parallel, exact columnar engine.
+// Engine is a blocking, parallel, exact columnar engine. Its lineage
+// publishes the private fact copy with the options it was prepared with.
 type Engine struct {
-	mu   sync.RWMutex
-	db   *dataset.Database
-	opts engine.Options
-	app  *dataset.TableAppender // owns the private fact-copy lineage
+	engine.Stateless
+	lin engine.Lineage[engine.Options]
 }
 
 // New returns an unprepared engine.
@@ -40,16 +39,7 @@ func (e *Engine) Name() string { return "exactdb" }
 // materializes a private copy of every column; the copy dominates the data
 // preparation time the driver reports.
 func (e *Engine) Prepare(db *dataset.Database, opts engine.Options) error {
-	copied, err := copyDatabase(db)
-	if err != nil {
-		return fmt.Errorf("exactdb: prepare: %w", err)
-	}
-	e.mu.Lock()
-	e.db = copied
-	e.opts = opts.Normalize()
-	e.app = dataset.NewTableAppender(copied.Fact, true) // Prepare's copy is private
-	e.mu.Unlock()
-	return nil
+	return e.PrepareReordered(copyDatabase(db), nil, opts)
 }
 
 // PrepareReordered implements engine.ReorderedPreparer. A blocking exact
@@ -57,21 +47,13 @@ func (e *Engine) Prepare(db *dataset.Database, opts engine.Options) error {
 // (arrival order, perm ignored) is adopted without the defensive copy
 // Prepare makes — the loader's freshly decoded storage is already private.
 func (e *Engine) PrepareReordered(db *dataset.Database, _ []uint32, opts engine.Options) error {
-	e.mu.Lock()
-	e.db = db
-	e.opts = opts.Normalize()
-	e.app = dataset.NewTableAppender(db.Fact, true)
-	e.mu.Unlock()
+	e.lin.Reset(&engine.View[engine.Options]{DB: db, Watermark: int64(db.Fact.NumRows()), X: opts.Normalize()})
 	return nil
 }
 
-// SnapshotView implements engine.ViewSnapshotter: the current immutable
-// view in arrival order; there is no sampling permutation (nil).
-func (e *Engine) SnapshotView() (*dataset.Database, []uint32) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.db, nil
-}
+// SnapshotView implements engine.ViewSnapshotter: the current view in
+// arrival order; there is no sampling permutation (nil).
+func (e *Engine) SnapshotView() (*dataset.Database, []uint32) { return e.lin.SnapshotView() }
 
 // Append implements engine.Appender. A column store absorbs appends as
 // storage growth: the batch lands on the fact columns and the next query's
@@ -80,45 +62,29 @@ func (e *Engine) SnapshotView() (*dataset.Database, []uint32) {
 // In-flight scans keep reading the view they compiled against — their
 // results carry the pre-append watermark.
 func (e *Engine) Append(rows *dataset.Table) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.db == nil {
-		return engine.ErrNotPrepared
-	}
-	newFact, err := e.app.Append(rows)
-	if err != nil {
+	if _, err := e.lin.Append(rows, nil); err != nil {
 		return fmt.Errorf("exactdb: append: %w", err)
 	}
-	e.db = &dataset.Database{Fact: newFact, Dimensions: e.db.Dimensions}
 	return nil
 }
 
 // Watermark implements engine.Appender.
-func (e *Engine) Watermark() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.db == nil {
-		return 0
-	}
-	return int64(e.db.Fact.NumRows())
-}
+func (e *Engine) Watermark() int64 { return e.lin.Watermark() }
 
 // StartQuery implements engine.Session: it launches a parallel scan and
 // publishes the exact result when every worker finishes.
 func (e *Engine) StartQuery(q *query.Query) (engine.Handle, error) {
-	e.mu.RLock()
-	db, opts := e.db, e.opts
-	e.mu.RUnlock()
-	if db == nil {
+	v := e.lin.Load()
+	if v == nil {
 		return nil, engine.ErrNotPrepared
 	}
-	plan, err := engine.Compile(db, q)
+	plan, err := engine.Compile(v.DB, q)
 	if err != nil {
 		return nil, err
 	}
 
 	h := engine.NewAsyncHandle()
-	go e.run(plan, h, opts.Parallelism)
+	go e.run(plan, h, v.X.Parallelism)
 	return h, nil
 }
 
@@ -173,54 +139,18 @@ func (e *Engine) run(plan *engine.Compiled, h *engine.AsyncHandle, workers int) 
 // per-visualization state, so the engine is its own session.
 func (e *Engine) OpenSession() engine.Session { return e }
 
-// LinkVizs implements engine.Session; a blocking engine ignores link hints.
-func (e *Engine) LinkVizs(from, to string) {}
-
-// DeleteViz implements engine.Session; nothing is cached per visualization.
-func (e *Engine) DeleteViz(name string) {}
-
-// WorkflowStart implements engine.Session.
-func (e *Engine) WorkflowStart() {}
-
-// WorkflowEnd implements engine.Session.
-func (e *Engine) WorkflowEnd() {}
-
-// Close implements engine.Session; the session holds nothing.
-func (e *Engine) Close() {}
-
 var (
 	_ engine.Engine   = (*Engine)(nil)
 	_ engine.Appender = (*Engine)(nil)
 )
 
-// copyDatabase deep-copies column storage (dictionaries are shared: they are
-// append-only and the engine never mutates them).
-func copyDatabase(db *dataset.Database) (*dataset.Database, error) {
-	fact, err := copyTable(db.Fact)
-	if err != nil {
-		return nil, err
-	}
-	out := &dataset.Database{Fact: fact}
+// copyDatabase copies every column's storage (dictionaries are shared:
+// they are append-only and the engine never mutates them).
+func copyDatabase(db *dataset.Database) *dataset.Database {
+	copyTable := func(t *dataset.Table) *dataset.Table { return dataset.NewTableAppender(t, false).View() }
+	out := &dataset.Database{Fact: copyTable(db.Fact)}
 	for _, d := range db.Dimensions {
-		t, err := copyTable(d.Table)
-		if err != nil {
-			return nil, err
-		}
-		out.Dimensions = append(out.Dimensions, &dataset.Dimension{Table: t, FKColumn: d.FKColumn})
+		out.Dimensions = append(out.Dimensions, &dataset.Dimension{Table: copyTable(d.Table), FKColumn: d.FKColumn})
 	}
-	return out, nil
-}
-
-func copyTable(t *dataset.Table) (*dataset.Table, error) {
-	cols := make([]*dataset.Column, len(t.Columns))
-	for i, c := range t.Columns {
-		nc := &dataset.Column{Field: c.Field, Dict: c.Dict}
-		if c.Field.Kind == dataset.Nominal {
-			nc.Codes = append([]uint32(nil), c.Codes...)
-		} else {
-			nc.Nums = append([]float64(nil), c.Nums...)
-		}
-		cols[i] = nc
-	}
-	return dataset.NewTable(t.Name, t.Schema, cols)
+	return out
 }

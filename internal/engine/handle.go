@@ -91,6 +91,7 @@ func (h *AsyncHandle) Finish() {
 // their consumer state and finish the handle; engines with a scan goroutine
 // keep polling Cancelled instead. Must be set before the handle is returned
 // to the driver.
+// Setting nil once execution has finished drops what the func retains.
 func (h *AsyncHandle) SetCancelFunc(fn func()) {
 	h.mu.Lock()
 	h.cancelFn = fn

@@ -24,7 +24,6 @@ package onlinedb
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -64,29 +63,32 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Engine is the online-aggregation engine with blocking fallback.
+// Engine is the online-aggregation engine with blocking fallback. Its
+// lineage publishes the sampling-order copy and the heap as one view: DB is
+// the database with the fact table materialized in the online sampling
+// order (dataset.ReorderFact), so the online path's "next sample chunk" is a
+// sequential range scan instead of a permutation gather; X.db is the heap.
 type Engine struct {
+	engine.Stateless
 	cfg Config
+	lin engine.Lineage[heapTable]
+}
 
-	mu sync.RWMutex
+// heapTable is what each onlinedb version carries beside the sampling-order
+// copy: the heap the blocking fallback scans in storage order, whose
+// dimension tables the copy shares. Keeping both fact copies doubles
+// resident fact storage; that is deliberate — the blocking fallback models
+// a regular Postgres heap scan and must read (and accumulate) rows in
+// storage order, while the online path owns the sample order, mirroring a
+// row store whose heap and sample index coexist.
+type heapTable struct {
 	db *dataset.Database
-	z  float64
-	// permDB is the database with the fact table materialized in the online
-	// sampling order (dataset.ReorderFact), so the online path's "next
-	// sample chunk" is a sequential range scan instead of a permutation
-	// gather. Dimension tables are shared with db. Keeping both fact copies
-	// doubles resident fact storage; that is deliberate — the blocking
-	// fallback models a regular Postgres heap scan and must read (and
-	// accumulate) rows in storage order, while the online path owns the
-	// sample order, mirroring a row store whose heap and sample index
-	// coexist.
-	permDB *dataset.Database
-	// heapApp/permApp own the two lineages under live ingestion. The heap
-	// lineage is created lazily on the first Append — Prepare shares the
-	// caller's table, and the one-time private copy (a heap that must own
-	// its pages once writes begin) should only be paid by ingesting runs.
-	heapApp *dataset.TableAppender
-	permApp *dataset.TableAppender
+	// app owns the heap's lineage under live ingestion; only the lineage's
+	// writer touches it. It is created by the first Append — Prepare shares
+	// the caller's table, and the one-time private copy (a heap that must
+	// own its pages once writes begin) should only be paid by ingesting runs.
+	app *dataset.TableAppender
+	z   float64
 }
 
 // New returns an unprepared engine.
@@ -119,56 +121,41 @@ func (e *Engine) Prepare(db *dataset.Database, opts engine.Options) error {
 		return fmt.Errorf("onlinedb: %w", err)
 	}
 
-	e.mu.Lock()
-	e.db = db
-	e.z = z
-	e.permDB = permDB
-	e.heapApp = nil
-	e.permApp = nil
-	e.mu.Unlock()
+	// The reorder copy is private: the lineage may grow it.
+	e.lin.Reset(&engine.View[heapTable]{DB: permDB, Watermark: int64(db.Fact.NumRows()), X: heapTable{db: db, z: z}})
 	return nil
 }
 
 // Append implements engine.Appender: the batch is ingested row-at-a-time
 // with the modelled tuple overhead (a heap insert pays executor cost per
-// row, unlike the columnar engines' memcpy), then lands on both lineages —
-// the heap in arrival order for the blocking fallback, the sampling-order
-// copy as a tail for the online path. New queries see the grown views;
-// in-flight ones finish on the version they compiled against.
+// row, unlike the columnar engines' memcpy), then lands on both copies —
+// the sampling-order copy as a tail for the online path, the heap in
+// arrival order for the blocking fallback — and both are published as one
+// view. New queries see the grown view; in-flight ones finish on the
+// version they compiled against.
 func (e *Engine) Append(rows *dataset.Table) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.db == nil {
-		return engine.ErrNotPrepared
-	}
-	ingestTable(rows, e.cfg.TupleOverhead)
-	if e.heapApp == nil {
-		// The heap table was shared with the caller at Prepare; own it now.
-		e.heapApp = dataset.NewTableAppender(e.db.Fact, false)
-		e.permApp = dataset.NewTableAppender(e.permDB.Fact, true) // reorder copy is private
-	}
-	heapFact, err := e.heapApp.Append(rows)
+	_, err := e.lin.Append(rows, func(next *engine.View[heapTable]) error {
+		ingestTable(rows, e.cfg.TupleOverhead)
+		h := &next.X
+		if h.app == nil {
+			// The heap table was shared with the caller at Prepare; own it now.
+			h.app = dataset.NewTableAppender(h.db.Fact, false)
+		}
+		fact, err := h.app.Append(rows)
+		if err != nil {
+			return err
+		}
+		h.db = &dataset.Database{Fact: fact, Dimensions: h.db.Dimensions}
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("onlinedb: append: %w", err)
 	}
-	permFact, err := e.permApp.Append(rows)
-	if err != nil {
-		return fmt.Errorf("onlinedb: append: %w", err)
-	}
-	e.db = &dataset.Database{Fact: heapFact, Dimensions: e.db.Dimensions}
-	e.permDB = &dataset.Database{Fact: permFact, Dimensions: e.permDB.Dimensions}
 	return nil
 }
 
 // Watermark implements engine.Appender.
-func (e *Engine) Watermark() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.db == nil {
-		return 0
-	}
-	return int64(e.db.Fact.NumRows())
-}
+func (e *Engine) Watermark() int64 { return e.lin.Watermark() }
 
 // SupportsOnline reports whether q can run as online aggregation: exactly
 // one aggregate, COUNT or SUM.
@@ -188,21 +175,19 @@ func SupportsOnline(q *query.Query) bool {
 // fallback scans the original in storage order (a regular Postgres query has
 // no sampling order to honour).
 func (e *Engine) StartQuery(q *query.Query) (engine.Handle, error) {
-	e.mu.RLock()
-	db, z, permDB := e.db, e.z, e.permDB
-	e.mu.RUnlock()
-	if db == nil {
+	v := e.lin.Load()
+	if v == nil {
 		return nil, engine.ErrNotPrepared
 	}
 	h := engine.NewAsyncHandle()
 	if SupportsOnline(q) {
-		plan, err := engine.Compile(permDB, q)
+		plan, err := engine.Compile(v.DB, q)
 		if err != nil {
 			return nil, err
 		}
-		go e.runOnline(plan, h, z)
+		go e.runOnline(plan, h, v.X.z)
 	} else {
-		plan, err := engine.Compile(db, q)
+		plan, err := engine.Compile(v.X.db, q)
 		if err != nil {
 			return nil, err
 		}
@@ -279,21 +264,6 @@ func (e *Engine) runBlocking(plan *engine.Compiled, h *engine.AsyncHandle) {
 // goroutine per query with no cross-query state, so the engine is its own
 // session (concurrent sessions model concurrent XDB connections).
 func (e *Engine) OpenSession() engine.Session { return e }
-
-// LinkVizs implements engine.Session; XDB has no speculative layer.
-func (e *Engine) LinkVizs(from, to string) {}
-
-// DeleteViz implements engine.Session.
-func (e *Engine) DeleteViz(name string) {}
-
-// WorkflowStart implements engine.Session.
-func (e *Engine) WorkflowStart() {}
-
-// WorkflowEnd implements engine.Session.
-func (e *Engine) WorkflowEnd() {}
-
-// Close implements engine.Session; the session holds nothing.
-func (e *Engine) Close() {}
 
 var (
 	_ engine.Engine   = (*Engine)(nil)

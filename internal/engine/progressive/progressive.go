@@ -35,6 +35,20 @@
 // scanner, so concurrent users share memory sweeps — the multi-user driver's
 // scaling lever — while keeping their exploration state invisible to each
 // other.
+//
+// # Published views
+//
+// The engine's data is an engine.Lineage: each version — the permuted
+// storage, the shared scanner over it and the CLT critical value — is one
+// immutable engine.View, published with one atomic store. Watermark,
+// SnapshotView and every StartQuery's bind are one atomic load, so a query
+// never waits for an Append. Append publishes the grown view first and
+// extends the scan after, so a query started in between compiles against
+// the new version, its consumer reaches the tail once Extend lands, and no
+// result names a version Watermark does not yet report. A handle whose
+// query completed pins that version's final (sharedscan.Final): a batch
+// that lands before the fetch re-arms the cached state for the new rows but
+// does not turn the fetched answer back into an estimate.
 package progressive
 
 import (
@@ -81,15 +95,21 @@ func (c Config) withDefaults() Config {
 // about one memory sweep) without sharing viz namespaces or caches.
 type Engine struct {
 	cfg Config
-
-	mu   sync.Mutex
-	db   *dataset.Database // fact table materialized in permutation order
-	opts engine.Options
-	z    float64
-	perm []uint32 // sampling permutation the prepared fact rows are stored in
-	scan *sharedscan.Scanner
-	app  *dataset.TableAppender // owns the permuted fact lineage
+	lin engine.Lineage[scanState]
 }
+
+// scanState is what each progressive version carries beside the permuted
+// storage: the shared scanner over it and the CLT critical value, both
+// fixed by Prepare. They are published with the data, so a re-Prepare is
+// one pointer swap and a session sees storage and scanner from one Prepare.
+type scanState struct {
+	scan *sharedscan.Scanner
+	z    float64
+}
+
+// testHookAppendPublished, when set, runs inside Append after the next view
+// is published and before the scan is extended to it.
+var testHookAppendPublished func()
 
 // New returns an unprepared engine.
 func New(cfg Config) *Engine { return &Engine{cfg: cfg.withDefaults()} }
@@ -104,23 +124,14 @@ func (e *Engine) Name() string { return "progressive" }
 // — the paper excludes IDEA from the join experiment because it does not
 // support joins.
 func (e *Engine) Prepare(db *dataset.Database, opts engine.Options) error {
-	if db.IsNormalized() {
-		return fmt.Errorf("progressive: joins (normalized schemas) are not supported")
-	}
 	opts = opts.Normalize()
-	z, err := stats.ZScore(opts.Confidence)
-	if err != nil {
-		return fmt.Errorf("progressive: %w", err)
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	perm := stats.Permutation(rng, db.Fact.NumRows())
 	permDB, err := db.ReorderFact(perm)
 	if err != nil {
 		return fmt.Errorf("progressive: %w", err)
 	}
-
-	e.adopt(permDB, perm, opts, z)
-	return nil
+	return e.PrepareReordered(permDB, perm, opts)
 }
 
 // PrepareReordered implements engine.ReorderedPreparer: db's fact table is
@@ -144,84 +155,55 @@ func (e *Engine) PrepareReordered(db *dataset.Database, perm []uint32, opts engi
 	if err != nil {
 		return fmt.Errorf("progressive: %w", err)
 	}
-	e.adopt(db, perm, opts, z)
+	n := db.Fact.NumRows()
+	// The caller hands over private storage: the lineage may grow it.
+	e.lin.Reset(&engine.View[scanState]{DB: db, Perm: perm, Watermark: int64(n),
+		X: scanState{scan: sharedscan.New(n, e.cfg.ChunkRows, opts.Parallelism), z: z}})
 	return nil
 }
 
-// adopt installs prepared (permutation-ordered) storage as the engine's
-// current lineage; shared tail of Prepare and PrepareReordered.
-func (e *Engine) adopt(permDB *dataset.Database, perm []uint32, opts engine.Options, z float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.db = permDB
-	e.opts = opts
-	e.z = z
-	e.perm = perm
-	e.scan = sharedscan.New(permDB.Fact.NumRows(), e.cfg.ChunkRows, opts.Parallelism)
-	e.app = dataset.NewTableAppender(permDB.Fact, true) // caller hands over private storage
-}
-
-// SnapshotView implements engine.ViewSnapshotter: the current immutable
-// database view plus the sampling permutation its prepared prefix is stored
-// in. Appended batches land as arrival-order tail segments beyond the
-// permuted prefix, matching exactly what PrepareReordered accepts back (the
-// warm path re-adopts prefix + tail as the new prepared storage, with the
+// SnapshotView implements engine.ViewSnapshotter: the current database
+// view plus the sampling permutation its prepared prefix is stored in.
+// Appended batches land as arrival-order tail segments beyond the permuted
+// prefix, matching exactly what PrepareReordered accepts back (the warm
+// path re-adopts prefix + tail as the new prepared storage, with the
 // permutation covering only the prefix — the documented ViewSnapshotter
-// contract). Views are copy-on-write, so callers may serialize the result
-// while ingestion continues.
-func (e *Engine) SnapshotView() (*dataset.Database, []uint32) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.db, e.perm
-}
+// contract).
+func (e *Engine) SnapshotView() (*dataset.Database, []uint32) { return e.lin.SnapshotView() }
 
 // Append implements engine.Appender: the batch lands as a tail segment of
 // the permuted storage (arrival order — the tail is not re-permuted, so the
-// sequential-scan property of every chunk dispatch is preserved), the
-// current view advances, and the shared scanner extends every registered
+// sequential-scan property of every chunk dispatch is preserved), the grown
+// view is published, and then the shared scanner extends every registered
 // query state with the tail as one more uncovered interval. Active queries
 // therefore fold the new rows exactly once mid-sweep via the ordinary
 // interval clipping, cached complete states re-arm and absorb just the
 // delta, and quiesced results are exact over the grown table.
 func (e *Engine) Append(rows *dataset.Table) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.db == nil {
-		return engine.ErrNotPrepared
-	}
-	newFact, err := e.app.Append(rows)
+	v, err := e.lin.Append(rows, nil)
 	if err != nil {
 		return fmt.Errorf("progressive: append: %w", err)
 	}
-	e.db = &dataset.Database{Fact: newFact, Dimensions: e.db.Dimensions}
-	if err := e.scan.Extend(e.db, newFact.NumRows()); err != nil {
+	if testHookAppendPublished != nil {
+		testHookAppendPublished()
+	}
+	if err := v.X.scan.Extend(v.DB, int(v.Watermark)); err != nil {
 		return fmt.Errorf("progressive: append: %w", err)
 	}
 	return nil
 }
 
 // Watermark implements engine.Appender.
-func (e *Engine) Watermark() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.db == nil {
-		return 0
-	}
-	return int64(e.db.Fact.NumRows())
-}
+func (e *Engine) Watermark() int64 { return e.lin.Watermark() }
 
 // OpenSession implements engine.Engine: the session captures the prepared
 // storage and scanner, so sessions opened across a re-Prepare stay
 // internally consistent (they keep riding the scan they were opened on).
 func (e *Engine) OpenSession() engine.Session {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return &session{
 		e:          e,
 		cfg:        e.cfg,
-		db:         e.db,
-		z:          e.z,
-		scan:       e.scan,
+		v:          e.lin.Load(),
 		states:     make(map[string]*sharedscan.Consumer),
 		vizQueries: make(map[string]*query.Query),
 	}
@@ -231,12 +213,10 @@ func (e *Engine) OpenSession() engine.Session {
 // attached to the shared scanner right now. The serving layer's lifecycle
 // tests use it to assert a disconnected client's queries left the scan.
 func (e *Engine) ActiveScanConsumers() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.scan == nil {
-		return 0
+	if v := e.lin.Load(); v != nil {
+		return v.X.scan.ActiveConsumers()
 	}
-	return e.scan.ActiveConsumers()
+	return 0
 }
 
 // ShedSpeculation implements the engine.Shedder overload capability: it
@@ -245,12 +225,10 @@ func (e *Engine) ActiveScanConsumers() int {
 // strict priority untouched; shed consumers retain their coverage and
 // resume if re-speculated or acquired later.
 func (e *Engine) ShedSpeculation() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.scan == nil {
-		return 0
+	if v := e.lin.Load(); v != nil {
+		return v.X.scan.ShedSpeculative()
 	}
-	return e.scan.ShedSpeculative()
+	return 0
 }
 
 var (
@@ -271,33 +249,29 @@ type session struct {
 	cfg Config
 
 	mu sync.Mutex
-	// db/z/scan bind to the engine's prepared state: at OpenSession when
-	// the engine is already prepared, otherwise lazily on first use (a
-	// session opened at connection time, before the data loads, starts
-	// working once Prepare succeeds — the same contract as the stateless
-	// engines). Once bound, a session keeps riding the scan it bound to
-	// even across a re-Prepare.
-	db         *dataset.Database
-	z          float64
-	scan       *sharedscan.Scanner
+	// v is the engine view the session compiles against. It binds at
+	// OpenSession when the engine is already prepared, otherwise lazily on
+	// first use (a session opened at connection time, before the data loads,
+	// starts working once Prepare succeeds — the same contract as the
+	// stateless engines). Once bound, a session keeps riding the scan it
+	// bound to even across a re-Prepare.
+	v          *engine.View[scanState]
 	states     map[string]*sharedscan.Consumer
 	vizQueries map[string]*query.Query
 	specs      []*sharedscan.Consumer // current round of speculation targets
 }
 
-// bindLocked late-binds an unprepared-at-open session to the engine's
-// current prepared state, and refreshes the table view of a session bound
-// to the engine's current scan — live ingestion publishes a grown view per
-// batch, and new queries must compile against it (a plan compiled on a
-// stale view could not cover the scanner's extended row range). A session
-// bound to an older scan (opened before a re-Prepare) keeps its state.
-// Caller holds s.mu.
+// bindLocked loads the engine's current view — one atomic load — and binds
+// the session to it: late-binding an unprepared-at-open session, and
+// advancing a session on the same scan to the newest version — live
+// ingestion publishes a grown view per batch, and new queries must compile
+// against it (a plan compiled on a stale view could not cover the scanner's
+// extended row range). A session bound to an older scan (opened before a
+// re-Prepare) keeps its view. Caller holds s.mu.
 func (s *session) bindLocked() {
-	s.e.mu.Lock()
-	if s.db == nil || s.scan == s.e.scan {
-		s.db, s.z, s.scan = s.e.db, s.e.z, s.e.scan
+	if cur := s.e.lin.Load(); cur != nil && (s.v == nil || cur.X.scan == s.v.X.scan) {
+		s.v = cur
 	}
-	s.e.mu.Unlock()
 }
 
 // StartQuery implements engine.Session. If the session caches a state for
@@ -309,7 +283,7 @@ func (s *session) bindLocked() {
 func (s *session) StartQuery(q *query.Query) (engine.Handle, error) {
 	s.mu.Lock()
 	s.bindLocked()
-	if s.db == nil {
+	if s.v == nil {
 		s.mu.Unlock()
 		return nil, engine.ErrNotPrepared
 	}
@@ -320,33 +294,38 @@ func (s *session) StartQuery(q *query.Query) (engine.Handle, error) {
 	}
 	qc := *q
 	s.vizQueries[q.VizName] = &qc
-	z := s.z
+	z := s.v.X.z
 	s.mu.Unlock()
 
 	h := engine.NewAsyncHandle()
 	h.SetSnapshotFunc(func() *query.Result { return st.Snapshot(z) })
 	h.SetPartialFunc(st.PartialSnapshot)
-	if st.IsDone() {
-		// Full reuse: the cached state already covers every row.
-		h.Finish()
-		return h, nil
-	}
 	st.Acquire()
 	var once sync.Once
-	finish := func() {
+	finish := func(final *sharedscan.Final) {
 		once.Do(func() {
 			st.Release()
+			if final != nil {
+				// Completed (immediately, on full reuse of a cached state):
+				// pin the answer to the version that completed, so a batch
+				// re-arming the state before the fetch cannot unfinish it.
+				// The handle then holds the final alone, not the consumer.
+				h.SetSnapshotFunc(final.Snapshot)
+				h.SetPartialFunc(final.Partial)
+				h.SetCancelFunc(nil)
+			}
 			h.Finish()
 		})
 	}
-	deregister := st.WhenDone(finish)
+	var deregister func()
 	h.SetCancelFunc(func() {
 		// Cancel: drop the reference (coverage stays cached) and withdraw
 		// the completion callback so cancelled handles do not pile up on a
 		// consumer that may never finish.
-		finish()
+		finish(nil)
 		deregister()
 	})
+	deregister = st.WhenDone(finish)
 	return h, nil
 }
 
@@ -357,11 +336,11 @@ func (s *session) stateLocked(q *query.Query) (*sharedscan.Consumer, error) {
 	if st, ok := s.states[sig]; ok {
 		return st, nil
 	}
-	plan, err := engine.Compile(s.db, q)
+	plan, err := engine.Compile(s.v.DB, q)
 	if err != nil {
 		return nil, err
 	}
-	st := s.scan.NewConsumer(plan)
+	st := s.v.X.scan.NewConsumer(plan)
 	s.states[sig] = st
 	return st, nil
 }
@@ -394,7 +373,7 @@ func (s *session) LinkVizs(from, to string) {
 	if !ok {
 		return
 	}
-	srcSnap := srcState.Snapshot(s.z)
+	srcSnap := srcState.Snapshot(s.v.X.z)
 	srcBin := srcQ.Bins[0]
 	dict := srcState.Plan().BinDicts[0]
 
@@ -441,7 +420,7 @@ func (s *session) WorkflowStart() {
 		st.Unspeculate()
 	}
 	s.specs = nil
-	if s.db != nil {
+	if s.v != nil {
 		for _, st := range s.states {
 			st.Discard()
 		}

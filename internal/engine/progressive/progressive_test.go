@@ -380,8 +380,8 @@ func TestMinMaxAggProgressive(t *testing.T) {
 // the same few, so first builds, memo hits and extensions by fresh views all
 // collide — while batches land back to back (each Append recompiling every
 // cached consumer under the scheduler lock) and the scan workers read the
-// codes. Every complete answer must equal the exact truth of the data
-// version its watermark names.
+// codes. Every answer fetched after Done must be complete and equal the
+// exact truth of the data version its watermark names.
 func TestBinnedQueriesRaceAppends(t *testing.T) {
 	db := enginetest.SmallDB(60000, 77)
 	e := New(Config{ChunkRows: 512})
@@ -446,7 +446,8 @@ func TestBinnedQueriesRaceAppends(t *testing.T) {
 				}
 				res := hdl.Snapshot()
 				if res == nil || !res.Complete {
-					continue // an append re-armed the state between Done and the fetch
+					t.Errorf("%s: Done closed but the fetched answer is not a complete final: %+v", q.VizName, res)
+					return
 				}
 				gt, err := h.TruthAt(&q, res.Watermark)
 				if err != nil {

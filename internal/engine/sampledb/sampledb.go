@@ -10,7 +10,6 @@ package sampledb
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"idebench/internal/dataset"
 	"idebench/internal/engine"
@@ -42,17 +41,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Engine is the offline stratified sampling engine.
+// Engine is the offline stratified sampling engine. Its lineage publishes
+// the sample and the population it represents as one view: DB is the
+// materialized sample table (same schema and name as the fact table), and
+// Watermark is the represented population — every absorbed row, sampled or
+// not.
 type Engine struct {
+	engine.Stateless
 	cfg Config
+	lin engine.Lineage[sampleState]
+}
 
-	mu       sync.RWMutex
-	sample   *dataset.Database // materialized sample table (same schema/name)
-	origRows int
-	z        float64
-	app      *dataset.TableAppender // owns the sample-table lineage
-	seed     int64
-	batchSeq int64 // appended batches, seeding each tail re-stratification
+// sampleState is what each sampledb version carries beside the sample.
+type sampleState struct {
+	z     float64
+	seed  int64
+	batch int64 // appended batches, seeding each tail re-stratification
 }
 
 // New returns an unprepared engine.
@@ -75,23 +79,20 @@ func (e *Engine) Prepare(db *dataset.Database, opts engine.Options) error {
 	if err != nil {
 		return fmt.Errorf("sampledb: %w", err)
 	}
-	rows, err := e.stratifiedRows(db.Fact, opts.Seed)
-	if err != nil {
-		return fmt.Errorf("sampledb: %w", err)
+	if db.Fact.NumRows() == 0 {
+		return fmt.Errorf("sampledb: %w", dataset.ErrNoRows)
 	}
-	sampleTable, err := dataset.SelectRows(db.Fact, rows)
+	sampleTable, err := dataset.SelectRows(db.Fact, e.stratifiedRows(db.Fact, opts.Seed+17))
 	if err != nil {
 		return fmt.Errorf("sampledb: materialize sample: %w", err)
 	}
 
-	e.mu.Lock()
-	e.sample = &dataset.Database{Fact: sampleTable}
-	e.origRows = db.Fact.NumRows()
-	e.z = z
-	e.app = dataset.NewTableAppender(sampleTable, true) // SelectRows materialized a private copy
-	e.seed = opts.Seed
-	e.batchSeq = 0
-	e.mu.Unlock()
+	// SelectRows materialized a private copy: the lineage may grow it.
+	e.lin.Reset(&engine.View[sampleState]{
+		DB:        &dataset.Database{Fact: sampleTable},
+		Watermark: int64(db.Fact.NumRows()),
+		X:         sampleState{z: z, seed: opts.Seed},
+	})
 
 	// Warm-up query: touch every sampled row once.
 	warm := &query.Query{
@@ -106,42 +107,6 @@ func (e *Engine) Prepare(db *dataset.Database, opts engine.Options) error {
 	return nil
 }
 
-// stratifiedRows picks sample row indices: proportional allocation per
-// stratum with a minimum of one row, so rare strata survive.
-func (e *Engine) stratifiedRows(fact *dataset.Table, seed int64) ([]uint32, error) {
-	n := fact.NumRows()
-	if n == 0 {
-		return nil, dataset.ErrNoRows
-	}
-	rng := rand.New(rand.NewSource(seed + 17))
-	col := fact.Column(e.cfg.StrataColumn)
-	if col == nil || col.Field.Kind != dataset.Nominal {
-		// No usable strata column: uniform sample.
-		k := max(1, int(float64(n)*e.cfg.SampleRate))
-		idx := stats.ReservoirSample(rng, n, k)
-		out := make([]uint32, len(idx))
-		for i, v := range idx {
-			out[i] = uint32(v)
-		}
-		return out, nil
-	}
-
-	// Partition row indices by stratum.
-	strata := make(map[uint32][]uint32)
-	for i, code := range col.Codes {
-		strata[code] = append(strata[code], uint32(i))
-	}
-	var out []uint32
-	for _, rows := range strata {
-		k := max(1, int(float64(len(rows))*e.cfg.SampleRate))
-		picked := stats.ReservoirSample(rng, len(rows), k)
-		for _, p := range picked {
-			out = append(out, rows[p])
-		}
-	}
-	return out, nil
-}
-
 // Append implements engine.Appender by re-stratifying the tail: the batch
 // is sampled with the same per-stratum rule the offline sample was built
 // with (proportional allocation at SampleRate, minimum one row per stratum
@@ -151,48 +116,51 @@ func (e *Engine) stratifiedRows(fact *dataset.Table, seed int64) ([]uint32, erro
 // table at the engine's fixed sampling rate — the offline-sampling
 // trade-off the paper measures, extended to a moving target.
 func (e *Engine) Append(rows *dataset.Table) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.sample == nil {
-		return engine.ErrNotPrepared
-	}
-	e.batchSeq++
-	picked, err := e.tailRows(rows, e.seed+17+31*e.batchSeq)
+	_, err := e.lin.Advance(func(cur *engine.View[sampleState], app *dataset.TableAppender) (*engine.View[sampleState], error) {
+		next := *cur
+		next.X.batch++
+		if picked := e.stratifiedRows(rows, cur.X.seed+17+31*next.X.batch); len(picked) > 0 {
+			sub, err := dataset.SelectRows(rows, picked)
+			if err != nil {
+				return nil, err
+			}
+			fact, err := app.Append(sub)
+			if err != nil {
+				return nil, err
+			}
+			next.DB = &dataset.Database{Fact: fact}
+		}
+		next.Watermark += int64(rows.NumRows())
+		return &next, nil
+	})
 	if err != nil {
 		return fmt.Errorf("sampledb: append: %w", err)
 	}
-	if len(picked) > 0 {
-		sub, err := dataset.SelectRows(rows, picked)
-		if err != nil {
-			return fmt.Errorf("sampledb: append: %w", err)
-		}
-		newSample, err := e.app.Append(sub)
-		if err != nil {
-			return fmt.Errorf("sampledb: append: %w", err)
-		}
-		e.sample = &dataset.Database{Fact: newSample}
-	}
-	e.origRows += rows.NumRows()
 	return nil
 }
 
-// tailRows picks the batch row indices to fold into the sample, mirroring
-// stratifiedRows on the batch alone.
-func (e *Engine) tailRows(batch *dataset.Table, seed int64) ([]uint32, error) {
-	n := batch.NumRows()
+// stratifiedRows picks the row indices of t to sample: proportional
+// allocation per stratum at SampleRate with a minimum of one row, so rare
+// strata survive. It builds the offline sample from the prepared table and
+// re-stratifies every appended batch alone. Strata are visited in
+// first-appearance order, so the picked set is deterministic for a given
+// table and seed (map order would jitter replays).
+func (e *Engine) stratifiedRows(t *dataset.Table, seed int64) []uint32 {
+	n := t.NumRows()
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	rng := rand.New(rand.NewSource(seed))
-	col := batch.Column(e.cfg.StrataColumn)
+	col := t.Column(e.cfg.StrataColumn)
 	if col == nil || col.Field.Kind != dataset.Nominal {
+		// No usable strata column: uniform sample.
 		k := max(1, int(float64(n)*e.cfg.SampleRate))
 		idx := stats.ReservoirSample(rng, n, k)
 		out := make([]uint32, len(idx))
 		for i, v := range idx {
 			out[i] = uint32(v)
 		}
-		return out, nil
+		return out
 	}
 	strata := make(map[uint32][]uint32)
 	var codes []uint32
@@ -202,8 +170,6 @@ func (e *Engine) tailRows(batch *dataset.Table, seed int64) ([]uint32, error) {
 		}
 		strata[code] = append(strata[code], uint32(i))
 	}
-	// Iterate strata in first-appearance order so the picked set is
-	// deterministic for a given batch (map order would jitter replays).
 	var out []uint32
 	for _, code := range codes {
 		rows := strata[code]
@@ -212,15 +178,11 @@ func (e *Engine) tailRows(batch *dataset.Table, seed int64) ([]uint32, error) {
 			out = append(out, rows[p])
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Watermark implements engine.Appender: the represented population.
-func (e *Engine) Watermark() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return int64(e.origRows)
-}
+func (e *Engine) Watermark() int64 { return e.lin.Watermark() }
 
 // scanChunk is the number of sample rows folded between cancellation
 // checks: two vectorized batches.
@@ -230,13 +192,11 @@ const scanChunk = 2 * engine.BatchRows
 // the sample table (vectorized batch kernels, like the column stores the
 // engine models), published as a scaled estimate with CLT margins.
 func (e *Engine) StartQuery(q *query.Query) (engine.Handle, error) {
-	e.mu.RLock()
-	sample, origRows, z := e.sample, e.origRows, e.z
-	e.mu.RUnlock()
-	if sample == nil {
+	v := e.lin.Load()
+	if v == nil {
 		return nil, engine.ErrNotPrepared
 	}
-	plan, err := engine.Compile(sample, q)
+	plan, err := engine.Compile(v.DB, q)
 	if err != nil {
 		return nil, err
 	}
@@ -259,10 +219,10 @@ func (e *Engine) StartQuery(q *query.Query) (engine.Handle, error) {
 		if h.Cancelled() {
 			return
 		}
-		// origRows is both the represented population and the absorbed-rows
-		// watermark: Append grows origRows by every batch row, so the pair
-		// captured above names one consistent data version.
-		res := gs.SnapshotScaled(int64(n), int64(origRows), int64(origRows), 0, z)
+		// The view's watermark is both the represented population and the
+		// absorbed-rows version: the sample and the population it represents
+		// were published together.
+		res := gs.SnapshotScaled(int64(n), v.Watermark, v.Watermark, 0, v.X.z)
 		// The sample is fixed: the estimate is final but never exact.
 		res.Complete = false
 		h.Publish(res)
@@ -274,30 +234,13 @@ func (e *Engine) StartQuery(q *query.Query) (engine.Handle, error) {
 // queries are stateless, so the engine is its own session.
 func (e *Engine) OpenSession() engine.Session { return e }
 
-// LinkVizs implements engine.Session; offline sampling ignores link hints.
-func (e *Engine) LinkVizs(from, to string) {}
-
-// DeleteViz implements engine.Session.
-func (e *Engine) DeleteViz(name string) {}
-
-// WorkflowStart implements engine.Session.
-func (e *Engine) WorkflowStart() {}
-
-// WorkflowEnd implements engine.Session.
-func (e *Engine) WorkflowEnd() {}
-
-// Close implements engine.Session; the session holds nothing.
-func (e *Engine) Close() {}
-
 // SampleRows reports the materialized sample size (for tests and the data
 // preparation report).
 func (e *Engine) SampleRows() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.sample == nil {
-		return 0
+	if v := e.lin.Load(); v != nil {
+		return v.DB.Fact.NumRows()
 	}
-	return e.sample.Fact.NumRows()
+	return 0
 }
 
 var (

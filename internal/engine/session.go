@@ -34,3 +34,25 @@ type Session interface {
 	// consumers). Using a session after Close is undefined.
 	Close()
 }
+
+// Stateless is the Session half of an engine whose queries carry no
+// per-visualization state (blocking scans, offline samples, SQL adapters).
+// Embedded, it supplies every verb but StartQuery, so the engine can be its
+// own session: link hints are ignored, nothing is cached per visualization,
+// a workflow boundary changes nothing, and there is nothing to close.
+type Stateless struct{}
+
+// LinkVizs implements Session; link hints are ignored.
+func (Stateless) LinkVizs(from, to string) {}
+
+// DeleteViz implements Session; nothing is cached per visualization.
+func (Stateless) DeleteViz(name string) {}
+
+// WorkflowStart implements Session.
+func (Stateless) WorkflowStart() {}
+
+// WorkflowEnd implements Session.
+func (Stateless) WorkflowEnd() {}
+
+// Close implements Session; the session holds nothing.
+func (Stateless) Close() {}

@@ -51,11 +51,12 @@
 // complete — gains the tail as one more uncovered interval. The existing
 // uncovered-interval clipping then delivers the new rows to each consumer
 // exactly once, interleaved with whatever of the old region it had left; a
-// consumer that had already completed is re-armed (fresh done epoch, stale
-// cached final dropped) and finishes again once the tail is folded. Because
-// the table view changed, Extend rebinds each consumer's compiled plan to
-// the new view; worker shards migrate their accumulated state to the new
-// plan on first touch (bin keys are plan-independent, so the merge is
+// consumer that had already completed is re-armed (a fresh done epoch) and
+// finishes again once the tail is folded, while the handles it had already
+// finished keep the final of the version they were told completed (Final).
+// Because the table view changed, Extend rebinds each consumer's compiled
+// plan to the new view; worker shards migrate their accumulated state to the
+// new plan on first touch (bin keys are plan-independent, so the merge is
 // exact). Partial snapshots taken mid-extension scale against the extended
 // population — the covered window is no longer a perfectly uniform sample
 // of old+tail, an approximation the staleness metric (not the CLT margins)
@@ -108,13 +109,6 @@ func New(numRows, chunkRows, workers int) *Scanner {
 		s.idle[i] = i
 	}
 	return s
-}
-
-// NumRows returns the scheduler's current row count (grows under Extend).
-func (s *Scanner) NumRows() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.numRows
 }
 
 // Extend grows the scan to newRows rows: db must be the extended table view
@@ -399,15 +393,30 @@ type Consumer struct {
 	// done is the current completion epoch's channel: closed when every row
 	// of the current target is folded, replaced by Extend when a completed
 	// consumer gains a tail to absorb. completed tracks the same condition
-	// for polling. Both are guarded by doneMu.
+	// for polling, and final caches the completed epoch's merged state. All
+	// are guarded by doneMu.
 	done      chan struct{}
 	completed bool
+	final     *Final
 	doneMu    sync.Mutex
-	doneCbs   map[int]func()
+	doneCbs   map[int]func(*Final)
 	cbSeq     int
-	finalMu   sync.Mutex
-	final     *engine.GroupState // merged shards, cached after completion
 }
+
+// Final is a consumer's merged state as of one completed data version. A
+// handle whose query completed keeps answering from it, so a batch that
+// re-arms the consumer before the result is fetched cannot turn an exact
+// final back into an estimate.
+type Final struct {
+	gs   *engine.GroupState
+	rows int64 // the version: its row count, population and watermark
+}
+
+// Snapshot renders the exact result at the final's version.
+func (f *Final) Snapshot() *query.Result { return f.gs.SnapshotScaled(f.rows, f.rows, f.rows, 0, 0) }
+
+// Partial returns the final in wire form (engine.PartialSnapshotter).
+func (f *Final) Partial() *engine.Partial { return f.gs.Partial(f.rows, f.rows, f.rows, true) }
 
 // Plan returns the compiled plan the consumer currently accumulates for.
 func (c *Consumer) Plan() *engine.Compiled { return c.plan.Load() }
@@ -418,17 +427,12 @@ func (c *Consumer) Plan() *engine.Compiled { return c.plan.Load() }
 func (c *Consumer) extendLocked(plan *engine.Compiled, oldTarget, newRows int) {
 	c.plan.Store(plan)
 	c.needed = append(c.needed, span{oldTarget, newRows})
-	// Target store and final-cache clear share finalMu so a concurrent
-	// Snapshot can never observe the old target and then cache its merge as
-	// the (now stale) final state after this clear.
-	c.finalMu.Lock()
 	c.target.Store(int64(newRows))
-	c.final = nil
-	c.finalMu.Unlock()
 	c.doneMu.Lock()
 	if c.completed {
 		c.completed = false
 		c.done = make(chan struct{})
+		c.final = nil
 	}
 	c.doneMu.Unlock()
 	if c.fgRefs > 0 || c.spec {
@@ -521,12 +525,13 @@ func (c *Consumer) fold(w int, parts []span) {
 }
 
 // finish closes the current done epoch and runs completion callbacks, once
-// per epoch. Completion is re-validated under doneMu: the caller observed
-// folded == target, but an Extend may have grown the target in between —
-// completing then would close the re-armed epoch with the tail still
-// uncovered and deliver a partial snapshot as final. (If the Extend lands
-// after this validation instead, its re-arm runs behind the same mutex and
-// reopens the epoch — the old version genuinely had completed.)
+// per epoch, handing them the epoch's final. Completion is re-validated
+// under doneMu: the caller observed folded == target, but an Extend may have
+// grown the target in between — completing then would close the re-armed
+// epoch with the tail still uncovered and deliver a partial snapshot as
+// final. (If the Extend lands after this validation instead, its re-arm
+// runs behind the same mutex and reopens the epoch — the old version
+// genuinely had completed.)
 func (c *Consumer) finish() {
 	c.doneMu.Lock()
 	if c.completed || c.folded.Load() != c.target.Load() {
@@ -535,15 +540,45 @@ func (c *Consumer) finish() {
 	}
 	c.completed = true
 	close(c.done)
-	cbs := make([]func(), 0, len(c.doneCbs))
+	var final *Final
+	if len(c.doneCbs) > 0 {
+		final = c.finalLocked()
+	}
+	cbs := make([]func(*Final), 0, len(c.doneCbs))
 	for _, fn := range c.doneCbs {
 		cbs = append(cbs, fn)
 	}
 	c.doneCbs = nil
 	c.doneMu.Unlock()
 	for _, fn := range cbs {
-		fn()
+		fn(final)
 	}
+}
+
+// finalLocked returns the completed epoch's final, merging the shards on
+// first use. Caller holds doneMu and has seen completed set, so no Extend
+// has re-armed the consumer since it completed — and none can have handed
+// a worker a tail row: extendLocked grows needed and re-arms (under doneMu)
+// within one hold of the scheduler lock, which every claim takes. The
+// shards therefore hold exactly the completed version's rows, and the
+// merge's row count names that version even if the target has moved on.
+func (c *Consumer) finalLocked() *Final {
+	if c.final == nil {
+		gs, rows := c.mergeShards()
+		c.final = &Final{gs: gs, rows: rows}
+	}
+	return c.final
+}
+
+// completedFinal returns the final of the current epoch, or nil while the
+// consumer is still folding toward its target.
+func (c *Consumer) completedFinal() *Final {
+	c.doneMu.Lock()
+	defer c.doneMu.Unlock()
+	if !c.completed {
+		return nil
+	}
+	return c.finalLocked()
 }
 
 // Done returns the current completion epoch's channel, closed when every
@@ -564,22 +599,24 @@ func (c *Consumer) IsDone() bool {
 	return c.completed
 }
 
-// WhenDone registers fn to run at completion (immediately if already done).
-// A callback registered before an Extend fires when the extended target
-// completes — the handle it finishes then reflects the newest absorbed data
-// version. The returned func deregisters fn if it has not yet run — callers
-// whose interest ends early (a cancelled handle) must call it, or the
-// closure and everything it retains would sit in the callback list of a
-// consumer that may never complete.
-func (c *Consumer) WhenDone(fn func()) (deregister func()) {
+// WhenDone registers fn to run at completion (immediately if already done)
+// with the final of the version that completed. A callback registered
+// before an Extend fires when the extended target completes — the handle it
+// finishes then reflects the newest absorbed data version. The returned
+// func deregisters fn if it has not yet run — callers whose interest ends
+// early (a cancelled handle) must call it, or the closure and everything it
+// retains would sit in the callback list of a consumer that may never
+// complete.
+func (c *Consumer) WhenDone(fn func(*Final)) (deregister func()) {
 	c.doneMu.Lock()
 	if c.completed {
+		final := c.finalLocked()
 		c.doneMu.Unlock()
-		fn()
+		fn(final)
 		return func() {}
 	}
 	if c.doneCbs == nil {
-		c.doneCbs = make(map[int]func())
+		c.doneCbs = make(map[int]func(*Final))
 	}
 	id := c.cbSeq
 	c.cbSeq++
@@ -594,10 +631,6 @@ func (c *Consumer) WhenDone(fn func()) (deregister func()) {
 
 // RowsSeen returns the number of rows folded so far.
 func (c *Consumer) RowsSeen() int64 { return c.folded.Load() }
-
-// Target returns the row count of the data version the consumer is folding
-// toward — its result watermark.
-func (c *Consumer) Target() int64 { return c.target.Load() }
 
 // Progress returns the folded fraction of the current target in [0, 1].
 func (c *Consumer) Progress() float64 {
@@ -654,17 +687,6 @@ func (c *Consumer) Unspeculate() {
 	if c.fgRefs == 0 {
 		c.detachLocked()
 	}
-	s.mu.Unlock()
-}
-
-// Detach removes the consumer from the scan (cancelled query, discarded
-// speculation). Coverage is retained; a later Acquire or Speculate resumes.
-func (c *Consumer) Detach() {
-	s := c.s
-	s.mu.Lock()
-	c.fgRefs = 0
-	c.spec = false
-	c.detachLocked()
 	s.mu.Unlock()
 }
 
@@ -729,35 +751,19 @@ func (c *Consumer) mergeShards() (*engine.GroupState, int64) {
 	return merged, seen
 }
 
-// Snapshot renders the current estimate: exact once every row of the
-// current target version is folded, otherwise scaled with CLT margins at
-// critical value z over the window seen so far. The result's watermark is
-// the target version's row count.
+// Snapshot renders the current estimate: the exact final once every row of
+// the current target version is folded, otherwise scaled with CLT margins
+// at critical value z over the window seen so far. The result's watermark
+// is the version's row count.
 func (c *Consumer) Snapshot(z float64) *query.Result {
-	c.finalMu.Lock()
-	final := c.final
-	c.finalMu.Unlock()
-	if final != nil {
-		return final.SnapshotExact()
+	if f := c.completedFinal(); f != nil {
+		return f.Snapshot()
 	}
 	merged, seen := c.mergeShards()
-	// Cache-or-scale decision under finalMu: extendLocked stores the grown
-	// target and clears the stale final atomically with respect to this
-	// block, so a merge of the old version can never be cached as the final
-	// state of the new one.
-	c.finalMu.Lock()
-	target := c.target.Load()
-	if seen == target {
-		if c.final == nil {
-			c.final = merged
-		}
-		c.finalMu.Unlock()
-		return merged.SnapshotExact()
-	}
-	c.finalMu.Unlock()
 	// The target version's row count is both the scaling population and the
 	// absorbed-rows watermark: the consumer folds toward exactly the rows of
 	// that data version.
+	target := c.target.Load()
 	return merged.SnapshotScaled(seen, target, target, 0, z)
 }
 
@@ -767,12 +773,8 @@ func (c *Consumer) Snapshot(z float64) *query.Result {
 // fragments before estimating once. The fragment's population and watermark
 // are the consumer's target version, exactly as in Snapshot.
 func (c *Consumer) PartialSnapshot() *engine.Partial {
-	c.finalMu.Lock()
-	final := c.final
-	c.finalMu.Unlock()
-	if final != nil {
-		t := c.target.Load()
-		return final.Partial(t, t, t, true)
+	if f := c.completedFinal(); f != nil {
+		return f.Partial()
 	}
 	merged, seen := c.mergeShards()
 	target := c.target.Load()

@@ -329,20 +329,24 @@ func TestPartialSnapshotConsistency(t *testing.T) {
 	waitDone(t, c)
 }
 
-// TestWhenDoneFiresOnceEvenWhenAlreadyDone covers both callback paths.
+// TestWhenDoneFiresOnceEvenWhenAlreadyDone covers both callback paths, and
+// that each hands over the final of the completed version.
 func TestWhenDoneFiresOnceEvenWhenAlreadyDone(t *testing.T) {
 	f := newFixture(t, 20000, 7)
 	s := New(f.db.Fact.NumRows(), 0, 2)
 	c := s.NewConsumer(f.plan(t, 0))
-	fired := make(chan struct{}, 2)
-	c.WhenDone(func() { fired <- struct{}{} })
+	fired := make(chan *Final, 2)
+	c.WhenDone(func(final *Final) { fired <- final })
 	c.Acquire()
 	waitDone(t, c)
 	c.Release()
-	c.WhenDone(func() { fired <- struct{}{} }) // already done: immediate
+	c.WhenDone(func(final *Final) { fired <- final }) // already done: immediate
 	for i := 0; i < 2; i++ {
 		select {
-		case <-fired:
+		case final := <-fired:
+			if final == nil || final.rows != int64(f.db.Fact.NumRows()) {
+				t.Fatalf("callback %d got final %+v, want one at %d rows", i, final, f.db.Fact.NumRows())
+			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("WhenDone callback did not fire")
 		}
@@ -357,10 +361,10 @@ func TestWhenDoneDeregister(t *testing.T) {
 	s := New(f.db.Fact.NumRows(), 0, 2)
 	c := s.NewConsumer(f.plan(t, 0))
 	fired := false
-	deregister := c.WhenDone(func() { fired = true })
+	deregister := c.WhenDone(func(*Final) { fired = true })
 	deregister()
 	kept := make(chan struct{})
-	deregLate := c.WhenDone(func() { close(kept) })
+	deregLate := c.WhenDone(func(*Final) { close(kept) })
 	c.Acquire()
 	waitDone(t, c)
 	c.Release()

@@ -45,6 +45,7 @@ func New(open Opener) *Engine { return &Engine{open: open} }
 
 // Engine is the database/sql-backed system adapter.
 type Engine struct {
+	engine.Stateless
 	open Opener
 
 	mu   sync.RWMutex
@@ -182,20 +183,5 @@ func binKeyOf(db *dataset.Database, q *query.Query, binStr []sql.NullString, bin
 // already safe for concurrent use, and the adapter keeps no per-viz state,
 // so the engine (and the pool) is its own session.
 func (e *Engine) OpenSession() engine.Session { return e }
-
-// LinkVizs implements engine.Session; a plain SQL backend ignores hints.
-func (e *Engine) LinkVizs(from, to string) {}
-
-// DeleteViz implements engine.Session.
-func (e *Engine) DeleteViz(name string) {}
-
-// WorkflowStart implements engine.Session.
-func (e *Engine) WorkflowStart() {}
-
-// WorkflowEnd implements engine.Session.
-func (e *Engine) WorkflowEnd() {}
-
-// Close implements engine.Session; the session holds nothing.
-func (e *Engine) Close() {}
 
 var _ engine.Engine = (*Engine)(nil)

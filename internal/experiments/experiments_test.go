@@ -204,19 +204,26 @@ func TestPrep(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := quickCfg(&buf)
 	cfg.Engines = []string{"exactdb", "progressive", "sampledb", "onlinedb"}
-	rows, err := Prep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
+	// The ordering compares wall-clock prepares, so each engine's time is
+	// the minimum of three: onlinedb does progressive's reorder plus tuple
+	// work, and a single prepare of either can be stretched by the scheduler.
 	times := map[string]time.Duration{}
-	for _, r := range rows {
-		if r.PrepTime <= 0 {
-			t.Errorf("%s: prep time not measured", r.Engine)
+	for i := 0; i < 3; i++ {
+		rows, err := Prep(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		times[r.Engine] = r.PrepTime
+		if len(rows) != 4 {
+			t.Fatalf("rows = %d", len(rows))
+		}
+		for _, r := range rows {
+			if r.PrepTime <= 0 {
+				t.Errorf("%s: prep time not measured", r.Engine)
+			}
+			if prev, ok := times[r.Engine]; !ok || r.PrepTime < prev {
+				times[r.Engine] = r.PrepTime
+			}
+		}
 	}
 	// Paper ordering: XDB ≫ System X > MonetDB ≫ IDEA.
 	if times["onlinedb"] <= times["progressive"] {
