@@ -33,6 +33,12 @@
 // speculation (progressive) — not in their scan kernels, so benchmark
 // comparisons measure the models, not incidental interpreter overhead.
 //
+// The data itself comes from the paper's Gaussian-copula generator
+// (internal/datagen), which uses every core and still builds bitwise the
+// same table for a given seed: one goroutine draws the random numbers in
+// row order and workers map disjoint row blocks; golden SHA-256 digests pin
+// the output.
+//
 // The sampling engines additionally store data in scan order: at prepare
 // time, progressive and onlinedb materialize the fact table in their fixed
 // random sampling permutation (dataset.ReorderTable), so "the next sample

@@ -2,6 +2,9 @@ package datagen
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -368,4 +371,84 @@ func BenchmarkCopulaScaler(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
+}
+
+// generateRowAtATime is the reference Generate must equal bit for bit: the
+// row-at-a-time loop the pipeline replaced, one row's normals drawn, then
+// correlated, then mapped per attribute.
+func generateRowAtATime(s *Scaler, rows int, rngSeed int64) *dataset.Table {
+	rng := rand.New(rand.NewSource(rngSeed))
+	d := s.schema.Len()
+	b := dataset.NewBuilder(s.name, s.schema, rows)
+	for j := range s.schema.Fields {
+		if s.nomDict[j] != nil {
+			b.SetDict(j, s.nomDict[j])
+		}
+	}
+	w := make([]float64, d)
+	for i := 0; i < rows; i++ {
+		for j := range w {
+			w[j] = rng.NormFloat64()
+		}
+		for j := range s.schema.Fields {
+			var z float64
+			for k := 0; k <= j; k++ {
+				z += s.chol.At(j, k) * w[k]
+			}
+			u := stats.NormalCDF(z)
+			if s.quantQ[j] != nil {
+				b.AppendNum(j, s.quantQ[j].Quantile(u))
+			} else {
+				b.AppendCode(j, s.nomQ[j].Quantile(u))
+			}
+		}
+	}
+	tbl, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return tbl
+}
+
+// TestGenerateMatchesRowAtATime: the block pipeline yields exactly the
+// reference's table — every float bit and code — at row counts around the
+// block boundary and at random sizes, with one worker, with two, and with
+// more workers than blocks.
+func TestGenerateMatchesRowAtATime(t *testing.T) {
+	seed, err := GenerateSeed(3000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := NewScaler(seed, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	sizes := []int{0, 1, genBlock - 1, genBlock, genBlock + 1, rng.Intn(genBlock), genBlock + rng.Intn(5*genBlock)}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 7} {
+		runtime.GOMAXPROCS(procs)
+		for i, rows := range sizes {
+			rngSeed := int64(100*procs + i)
+			got, err := sc.Generate(rows, rngSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := generateRowAtATime(sc, rows, rngSeed)
+			if got.NumRows() != rows {
+				t.Fatalf("GOMAXPROCS %d: %d rows, want %d", procs, got.NumRows(), rows)
+			}
+			for j, g := range got.Columns {
+				w := want.Columns[j]
+				if g.Dict != w.Dict || !slices.Equal(g.Codes, w.Codes) {
+					t.Fatalf("GOMAXPROCS %d, %d rows: nominal column %q differs", procs, rows, g.Field.Name)
+				}
+				for r := range w.Nums {
+					if math.Float64bits(g.Nums[r]) != math.Float64bits(w.Nums[r]) {
+						t.Fatalf("GOMAXPROCS %d, %d rows: column %q row %d = %v, want %v", procs, rows, g.Field.Name, r, g.Nums[r], w.Nums[r])
+					}
+				}
+			}
+		}
+	}
 }

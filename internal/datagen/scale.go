@@ -3,7 +3,9 @@ package datagen
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 
 	"idebench/internal/dataset"
 	"idebench/internal/stats"
@@ -24,6 +26,19 @@ import (
 //   - nominal attributes participate through their dictionary codes with
 //     dithered ranks, and map back through a frequency-preserving discrete
 //     inverse CDF.
+//
+// Generate is a two-stage pipeline over blocks of genBlock rows. The
+// calling goroutine draws each block's standard normals from the one
+// sequential RNG, in row order, so the sequence is exactly the
+// row-at-a-time one. GOMAXPROCS workers then map whole blocks into
+// disjoint row ranges of presized output columns, one column at a time, so
+// a worker reads one inverse-CDF table at a time. Each value goes through
+// the same float operations in the same order as a row-at-a-time loop —
+// z_j = Σ_{k≤j} L_jk·w_k accumulated from 0 (stats.Matrix.LowerRowDot),
+// then Φ, then the marginal's quantile — so the table is bitwise the same
+// whatever the worker count. A table of at most one block, such as a
+// 500-row ingest batch, is built on the calling goroutine and starts no
+// other. A Scaler is read-only after NewScaler and safe for concurrent use.
 type Scaler struct {
 	schema  *dataset.Schema
 	name    string
@@ -131,6 +146,13 @@ func normalScores(raw []float64, rng *rand.Rand) []float64 {
 	return out
 }
 
+// genBlock is the generator's unit of work. 4096 rows of the 14-attribute
+// flights schema are 448 KiB of normals, which with the one inverse-CDF
+// table a worker reads at a time (at most SampleCap floats) fits a core's
+// L2 cache, while a 2M-row table still splits into about 490 blocks. On
+// 50k rows and two cores, 1024 and 16384 both measured about 15% slower.
+const genBlock = 4096
+
 // Generate produces a new table with rows tuples following the fitted
 // distribution. The output shares the seed's dictionaries so nominal codes
 // remain comparable.
@@ -140,30 +162,96 @@ func (s *Scaler) Generate(rows int, rngSeed int64) (*dataset.Table, error) {
 	}
 	rng := rand.New(rand.NewSource(rngSeed))
 	d := s.schema.Len()
-	b := dataset.NewBuilder(s.name, s.schema, rows)
-	for j := range s.schema.Fields {
-		if s.nomDict[j] != nil {
-			b.SetDict(j, s.nomDict[j])
+	cols := make([]*dataset.Column, d)
+	for j, f := range s.schema.Fields {
+		c := &dataset.Column{Field: f}
+		if f.Kind == dataset.Nominal {
+			c.Codes, c.Dict = make([]uint32, rows), s.nomDict[j]
+		} else {
+			c.Nums = make([]float64, rows)
+		}
+		cols[j] = c
+	}
+	blocks := (rows + genBlock - 1) / genBlock
+	if workers := min(runtime.GOMAXPROCS(0), blocks); workers > 1 {
+		s.generateParallel(rng, cols, rows, workers)
+	} else {
+		w := make([]float64, min(rows, genBlock)*d)
+		for lo := 0; lo < rows; lo += genBlock {
+			b := w[:(min(lo+genBlock, rows)-lo)*d]
+			drawNormals(rng, b)
+			s.transform(cols, lo, b)
 		}
 	}
+	return dataset.NewTable(s.name, s.schema, cols)
+}
 
-	w := make([]float64, d)
-	z := make([]float64, d)
-	for i := 0; i < rows; i++ {
-		for j := range w {
-			w[j] = rng.NormFloat64()
-		}
-		s.chol.MulVecLowerInto(z, w)
-		for j := range s.schema.Fields {
-			u := stats.NormalCDF(z[j])
-			if s.quantQ[j] != nil {
-				b.AppendNum(j, s.quantQ[j].Quantile(u))
-			} else {
-				b.AppendCode(j, s.nomQ[j].Quantile(u))
+// generateParallel is Generate's pipeline for tables of more than one
+// block (see Scaler).
+func (s *Scaler) generateParallel(rng *rand.Rand, cols []*dataset.Column, rows, workers int) {
+	d := len(cols)
+	type block struct {
+		lo int
+		w  []float64
+	}
+	// Two buffers per worker, one being mapped and one drawn ahead, so
+	// neither side waits while the other has work; returning a buffer to
+	// the pool never blocks.
+	free := make(chan []float64, 2*workers)
+	for range 2 * workers {
+		free <- make([]float64, genBlock*d)
+	}
+	work := make(chan block, workers) // one drawn block queued per worker
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := range work {
+				s.transform(cols, b.lo, b.w)
+				free <- b.w[:cap(b.w)]
+			}
+		}()
+	}
+	for lo := 0; lo < rows; lo += genBlock {
+		w := (<-free)[:(min(lo+genBlock, rows)-lo)*d]
+		drawNormals(rng, w)
+		work <- block{lo, w}
+	}
+	close(work)
+	wg.Wait()
+}
+
+// drawNormals fills w with standard normals in order: row by row, one per
+// attribute, the order the row-at-a-time generator drew them in.
+func drawNormals(rng *rand.Rand, w []float64) {
+	for i := range w {
+		w[i] = rng.NormFloat64()
+	}
+}
+
+// transform maps one block of drawn normals (row-major, one per attribute)
+// to output rows [lo, lo+len(w)/d). It goes one column at a time, so only
+// that column's inverse CDF is being read, and per value performs the
+// row-at-a-time generator's float operations in its order: the correlated
+// normal z_j = Σ_{k≤j} L_jk·w_k, then Φ(z_j), then the marginal's quantile.
+func (s *Scaler) transform(cols []*dataset.Column, lo int, w []float64) {
+	d := len(cols)
+	n := len(w) / d
+	for j, c := range cols {
+		if q := s.quantQ[j]; q != nil {
+			out := c.Nums[lo : lo+n]
+			for r := range out {
+				out[r] = q.Quantile(stats.NormalCDF(s.chol.LowerRowDot(j, w[r*d:])))
+			}
+		} else {
+			q := s.nomQ[j]
+			out := c.Codes[lo : lo+n]
+			for r := range out {
+				out[r] = q.Quantile(stats.NormalCDF(s.chol.LowerRowDot(j, w[r*d:])))
 			}
 		}
 	}
-	return b.Build()
 }
 
 // ScaleTable is the one-call convenience used by the CLI: fit on seed and

@@ -5,6 +5,14 @@
 // arbitrary size while preserving marginal distributions and
 // cross-attribute correlation, and a normalizer that splits the
 // de-normalized table into a star schema.
+//
+// Generation is deterministic to the bit: a (seed table, row count, seed)
+// always yields the same table, however many cores build it. The scaler
+// draws its random numbers on one goroutine in row order and spreads only
+// the pure per-value arithmetic across GOMAXPROCS workers, each writing its
+// own row range; tables of at most one block (genBlock rows) are built on
+// the calling goroutine. Golden digests in internal/core and internal/ingest
+// pin the output.
 package datagen
 
 import (

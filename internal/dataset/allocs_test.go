@@ -38,3 +38,24 @@ func TestBinCodesLookupAllocs(t *testing.T) {
 		t.Fatalf("refusing a fifth binning allocates %v times", n)
 	}
 }
+
+// TestSelectRowsAllocs pins the small gather path: 500 rows are below the
+// parallel threshold, so SelectRows copies on the calling goroutine and
+// allocates what the sequential builder loop did.
+func TestSelectRowsAllocs(t *testing.T) {
+	tbl := gatherTable(5000, 3, 4)
+	rows := make([]uint32, 500)
+	for i := range rows {
+		rows[i] = uint32(i * 7 % 5000)
+	}
+	n := testing.AllocsPerRun(50, func() {
+		if _, err := SelectRows(tbl, rows); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// 22 is the sequential builder loop's count for this 7-column table,
+	// measured before the shared gather existed.
+	if n > 22 {
+		t.Fatalf("SelectRows of 500 rows made %v allocations, want ≤ 22", n)
+	}
+}

@@ -27,25 +27,7 @@ func ReorderTable(t *Table, perm []uint32) (*Table, error) {
 		}
 		seen[p] = true
 	}
-	cols := make([]*Column, len(t.Columns))
-	for i, c := range t.Columns {
-		nc := &Column{Field: c.Field, Dict: c.Dict}
-		if c.Field.Kind == Nominal {
-			nc.Codes = make([]uint32, n)
-			for j, p := range perm {
-				nc.Codes[j] = c.Codes[p]
-			}
-		} else {
-			nc.Nums = make([]float64, n)
-			for j, p := range perm {
-				nc.Nums[j] = c.Nums[p]
-			}
-			lo, hi, ok := c.MinMax()
-			nc.seedMinMax(lo, hi, ok)
-		}
-		cols[i] = nc
-	}
-	return NewTable(t.Name, t.Schema, cols)
+	return gather(t, perm, true)
 }
 
 // seedMinMax pre-fills the memoized bounds of a freshly built column whose

@@ -340,7 +340,7 @@ func (s *session) stateLocked(q *query.Query) (*sharedscan.Consumer, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := s.v.X.scan.NewConsumer(plan)
+	st := s.v.X.scan.NewConsumer(plan, sig)
 	s.states[sig] = st
 	return st, nil
 }

@@ -181,6 +181,56 @@ func TestResultReuseWithinWorkflow(t *testing.T) {
 	sess.WorkflowEnd()
 }
 
+// TestReuseKeyedBySemantics: the session's reuse cache must not hand one
+// query another's state. With "a,b" a carrier value of its own, IN ["a,b"]
+// and IN ["a","b"] are different filters, and each must return its own
+// exact final even when the other ran first in the same workflow.
+func TestReuseKeyedBySemantics(t *testing.T) {
+	schema := dataset.MustSchema([]dataset.Field{
+		{Name: "carrier", Kind: dataset.Nominal},
+		{Name: "dep_delay", Kind: dataset.Quantitative},
+	})
+	b := dataset.NewBuilder("flights", schema, 100)
+	for i := 0; i < 100; i++ {
+		b.AppendString(0, []string{"a,b", "a", "b", "c"}[i%4])
+		b.AppendNum(1, float64(i))
+	}
+	fact, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := &dataset.Database{Fact: fact}
+	e := New(Config{})
+	if err := e.Prepare(db, engine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	sess := e.OpenSession()
+	defer sess.Close()
+	sess.WorkflowStart()
+	defer sess.WorkflowEnd()
+	var finals []*query.Result
+	for _, vals := range [][]string{{"a,b"}, {"a", "b"}} {
+		q := enginetest.CountByCarrier()
+		q.Filter = query.Filter{Predicates: []query.Predicate{{Field: "carrier", Op: query.OpIn, Values: vals}}}
+		h, err := sess.StartQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := enginetest.WaitResult(t, h, 30*time.Second)
+		want, err := enginetest.Exact(db, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := enginetest.ResultsEqual(want, res, 0); err != nil {
+			t.Errorf("IN %q: final is not the query's own exact answer: %v", vals, err)
+		}
+		finals = append(finals, res)
+	}
+	if enginetest.ResultsEqual(finals[0], finals[1], 0) == nil {
+		t.Error(`IN ["a,b"] and IN ["a","b"] returned the same final`)
+	}
+}
+
 func TestSpeculationWarmsLinkedQueries(t *testing.T) {
 	db := enginetest.SmallDB(400000, 23)
 	e := New(Config{Speculate: true, ChunkRows: 2048})

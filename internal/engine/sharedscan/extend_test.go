@@ -53,7 +53,7 @@ func (f *ingestFixture) appendBatch(t testing.TB, n int, seed int64) *dataset.Da
 func TestExtendMidSweepExactlyOnce(t *testing.T) {
 	f := newIngestFixture(t, 300000, 21)
 	s := New(f.db.Fact.NumRows(), 256, 2)
-	c := s.NewConsumer(f.plan(t, 0))
+	c := newConsumer(s, f.plan(t, 0))
 	c.Acquire()
 	deadline := time.Now().Add(10 * time.Second)
 	for c.RowsSeen() == 0 && time.Now().Before(deadline) {
@@ -83,7 +83,7 @@ func TestExtendMidSweepExactlyOnce(t *testing.T) {
 func TestExtendReArmsCompletedConsumer(t *testing.T) {
 	f := newIngestFixture(t, 50000, 22)
 	s := New(f.db.Fact.NumRows(), 1024, 2)
-	c := s.NewConsumer(f.plan(t, 0))
+	c := newConsumer(s, f.plan(t, 0))
 	c.Acquire()
 	waitDone(t, c)
 	c.Release()
@@ -114,7 +114,7 @@ func TestExtendReArmsCompletedConsumer(t *testing.T) {
 func TestExtendDetachedConsumerResumes(t *testing.T) {
 	f := newIngestFixture(t, 300000, 23)
 	s := New(f.db.Fact.NumRows(), 256, 1)
-	c := s.NewConsumer(f.plan(t, 2))
+	c := newConsumer(s, f.plan(t, 2))
 	c.Acquire()
 	deadline := time.Now().Add(10 * time.Second)
 	for c.RowsSeen() < 1000 && time.Now().Before(deadline) {
@@ -142,7 +142,7 @@ func TestExtendManyConsumersManyBatches(t *testing.T) {
 	const n = 6
 	consumers := make([]*Consumer, n)
 	for i := range consumers {
-		consumers[i] = s.NewConsumer(f.plan(t, i))
+		consumers[i] = newConsumer(s, f.plan(t, i))
 		consumers[i].Acquire()
 	}
 	for round := 0; round < 4; round++ {
@@ -164,7 +164,7 @@ func TestExtendManyConsumersManyBatches(t *testing.T) {
 func TestDiscardStopsExtensions(t *testing.T) {
 	f := newIngestFixture(t, 40000, 25)
 	s := New(f.db.Fact.NumRows(), 1024, 2)
-	c := s.NewConsumer(f.plan(t, 0))
+	c := newConsumer(s, f.plan(t, 0))
 	c.Acquire()
 	waitDone(t, c)
 	c.Release()
@@ -189,7 +189,7 @@ func TestExtendSnapshotWatermarks(t *testing.T) {
 	f := newIngestFixture(t, 200000, 26)
 	oldRows := int64(f.db.Fact.NumRows())
 	s := New(f.db.Fact.NumRows(), 256, 2)
-	c := s.NewConsumer(f.plan(t, 1))
+	c := newConsumer(s, f.plan(t, 1))
 	c.Acquire()
 	defer c.Release()
 	if w := c.Snapshot(1.96).Watermark; w != oldRows {
@@ -225,7 +225,7 @@ func TestExtendSnapshotWatermarks(t *testing.T) {
 func TestExtendCountBitwise(t *testing.T) {
 	f := newIngestFixture(t, 60000, 27)
 	s := New(f.db.Fact.NumRows(), 512, 3)
-	c := s.NewConsumer(f.plan(t, 0))
+	c := newConsumer(s, f.plan(t, 0))
 	c.Acquire()
 	db := f.appendBatch(t, 2500, 700)
 	if err := s.Extend(db, db.Fact.NumRows()); err != nil {
@@ -286,12 +286,12 @@ func TestExtendNeverBuildsBinCodes(t *testing.T) {
 	s := New(f.db.Fact.NumRows(), 512, 2)
 	cached := make([]*Consumer, len(queries))
 	for i, q := range queries {
-		cached[i] = s.NewConsumer(compile(f.db, q))
+		cached[i] = newConsumer(s, compile(f.db, q))
 		cached[i].Acquire()
 		waitDone(t, cached[i])
 		cached[i].Release()
 	}
-	inflight := s.NewConsumer(compile(f.db, queries[0]))
+	inflight := newConsumer(s, compile(f.db, queries[0]))
 	inflight.Acquire()
 	defer inflight.Release()
 	val := func() *dataset.Column { return f.db.Fact.Column("val") }

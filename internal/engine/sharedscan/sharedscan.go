@@ -196,15 +196,17 @@ func (s *Scanner) ShedSpeculative() int {
 }
 
 // NewConsumer creates a detached consumer for plan, which must be compiled
-// against the current view of the scanner's table. The consumer's coverage
-// target is the plan's row count: if the scan is extended before the plan's
-// rows are fully dispatched the consumer rides along via Extend, and if the
-// plan was compiled against a view slightly ahead of the scanner (a query
-// racing an append) the cursor simply reaches the tail once Extend lands.
-func (s *Scanner) NewConsumer(plan *engine.Compiled) *Consumer {
+// against the current view of the scanner's table; sig is the plan's query
+// signature, which the caller has already computed as its own cache key.
+// The consumer's coverage target is the plan's row count: if the scan is
+// extended before the plan's rows are fully dispatched the consumer rides
+// along via Extend, and if the plan was compiled against a view slightly
+// ahead of the scanner (a query racing an append) the cursor simply reaches
+// the tail once Extend lands.
+func (s *Scanner) NewConsumer(plan *engine.Compiled, sig string) *Consumer {
 	c := &Consumer{
 		s:      s,
-		sig:    plan.Query.Signature(),
+		sig:    sig,
 		shards: make([]shard, s.workers),
 		done:   make(chan struct{}),
 	}
@@ -367,8 +369,8 @@ type shard struct {
 type Consumer struct {
 	s *Scanner
 	// sig is the query's signature, fixed at NewConsumer: Extend's key for
-	// sharing one recompile among consumers of the same query, derived once
-	// here rather than per batch under the scheduler lock.
+	// sharing one recompile among consumers of the same query, passed in
+	// once rather than derived per batch under the scheduler lock.
 	sig    string
 	plan   atomic.Pointer[engine.Compiled]
 	target atomic.Int64 // rows of the data version this consumer covers

@@ -75,6 +75,12 @@ func (f *fixture) plan(t testing.TB, i int) *engine.Compiled {
 	return p
 }
 
+// newConsumer attaches a consumer keyed by its plan's query signature, as
+// the progressive session does.
+func newConsumer(s *Scanner, p *engine.Compiled) *Consumer {
+	return s.NewConsumer(p, p.Query.Signature())
+}
+
 func (f *fixture) exact(t testing.TB, i int) *query.Result {
 	t.Helper()
 	p := f.plan(t, i)
@@ -126,7 +132,7 @@ func absf(v float64) float64 {
 func TestSingleConsumerCompletesExactly(t *testing.T) {
 	f := newFixture(t, 50000, 1)
 	s := New(f.db.Fact.NumRows(), 1024, 4)
-	c := s.NewConsumer(f.plan(t, 0))
+	c := newConsumer(s, f.plan(t, 0))
 	c.Acquire()
 	waitDone(t, c)
 	c.Release()
@@ -146,7 +152,7 @@ func TestConcurrentConsumersMatchIndependentScans(t *testing.T) {
 	const n = 9
 	consumers := make([]*Consumer, n)
 	for i := range consumers {
-		consumers[i] = s.NewConsumer(f.plan(t, i))
+		consumers[i] = newConsumer(s, f.plan(t, i))
 		consumers[i].Acquire()
 	}
 	for i, c := range consumers {
@@ -161,13 +167,13 @@ func TestConcurrentConsumersMatchIndependentScans(t *testing.T) {
 func TestLateAttachWrapsAround(t *testing.T) {
 	f := newFixture(t, 200000, 3)
 	s := New(f.db.Fact.NumRows(), 512, 2)
-	first := s.NewConsumer(f.plan(t, 0))
+	first := newConsumer(s, f.plan(t, 0))
 	first.Acquire()
 	// Wait until the cursor has moved before attaching the second consumer.
 	deadline := time.Now().Add(5 * time.Second)
 	for first.RowsSeen() == 0 && time.Now().Before(deadline) {
 	}
-	second := s.NewConsumer(f.plan(t, 1))
+	second := newConsumer(s, f.plan(t, 1))
 	second.Acquire()
 	waitDone(t, first)
 	waitDone(t, second)
@@ -182,7 +188,7 @@ func TestLateAttachWrapsAround(t *testing.T) {
 func TestDetachResume(t *testing.T) {
 	f := newFixture(t, 300000, 4)
 	s := New(f.db.Fact.NumRows(), 256, 1)
-	c := s.NewConsumer(f.plan(t, 2))
+	c := newConsumer(s, f.plan(t, 2))
 	c.Acquire()
 	deadline := time.Now().Add(10 * time.Second)
 	for c.RowsSeen() < 1000 && time.Now().Before(deadline) {
@@ -221,13 +227,13 @@ func TestDetachResume(t *testing.T) {
 func TestSpeculativeConsumerRunsInThinkTime(t *testing.T) {
 	f := newFixture(t, 100000, 5)
 	s := New(f.db.Fact.NumRows(), 1024, 2)
-	spec := s.NewConsumer(f.plan(t, 1))
+	spec := newConsumer(s, f.plan(t, 1))
 	spec.Speculate()
 	waitDone(t, spec)
 	resultsIdentical(t, "speculative round 1", f.exact(t, 1), spec.Snapshot(1.96))
 
 	// A second speculation round after the first completed must still run.
-	spec2 := s.NewConsumer(f.plan(t, 2))
+	spec2 := newConsumer(s, f.plan(t, 2))
 	spec2.Speculate()
 	waitDone(t, spec2)
 	resultsIdentical(t, "speculative round 2", f.exact(t, 2), spec2.Snapshot(1.96))
@@ -243,7 +249,7 @@ func TestSpeculativeConsumerRunsInThinkTime(t *testing.T) {
 func TestSpeculationYieldsToForeground(t *testing.T) {
 	f := newFixture(t, 400000, 9)
 	s := New(f.db.Fact.NumRows(), 256, 1)
-	spec := s.NewConsumer(f.plan(t, 1))
+	spec := newConsumer(s, f.plan(t, 1))
 	spec.Speculate()
 	deadline := time.Now().Add(10 * time.Second)
 	for spec.RowsSeen() == 0 && time.Now().Before(deadline) {
@@ -252,7 +258,7 @@ func TestSpeculationYieldsToForeground(t *testing.T) {
 	if spec.IsDone() {
 		t.Skip("speculation finished before the foreground query could interrupt")
 	}
-	fg := s.NewConsumer(f.plan(t, 0))
+	fg := newConsumer(s, f.plan(t, 0))
 	fg.Acquire()
 	base := spec.RowsSeen()
 	const slackRows = 10 * 256 // dispatches already in flight at Acquire
@@ -287,7 +293,7 @@ func TestEmptyTableConsumerIsDoneImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(0, 0, 4)
-	c := s.NewConsumer(plan)
+	c := newConsumer(s, plan)
 	if !c.IsDone() {
 		t.Fatal("empty-table consumer should be born complete")
 	}
@@ -304,7 +310,7 @@ func TestEmptyTableConsumerIsDoneImmediately(t *testing.T) {
 func TestPartialSnapshotConsistency(t *testing.T) {
 	f := newFixture(t, 400000, 6)
 	s := New(f.db.Fact.NumRows(), 512, 4)
-	c := s.NewConsumer(f.plan(t, 0))
+	c := newConsumer(s, f.plan(t, 0))
 	c.Acquire()
 	defer c.Release()
 	polls := 0
@@ -334,7 +340,7 @@ func TestPartialSnapshotConsistency(t *testing.T) {
 func TestWhenDoneFiresOnceEvenWhenAlreadyDone(t *testing.T) {
 	f := newFixture(t, 20000, 7)
 	s := New(f.db.Fact.NumRows(), 0, 2)
-	c := s.NewConsumer(f.plan(t, 0))
+	c := newConsumer(s, f.plan(t, 0))
 	fired := make(chan *Final, 2)
 	c.WhenDone(func(final *Final) { fired <- final })
 	c.Acquire()
@@ -359,7 +365,7 @@ func TestWhenDoneFiresOnceEvenWhenAlreadyDone(t *testing.T) {
 func TestWhenDoneDeregister(t *testing.T) {
 	f := newFixture(t, 30000, 10)
 	s := New(f.db.Fact.NumRows(), 0, 2)
-	c := s.NewConsumer(f.plan(t, 0))
+	c := newConsumer(s, f.plan(t, 0))
 	fired := false
 	deregister := c.WhenDone(func(*Final) { fired = true })
 	deregister()
@@ -386,7 +392,7 @@ func TestMergeShardsBitwiseAgainstSequential(t *testing.T) {
 	f := newFixture(t, 60000, 8)
 	plan := f.plan(t, 1)
 	s := New(f.db.Fact.NumRows(), 4096, 1)
-	c := s.NewConsumer(plan)
+	c := newConsumer(s, plan)
 	c.Acquire()
 	waitDone(t, c)
 	c.Release()

@@ -11,14 +11,14 @@ func TestShedSpeculativeDetachesOnlyBackground(t *testing.T) {
 	f := newFixture(t, 200_000, 1)
 	s := New(f.db.Fact.NumRows(), 512, 1)
 
-	fg := s.NewConsumer(f.plan(t, 0))
+	fg := newConsumer(s, f.plan(t, 0))
 	fg.Acquire()
-	spec := s.NewConsumer(f.plan(t, 1))
+	spec := newConsumer(s, f.plan(t, 1))
 	spec.Speculate()
-	spec2 := s.NewConsumer(f.plan(t, 2))
+	spec2 := newConsumer(s, f.plan(t, 2))
 	spec2.Speculate()
 	// A consumer that is both foreground and speculative counts as foreground.
-	both := s.NewConsumer(f.plan(t, 0))
+	both := newConsumer(s, f.plan(t, 0))
 	both.Acquire()
 	both.Speculate()
 

@@ -49,3 +49,24 @@ func TestBatchCodecAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestSourceNextAllocs pins the small generation path: a 500-row batch is
+// smaller than one generator block, so it is built on the calling goroutine
+// and allocates no more than the row-at-a-time generator did — no
+// goroutine, channel or block buffer reaches it.
+func TestSourceNextAllocs(t *testing.T) {
+	src, err := ingest.NewSource(2000, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(50, func() {
+		if _, err := src.Next(500); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// 87 is the row-at-a-time generator's count, measured before the
+	// pipeline existed.
+	if n > 87 {
+		t.Fatalf("Source.Next(500) made %v allocations, want ≤ 87", n)
+	}
+}

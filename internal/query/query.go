@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"idebench/internal/dataset"
@@ -186,30 +187,84 @@ func (q *Query) Validate() error {
 
 // Signature returns a canonical string identifying the query's semantics,
 // used as ground-truth cache key and for result reuse. Two queries with the
-// same signature must return the same ground truth.
+// same signature must return the same ground truth, and two queries with
+// different semantics must not share one: every string in it is
+// length-prefixed and every list counted, so no field name or IN value can
+// forge a separator. It is insensitive to the order of IN values and of
+// predicates.
 func (q *Query) Signature() string {
 	var sb strings.Builder
-	sb.WriteString(q.Table)
+	sigStr(&sb, q.Table)
 	sb.WriteByte('|')
+	sigInt(&sb, len(q.Bins))
 	for _, b := range q.Bins {
-		fmt.Fprintf(&sb, "b:%s:%d:%g:%g|", b.Field, b.Kind, b.Width, b.Origin)
+		sb.WriteString("|b:")
+		sigStr(&sb, b.Field)
+		sb.WriteByte(':')
+		sigInt(&sb, int(b.Kind))
+		sb.WriteByte(':')
+		sigFloat(&sb, b.Width)
+		sb.WriteByte(':')
+		sigFloat(&sb, b.Origin)
 	}
+	sb.WriteByte('|')
+	sigInt(&sb, len(q.Aggs))
 	for _, a := range q.Aggs {
-		fmt.Fprintf(&sb, "a:%s:%s|", a.Func, a.Field)
+		sb.WriteString("|a:")
+		sigStr(&sb, string(a.Func))
+		sb.WriteByte(':')
+		sigStr(&sb, a.Field)
 	}
+	// Each predicate signs on its own so the set can be sorted; the sorted
+	// signatures are then written length-prefixed like any other string.
+	var pb strings.Builder
 	preds := make([]string, len(q.Filter.Predicates))
 	for i, p := range q.Filter.Predicates {
+		head := pb.Len()
+		sigStr(&pb, p.Field)
 		if p.Op == OpIn {
 			vals := append([]string(nil), p.Values...)
 			sort.Strings(vals)
-			preds[i] = fmt.Sprintf("p:%s:in:%s", p.Field, strings.Join(vals, ","))
+			pb.WriteString(":in:")
+			sigInt(&pb, len(vals))
+			for _, v := range vals {
+				pb.WriteByte(':')
+				sigStr(&pb, v)
+			}
 		} else {
-			preds[i] = fmt.Sprintf("p:%s:range:%g:%g", p.Field, p.Lo, p.Hi)
+			pb.WriteString(":range:")
+			sigFloat(&pb, p.Lo)
+			pb.WriteByte(':')
+			sigFloat(&pb, p.Hi)
 		}
+		preds[i] = pb.String()[head:]
 	}
 	sort.Strings(preds)
-	sb.WriteString(strings.Join(preds, "|"))
+	sb.WriteByte('|')
+	sigInt(&sb, len(preds))
+	for _, p := range preds {
+		sb.WriteString("|p:")
+		sigStr(&sb, p)
+	}
 	return sb.String()
+}
+
+func sigInt(sb *strings.Builder, n int) {
+	var buf [20]byte
+	sb.Write(strconv.AppendInt(buf[:0], int64(n), 10))
+}
+
+func sigFloat(sb *strings.Builder, f float64) {
+	var buf [32]byte
+	sb.Write(strconv.AppendFloat(buf[:0], f, 'g', -1, 64))
+}
+
+// sigStr writes s length-prefixed, so its content cannot be read as a
+// separator.
+func sigStr(sb *strings.Builder, s string) {
+	sigInt(sb, len(s))
+	sb.WriteByte(':')
+	sb.WriteString(s)
 }
 
 // BinDims returns the number of binning dimensions (paper report column

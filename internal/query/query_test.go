@@ -167,6 +167,31 @@ func TestSignatureStability(t *testing.T) {
 	}
 }
 
+// TestSignatureInjective: IN values and predicates that contain the
+// signature's own separators cannot make two different filters collide.
+func TestSignatureInjective(t *testing.T) {
+	with := func(preds ...Predicate) string {
+		q := validQuery()
+		q.Filter = Filter{Predicates: preds}
+		return q.Signature()
+	}
+	in := func(vals ...string) Predicate { return Predicate{Field: "carrier", Op: OpIn, Values: vals} }
+	cases := []struct {
+		name string
+		a, b string
+	}{
+		{"comma inside one IN value", with(in("a,b")), with(in("a", "b"))},
+		{"predicate forged inside one IN value", with(in("x|p:carrier:in:y")), with(in("x"), in("y"))},
+		{"length-prefix forged inside one IN value", with(in("1:x:1:y")), with(in("x", "y"))},
+		{"field name forging a value", with(Predicate{Field: "carrier:in:1:x", Op: OpIn, Values: []string{"y"}}), with(in("x", "y"))},
+	}
+	for _, c := range cases {
+		if c.a == c.b {
+			t.Errorf("%s: both filters sign as %q", c.name, c.a)
+		}
+	}
+}
+
 func TestQueryMetadataRendering(t *testing.T) {
 	q := &Query{
 		Table: "flights",

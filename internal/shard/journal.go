@@ -233,7 +233,9 @@ func ReadCoordState(dir string) (st *CoordState, torn bool, err error) {
 
 // ReduceCoordState folds journal records into the state they describe:
 // the last full snapshot, then every later incremental event in order.
-// Returns nil for an empty journal.
+// Returns nil for an empty journal. It refuses, naming the record, a
+// snapshot or step that would leave a state watermark translation cannot
+// run on (see CoordState.validate).
 func ReduceCoordState(recs []durable.StateRecord) (*CoordState, error) {
 	var st *CoordState
 	for i, rec := range recs {
@@ -241,6 +243,9 @@ func ReduceCoordState(recs []durable.StateRecord) (*CoordState, error) {
 		case journalKindState:
 			next := &CoordState{}
 			if err := json.Unmarshal(rec.Payload, next); err != nil {
+				return nil, fmt.Errorf("shard: journal record %d: %w", i, err)
+			}
+			if err := next.validate(); err != nil {
 				return nil, fmt.Errorf("shard: journal record %d: %w", i, err)
 			}
 			st = next
@@ -255,6 +260,14 @@ func ReduceCoordState(recs []durable.StateRecord) (*CoordState, error) {
 			if len(ev.Targets) != len(st.Steps) {
 				return nil, fmt.Errorf("shard: journal record %d: step has %d targets, topology has %d partitions",
 					i, len(ev.Targets), len(st.Steps))
+			}
+			if ev.Global <= st.Global {
+				return nil, fmt.Errorf("shard: journal record %d: step to global %d does not advance past %d", i, ev.Global, st.Global)
+			}
+			for p, steps := range st.Steps {
+				if last := steps[len(steps)-1].Local; ev.Targets[p] < last {
+					return nil, fmt.Errorf("shard: journal record %d: partition %d target %d is below its local %d", i, p, ev.Targets[p], last)
+				}
 			}
 			applyStepEvent(st, ev)
 		case journalKindTopology:
@@ -275,6 +288,31 @@ func ReduceCoordState(recs []durable.StateRecord) (*CoordState, error) {
 		}
 	}
 	return st, nil
+}
+
+// validate checks a journaled snapshot is one watermark translation can run
+// on: one version log per partition, each starting with a base step, its
+// global versions strictly increasing and its local versions never
+// decreasing, every log ending at the state's global version.
+func (st *CoordState) validate() error {
+	if len(st.Steps) != len(st.Parts) {
+		return fmt.Errorf("%d version logs for %d partitions", len(st.Steps), len(st.Parts))
+	}
+	for i, steps := range st.Steps {
+		if len(steps) == 0 {
+			return fmt.Errorf("partition %d has no base step", i)
+		}
+		for k := 1; k < len(steps); k++ {
+			if steps[k].Global <= steps[k-1].Global || steps[k].Local < steps[k-1].Local {
+				return fmt.Errorf("partition %d step %d (local %d, global %d) does not advance past (local %d, global %d)",
+					i, k, steps[k].Local, steps[k].Global, steps[k-1].Local, steps[k-1].Global)
+			}
+		}
+		if last := steps[len(steps)-1].Global; last != st.Global {
+			return fmt.Errorf("partition %d ends at global %d, state is at %d", i, last, st.Global)
+		}
+	}
+	return nil
 }
 
 // applyStepEvent advances the version log by one journaled batch.

@@ -24,17 +24,17 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns the element at row i, column j.
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// MulVecLowerInto computes y = L·x assuming m is lower triangular, writing
-// into a caller-provided slice to avoid allocation in the scaler's hot loop.
-func (m *Matrix) MulVecLowerInto(dst, x []float64) {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : i*m.Cols+i+1]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] = s
+// LowerRowDot returns (L·x)_i = Σ_{j≤i} L_ij·x_j assuming m is lower
+// triangular, accumulated from 0 in j order. It is the copula generator's
+// one definition of this product: the generated table is pinned bit for
+// bit, so every caller must round exactly alike.
+func (m *Matrix) LowerRowDot(i int, x []float64) float64 {
+	row := m.Data[i*m.Cols : i*m.Cols+i+1]
+	var s float64
+	for j, v := range row {
+		s += v * x[j]
 	}
+	return s
 }
 
 // Covariance estimates the sample covariance matrix of the given columns.

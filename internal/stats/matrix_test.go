@@ -168,12 +168,11 @@ func TestCholeskyPropertyReconstruct(t *testing.T) {
 	}
 }
 
-func TestMulVecLowerInto(t *testing.T) {
+func TestLowerRowDot(t *testing.T) {
 	m := NewMatrix(2, 2)
-	copy(m.Data, []float64{2, 0, 3, 4})
-	dst := make([]float64, 2)
-	m.MulVecLowerInto(dst, []float64{1, 2})
-	if dst[0] != 2 || dst[1] != 11 {
-		t.Errorf("MulVecLowerInto = %v", dst)
+	copy(m.Data, []float64{2, 99, 3, 4}) // the upper entry is never read
+	x := []float64{1, 2}
+	if a, b := m.LowerRowDot(0, x), m.LowerRowDot(1, x); a != 2 || b != 11 {
+		t.Errorf("LowerRowDot = %v, %v; want 2, 11", a, b)
 	}
 }
