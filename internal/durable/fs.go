@@ -50,13 +50,39 @@
 // full copy per checkpoint; 2: this layout with a JSON WAL) is refused with a
 // message naming its format.
 //
-// # WAL framing and commit ordering
+// # Framed logs
 //
-// The WAL lives in <data-dir>/wal/ as segment files seg-<version>.wal,
-// named by the data version before their first record. Each record is
+// The WAL and the coordinator's state log are one primitive underneath: an
+// append-only file of frames
 //
 //	u32 body length | u32 CRC-32 (IEEE) of body | body
-//	body = u64 previous version | binary ingest batch (ingest/binary.go)
+//
+// read by one scanner and appended by one writer. The scan's valid prefix
+// ends at the first incomplete frame, implausible length or CRC mismatch,
+// or at the first body its owner rejects; the scan only reads, and the
+// owner decides what the rest means (recovery truncates it, a read-only
+// observer and the inspector report it). An append commits in the order
+// create → directory fsync → write → fsync → ack: the append that creates
+// the file fsyncs its directory before any record depends on the entry,
+// and nothing is acked before its own fsync returns. A failed write or
+// fsync is not committed: the file is truncated back to its committed size
+// and reopened. If that truncation fails the tail is unknown, and the log
+// refuses every later append; the next open's scan repairs it.
+//
+// A WAL segment is resumed after recovery only when its recovered chain
+// ends exactly at the version the next record chains from. When recovery
+// ends below the loaded checkpoint (a record the checkpoint covers was
+// cut), every segment left is one that checkpoint wholly covers: they are
+// removed, and appends start a fresh segment named for the checkpoint
+// version, whose directory fsync also makes the removals durable.
+//
+// # The WAL
+//
+// The WAL lives in <data-dir>/wal/ as segment files seg-<version>.wal,
+// named by the data version before their first record. Each record is one
+// frame whose body is
+//
+//	u64 previous version | binary ingest batch (ingest/binary.go)
 //
 // The chained previous-version field makes every record's position in the
 // version sequence self-describing: replay verifies each record extends

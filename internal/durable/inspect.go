@@ -90,48 +90,19 @@ func Inspect(dir string, fs FS, w io.Writer) error {
 	}
 
 	walDir := filepath.Join(dir, "wal")
-	names, err := fs.ReadDir(walDir)
-	if err != nil {
-		names = nil
-	}
-	for _, name := range names {
-		start, ok := parseSegmentName(name)
-		if !ok {
-			continue
-		}
-		data, err := fs.ReadFile(filepath.Join(walDir, name))
+	segs, _ := walSegments(fs, walDir) // no wal/ directory: nothing logged
+	for _, seg := range segs {
+		seg, err := readWALSegment(fs, walDir, seg)
 		if err != nil {
-			fmt.Fprintf(w, "wal %s: read failed: %v\n", name, err)
+			fmt.Fprintf(w, "wal %s: read failed: %v\n", seg.name, err)
 			continue
 		}
-		version := start
-		records := 0
-		var torn error
-		for off := 0; off < len(data); {
-			body, next, err := nextWALRecord(data, off)
-			if err != nil {
-				torn = fmt.Errorf("torn/corrupt record at byte %d", off)
-				break
-			}
-			rec, err := DecodeWALBody(body)
-			if err != nil {
-				torn = err
-				break
-			}
-			if rec.PrevVersion != version {
-				torn = fmt.Errorf("version chain broken at byte %d: record says %d, chain says %d", off, rec.PrevVersion, version)
-				break
-			}
-			version += int64(rec.Batch.NumRows())
-			records++
-			off = next
-		}
-		fmt.Fprintf(w, "wal %s: %d records, versions %d..%d, %d bytes", name, records, start, version, len(data))
+		fmt.Fprintf(w, "wal %s: %d records, versions %d..%d, %d bytes", seg.name, len(seg.records), seg.start, seg.end, seg.size)
 		switch {
-		case errors.Is(torn, ingest.ErrFormat):
-			fmt.Fprintf(w, " [another format; recovery refuses it: %v]", torn)
-		case torn != nil:
-			fmt.Fprintf(w, " [tail not committed: %v]", torn)
+		case errors.Is(seg.stop, ingest.ErrFormat):
+			fmt.Fprintf(w, " [another format; recovery refuses it: %v]", seg.stop)
+		case seg.stop != nil:
+			fmt.Fprintf(w, " [tail not committed: %v]", seg.stop)
 		}
 		fmt.Fprintln(w)
 	}

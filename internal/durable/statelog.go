@@ -2,36 +2,31 @@ package durable
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 )
 
-// StateLog is an append-only control-plane journal: a single CRC-framed file
-// of small JSON records, reusing the WAL's frame (u32 len | u32 CRC | body)
-// so it inherits the torn-tail story — a mid-write crash leaves a frame the
-// scanner rejects, and opening the log truncates at the last valid record.
-// It persists state that changes rarely but must survive the process
-// (topology membership, version-log steps), as opposed to the ingest WAL,
-// which persists the data itself.
+// StateLog is an append-only control-plane journal: one framed log (see
+// "Framed logs" in the package comment) of small JSON records. It persists
+// state that changes rarely but must survive the process (topology
+// membership, version-log steps), as opposed to the ingest WAL, which
+// persists the data itself.
 //
 // Record kinds and payloads are opaque to this package: the owner defines
-// them, which keeps durable free of upward imports. Appends are fsynced
-// before returning — a StateLog append that returned nil happened.
+// them, which keeps durable free of upward imports. A StateLog append that
+// returned nil happened.
 //
 // Exactly one process may append to a state log at a time; ReadStateLog is
 // the read-only view for an observer (a warm standby tailing the primary's
 // journal), which tolerates a torn tail without truncating the file the
 // writer still owns.
 type StateLog struct {
-	fs   FS
-	path string
-
-	mu     sync.Mutex
-	f      File
-	size   int64
-	broken error
-	recs   []StateRecord // records recovered at open; not extended by Append
+	mu   sync.Mutex
+	log  framedLog
+	recs []StateRecord // records recovered at open; not extended by Append
 }
 
 // StateRecord is one journal entry: a kind tag and an owner-defined payload.
@@ -54,55 +49,52 @@ func OpenStateLog(dir string, fs FS) (*StateLog, error) {
 		return nil, fmt.Errorf("durable: state log dir: %w", err)
 	}
 	path := filepath.Join(dir, stateLogFile)
-	recs, valid, err := scanStateLog(fs, path)
+	recs, valid, size, err := readStateLog(fs, path)
 	if err != nil {
 		return nil, err
 	}
-	if size, serr := fs.Size(path); serr == nil && size > valid {
+	if size > valid {
 		// Torn tail from a mid-write crash: cut it so the next append starts
 		// at a clean frame boundary.
 		if terr := fs.Truncate(path, valid); terr != nil {
 			return nil, fmt.Errorf("durable: truncate torn state log tail: %w", terr)
 		}
 	}
-	return &StateLog{fs: fs, path: path, size: valid, recs: recs}, nil
+	return &StateLog{log: framedLog{fs: fs, path: path, size: valid}, recs: recs}, nil
 }
 
-// scanStateLog reads every valid record of the log at path, returning them
-// with the byte offset where valid data ends. A missing file is an empty
-// log.
-func scanStateLog(fs FS, path string) ([]StateRecord, int64, error) {
+// readStateLog reads every valid record of the log at path, with the byte
+// offsets where its valid prefix and the file end. A framed record that is
+// not a state record ends the valid prefix like a torn frame. Only a
+// missing file is an empty log: any other read error is returned, so a log
+// that cannot be read is never mistaken for an empty one and truncated.
+func readStateLog(fs FS, path string) (recs []StateRecord, valid, size int64, err error) {
 	data, err := fs.ReadFile(path)
-	if err != nil {
-		// Missing is the common first-boot case; any other read error will
-		// resurface on the first append.
-		return nil, 0, nil
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, 0, 0, nil
 	}
-	var recs []StateRecord
-	off := 0
-	for off < len(data) {
-		body, next, err := nextWALRecord(data, off)
-		if err != nil {
-			break // torn or corrupt: valid data ends here
-		}
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("durable: read state log: %w", err)
+	}
+	n, _ := scanFrames(data, func(_ int, body []byte) error {
 		var rec StateRecord
-		if err := json.Unmarshal(body, &rec); err != nil || rec.Kind == "" {
-			break // framed but unparseable: treat like a torn tail
+		if err := json.Unmarshal(body, &rec); err != nil {
+			return err
+		}
+		if rec.Kind == "" {
+			return errors.New("state record without a kind")
 		}
 		recs = append(recs, rec)
-		off = next
-	}
-	return recs, int64(off), nil
+		return nil
+	})
+	return recs, int64(n), int64(len(data)), nil
 }
 
 // Records returns the records recovered when the log was opened, oldest
 // first. The slice is the log's own; callers must not mutate it.
 func (l *StateLog) Records() []StateRecord { return l.recs }
 
-// Append marshals payload under kind, frames it, writes and fsyncs. A short
-// write is rolled back by truncation; if the rollback itself fails the log
-// is marked broken and every later append fails — state must never be acked
-// off a journal in an unknown state.
+// Append marshals payload under kind, frames it, writes and fsyncs.
 func (l *StateLog) Append(kind string, payload any) error {
 	if kind == "" {
 		return fmt.Errorf("durable: state log record needs a kind")
@@ -115,60 +107,9 @@ func (l *StateLog) Append(kind string, payload any) error {
 	if err != nil {
 		return fmt.Errorf("durable: encode state record: %w", err)
 	}
-	frame := appendWALRecord(nil, body)
-
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.broken != nil {
-		return fmt.Errorf("durable: state log broken: %w", l.broken)
-	}
-	if err := l.ensureOpen(); err != nil {
-		return err
-	}
-	if _, werr := l.f.Write(frame); werr != nil {
-		l.rollback(werr)
-		return fmt.Errorf("durable: state log append: %w", werr)
-	}
-	if serr := l.f.Sync(); serr != nil {
-		l.rollback(serr)
-		return fmt.Errorf("durable: state log sync: %w", serr)
-	}
-	l.size += int64(len(frame))
-	return nil
-}
-
-// ensureOpen lazily opens the append handle. Callers hold l.mu.
-func (l *StateLog) ensureOpen() error {
-	if l.f != nil {
-		return nil
-	}
-	if l.size == 0 {
-		f, err := l.fs.Create(l.path)
-		if err != nil {
-			return fmt.Errorf("durable: create state log: %w", err)
-		}
-		l.f = f
-		return nil
-	}
-	f, err := l.fs.OpenAppend(l.path)
-	if err != nil {
-		return fmt.Errorf("durable: open state log: %w", err)
-	}
-	l.f = f
-	return nil
-}
-
-// rollback truncates a failed append back to the last committed size.
-// Callers hold l.mu.
-func (l *StateLog) rollback(cause error) {
-	if l.f != nil {
-		l.f.Close()
-		l.f = nil
-	}
-	if err := l.fs.Truncate(l.path, l.size); err != nil {
-		// Unknown on-disk state: refuse all further appends.
-		l.broken = fmt.Errorf("rollback after %v: %w", cause, err)
-	}
+	return l.log.append(appendFrame(nil, body))
 }
 
 // Compact atomically replaces the whole log with the given records (usually
@@ -186,44 +127,41 @@ func (l *StateLog) Compact(recs ...StateRecord) error {
 		if err != nil {
 			return fmt.Errorf("durable: encode state record: %w", err)
 		}
-		data = appendWALRecord(data, body)
+		data = appendFrame(data, body)
 	}
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.broken != nil {
-		return fmt.Errorf("durable: state log broken: %w", l.broken)
+	if l.log.broken != nil {
+		return fmt.Errorf("durable: state log broken: %w", l.log.broken)
 	}
-	tmp := l.path + ".tmp"
-	f, err := l.fs.Create(tmp)
+	fs, tmp := l.log.fs, l.log.path+".tmp"
+	f, err := fs.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("durable: state log compact: %w", err)
 	}
 	if _, err := f.Write(data); err != nil {
 		f.Close()
-		l.fs.Remove(tmp)
+		fs.Remove(tmp)
 		return fmt.Errorf("durable: state log compact: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		l.fs.Remove(tmp)
+		fs.Remove(tmp)
 		return fmt.Errorf("durable: state log compact: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		l.fs.Remove(tmp)
+		fs.Remove(tmp)
 		return fmt.Errorf("durable: state log compact: %w", err)
 	}
-	if l.f != nil {
-		l.f.Close()
-		l.f = nil
-	}
-	if err := l.fs.Rename(tmp, l.path); err != nil {
+	l.log.close()
+	if err := fs.Rename(tmp, l.log.path); err != nil {
 		return fmt.Errorf("durable: state log compact rename: %w", err)
 	}
 	// The compacted file is the log from here on, even if the directory sync
 	// below fails: appends and rollbacks must count from its size.
-	l.size = int64(len(data))
-	if err := l.fs.SyncDir(filepath.Dir(l.path)); err != nil {
+	l.log.size = int64(len(data))
+	if err := fs.SyncDir(filepath.Dir(l.log.path)); err != nil {
 		return fmt.Errorf("durable: state log compact sync: %w", err)
 	}
 	return nil
@@ -233,12 +171,7 @@ func (l *StateLog) Compact(recs ...StateRecord) error {
 func (l *StateLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Close()
-	l.f = nil
-	return err
+	return l.log.close()
 }
 
 // ReadStateLog reads the state log in dir without taking ownership: every
@@ -248,13 +181,9 @@ func ReadStateLog(dir string, fs FS) (recs []StateRecord, torn bool, err error) 
 	if fs == nil {
 		fs = OSFS{}
 	}
-	path := filepath.Join(dir, stateLogFile)
-	recs, valid, err := scanStateLog(fs, path)
+	recs, valid, size, err := readStateLog(fs, filepath.Join(dir, stateLogFile))
 	if err != nil {
 		return nil, false, err
 	}
-	if size, serr := fs.Size(path); serr == nil && size > valid {
-		torn = true
-	}
-	return recs, torn, nil
+	return recs, size > valid, nil
 }

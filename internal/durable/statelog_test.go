@@ -1,12 +1,14 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -314,5 +316,95 @@ func TestStateLogCompactSyncDirFailureKeepsSize(t *testing.T) {
 	}
 	if want := []int{50, 51, 52, 53, 100, 102}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered records %v, want %v", got, want)
+	}
+}
+
+// failReadFS fails every ReadFile with EIO; everything else passes through.
+type failReadFS struct{ FS }
+
+func (failReadFS) ReadFile(string) ([]byte, error) { return nil, syscall.EIO }
+
+// TestStateLogReadErrorRefused: a journal that cannot be read is not an
+// empty one. Opening it must fail and leave the file byte-identical, and
+// the read-only view must fail rather than report no journal.
+func TestStateLogReadErrorRefused(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenStateLog(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendEvents(t, l, 0, 3)
+	l.Close()
+	path := filepath.Join(dir, stateLogFile)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if l, err := OpenStateLog(dir, failReadFS{OSFS{}}); !errors.Is(err, syscall.EIO) {
+		if err == nil {
+			l.Close()
+		}
+		t.Fatalf("open over an unreadable journal: %v, want EIO", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("a refused open changed the journal: %d bytes, was %d (%v)", len(after), len(before), err)
+	}
+	if _, _, err := ReadStateLog(dir, failReadFS{OSFS{}}); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("read-only view of an unreadable journal: %v, want EIO", err)
+	}
+}
+
+// syncOrderFS records every directory and file fsync, in order.
+type syncOrderFS struct {
+	FS
+	syncs []string
+}
+
+type syncOrderFile struct {
+	File
+	fs *syncOrderFS
+}
+
+func (s *syncOrderFS) SyncDir(path string) error {
+	s.syncs = append(s.syncs, "dir "+path)
+	return s.FS.SyncDir(path)
+}
+
+func (s *syncOrderFS) Create(path string) (File, error) {
+	f, err := s.FS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return syncOrderFile{f, s}, nil
+}
+
+func (s *syncOrderFS) OpenAppend(path string) (File, error) {
+	f, err := s.FS.OpenAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	return syncOrderFile{f, s}, nil
+}
+
+func (f syncOrderFile) Sync() error {
+	f.fs.syncs = append(f.fs.syncs, "file")
+	return f.File.Sync()
+}
+
+// TestStateLogCreateSyncsDir: the append that creates the journal makes
+// its directory entry durable before the record that depends on it, so an
+// acknowledged first record cannot vanish with the entry in a crash.
+func TestStateLogCreateSyncsDir(t *testing.T) {
+	dir := t.TempDir()
+	fs := &syncOrderFS{FS: OSFS{}}
+	l, err := OpenStateLog(dir, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendEvents(t, l, 0, 1)
+	if want := []string{"dir " + dir, "file"}; !reflect.DeepEqual(fs.syncs, want) {
+		t.Fatalf("fsyncs before the first append returned: %q, want %q", fs.syncs, want)
 	}
 }

@@ -30,9 +30,6 @@ type Options struct {
 	FS FS
 	// SegmentBytes is the WAL rotation threshold (DefaultSegmentBytes if 0).
 	SegmentBytes int64
-	// Keep is how many committed checkpoints to retain (default 2: the
-	// newest plus the fallback recovery uses if the newest is corrupt).
-	Keep int
 	// Meta identifies the dataset; required.
 	Meta Meta
 }
@@ -77,6 +74,10 @@ type Recovery struct {
 	Info       RecoveryInfo
 }
 
+// keepCheckpoints is how many committed checkpoints prune retains: the
+// newest plus the fallback recovery uses if the newest is corrupt.
+const keepCheckpoints = 2
+
 // Store owns one data directory: its committed checkpoints and its WAL.
 // LogBatch is safe for concurrent use with Checkpoint; the serving path
 // logs batches on the ingest path while a background goroutine
@@ -88,7 +89,6 @@ type Store struct {
 	ckptRoot string
 	segDir   string
 	segBytes int64
-	keep     int
 	meta     Meta
 
 	mu        sync.Mutex // guards wal, logged, the record buffers and WAL-file pruning
@@ -118,9 +118,6 @@ func Open(dir string, o Options) (*Store, error) {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = DefaultSegmentBytes
 	}
-	if o.Keep <= 0 {
-		o.Keep = 2
-	}
 	if o.Meta.Engine == "" {
 		return nil, fmt.Errorf("durable: open: missing engine in meta")
 	}
@@ -131,7 +128,6 @@ func Open(dir string, o Options) (*Store, error) {
 		ckptRoot: filepath.Join(dir, "checkpoints"),
 		segDir:   filepath.Join(dir, "segments"),
 		segBytes: o.SegmentBytes,
-		keep:     o.Keep,
 		meta:     o.Meta,
 	}
 	for _, d := range []string{dir, s.walDir, s.ckptRoot, s.segDir} {
@@ -176,14 +172,12 @@ func (s *Store) Recover() (*Recovery, error) {
 		}
 		// Fresh directory. A WAL without any checkpoint has no base to
 		// replay onto; refuse rather than guess.
-		names, err := s.fs.ReadDir(s.walDir)
+		segs, err := walSegments(s.fs, s.walDir)
 		if err != nil {
 			return nil, fmt.Errorf("durable: recover: %w", err)
 		}
-		for _, n := range names {
-			if _, ok := parseSegmentName(n); ok {
-				return nil, fmt.Errorf("durable: recover: wal segments exist but no checkpoint does; refusing to guess a base")
-			}
+		if len(segs) > 0 {
+			return nil, fmt.Errorf("durable: recover: wal segments exist but no checkpoint does; refusing to guess a base")
 		}
 		return &Recovery{}, nil
 	}
@@ -212,10 +206,7 @@ func (s *Store) Recover() (*Recovery, error) {
 		Watermark:         scan.endVersion,
 	}
 
-	w, err := openWAL(s.fs, s.walDir, scan.endVersion, s.segBytes)
-	if err != nil {
-		return nil, err
-	}
+	w := openWAL(s.fs, s.walDir, scan.endVersion, s.segBytes, scan.last)
 	// The next checkpoint extends this one. Its dictionary ends are the
 	// decoded dictionaries' lengths, read before replay grows them.
 	dictTo := make([]int, len(ck.DB.Fact.Columns))
@@ -246,10 +237,7 @@ func (s *Store) Bootstrap(db *dataset.Database, perm []uint32) error {
 	if err := s.Checkpoint(db, perm); err != nil {
 		return err
 	}
-	w, err := openWAL(s.fs, s.walDir, int64(db.Fact.NumRows()), s.segBytes)
-	if err != nil {
-		return err
-	}
+	w := openWAL(s.fs, s.walDir, int64(db.Fact.NumRows()), s.segBytes, nil)
 	s.mu.Lock()
 	s.wal = w
 	s.mu.Unlock()
@@ -270,8 +258,8 @@ func (s *Store) LogBatch(b *ingest.Batch) error {
 		return fmt.Errorf("durable: log batch: %w", err)
 	}
 	s.body = appendWALBody(s.body[:0], s.wal.version, b)
-	s.rec = appendWALRecord(s.rec[:0], s.body)
-	if _, err := s.wal.append(s.rec, int64(b.NumRows())); err != nil {
+	s.rec = appendFrame(s.rec[:0], s.body)
+	if err := s.wal.append(s.rec, int64(b.NumRows())); err != nil {
 		return err
 	}
 	s.logged += int64(len(s.rec))
@@ -394,7 +382,7 @@ func (s *Store) prune() {
 	if err != nil {
 		return
 	}
-	for len(versions) > s.keep {
+	for len(versions) > keepCheckpoints {
 		_ = s.fs.RemoveAll(filepath.Join(s.ckptRoot, checkpointDirName(versions[0])))
 		versions = versions[1:]
 	}
@@ -405,19 +393,9 @@ func (s *Store) prune() {
 	floor := versions[0] // oldest retained checkpoint
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names, err := s.fs.ReadDir(s.walDir)
+	segs, err := walSegments(s.fs, s.walDir)
 	if err != nil {
 		return
-	}
-	type seg struct {
-		name  string
-		start int64
-	}
-	var segs []seg
-	for _, n := range names {
-		if v, ok := parseSegmentName(n); ok {
-			segs = append(segs, seg{n, v})
-		}
 	}
 	// A segment is prunable when the NEXT segment starts at or below the
 	// floor (its own records then all end at or below it). The last
@@ -465,12 +443,10 @@ func (s *Store) Info() RecoveryInfo {
 func (s *Store) Status() Status {
 	var st Status
 	st.RecoveryInfo = s.Info()
-	if names, err := s.fs.ReadDir(s.walDir); err == nil {
-		for _, n := range names {
-			if _, ok := parseSegmentName(n); ok {
-				if sz, err := s.fs.Size(filepath.Join(s.walDir, n)); err == nil {
-					st.WALBytes += sz
-				}
+	if segs, err := walSegments(s.fs, s.walDir); err == nil {
+		for _, seg := range segs {
+			if sz, err := s.fs.Size(filepath.Join(s.walDir, seg.name)); err == nil {
+				st.WALBytes += sz
 			}
 		}
 	}
@@ -492,7 +468,7 @@ func (s *Store) Flush() error {
 	if s.wal == nil {
 		return nil
 	}
-	return s.wal.sync()
+	return s.wal.log.sync()
 }
 
 // Close flushes and closes the WAL.
@@ -502,7 +478,7 @@ func (s *Store) Close() error {
 	if s.wal == nil {
 		return nil
 	}
-	return s.wal.close()
+	return s.wal.log.close()
 }
 
 // AutoCheckpoint starts a background goroutine that checkpoints whenever

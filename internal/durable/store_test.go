@@ -314,6 +314,93 @@ func TestRecoverCorruptCRCMidSegment(t *testing.T) {
 	}
 }
 
+// flipWALRecordByte flips the byte at offset inside the frame of the
+// idx-th WAL record of dir, counting across segments in log order.
+func flipWALRecordByte(t *testing.T, dir string, idx, offset int) {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Join(dir, "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		path := filepath.Join(dir, "wal", e.Name())
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off+8 <= len(data); off += 8 + int(binary.LittleEndian.Uint32(data[off:])) {
+			if idx > 0 {
+				idx--
+				continue
+			}
+			data[off+offset] ^= 0x01
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+	}
+	t.Fatalf("the wal holds no record %d", idx)
+}
+
+// TestAckAfterCoveredCorruptionSurvives: a corrupt record the checkpoint
+// already covers makes recovery end below the checkpoint. A batch acked
+// after that recovery must survive the next one, whether the log is one
+// segment or one segment per record: appends may not chain the checkpoint
+// version onto a segment that ends earlier.
+func TestAckAfterCoveredCorruptionSurvives(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		segBytes int64
+	}{
+		{"one_segment", 0},
+		{"segment_per_record", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db := testDB(t)
+			st := openTestStore(t, dir, durable.Options{SegmentBytes: tc.segBytes})
+			if err := st.Bootstrap(db, nil); err != nil {
+				t.Fatal(err)
+			}
+			batches := testBatches(t, 5, 300)
+			for _, b := range batches[:4] {
+				if err := st.LogBatch(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Checkpoint(growDB(t, db, batches[:4]), nil); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+			flipWALRecordByte(t, dir, 1, 20)
+
+			st2 := openTestStore(t, dir, durable.Options{SegmentBytes: tc.segBytes})
+			rec, err := st2.Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := int64(testBaseRows + 4*300); rec.Info.Watermark != want || len(rec.Batches) != 0 {
+				t.Fatalf("first recovery: watermark %d with %d batches, want the checkpoint's %d and none",
+					rec.Info.Watermark, len(rec.Batches), want)
+			}
+			if err := st2.LogBatch(batches[4]); err != nil {
+				t.Fatal(err)
+			}
+			st2.Close()
+
+			rec, err = openTestStore(t, dir, durable.Options{SegmentBytes: tc.segBytes}).Recover()
+			if err != nil {
+				t.Fatalf("second recovery: %v", err)
+			}
+			if want := int64(testBaseRows + 5*300); rec.Info.Watermark != want || rec.Info.TruncatedTail || len(rec.Batches) != 1 {
+				t.Fatalf("second recovery: watermark %d (truncated %v) with %d batches, want %d with the acked batch",
+					rec.Info.Watermark, rec.Info.TruncatedTail, len(rec.Batches), want)
+			}
+		})
+	}
+}
+
 // TestRecoverCheckpointSegmentMissing: the newest checkpoint's manifest is
 // present but its unique tail segment — the one fact segment the fallback
 // does not share — is gone. Recovery must fall back to the previous

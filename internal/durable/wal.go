@@ -31,142 +31,105 @@ func parseSegmentName(name string) (int64, bool) {
 	return v, true
 }
 
-// wal is the append side of the log. Not safe for concurrent use; the
-// Store serializes access.
-type wal struct {
-	fs       FS
-	dir      string
-	segBytes int64
+// walSegment is one WAL segment file; readWALSegment fills in what it
+// holds.
+type walSegment struct {
+	name  string
+	start int64 // data version before its first record
 
-	f       File   // active segment, nil until the first append after open/rotate
-	path    string // active segment path
-	size    int64  // bytes in the active segment
-	version int64  // data version after every logged record
-	broken  error  // sticky: set when the on-disk state is unknown (failed truncate-after-short-write)
+	records []WALRecord
+	frames  []int // framed bytes of each record
+	end     int64 // version after the last valid record
+	valid   int   // bytes of the valid prefix
+	size    int   // bytes in the file
+	stop    error // why the valid prefix ends before size; nil when it does not
 }
 
-// openWAL positions the append side at version. If a segment named for
-// this exact version survived recovery (its tail was truncated to a record
-// boundary), appending continues in it; otherwise the next append starts a
-// fresh segment.
-func openWAL(fs FS, dir string, version, segBytes int64) (*wal, error) {
-	if segBytes <= 0 {
-		segBytes = DefaultSegmentBytes
-	}
-	w := &wal{fs: fs, dir: dir, segBytes: segBytes, version: version}
+// walSegments lists the segment files in dir in version order, skipping
+// foreign files.
+func walSegments(fs FS, dir string) ([]walSegment, error) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("durable: open wal: %w", err)
+		return nil, err
 	}
-	// Resume the newest existing segment only if appends would extend it
-	// contiguously — i.e. recovery replayed it to exactly `version`.
-	var last string
-	var lastStart int64 = -1
+	var segs []walSegment
 	for _, name := range names {
-		if v, ok := parseSegmentName(name); ok && v > lastStart {
-			last, lastStart = name, v
+		if v, ok := parseSegmentName(name); ok {
+			segs = append(segs, walSegment{name: name, start: v})
 		}
 	}
-	if lastStart >= 0 && lastStart <= version {
-		path := filepath.Join(dir, last)
-		size, err := fs.Size(path)
-		if err != nil {
-			return nil, fmt.Errorf("durable: open wal: %w", err)
-		}
-		if size < w.segBytes {
-			f, err := fs.OpenAppend(path)
-			if err != nil {
-				return nil, fmt.Errorf("durable: open wal: %w", err)
-			}
-			w.f, w.path, w.size = f, path, size
-		}
-	}
-	return w, nil
+	// ReadDir sorts names; zero-padded fixed-width versions sort numerically.
+	return segs, nil
 }
 
-// append logs one record whose batch advances the version by rows, fsyncs
-// it, and returns the new version. On any error the record is not
-// committed: a short write is rolled back by truncation, and if even that
-// fails the wal goes sticky-broken (the on-disk tail state is unknown, so
-// no further appends are accepted; recovery's torn-tail truncation will
-// repair it on restart).
-func (w *wal) append(rec []byte, rows int64) (int64, error) {
-	if w.broken != nil {
-		return 0, fmt.Errorf("durable: wal unusable after earlier write failure: %w", w.broken)
+// readWALSegment reads seg and walks its version chain from seg.start:
+// each record must decode and extend the version before it, so a record
+// that decodes but chains to the wrong version ends the valid prefix just
+// like a bad CRC. It changes no file: recovery decides what to do with an
+// invalid tail, the inspector only reports it.
+func readWALSegment(fs FS, dir string, seg walSegment) (walSegment, error) {
+	data, err := fs.ReadFile(filepath.Join(dir, seg.name))
+	if err != nil {
+		return seg, err
 	}
-	if w.f == nil && w.path != "" {
-		// Resume the current segment after a rolled-back failed commit.
-		f, err := w.fs.OpenAppend(w.path)
+	seg.size, seg.end = len(data), seg.start
+	seg.valid, seg.stop = scanFrames(data, func(off int, body []byte) error {
+		rec, err := DecodeWALBody(body)
 		if err != nil {
-			return 0, fmt.Errorf("durable: wal segment reopen: %w", err)
+			return err
 		}
-		w.f = f
-	}
-	if w.f == nil {
-		path := filepath.Join(w.dir, segmentName(w.version))
-		f, err := w.fs.Create(path)
-		if err != nil {
-			return 0, fmt.Errorf("durable: wal segment create: %w", err)
+		if rec.PrevVersion != seg.end {
+			return fmt.Errorf("version chain broken at byte %d: record says %d, chain says %d", off, rec.PrevVersion, seg.end)
 		}
-		// Make the directory entry durable before any record relies on it.
-		if err := w.fs.SyncDir(w.dir); err != nil {
-			_ = f.Close()
-			_ = w.fs.Remove(path)
-			return 0, fmt.Errorf("durable: wal segment create: %w", err)
-		}
-		w.f, w.path, w.size = f, path, 0
+		seg.records = append(seg.records, rec)
+		seg.frames = append(seg.frames, recordHeaderBytes+len(body))
+		seg.end += int64(rec.Batch.NumRows())
+		return nil
+	})
+	return seg, nil
+}
+
+// wal is the append side of the log: a framed log over the active segment
+// plus rotation and the version chain. Not safe for concurrent use; the
+// Store serializes access.
+type wal struct {
+	log      framedLog // the active segment; no path until the next append starts one
+	dir      string
+	segBytes int64
+	version  int64 // data version after every logged record
+}
+
+// openWAL positions the append side at version. It resumes last, the
+// newest segment as recovery left it, only when last's chain ends exactly
+// at version and it has room; otherwise the next append starts a fresh
+// segment named for version.
+func openWAL(fs FS, dir string, version, segBytes int64, last *walSegment) *wal {
+	w := &wal{log: framedLog{fs: fs}, dir: dir, segBytes: segBytes, version: version}
+	if last != nil && last.end == version && int64(last.valid) < segBytes {
+		w.log.path, w.log.size = filepath.Join(dir, last.name), int64(last.valid)
 	}
-	// rollback undoes a partial record so the live segment stays clean. The
-	// handle must be closed and reopened in append mode: truncation does not
-	// move an open handle's write offset, and writing past it would leave a
-	// zero-filled hole. If the rollback itself fails, the tail state is
-	// unknown: refuse further appends rather than risk interleaving past a
-	// torn record (restart recovery will truncate it properly).
-	rollback := func() {
-		_ = w.f.Close()
-		w.f = nil
-		if terr := w.fs.Truncate(w.path, w.size); terr != nil {
-			w.broken = terr
-		}
+	return w
+}
+
+// append logs one record whose batch advances the version by rows. An
+// error from the framed log means the record is not committed and the
+// version does not move; a rotation error comes after the commit.
+func (w *wal) append(rec []byte, rows int64) error {
+	if w.log.path == "" {
+		w.log.path, w.log.size = filepath.Join(w.dir, segmentName(w.version)), 0
 	}
-	if _, err := w.f.Write(rec); err != nil {
-		rollback()
-		return 0, fmt.Errorf("durable: wal append: %w", err)
+	if err := w.log.append(rec); err != nil {
+		return err
 	}
-	if err := w.f.Sync(); err != nil {
-		// The bytes may or may not be durable; same rollback contract.
-		rollback()
-		return 0, fmt.Errorf("durable: wal fsync: %w", err)
-	}
-	w.size += int64(len(rec))
 	w.version += rows
-	if w.size >= w.segBytes {
-		err := w.f.Close()
-		w.f, w.path, w.size = nil, "", 0
+	if w.log.size >= w.segBytes {
+		err := w.log.close()
+		w.log.path = ""
 		if err != nil {
-			return 0, fmt.Errorf("durable: wal rotate: %w", err)
+			return fmt.Errorf("durable: wal rotate: %w", err)
 		}
 	}
-	return w.version, nil
-}
-
-// sync flushes the active segment (a no-op when every append already
-// fsynced and no segment is open).
-func (w *wal) sync() error {
-	if w.f == nil {
-		return nil
-	}
-	return w.f.Sync()
-}
-
-// close closes the active segment.
-func (w *wal) close() error {
-	if w.f == nil {
-		return nil
-	}
-	err := w.f.Close()
-	w.f = nil
-	return err
+	return nil
 }
 
 // walScan is the result of recovering the on-disk log.
@@ -175,7 +138,7 @@ type walScan struct {
 	endVersion int64       // version after the last valid record (>= after)
 	truncated  bool        // a torn/corrupt tail was cut off
 	tailBytes  int64       // framed bytes of records beyond `after`
-	segments   int         // segment files seen
+	last       *walSegment // the newest segment left on disk; nil when none is
 }
 
 // recoverWAL scans dir: verifies every record's CRC and version chain,
@@ -185,25 +148,15 @@ type walScan struct {
 // version) for replay. Two things are hard errors that leave every file as
 // it was, because truncating would silently drop acked batches: a gap in the
 // version chain between segments, and a CRC-valid record whose batch is of
-// another format.
+// another format. A log that ends below `after` is wholly covered by the
+// checkpoint: its segments are removed, so that appends start a fresh
+// segment at `after` rather than chain onto one that ends earlier.
 func recoverWAL(fs FS, dir string, after int64) (walScan, error) {
 	scan := walScan{endVersion: after}
-	names, err := fs.ReadDir(dir)
+	segs, err := walSegments(fs, dir)
 	if err != nil {
 		return scan, fmt.Errorf("durable: recover wal: %w", err)
 	}
-	type seg struct {
-		name  string
-		start int64
-	}
-	var segs []seg
-	for _, name := range names {
-		if v, ok := parseSegmentName(name); ok {
-			segs = append(segs, seg{name, v})
-		}
-	}
-	// ReadDir sorts names; zero-padded fixed-width versions sort numerically.
-	scan.segments = len(segs)
 	if len(segs) == 0 {
 		return scan, nil
 	}
@@ -220,64 +173,64 @@ func recoverWAL(fs FS, dir string, after int64) (walScan, error) {
 			}
 			return scan, fmt.Errorf("durable: recover wal: gap between version %d and segment %s", version, s.name)
 		}
-		path := filepath.Join(dir, s.name)
-		data, err := fs.ReadFile(path)
+		seg, err := readWALSegment(fs, dir, s)
 		if err != nil {
 			return scan, fmt.Errorf("durable: recover wal: %w", err)
 		}
-		off := 0
-		torn := false
-		for off < len(data) {
-			body, next, err := nextWALRecord(data, off)
-			if err != nil {
-				torn = true
-				break
-			}
-			rec, err := DecodeWALBody(body)
-			if errors.Is(err, ingest.ErrFormat) {
-				// Intact bytes of another format are not a torn tail:
-				// truncating them would drop acknowledged batches.
-				return scan, fmt.Errorf("durable: recover wal: %s, record at byte %d: %w (this build reads format %d logs and converts none — rebuild the data directory)",
-					s.name, off, err, FormatVersion)
-			}
-			if err != nil || rec.PrevVersion != version {
-				// A record that decodes but chains to the wrong version is
-				// corruption just like a bad CRC.
-				torn = true
-				break
-			}
+		if errors.Is(seg.stop, ingest.ErrFormat) {
+			// Intact bytes of another format are not a torn tail:
+			// truncating them would drop acknowledged batches.
+			return scan, fmt.Errorf("durable: recover wal: %s, record at byte %d: %w (this build reads format %d logs and converts none — rebuild the data directory)",
+				s.name, seg.valid, seg.stop, FormatVersion)
+		}
+		for k, rec := range seg.records {
 			version += int64(rec.Batch.NumRows())
 			if version > after {
 				scan.records = append(scan.records, rec)
-				scan.tailBytes += int64(next - off)
+				scan.tailBytes += int64(seg.frames[k])
 			}
-			off = next
 		}
-		if torn {
-			scan.truncated = true
-			if off == 0 {
-				// No valid prefix: remove the file entirely so a future
-				// segment starting at this version can be created cleanly.
-				if err := fs.Remove(path); err != nil {
-					return scan, fmt.Errorf("durable: recover wal: drop torn segment: %w", err)
-				}
-			} else if err := fs.Truncate(path, int64(off)); err != nil {
-				return scan, fmt.Errorf("durable: recover wal: truncate torn tail: %w", err)
-			}
-			// Later segments sit beyond the hole; discard them.
-			for _, later := range segs[i+1:] {
-				if err := fs.Remove(filepath.Join(dir, later.name)); err != nil {
-					return scan, fmt.Errorf("durable: recover wal: drop unreachable segment: %w", err)
-				}
-			}
-			break
+		// Keep what resuming needs, not the decoded records.
+		segs[i].end, segs[i].valid = seg.end, seg.valid
+		if seg.stop == nil {
+			continue
 		}
+		scan.truncated = true
+		kept := segs[:i+1]
+		path := filepath.Join(dir, s.name)
+		if seg.valid == 0 {
+			// No valid prefix: remove the file entirely so a future
+			// segment starting at this version can be created cleanly.
+			if err := fs.Remove(path); err != nil {
+				return scan, fmt.Errorf("durable: recover wal: drop torn segment: %w", err)
+			}
+			kept = segs[:i]
+		} else if err := fs.Truncate(path, int64(seg.valid)); err != nil {
+			return scan, fmt.Errorf("durable: recover wal: truncate torn tail: %w", err)
+		}
+		// Later segments sit beyond the hole; discard them.
+		for _, later := range segs[i+1:] {
+			if err := fs.Remove(filepath.Join(dir, later.name)); err != nil {
+				return scan, fmt.Errorf("durable: recover wal: drop unreachable segment: %w", err)
+			}
+		}
+		segs = kept
+		break
+	}
+	if version < after {
+		// Every record left is one the checkpoint holds: a record it
+		// covers was cut, or pruning won a race with a crash. The next
+		// append's directory fsync makes these removals durable.
+		for _, s := range segs {
+			if err := fs.Remove(filepath.Join(dir, s.name)); err != nil {
+				return scan, fmt.Errorf("durable: recover wal: drop covered segment: %w", err)
+			}
+		}
+		return scan, nil
 	}
 	scan.endVersion = version
-	if version < after {
-		// The log ends before the checkpoint — possible when pruning won a
-		// race with a crash. The checkpoint alone is consistent state.
-		scan.endVersion = after
+	if len(segs) > 0 {
+		scan.last = &segs[len(segs)-1]
 	}
 	return scan, nil
 }
