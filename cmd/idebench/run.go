@@ -108,9 +108,11 @@ func cmdRun(args []string) error {
 			if err != nil {
 				return err
 			}
-			recs, err = p.RunIngest(flows, s, *users, harness)
+			recs, err = p.RunUsers(flows, s, *users, harness)
 		case *users > 1:
-			recs, err = p.RunUsers(flows, s, *users)
+			// nil, not harness: a nil *ingest.Harness inside the
+			// interface would not compare equal to nil.
+			recs, err = p.RunUsers(flows, s, *users, nil)
 		default:
 			recs, err = p.Run(flows, s)
 		}

@@ -148,14 +148,16 @@
 // poisoned, the client may simply try again later. Rejections are
 // classified for the client: over-capacity handshakes and per-query
 // rejects carry a retry hint (retryable), drain-time refusals are terminal.
-// Deadline-aware shedding complements admission: queries still running past
-// LateFactor multiples of their client-stated deadline are cancelled with
-// their partial final marked Shed (the client snapshotted at the deadline
-// anyway), and speculative shared-scan work detaches first whenever
-// admission pressure builds — foreground queries are never shed, only
-// late and speculative work. Ping-based liveness (PingInterval/IdleTimeout)
-// tears down silent connections so a vanished client cannot hold shared-scan
-// consumers, and every valve increments a counter surfaced on /healthz.
+// Deadline-aware shedding complements admission: queries still running at
+// twice their client-stated deadline (the server's lateFactor constant) are
+// cancelled with their partial final marked Shed (the client snapshotted at
+// the deadline anyway), and speculative shared-scan work detaches first
+// whenever admission pressure builds — foreground queries are never shed,
+// only late and speculative work. Ping-based liveness (a ping every 10s,
+// teardown after 30s of silence: the pingInterval and idleTimeout
+// constants) tears down silent connections so a vanished client cannot
+// hold shared-scan consumers, and every valve increments a counter surfaced
+// on /healthz.
 //
 // server.Remote reconnects dropped connections with exponential backoff and
 // jitter when RemoteOptions.Reconnect is set, resuming at the server's live

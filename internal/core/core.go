@@ -113,15 +113,15 @@ func NewEngine(name string) (engine.Engine, error) {
 	case "exactdb":
 		return exactdb.New(), nil
 	case "onlinedb":
-		return onlinedb.New(onlinedb.Config{}), nil
+		return onlinedb.New(), nil
 	case "progressive":
 		return progressive.New(progressive.Config{}), nil
 	case "progressive-spec":
 		return progressive.New(progressive.Config{Speculate: true}), nil
 	case "sampledb":
-		return sampledb.New(sampledb.Config{}), nil
+		return sampledb.New(), nil
 	case "systemy":
-		return idelayer.New(exactdb.New(), idelayer.Config{}), nil
+		return idelayer.New(exactdb.New()), nil
 	case "sqldb":
 		return sqldb.NewSQLMem(), nil
 	default:
@@ -216,36 +216,12 @@ func (p *Prepared) Run(flows []*workflow.Workflow, s Settings) ([]driver.Record,
 
 // RunUsers replays the workflows as `users` concurrent simulated users over
 // the prepared engine, one engine session per user (workflows are dealt
-// round-robin). Records carry the user annotations the user-scaling report
-// groups by.
-func (p *Prepared) RunUsers(flows []*workflow.Workflow, s Settings, users int) ([]driver.Record, error) {
-	m := driver.NewMulti(p.Engine, p.GT, driver.MultiConfig{
-		Config: driver.Config{
-			TimeRequirement: s.TimeRequirement,
-			ThinkTime:       s.ThinkTime,
-			DataSizeLabel:   SizeLabel(s.DataSize),
-		},
-		Users:       users,
-		ThinkJitter: driver.DefaultThinkJitter,
-		Seed:        s.Seed,
-	})
-	res, err := m.Run(flows)
-	if err != nil {
-		return nil, err
-	}
-	return res.Records, nil
-}
-
-// RunIngest replays the workflows (typically carrying interleaved ingest
-// events) as `users` concurrent simulated users with a live-ingestion sink
-// installed: ingest interactions apply batches through it and every result
-// is evaluated against the ground truth of the data version its watermark
-// names. users <= 1 replays one concurrent user, still through the
-// multi-runner so record annotations stay uniform.
-func (p *Prepared) RunIngest(flows []*workflow.Workflow, s Settings, users int, sink driver.IngestSink) ([]driver.Record, error) {
-	if users < 1 {
-		users = 1
-	}
+// round-robin); users < 1 replays one. Records carry the user annotations
+// the user-scaling report groups by. A non-nil sink is the live-ingestion
+// sink: ingest interactions apply batches through it and every result is
+// evaluated against the ground truth of the data version its watermark
+// names.
+func (p *Prepared) RunUsers(flows []*workflow.Workflow, s Settings, users int, sink driver.IngestSink) ([]driver.Record, error) {
 	m := driver.NewMulti(p.Engine, p.GT, driver.MultiConfig{
 		Config: driver.Config{
 			TimeRequirement: s.TimeRequirement,

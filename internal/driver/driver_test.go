@@ -101,15 +101,15 @@ func TestRunWorkflowRecords(t *testing.T) {
 }
 
 func TestTRViolationOnTinyDeadline(t *testing.T) {
-	// A blocking engine with a heavy per-tuple cost model: the scan reliably
-	// takes tens of milliseconds, so a 1ns deadline always fires first even
-	// if the driver goroutine stalls between issuing and polling. (A plain
-	// columnar scan can finish inside a scheduler stall on a loaded host,
-	// making the deadline-vs-done select a coin flip.)
-	gt, e := prepared(t, onlinedb.New(onlinedb.Config{TupleOverhead: 512}), 100000)
+	// A blocking engine with a per-tuple cost model over 800k rows: the scan
+	// reliably takes tens of milliseconds, so a 1ns deadline always fires
+	// first even if the driver goroutine stalls between issuing and polling.
+	// (A plain columnar scan can finish inside a scheduler stall on a loaded
+	// host, making the deadline-vs-done select a coin flip.)
+	gt, e := prepared(t, onlinedb.New(), 800000)
 	r := New(e, gt, Config{
 		TimeRequirement: time.Nanosecond, // impossible deadline
-		DataSizeLabel:   "100k",
+		DataSizeLabel:   "800k",
 	})
 	// AVG forces onlinedb's blocking fallback: no intermediate reports, so
 	// nothing is fetchable until the (slow) scan completes.
@@ -142,7 +142,7 @@ func TestTRViolationOnTinyDeadline(t *testing.T) {
 }
 
 func TestProgressiveNeverViolates(t *testing.T) {
-	gt, e := prepared(t, progressive.New(progressive.Config{ChunkRows: 256}), 400000)
+	gt, e := prepared(t, progressive.New(progressive.Config{}), 400000)
 	// Simulated time with a real-time grace: the 5ms virtual deadline fires
 	// once the engine had up to 20ms of real execution — a partial result
 	// must be fetchable whether or not the scan finished by then.

@@ -17,30 +17,21 @@ import (
 	"idebench/internal/query"
 )
 
-// Config tunes the wrapper.
-type Config struct {
-	// RenderDelay is the per-query overhead before a backend result becomes
-	// visible. Default 6ms (≈1.5s at the paper's scale, 250× scaled).
-	RenderDelay time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.RenderDelay <= 0 {
-		c.RenderDelay = 6 * time.Millisecond
-	}
-	return c
-}
+// renderDelay is the per-query overhead before a backend result becomes
+// visible: ≈1.5s at the paper's scale, 250× scaled.
+const renderDelay = 6 * time.Millisecond
 
 // Engine wraps a backend engine and delays result visibility.
 type Engine struct {
-	cfg     Config
-	backend engine.Engine
+	// renderDelay starts as the package constant; in-package tests vary it.
+	renderDelay time.Duration
+	backend     engine.Engine
 }
 
 // New wraps backend; a nil backend panics at Prepare, not here, so
 // construction stays infallible.
-func New(backend engine.Engine, cfg Config) *Engine {
-	return &Engine{cfg: cfg.withDefaults(), backend: backend}
+func New(backend engine.Engine) *Engine {
+	return &Engine{renderDelay: renderDelay, backend: backend}
 }
 
 // Name implements engine.Engine.
@@ -85,7 +76,7 @@ func (e *Engine) delay(inner engine.Handle) engine.Handle {
 			return
 		}
 		select {
-		case <-time.After(e.cfg.RenderDelay):
+		case <-time.After(e.renderDelay):
 		case <-h.cancel:
 			return
 		}

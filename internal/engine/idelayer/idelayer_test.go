@@ -9,26 +9,33 @@ import (
 	"idebench/internal/enginetest"
 )
 
+// withDelay wraps exactdb with a render delay other than the package's.
+func withDelay(d time.Duration) *Engine {
+	e := New(exactdb.New())
+	e.renderDelay = d
+	return e
+}
+
 func TestConformance(t *testing.T) {
 	enginetest.Conformance(t, func() engine.Engine {
-		return New(exactdb.New(), Config{RenderDelay: time.Millisecond})
+		return withDelay(time.Millisecond)
 	}, true)
 }
 
 func TestMultiUserScenario(t *testing.T) {
 	enginetest.MultiUserScenario(t, func() engine.Engine {
-		return New(exactdb.New(), Config{RenderDelay: time.Millisecond})
+		return withDelay(time.Millisecond)
 	}, true)
 }
 
 func TestIngestScenario(t *testing.T) {
 	enginetest.IngestScenario(t, func() engine.Engine {
-		return New(exactdb.New(), Config{RenderDelay: time.Millisecond})
+		return withDelay(time.Millisecond)
 	}, true)
 }
 
 func TestName(t *testing.T) {
-	e := New(exactdb.New(), Config{})
+	e := New(exactdb.New())
 	if e.Name() != "idelayer(exactdb)" {
 		t.Errorf("name = %q", e.Name())
 	}
@@ -37,7 +44,7 @@ func TestName(t *testing.T) {
 func TestRenderDelayHidesResult(t *testing.T) {
 	db := enginetest.SmallDB(5000, 3)
 	delay := 80 * time.Millisecond
-	e := New(exactdb.New(), Config{RenderDelay: delay})
+	e := withDelay(delay)
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +76,7 @@ func TestRenderDelayHidesResult(t *testing.T) {
 
 func TestCancelShortCircuitsDelay(t *testing.T) {
 	db := enginetest.SmallDB(5000, 5)
-	e := New(exactdb.New(), Config{RenderDelay: 10 * time.Second})
+	e := withDelay(10 * time.Second)
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -91,15 +98,9 @@ func TestCancelShortCircuitsDelay(t *testing.T) {
 	}
 }
 
-func TestDefaultRenderDelay(t *testing.T) {
-	if (Config{}).withDefaults().RenderDelay != 6*time.Millisecond {
-		t.Error("default render delay wrong")
-	}
-}
-
 func TestDelegation(t *testing.T) {
 	db := enginetest.SmallDB(1000, 7)
-	e := New(exactdb.New(), Config{RenderDelay: time.Millisecond})
+	e := withDelay(time.Millisecond)
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}

@@ -33,35 +33,20 @@ import (
 	"idebench/internal/stats"
 )
 
-// Config tunes the engine.
-type Config struct {
-	// ReportInterval is how often the online path publishes an intermediate
-	// estimate. Default 1ms (the paper's XDB report interval, scaled).
-	ReportInterval time.Duration
-	// TupleOverhead is the per-row executor overhead in abstract work units
-	// (see tupleWork); it calibrates the row-at-a-time execution model to
-	// roughly 2-3× the cost of the columnar kernels, mirroring the gap
-	// between a row store and a column store on aggregation scans.
-	// Default 64.
-	TupleOverhead int
-	// ChunkRows is the scan granularity between cancellation checks.
-	// Default engine.BatchRows/2 (2048), half a vectorized batch — the
-	// row-store model reports at finer granularity than the column stores.
-	ChunkRows int
-}
+// reportInterval is how often the online path publishes an intermediate
+// estimate: the paper's XDB report interval, scaled.
+const reportInterval = time.Millisecond
 
-func (c Config) withDefaults() Config {
-	if c.ReportInterval <= 0 {
-		c.ReportInterval = time.Millisecond
-	}
-	if c.TupleOverhead <= 0 {
-		c.TupleOverhead = 64
-	}
-	if c.ChunkRows <= 0 {
-		c.ChunkRows = engine.BatchRows / 2
-	}
-	return c
-}
+// tupleOverhead is the per-row executor overhead in abstract work units
+// (see tupleWork); it calibrates the row-at-a-time execution model to
+// roughly 2-3× the cost of the columnar kernels, mirroring the gap between
+// a row store and a column store on aggregation scans.
+const tupleOverhead = 64
+
+// chunkRows is the scan granularity between cancellation checks: half a
+// vectorized batch — the row-store model reports at finer granularity than
+// the column stores.
+const chunkRows = engine.BatchRows / 2
 
 // Engine is the online-aggregation engine with blocking fallback. Its
 // lineage publishes the sampling-order copy and the heap as one view: DB is
@@ -70,8 +55,10 @@ func (c Config) withDefaults() Config {
 // sequential range scan instead of a permutation gather; X.db is the heap.
 type Engine struct {
 	engine.Stateless
-	cfg Config
-	lin engine.Lineage[heapTable]
+	// reportInterval starts as the package constant; in-package tests
+	// shorten it.
+	reportInterval time.Duration
+	lin            engine.Lineage[heapTable]
 }
 
 // heapTable is what each onlinedb version carries beside the sampling-order
@@ -92,7 +79,7 @@ type heapTable struct {
 }
 
 // New returns an unprepared engine.
-func New(cfg Config) *Engine { return &Engine{cfg: cfg.withDefaults()} }
+func New() *Engine { return &Engine{reportInterval: reportInterval} }
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "onlinedb" }
@@ -110,9 +97,9 @@ func (e *Engine) Prepare(db *dataset.Database, opts engine.Options) error {
 	}
 	// Row-at-a-time ingest: touch every cell the way a heap-tuple insert
 	// would, paying the executor overhead per row (and per dimension row).
-	ingestTable(db.Fact, e.cfg.TupleOverhead)
+	ingestTable(db.Fact)
 	for _, d := range db.Dimensions {
-		ingestTable(d.Table, e.cfg.TupleOverhead)
+		ingestTable(d.Table)
 	}
 	rng := rand.New(rand.NewSource(opts.Seed + 29))
 	perm := stats.Permutation(rng, db.Fact.NumRows())
@@ -135,7 +122,7 @@ func (e *Engine) Prepare(db *dataset.Database, opts engine.Options) error {
 // version they compiled against.
 func (e *Engine) Append(rows *dataset.Table) error {
 	_, err := e.lin.Append(rows, func(next *engine.View[heapTable]) error {
-		ingestTable(rows, e.cfg.TupleOverhead)
+		ingestTable(rows)
 		h := &next.X
 		if h.app == nil {
 			// The heap table was shared with the caller at Prepare; own it now.
@@ -200,7 +187,7 @@ func (e *Engine) StartQuery(q *query.Query) (engine.Handle, error) {
 // time.Now calls. The previous implementation read the clock after every
 // chunk — tens of thousands of clock reads per query for a loop whose whole
 // point is to be row-store CPU bound. Reports land within
-// clockCheckChunks*ChunkRows rows of the interval boundary, far finer than
+// clockCheckChunks*chunkRows rows of the interval boundary, far finer than
 // the report interval at realistic scan rates.
 const clockCheckChunks = 4
 
@@ -215,24 +202,24 @@ func (e *Engine) runOnline(plan *engine.Compiled, h *engine.AsyncHandle, z float
 	gs := engine.NewGroupState(plan)
 	n := plan.NumRows
 	total := int64(plan.NumRows)
-	nextReport := time.Now().Add(e.cfg.ReportInterval)
+	nextReport := time.Now().Add(e.reportInterval)
 	pos := 0
 	for chunk := 0; pos < n; chunk++ {
 		if h.Cancelled() {
 			return
 		}
-		hi := pos + e.cfg.ChunkRows
+		hi := pos + chunkRows
 		if hi > n {
 			hi = n
 		}
-		scanRangeWithOverhead(gs, plan, pos, hi, e.cfg.TupleOverhead)
+		scanRangeWithOverhead(gs, plan, pos, hi)
 		pos = hi
 		if chunk%clockCheckChunks != 0 {
 			continue
 		}
 		if now := time.Now(); now.After(nextReport) {
 			h.Publish(gs.SnapshotScaled(int64(pos), total, total, 0, z))
-			nextReport = now.Add(e.cfg.ReportInterval)
+			nextReport = now.Add(e.reportInterval)
 		}
 	}
 	h.Publish(gs.SnapshotExact())
@@ -244,15 +231,15 @@ func (e *Engine) runBlocking(plan *engine.Compiled, h *engine.AsyncHandle) {
 	defer h.Finish()
 	gs := engine.NewGroupState(plan)
 	n := plan.NumRows
-	for lo := 0; lo < n; lo += e.cfg.ChunkRows {
+	for lo := 0; lo < n; lo += chunkRows {
 		if h.Cancelled() {
 			return
 		}
-		hi := lo + e.cfg.ChunkRows
+		hi := lo + chunkRows
 		if hi > n {
 			hi = n
 		}
-		scanRangeWithOverhead(gs, plan, lo, hi, e.cfg.TupleOverhead)
+		scanRangeWithOverhead(gs, plan, lo, hi)
 	}
 	if h.Cancelled() {
 		return
@@ -291,20 +278,20 @@ func tupleWork(row int, k int) uint64 {
 // folds the chunk through the shared vectorized kernels. The tupleWork loop
 // is what keeps this engine row-store slow; the fold itself rides the batch
 // API like every other engine so its group-by semantics stay identical.
-func scanRangeWithOverhead(gs *engine.GroupState, plan *engine.Compiled, lo, hi, overhead int) {
+func scanRangeWithOverhead(gs *engine.GroupState, plan *engine.Compiled, lo, hi int) {
 	var acc uint64
 	for r := lo; r < hi; r++ {
-		acc += tupleWork(r, overhead)
+		acc += tupleWork(r, tupleOverhead)
 	}
 	tupleSink.Add(acc)
 	gs.ScanRange(lo, hi)
 }
 
 // ingestTable simulates the row-at-a-time load + primary key build.
-func ingestTable(t *dataset.Table, overhead int) {
+func ingestTable(t *dataset.Table) {
 	var acc uint64
 	for i := 0; i < t.NumRows(); i++ {
-		acc += tupleWork(i, overhead+8)
+		acc += tupleWork(i, tupleOverhead+8)
 	}
 	tupleSink.Add(acc)
 }

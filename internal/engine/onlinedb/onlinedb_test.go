@@ -10,19 +10,19 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	enginetest.Conformance(t, func() engine.Engine { return New(Config{}) }, true)
+	enginetest.Conformance(t, func() engine.Engine { return New() }, true)
 }
 
 func TestMultiUserScenario(t *testing.T) {
-	enginetest.MultiUserScenario(t, func() engine.Engine { return New(Config{}) }, true)
+	enginetest.MultiUserScenario(t, func() engine.Engine { return New() }, true)
 }
 
 func TestIngestScenario(t *testing.T) {
-	enginetest.IngestScenario(t, func() engine.Engine { return New(Config{}) }, true)
+	enginetest.IngestScenario(t, func() engine.Engine { return New() }, true)
 }
 
 func TestName(t *testing.T) {
-	if New(Config{}).Name() != "onlinedb" {
+	if New().Name() != "onlinedb" {
 		t.Error("name wrong")
 	}
 }
@@ -55,7 +55,8 @@ func TestSupportsOnline(t *testing.T) {
 
 func TestOnlineQueryPublishesIntermediateReports(t *testing.T) {
 	db := enginetest.SmallDB(400000, 3)
-	e := New(Config{ReportInterval: 200 * time.Microsecond})
+	e := New()
+	e.reportInterval = 200 * time.Microsecond
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ done:
 
 func TestBlockingFallbackDeliversNothingEarly(t *testing.T) {
 	db := enginetest.SmallDB(400000, 7)
-	e := New(Config{})
+	e := New()
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestBlockingFallbackDeliversNothingEarly(t *testing.T) {
 
 func TestOnlineCompleteIsExact(t *testing.T) {
 	db := enginetest.SmallDB(100000, 9)
-	e := New(Config{})
+	e := New()
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestOnlineCompleteIsExact(t *testing.T) {
 
 func TestOnlineJoinOnNormalizedSchema(t *testing.T) {
 	db := enginetest.NormalizedDB(150000, 11)
-	e := New(Config{})
+	e := New()
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -178,17 +179,10 @@ func TestRowAtATimeIsSlowerThanColumnar(t *testing.T) {
 	// Row-at-a-time scan with tuple overhead.
 	gs2 := engine.NewGroupState(plan)
 	start = time.Now()
-	scanRangeWithOverhead(gs2, plan, 0, plan.NumRows, Config{}.withDefaults().TupleOverhead)
+	scanRangeWithOverhead(gs2, plan, 0, plan.NumRows)
 	rowAtATime := time.Since(start)
 
 	if rowAtATime < 3*columnar/2 {
 		t.Errorf("tuple overhead too small: columnar %v vs row-at-a-time %v", columnar, rowAtATime)
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.ReportInterval != time.Millisecond || c.TupleOverhead != 64 || c.ChunkRows != 2048 {
-		t.Errorf("defaults wrong: %+v", c)
 	}
 }

@@ -99,7 +99,7 @@ func BenchmarkProgressiveConcurrent8(b *testing.B) {
 	b.Run("independent_gather", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(engine.Options{}.Normalize().Seed))
 		perm := stats.Permutation(rng, db.Fact.NumRows())
-		chunk := Config{}.withDefaults().ChunkRows
+		chunk := chunkRows
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -190,7 +190,7 @@ func BenchmarkProgressiveFirstSnapshot(b *testing.B) {
 	b.Run("gather_chunk", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(engine.Options{}.Normalize().Seed))
 		perm := stats.Permutation(rng, db.Fact.NumRows())
-		chunk := Config{}.withDefaults().ChunkRows
+		chunk := chunkRows
 		q := enginetest.CountByCarrier()
 		z := 1.96
 		b.ReportAllocs()

@@ -16,7 +16,7 @@ import (
 // bins and the CLT is approximate for small per-bin counts.
 func TestMarginCoverage(t *testing.T) {
 	db := enginetest.SmallDB(400000, 99)
-	e := New(Config{ChunkRows: 512})
+	e := newChunked(Config{}, 512)
 	if err := e.Prepare(db, engine.Options{Confidence: 0.95, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}

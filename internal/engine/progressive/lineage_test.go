@@ -21,7 +21,7 @@ func TestPinnedFinalSurvivesAppend(t *testing.T) {
 	// One worker folds the chunks in cursor order, so two engines prepared
 	// alike accumulate bit for bit the same.
 	opts := engine.Options{Seed: 5, Parallelism: 1}
-	e := New(Config{ChunkRows: 1024})
+	e := newChunked(Config{}, 1024)
 	if err := e.Prepare(db, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestPinnedFinalSurvivesAppend(t *testing.T) {
 			part.Complete, part.Watermark, old)
 	}
 
-	cold := New(Config{ChunkRows: 1024})
+	cold := newChunked(Config{}, 1024)
 	if err := cold.Prepare(db, opts); err != nil {
 		t.Fatal(err)
 	}

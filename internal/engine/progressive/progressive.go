@@ -65,27 +65,18 @@ import (
 
 // Config tunes the engine.
 type Config struct {
-	// ChunkRows is the number of sequential rows the shared scanner claims
-	// per dispatch (the granularity of snapshot opportunities and
-	// cancellation). Default engine.BatchRows, so each dispatch is exactly
-	// one vectorized batch.
-	ChunkRows int
 	// Speculate enables the think-time speculation extension.
 	Speculate bool
-	// MaxSpeculations caps how many single-bin selections are speculated per
-	// link (the source visualization may have hundreds of bins). Default 64.
-	MaxSpeculations int
 }
 
-func (c Config) withDefaults() Config {
-	if c.ChunkRows <= 0 {
-		c.ChunkRows = engine.BatchRows
-	}
-	if c.MaxSpeculations <= 0 {
-		c.MaxSpeculations = 64
-	}
-	return c
-}
+// chunkRows is the number of sequential rows the shared scanner claims per
+// dispatch (the granularity of snapshot opportunities and cancellation):
+// exactly one vectorized batch.
+const chunkRows = engine.BatchRows
+
+// maxSpeculations caps how many single-bin selections are speculated per
+// link (the source visualization may have hundreds of bins).
+const maxSpeculations = 64
 
 // Engine is the progressive engine. The prepared permuted storage and the
 // shared-scan scheduler are engine-wide; everything an analyst accumulates —
@@ -95,7 +86,9 @@ func (c Config) withDefaults() Config {
 // about one memory sweep) without sharing viz namespaces or caches.
 type Engine struct {
 	cfg Config
-	lin engine.Lineage[scanState]
+	// chunkRows starts as the package constant; in-package tests vary it.
+	chunkRows int
+	lin       engine.Lineage[scanState]
 }
 
 // scanState is what each progressive version carries beside the permuted
@@ -112,7 +105,7 @@ type scanState struct {
 var testHookAppendPublished func()
 
 // New returns an unprepared engine.
-func New(cfg Config) *Engine { return &Engine{cfg: cfg.withDefaults()} }
+func New(cfg Config) *Engine { return &Engine{cfg: cfg, chunkRows: chunkRows} }
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "progressive" }
@@ -158,7 +151,7 @@ func (e *Engine) PrepareReordered(db *dataset.Database, perm []uint32, opts engi
 	n := db.Fact.NumRows()
 	// The caller hands over private storage: the lineage may grow it.
 	e.lin.Reset(&engine.View[scanState]{DB: db, Perm: perm, Watermark: int64(n),
-		X: scanState{scan: sharedscan.New(n, e.cfg.ChunkRows, opts.Parallelism), z: z}})
+		X: scanState{scan: sharedscan.New(n, e.chunkRows, opts.Parallelism), z: z}})
 	return nil
 }
 
@@ -379,7 +372,7 @@ func (s *session) LinkVizs(from, to string) {
 
 	var targets []*sharedscan.Consumer
 	for _, key := range srcSnap.SortedKeys() {
-		if len(targets) >= s.cfg.MaxSpeculations {
+		if len(targets) >= maxSpeculations {
 			break
 		}
 		pred := query.SelectionPredicate(srcBin, key.A, dict)

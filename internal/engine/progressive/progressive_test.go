@@ -14,6 +14,14 @@ import (
 	"idebench/internal/query"
 )
 
+// newChunked returns an engine whose shared scan claims chunk rows per
+// dispatch instead of the package's chunkRows.
+func newChunked(cfg Config, chunk int) *Engine {
+	e := New(cfg)
+	e.chunkRows = chunk
+	return e
+}
+
 func TestConformance(t *testing.T) {
 	enginetest.Conformance(t, func() engine.Engine { return New(Config{}) }, true)
 }
@@ -72,7 +80,7 @@ func TestRejectsNormalizedSchema(t *testing.T) {
 
 func TestPartialSnapshotsImprove(t *testing.T) {
 	db := enginetest.SmallDB(500000, 13)
-	e := New(Config{ChunkRows: 1024})
+	e := newChunked(Config{}, 1024)
 	if err := e.Prepare(db, engine.Options{Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +112,7 @@ func TestPartialSnapshotsImprove(t *testing.T) {
 
 func TestPartialEstimateIsUnbiasedish(t *testing.T) {
 	db := enginetest.SmallDB(200000, 17)
-	e := New(Config{ChunkRows: 512})
+	e := newChunked(Config{}, 512)
 	if err := e.Prepare(db, engine.Options{Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +241,7 @@ func TestReuseKeyedBySemantics(t *testing.T) {
 
 func TestSpeculationWarmsLinkedQueries(t *testing.T) {
 	db := enginetest.SmallDB(400000, 23)
-	e := New(Config{Speculate: true, ChunkRows: 2048})
+	e := newChunked(Config{Speculate: true}, 2048)
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +294,7 @@ func TestSpeculationWarmsLinkedQueries(t *testing.T) {
 // round must still make progress.
 func TestSpeculationSurvivesCompletedRound(t *testing.T) {
 	db := enginetest.SmallDB(300000, 41)
-	e := New(Config{Speculate: true, ChunkRows: 2048})
+	e := newChunked(Config{Speculate: true}, 2048)
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +442,7 @@ func TestMinMaxAggProgressive(t *testing.T) {
 // exact truth of the data version its watermark names.
 func TestBinnedQueriesRaceAppends(t *testing.T) {
 	db := enginetest.SmallDB(60000, 77)
-	e := New(Config{ChunkRows: 512})
+	e := newChunked(Config{}, 512)
 	if err := e.Prepare(db, engine.Options{Parallelism: 3}); err != nil {
 		t.Fatal(err)
 	}

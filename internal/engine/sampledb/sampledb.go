@@ -17,29 +17,15 @@ import (
 	"idebench/internal/stats"
 )
 
-// Config tunes the engine.
-type Config struct {
-	// SampleRate is the fraction of fact rows materialized into the offline
-	// stratified sample (paper: "We used a sample size of 1% of the data
-	// size"; our scaled default is 10% because the absolute scale is ~250×
-	// smaller). Default 0.10.
-	SampleRate float64
-	// StrataColumn is the nominal column defining strata. Every stratum is
-	// guaranteed at least one sampled row, which is what keeps rare groups
-	// visible. Default "carrier"; falls back to plain uniform sampling when
-	// the column does not exist.
-	StrataColumn string
-}
+// sampleRate is the fraction of fact rows materialized into the offline
+// stratified sample (paper: "We used a sample size of 1% of the data size";
+// ours is 10% because the absolute scale is ~250× smaller).
+const sampleRate = 0.10
 
-func (c Config) withDefaults() Config {
-	if c.SampleRate <= 0 || c.SampleRate > 1 {
-		c.SampleRate = 0.10
-	}
-	if c.StrataColumn == "" {
-		c.StrataColumn = "carrier"
-	}
-	return c
-}
+// strataColumn is the nominal column defining strata. Every stratum is
+// guaranteed at least one sampled row, which is what keeps rare groups
+// visible; a table without the column is sampled uniformly.
+const strataColumn = "carrier"
 
 // Engine is the offline stratified sampling engine. Its lineage publishes
 // the sample and the population it represents as one view: DB is the
@@ -48,8 +34,9 @@ func (c Config) withDefaults() Config {
 // not.
 type Engine struct {
 	engine.Stateless
-	cfg Config
-	lin engine.Lineage[sampleState]
+	// sampleRate starts as the package constant; in-package tests vary it.
+	sampleRate float64
+	lin        engine.Lineage[sampleState]
 }
 
 // sampleState is what each sampledb version carries beside the sample.
@@ -60,7 +47,7 @@ type sampleState struct {
 }
 
 // New returns an unprepared engine.
-func New(cfg Config) *Engine { return &Engine{cfg: cfg.withDefaults()} }
+func New() *Engine { return &Engine{sampleRate: sampleRate} }
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "sampledb" }
@@ -109,11 +96,11 @@ func (e *Engine) Prepare(db *dataset.Database, opts engine.Options) error {
 
 // Append implements engine.Appender by re-stratifying the tail: the batch
 // is sampled with the same per-stratum rule the offline sample was built
-// with (proportional allocation at SampleRate, minimum one row per stratum
-// present in the batch, deterministic per batch sequence number), and the
-// chosen rows join the materialized sample while the represented population
-// grows by the whole batch. Estimates therefore keep tracking the live
-// table at the engine's fixed sampling rate — the offline-sampling
+// with (proportional allocation at the sample rate, minimum one row per
+// stratum present in the batch, deterministic per batch sequence number),
+// and the chosen rows join the materialized sample while the represented
+// population grows by the whole batch. Estimates therefore keep tracking
+// the live table at the engine's fixed sampling rate — the offline-sampling
 // trade-off the paper measures, extended to a moving target.
 func (e *Engine) Append(rows *dataset.Table) error {
 	_, err := e.lin.Advance(func(cur *engine.View[sampleState], app *dataset.TableAppender) (*engine.View[sampleState], error) {
@@ -140,9 +127,9 @@ func (e *Engine) Append(rows *dataset.Table) error {
 }
 
 // stratifiedRows picks the row indices of t to sample: proportional
-// allocation per stratum at SampleRate with a minimum of one row, so rare
-// strata survive. It builds the offline sample from the prepared table and
-// re-stratifies every appended batch alone. Strata are visited in
+// allocation per stratum at the sample rate with a minimum of one row, so
+// rare strata survive. It builds the offline sample from the prepared table
+// and re-stratifies every appended batch alone. Strata are visited in
 // first-appearance order, so the picked set is deterministic for a given
 // table and seed (map order would jitter replays).
 func (e *Engine) stratifiedRows(t *dataset.Table, seed int64) []uint32 {
@@ -151,10 +138,10 @@ func (e *Engine) stratifiedRows(t *dataset.Table, seed int64) []uint32 {
 		return nil
 	}
 	rng := rand.New(rand.NewSource(seed))
-	col := t.Column(e.cfg.StrataColumn)
+	col := t.Column(strataColumn)
 	if col == nil || col.Field.Kind != dataset.Nominal {
 		// No usable strata column: uniform sample.
-		k := max(1, int(float64(n)*e.cfg.SampleRate))
+		k := max(1, int(float64(n)*e.sampleRate))
 		idx := stats.ReservoirSample(rng, n, k)
 		out := make([]uint32, len(idx))
 		for i, v := range idx {
@@ -173,7 +160,7 @@ func (e *Engine) stratifiedRows(t *dataset.Table, seed int64) []uint32 {
 	var out []uint32
 	for _, code := range codes {
 		rows := strata[code]
-		k := max(1, int(float64(len(rows))*e.cfg.SampleRate))
+		k := max(1, int(float64(len(rows))*e.sampleRate))
 		for _, p := range stats.ReservoirSample(rng, len(rows), k) {
 			out = append(out, rows[p])
 		}

@@ -13,33 +13,34 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	enginetest.Conformance(t, func() engine.Engine { return New(Config{}) }, false)
+	enginetest.Conformance(t, func() engine.Engine { return New() }, false)
 }
 
 func TestMultiUserScenario(t *testing.T) {
-	enginetest.MultiUserScenario(t, func() engine.Engine { return New(Config{}) }, false)
+	enginetest.MultiUserScenario(t, func() engine.Engine { return New() }, false)
 }
 
 func TestIngestScenario(t *testing.T) {
-	enginetest.IngestScenario(t, func() engine.Engine { return New(Config{}) }, false)
+	enginetest.IngestScenario(t, func() engine.Engine { return New() }, false)
 }
 
 func TestName(t *testing.T) {
-	if New(Config{}).Name() != "sampledb" {
+	if New().Name() != "sampledb" {
 		t.Error("name wrong")
 	}
 }
 
 func TestRejectsNormalizedSchema(t *testing.T) {
 	db := enginetest.NormalizedDB(100, 1)
-	if err := New(Config{}).Prepare(db, engine.Options{}); err == nil {
+	if err := New().Prepare(db, engine.Options{}); err == nil {
 		t.Error("sampledb should reject normalized schemas (System X works on de-normalized data)")
 	}
 }
 
 func TestSampleSizeMatchesRate(t *testing.T) {
 	db := enginetest.SmallDB(100000, 5)
-	e := New(Config{SampleRate: 0.05})
+	e := New()
+	e.sampleRate = 0.05
 	if err := e.Prepare(db, engine.Options{Seed: 9}); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,8 @@ func TestStratificationKeepsRareGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := &dataset.Database{Fact: fact}
-	e := New(Config{SampleRate: 0.01})
+	e := New()
+	e.sampleRate = 0.01
 	if err := e.Prepare(db, engine.Options{Seed: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestQualityConstantAcrossPolls(t *testing.T) {
 	// The sample is fixed offline: re-running the same query returns the
 	// same estimate every time (paper: quality constant across TRs).
 	db := enginetest.SmallDB(50000, 21)
-	e := New(Config{SampleRate: 0.1})
+	e := New()
 	if err := e.Prepare(db, engine.Options{Seed: 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestQualityConstantAcrossPolls(t *testing.T) {
 
 func TestEstimatesScaleToPopulation(t *testing.T) {
 	db := enginetest.SmallDB(80000, 25)
-	e := New(Config{SampleRate: 0.1})
+	e := New()
 	if err := e.Prepare(db, engine.Options{Seed: 6}); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,7 @@ func TestResultWatermarkIsAbsorbedRows(t *testing.T) {
 	// freshness it doesn't have.
 	const base = 40000
 	db := enginetest.SmallDB(base, 11)
-	e := New(Config{SampleRate: 0.1})
+	e := New()
 	if err := e.Prepare(db, engine.Options{Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +204,8 @@ func TestUniformFallbackWithoutStrataColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Config{SampleRate: 0.02})
+	e := New()
+	e.sampleRate = 0.02
 	if err := e.Prepare(&dataset.Database{Fact: fact}, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -217,18 +220,7 @@ func TestEmptyTableRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := New(Config{}).Prepare(&dataset.Database{Fact: fact}, engine.Options{}); err == nil {
+	if err := New().Prepare(&dataset.Database{Fact: fact}, engine.Options{}); err == nil {
 		t.Error("empty table should be rejected")
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.SampleRate != 0.10 || c.StrataColumn != "carrier" {
-		t.Errorf("defaults wrong: %+v", c)
-	}
-	c2 := Config{SampleRate: 1.5}.withDefaults()
-	if c2.SampleRate != 0.10 {
-		t.Error("out-of-range rate should fall back to default")
 	}
 }

@@ -53,7 +53,10 @@ type Proxy struct {
 	accepted int64
 	closed   bool
 
-	// BytesUp/BytesDown count forwarded bytes per direction.
+	// BytesUp/BytesDown count forwarded bytes per direction. A chunk is
+	// counted before it is written on, so a peer that has read it never
+	// sees a count that misses it; a chunk whose write fails is counted
+	// too.
 	BytesUp   atomic.Int64
 	BytesDown atomic.Int64
 
@@ -202,15 +205,15 @@ func (p *Proxy) pipe(pc *proxyConn, src, dst *net.TCPConn, up bool) {
 				// Pace the chunk: sleep for the time its bytes "cost".
 				time.Sleep(time.Duration(float64(n) / float64(f.ThrottleBytesPerSec) * float64(time.Second)))
 			}
-			if _, werr := dst.Write(buf[:n]); werr != nil {
-				return
-			}
-			forwarded += int64(n)
 			if up {
 				p.BytesUp.Add(int64(n))
 			} else {
 				p.BytesDown.Add(int64(n))
 			}
+			if _, werr := dst.Write(buf[:n]); werr != nil {
+				return
+			}
+			forwarded += int64(n)
 			if f.ResetAfterBytes > 0 && forwarded >= f.ResetAfterBytes {
 				return // deferred reset() sends the RST
 			}

@@ -47,12 +47,10 @@ type RemoteOptions struct {
 	Reconnect bool
 	// MaxRetries caps consecutive redial attempts (default 5).
 	MaxRetries int
-	// BackoffBase is the first retry delay (default 50ms), doubled per
-	// attempt up to BackoffMax (default 2s), each sleep jittered uniformly
-	// over [d/2, d] so a rejected fleet does not retry in lockstep. A server
-	// Retry-After hint raises the floor.
-	BackoffBase time.Duration
-	// BackoffMax caps the backoff growth (default 2s).
+	// BackoffMax caps the backoff growth (default 2s): the first retry
+	// waits backoffBase, doubled per attempt up to BackoffMax, each sleep
+	// jittered uniformly over [d/2, d] so a rejected fleet does not retry in
+	// lockstep. A server Retry-After hint raises the floor.
 	BackoffMax time.Duration
 	// Partials asks the server to stream raw accumulator state
 	// (engine.Partial) in place of rendered results, on every snapshot frame
@@ -72,12 +70,12 @@ type RemoteOptions struct {
 	Addrs []string
 }
 
+// backoffBase is the first redial delay.
+const backoffBase = 50 * time.Millisecond
+
 func (o RemoteOptions) withDefaults() RemoteOptions {
 	if o.MaxRetries <= 0 {
 		o.MaxRetries = 5
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 50 * time.Millisecond
 	}
 	if o.BackoffMax <= 0 {
 		o.BackoffMax = 2 * time.Second
@@ -360,7 +358,7 @@ func (r *Remote) dialConn() (*WSConn, *ServerMsg, error) {
 // terminal error is returned without any retry.
 func (r *Remote) redial(cause error) (*WSConn, *ServerMsg, error) {
 	err := cause
-	backoff := r.opts.BackoffBase
+	backoff := backoffBase
 	if ra := retryAfterHint(err); ra > backoff {
 		backoff = ra
 	}

@@ -261,15 +261,17 @@ func TestDeadlineSheddingMarksFinal(t *testing.T) {
 	}
 }
 
+// liveness shortens the server's ping interval and idle timeout.
+func liveness(ping, idle time.Duration) func(*Server) {
+	return func(s *Server) { s.pingInterval, s.idleTimeout = ping, idle }
+}
+
 // TestIdleTimeoutReleasesSilentClient is the liveness regression: a client
 // that goes silent without any TCP teardown (no FIN, no RST — it just stops
 // reading and writing) must be disconnected by the ping/idle deadline and
 // its engine resources released.
 func TestIdleTimeoutReleasesSilentClient(t *testing.T) {
-	f := newFixture(t, Options{
-		PingInterval: 20 * time.Millisecond,
-		IdleTimeout:  100 * time.Millisecond,
-	})
+	f := newFixture(t, Options{}, liveness(20*time.Millisecond, 100*time.Millisecond))
 	ws, err := dialWS("ws://"+f.addr+"/ws", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -309,10 +311,7 @@ func TestIdleTimeoutReleasesSilentClient(t *testing.T) {
 // client with no application traffic but a live read loop answers pings and
 // must NOT be disconnected.
 func TestResponsiveClientSurvivesIdleTimeout(t *testing.T) {
-	f := newFixture(t, Options{
-		PingInterval: 15 * time.Millisecond,
-		IdleTimeout:  60 * time.Millisecond,
-	})
+	f := newFixture(t, Options{}, liveness(15*time.Millisecond, 60*time.Millisecond))
 	rem, err := NewRemote(f.addr)
 	if err != nil {
 		t.Fatal(err)

@@ -119,7 +119,7 @@ type ClientMsg struct {
 	Batch *ingest.Batch `json:"-"`
 	// DeadlineMS is the client's interactivity deadline for a "query" frame,
 	// in milliseconds. The server treats it as a shedding hint: work still
-	// running well past the deadline (Options.LateFactor multiples of it) is
+	// running well past the deadline (twice it) is
 	// cancelled, its partial final marked Shed. 0 means no deadline.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// Partials on a "query" frame asks the server to stream the query's raw

@@ -20,9 +20,9 @@
 // every final, and never stalls the engine's shared scan: watchers swap a
 // pointer under a mutex instead of blocking on the socket. A client that
 // stops reading entirely is bounded the other way — each frame write
-// carries a deadline (Options.WriteTimeout) and the final backlog is
-// capped, so a dead peer is disconnected and its session released instead
-// of accumulating results indefinitely.
+// carries a deadline (writeTimeout) and the final backlog is capped, so a
+// dead peer is disconnected and its session released instead of
+// accumulating results indefinitely.
 //
 // # Lifecycle
 //
@@ -62,11 +62,6 @@ type Options struct {
 	// Seed is the dataset seed, stated in the hello frame for the same
 	// ground-truth check (0 = unknown, clients skip the check).
 	Seed int64
-	// WriteTimeout bounds each frame write; a client that stops reading is
-	// disconnected (session released) instead of parking the writer
-	// goroutine and accumulating final frames forever. 0 means
-	// DefaultWriteTimeout.
-	WriteTimeout time.Duration
 	// Apply handles client ingest frames: it applies the batch to the
 	// served engine and returns the post-apply watermark, which the server
 	// then broadcasts to every live session. nil (an engine without the
@@ -83,26 +78,6 @@ type Options struct {
 	// this bound while everyone else still fits under MaxInflight. 0 means
 	// DefaultMaxInflightPerConn.
 	MaxInflightPerConn int
-	// RetryHint is the backoff the server suggests on retryable rejections.
-	// 0 means DefaultRetryHint.
-	RetryHint time.Duration
-	// LateFactor controls deadline-aware shedding: a query whose client
-	// stated a deadline (ClientMsg.DeadlineMS) and that is still running
-	// after LateFactor multiples of it is cancelled, its partial final
-	// marked Shed — the client snapshotted at the deadline anyway, so work
-	// this late only steals scan capacity from queries that can still make
-	// theirs. 0 means DefaultLateFactor; negative disables.
-	LateFactor float64
-	// PingInterval is how often the server pings each connection to elicit
-	// liveness traffic. 0 means DefaultPingInterval; negative disables.
-	PingInterval time.Duration
-	// IdleTimeout is the read-side liveness deadline: a connection that
-	// produces no inbound frame (data, ping or pong — clients answer pings
-	// transparently) for this long is torn down and its engine session
-	// released. Without it, a client that vanishes without a TCP reset holds
-	// its shared-scan consumers forever. 0 means DefaultIdleTimeout;
-	// negative disables.
-	IdleTimeout time.Duration
 	// Role names this server's position in the serving topology, stated in
 	// hello frames and on /healthz: "" (standalone), "shard" (one partition
 	// behind a scatter-gather coordinator) or "coord" (the coordinator).
@@ -146,11 +121,11 @@ const DefaultMaxConns = 256
 // intermediates inside even the tightest TR.
 const DefaultPollInterval = time.Millisecond
 
-// DefaultWriteTimeout is the per-frame write budget: orders of magnitude
-// above any honest client's drain latency, small enough that a stalled
-// client cannot hold its session (and the finals accumulating for it) for
-// long.
-const DefaultWriteTimeout = 30 * time.Second
+// writeTimeout bounds each frame write: orders of magnitude above any
+// honest client's drain latency, small enough that a client that stops
+// reading is disconnected (session released) instead of parking the writer
+// goroutine while the finals accumulating for it grow.
+const writeTimeout = 30 * time.Second
 
 // maxQueuedFinals caps the per-connection final-frame backlog. Finals are
 // never dropped for a live client, so the only way past this bound is a
@@ -166,22 +141,29 @@ const DefaultMaxInflight = 1024
 // DefaultMaxInflightPerConn bounds one connection's concurrent queries.
 const DefaultMaxInflightPerConn = 256
 
-// DefaultRetryHint is the suggested backoff on retryable rejections: a few
-// query lifetimes at the benchmark's interactivity deadlines.
-const DefaultRetryHint = 50 * time.Millisecond
+// retryHint is the backoff the server suggests on retryable rejections: a
+// few query lifetimes at the benchmark's interactivity deadlines.
+const retryHint = 50 * time.Millisecond
 
-// DefaultLateFactor: work still running at twice the client's stated
-// deadline is shed. The client already took its deadline snapshot at 1×, so
-// 2× keeps a grace window for almost-done queries while bounding how long a
-// hopeless one can occupy the scan.
-const DefaultLateFactor = 2
+// lateFactor drives deadline-aware shedding: a query whose client stated a
+// deadline (ClientMsg.DeadlineMS) and that is still running at twice it is
+// cancelled, its partial final marked Shed. The client already took its
+// deadline snapshot at 1×, so 2× keeps a grace window for almost-done
+// queries while bounding how long a hopeless one steals scan capacity from
+// queries that can still make theirs.
+const lateFactor = 2
 
-// DefaultPingInterval/DefaultIdleTimeout give three missed pings before a
-// silent connection is declared dead — far above any honest client's pause,
-// small enough that a vanished client's session is reclaimed promptly.
+// pingInterval is how often the server pings each connection to elicit
+// liveness traffic; idleTimeout is the read-side liveness deadline: a
+// connection that produces no inbound frame (data, ping or pong — clients
+// answer pings transparently) for that long is torn down and its engine
+// session released, so a client that vanishes without a TCP reset cannot
+// hold its shared-scan consumers. Three missed pings is far above any
+// honest client's pause, small enough that a vanished client's session is
+// reclaimed promptly.
 const (
-	DefaultPingInterval = 10 * time.Second
-	DefaultIdleTimeout  = 30 * time.Second
+	pingInterval = 10 * time.Second
+	idleTimeout  = 30 * time.Second
 )
 
 func (o Options) withDefaults() Options {
@@ -191,26 +173,11 @@ func (o Options) withDefaults() Options {
 	if o.PollInterval <= 0 {
 		o.PollInterval = DefaultPollInterval
 	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = DefaultWriteTimeout
-	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = DefaultMaxInflight
 	}
 	if o.MaxInflightPerConn <= 0 {
 		o.MaxInflightPerConn = DefaultMaxInflightPerConn
-	}
-	if o.RetryHint <= 0 {
-		o.RetryHint = DefaultRetryHint
-	}
-	if o.LateFactor == 0 {
-		o.LateFactor = DefaultLateFactor
-	}
-	if o.PingInterval == 0 {
-		o.PingInterval = DefaultPingInterval
-	}
-	if o.IdleTimeout == 0 {
-		o.IdleTimeout = DefaultIdleTimeout
 	}
 	return o
 }
@@ -253,6 +220,10 @@ type Server struct {
 	caps engine.Capabilities // optional capabilities, resolved once in New
 	opts Options
 	mux  *http.ServeMux
+	// pingInterval and idleTimeout start as the package constants;
+	// in-package tests shorten them before serving.
+	pingInterval time.Duration
+	idleTimeout  time.Duration
 
 	ctr      Counters
 	inflight atomic.Int64 // queries executing across all connections
@@ -268,11 +239,13 @@ type Server struct {
 // New builds a server over an already-prepared engine.
 func New(eng engine.Engine, opts Options) *Server {
 	s := &Server{
-		eng:   eng,
-		caps:  engine.CapabilitiesOf(eng),
-		opts:  opts.withDefaults(),
-		mux:   http.NewServeMux(),
-		conns: make(map[*serverConn]struct{}),
+		eng:          eng,
+		caps:         engine.CapabilitiesOf(eng),
+		opts:         opts.withDefaults(),
+		mux:          http.NewServeMux(),
+		pingInterval: pingInterval,
+		idleTimeout:  idleTimeout,
+		conns:        make(map[*serverConn]struct{}),
 	}
 	s.mux.HandleFunc("/ws", s.handleWS)
 	s.mux.HandleFunc("/healthz", s.handleHealth)
@@ -299,8 +272,10 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // Shutdown drains every connection (in-flight queries deliver their final
-// snapshots, outboxes flush) and stops the listener. Connections still
-// draining when ctx expires are closed hard.
+// snapshots, outboxes flush), stops the listener, waits for every drained
+// connection's reader to exit and flushes the durable log. Connections
+// still draining when ctx expires are closed hard; a reader still running
+// then makes Shutdown return ctx's error without the flush.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -325,8 +300,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			return err
 		}
 	}
-	// Flush the durable log last: every connection has drained, so the log
-	// is quiescent and a clean shutdown leaves no unflushed tail behind.
+	// A drained connection's reader may still be inside an ingest apply.
+	for _, c := range conns {
+		select {
+		case <-c.gone:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	// Flush the durable log last: every reader has exited, so the log is
+	// quiescent and a clean shutdown leaves no unflushed tail behind.
 	if s.opts.Durable != nil {
 		return s.opts.Durable.Flush()
 	}
@@ -533,10 +516,7 @@ func (s *Server) rejectUpgrade(w http.ResponseWriter, reason string) {
 	s.ctr.ConnsRejected.Add(1)
 	w.Header().Set(rejectReasonHeader, reason)
 	if reason == ReasonOverloaded {
-		secs := int((s.opts.RetryHint + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
+		secs := int((retryHint + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
 	}
 	http.Error(w, "server "+reason, http.StatusServiceUnavailable)
@@ -561,15 +541,15 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 		return // upgradeWS already wrote the HTTP error
 	}
 	c := &serverConn{
-		srv:        s,
-		ws:         ws,
-		sess:       s.eng.OpenSession(),
-		poll:       s.opts.PollInterval,
-		writeLimit: s.opts.WriteTimeout,
-		inflight:   make(map[int64]engine.Handle),
-		pending:    make(map[int64]*ServerMsg),
-		wake:       make(chan struct{}, 1),
-		closed:     make(chan struct{}),
+		srv:      s,
+		ws:       ws,
+		sess:     s.eng.OpenSession(),
+		poll:     s.opts.PollInterval,
+		inflight: make(map[int64]engine.Handle),
+		pending:  make(map[int64]*ServerMsg),
+		wake:     make(chan struct{}, 1),
+		closed:   make(chan struct{}),
+		gone:     make(chan struct{}),
 	}
 
 	s.mu.Lock()
@@ -590,6 +570,10 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 	}
 	s.conns[c] = struct{}{}
 	s.mu.Unlock()
+	// The connection stays counted until its reader has returned: a
+	// teardown from the write side can run while the reader is still
+	// applying an ingest batch.
+	defer s.removeConn(c)
 
 	// Hello reports the live watermark when the engine grows under ingestion,
 	// so a reconnecting client resumes at the server's current version rather
@@ -599,12 +583,8 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 		c.teardown()
 		return
 	}
-	if s.opts.IdleTimeout > 0 {
-		ws.SetIdleTimeout(s.opts.IdleTimeout)
-	}
-	if s.opts.PingInterval > 0 {
-		go c.pingLoop(s.opts.PingInterval)
-	}
+	ws.SetIdleTimeout(s.idleTimeout)
+	go c.pingLoop(s.pingInterval)
 	go c.writeLoop()
 	c.readLoop()
 }
@@ -613,6 +593,7 @@ func (s *Server) removeConn(c *serverConn) {
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.mu.Unlock()
+	close(c.gone)
 }
 
 // handleIngest applies one client ingest frame and broadcasts the new
@@ -653,11 +634,10 @@ func (s *Server) handleIngest(from *serverConn, m *ClientMsg) {
 
 // serverConn is one WebSocket connection bound to one engine session.
 type serverConn struct {
-	srv        *Server
-	ws         *WSConn
-	sess       engine.Session
-	poll       time.Duration
-	writeLimit time.Duration
+	srv  *Server
+	ws   *WSConn
+	sess engine.Session
+	poll time.Duration
 
 	mu       sync.Mutex
 	inflight map[int64]engine.Handle
@@ -677,8 +657,11 @@ type serverConn struct {
 	closeCode   uint16
 	closeReason string
 
-	wake      chan struct{}
-	closed    chan struct{}
+	wake   chan struct{}
+	closed chan struct{}
+	// gone closes once the reader has exited and the server has forgotten
+	// the connection.
+	gone      chan struct{}
 	closeOnce sync.Once
 	watchers  sync.WaitGroup
 }
@@ -705,7 +688,7 @@ func (c *serverConn) pingLoop(every time.Duration) {
 		case <-c.closed:
 			return
 		case <-t.C:
-			c.ws.SetWriteDeadline(time.Now().Add(c.writeLimit))
+			c.ws.SetWriteDeadline(time.Now().Add(writeTimeout))
 			if c.ws.WritePing() != nil {
 				c.teardown()
 				return
@@ -722,7 +705,7 @@ func (c *serverConn) readLoop() {
 		op, data, err := c.ws.ReadMessage()
 		if err != nil {
 			// A read deadline here is the idle-liveness timeout tripping: the
-			// peer sent nothing (not even pongs) for IdleTimeout — it is gone
+			// peer sent nothing (not even pongs) for idleTimeout — it is gone
 			// without having said so. Tell it why, should it still be
 			// half-listening, and release its session.
 			var ne net.Error
@@ -789,7 +772,7 @@ func (c *serverConn) startQuery(m *ClientMsg) {
 	// Admission control, cheapest valve first: shed speculative scan work as
 	// pressure builds, then refuse queries — per-connection fairness before
 	// the global cap, so one firehose session cannot crowd everyone else out.
-	retryMS := int64(srv.opts.RetryHint / time.Millisecond)
+	retryMS := int64(retryHint / time.Millisecond)
 	if perConn >= srv.opts.MaxInflightPerConn {
 		srv.shedSpeculation()
 		srv.ctr.RejectedPerConn.Add(1)
@@ -826,8 +809,8 @@ func (c *serverConn) startQuery(m *ClientMsg) {
 	srv.ctr.Admitted.Add(1)
 	c.mu.Unlock()
 	var lateBudget time.Duration
-	if m.DeadlineMS > 0 && srv.opts.LateFactor > 0 {
-		lateBudget = time.Duration(float64(m.DeadlineMS)*srv.opts.LateFactor) * time.Millisecond
+	if m.DeadlineMS > 0 {
+		lateBudget = lateFactor * time.Duration(m.DeadlineMS) * time.Millisecond
 	}
 	go c.watch(m.ID, h, lateBudget, m.Partials)
 }
@@ -1010,7 +993,7 @@ func (c *serverConn) writeLoop() {
 			// deadline and is disconnected (teardown below releases its
 			// session), instead of parking this goroutine while finals
 			// accumulate for it without limit.
-			c.ws.SetWriteDeadline(time.Now().Add(c.writeLimit))
+			c.ws.SetWriteDeadline(time.Now().Add(writeTimeout))
 			var werr error
 			if m.Type == MsgSnapshot {
 				frame = appendSnapshot(frame[:wsHeadroom], m)
@@ -1057,7 +1040,8 @@ func (c *serverConn) drain(ctx context.Context) {
 }
 
 // teardown closes the connection exactly once: watchers cancel their
-// handles, the session closes, and the server forgets the connection.
+// handles and the session closes. The server forgets the connection only
+// when the reader returns.
 func (c *serverConn) teardown() {
 	c.closeOnce.Do(func() {
 		c.mu.Lock()
@@ -1074,6 +1058,5 @@ func (c *serverConn) teardown() {
 		// session must outlive them since cancellation goes through it.
 		c.watchers.Wait()
 		c.sess.Close()
-		c.srv.removeConn(c)
 	})
 }

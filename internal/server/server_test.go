@@ -15,6 +15,7 @@ import (
 	"idebench/internal/engine"
 	"idebench/internal/engine/progressive"
 	"idebench/internal/groundtruth"
+	"idebench/internal/ingest"
 	"idebench/internal/query"
 	"idebench/internal/workflow"
 )
@@ -34,12 +35,13 @@ type fixture struct {
 }
 
 // newFixture prepares a progressive engine on a small generated dataset and
-// serves it on a real loopback TCP listener.
-func newFixture(t *testing.T, opts Options) *fixture {
-	return newFixtureRows(t, opts, testRows)
+// serves it on a real loopback TCP listener. Each tune runs on the server
+// before it starts serving.
+func newFixture(t *testing.T, opts Options, tune ...func(*Server)) *fixture {
+	return newFixtureRows(t, opts, testRows, tune...)
 }
 
-func newFixtureRows(t *testing.T, opts Options, rows int) *fixture {
+func newFixtureRows(t *testing.T, opts Options, rows int, tune ...func(*Server)) *fixture {
 	t.Helper()
 	db, err := core.BuildData(rows, false, 1)
 	if err != nil {
@@ -56,6 +58,9 @@ func newFixtureRows(t *testing.T, opts Options, rows int) *fixture {
 		opts.PollInterval = 100 * time.Microsecond
 	}
 	srv := New(eng, opts)
+	for _, f := range tune {
+		f(srv)
+	}
 	hsrv := httptest.NewServer(srv)
 	t.Cleanup(hsrv.Close)
 
@@ -337,6 +342,85 @@ func TestDrainCompletesInFlightFinals(t *testing.T) {
 	// A drained server refuses new work: fresh queries on a live session
 	// fail (connection was closed server-side).
 	waitFor(t, 10*time.Second, "connections to close", func() bool { return f.srv.ConnCount() == 0 })
+}
+
+// TestConnLiveUntilReaderExits pins the connection lifecycle: a connection
+// torn down from the write side (a failed ping after its client vanished)
+// still counts as live while its reader is inside an ingest apply, and a
+// drain flushes the durable log only after that apply has returned.
+func TestConnLiveUntilReaderExits(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	dur := &fakeDurable{}
+	apply := func(*ingest.Batch) (int64, error) {
+		close(entered)
+		<-release
+		return 0, nil
+	}
+	f := newFixture(t, Options{Apply: apply, Durable: dur}, liveness(5*time.Millisecond, time.Minute))
+	ws, err := dialWS("ws://"+f.addr+"/ws", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ws.ReadMessage(); err != nil { // hello
+		t.Fatal(err)
+	}
+	if err := ws.WriteBinary(ingest.FromTable(f.db.Fact, 0, 10).AppendBinary(make([]byte, wsHeadroom))); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("apply never called")
+	}
+	// The client vanishes; its reader, parked in apply, cannot notice, but
+	// the next failed ping tears the connection down.
+	ws.Close()
+	f.srv.mu.Lock()
+	var c *serverConn
+	for k := range f.srv.conns {
+		c = k
+	}
+	f.srv.mu.Unlock()
+	if c == nil {
+		t.Fatal("connection already forgotten while its apply is in flight")
+	}
+	select {
+	case <-c.closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("failed ping did not tear the connection down")
+	}
+	for end := time.Now().Add(50 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		if n := f.srv.ConnCount(); n != 1 {
+			t.Fatalf("ConnCount %d while the reader is still applying, want 1", n)
+		}
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- f.srv.Shutdown(context.Background()) }()
+	select {
+	case err := <-done:
+		t.Fatalf("shutdown returned (%v) while an apply was in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if n := dur.flushes.Load(); n != 0 {
+		t.Fatalf("durable log flushed %d times while an apply was in flight", n)
+	}
+	close(release)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("shutdown did not return after the apply finished")
+	}
+	if n := dur.flushes.Load(); n != 1 {
+		t.Fatalf("durable log flushed %d times, want 1", n)
+	}
+	if n := f.srv.ConnCount(); n != 0 {
+		t.Fatalf("ConnCount %d after the reader exited, want 0", n)
+	}
 }
 
 // TestMaxConns asserts the connection limit rejects the excess session

@@ -53,8 +53,8 @@ const (
 	// address; reconnecting is pointless (terminal).
 	CloseGoingAway uint16 = 1001
 	// CloseIdleTimeout: the peer failed the read-side liveness deadline (no
-	// frame, ping or pong inside Options.IdleTimeout). The connection state
-	// is gone but the server is healthy — reconnecting is reasonable.
+	// frame, ping or pong inside the server's idle timeout). The connection
+	// state is gone but the server is healthy — reconnecting is reasonable.
 	CloseIdleTimeout uint16 = 4408
 	// CloseTryLater: the server refused the connection for capacity reasons
 	// after the upgrade already succeeded (the connection cap filled during

@@ -40,9 +40,6 @@ type Options struct {
 	// serving the degraded merge. 0 serves any non-empty coverage; 1
 	// restores the strict all-partitions-or-nothing behavior.
 	MinCoverage float64
-	// ApplyTimeout bounds the post-route wait for a remote replica to
-	// confirm absorption; zero means 15s.
-	ApplyTimeout time.Duration
 	// Journal, when set, persists the control plane: version-log steps and
 	// topology changes are journaled before they are acknowledged, and a
 	// standby coordinator can Restore from the journal's reduction. nil
@@ -512,11 +509,7 @@ func (co *Coordinator) ApplyBatch(b *ingest.Batch, _ *dataset.Table) error {
 			co.capture[i] = append(co.capture[i], subs[i])
 		}
 	}
-	timeout := co.opts.ApplyTimeout
 	co.mu.Unlock()
-	if timeout <= 0 {
-		timeout = 15 * time.Second
-	}
 
 	for i, set := range sets {
 		if subs[i].NumRows() == 0 {
@@ -536,7 +529,7 @@ func (co *Coordinator) ApplyBatch(b *ingest.Batch, _ *dataset.Table) error {
 				r.markUnsynced()
 				continue
 			}
-			if err := co.applyToReplica(r, subs[i], targets[i], timeout); err != nil {
+			if err := co.applyToReplica(r, subs[i], targets[i]); err != nil {
 				r.setHealthy(false)
 				r.markUnsynced()
 				if firstErr == nil {
@@ -573,14 +566,14 @@ func (co *Coordinator) ApplyBatch(b *ingest.Batch, _ *dataset.Table) error {
 
 // applyToReplica ships one routed sub-batch to one replica and waits for
 // its confirmed absorption.
-func (co *Coordinator) applyToReplica(r *replica, sub *ingest.Batch, target int64, timeout time.Duration) error {
+func (co *Coordinator) applyToReplica(r *replica, sub *ingest.Batch, target int64) error {
 	if sink, ok := r.be.(ingest.Sink); ok {
 		// Remote replica: ship the wire batch; the shard server materializes
 		// and validates against its own partition.
 		if err := sink.ApplyBatch(sub, nil); err != nil {
 			return fmt.Errorf("apply to %s: %w", r.name, err)
 		}
-		return co.waitWatermark(r, target, timeout)
+		return co.waitWatermark(r, target)
 	}
 	if r.caps.Appender == nil {
 		return fmt.Errorf("%s (%s) cannot absorb ingest", r.name, r.be.Name())
@@ -597,15 +590,19 @@ func (co *Coordinator) applyToReplica(r *replica, sub *ingest.Batch, target int6
 	return nil
 }
 
+// applyTimeout bounds the post-route wait for a remote replica to confirm
+// absorption.
+const applyTimeout = 15 * time.Second
+
 // waitWatermark polls one replica until its confirmed watermark reaches
 // target. Remote watermarks advance via the server's post-apply ingest
-// broadcast, so this is a short wait in practice; the timeout turns a dead
+// broadcast, so this is a short wait in practice; applyTimeout turns a dead
 // replica into an error instead of a hang.
-func (co *Coordinator) waitWatermark(r *replica, target int64, timeout time.Duration) error {
+func (co *Coordinator) waitWatermark(r *replica, target int64) error {
 	if r.caps.Watermarker == nil {
 		return nil
 	}
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(applyTimeout)
 	for r.caps.Watermarker.Watermark() < target {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("%s watermark stuck at %d, want %d",
