@@ -17,7 +17,7 @@ func cmdExp(args []string) error {
 		names[i] = e.Name
 	}
 	fs := flag.NewFlagSet("exp", flag.ExitOnError)
-	name := fs.String("name", "fig5", "experiment: "+strings.Join(names, ", ")+", all")
+	name := fs.String("name", "overall", "experiment: "+strings.Join(names, ", ")+", all")
 	rows := fs.Int("rows", core.SizeM, "dataset size (tuples)")
 	count := fs.Int("workflows", 10, "workflows per type")
 	interactions := fs.Int("interactions", 18, "interactions per workflow")

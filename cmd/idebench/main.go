@@ -24,7 +24,7 @@
 //	idebench run         -addr localhost:8373 -rows 500000 -users 8
 //	idebench run         -addr localhost:8373 -rows 500000 -users 4 -ingest-every 3
 //	idebench load        -addr localhost:8373 -rows 500000 -schedule ramp -rate 50 -rate2 2000
-//	idebench exp         -name fig5 [-rows 500000] [-quick]
+//	idebench exp         -name overall [-rows 500000] [-quick]
 //	idebench exp         -name users
 //	idebench exp         -name ingest
 //	idebench exp         -name overload
@@ -184,7 +184,7 @@ Commands:
   probe        run one COUNT against a server and assert its coverage outcome (CI primitive)
   load         drive a server with open-loop load (poisson/bursty/ramp arrivals, CI gates)
   inspect      verify and summarize a durable data directory (checkpoints + WAL)
-  exp          regenerate a paper experiment or serving-tier sweep (-name fig5, users, ..., all; see exp -h)
+  exp          regenerate a paper experiment or serving-tier sweep (-name overall, users, ..., all; see exp -h)
   view         inspect generated workflows (text or Graphviz DOT)
   analyze      re-aggregate a saved detailed report (summary + factor analysis)
 `)

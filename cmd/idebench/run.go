@@ -86,39 +86,67 @@ func cmdRun(args []string) error {
 	if *ingestEvery > 0 {
 		flows = workflow.InterleaveIngestAll(flows, *ingestEvery, *ingestRows)
 	}
-	var recs []driver.Record
-	var remoteStats *server.FrameStats
-	var harness *ingest.Harness
+	var p *core.Prepared
+	var rem *server.Remote
 	if *addr != "" {
-		recs, remoteStats, harness, err = runRemote(*addr, db, flows, s, *users, *ingestEvery > 0)
+		// The driver code path is identical to the in-process one; only the
+		// engine.Engine implementation behind it differs.
+		if rem, err = dialRotation(*addr); err != nil {
+			return fmt.Errorf("run: %w", err)
+		}
+		defer rem.Close()
+		// Surfaces a -rows/-seed mismatch before an expensive replay runs
+		// against the wrong ground truth.
+		if err := rem.Prepare(db, engine.Options{Confidence: s.Confidence, Seed: s.Seed}); err != nil {
+			return err
+		}
+		fmt.Printf("remote engine: %s at %s (%d rows)\n", rem.Name(), *addr, rem.Rows())
+		p = &core.Prepared{Engine: rem, DB: db, GT: groundtruth.New(db)}
 	} else {
-		var p *core.Prepared
-		p, err = core.Prepare(*engineName, db, s)
-		if err != nil {
+		if p, err = core.Prepare(*engineName, db, s); err != nil {
 			return err
 		}
 		fmt.Printf("data preparation time: %v\n", p.PrepTime.Round(time.Microsecond))
-		switch {
-		case *ingestEvery > 0:
-			app := engine.CapabilitiesOf(p.Engine).Appender
-			if app == nil {
-				return fmt.Errorf("engine %s does not support live ingestion", p.Engine.Name())
-			}
-			harness, err = newIngestHarness(db, s.Seed, ingest.EngineSink{A: app})
-			if err != nil {
-				return err
-			}
-			recs, err = p.RunUsers(flows, s, *users, harness)
-		case *users > 1:
-			// nil, not harness: a nil *ingest.Harness inside the
-			// interface would not compare equal to nil.
-			recs, err = p.RunUsers(flows, s, *users, nil)
-		default:
-			recs, err = p.Run(flows, s)
+	}
+	var recs []driver.Record
+	var harness *ingest.Harness
+	switch {
+	case *ingestEvery > 0:
+		// Remotely, the client owns the ground-truth lineage (the harness
+		// applies every batch locally) while the same batches ship to the
+		// server as ingest frames.
+		var sink ingest.Sink
+		if rem != nil {
+			sink = rem
+		} else if app := engine.CapabilitiesOf(p.Engine).Appender; app != nil {
+			sink = ingest.EngineSink{A: app}
+		} else {
+			return fmt.Errorf("engine %s does not support live ingestion", p.Engine.Name())
 		}
+		harness, err = newIngestHarness(db, s.Seed, sink)
+		if err != nil {
+			return err
+		}
+		recs, err = p.RunUsers(flows, s, *users, harness)
+	case *users > 1:
+		// nil, not harness: a nil *ingest.Harness inside the
+		// interface would not compare equal to nil.
+		recs, err = p.RunUsers(flows, s, *users, nil)
+	default:
+		recs, err = p.Run(flows, s)
 	}
 	if err != nil {
 		return err
+	}
+	if rem != nil {
+		if harness != nil {
+			if err := awaitIngest(rem, harness); err != nil {
+				return err
+			}
+		}
+		st := rem.Stats()
+		fmt.Printf("network frames: %d intermediate, %d final, %d ingest, %d errors over %d sessions\n",
+			st.Intermediate.Load(), st.Final.Load(), st.Ingest.Load(), st.Errors.Load(), st.Sessions.Load())
 	}
 	rows2 := report.Summarize(recs, report.GroupBy{Driver: true, TimeReq: true, WorkflowType: true})
 	if err := report.RenderSummaries(os.Stdout, rows2); err != nil {
@@ -149,7 +177,7 @@ func cmdRun(args []string) error {
 		fmt.Printf("detailed report: %s (%d queries)\n", *detailed, len(recs))
 	}
 	if *expectStream {
-		if err := checkStream(remoteStats); err != nil {
+		if err := checkStream(rem.Stats()); err != nil {
 			return err
 		}
 	}
@@ -161,81 +189,25 @@ func cmdRun(args []string) error {
 	return nil
 }
 
-// runRemote replays flows against a remote `idebench serve` through the
-// WebSocket client, returning the records and the client's frame counters.
-// The driver code path is identical to the in-process one; only the
-// engine.Engine implementation behind it differs. With ingestion enabled,
-// the client owns the ground-truth lineage (a local harness applies every
-// batch) while the same batches ship to the server as ingest frames.
-func runRemote(addr string, db *dataset.Database, flows []*workflow.Workflow, s core.Settings, users int, withIngest bool) ([]driver.Record, *server.FrameStats, *ingest.Harness, error) {
-	rem, err := dialRotation(addr)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("run: %w", err)
-	}
-	defer rem.Close()
-	// Surfaces a -rows/-seed mismatch before an expensive replay runs
-	// against the wrong ground truth.
-	if err := rem.Prepare(db, engine.Options{Confidence: s.Confidence, Seed: s.Seed}); err != nil {
-		return nil, nil, nil, err
-	}
-	fmt.Printf("remote engine: %s at %s (%d rows)\n", rem.Name(), addr, rem.Rows())
-
-	gt := groundtruth.New(db)
-	cfg := driver.Config{
-		TimeRequirement: s.TimeRequirement,
-		ThinkTime:       s.ThinkTime,
-		DataSizeLabel:   core.SizeLabel(s.DataSize),
-	}
-	var h *ingest.Harness
-	if withIngest {
-		h, err = newIngestHarness(db, s.Seed, rem)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		cfg.IngestSink = h
-	}
-	var recs []driver.Record
-	if users > 1 {
-		m := driver.NewMulti(rem, gt, driver.MultiConfig{
-			Config: cfg, Users: users, ThinkJitter: driver.DefaultThinkJitter, Seed: s.Seed,
-		})
-		res, merr := m.Run(flows)
-		if merr != nil {
-			return nil, nil, nil, merr
-		}
-		recs = res.Records
-	} else {
-		sess := rem.OpenSession()
-		defer sess.Close()
-		var rerr error
-		recs, rerr = driver.NewOnSession(rem.Name(), sess, gt, cfg).RunWorkflows(flows)
-		if rerr != nil {
-			return nil, nil, nil, rerr
-		}
-	}
-	if h != nil {
-		// Quiesce: ingest frames are asynchronous; wait (bounded) until the
-		// server confirms it absorbed everything we fed it. A server-side
-		// rejection surfaces with its own message rather than as a timeout.
-		deadline := time.Now().Add(15 * time.Second)
-		for rem.Watermark() < h.Watermark() && time.Now().Before(deadline) {
-			if err := rem.Err(); err != nil {
-				return nil, nil, nil, fmt.Errorf("server rejected ingestion: %w", err)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+// awaitIngest waits (bounded) until the server confirms it absorbed every
+// batch the harness fed it: ingest frames are asynchronous. A server-side
+// rejection surfaces with its own message rather than as a timeout.
+func awaitIngest(rem *server.Remote, h *ingest.Harness) error {
+	deadline := time.Now().Add(15 * time.Second)
+	for rem.Watermark() < h.Watermark() && time.Now().Before(deadline) {
 		if err := rem.Err(); err != nil {
-			return nil, nil, nil, fmt.Errorf("server rejected ingestion: %w", err)
+			return fmt.Errorf("server rejected ingestion: %w", err)
 		}
-		if rem.Watermark() != h.Watermark() {
-			return nil, nil, nil, fmt.Errorf("server watermark %d never caught up to fed %d",
-				rem.Watermark(), h.Watermark())
-		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	st := rem.Stats()
-	fmt.Printf("network frames: %d intermediate, %d final, %d ingest, %d errors over %d sessions\n",
-		st.Intermediate.Load(), st.Final.Load(), st.Ingest.Load(), st.Errors.Load(), st.Sessions.Load())
-	return recs, st, h, nil
+	if err := rem.Err(); err != nil {
+		return fmt.Errorf("server rejected ingestion: %w", err)
+	}
+	if rem.Watermark() != h.Watermark() {
+		return fmt.Errorf("server watermark %d never caught up to fed %d",
+			rem.Watermark(), h.Watermark())
+	}
+	return nil
 }
 
 // newIngestHarness builds the deterministic batch stream + harness shared
@@ -251,9 +223,6 @@ func newIngestHarness(db *dataset.Database, seed int64, sinks ...ingest.Sink) (*
 // checkStream enforces the e2e smoke contract: a streamed replay must have
 // delivered at least one intermediate and one final snapshot frame.
 func checkStream(st *server.FrameStats) error {
-	if st == nil {
-		return errors.New("no remote replay ran")
-	}
 	if st.Intermediate.Load() == 0 || st.Final.Load() == 0 {
 		return fmt.Errorf("stream check failed: %d intermediate / %d final frames (want ≥1 of each)",
 			st.Intermediate.Load(), st.Final.Load())

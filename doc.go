@@ -9,7 +9,9 @@
 // The root package only anchors the module; the implementation lives under
 // internal/, the runnable entry points under cmd/idebench and examples/, and
 // the repository benchmark under bench/. The paper's tables and figures are
-// regenerated by `idebench exp -name fig5…table1`.
+// regenerated by `idebench exp -name overall…table1`; `overall` runs the
+// main experiment once and prints Fig. 5, Fig. 6a–c and Exp. 4 from that
+// run, plus the out-of-margin share and bias per engine and TR.
 //
 // # Execution architecture
 //

@@ -3,7 +3,8 @@
 // report), Fig. 6a–f, the Exp.-4 factor analysis, the Exp.-5 System-Y
 // comparison, the data preparation times and the Table-1 detailed report —
 // plus the serving-tier sweeps grown on top of it (users, ingest, overload,
-// shards, elastic, restart). Experiments is the index.
+// shards, elastic, restart). Fig. 5, Fig. 6a–c and Exp. 4 are views of one
+// run of the main experiment, the `overall` entry. Experiments is the index.
 package experiments
 
 import (
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"idebench/internal/core"
+	"idebench/internal/dataset"
 	"idebench/internal/driver"
 	"idebench/internal/report"
 	"idebench/internal/workflow"
@@ -81,14 +83,10 @@ type Experiment struct {
 // them.
 var Experiments = []Experiment{
 	{"prep", discard(Prep)},
-	{"fig5", discard(Fig5)},
-	{"fig6a", discard(Fig6a)},
-	{"fig6b", discard(Fig6b)},
-	{"fig6c", discard(Fig6c)},
+	{"overall", discard(Overall)},
 	{"fig6d", discard(Fig6d)},
 	{"fig6e", discard(Fig6e)},
 	{"fig6f", discard(Fig6f)},
-	{"exp4", discard(Exp4)},
 	{"exp5", discard(Exp5)},
 	{"table1", discard(Table1)},
 	{"users", discard(UserSweep)},
@@ -107,11 +105,38 @@ func discard[T any](f func(Config) (T, error)) func(Config) error {
 	}
 }
 
-// OverallResult carries the raw records of the main experiment, from which
-// Fig. 5 and Fig. 6a–c are different views.
+// engineSettings is the run configuration every experiment starts from: the
+// paper's defaults at the given table size, with the configured seed and
+// think time.
+func engineSettings(cfg Config, rows int) core.Settings {
+	s := core.DefaultSettings()
+	s.DataSize = rows
+	s.Seed = cfg.Seed
+	s.ThinkTime = cfg.ThinkTime
+	return s
+}
+
+// buildWorkload generates the de-normalized dataset at the given size and
+// the default workload over it: cfg.WorkflowsPerType workflows of each type.
+func buildWorkload(cfg Config, rows int) (*dataset.Database, []*workflow.Workflow, error) {
+	db, err := core.BuildData(rows, false, cfg.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	flows, err := core.GenerateWorkflows(db, cfg.WorkflowsPerType, cfg.Interactions, cfg.Seed+100)
+	if err != nil {
+		return nil, nil, err
+	}
+	return db, flows, nil
+}
+
+// OverallResult carries the raw records of the main experiment and the two
+// aggregations of them that Fig. 5, Fig. 6a–c and Exp. 4 render.
 type OverallResult struct {
-	Records  []driver.Record
-	PrepTime map[string]time.Duration
+	Records []driver.Record
+	// Summaries has one row per (engine, TR).
+	Summaries []report.Summary
+	Effects   []report.EffectRow
 }
 
 // RunOverall executes the paper's main experiment (Sec. 5.2): the mixed
@@ -119,27 +144,19 @@ type OverallResult struct {
 // de-normalized schema.
 func RunOverall(cfg Config) (*OverallResult, error) {
 	cfg = cfg.withDefaults()
-	db, err := core.BuildData(cfg.Rows, false, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	flows, err := core.GenerateWorkflows(db, cfg.WorkflowsPerType, cfg.Interactions, cfg.Seed+100)
+	db, flows, err := buildWorkload(cfg, cfg.Rows)
 	if err != nil {
 		return nil, err
 	}
 	mixed := core.MixedOnly(flows)
 
-	res := &OverallResult{PrepTime: map[string]time.Duration{}}
+	res := &OverallResult{}
 	for _, name := range cfg.Engines {
-		s := core.DefaultSettings()
-		s.DataSize = cfg.Rows
-		s.Seed = cfg.Seed
-		s.ThinkTime = cfg.ThinkTime
+		s := engineSettings(cfg, cfg.Rows)
 		p, err := core.Prepare(name, db, s)
 		if err != nil {
 			return nil, err
 		}
-		res.PrepTime[name] = p.PrepTime
 		for _, tr := range cfg.TRs {
 			s.TimeRequirement = tr
 			recs, err := p.Run(mixed, s)
@@ -149,30 +166,55 @@ func RunOverall(cfg Config) (*OverallResult, error) {
 			res.Records = append(res.Records, recs...)
 		}
 	}
+	res.Summaries = report.Summarize(res.Records, report.GroupBy{Driver: true, TimeReq: true})
+	res.Effects = report.Analyze(res.Records)
 	return res, nil
 }
 
-// Fig5 prints the summary report: per engine and TR, the TR-violation and
-// missing-bins percentages plus the MRE CDF with its area above the curve.
-func Fig5(cfg Config) ([]report.Summary, error) {
+// Overall runs the main experiment once and prints its views: the Fig. 5
+// summary report (per engine and TR, the TR-violation and missing-bins
+// percentages plus the MRE CDF with its area above the curve), the Fig. 6a–c
+// series against TR, the out-of-margin share and bias against TR, and the
+// Exp.-4 "other effects" factor analysis (Sec. 5.5).
+func Overall(cfg Config) (*OverallResult, error) {
 	cfg = cfg.withDefaults()
 	res, err := RunOverall(cfg)
 	if err != nil {
 		return nil, err
 	}
-	rows := report.Summarize(res.Records, report.GroupBy{Driver: true, TimeReq: true})
 	fmt.Fprintln(cfg.Out, "=== Figure 5: summary report (mixed workload) ===")
-	if err := report.RenderSummaries(cfg.Out, rows); err != nil {
+	if err := report.RenderSummaries(cfg.Out, res.Summaries); err != nil {
 		return nil, err
 	}
 	fmt.Fprintln(cfg.Out)
-	for _, s := range rows {
+	for _, s := range res.Summaries {
 		if err := report.RenderCDF(cfg.Out, s, 50, 8); err != nil {
 			return nil, err
 		}
 		fmt.Fprintln(cfg.Out)
 	}
-	return rows, nil
+	for _, v := range []struct {
+		title, metric string
+		pick          func(report.Summary) float64
+	}{
+		{"Figure 6a: TR violations vs time requirement", "tr_violated%",
+			func(s report.Summary) float64 { return s.TRViolatedPct }},
+		{"Figure 6b: median relative margin vs time requirement", "median_margin",
+			func(s report.Summary) float64 { return s.MedianMargin }},
+		{"Figure 6c: cosine distance vs time requirement", "mean_cosine",
+			func(s report.Summary) float64 { return s.MeanCosine }},
+		{"Out-of-margin share vs time requirement", "out_of_margin%",
+			func(s report.Summary) float64 { return s.OutOfMarginPct }},
+		{"Bias (delivered / true total) vs time requirement", "bias",
+			func(s report.Summary) float64 { return s.MeanBias }},
+	} {
+		seriesView(cfg.Out, v.title, v.metric, res.Summaries, v.pick)
+	}
+	fmt.Fprintln(cfg.Out, "=== Exp. 4: other effects (bin dims / binning type / agg type / concurrency / specificity) ===")
+	if err := report.RenderEffects(cfg.Out, res.Effects); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // seriesView prints one metric column per engine across TRs — the shape of
@@ -197,66 +239,19 @@ func seriesView(out io.Writer, title, metric string, rows []report.Summary,
 	}
 }
 
-// Fig6a prints the ratio of TR violations across time requirements.
-func Fig6a(cfg Config) ([]report.Summary, error) {
-	cfg = cfg.withDefaults()
-	res, err := RunOverall(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rows := report.Summarize(res.Records, report.GroupBy{Driver: true, TimeReq: true})
-	seriesView(cfg.Out, "Figure 6a: TR violations vs time requirement", "tr_violated%",
-		rows, func(s report.Summary) float64 { return s.TRViolatedPct })
-	return rows, nil
-}
-
-// Fig6b prints the median of the mean relative margins across TRs.
-func Fig6b(cfg Config) ([]report.Summary, error) {
-	cfg = cfg.withDefaults()
-	res, err := RunOverall(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rows := report.Summarize(res.Records, report.GroupBy{Driver: true, TimeReq: true})
-	seriesView(cfg.Out, "Figure 6b: median relative margin vs time requirement", "median_margin",
-		rows, func(s report.Summary) float64 { return s.MedianMargin })
-	return rows, nil
-}
-
-// Fig6c prints the cosine distance across TRs.
-func Fig6c(cfg Config) ([]report.Summary, error) {
-	cfg = cfg.withDefaults()
-	res, err := RunOverall(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rows := report.Summarize(res.Records, report.GroupBy{Driver: true, TimeReq: true})
-	seriesView(cfg.Out, "Figure 6c: cosine distance vs time requirement", "mean_cosine",
-		rows, func(s report.Summary) float64 { return s.MeanCosine })
-	return rows, nil
-}
-
 // Fig6d runs all workflow types at one fixed TR and prints the proportion
 // of missing bins per engine and workflow type.
 func Fig6d(cfg Config) ([]report.Summary, error) {
 	cfg = cfg.withDefaults()
-	db, err := core.BuildData(cfg.Rows, false, cfg.Seed)
+	db, flows, err := buildWorkload(cfg, cfg.Rows)
 	if err != nil {
 		return nil, err
 	}
-	flows, err := core.GenerateWorkflows(db, cfg.WorkflowsPerType, cfg.Interactions, cfg.Seed+100)
-	if err != nil {
-		return nil, err
-	}
-	tr := cfg.TRs[len(cfg.TRs)/2]
+	s := engineSettings(cfg, cfg.Rows)
+	s.TimeRequirement = cfg.TRs[len(cfg.TRs)/2]
 
 	var records []driver.Record
 	for _, name := range cfg.Engines {
-		s := core.DefaultSettings()
-		s.DataSize = cfg.Rows
-		s.Seed = cfg.Seed
-		s.ThinkTime = cfg.ThinkTime
-		s.TimeRequirement = tr
 		p, err := core.Prepare(name, db, s)
 		if err != nil {
 			return nil, err
@@ -268,7 +263,7 @@ func Fig6d(cfg Config) ([]report.Summary, error) {
 		records = append(records, recs...)
 	}
 	rows := report.Summarize(records, report.GroupBy{Driver: true, WorkflowType: true})
-	fmt.Fprintf(cfg.Out, "=== Figure 6d: missing bins by workflow type (tr=%v) ===\n", tr)
+	fmt.Fprintf(cfg.Out, "=== Figure 6d: missing bins by workflow type (tr=%v) ===\n", s.TimeRequirement)
 	if err := report.RenderSummaries(cfg.Out, rows); err != nil {
 		return nil, err
 	}
@@ -296,28 +291,25 @@ func Fig6e(cfg Config) ([]report.Summary, error) {
 
 	var records []driver.Record
 	for _, rows := range sizes {
+		// The workload comes from the flat schema so both variants run
+		// identical queries (attributes resolve through dimensions on the
+		// normalized variant).
+		flat, flows, err := buildWorkload(cfg, rows)
+		if err != nil {
+			return nil, err
+		}
+		joined, err := core.BuildData(rows, true, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		mixed := core.MixedOnly(flows)
 		for _, useJoins := range []bool{false, true} {
-			db, err := core.BuildData(rows, useJoins, cfg.Seed)
-			if err != nil {
-				return nil, err
+			db := flat
+			if useJoins {
+				db = joined
 			}
-			// Generate workloads against the flat schema so both variants
-			// run identical queries (attributes resolve through dimensions
-			// on the normalized variant).
-			flatDB, err := core.BuildData(rows, false, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			flows, err := core.GenerateWorkflows(flatDB, cfg.WorkflowsPerType, cfg.Interactions, cfg.Seed+100)
-			if err != nil {
-				return nil, err
-			}
-			mixed := core.MixedOnly(flows)
 			for _, name := range engines {
-				s := core.DefaultSettings()
-				s.DataSize = rows
-				s.Seed = cfg.Seed
-				s.ThinkTime = cfg.ThinkTime
+				s := engineSettings(cfg, rows)
 				s.UseJoins = useJoins
 				p, err := core.Prepare(name, db, s)
 				if err != nil {
@@ -348,22 +340,6 @@ func Fig6e(cfg Config) ([]report.Summary, error) {
 	return rows, nil
 }
 
-// Exp4 runs the main experiment and prints the "other effects" factor
-// analysis (Sec. 5.5).
-func Exp4(cfg Config) ([]report.EffectRow, error) {
-	cfg = cfg.withDefaults()
-	res, err := RunOverall(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rows := report.Analyze(res.Records)
-	fmt.Fprintln(cfg.Out, "=== Exp. 4: other effects (bin dims / binning type / agg type / concurrency / specificity) ===")
-	if err := report.RenderEffects(cfg.Out, rows); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
 // PrepRow reports one engine's data preparation time (Sec. 5.2).
 type PrepRow struct {
 	Engine   string
@@ -382,10 +358,7 @@ func Prep(cfg Config) ([]PrepRow, error) {
 	}
 	var out []PrepRow
 	for _, name := range cfg.Engines {
-		s := core.DefaultSettings()
-		s.DataSize = cfg.Rows
-		s.Seed = cfg.Seed
-		p, err := core.Prepare(name, db, s)
+		p, err := core.Prepare(name, db, engineSettings(cfg, cfg.Rows))
 		if err != nil {
 			return nil, err
 		}
@@ -402,19 +375,12 @@ func Prep(cfg Config) ([]PrepRow, error) {
 // detailed per-query report (paper Table 1, appendix).
 func Table1(cfg Config) ([]driver.Record, error) {
 	cfg = cfg.withDefaults()
-	db, err := core.BuildData(cfg.Rows, false, cfg.Seed)
+	db, flows, err := buildWorkload(cfg, cfg.Rows)
 	if err != nil {
 		return nil, err
 	}
-	flows, err := core.GenerateWorkflows(db, 1, cfg.Interactions, cfg.Seed+100)
-	if err != nil {
-		return nil, err
-	}
-	mixed := core.MixedOnly(flows)
-	s := core.DefaultSettings()
-	s.DataSize = cfg.Rows
-	s.Seed = cfg.Seed
-	s.ThinkTime = cfg.ThinkTime
+	mixed := core.MixedOnly(flows)[:1]
+	s := engineSettings(cfg, cfg.Rows)
 	s.TimeRequirement = cfg.TRs[0]
 	p, err := core.Prepare("progressive", db, s)
 	if err != nil {
@@ -473,13 +439,9 @@ func Exp5(cfg Config) ([]Exp5Result, error) {
 	var out []Exp5Result
 	// Generous TR so System Y's render delay shows up as latency, not as
 	// violations (the paper measured latency by watching the UI update).
-	tr := 10 * cfg.TRs[len(cfg.TRs)-1]
+	s := engineSettings(cfg, cfg.Rows)
+	s.TimeRequirement = 10 * cfg.TRs[len(cfg.TRs)-1]
 	for _, name := range []string{"exactdb", "systemy"} {
-		s := core.DefaultSettings()
-		s.DataSize = cfg.Rows
-		s.Seed = cfg.Seed
-		s.ThinkTime = cfg.ThinkTime
-		s.TimeRequirement = tr
 		p, err := core.Prepare(name, db, s)
 		if err != nil {
 			return nil, err

@@ -59,10 +59,7 @@ func OverloadSweepRates(cfg Config, rates []float64, window time.Duration) ([]re
 	if err != nil {
 		return nil, err
 	}
-	s := core.DefaultSettings()
-	s.DataSize = cfg.Rows
-	s.Seed = cfg.Seed
-	p, err := core.Prepare("progressive", db, s)
+	p, err := core.Prepare("progressive", db, engineSettings(cfg, cfg.Rows))
 	if err != nil {
 		return nil, err
 	}

@@ -80,7 +80,7 @@ type topology struct {
 // mutates prepared state, so ingest-aware points never share one.
 func engineTopology(label, name string, db *dataset.Database, cfg Config) topology {
 	return topology{label: label, prepare: func() (engine.Engine, time.Duration, func(), error) {
-		p, err := core.Prepare(name, db, engineSettings(cfg))
+		p, err := core.Prepare(name, db, engineSettings(cfg, cfg.Rows))
 		if err != nil {
 			return nil, 0, nil, err
 		}
@@ -119,7 +119,7 @@ func tierTopology(label string, parts, reps int, kills [][2]int, db *dataset.Dat
 			if err != nil {
 				return nil, 0, nil, err
 			}
-			s := engineSettings(cfg)
+			s := engineSettings(cfg, cfg.Rows)
 			start := time.Now()
 			if err := co.Prepare(db, engine.Options{Confidence: s.Confidence, Seed: s.Seed}); err != nil {
 				return nil, 0, nil, err
@@ -131,13 +131,6 @@ func tierTopology(label string, parts, reps int, kills [][2]int, db *dataset.Dat
 			co.CheckHealth()
 			return co, prep, co.StartHealthLoop(100 * time.Millisecond), nil
 		}}
-}
-
-func engineSettings(cfg Config) core.Settings {
-	s := core.DefaultSettings()
-	s.DataSize = cfg.Rows
-	s.Seed = cfg.Seed
-	return s
 }
 
 // replayConfig is the driver configuration every replay sweep uses: the
@@ -361,7 +354,7 @@ func UserSweepUsers(cfg Config, userCounts []int) ([]ReplayRow, error) {
 	for _, name := range engines {
 		// Without ingest nothing mutates prepared state: one engine serves
 		// every user count, and the sequential baseline after each.
-		p, err := core.Prepare(name, db, engineSettings(cfg))
+		p, err := core.Prepare(name, db, engineSettings(cfg, cfg.Rows))
 		if err != nil {
 			return nil, err
 		}

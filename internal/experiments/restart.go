@@ -68,9 +68,7 @@ func Restart(cfg Config) (*RestartResult, error) {
 	defer os.RemoveAll(dir)
 
 	res := &RestartResult{Rows: cfg.Rows, Batches: batches}
-	s := core.DefaultSettings()
-	s.DataSize = cfg.Rows
-	s.Seed = cfg.Seed
+	s := engineSettings(cfg, cfg.Rows)
 
 	// Serve side: the first boot of the directory builds cold and
 	// bootstraps it; batches ingest through the WAL exactly like

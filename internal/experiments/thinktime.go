@@ -30,7 +30,8 @@ func Fig6f(cfg Config) ([]ThinkTimeResult, error) {
 	// smallest TR, leaving no missing bins for speculation to recover. Run
 	// this experiment at 4× the configured size so partial results are
 	// partial (the paper had the same property: 500M rows vs a 3s TR).
-	db, err := core.BuildData(4*cfg.Rows, false, cfg.Seed)
+	rows := 4 * cfg.Rows
+	db, err := core.BuildData(rows, false, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -67,9 +68,7 @@ func Fig6f(cfg Config) ([]ThinkTimeResult, error) {
 		if speculative {
 			engName = "progressive-spec"
 		}
-		s := core.DefaultSettings()
-		s.DataSize = cfg.Rows
-		s.Seed = cfg.Seed
+		s := engineSettings(cfg, rows)
 		s.TimeRequirement = tr
 		p, err := core.Prepare(engName, db, s)
 		if err != nil {

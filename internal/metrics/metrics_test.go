@@ -152,6 +152,18 @@ func TestCosineBothEmpty(t *testing.T) {
 	}
 }
 
+// TestOutOfMarginRelativeTolerance: an exact answer that differs from the
+// ground truth only in its last bit, as a sum taken in another row order
+// does, is inside even a zero margin.
+func TestOutOfMarginRelativeTolerance(t *testing.T) {
+	a := 1e6
+	gt := mkResult(map[query.BinKey][]float64{{A: 0}: {a}}, nil)
+	res := mkResult(map[query.BinKey][]float64{{A: 0}: {math.Nextafter(a, math.Inf(1))}}, nil)
+	if m := Evaluate(res, gt, false); m.OutOfMargin != 0 {
+		t.Errorf("OutOfMargin = %d, want 0", m.OutOfMargin)
+	}
+}
+
 func TestMargins(t *testing.T) {
 	gt := mkResult(map[query.BinKey][]float64{
 		{A: 0}: {100}, {A: 1}: {100},
