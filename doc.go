@@ -192,7 +192,7 @@
 // live batches land on the shard that owns them.
 //
 // Queries fan out to every shard, which stream raw accumulator state —
-// engine.Partial: per-bin counts, Welford moments and min/max as raw
+// engine.Partial: per-bin counts, mean/M2 moments and min/max as raw
 // IEEE-754 columns, only the columns the aggregates use — rather than
 // rendered results (a partials query's frames carry the partial alone). The coordinator buffers the
 // freshest partial per shard and folds them in fixed shard-ID order

@@ -16,10 +16,16 @@ import (
 
 // TestScanRangeSteadyStateAllocs pins the worker-owned scratch: once a state
 // has seen its first batch (table sized, pooled buffers warm), folding
-// further 4096-row ranges allocates nothing.
+// further 4096-row ranges allocates nothing — on the two-pass 2-D path, on
+// the fused one-pass 2-D kernel over range and selection batches, and with
+// more than one moments column.
 func TestScanRangeSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := randomDB(t, rng, 8*BatchRows, false)
+	nominalByCode := []query.Binning{
+		{Field: "cat_a", Kind: dataset.Nominal},
+		{Field: "x", Kind: dataset.Quantitative, Width: 50}}
+	fused := map[string]bool{"avg_2d": true, "nominal_code_avg_2d": true, "filtered_nominal_code_2d": true}
 	for name, q := range map[string]*query.Query{
 		"count_1d": {Bins: []query.Binning{{Field: "cat_a", Kind: dataset.Nominal}},
 			Aggs: []query.Aggregate{{Func: query.Count}}},
@@ -31,6 +37,18 @@ func TestScanRangeSteadyStateAllocs(t *testing.T) {
 			{Field: "x", Kind: dataset.Quantitative, Width: 50},
 			{Field: "y", Kind: dataset.Quantitative, Width: 1000}},
 			Aggs: []query.Aggregate{{Func: query.Avg, Field: "y"}}},
+		"nominal_code_avg_2d": {Bins: nominalByCode,
+			Aggs: []query.Aggregate{{Func: query.Avg, Field: "y"}}},
+		"filtered_nominal_code_2d": {Bins: nominalByCode,
+			Aggs: []query.Aggregate{{Func: query.Count}, {Func: query.Max, Field: "y"}},
+			Filter: query.Filter{Predicates: []query.Predicate{
+				{Field: "y", Op: query.OpRange, Lo: -2500, Hi: 4000}}}},
+		"arith_2d": {Bins: []query.Binning{ // ~800 bins of x: past a code byte
+			{Field: "x", Kind: dataset.Quantitative, Width: 1},
+			{Field: "cat_b", Kind: dataset.Nominal}},
+			Aggs: []query.Aggregate{{Func: query.Count}}},
+		"sum_avg_1d": {Bins: []query.Binning{{Field: "cat_b", Kind: dataset.Nominal}},
+			Aggs: []query.Aggregate{{Func: query.Sum, Field: "y"}, {Func: query.Avg, Field: "x"}}},
 	} {
 		q.VizName, q.Table = "v", "fact"
 		plan, err := Compile(db, q)
@@ -39,6 +57,9 @@ func TestScanRangeSteadyStateAllocs(t *testing.T) {
 		}
 		if plan.geom.slots() == 0 {
 			t.Fatalf("%s: expected a dense plan", name)
+		}
+		if (plan.pairKern != nil) != fused[name] {
+			t.Fatalf("%s: pair kernel %T, want fused=%v", name, plan.pairKern, fused[name])
 		}
 		gs := NewGroupState(plan)
 		gs.ScanRange(0, BatchRows)

@@ -40,6 +40,10 @@ type Compiled struct {
 	binKern  []binKernel
 	aggKern  []aggKernel
 	predKern []predKernel
+	// pairKern computes whole table slots of a dense 2-D plan in one pass
+	// when both dimensions read a column's codes directly (newPairKernel);
+	// nil otherwise.
+	pairKern binKernel
 	// aggOps lists the non-COUNT accumulation steps (COUNT needs only the
 	// per-bin row count, which accumulate maintains unconditionally).
 	aggOps []aggOp
@@ -68,7 +72,7 @@ type aggOp struct {
 }
 
 const (
-	aggOpWelford = uint8(iota) // Sum and Avg share the Welford accumulator
+	aggOpMoments = uint8(iota) // Sum and Avg share the shifted-moments accumulator (Moments)
 	aggOpMin
 	aggOpMax
 )
@@ -84,7 +88,7 @@ func aggOpsOf(aggs []query.Aggregate) []aggOp {
 		case query.Max:
 			ops = append(ops, aggOp{code: aggOpMax, slot: i})
 		case query.Sum, query.Avg:
-			ops = append(ops, aggOp{code: aggOpWelford, slot: i})
+			ops = append(ops, aggOp{code: aggOpMoments, slot: i})
 		}
 	}
 	return ops
@@ -166,8 +170,42 @@ func compile(db *dataset.Database, q *query.Query, buildCodes bool) (*Compiled, 
 		for i, dim := range dims {
 			c.binKern = append(c.binKern, newBinKernel(dim, domains[i], buildCodes))
 		}
+		if len(c.binKern) == 2 {
+			c.pairKern = newPairKernel(c.binKern[0], c.binKern[1], c.geom)
+		}
 	}
 	return c, nil
+}
+
+// slotsRange writes the dense table slots of rows [lo, lo+len(dst)) into
+// dst: the one kernel of a 1-D plan, the fused pair kernel of a direct 2-D
+// plan, or both dimensions' kernels (the second into tmp, len(tmp) ==
+// len(dst)) and combine.
+func (c *Compiled) slotsRange(lo int, dst, tmp []int32) {
+	switch {
+	case len(c.binKern) == 1:
+		c.binKern[0].slotsRange(lo, dst)
+	case c.pairKern != nil:
+		c.pairKern.slotsRange(lo, dst)
+	default:
+		c.binKern[0].slotsRange(lo, dst)
+		c.binKern[1].slotsRange(lo, tmp)
+		c.geom.combine(dst, tmp)
+	}
+}
+
+// slotsSel is slotsRange for the selected rows (len(dst) == len(sel)).
+func (c *Compiled) slotsSel(sel []uint32, dst, tmp []int32) {
+	switch {
+	case len(c.binKern) == 1:
+		c.binKern[0].slotsSel(sel, dst)
+	case c.pairKern != nil:
+		c.pairKern.slotsSel(sel, dst)
+	default:
+		c.binKern[0].slotsSel(sel, dst)
+		c.binKern[1].slotsSel(sel, tmp)
+		c.geom.combine(dst, tmp)
+	}
 }
 
 // planDense activates the dense group-by path when the total key domain is

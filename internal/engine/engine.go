@@ -19,13 +19,16 @@
 // # One accumulator table
 //
 // A GroupState is a flat table of struct-of-arrays columns addressed by
-// slot: a count column, plus a Welford, min or max column per aggregate
-// that needs one. When every bin dimension has a known, small key domain —
-// the dictionary cardinality of a nominal column, or quantitative bin
-// bounds derived from the column's memoized min/max — a key's slot is
+// slot: a count column, plus a shifted-moments (Moments), min or max column
+// per aggregate that needs one — the fold divides nowhere; readers derive
+// mean, M2 and sum per bin. When every bin dimension has a known, small key
+// domain — the dictionary cardinality of a nominal column, or quantitative
+// bin bounds derived from the column's memoized min/max — a key's slot is
 // arithmetic; otherwise slots are handed out in first-touch order behind a
 // key index. Merge, SnapshotExact, SnapshotScaled, Partial and PartialFold
-// all walk the same columns, whichever way they were filled.
+// all walk the same columns, whichever way they were filled. What "bitwise
+// identical" means for them is stated once, in README.md's "One
+// accumulator table".
 // See README.md in this directory for the full architecture.
 package engine
 
@@ -198,8 +201,7 @@ type ReorderedPreparer interface {
 // PartialSnapshotter is the optional scatter-gather capability on a query
 // handle: it exposes the query's raw accumulator state (a Partial) instead
 // of a rendered estimate, so a coordinator can merge fragments from many
-// shards with the exact float operations of a local parallel scan and render
-// once. Handles that implement it may still return nil (the engine behind
+// shards with the merge a local parallel scan runs and render once. Handles that implement it may still return nil (the engine behind
 // them has no partial support); callers must treat nil as "capability
 // absent", not "empty result".
 type PartialSnapshotter interface {

@@ -8,13 +8,66 @@ import (
 	"idebench/internal/stats"
 )
 
+// Moments is one bin's running moments of a SUM/AVG input in shifted-data
+// form (Chan, Golub and LeVeque): K is the first value the bin folded, S1 =
+// Σ(x−K) and S2 = Σ(x−K)². The bin's row count is the table's, not stored
+// here, so the readers take it. Folding a row is a subtract, two adds and a
+// multiply — no divide on the bin's serial dependency chain — and products
+// are rounded explicitly (float64(...)) so no platform fuses them into an
+// FMA: the bits are a function of the definition, the data and the chunk
+// boundaries alone (README.md, "One accumulator table").
+//
+// A table's empty slot holds unseeded moments (K is NaN); the first add
+// seeds K, so every fold path — scalar, batch, any column order — picks the
+// same K without consulting the count. A NaN input leaves K unseeded for the
+// next value, but S1 and S2 are NaN from then on, as they would be anyway.
+type Moments struct{ K, S1, S2 float64 }
+
+var unseeded = Moments{K: math.NaN()}
+
+// add folds one value in.
+func (m *Moments) add(x float64) {
+	if m.K != m.K {
+		m.K = x
+	}
+	d := x - m.K
+	m.S1 += d
+	m.S2 += float64(d * d)
+}
+
+// merge folds o, the moments of on rows, into m, the moments of n rows, by
+// re-shifting o onto m's K: with δ = o.K−m.K, Σ(x−m.K) = o.S1 + on·δ and
+// Σ(x−m.K)² = o.S2 + δ·(2·o.S1 + on·δ). An empty m takes o as it is.
+func (m *Moments) merge(n int64, o Moments, on int64) {
+	if n == 0 {
+		*m = o
+		return
+	}
+	d := o.K - m.K
+	shift := float64(float64(on) * d)
+	m.S2 += o.S2 + float64(d*(2*o.S1+shift))
+	m.S1 += o.S1 + shift
+}
+
+// Mean returns the mean of the n folded values, K + S1/n.
+func (m Moments) Mean(n int64) float64 { return m.K + m.S1/float64(n) }
+
+// Sum returns the sum of the n folded values, n·K + S1 — exact whenever the
+// values and their partial sums are exact, as on integer-valued columns.
+func (m Moments) Sum(n int64) float64 { return float64(float64(n)*m.K) + m.S1 }
+
+// M2 returns Σ(x−mean)² of the n folded values, S2 − S1²/n, clamped at 0
+// against rounding.
+func (m Moments) M2(n int64) float64 { return max(0, m.S2-float64(m.S1*m.S1)/float64(n)) }
+
 // accTable is the flat accumulator table behind GroupState and PartialFold:
 // struct-of-arrays columns addressed by slot. n is the per-bin row count and
 // doubles as the existence mark: slot s holds a bin exactly when n[s] > 0, the
 // one test bins and every walker (Merge, ForEachBin, Partial, render) apply.
-// w, mins and maxs hold one column per aggregate, present only where the
-// aggregate's function uses it (SUM/AVG → w, MIN → mins, MAX → maxs; COUNT
-// needs n alone).
+// m, mins and maxs hold one column per aggregate, present only where the
+// aggregate's function uses it (SUM/AVG → m, MIN → mins, MAX → maxs; COUNT
+// needs n alone). Every row of a bin reaches every aggregate, so n is also
+// the count of each of the bin's Moments.
 //
 // Slots are assigned one of two ways. A dense table (geom.slots() > 0) has
 // every slot of the planned key domain up front and finds a key's slot
@@ -23,7 +76,7 @@ import (
 // a slot back to its key.
 type accTable struct {
 	n    []int64
-	w    [][]stats.Welford
+	m    [][]Moments
 	mins [][]float64
 	maxs [][]float64
 
@@ -37,7 +90,7 @@ type accTable struct {
 // empty otherwise.
 func newAccTable(numAggs int, ops []aggOp, geom denseGeom) accTable {
 	t := accTable{
-		w:    make([][]stats.Welford, numAggs),
+		m:    make([][]Moments, numAggs),
 		mins: make([][]float64, numAggs),
 		maxs: make([][]float64, numAggs),
 	}
@@ -50,8 +103,8 @@ func newAccTable(numAggs int, ops []aggOp, geom denseGeom) accTable {
 	}
 	for _, op := range ops {
 		switch op.code {
-		case aggOpWelford:
-			t.w[op.slot] = make([]stats.Welford, size)
+		case aggOpMoments:
+			t.m[op.slot] = filled(size, unseeded)
 		case aggOpMin:
 			t.mins[op.slot] = filled(size, math.Inf(1))
 		case aggOpMax:
@@ -61,8 +114,8 @@ func newAccTable(numAggs int, ops []aggOp, geom denseGeom) accTable {
 	return t
 }
 
-func filled(n int, v float64) []float64 {
-	s := make([]float64, n)
+func filled[T any](n int, v T) []T {
+	s := make([]T, n)
 	for i := range s {
 		s[i] = v
 	}
@@ -89,9 +142,9 @@ func (t *accTable) slot(key query.BinKey) int32 {
 		t.index[key] = s
 		t.keys = append(t.keys, key)
 		t.n = append(t.n, 0)
-		for i := range t.w {
-			if t.w[i] != nil {
-				t.w[i] = append(t.w[i], stats.Welford{})
+		for i := range t.m {
+			if t.m[i] != nil {
+				t.m[i] = append(t.m[i], unseeded)
 			}
 			if t.mins[i] != nil {
 				t.mins[i] = append(t.mins[i], math.Inf(1))
@@ -123,13 +176,14 @@ func (t *accTable) bins() int {
 	return k
 }
 
-// merge folds slot os of o into slot s: counts add, Welford columns take the
-// parallel merge, min/max fold.
+// merge folds slot os of o into slot s: counts add, moments re-shift and
+// add, min/max fold.
 func (t *accTable) merge(s int32, o *accTable, os int) {
-	t.n[s] += o.n[os]
-	for i := range t.w {
-		if col := t.w[i]; col != nil {
-			col[s].Merge(o.w[i][os])
+	n, on := t.n[s], o.n[os]
+	t.n[s] = n + on
+	for i := range t.m {
+		if col := t.m[i]; col != nil {
+			col[s].merge(n, o.m[i][os], on)
 		}
 		if col := t.mins[i]; col != nil && o.mins[i][os] < col[s] {
 			col[s] = o.mins[i][os]
@@ -141,15 +195,15 @@ func (t *accTable) merge(s int32, o *accTable, os int) {
 }
 
 // Accum is one bin's accumulator contents as ForEachBin yields them: row
-// count, and per aggregate the running moments (Welford) and min/max —
-// everything any engine needs to produce exact values, scaled estimates and
-// CLT margins. Entries of aggregates that do not use a field keep its empty
-// value (zero moments, +Inf min, -Inf max).
+// count, and per aggregate the raw running moments and min/max — everything
+// any engine needs to produce exact values, scaled estimates and CLT margins.
+// Entries of aggregates that do not use a field keep its empty value (zero
+// moments, +Inf min, -Inf max).
 type Accum struct {
-	N    int64
-	W    []stats.Welford
-	Mins []float64
-	Maxs []float64
+	N       int64
+	Moments []Moments
+	Mins    []float64
+	Maxs    []float64
 }
 
 // GroupState is the group-by accumulator table for one query execution (or
@@ -186,8 +240,8 @@ func (g *GroupState) observe(row int) {
 	for _, op := range g.plan.aggOps {
 		v := g.scratch[op.slot]
 		switch op.code {
-		case aggOpWelford:
-			t.w[op.slot][s].Add(v)
+		case aggOpMoments:
+			t.m[op.slot][s].add(v)
 		case aggOpMin:
 			if v < t.mins[op.slot][s] {
 				t.mins[op.slot][s] = v
@@ -299,12 +353,7 @@ func (g *GroupState) scanRangeBatch(sc *scanScratch, lo, hi int) {
 	n := hi - lo
 	slots := sc.slots[:n]
 	if g.t.dense() {
-		plan.binKern[0].slotsRange(lo, slots)
-		if len(plan.binKern) > 1 {
-			b := sc.slotsB[:n]
-			plan.binKern[1].slotsRange(lo, b)
-			g.t.geom.combine(slots, b)
-		}
+		plan.slotsRange(lo, slots, sc.slotsB[:n])
 	} else {
 		for i := range slots {
 			slots[i] = g.t.slot(plan.BinKey(lo + i))
@@ -327,12 +376,7 @@ func (g *GroupState) foldSel(sc *scanScratch, sel []uint32) {
 	plan := g.plan
 	slots := sc.slots[:n]
 	if g.t.dense() {
-		plan.binKern[0].slotsSel(sel, slots)
-		if len(plan.binKern) > 1 {
-			b := sc.slotsB[:n]
-			plan.binKern[1].slotsSel(sel, b)
-			g.t.geom.combine(slots, b)
-		}
+		plan.slotsSel(sel, slots, sc.slotsB[:n])
 	} else {
 		for i, r := range sel {
 			slots[i] = g.t.slot(plan.BinKey(int(r)))
@@ -352,15 +396,11 @@ func (g *GroupState) foldSel(sc *scanScratch, sel []uint32) {
 // column every bin still observes its values in row order, so results stay
 // bitwise-identical to the scalar path. A leading SUM/AVG — the dominant
 // dashboard shape — shares the counting pass: the count's short
-// read-modify-write chain hides under the Welford update's long one.
+// read-modify-write chain runs beside the moments' add chain.
 func (g *GroupState) accumulate(slots []int32, in [][]float64) {
 	cnt, ops := g.t.n, g.plan.aggOps
-	if len(ops) > 0 && ops[0].code == aggOpWelford {
-		col, vals := g.t.w[ops[0].slot], in[0][:len(slots)]
-		for i, s := range slots {
-			cnt[s]++
-			col[s].Add(vals[i])
-		}
+	if len(ops) > 0 && ops[0].code == aggOpMoments {
+		countAndAdd(cnt, g.t.m[ops[0].slot], slots, in[0])
 		ops, in = ops[1:], in[1:]
 	} else {
 		for _, s := range slots {
@@ -370,10 +410,10 @@ func (g *GroupState) accumulate(slots []int32, in [][]float64) {
 	for k, op := range ops {
 		vals := in[k][:len(slots)]
 		switch op.code {
-		case aggOpWelford:
-			col := g.t.w[op.slot]
+		case aggOpMoments:
+			col := g.t.m[op.slot]
 			for i, s := range slots {
-				col[s].Add(vals[i])
+				col[s].add(vals[i])
 			}
 		case aggOpMin:
 			col := g.t.mins[op.slot]
@@ -390,6 +430,20 @@ func (g *GroupState) accumulate(slots []int32, in [][]float64) {
 				}
 			}
 		}
+	}
+}
+
+// countAndAdd is accumulate's counting pass fused with a moments column's.
+// Kept out of line: inlined into accumulate, the loop shares registers with
+// the caller's live values and reloads some from the stack every row
+// (~10% slower on BenchmarkScanQuantBin1D/avg, x86-64 Xeon, Go 1.24).
+//
+//go:noinline
+func countAndAdd(cnt []int64, col []Moments, slots []int32, vals []float64) {
+	vals = vals[:len(slots)]
+	for i, s := range slots {
+		cnt[s]++
+		col[s].add(vals[i])
 	}
 }
 
@@ -427,14 +481,14 @@ func (g *GroupState) ForEachBin(fn func(key query.BinKey, acc Accum)) {
 			continue
 		}
 		acc := Accum{
-			N:    n,
-			W:    make([]stats.Welford, len(t.w)),
-			Mins: filled(len(t.w), math.Inf(1)),
-			Maxs: filled(len(t.w), math.Inf(-1)),
+			N:       n,
+			Moments: make([]Moments, len(t.m)),
+			Mins:    filled(len(t.m), math.Inf(1)),
+			Maxs:    filled(len(t.m), math.Inf(-1)),
 		}
-		for i := range t.w {
-			if t.w[i] != nil {
-				acc.W[i] = t.w[i][s]
+		for i := range t.m {
+			if t.m[i] != nil {
+				acc.Moments[i] = t.m[i][s]
 			}
 			if t.mins[i] != nil {
 				acc.Mins[i] = t.mins[i][s]
@@ -480,8 +534,8 @@ func (g *GroupState) SnapshotScaled(rowsSeen, populationRows, watermark int64, w
 
 // render is the estimator math of SnapshotScaled over a bare accumulator
 // table. PartialFold.Render shares it, so a scatter-gather coordinator
-// rendering merged shard partials runs the exact float operations a local
-// GroupState snapshot would — same inputs, same bits. A complete result
+// rendering merged shard partials runs the estimator operations a local
+// GroupState snapshot runs, over the moments its fold holds. A complete result
 // (every row seen, no stratum weight) reports no margins; SnapshotExact is
 // that case with a scale factor of exactly 1.
 //
@@ -523,25 +577,27 @@ func render(t *accTable, aggs []query.Aggregate, rowsSeen, populationRows, water
 					bv.Margins[i] = stats.FractionCI(n, rowsSeen, m*scale, z)
 				}
 			case query.Sum:
-				w := &t.w[i][s]
-				sum := w.Sum()
+				mom := t.m[i][s]
+				sum := mom.Sum(n)
 				bv.Values[i] = sum * scale
 				if res.Complete {
 					continue
 				}
 				// Var over all m rows of z_i = x_i·1[i∈bin]:
-				// Σz² = Σ_g x², z̄ = Σ_g x / m.
+				// Σz² = Σ_g x² = M2 + n·mean², z̄ = Σ_g x / m.
+				mean := mom.Mean(n)
 				zbar := sum / m
-				varz := (w.SumSquares() - m*zbar*zbar) / math.Max(m-1, 1)
+				varz := (mom.M2(n) + float64(n)*mean*mean - m*zbar*zbar) / math.Max(m-1, 1)
 				if varz < 0 {
 					varz = 0
 				}
 				bv.Margins[i] = z * m * scale * math.Sqrt(varz/m)
 			case query.Avg:
-				w := &t.w[i][s]
-				bv.Values[i] = w.Mean()
-				if !res.Complete {
-					bv.Margins[i] = w.MeanCI(z)
+				mom := t.m[i][s]
+				bv.Values[i] = mom.Mean(n)
+				if !res.Complete && n > 1 {
+					// The CLT half-width z·sqrt(s²/n), s² = M2/(n−1).
+					bv.Margins[i] = z * math.Sqrt(mom.M2(n)/float64(n-1)/float64(n))
 				}
 			case query.Min:
 				bv.Values[i] = t.mins[i][s]

@@ -7,18 +7,17 @@ import (
 	"sort"
 
 	"idebench/internal/query"
-	"idebench/internal/stats"
 	"idebench/internal/wire"
 )
 
-// Partial is the exchange form of a GroupState: the raw per-bin accumulator
+// Partial is the exchange form of a GroupState: the per-bin accumulator
 // moments of one execution fragment, before any estimator rendering. A shard
 // ships Partials instead of rendered Results so the coordinator can merge
-// fragments exactly as a local parallel scan merges its worker states —
-// Welford parallel merge per aggregate, min/max folds, count sums — and then
-// render once. Folding shards in a fixed order (sorted by shard ID) makes the
-// merged accumulators, and therefore the rendered floats, bitwise-identical
-// across runs regardless of which shard answered first.
+// fragments as a local parallel scan merges its worker states — a moments
+// merge per aggregate, min/max folds, count sums — and then render once.
+// Folding shards in a fixed order (sorted by shard ID) makes the merged
+// accumulators, and therefore the rendered floats, bitwise-identical across
+// runs regardless of which shard answered first.
 //
 // Bins are sorted by key so the binary encoding (AppendBinary) is canonical:
 // two Partials of the same state encode to the same bytes.
@@ -39,7 +38,8 @@ type Partial struct {
 
 // PartialBin carries one bin's accumulator state: one entry per aggregate in
 // each of W/Mins/Maxs, the empty value (zero moments, +Inf, -Inf) where the
-// aggregate's function does not use the field.
+// aggregate's function does not use the field. A SUM/AVG aggregate's W entry
+// holds the bin's (N, mean, M2), derived from its Moments at extraction.
 type PartialBin struct {
 	Key  query.BinKey
 	N    int64
@@ -49,17 +49,21 @@ type PartialBin struct {
 }
 
 // wellFormed reports whether the bin could have come from GroupState.Partial:
-// at least one row, and no negative moment count.
+// at least one row, and every moment entry either empty (zero count, zero
+// bits) or counting exactly the bin's rows — a fold takes the moments' count
+// from the bin's, so any other count would be silently misread.
 func (pb *PartialBin) wellFormed() bool {
 	for _, w := range pb.W {
-		if w.N < 0 {
+		empty := w.N == 0 && math.Float64bits(w.Mean) == 0 && math.Float64bits(w.M2) == 0
+		if !empty && w.N != pb.N {
 			return false
 		}
 	}
 	return pb.N > 0
 }
 
-// WelfordWire is stats.Welford's raw moments (Welford.State).
+// WelfordWire is one aggregate's moments on the wire in Welford's form:
+// count, mean and M2 = Σ(x−mean)².
 type WelfordWire struct {
 	N    int64
 	Mean float64
@@ -68,8 +72,8 @@ type WelfordWire struct {
 
 // The binary form of a Partial is what a shard streams to its coordinator
 // and what anti-entropy compares replicas by. One header, then the bins as
-// columns holding IEEE-754 bit patterns, so a coordinator's merge is bitwise
-// the merge a local scan would do and ±Inf/NaN need no escape:
+// columns holding IEEE-754 bit patterns, so a coordinator folds exactly the
+// bits the shard read out and ±Inf/NaN need no escape:
 //
 //	byte     partialTag (kind 3, codec version 1)
 //	byte     flags: complete | keysB
@@ -309,10 +313,12 @@ func (p *Partial) UnmarshalBinary(data []byte) error {
 // populationRows and watermark carry the same semantics as SnapshotScaled;
 // complete marks a fully folded fragment. Every bin carries one entry per
 // aggregate in each of W/Mins/Maxs — the empty value where the aggregate
-// does not use the field — carved out of one backing slice per field.
+// does not use the field — carved out of one backing slice per field. A
+// SUM/AVG entry is the bin's Moments read out as (n, mean, M2): one divide
+// per bin, here rather than per row in the scan.
 func (g *GroupState) Partial(rowsSeen, populationRows, watermark int64, complete bool) *Partial {
 	t := &g.t
-	bins, na := t.bins(), len(t.w)
+	bins, na := t.bins(), len(t.m)
 	p := &Partial{
 		RowsSeen:   rowsSeen,
 		Population: populationRows,
@@ -331,9 +337,8 @@ func (g *GroupState) Partial(rowsSeen, populationRows, watermark int64, complete
 		ws, fs = ws[na:], fs[2*na:]
 		for i := range pb.W {
 			pb.Mins[i], pb.Maxs[i] = math.Inf(1), math.Inf(-1)
-			if col := t.w[i]; col != nil {
-				wn, mean, m2 := col[s].State()
-				pb.W[i] = WelfordWire{N: wn, Mean: mean, M2: m2}
+			if col := t.m[i]; col != nil {
+				pb.W[i] = WelfordWire{N: n, Mean: col[s].Mean(n), M2: col[s].M2(n)}
 			}
 			if col := t.mins[i]; col != nil {
 				pb.Mins[i] = col[s]
@@ -383,20 +388,26 @@ func NewPartialFold(aggs []query.Aggregate) *PartialFold {
 // default for fragments sharing one axis).
 //
 // A Partial is decoded off a shard connection, so its bins are outside input:
-// a bin without a positive row count or with a negative moment count is one
-// no GroupState produces, and it is dropped rather than folded (a count that
-// sums to zero or below would otherwise unmark a bin other fragments filled).
+// a bin without a positive row count, with a moment count other than its row
+// count, or without the moments of one of the fold's SUM/AVG aggregates is one
+// no GroupState of this query produces, and it is dropped rather than folded
+// (a count that sums to zero or below would otherwise unmark a bin other
+// fragments filled, and moments are counted by the bin's rows).
+//
+// A bin's wire moments (N, mean, M2) fold in as Moments{K: mean, S1: 0,
+// S2: M2} over N rows — the same re-shifting merge GroupState.Merge runs.
 func (f *PartialFold) Add(p *Partial) {
 	t := &f.t
 	for _, pb := range p.Bins {
-		if !pb.wellFormed() {
+		if !f.fits(&pb) {
 			continue
 		}
 		s := t.slot(pb.Key)
-		t.n[s] += pb.N
-		for i := range t.w {
-			if col := t.w[i]; col != nil && i < len(pb.W) {
-				col[s].Merge(stats.WelfordFromState(pb.W[i].N, pb.W[i].Mean, pb.W[i].M2))
+		n := t.n[s]
+		t.n[s] = n + pb.N
+		for i := range t.m {
+			if col := t.m[i]; col != nil {
+				col[s].merge(n, Moments{K: pb.W[i].Mean, S2: pb.W[i].M2}, pb.N)
 			}
 			if col := t.mins[i]; col != nil && i < len(pb.Mins) && pb.Mins[i] < col[s] {
 				col[s] = pb.Mins[i]
@@ -413,6 +424,20 @@ func (f *PartialFold) Add(p *Partial) {
 		f.watermark = p.Watermark
 	}
 	f.added++
+}
+
+// fits reports whether pb may fold into f: well formed, and carrying the
+// moments of its rows for every SUM/AVG aggregate of the fold.
+func (f *PartialFold) fits(pb *PartialBin) bool {
+	if !pb.wellFormed() {
+		return false
+	}
+	for i, col := range f.t.m {
+		if col != nil && (i >= len(pb.W) || pb.W[i].N != pb.N) {
+			return false
+		}
+	}
+	return true
 }
 
 // Added reports how many fragments have been folded.

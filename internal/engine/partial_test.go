@@ -18,13 +18,15 @@ import (
 	"idebench/internal/query"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/partial_golden.bin from the seeded states")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/partial_golden.{bin,txt} from the seeded states")
 
 // goldenPartialStates builds the fixed seeded states whose wire bytes are
 // pinned in testdata/partial_golden.bin (and whose counts and bit patterns
-// the parent's JSON form recorded in testdata/partial_golden.txt): dense and map-indexed tables, 1-D and
-// 2-D, every aggregate kind, filtered and not, each split at a fixed row and
-// merged (so the Welford parallel-merge path is in the bytes too).
+// testdata/partial_golden.txt records in the JSON form the wire carried
+// before the binary codec): dense and map-indexed tables, 1-D and 2-D, every
+// aggregate kind, filtered and not, each split at a fixed row and merged (so
+// the moments merge is in the bytes too). Both files were last regenerated
+// when the accumulator became shifted moments: only mean/M2 bits changed.
 func goldenPartialStates(t *testing.T) map[string]*Partial {
 	t.Helper()
 	rng := rand.New(rand.NewSource(6))
@@ -71,23 +73,43 @@ func goldenPartialStates(t *testing.T) map[string]*Partial {
 }
 
 // goldenPartial is the shape of one line of testdata/partial_golden.txt: the
-// JSON document the commit before the binary codec put on the wire, floats as
-// decimal IEEE-754 bit patterns.
+// JSON document the wire carried before the binary codec, floats as decimal
+// IEEE-754 bit patterns.
 type goldenPartial struct {
-	RowsSeen   int64 `json:"rows_seen"`
-	Population int64 `json:"population"`
-	Watermark  int64 `json:"watermark"`
-	Complete   bool  `json:"complete"`
-	Bins       []struct {
-		Key query.BinKey `json:"key"`
-		N   int64        `json:"n"`
-		W   []struct {
-			N        int64
-			Mean, M2 uint64
-		} `json:"w"`
-		Mins []uint64 `json:"mins"`
-		Maxs []uint64 `json:"maxs"`
-	} `json:"bins"`
+	RowsSeen   int64       `json:"rows_seen"`
+	Population int64       `json:"population"`
+	Watermark  int64       `json:"watermark"`
+	Complete   bool        `json:"complete"`
+	Bins       []goldenBin `json:"bins"`
+}
+
+type goldenBin struct {
+	Key  query.BinKey `json:"key"`
+	N    int64        `json:"n"`
+	W    []goldenWire `json:"w"`
+	Mins []uint64     `json:"mins"`
+	Maxs []uint64     `json:"maxs"`
+}
+
+type goldenWire struct {
+	N    int64  `json:"n"`
+	Mean uint64 `json:"mean"`
+	M2   uint64 `json:"m2"`
+}
+
+// goldenOf is p in the text golden's shape.
+func goldenOf(p *Partial) *goldenPartial {
+	g := &goldenPartial{RowsSeen: p.RowsSeen, Population: p.Population, Watermark: p.Watermark, Complete: p.Complete}
+	for _, pb := range p.Bins {
+		gb := goldenBin{Key: pb.Key, N: pb.N}
+		for a, w := range pb.W {
+			gb.W = append(gb.W, goldenWire{N: w.N, Mean: math.Float64bits(w.Mean), M2: math.Float64bits(w.M2)})
+			gb.Mins = append(gb.Mins, math.Float64bits(pb.Mins[a]))
+			gb.Maxs = append(gb.Maxs, math.Float64bits(pb.Maxs[a]))
+		}
+		g.Bins = append(g.Bins, gb)
+	}
+	return g
 }
 
 // sameBits reports whether p holds exactly the counts and IEEE-754 bit
@@ -140,7 +162,18 @@ func TestPartialGoldenBytes(t *testing.T) {
 	}
 	const path = "testdata/partial_golden.bin"
 	if *updateGolden {
+		var text []byte
+		for _, name := range names {
+			line, err := json.Marshal(goldenOf(states[name]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			text = append(append(append(append(text, name...), '\t'), line...), '\n')
+		}
 		if err := os.WriteFile(path, built, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile("testdata/partial_golden.txt", text, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,9 +341,10 @@ func TestPartialBinaryHostile(t *testing.T) {
 }
 
 // TestPartialFoldDropsMalformedBins: a coordinator folds what shards send, so
-// a bin no GroupState could have produced — a non-positive row count, a
-// negative moment count — must neither panic the render nor disturb the bins
-// well-formed fragments filled.
+// a bin no GroupState of the query could have produced — a non-positive row
+// count, a moment count other than the bin's (the fold counts moments by the
+// bin's rows), moments missing for an AVG — must neither panic the render
+// nor disturb the bins well-formed fragments filled.
 func TestPartialFoldDropsMalformedBins(t *testing.T) {
 	aggs := []query.Aggregate{{Func: query.Count}, {Func: query.Avg, Field: "x"}}
 	good := func() *Partial {
@@ -326,6 +360,11 @@ func TestPartialFoldDropsMalformedBins(t *testing.T) {
 		"zero n":            {Key: query.BinKey{A: 2}, N: 0},
 		"negative new bin":  {Key: query.BinKey{A: 5}, N: -1},
 		"negative moment n": {Key: query.BinKey{A: 1}, N: 2, W: []WelfordWire{{}, {N: -2, Mean: 7}}},
+		"moment n below n":  {Key: query.BinKey{A: 1}, N: 3, W: []WelfordWire{{}, {N: 2, Mean: 7, M2: 1}}},
+		"moment n above n":  {Key: query.BinKey{A: 1}, N: 3, W: []WelfordWire{{}, {N: 4, Mean: 7, M2: 1}}},
+		"zero moment n":     {Key: query.BinKey{A: 1}, N: 3, W: []WelfordWire{{}, {Mean: 7}}},
+		"no moments":        {Key: query.BinKey{A: 1}, N: 3, W: []WelfordWire{{}, {}}},
+		"short moments":     {Key: query.BinKey{A: 1}, N: 3, W: []WelfordWire{{}}},
 	} {
 		// Alone, with rows seen: the frame of the review's reproduction.
 		fold := NewPartialFold(aggs)
@@ -376,6 +415,9 @@ func FuzzPartialBinary(f *testing.F) {
 		{RowsSeen: 3, Population: 9, Bins: []PartialBin{{Key: key, N: -3}}},
 		{RowsSeen: 3, Population: 9, Bins: []PartialBin{{Key: key, N: 2},
 			{Key: key, N: -2, W: []WelfordWire{{}, {N: -2}}}}},
+		// Moments whose count is not the bin's: the fold would misread them.
+		{RowsSeen: 3, Population: 9, Bins: []PartialBin{{Key: key, N: 3,
+			W: []WelfordWire{{}, {N: 2, Mean: 7, M2: 1}}}}},
 		{RowsSeen: 1, Population: 1, Bins: []PartialBin{{Key: query.BinKey{}, N: math.MaxInt64}}},
 	} {
 		f.Add(p.AppendBinary(nil))

@@ -15,6 +15,11 @@ import (
 const benchRows = 1 << 18
 
 func benchDB(b *testing.B) *dataset.Database {
+	return benchTable(b, func(rng *rand.Rand) int { return rng.Intn(12) })
+}
+
+// benchTable is benchDB with the carrier of each row drawn by carrier.
+func benchTable(b *testing.B, carrier func(*rand.Rand) int) *dataset.Database {
 	b.Helper()
 	schema := dataset.MustSchema([]dataset.Field{
 		{Name: "carrier", Kind: dataset.Nominal},
@@ -24,7 +29,7 @@ func benchDB(b *testing.B) *dataset.Database {
 	rng := rand.New(rand.NewSource(42))
 	tb := dataset.NewBuilder("flights", schema, benchRows)
 	for i := 0; i < benchRows; i++ {
-		tb.AppendString(0, fmt.Sprintf("C%d", rng.Intn(12)))
+		tb.AppendString(0, fmt.Sprintf("C%d", carrier(rng)))
 		tb.AppendNum(1, rng.Float64()*3000)
 		tb.AppendNum(2, rng.NormFloat64()*30)
 	}
@@ -207,5 +212,48 @@ func BenchmarkScanQuantBin1D(b *testing.B) {
 				b.Run(agg.name+"/"+filter.name+"/"+bins.name, func(b *testing.B) { runScanBench(b, plan, false) })
 			}
 		}
+	}
+}
+
+// BenchmarkScanSkewed runs the two shapes whose per-row cost is the fold
+// itself rather than the predicate: AVG grouped by a 12-carrier nominal with
+// ~60% of rows in one carrier, so most rows extend one bin's serial
+// dependency chain, and an unfiltered 2-D COUNT over two derived code
+// columns (distance at width 120, 25 bins; delay at width 20, ~15 bins),
+// where slot computation is all the work.
+func BenchmarkScanSkewed(b *testing.B) {
+	db := benchTable(b, func(rng *rand.Rand) int {
+		if rng.Float64() < 0.6 {
+			return 0
+		}
+		return 1 + rng.Intn(11)
+	})
+	for _, c := range []struct {
+		name string
+		q    *query.Query
+	}{
+		{"avg_by_carrier", &query.Query{
+			Bins: []query.Binning{{Field: "carrier", Kind: dataset.Nominal}},
+			Aggs: []query.Aggregate{{Func: query.Avg, Field: "delay"}}}},
+		{"count_2d_codes", &query.Query{
+			Bins: []query.Binning{
+				{Field: "distance", Kind: dataset.Quantitative, Width: 120},
+				{Field: "delay", Kind: dataset.Quantitative, Width: 20}},
+			Aggs: []query.Aggregate{{Func: query.Count}}}},
+	} {
+		c.q.VizName, c.q.Table = "v", "flights"
+		plan, err := Compile(db, c.q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if plan.geom.slots() == 0 {
+			b.Fatalf("%s: want a dense plan", c.name)
+		}
+		for d, k := range plan.binKern {
+			if _, ok := k.(codeBin); !ok && c.q.Bins[d].Kind == dataset.Quantitative {
+				b.Fatalf("%s: dimension %d runs %T, want the code kernel", c.name, d, k)
+			}
+		}
+		b.Run(c.name, func(b *testing.B) { runScanBench(b, plan, false) })
 	}
 }

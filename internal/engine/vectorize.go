@@ -18,7 +18,8 @@ import "idebench/internal/dataset"
 //     cursor advances by the 0/1 outcome, so an unpredictable filter costs
 //     no mispredictions.
 //  2. Bin kernels fill an []int32 buffer with each selected row's slot in
-//     the dense accumulator table (two buffers combined for 2-D plans);
+//     the dense accumulator table — for 2-D plans in one pass when both
+//     dimensions read codes directly (pairBin), else two buffers combined;
 //     plans without a dense table resolve slots through the table's key
 //     index instead.
 //  3. Aggregate kernels gather input values into []float64 buffers — or,
@@ -148,7 +149,7 @@ func (k quantDirectBin) slotsSel(sel []uint32, dst []int32) {
 // quantDirectBin. A code outside the planned domain (a column invariant
 // broken behind the memo) yields a component in [-255, 255], so unlike the
 // arithmetic kernels it cannot wrap int32: it faults on the table access
-// (1-D) or in combine (2-D).
+// (1-D) or in the domain check of combine or pairBin (2-D).
 type codeBin struct {
 	codes []uint8
 	off   int32
@@ -164,6 +165,47 @@ func (k codeBin) slotsRange(lo int, dst []int32) {
 func (k codeBin) slotsSel(sel []uint32, dst []int32) {
 	for i, r := range sel {
 		dst[i] = int32(k.codes[r]) + k.off
+	}
+}
+
+// pairBin computes whole slots of a dense 2-D plan whose dimensions both read
+// a fact column's codes directly — a derived bin-code column (codeBin, A or B
+// = uint8) or a dictionary-code column (nominalDirectBin, uint32, offset 0):
+// slot = (a+offA)·sizeB + (b+offB) in one pass, with combine's branch-free
+// domain check over the batch and its panic. The slots are the integers the
+// two kernels and combine compute, so results do not change by a bit.
+type pairBin[A, B uint8 | uint32] struct {
+	a            []A
+	b            []B
+	offA, offB   int32
+	sizeA, sizeB int32
+}
+
+func (k pairBin[A, B]) slotsRange(lo int, dst []int32) {
+	a := k.a[lo : lo+len(dst)]
+	b := k.b[lo : lo+len(a)]
+	dst = dst[:len(a)]
+	var bad int32
+	for i, ca := range a {
+		sa, sb := int32(ca)+k.offA, int32(b[i])+k.offB
+		bad |= sa | sb | (k.sizeA - 1 - sa) | (k.sizeB - 1 - sb)
+		dst[i] = sa*k.sizeB + sb
+	}
+	if bad < 0 {
+		panic("engine: bin key outside the planned dense domain")
+	}
+}
+
+func (k pairBin[A, B]) slotsSel(sel []uint32, dst []int32) {
+	dst = dst[:len(sel)]
+	var bad int32
+	for i, r := range sel {
+		sa, sb := int32(k.a[r])+k.offA, int32(k.b[r])+k.offB
+		bad |= sa | sb | (k.sizeA - 1 - sa) | (k.sizeB - 1 - sb)
+		dst[i] = sa*k.sizeB + sb
+	}
+	if bad < 0 {
+		panic("engine: bin key outside the planned dense domain")
 	}
 }
 
@@ -509,6 +551,31 @@ func newBinKernel(d binDim, dom binDomain, buildCodes bool) binKernel {
 		return quantDirectBin{nums: col.Nums, width: d.width, origin: d.origin, base: dom.lo}
 	}
 	return codeBin{codes: codes, off: int32(base - dom.lo)}
+}
+
+// newPairKernel fuses the two dimension kernels of a dense 2-D plan over g
+// into one pairBin when both read codes directly, and returns nil — leaving
+// the plan two passes and combine — when either is an FK or arithmetic
+// kernel.
+func newPairKernel(ka, kb binKernel, g denseGeom) binKernel {
+	sizeA, sizeB := int32(g.sizeA), int32(g.sizeB)
+	switch a := ka.(type) {
+	case codeBin:
+		switch b := kb.(type) {
+		case codeBin:
+			return pairBin[uint8, uint8]{a.codes, b.codes, a.off, b.off, sizeA, sizeB}
+		case nominalDirectBin:
+			return pairBin[uint8, uint32]{a.codes, b.codes, a.off, 0, sizeA, sizeB}
+		}
+	case nominalDirectBin:
+		switch b := kb.(type) {
+		case codeBin:
+			return pairBin[uint32, uint8]{a.codes, b.codes, 0, b.off, sizeA, sizeB}
+		case nominalDirectBin:
+			return pairBin[uint32, uint32]{a.codes, b.codes, 0, 0, sizeA, sizeB}
+		}
+	}
+	return nil
 }
 
 func newAggKernel(col *dataset.Column, fk *dataset.Column) aggKernel {

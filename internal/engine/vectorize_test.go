@@ -153,7 +153,7 @@ func binStates(t *testing.T, label string, g *GroupState) map[query.BinKey]Accum
 }
 
 // assertStatesEqual compares two group states bitwise: identical bin keys
-// and identical accumulator contents (counts, Welford moments, min/max).
+// and identical accumulator contents (counts, moments, min/max).
 func assertStatesEqual(t *testing.T, label string, want, got *GroupState) {
 	t.Helper()
 	w, g := binStates(t, label, want), binStates(t, label, got)
@@ -252,7 +252,7 @@ func checkVectorizedMatchesScalar(t *testing.T, rng *rand.Rand, label string, db
 	assertStatesEqual(t, label+" rows arithmetic kernels", refRows, arithRows)
 
 	// Chunked parallel-scan shape: split into worker states and Merge.
-	// Merged Welford moments differ bitwise from a sequential whole
+	// Merged moments differ bitwise from a sequential whole
 	// scan (parallel-merge vs sequential folding), so the whole-scan
 	// comparison checks counts; the full accumulator contents are
 	// checked dense-vs-map, where the op order is identical.
@@ -304,7 +304,7 @@ func TestVectorizedMatchesScalar(t *testing.T) {
 // hits by luck: filters that pass nothing and everything, a tail batch
 // shorter than BatchRows after full ones, a NaN-bearing bin column (no
 // bounded domain, so the table is key-indexed even for the "dense" plan),
-// and MIN/MAX-only plans (a table without a Welford column).
+// and MIN/MAX-only plans (a table without a moments column).
 func TestVectorizedMatchesScalarEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const rows = 2*BatchRows + 37
@@ -672,9 +672,10 @@ func TestDenseOutOfDomainKeyPanics(t *testing.T) {
 // through a derived code column: a code at or past the planned domain —
 // written into the memo behind the plan, the one way to get there, since a
 // code column is only ever computed from values inside the bounds the domain
-// came from — must panic the scan, in the table access (1-D) or in combine
-// (2-D), and never fold into another bin. A widened byte plus the plan's
-// offset cannot wrap int32, so there is no narrowing case to guard.
+// came from — must panic the scan, in the table access (1-D) or in the 2-D
+// domain check (pairBin here; combine for two-pass plans), and never fold
+// into another bin. A widened byte plus the plan's offset cannot wrap int32,
+// so there is no narrowing case to guard.
 func TestCodeBinOutOfDomainCodePanics(t *testing.T) {
 	build := func() *dataset.Database { return outOfDomainDB(t, 1) } // bins 0..9
 	quant := query.Binning{Field: "x", Kind: dataset.Quantitative, Width: 10}

@@ -19,7 +19,7 @@ import (
 // random-order gather path) and scanning the same logical rows via a
 // sequential ScanRange over the permutation-ordered copy
 // (dataset.ReorderTable / ReorderFact) must produce bitwise-identical group
-// states — same bins, same counts, same Welford moments, same min/max. Both
+// states — same bins, same counts, same moments, same min/max. Both
 // paths fold the same value sequence through the same batch kernels at the
 // same batch boundaries, so even float accumulation order is identical.
 func TestPermutedSequentialMatchesGatherBitwise(t *testing.T) {

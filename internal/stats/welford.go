@@ -3,8 +3,9 @@ package stats
 import "math"
 
 // Welford accumulates mean and variance in one pass using Welford's
-// algorithm. Progressive engines keep one accumulator per (bin, aggregate)
-// to derive CLT confidence intervals for partial results.
+// algorithm. The engine's SUM/AVG accumulator is shifted moments
+// (engine.Moments), which fold without a divide; Welford stays as the
+// numeric oracle its accuracy tests compare against.
 type Welford struct {
 	n    int64
 	mean float64
@@ -37,17 +38,8 @@ func (w *Welford) Merge(o Welford) {
 	w.n = n
 }
 
-// State exposes the raw accumulator moments (n, mean, M2) for wire
-// serialization. A shard's partial aggregation state travels as these three
-// numbers and reconstructs with WelfordFromState, so a coordinator-side merge
-// of shipped accumulators is the same float operations as a local Merge —
-// the bitwise-determinism requirement of scatter-gather serving.
+// State exposes the raw accumulator moments (n, mean, M2).
 func (w *Welford) State() (n int64, mean, m2 float64) { return w.n, w.mean, w.m2 }
-
-// WelfordFromState reconstructs an accumulator from State output.
-func WelfordFromState(n int64, mean, m2 float64) Welford {
-	return Welford{n: n, mean: mean, m2: m2}
-}
 
 // Count returns the number of observations.
 func (w *Welford) Count() int64 { return w.n }
@@ -57,14 +49,6 @@ func (w *Welford) Mean() float64 { return w.mean }
 
 // Sum returns n·mean, the running sum.
 func (w *Welford) Sum() float64 { return w.mean * float64(w.n) }
-
-// SumSquares returns Σx², reconstructed from the running moments. Online
-// aggregation engines use it to derive the variance of per-row group
-// contributions (x·1[row∈bin]) without observing the zero contributions of
-// rows outside the bin.
-func (w *Welford) SumSquares() float64 {
-	return w.m2 + float64(w.n)*w.mean*w.mean
-}
 
 // Variance returns the unbiased sample variance (0 when n < 2).
 func (w *Welford) Variance() float64 {
