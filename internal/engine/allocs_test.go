@@ -17,8 +17,9 @@ import (
 // TestScanRangeSteadyStateAllocs pins the worker-owned scratch: once a state
 // has seen its first batch (table sized, pooled buffers warm), folding
 // further 4096-row ranges allocates nothing — on the two-pass 2-D path, on
-// the fused one-pass 2-D kernel over range and selection batches, and with
-// more than one moments column.
+// the fused one-pass 2-D kernel over range and selection batches, with more
+// than one moments column, and on a filtered plan both reading its rows from
+// a recorded selection and recording them into one.
 func TestScanRangeSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := randomDB(t, rng, 8*BatchRows, false)
@@ -71,6 +72,28 @@ func TestScanRangeSteadyStateAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: %v allocations per steady-state 4096-row ScanRange, want 0", name, allocs)
+		}
+		if len(q.Filter.Predicates) == 0 {
+			continue
+		}
+		_, keys := q.SignatureKeys()
+		sel := new(Selection)
+		sel.Reset(plan.NumRows, keys)
+		recording := NewSelectionUse(plan, keys, nil, sel)
+		reading := NewSelectionUse(plan, keys, sel, nil)
+		gs.ScanRangeUsing(0, plan.NumRows, recording)
+		for use, label := range map[*SelectionUse]string{reading: "reading", recording: "recording"} {
+			allocs := testing.AllocsPerRun(6, func() {
+				lo := batch % 8 * BatchRows
+				gs.ScanRangeUsing(lo, lo+BatchRows, use)
+				batch++
+			})
+			if allocs != 0 {
+				t.Errorf("%s: %v allocations per steady-state 4096-row ScanRangeUsing %s a selection, want 0", name, allocs, label)
+			}
+		}
+		if reading.RowsServed() == 0 {
+			t.Errorf("%s: the reading use served no rows", name)
 		}
 	}
 }

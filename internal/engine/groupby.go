@@ -285,11 +285,21 @@ func (sc *scanScratch) val(k int) []float64 {
 }
 
 // ScanRange folds physical rows [lo, hi) that match the filter.
-func (g *GroupState) ScanRange(lo, hi int) {
+func (g *GroupState) ScanRange(lo, hi int) { g.ScanRangeUsing(lo, hi, nil) }
+
+// ScanRangeUsing is ScanRange with selection reuse: a filtered batch reads
+// its candidate rows from u's recorded selection where it can and records
+// the rows passing the filter into u's own (SelectionUse). The rows folded
+// and their order are ScanRange's, so the state is bitwise the same. A nil
+// u, or one built for another plan, is plain ScanRange.
+func (g *GroupState) ScanRangeUsing(lo, hi int, u *SelectionUse) {
+	if u != nil && u.plan != g.plan {
+		u = nil
+	}
 	sc := scratchPool.Get().(*scanScratch)
 	for lo < hi {
 		n := min(hi-lo, BatchRows)
-		g.scanRangeBatch(sc, lo, lo+n)
+		g.scanRangeBatch(sc, lo, lo+n, u)
 		lo += n
 	}
 	sc.release()
@@ -336,15 +346,26 @@ func (g *GroupState) ScanRowsScalar(rows []uint32) {
 }
 
 // scanRangeBatch runs the kernel pipeline for one batch [lo, hi),
-// hi-lo <= BatchRows.
-func (g *GroupState) scanRangeBatch(sc *scanScratch, lo, hi int) {
+// hi-lo <= BatchRows. A filtered batch that u's recorded selection covers
+// starts from the rows passing the selection's predicates and refines them
+// with the residual kernels only; either way the same rows, ascending, reach
+// the fold, and u records them.
+func (g *GroupState) scanRangeBatch(sc *scanScratch, lo, hi int, u *SelectionUse) {
 	plan := g.plan
 	preds := plan.predKern
 	if len(preds) > 0 {
-		sel := preds[0].selectRange(lo, hi, sc.sel[:])
-		for _, p := range preds[1:] {
-			sel = p.refine(sel)
+		sel, ok := u.read(lo, hi, sc.sel[:])
+		if ok {
+			for _, p := range u.residual {
+				sel = p.refine(sel)
+			}
+		} else {
+			sel = preds[0].selectRange(lo, hi, sc.sel[:])
+			for _, p := range preds[1:] {
+				sel = p.refine(sel)
+			}
 		}
+		u.record(lo, hi, sel)
 		g.foldSel(sc, sel)
 		return
 	}

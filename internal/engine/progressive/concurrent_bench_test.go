@@ -260,3 +260,48 @@ func TestBenchTableYieldsPartialSnapshots(t *testing.T) {
 	}
 	t.Fatal("no snapshot observed")
 }
+
+// BenchmarkDrillDown times step 3 of a drill-down chain, p1 → p1∧p2 →
+// p1∧p2∧p3, to its final over the 4M-row table: cold, in a session of its
+// own, and after steps 1 and 2 ran in the same session and workflow, where
+// it reads the rows step 2 recorded and evaluates only p3 (README.md,
+// "Selection reuse"). Every iteration opens a fresh session, so neither case
+// finds a cached answer; selrows/op is the rows step 3 read from selections.
+func BenchmarkDrillDown(b *testing.B) {
+	e := New(Config{})
+	if err := e.Prepare(benchDB(b), engine.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	run := func(sess engine.Session, q *query.Query) {
+		h, err := sess.StartQuery(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		<-h.Done()
+	}
+	step1 := drillQuery("viz_state", drillP1)
+	step2 := drillQuery("viz_state", drillP1, drillP2)
+	step3 := drillQuery("viz_state", drillP1, drillP2, drillP3)
+	for _, c := range []struct {
+		name string
+		warm []*query.Query
+	}{{"cold", nil}, {"after_steps_1_2", []*query.Query{step1, step2}}} {
+		b.Run(c.name, func(b *testing.B) {
+			var served int64
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				sess := e.OpenSession()
+				sess.WorkflowStart()
+				for _, q := range c.warm {
+					run(sess, q)
+				}
+				b.StartTimer()
+				run(sess, step3)
+				b.StopTimer()
+				served += sess.(*session).selectionRows(step3)
+				sess.Close()
+			}
+			b.ReportMetric(float64(served)/float64(b.N), "selrows/op")
+		})
+	}
+}

@@ -34,7 +34,11 @@
 // one simulated analyst. All sessions attach their consumers to the same
 // scanner, so concurrent users share memory sweeps — the multi-user driver's
 // scaling lever — while keeping their exploration state invisible to each
-// other.
+// other. Within a workflow a session also records which rows pass each
+// filter its queries evaluate, so a drill-down step or a sibling viz reads
+// them instead of re-evaluating the predicates; the contract — scope, what
+// is recorded, the safety rules and why results stay bitwise — is
+// internal/engine/README.md, "Selection reuse".
 //
 // # Published views
 //
@@ -77,6 +81,11 @@ const chunkRows = engine.BatchRows
 // maxSpeculations caps how many single-bin selections are speculated per
 // link (the source visualization may have hundreds of bins).
 const maxSpeculations = 64
+
+// maxSelections caps a session's recorded filter selections. Over the 256
+// seed-1 Mixed workflows the distinct filters per workflow are p50 3, p99 7,
+// max 8, so a workflow's drill-down chain and brushes fit without eviction.
+const maxSelections = 8
 
 // Engine is the progressive engine. The prepared permuted storage and the
 // shared-scan scheduler are engine-wide; everything an analyst accumulates —
@@ -252,6 +261,7 @@ type session struct {
 	states     map[string]*sharedscan.Consumer
 	vizQueries map[string]*query.Query
 	specs      []*sharedscan.Consumer // current round of speculation targets
+	sels       selectionPool
 }
 
 // bindLocked loads the engine's current view — one atomic load — and binds
@@ -280,7 +290,7 @@ func (s *session) StartQuery(q *query.Query) (engine.Handle, error) {
 		s.mu.Unlock()
 		return nil, engine.ErrNotPrepared
 	}
-	st, err := s.stateLocked(q)
+	st, err := s.stateLocked(q, true)
 	if err != nil {
 		s.mu.Unlock()
 		return nil, err
@@ -323,9 +333,12 @@ func (s *session) StartQuery(q *query.Query) (engine.Handle, error) {
 }
 
 // stateLocked returns the session's cached consumer for q's signature,
-// creating it if needed. Caller holds s.mu.
-func (s *session) stateLocked(q *query.Query) (*sharedscan.Consumer, error) {
-	sig := q.Signature()
+// creating it if needed. A new consumer of a filtered query reads the
+// session's most specific recorded selection its filter contains and, with
+// claim, records its own filter's rows into a slot of the pool. Caller holds
+// s.mu.
+func (s *session) stateLocked(q *query.Query, claim bool) (*sharedscan.Consumer, error) {
+	sig, keys := q.SignatureKeys()
 	if st, ok := s.states[sig]; ok {
 		return st, nil
 	}
@@ -333,9 +346,73 @@ func (s *session) stateLocked(q *query.Query) (*sharedscan.Consumer, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := s.v.X.scan.NewConsumer(plan, sig)
+	st := s.v.X.scan.NewConsumer(plan, sig, s.sels.use(plan, keys, claim))
 	s.states[sig] = st
 	return st, nil
+}
+
+// selectionPool is a session's recorded filter selections (README.md,
+// "Selection reuse"): at most maxSelections slots, each an engine.Selection
+// sized to the table view it was last reset for and reused for the
+// session's life. Slots are claimed by the queries of one workflow and
+// evicted least recently used; WorkflowStart and Close invalidate them all,
+// so nothing recorded is read across workflows or sessions. Guarded by the
+// session's mutex.
+type selectionPool struct {
+	slots []selectionSlot
+	tick  uint64
+}
+
+type selectionSlot struct {
+	sel  *engine.Selection
+	used uint64 // pool tick of the last query that read or claimed it
+}
+
+// use returns plan's selection reuse: the valid slot with the most
+// predicates all in keys (plan's predicate keys) to read from, and, with
+// claim and no slot recording exactly keys' set, a slot claimed to record
+// plan's filter — a free one, else the least recently used one other than
+// the slot read from. Speculation targets pass claim false.
+func (p *selectionPool) use(plan *engine.Compiled, keys []string, claim bool) *engine.SelectionUse {
+	if len(keys) == 0 {
+		return nil
+	}
+	p.tick++
+	bi, best, exact := -1, -1, false
+	for i := range p.slots {
+		if n, ex := p.slots[i].sel.Match(keys); n > best {
+			bi, best, exact = i, n, ex
+		}
+	}
+	var from, into *engine.Selection
+	if bi >= 0 {
+		p.slots[bi].used = p.tick
+		from = p.slots[bi].sel
+	}
+	if claim && !exact {
+		var sl *selectionSlot
+		if len(p.slots) < maxSelections {
+			p.slots = append(p.slots, selectionSlot{sel: new(engine.Selection)})
+			sl = &p.slots[len(p.slots)-1]
+		} else {
+			for i := range p.slots {
+				if c := &p.slots[i]; c.sel != from && (sl == nil || c.used < sl.used) {
+					sl = c
+				}
+			}
+		}
+		sl.sel.Reset(plan.NumRows, keys)
+		sl.used = p.tick
+		into = sl.sel
+	}
+	return engine.NewSelectionUse(plan, keys, from, into)
+}
+
+// invalidate forgets every recorded selection, keeping the slots' memory.
+func (p *selectionPool) invalidate() {
+	for _, sl := range p.slots {
+		sl.sel.Invalidate()
+	}
 }
 
 // LinkVizs implements engine.Session. With speculation enabled, establishing
@@ -378,7 +455,7 @@ func (s *session) LinkVizs(from, to string) {
 		pred := query.SelectionPredicate(srcBin, key.A, dict)
 		specQ := *dstQ
 		specQ.Filter = dstQ.Filter.And(pred)
-		st, err := s.stateLocked(&specQ)
+		st, err := s.stateLocked(&specQ, false)
 		if err != nil {
 			continue
 		}
@@ -420,6 +497,7 @@ func (s *session) WorkflowStart() {
 		s.states = make(map[string]*sharedscan.Consumer)
 		s.vizQueries = make(map[string]*query.Query)
 	}
+	s.sels.invalidate()
 }
 
 // WorkflowEnd implements engine.Session.
@@ -446,6 +524,8 @@ func (s *session) Close() {
 		st.Discard()
 	}
 	s.states = make(map[string]*sharedscan.Consumer)
+	s.sels.invalidate()
+	s.sels = selectionPool{}
 }
 
 // stateProgress reports the scan progress of the session's cached state.

@@ -197,16 +197,20 @@ func (s *Scanner) ShedSpeculative() int {
 
 // NewConsumer creates a detached consumer for plan, which must be compiled
 // against the current view of the scanner's table; sig is the plan's query
-// signature, which the caller has already computed as its own cache key.
+// signature, which the caller has already computed as its own cache key,
+// and use is plan's selection reuse (nil for none): the consumer's shards
+// scan with it while they fold for plan, and without it once Extend has
+// rebound them to a grown view.
 // The consumer's coverage target is the plan's row count: if the scan is
 // extended before the plan's rows are fully dispatched the consumer rides
 // along via Extend, and if the plan was compiled against a view slightly
 // ahead of the scanner (a query racing an append) the cursor simply reaches
 // the tail once Extend lands.
-func (s *Scanner) NewConsumer(plan *engine.Compiled, sig string) *Consumer {
+func (s *Scanner) NewConsumer(plan *engine.Compiled, sig string, use *engine.SelectionUse) *Consumer {
 	c := &Consumer{
 		s:      s,
 		sig:    sig,
+		use:    use,
 		shards: make([]shard, s.workers),
 		done:   make(chan struct{}),
 	}
@@ -371,7 +375,10 @@ type Consumer struct {
 	// sig is the query's signature, fixed at NewConsumer: Extend's key for
 	// sharing one recompile among consumers of the same query, passed in
 	// once rather than derived per batch under the scheduler lock.
-	sig    string
+	sig string
+	// use is the selection reuse of the plan the consumer was created with;
+	// GroupState.ScanRangeUsing drops it for shards rebound to a later plan.
+	use    *engine.SelectionUse
 	plan   atomic.Pointer[engine.Compiled]
 	target atomic.Int64 // rows of the data version this consumer covers
 
@@ -419,6 +426,10 @@ func (f *Final) Snapshot() *query.Result { return f.gs.SnapshotScaled(f.rows, f.
 
 // Partial returns the final in wire form (engine.PartialSnapshotter).
 func (f *Final) Partial() *engine.Partial { return f.gs.Partial(f.rows, f.rows, f.rows, true) }
+
+// Selections returns the selection reuse the consumer was created with
+// (nil for none).
+func (c *Consumer) Selections() *engine.SelectionUse { return c.use }
 
 // Plan returns the compiled plan the consumer currently accumulates for.
 func (c *Consumer) Plan() *engine.Compiled { return c.plan.Load() }
@@ -516,7 +527,7 @@ func (c *Consumer) fold(w int, parts []span) {
 	}
 	n := 0
 	for _, sp := range parts {
-		sh.gs.ScanRange(sp.lo, sp.hi)
+		sh.gs.ScanRangeUsing(sp.lo, sp.hi, c.use)
 		n += sp.hi - sp.lo
 	}
 	total := c.folded.Add(int64(n))

@@ -78,7 +78,7 @@ func (f *fixture) plan(t testing.TB, i int) *engine.Compiled {
 // newConsumer attaches a consumer keyed by its plan's query signature, as
 // the progressive session does.
 func newConsumer(s *Scanner, p *engine.Compiled) *Consumer {
-	return s.NewConsumer(p, p.Query.Signature())
+	return s.NewConsumer(p, p.Query.Signature(), nil)
 }
 
 func (f *fixture) exact(t testing.TB, i int) *query.Result {

@@ -9,7 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -193,6 +193,17 @@ func (q *Query) Validate() error {
 // forge a separator. It is insensitive to the order of IN values and of
 // predicates.
 func (q *Query) Signature() string {
+	sig, _ := q.SignatureKeys()
+	return sig
+}
+
+// SignatureKeys returns Signature together with the canonical key of each
+// filter predicate, in filter order: the predicate's field, operator and
+// operands, length-prefixed, with IN values sorted. Equal keys select the
+// same rows of a table; the signature embeds the keys sorted, so callers
+// that need both (a session matching recorded filter selections) sign the
+// predicates once.
+func (q *Query) SignatureKeys() (sig string, keys []string) {
 	var sb strings.Builder
 	sigStr(&sb, q.Table)
 	sb.WriteByte('|')
@@ -216,15 +227,34 @@ func (q *Query) Signature() string {
 		sigStr(&sb, a.Field)
 	}
 	// Each predicate signs on its own so the set can be sorted; the sorted
-	// signatures are then written length-prefixed like any other string.
+	// keys are then written length-prefixed like any other string.
+	keys = predicateKeys(q.Filter.Predicates)
+	var buf [8]string
+	sorted := append(buf[:0], keys...)
+	slices.Sort(sorted)
+	sb.WriteByte('|')
+	sigInt(&sb, len(sorted))
+	for _, p := range sorted {
+		sb.WriteString("|p:")
+		sigStr(&sb, p)
+	}
+	return sb.String(), keys
+}
+
+// predicateKeys signs each predicate into one shared builder and returns the
+// keys as views of its string, in predicate order (nil for no predicates).
+func predicateKeys(preds []Predicate) []string {
+	if len(preds) == 0 {
+		return nil
+	}
 	var pb strings.Builder
-	preds := make([]string, len(q.Filter.Predicates))
-	for i, p := range q.Filter.Predicates {
+	keys := make([]string, len(preds))
+	for i, p := range preds {
 		head := pb.Len()
 		sigStr(&pb, p.Field)
 		if p.Op == OpIn {
 			vals := append([]string(nil), p.Values...)
-			sort.Strings(vals)
+			slices.Sort(vals)
 			pb.WriteString(":in:")
 			sigInt(&pb, len(vals))
 			for _, v := range vals {
@@ -237,16 +267,9 @@ func (q *Query) Signature() string {
 			pb.WriteByte(':')
 			sigFloat(&pb, p.Hi)
 		}
-		preds[i] = pb.String()[head:]
+		keys[i] = pb.String()[head:]
 	}
-	sort.Strings(preds)
-	sb.WriteByte('|')
-	sigInt(&sb, len(preds))
-	for _, p := range preds {
-		sb.WriteString("|p:")
-		sigStr(&sb, p)
-	}
-	return sb.String()
+	return keys
 }
 
 func sigInt(sb *strings.Builder, n int) {

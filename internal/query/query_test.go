@@ -3,6 +3,7 @@ package query
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -164,6 +165,35 @@ func TestSignatureStability(t *testing.T) {
 	q3.Bins[0].Width = 20
 	if q3.Signature() == validQuery().Signature() {
 		t.Error("different binning must change the signature")
+	}
+}
+
+// TestSignatureGolden pins Signature's bytes: it keys the ground-truth
+// cache and every reuse cache, and the predicate keys SignatureKeys shares
+// with the engines' selection lookup are the substrings it embeds.
+func TestSignatureGolden(t *testing.T) {
+	q := &Query{VizName: "v", Table: "flights",
+		Bins: []Binning{{Field: "dep_delay", Kind: dataset.Quantitative, Width: 12.5, Origin: -3},
+			{Field: "carrier", Kind: dataset.Nominal}},
+		Aggs: []Aggregate{{Func: Count}, {Func: Avg, Field: "arr_delay"}},
+		Filter: Filter{Predicates: []Predicate{
+			{Field: "origin", Op: OpIn, Values: []string{"SFO", "JFK", "a|p:b"}},
+			{Field: "distance", Op: OpRange, Lo: 100, Hi: 1e6},
+			{Field: "dep_time", Op: OpRange, Lo: -0.5, Hi: 0.1},
+		}}}
+	const want = "7:flights|2|b:9:dep_delay:0:12.5:-3|b:7:carrier:1:0:0|2|a:5:count:0:|a:3:avg:9:arr_delay" +
+		"|3|p:33:6:origin:in:3:3:JFK:3:SFO:5:a|p:b|p:25:8:dep_time:range:-0.5:0.1|p:26:8:distance:range:100:1e+06"
+	sig, keys := q.SignatureKeys()
+	if sig != want || q.Signature() != want {
+		t.Fatalf("signature changed:\n got %q\nwant %q", sig, want)
+	}
+	wantKeys := []string{"6:origin:in:3:3:JFK:3:SFO:5:a|p:b", "8:distance:range:100:1e+06", "8:dep_time:range:-0.5:0.1"}
+	if !reflect.DeepEqual(keys, wantKeys) {
+		t.Fatalf("predicate keys %q, want %q (filter order)", keys, wantKeys)
+	}
+	q.Filter = Filter{}
+	if sig, keys := q.SignatureKeys(); sig != want[:strings.Index(want, "|3|p:")]+"|0" || keys != nil {
+		t.Fatalf("unfiltered: signature %q, keys %q", sig, keys)
 	}
 }
 
