@@ -118,7 +118,7 @@ func cmdRun(args []string) error {
 		var sink ingest.Sink
 		if rem != nil {
 			sink = rem
-		} else if app := engine.CapabilitiesOf(p.Engine).Appender; app != nil {
+		} else if app, ok := p.Engine.(engine.Appender); ok {
 			sink = ingest.EngineSink{A: app}
 		} else {
 			return fmt.Errorf("engine %s does not support live ingestion", p.Engine.Name())

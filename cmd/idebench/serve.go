@@ -143,10 +143,9 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	caps := engine.CapabilitiesOf(b.Engine)
 	if info := b.Info; info.Recovered {
 		mode := "warm"
-		if caps.ReorderedPreparer == nil {
+		if _, ok := b.Engine.(engine.ReorderedPreparer); !ok {
 			mode = "re-prepared"
 		}
 		note := ""
@@ -168,7 +167,7 @@ func cmdServe(args []string) error {
 
 	opts := cfg.options("", int64(b.DB.Fact.NumRows()))
 	if b.Apply != nil {
-		opts.Rows = caps.Appender.Watermark()
+		opts.Rows = b.Engine.(engine.Watermarker).Watermark()
 		opts.Apply = b.Apply.Apply
 		fmt.Printf("live ingestion enabled: client ingest frames append to %s\n", b.Engine.Name())
 	}
@@ -177,7 +176,7 @@ func cmdServe(args []string) error {
 	}
 	opts.Durable = b.Store
 	stopCkpt := func() {}
-	if vs := caps.ViewSnapshotter; vs != nil {
+	if vs, ok := b.Engine.(engine.ViewSnapshotter); ok {
 		stopCkpt = b.Store.AutoCheckpoint(*ckptInterval, *ckptWALBytes, vs.SnapshotView, func(err error) {
 			fmt.Fprintln(os.Stderr, "idebench: background checkpoint:", err)
 		})

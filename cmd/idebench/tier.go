@@ -64,7 +64,7 @@ func cmdShard(args []string) error {
 		*shardIndex, *shardCount, part.Fact.NumRows(), db.Fact.NumRows(), p.PrepTime.Round(time.Microsecond))
 
 	opts := cfg.options("shard", int64(part.Fact.NumRows()))
-	if app := engine.CapabilitiesOf(p.Engine).Appender; app != nil {
+	if app, ok := p.Engine.(engine.Appender); ok {
 		// The coordinator routes ingest sub-batches here; they materialize
 		// and validate against this shard's own partition.
 		opts.Apply = ingest.NewApplier(part, app).Apply
@@ -304,10 +304,10 @@ func cmdCoord(args []string) error {
 	opts.Apply = ingest.NewApplier(db, co).Apply
 	// POST /rebalance changes the replica topology while serving: attach a
 	// cold replica (it re-syncs from its own durable state and is promoted by
-	// the health loop), or detach one by name. The checkpoint-streaming
-	// "rebalance" handoff is an in-process transfer — a shard process owns
-	// its durable state, so a remote newcomer joins via "add" and proves
-	// freshness through its watermark instead of receiving streamed state.
+	// the health loop), or detach one by name. A shard process owns its
+	// durable state, so a remote newcomer proves freshness through its
+	// watermark; the checkpoint-streaming handoff (Coordinator.Rebalance)
+	// needs an in-process target and is not offered here.
 	opts.Rebalance = func(req server.RebalanceRequest) error {
 		switch req.Op {
 		case "remove":
@@ -322,8 +322,6 @@ func cmdCoord(args []string) error {
 				return err
 			}
 			return nil
-		case "rebalance":
-			return errors.New("coord: checkpoint-streaming handoff needs an in-process target; remote replicas join via op \"add\" and re-sync from their own durable state")
 		}
 		return fmt.Errorf("coord: unknown rebalance op %q", req.Op)
 	}

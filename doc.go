@@ -134,7 +134,7 @@
 //
 // `serve`, `shard` and `coord` are one bring-up — one shared flag set, one
 // place assembling server.Options, one listen/banner/drain function — each
-// adding only its role's hooks. /healthz serves server.Health (schema 3):
+// adding only its role's hooks. /healthz serves server.Health (schema 4):
 // live state top-level, the cumulative counters in an "admission" block, and
 // where they apply the coordinator's "topology" and the data directory's
 // "durable" blocks.
@@ -153,9 +153,9 @@
 // Deadline-aware shedding complements admission: queries still running at
 // twice their client-stated deadline (the server's lateFactor constant) are
 // cancelled with their partial final marked Shed (the client snapshotted at
-// the deadline anyway), and speculative shared-scan work detaches first
-// whenever admission pressure builds — foreground queries are never shed,
-// only late and speculative work. Ping-based liveness (a ping every 10s,
+// the deadline anyway) — foreground queries inside their budget are never
+// shed, and speculation needs no valve, because the shared scan never
+// dispatches it while foreground work runs. Ping-based liveness (a ping every 10s,
 // teardown after 30s of silence: the pingInterval and idleTimeout
 // constants) tears down silent connections so a vanished client cannot
 // hold shared-scan consumers, and every valve increments a counter surfaced
@@ -235,12 +235,10 @@
 // -expect full|degraded|refused` asserts the tier's answer quality (and
 // prints a result digest) from the shell. The coordinator's /healthz
 // topology block reports the full per-replica state and each partition's
-// confirmed watermark.
-// Engine capability discovery is consolidated behind engine.CapabilitiesOf,
-// one struct resolving all optional interfaces in a single pass. The elastic
-// wall kills a primary mid-replay, then a whole partition, then rebalances
-// replacements in and requires bitwise-identical recovery; `idebench exp
-// -name elastic` sweeps availability vs dead replicas.
+// confirmed watermark. The elastic wall kills a primary mid-replay, then a
+// whole partition, then rebalances replacements in and requires
+// bitwise-identical recovery; `idebench exp -name elastic` sweeps
+// availability vs dead replicas.
 //
 // # Durable state
 //

@@ -66,7 +66,7 @@ func Boot(name, dir string, s Settings) (b *Booted, err error) {
 		// Checkpoint the prepared base in the engine's own storage order
 		// when it exposes one.
 		bdb, perm := b.DB, []uint32(nil)
-		if vs := engine.CapabilitiesOf(b.Engine).ViewSnapshotter; vs != nil {
+		if vs, ok := b.Engine.(engine.ViewSnapshotter); ok {
 			bdb, perm = vs.SnapshotView()
 		}
 		if err := st.Bootstrap(bdb, perm); err != nil {
@@ -95,7 +95,7 @@ func bootCold(name string, s Settings) (*Booted, error) {
 		return nil, err
 	}
 	b := &Booted{Engine: p.Engine, DB: db, PrepTime: p.PrepTime}
-	if app := engine.CapabilitiesOf(b.Engine).Appender; app != nil {
+	if app, ok := b.Engine.(engine.Appender); ok {
 		b.Apply = ingest.NewApplier(db, app)
 	}
 	return b, nil
@@ -109,10 +109,9 @@ func bootWarm(name string, rec *durable.Recovery, s Settings) (*Booted, error) {
 		return nil, err
 	}
 	b := &Booted{Engine: eng, DB: rec.Checkpoint.DB, Info: rec.Info}
-	caps := engine.CapabilitiesOf(eng)
 	opts := engine.Options{Confidence: s.Confidence, Seed: s.Seed}
 	start := time.Now()
-	if rp := caps.ReorderedPreparer; rp != nil {
+	if rp, ok := eng.(engine.ReorderedPreparer); ok {
 		err = rp.PrepareReordered(b.DB, rec.Checkpoint.Perm, opts)
 	} else {
 		err = eng.Prepare(b.DB, opts)
@@ -121,13 +120,14 @@ func bootWarm(name string, rec *durable.Recovery, s Settings) (*Booted, error) {
 		return nil, fmt.Errorf("core: prepare %s: %w", name, err)
 	}
 	b.PrepTime = time.Since(start)
-	if caps.Appender == nil {
+	app, ok := eng.(engine.Appender)
+	if !ok {
 		if len(rec.Batches) > 0 {
 			return nil, fmt.Errorf("core: %d WAL batches to replay but engine %s cannot append", len(rec.Batches), name)
 		}
 		return b, nil
 	}
-	b.Apply = ingest.NewApplier(b.DB, caps.Appender)
+	b.Apply = ingest.NewApplier(b.DB, app)
 	start = time.Now()
 	for _, batch := range rec.Batches {
 		if _, err := b.Apply.Apply(batch); err != nil {
@@ -135,7 +135,7 @@ func bootWarm(name string, rec *durable.Recovery, s Settings) (*Booted, error) {
 		}
 	}
 	b.ReplayTime = time.Since(start)
-	if got := caps.Appender.Watermark(); got != rec.Info.Watermark {
+	if got := app.Watermark(); got != rec.Info.Watermark {
 		return nil, fmt.Errorf("core: wal replay ended at watermark %d, recovery expected %d", got, rec.Info.Watermark)
 	}
 	return b, nil
@@ -144,8 +144,8 @@ func bootWarm(name string, rec *durable.Recovery, s Settings) (*Booted, error) {
 // Checkpoint writes a checkpoint of the engine's current view to Store. It
 // is a no-op for engines without the ViewSnapshotter capability.
 func (b *Booted) Checkpoint() error {
-	vs := engine.CapabilitiesOf(b.Engine).ViewSnapshotter
-	if vs == nil {
+	vs, ok := b.Engine.(engine.ViewSnapshotter)
+	if !ok {
 		return nil
 	}
 	return b.Store.Checkpoint(vs.SnapshotView())

@@ -1,70 +1,5 @@
 package engine
 
-// Capabilities is the resolved set of optional interfaces an Engine
-// implements. Engines opt into extra behavior — live ingest, load shedding,
-// durability, scatter-gather observability — by implementing small optional
-// interfaces; before this struct existed every consumer re-discovered them
-// with ad-hoc type assertions scattered across the serving layer, the
-// coordinator, the durable wiring and the CLI. CapabilitiesOf performs that
-// discovery once; a nil field means the capability is absent.
-//
-// The struct is a snapshot of the engine's static type, so it is safe to
-// resolve at construction time and keep for the engine's lifetime: Go
-// interface satisfaction cannot change at runtime.
-type Capabilities struct {
-	// Appender absorbs live append batches (implies Watermarker).
-	Appender Appender
-	// Watermarker reports the absorbed data version. Set whenever the
-	// engine has a Watermark method — including watermark-only backends
-	// like *server.Remote that cannot Append locally.
-	Watermarker Watermarker
-	// Shedder cancels speculative work under overload pressure.
-	Shedder Shedder
-	// ScanObserver reports attached shared-scan consumers.
-	ScanObserver ScanObserver
-	// ViewSnapshotter exposes the prepared storage for checkpointing and
-	// hash-range handoff.
-	ViewSnapshotter ViewSnapshotter
-	// ReorderedPreparer adopts already-reordered storage (warm restart,
-	// rebalance target).
-	ReorderedPreparer ReorderedPreparer
-	// TopologyObserver reports replica-set topology and health
-	// (replicated coordinator engines).
-	TopologyObserver TopologyObserver
-}
-
-// CapabilitiesOf resolves every optional capability of e in one pass.
-// Callers resolve once (at server construction, coordinator construction,
-// CLI wiring) instead of asserting per call site.
-func CapabilitiesOf(e Engine) Capabilities {
-	var c Capabilities
-	if e == nil {
-		return c
-	}
-	if v, ok := e.(Appender); ok {
-		c.Appender = v
-	}
-	if v, ok := e.(Watermarker); ok {
-		c.Watermarker = v
-	}
-	if v, ok := e.(Shedder); ok {
-		c.Shedder = v
-	}
-	if v, ok := e.(ScanObserver); ok {
-		c.ScanObserver = v
-	}
-	if v, ok := e.(ViewSnapshotter); ok {
-		c.ViewSnapshotter = v
-	}
-	if v, ok := e.(ReorderedPreparer); ok {
-		c.ReorderedPreparer = v
-	}
-	if v, ok := e.(TopologyObserver); ok {
-		c.TopologyObserver = v
-	}
-	return c
-}
-
 // TopologyObserver is the optional elasticity observability capability:
 // replicated coordinator engines report their replica-set topology — which
 // replicas serve each hash partition, their health, their translated

@@ -148,18 +148,6 @@ type Appender interface {
 	Append(rows *dataset.Table) error
 }
 
-// Shedder is the optional overload capability: engines whose background
-// work can be cancelled under pressure implement it. ShedSpeculation drops
-// every purely speculative unit of work — queries prefetched on link hints
-// that no foreground consumer currently needs — and returns how many were
-// shed. Foreground queries are never touched: the shedding policy is
-// strictly "speculation first, admission control second, foreground never".
-// The serving layer calls this when admission pressure builds, before it
-// starts rejecting queries.
-type Shedder interface {
-	ShedSpeculation() int
-}
-
 // ScanObserver is the optional observability capability: engines built on a
 // shared scan report how many consumers are currently attached. The serving
 // layer surfaces it on /healthz and the chaos tests assert it returns to

@@ -221,22 +221,9 @@ func (e *Engine) ActiveScanConsumers() int {
 	return 0
 }
 
-// ShedSpeculation implements the engine.Shedder overload capability: it
-// detaches every purely speculative consumer (across all sessions) from the
-// shared scan and returns how many were shed. Foreground queries keep their
-// strict priority untouched; shed consumers retain their coverage and
-// resume if re-speculated or acquired later.
-func (e *Engine) ShedSpeculation() int {
-	if v := e.lin.Load(); v != nil {
-		return v.X.scan.ShedSpeculative()
-	}
-	return 0
-}
-
 var (
 	_ engine.Engine       = (*Engine)(nil)
 	_ engine.Appender     = (*Engine)(nil)
-	_ engine.Shedder      = (*Engine)(nil)
 	_ engine.ScanObserver = (*Engine)(nil)
 )
 

@@ -170,31 +170,6 @@ func (s *Scanner) ActiveConsumers() int {
 	return len(s.active)
 }
 
-// ShedSpeculative detaches every purely speculative consumer from the scan
-// and withdraws its standing attachment, returning how many were shed. This
-// is the overload valve: under admission pressure the serving layer drops
-// background prefetch work before it rejects foreground queries. Coverage
-// is retained — a shed consumer stays registered for Extend and resumes
-// from where it left off on the next Acquire or Speculate — so shedding
-// costs deferred speculation, never folded rows.
-func (s *Scanner) ShedSpeculative() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for i := 0; i < len(s.active); {
-		c := s.active[i]
-		if c.fgRefs == 0 {
-			c.spec = false
-			c.attached = false
-			s.active = append(s.active[:i], s.active[i+1:]...)
-			n++
-			continue
-		}
-		i++
-	}
-	return n
-}
-
 // NewConsumer creates a detached consumer for plan, which must be compiled
 // against the current view of the scanner's table; sig is the plan's query
 // signature, which the caller has already computed as its own cache key,

@@ -184,40 +184,52 @@ func TestLateAttachWrapsAround(t *testing.T) {
 
 // TestDetachResume cancels a consumer mid-scan, verifies its coverage is
 // retained, then reattaches and checks the completed result is exact — the
-// reuse-cache semantics of the progressive engine.
+// reuse-cache semantics of the progressive engine. A foreground handle
+// (Acquire/Release) and a speculation round (Speculate/Unspeculate) detach
+// and resume alike.
 func TestDetachResume(t *testing.T) {
-	f := newFixture(t, 300000, 4)
-	s := New(f.db.Fact.NumRows(), 256, 1)
-	c := newConsumer(s, f.plan(t, 2))
-	c.Acquire()
-	deadline := time.Now().Add(10 * time.Second)
-	for c.RowsSeen() < 1000 && time.Now().Before(deadline) {
+	for _, tc := range []struct {
+		name           string
+		attach, detach func(*Consumer)
+	}{
+		{"foreground", (*Consumer).Acquire, (*Consumer).Release},
+		{"speculative", (*Consumer).Speculate, (*Consumer).Unspeculate},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, 300000, 4)
+			s := New(f.db.Fact.NumRows(), 256, 1)
+			c := newConsumer(s, f.plan(t, 2))
+			tc.attach(c)
+			deadline := time.Now().Add(10 * time.Second)
+			for c.RowsSeen() < 1000 && time.Now().Before(deadline) {
+			}
+			tc.detach(c) // no attachment left: detaches
+			seen := c.RowsSeen()
+			if seen == 0 {
+				t.Skip("machine too fast to catch a partial state")
+			}
+			if c.IsDone() {
+				t.Skip("scan finished before detach")
+			}
+			// Detached: progress must stop (allow in-flight folds to drain first).
+			time.Sleep(20 * time.Millisecond)
+			settled := c.RowsSeen()
+			time.Sleep(50 * time.Millisecond)
+			if c.RowsSeen() != settled {
+				t.Fatalf("detached consumer kept scanning: %d -> %d", settled, c.RowsSeen())
+			}
+			snap := c.Snapshot(1.96)
+			if snap.Complete || snap.RowsSeen != settled {
+				t.Fatalf("partial snapshot rows %d complete=%v, want %d rows partial",
+					snap.RowsSeen, snap.Complete, settled)
+			}
+			// Resume and complete; every row must be folded exactly once.
+			tc.attach(c)
+			waitDone(t, c)
+			tc.detach(c)
+			resultsIdentical(t, "resume", f.exact(t, 2), c.Snapshot(1.96))
+		})
 	}
-	c.Release() // no foreground refs left: detaches
-	seen := c.RowsSeen()
-	if seen == 0 {
-		t.Skip("machine too fast to catch a partial state")
-	}
-	if c.IsDone() {
-		t.Skip("scan finished before detach")
-	}
-	// Detached: progress must stop (allow in-flight folds to drain first).
-	time.Sleep(20 * time.Millisecond)
-	settled := c.RowsSeen()
-	time.Sleep(50 * time.Millisecond)
-	if c.RowsSeen() != settled {
-		t.Fatalf("detached consumer kept scanning: %d -> %d", settled, c.RowsSeen())
-	}
-	snap := c.Snapshot(1.96)
-	if snap.Complete || snap.RowsSeen != settled {
-		t.Fatalf("partial snapshot rows %d complete=%v, want %d rows partial",
-			snap.RowsSeen, snap.Complete, settled)
-	}
-	// Resume and complete; every row must be folded exactly once.
-	c.Acquire()
-	waitDone(t, c)
-	c.Release()
-	resultsIdentical(t, "resume", f.exact(t, 2), c.Snapshot(1.96))
 }
 
 // TestSpeculativeConsumerRunsInThinkTime verifies a Speculate-attached
@@ -241,40 +253,52 @@ func TestSpeculativeConsumerRunsInThinkTime(t *testing.T) {
 
 // TestSpeculationYieldsToForeground pins IDEA's scheduling invariant:
 // speculative consumers are suspended while a foreground consumer is
-// attached, and resume afterwards. One worker keeps fold ordering
-// deterministic: a foreground consumer's final fold (and finish) lands
-// before any resumed speculative fold, so observed speculative progress
-// while the foreground query is incomplete is bounded by folds that were
-// already in flight when the query arrived.
+// attached, and resume afterwards. A consumer that is both acquired and
+// speculated is foreground. One worker keeps fold ordering deterministic: a
+// foreground consumer's final fold (and finish) lands before any resumed
+// speculative fold, so observed speculative progress while the foreground
+// query is incomplete is bounded by folds that were already in flight when
+// the query arrived.
 func TestSpeculationYieldsToForeground(t *testing.T) {
-	f := newFixture(t, 400000, 9)
-	s := New(f.db.Fact.NumRows(), 256, 1)
-	spec := newConsumer(s, f.plan(t, 1))
-	spec.Speculate()
-	deadline := time.Now().Add(10 * time.Second)
-	for spec.RowsSeen() == 0 && time.Now().Before(deadline) {
-		time.Sleep(50 * time.Microsecond)
+	for _, tc := range []struct {
+		name     string
+		alsoSpec bool
+	}{{"acquired", false}, {"acquired+speculated", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, 400000, 9)
+			s := New(f.db.Fact.NumRows(), 256, 1)
+			spec := newConsumer(s, f.plan(t, 1))
+			spec.Speculate()
+			deadline := time.Now().Add(10 * time.Second)
+			for spec.RowsSeen() == 0 && time.Now().Before(deadline) {
+				time.Sleep(50 * time.Microsecond)
+			}
+			if spec.IsDone() {
+				t.Skip("speculation finished before the foreground query could interrupt")
+			}
+			fg := newConsumer(s, f.plan(t, 0))
+			fg.Acquire()
+			if tc.alsoSpec {
+				fg.Speculate()
+			}
+			base := spec.RowsSeen()
+			const slackRows = 10 * 256 // dispatches already in flight at Acquire
+			for !fg.IsDone() {
+				cur := spec.RowsSeen()
+				if fg.IsDone() {
+					break
+				}
+				if cur > base+slackRows {
+					t.Fatalf("speculation advanced %d rows while a foreground query was active", cur-base)
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+			fg.Release()
+			resultsIdentical(t, "foreground", f.exact(t, 0), fg.Snapshot(1.96))
+			waitDone(t, spec) // suspended targets must resume once foreground drains
+			resultsIdentical(t, "resumed speculation", f.exact(t, 1), spec.Snapshot(1.96))
+		})
 	}
-	if spec.IsDone() {
-		t.Skip("speculation finished before the foreground query could interrupt")
-	}
-	fg := newConsumer(s, f.plan(t, 0))
-	fg.Acquire()
-	base := spec.RowsSeen()
-	const slackRows = 10 * 256 // dispatches already in flight at Acquire
-	for !fg.IsDone() {
-		cur := spec.RowsSeen()
-		if fg.IsDone() {
-			break
-		}
-		if cur > base+slackRows {
-			t.Fatalf("speculation advanced %d rows while a foreground query was active", cur-base)
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	fg.Release()
-	waitDone(t, spec) // suspended targets must resume once foreground drains
-	resultsIdentical(t, "resumed speculation", f.exact(t, 1), spec.Snapshot(1.96))
 }
 
 func TestEmptyTableConsumerIsDoneImmediately(t *testing.T) {

@@ -309,49 +309,6 @@ func ConcurrentMultiViz(t *testing.T, factory func() engine.Engine, exactWhenCom
 	}
 }
 
-// CapabilitiesAgree asserts engine.CapabilitiesOf resolves exactly the set
-// of optional interfaces a direct type assertion finds on e — and that each
-// resolved capability IS e (the same value, not a wrapper). The one-pass
-// capability API is only a consolidation if it can never disagree with the
-// assertions it replaced.
-func CapabilitiesAgree(t *testing.T, e engine.Engine) {
-	t.Helper()
-	caps := engine.CapabilitiesOf(e)
-	_, hasAppender := e.(engine.Appender)
-	_, hasWatermarker := e.(engine.Watermarker)
-	_, hasShedder := e.(engine.Shedder)
-	_, hasScanObserver := e.(engine.ScanObserver)
-	_, hasViewSnapshotter := e.(engine.ViewSnapshotter)
-	_, hasReorderedPreparer := e.(engine.ReorderedPreparer)
-	_, hasTopologyObserver := e.(engine.TopologyObserver)
-	checks := []struct {
-		name     string
-		resolved any
-		present  bool
-		direct   bool
-	}{
-		{"Appender", caps.Appender, caps.Appender != nil, hasAppender},
-		{"Watermarker", caps.Watermarker, caps.Watermarker != nil, hasWatermarker},
-		{"Shedder", caps.Shedder, caps.Shedder != nil, hasShedder},
-		{"ScanObserver", caps.ScanObserver, caps.ScanObserver != nil, hasScanObserver},
-		{"ViewSnapshotter", caps.ViewSnapshotter, caps.ViewSnapshotter != nil, hasViewSnapshotter},
-		{"ReorderedPreparer", caps.ReorderedPreparer, caps.ReorderedPreparer != nil, hasReorderedPreparer},
-		{"TopologyObserver", caps.TopologyObserver, caps.TopologyObserver != nil, hasTopologyObserver},
-	}
-	for _, c := range checks {
-		if c.present != c.direct {
-			t.Errorf("%s: capability %s: CapabilitiesOf resolved %v, direct type assertion says %v",
-				e.Name(), c.name, c.present, c.direct)
-		}
-		if c.present && c.resolved != any(e) {
-			t.Errorf("%s: capability %s resolved to a different value than the engine itself", e.Name(), c.name)
-		}
-	}
-	if hasAppender && !hasWatermarker {
-		t.Errorf("%s: implements Appender but not Watermarker — Appender embeds Watermarker, so this cannot happen", e.Name())
-	}
-}
-
 // Conformance runs the behavioural suite every engine must pass on a
 // de-normalized database.
 func Conformance(t *testing.T, factory func() engine.Engine, exactWhenComplete bool) {
@@ -457,14 +414,32 @@ func Conformance(t *testing.T, factory func() engine.Engine, exactWhenComplete b
 		}
 	})
 
+	// Consumers assert the one optional interface they need where they
+	// need it, so each one the engine has must describe the prepared data
+	// on its own.
 	t.Run("Capabilities", func(t *testing.T) {
 		e := factory()
-		CapabilitiesAgree(t, e)
 		if err := e.Prepare(db, engine.Options{}); err != nil {
 			t.Fatal(err)
 		}
-		// Capabilities are static type facts: preparing must not change them.
-		CapabilitiesAgree(t, e)
+		rows := db.NumRows()
+		if wmk, ok := e.(engine.Watermarker); ok {
+			if wm := wmk.Watermark(); wm != int64(rows) {
+				t.Errorf("prepared watermark %d, want %d", wm, rows)
+			}
+		}
+		if vs, ok := e.(engine.ViewSnapshotter); ok {
+			view, perm := vs.SnapshotView()
+			if view == nil {
+				t.Fatal("SnapshotView after Prepare returned no view")
+			}
+			if view.NumRows() != rows {
+				t.Errorf("SnapshotView after Prepare holds %d rows, want %d", view.NumRows(), rows)
+			}
+			if len(perm) > rows {
+				t.Errorf("SnapshotView permutation covers %d rows of %d", len(perm), rows)
+			}
+		}
 	})
 
 	t.Run("CancelStopsExecution", func(t *testing.T) {

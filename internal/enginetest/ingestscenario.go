@@ -28,8 +28,8 @@ func IngestScenario(t *testing.T, factory func() engine.Engine, exactWhenComplet
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	app := engine.CapabilitiesOf(e).Appender
-	if app == nil {
+	app, ok := e.(engine.Appender)
+	if !ok {
 		t.Fatalf("engine %s does not implement engine.Appender", e.Name())
 	}
 	if w := app.Watermark(); w != int64(db.NumRows()) {

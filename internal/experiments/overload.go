@@ -63,8 +63,7 @@ func OverloadSweepRates(cfg Config, rates []float64, window time.Duration) ([]re
 	if err != nil {
 		return nil, err
 	}
-	caps := engine.CapabilitiesOf(p.Engine)
-	scanObs := caps.ScanObserver
+	scanObs, _ := p.Engine.(engine.ScanObserver)
 
 	// Tight caps force the knee inside the ladder: a shallow admission queue
 	// and a short late budget mean the upper rungs must be survived by
@@ -77,7 +76,7 @@ func OverloadSweepRates(cfg Config, rates []float64, window time.Duration) ([]re
 		MaxInflightPerConn: 8,
 		PollInterval:       time.Millisecond,
 	}
-	if app := caps.Appender; app != nil {
+	if app, ok := p.Engine.(engine.Appender); ok {
 		opts.Apply = ingest.NewApplier(db, app).Apply
 	}
 	srv := server.New(p.Engine, opts)

@@ -195,7 +195,8 @@ func replayPoint(cfg Config, db *dataset.Database, gt *groundtruth.Cache, t topo
 	var app engine.Appender
 	var h *ingest.Harness
 	if withIngest {
-		if app = engine.CapabilitiesOf(eng).Appender; app == nil {
+		var ok bool
+		if app, ok = eng.(engine.Appender); !ok {
 			return row, fmt.Errorf("experiments: %s does not support ingestion", t.label)
 		}
 		src, err := ingest.NewSource(2000, cfg.Seed+23)

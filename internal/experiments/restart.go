@@ -131,7 +131,7 @@ func Restart(cfg Config) (*RestartResult, error) {
 	res.WALReplayMS = float64(warm.ReplayTime) / float64(time.Millisecond)
 	res.WarmLoadMS = warmMS - res.WALReplayMS
 	res.WarmTotalMS = warmMS
-	app := engine.CapabilitiesOf(warm.Engine).Appender
+	app := warm.Engine.(engine.Appender)
 	if got, want := app.Watermark(), h.Watermark(); got != want {
 		return nil, fmt.Errorf("experiments: restart: replayed watermark %d, want %d", got, want)
 	}

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"idebench/internal/engine"
@@ -46,10 +48,11 @@ type topoEngine struct {
 func (e topoEngine) Topology() engine.Topology { return e.topo }
 
 // TestHealthSchemaVersioned asserts the /healthz document is the exported,
-// schema-3 Health struct for each server shape: live state top-level, the
-// admission block always, the durable block only with a data directory,
-// the topology block only on a coordinator, and none of the schema-2 shard
-// fields that restated the topology.
+// schema-4 Health struct for each server shape: live state top-level, the
+// admission block always and with exactly its schema-4 counters, the
+// durable block only with a data directory, the topology block only on a
+// coordinator, and none of the schema-2 shard fields that restated the
+// topology.
 func TestHealthSchemaVersioned(t *testing.T) {
 	f := newFixture(t, Options{})
 	topo := engine.Topology{
@@ -76,8 +79,8 @@ func TestHealthSchemaVersioned(t *testing.T) {
 			hsrv := httptest.NewServer(New(c.eng, c.opts))
 			defer hsrv.Close()
 			h, raw := getHealth(t, hsrv.URL)
-			if h.SchemaVersion != 3 || HealthSchemaVersion != 3 {
-				t.Errorf("schema_version = %d (const %d), want 3", h.SchemaVersion, HealthSchemaVersion)
+			if h.SchemaVersion != 4 || HealthSchemaVersion != 4 {
+				t.Errorf("schema_version = %d (const %d), want 4", h.SchemaVersion, HealthSchemaVersion)
 			}
 			if h.Version != ProtoVersion {
 				t.Errorf("version = %d, want %d", h.Version, ProtoVersion)
@@ -95,6 +98,16 @@ func TestHealthSchemaVersioned(t *testing.T) {
 					t.Errorf("schema-2 key %q is still top-level", key)
 				}
 			}
+			var adm map[string]json.RawMessage
+			if err := json.Unmarshal(raw["admission"], &adm); err != nil {
+				t.Fatal(err)
+			}
+			admKeys := slices.Sorted(maps.Keys(adm))
+			wantAdm := []string{"admitted", "conns_rejected", "dropped_intermediates", "idle_disconnects",
+				"rejected_draining", "rejected_overload", "rejected_per_conn", "shed_late"}
+			if !slices.Equal(admKeys, wantAdm) {
+				t.Errorf("admission keys = %v, want %v", admKeys, wantAdm)
+			}
 			if _, ok := raw["topology"]; ok != c.wantTopology {
 				t.Errorf("topology block present = %v, want %v", ok, c.wantTopology)
 			}
@@ -111,8 +124,9 @@ func TestHealthSchemaVersioned(t *testing.T) {
 	}
 }
 
-// TestRebalanceEndpoint covers the admin endpoint: wired, it validates the
-// op, forwards to the hook, and maps hook errors to 409; unwired, it 404s.
+// TestRebalanceEndpoint covers the admin endpoint: wired, it accepts only
+// "add" and "remove", forwards them to the hook, and maps hook errors to 409;
+// unwired, it 404s.
 func TestRebalanceEndpoint(t *testing.T) {
 	var got []RebalanceRequest
 	f := newFixture(t, Options{Rebalance: func(req RebalanceRequest) error {
@@ -142,8 +156,15 @@ func TestRebalanceEndpoint(t *testing.T) {
 	if resp := post(`{"op":"remove","partition":0,"name":"p0/r0/x"}`); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("hook error status = %d, want 409", resp.StatusCode)
 	}
-	if resp := post(`{"op":"shuffle"}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown op status = %d, want 400", resp.StatusCode)
+	// Ops the endpoint does not wire never reach the hook: "rebalance" (the
+	// checkpoint-streaming handoff) is in-process only.
+	for _, body := range []string{`{"op":"shuffle"}`, `{"op":"rebalance","partition":0,"addr":"127.0.0.1:9999"}`} {
+		if resp := post(body); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if len(got) != 2 {
+		t.Fatalf("hook called for a refused op: %+v", got)
 	}
 	if resp, err := http.Get(f.hsrv.URL + "/rebalance"); err != nil {
 		t.Fatal(err)

@@ -5,11 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"idebench/internal/dataset"
 	"idebench/internal/engine"
+	"idebench/internal/engine/progressive"
+	"idebench/internal/enginetest"
 	"idebench/internal/query"
 )
 
@@ -370,5 +374,80 @@ func TestHealthzOverloadCounters(t *testing.T) {
 	}
 	if _, ok := raw["scan_consumers"]; !ok {
 		t.Fatal("healthz omits scan_consumers for a scan-observing engine")
+	}
+}
+
+// TestRejectionLeavesSpeculationAttached pins that an admission rejection is
+// only a reject frame: it changes no engine state. A speculating session
+// links two vizs (speculation targets attach), holds its single query slot
+// with a foreground query — which suspends the targets in the shared scan —
+// and has one more query rejected; the attached scan consumers must be
+// exactly the ones there before the rejection.
+func TestRejectionLeavesSpeculationAttached(t *testing.T) {
+	db := enginetest.SmallDB(1_000_000, 7)
+	eng := progressive.New(progressive.Config{Speculate: true})
+	if err := eng.Prepare(db, engine.Options{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(eng, Options{Rows: int64(db.Fact.NumRows()), MaxInflightPerConn: 1, PollInterval: time.Millisecond})
+	hsrv := httptest.NewServer(srv)
+	defer hsrv.Close()
+	rem, err := NewRemote(strings.TrimPrefix(hsrv.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rem.Close()
+	sess := rem.OpenSession().(*RemoteSession)
+	defer sess.Close()
+
+	start := func(q *query.Query) engine.Handle {
+		t.Helper()
+		h, err := sess.StartQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	// The source viz has one bin per minute of departure delay, so the link
+	// speculates the maximum number of selections.
+	src := enginetest.AvgDelayByDistance()
+	src.VizName = "viz_delay"
+	src.Bins = []query.Binning{{Field: "dep_delay", Kind: dataset.Quantitative, Width: 1}}
+	dst := enginetest.AvgDelayByDistance()
+	awaitHandles(t, []engine.Handle{start(src)})
+	awaitHandles(t, []engine.Handle{start(dst)})
+
+	// The foreground query bins by both vizs' binnings, so compiling it
+	// builds no code column and the targets never run unsuspended.
+	fg := *dst
+	fg.VizName = "viz_fg"
+	fg.Bins = append([]query.Binning{src.Bins[0]}, dst.Bins...)
+	fg.Aggs = []query.Aggregate{{Func: query.Avg, Field: "dep_delay"}, {Func: query.Avg, Field: "arr_delay"}, {Func: query.Count}}
+	sess.LinkVizs(src.VizName, dst.VizName)
+	hold := start(&fg)
+	waitFor(t, 10*time.Second, "foreground query admitted", func() bool { return srv.Counters().Admitted.Load() == 3 })
+	before := eng.ActiveScanConsumers()
+
+	rejected := start(enginetest.CountByCarrier())
+	awaitHandles(t, []engine.Handle{rejected})
+	after := eng.ActiveScanConsumers()
+	if isDone(hold) || before < 2 {
+		t.Skip("foreground query finished, or speculation drained, before the rejection landed")
+	}
+	if rej, _ := rejected.(rejectedHandle).Rejected(); !rej {
+		t.Fatal("a second query on a one-slot session was not rejected")
+	}
+	if after != before {
+		t.Fatalf("scan consumers %d before the rejection, %d after: a rejection changed engine state", before, after)
+	}
+	awaitHandles(t, []engine.Handle{hold})
+}
+
+func isDone(h engine.Handle) bool {
+	select {
+	case <-h.Done():
+		return true
+	default:
+		return false
 	}
 }

@@ -201,9 +201,6 @@ type Counters struct {
 	ConnsRejected atomic.Int64
 	// ShedLate counts queries cancelled by deadline-aware shedding.
 	ShedLate atomic.Int64
-	// ShedSpeculative counts speculative scan consumers detached under
-	// admission pressure.
-	ShedSpeculative atomic.Int64
 	// DroppedIntermediates counts unsent intermediate snapshots superseded
 	// by fresher ones in the outbox (backpressure coalescing).
 	DroppedIntermediates atomic.Int64
@@ -217,7 +214,6 @@ type Counters struct {
 // Options.Rebalance is wired — "/rebalance" accepts topology changes.
 type Server struct {
 	eng  engine.Engine
-	caps engine.Capabilities // optional capabilities, resolved once in New
 	opts Options
 	mux  *http.ServeMux
 	// pingInterval and idleTimeout start as the package constants;
@@ -227,7 +223,6 @@ type Server struct {
 
 	ctr      Counters
 	inflight atomic.Int64 // queries executing across all connections
-	lastShed atomic.Int64 // monotonic ns of the last speculation shed
 
 	mu       sync.Mutex
 	conns    map[*serverConn]struct{}
@@ -240,7 +235,6 @@ type Server struct {
 func New(eng engine.Engine, opts Options) *Server {
 	s := &Server{
 		eng:          eng,
-		caps:         engine.CapabilitiesOf(eng),
 		opts:         opts.withDefaults(),
 		mux:          http.NewServeMux(),
 		pingInterval: pingInterval,
@@ -323,8 +317,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // is what a reconnecting client resumes at after a crash recovery.
 func (s *Server) liveWatermark() int64 {
 	rows := s.opts.Rows
-	if s.caps.Watermarker != nil {
-		if wm := s.caps.Watermarker.Watermark(); wm > rows {
+	if wmk, ok := s.eng.(engine.Watermarker); ok {
+		if wm := wmk.Watermark(); wm > rows {
 			rows = wm
 		}
 	}
@@ -342,32 +336,17 @@ func (s *Server) ConnCount() int {
 // embedding callers; /healthz reports the same numbers over HTTP.
 func (s *Server) Counters() *Counters { return &s.ctr }
 
-// shedSpeculation asks the engine to drop speculative scan work (if it has
-// the capability), rate-limited to once per 10ms so a rejection storm does
-// not convoy on the scheduler lock.
-func (s *Server) shedSpeculation() {
-	sh := s.caps.Shedder
-	if sh == nil {
-		return
-	}
-	now := time.Now().UnixNano()
-	last := s.lastShed.Load()
-	if now-last < int64(10*time.Millisecond) || !s.lastShed.CompareAndSwap(last, now) {
-		return
-	}
-	if n := sh.ShedSpeculation(); n > 0 {
-		s.ctr.ShedSpeculative.Add(int64(n))
-	}
-}
-
 // HealthSchemaVersion identifies the /healthz document layout. Monitoring
 // that scrapes the endpoint keys off this field instead of sniffing for
 // marker fields. Version 1 is the pre-elasticity document (implicit — it
 // carried no schema_version field); version 2 added schema_version itself
 // plus the replica-set topology block; version 3 nests the cumulative
 // counters under "admission" and the durable store's status under
-// "durable", and drops the shard fields that restated the topology block.
-const HealthSchemaVersion = 3
+// "durable", and drops the shard fields that restated the topology block;
+// version 4 drops the admission block's speculation-shed counter (the server
+// no longer sheds speculation: the shared scan already suspends it while
+// foreground work runs).
+const HealthSchemaVersion = 4
 
 // Health is the /healthz document — THE wire schema for server health, one
 // struct instead of ad-hoc map building, versioned by SchemaVersion. Live
@@ -415,7 +394,6 @@ type Admission struct {
 	RejectedDraining     int64 `json:"rejected_draining"`
 	ConnsRejected        int64 `json:"conns_rejected"`
 	ShedLate             int64 `json:"shed_late"`
-	ShedSpeculative      int64 `json:"shed_speculative"`
 	DroppedIntermediates int64 `json:"dropped_intermediates"`
 	IdleDisconnects      int64 `json:"idle_disconnects"`
 }
@@ -428,7 +406,6 @@ func (c *Counters) admission() Admission {
 		RejectedDraining:     c.RejectedDraining.Load(),
 		ConnsRejected:        c.ConnsRejected.Load(),
 		ShedLate:             c.ShedLate.Load(),
-		ShedSpeculative:      c.ShedSpeculative.Load(),
 		DroppedIntermediates: c.DroppedIntermediates.Load(),
 		IdleDisconnects:      c.IdleDisconnects.Load(),
 	}
@@ -448,11 +425,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	h.Inflight = s.inflight.Load()
 	h.Watermark = s.liveWatermark()
-	if obs := s.caps.ScanObserver; obs != nil {
+	if obs, ok := s.eng.(engine.ScanObserver); ok {
 		h.ScanConsumers = obs.ActiveScanConsumers()
 	}
 	h.Role = s.opts.Role
-	if to := s.caps.TopologyObserver; to != nil {
+	if to, ok := s.eng.(engine.TopologyObserver); ok {
 		topo := to.Topology()
 		h.Topology = &topo
 	}
@@ -468,13 +445,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // RebalanceRequest is the POST /rebalance admin payload: one topology
 // change. Op selects the operation — "add" attaches Addr as a cold replica
 // of Partition (it joins unsynced and is promoted once its watermark proves
-// it caught up), "remove" detaches the replica named Name, "rebalance"
-// performs the checkpoint-streaming hash-range handoff to Addr and attaches
-// it fully in sync.
+// it caught up), "remove" detaches the replica named Name. The
+// checkpoint-streaming hash-range handoff (shard.Coordinator.Rebalance) needs
+// an in-process target engine, so it has no op here.
 type RebalanceRequest struct {
 	Op        string `json:"op"`
 	Partition int    `json:"partition"`
-	// Addr is the replica backend address ("host:port") for add/rebalance.
+	// Addr is the replica backend address ("host:port") for add.
 	Addr string `json:"addr,omitempty"`
 	// Name is the replica name to detach for remove (as reported on the
 	// /healthz topology block).
@@ -496,7 +473,7 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch req.Op {
-	case "add", "remove", "rebalance":
+	case "add", "remove":
 	default:
 		http.Error(w, fmt.Sprintf("unknown rebalance op %q", req.Op), http.StatusBadRequest)
 		return
@@ -769,25 +746,20 @@ func (c *serverConn) startQuery(m *ClientMsg) {
 	perConn := len(c.inflight)
 	c.mu.Unlock()
 
-	// Admission control, cheapest valve first: shed speculative scan work as
-	// pressure builds, then refuse queries — per-connection fairness before
-	// the global cap, so one firehose session cannot crowd everyone else out.
+	// Admission control: per-connection fairness before the global cap, so
+	// one firehose session cannot crowd everyone else out. Speculative scan
+	// work needs no valve here: the shared scan never dispatches it while a
+	// foreground query is attached.
 	retryMS := int64(retryHint / time.Millisecond)
 	if perConn >= srv.opts.MaxInflightPerConn {
-		srv.shedSpeculation()
 		srv.ctr.RejectedPerConn.Add(1)
 		c.push(&ServerMsg{Type: MsgReject, ID: m.ID, Error: "session query limit reached", RetryMS: retryMS})
 		return
 	}
-	if in := srv.inflight.Load(); in >= int64(srv.opts.MaxInflight) {
-		srv.shedSpeculation()
+	if srv.inflight.Load() >= int64(srv.opts.MaxInflight) {
 		srv.ctr.RejectedOverload.Add(1)
 		c.push(&ServerMsg{Type: MsgReject, ID: m.ID, Error: "server query limit reached", RetryMS: retryMS})
 		return
-	} else if 4*in >= 3*int64(srv.opts.MaxInflight) {
-		// Approaching the cap: drop background speculation now so admitted
-		// foreground queries get the freed scan capacity.
-		srv.shedSpeculation()
 	}
 
 	h, err := c.sess.StartQuery(m.Query)

@@ -52,7 +52,6 @@ type Options struct {
 // without touching the coordinator's routing lock.
 type replica struct {
 	be   engine.Engine
-	caps engine.Capabilities
 	name string
 	// addr is the replica's dialable address, journaled with the topology
 	// so a recovering coordinator can re-attach it; "" for in-process
@@ -76,7 +75,7 @@ type replica struct {
 
 func newReplica(be engine.Engine, name string, matDB *dataset.Database) *replica {
 	return &replica{
-		be: be, caps: engine.CapabilitiesOf(be), name: name, matDB: matDB,
+		be: be, name: name, matDB: matDB,
 		healthy: true, synced: true,
 	}
 }
@@ -136,8 +135,8 @@ func (r *replica) setQuarantined() (flipped bool) {
 // fallback for backends without the capability (a static engine never moves
 // past Prepare).
 func (r *replica) watermark(base int64) int64 {
-	if r.caps.Watermarker != nil {
-		return r.caps.Watermarker.Watermark()
+	if wm, ok := r.be.(engine.Watermarker); ok {
+		return wm.Watermark()
 	}
 	return base
 }
@@ -575,7 +574,8 @@ func (co *Coordinator) applyToReplica(r *replica, sub *ingest.Batch, target int6
 		}
 		return co.waitWatermark(r, target)
 	}
-	if r.caps.Appender == nil {
+	app, ok := r.be.(engine.Appender)
+	if !ok {
 		return fmt.Errorf("%s (%s) cannot absorb ingest", r.name, r.be.Name())
 	}
 	// In-process replica: materialize against the replica's own database so
@@ -584,7 +584,7 @@ func (co *Coordinator) applyToReplica(r *replica, sub *ingest.Batch, target int6
 	if err != nil {
 		return fmt.Errorf("materialize for %s: %w", r.name, err)
 	}
-	if err := r.caps.Appender.Append(tbl); err != nil {
+	if err := app.Append(tbl); err != nil {
 		return fmt.Errorf("append to %s: %w", r.name, err)
 	}
 	return nil
@@ -599,14 +599,15 @@ const applyTimeout = 15 * time.Second
 // broadcast, so this is a short wait in practice; applyTimeout turns a dead
 // replica into an error instead of a hang.
 func (co *Coordinator) waitWatermark(r *replica, target int64) error {
-	if r.caps.Watermarker == nil {
+	wm, ok := r.be.(engine.Watermarker)
+	if !ok {
 		return nil
 	}
 	deadline := time.Now().Add(applyTimeout)
-	for r.caps.Watermarker.Watermark() < target {
+	for wm.Watermark() < target {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("%s watermark stuck at %d, want %d",
-				r.name, r.caps.Watermarker.Watermark(), target)
+				r.name, wm.Watermark(), target)
 		}
 		time.Sleep(500 * time.Microsecond)
 	}
@@ -634,25 +635,13 @@ func (co *Coordinator) eachReplica(f func(*replica)) {
 	}
 }
 
-// ShedSpeculation implements engine.Shedder by summing over replicas that
-// have the capability.
-func (co *Coordinator) ShedSpeculation() int {
-	n := 0
-	co.eachReplica(func(r *replica) {
-		if r.caps.Shedder != nil {
-			n += r.caps.Shedder.ShedSpeculation()
-		}
-	})
-	return n
-}
-
 // ActiveScanConsumers implements engine.ScanObserver by summing over
 // replicas that have the capability.
 func (co *Coordinator) ActiveScanConsumers() int {
 	n := 0
 	co.eachReplica(func(r *replica) {
-		if r.caps.ScanObserver != nil {
-			n += r.caps.ScanObserver.ActiveScanConsumers()
+		if obs, ok := r.be.(engine.ScanObserver); ok {
+			n += obs.ActiveScanConsumers()
 		}
 	})
 	return n

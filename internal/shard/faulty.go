@@ -105,14 +105,6 @@ func (f *Faulty) Watermark() int64 {
 	return 0
 }
 
-// ShedSpeculation implements engine.Shedder.
-func (f *Faulty) ShedSpeculation() int {
-	if s, ok := f.inner.(engine.Shedder); ok && !f.Down() {
-		return s.ShedSpeculation()
-	}
-	return 0
-}
-
 // ActiveScanConsumers implements engine.ScanObserver.
 func (f *Faulty) ActiveScanConsumers() int {
 	if s, ok := f.inner.(engine.ScanObserver); ok {

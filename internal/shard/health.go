@@ -60,10 +60,7 @@ func (co *Coordinator) CheckHealth() (healthy, total int) {
 			}
 			h, synced := r.state()
 			q := r.isQuarantined()
-			wms[j] = -1
-			if r.caps.Watermarker != nil {
-				wms[j] = r.caps.Watermarker.Watermark()
-			}
+			wms[j] = r.watermark(-1)
 			if h && !synced && !q && wms[j] >= targets[i] && wms[j] >= 0 {
 				r.setSynced(true)
 			}

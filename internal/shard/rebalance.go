@@ -120,7 +120,7 @@ func (co *Coordinator) Rebalance(part int, be engine.Engine) error {
 	var src *replica
 	for _, r := range co.sets[part] {
 		healthy, synced := r.state()
-		if healthy && synced && !r.isQuarantined() && r.caps.ViewSnapshotter != nil {
+		if _, ok := r.be.(engine.ViewSnapshotter); ok && healthy && synced && !r.isQuarantined() {
 			src = r
 			break
 		}
@@ -143,21 +143,21 @@ func (co *Coordinator) Rebalance(part int, be engine.Engine) error {
 		return err
 	}
 
-	view, perm := src.caps.ViewSnapshotter.SnapshotView()
+	view, perm := src.be.(engine.ViewSnapshotter).SnapshotView()
 	moved, err := transferDatabase(view)
 	if err != nil {
 		return abort(fmt.Errorf("shard: handoff encode partition %d: %w", part, err))
 	}
-	newCaps := engine.CapabilitiesOf(be)
-	if newCaps.ReorderedPreparer != nil && perm != nil {
-		err = newCaps.ReorderedPreparer.PrepareReordered(moved, perm, opts)
+	if rp, ok := be.(engine.ReorderedPreparer); ok && perm != nil {
+		err = rp.PrepareReordered(moved, perm, opts)
 	} else {
 		err = be.Prepare(moved, opts)
 	}
 	if err != nil {
 		return abort(fmt.Errorf("shard: handoff prepare partition %d: %w", part, err))
 	}
-	if newCaps.Appender == nil {
+	app, ok := be.(engine.Appender)
+	if !ok {
 		return abort(fmt.Errorf("shard: handoff target for partition %d cannot absorb the ingest tail", part))
 	}
 
@@ -183,7 +183,7 @@ func (co *Coordinator) Rebalance(part int, be engine.Engine) error {
 			if err != nil {
 				return abort(fmt.Errorf("shard: handoff tail replay partition %d: %w", part, err))
 			}
-			if err := newCaps.Appender.Append(tbl); err != nil {
+			if err := app.Append(tbl); err != nil {
 				return abort(fmt.Errorf("shard: handoff tail replay partition %d: %w", part, err))
 			}
 		}
