@@ -51,7 +51,10 @@
 // reused partial state and speculation target as a consumer of one shared
 // circular scan cursor (internal/engine/sharedscan): N in-flight queries
 // cost roughly one memory sweep instead of N, and multi-viz throughput
-// scales with engine.Options.Parallelism workers.
+// scales with engine.Options.Parallelism workers. The scanner also records,
+// once per accumulator shape, the table an unfiltered 1-D query folds over
+// each 4096-row block, and later queries of that shape merge it instead of
+// folding the rows.
 //
 // # Multi-user sessions
 //

@@ -98,6 +98,42 @@ func TestScanRangeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestScanRangeBlocksSteadyStateAllocs: a scan that merges recorded block
+// tables — whole blocks, and a span with a ragged head and tail folded row
+// by row around them — allocates nothing.
+func TestScanRangeBlocksSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	db := randomDB(t, rng, 8*BatchRows, false)
+	for name, aggs := range map[string][]query.Aggregate{
+		"count":        {{Func: query.Count}},
+		"sum_min_max":  {{Func: query.Sum, Field: "y"}, {Func: query.Min, Field: "x"}, {Func: query.Max, Field: "y"}},
+		"count_avg_2x": {{Func: query.Count}, {Func: query.Avg, Field: "x"}, {Func: query.Avg, Field: "y"}},
+	} {
+		plan, err := Compile(db, &query.Query{VizName: "v", Table: "fact",
+			Bins: []query.Binning{{Field: "cat_a", Kind: dataset.Nominal}}, Aggs: aggs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := NewBlocks(plan)
+		NewGroupState(plan).ScanRangeBlocks(0, plan.NumRows, b)
+		gs := NewGroupState(plan)
+		gs.ScanRange(0, BatchRows)
+		batch := 1
+		for _, span := range [][2]int{{0, BatchRows}, {100, 3*BatchRows - 100}} {
+			allocs := testing.AllocsPerRun(6, func() {
+				lo := batch % 5 * BatchRows
+				if gs.ScanRangeBlocks(lo+span[0], lo+span[1], b) == 0 {
+					t.Fatal("no recorded block merged")
+				}
+				batch++
+			})
+			if allocs != 0 {
+				t.Errorf("%s: %v allocations per ScanRangeBlocks over %v, want 0", name, allocs, span)
+			}
+		}
+	}
+}
+
 // TestCompileMemoizedBinningAllocs pins what a plan costs once its binning's
 // code column exists: the plan's own closures and kernels, nothing that grows
 // with the table. The byte budget is a small fraction of one code column, so

@@ -116,10 +116,14 @@ func newAccTable(numAggs int, ops []aggOp, geom denseGeom) accTable {
 
 func filled[T any](n int, v T) []T {
 	s := make([]T, n)
+	fill(s, v)
+	return s
+}
+
+func fill[T any](s []T, v T) {
 	for i := range s {
 		s[i] = v
 	}
-	return s
 }
 
 func (t *accTable) dense() bool { return t.index == nil }
@@ -220,6 +224,9 @@ type GroupState struct {
 	plan    *Compiled
 	t       accTable
 	scratch []float64 // scalar path's aggregate inputs
+	// rec is ScanRangeBlocks' recording table: a state of the same plan,
+	// made on the first block it records and emptied for each next one.
+	rec *GroupState
 }
 
 // NewGroupState allocates an empty state for the plan.
@@ -354,9 +361,9 @@ func (g *GroupState) scanRangeBatch(sc *scanScratch, lo, hi int, u *SelectionUse
 	plan := g.plan
 	preds := plan.predKern
 	if len(preds) > 0 {
-		sel, ok := u.read(lo, hi, sc.sel[:])
+		sel, residual, ok := u.read(lo, hi, sc.sel[:])
 		if ok {
-			for _, p := range u.residual {
+			for _, p := range residual {
 				sel = p.refine(sel)
 			}
 		} else {

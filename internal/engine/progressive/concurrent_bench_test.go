@@ -305,3 +305,50 @@ func BenchmarkDrillDown(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBlockAggregates times an unfiltered 1-D query to its final over
+// the 4M-row table: cold, on a scanner whose block registry is empty (every
+// iteration re-adopts the prepared storage, which starts a new scanner),
+// and repeated, in a fresh session after the same query ran once, where
+// every whole block merges its recorded table (README.md, "Block
+// aggregates"). Neither case finds a cached answer; blockrows/op is the rows
+// served from block tables.
+func BenchmarkBlockAggregates(b *testing.B) {
+	e := New(Config{})
+	if err := e.Prepare(benchDB(b), engine.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	db, perm := e.SnapshotView()
+	q := enginetest.AvgDelayByDistance()
+	run := func() int64 {
+		sess := e.OpenSession()
+		defer sess.Close()
+		h, err := sess.StartQuery(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		<-h.Done()
+		return sess.(*session).blockRows(q)
+	}
+	for _, c := range []struct {
+		name string
+		cold bool
+	}{{"cold", true}, {"repeated", false}} {
+		b.Run(c.name, func(b *testing.B) {
+			var served int64
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				if err := e.PrepareReordered(db, perm, engine.Options{}); err != nil {
+					b.Fatal(err)
+				}
+				if !c.cold {
+					run()
+				}
+				b.StartTimer()
+				served += run()
+				b.StopTimer()
+			}
+			b.ReportMetric(float64(served)/float64(b.N), "blockrows/op")
+		})
+	}
+}

@@ -26,7 +26,9 @@
 // scheduler — N concurrent queries cost roughly one memory sweep instead of
 // N independent passes, a query attaches at the cursor's current offset and
 // completes when the cursor wraps past its start, and a cancelled query's
-// partial state resumes from the cache without re-reading a row.
+// partial state resumes from the cache without re-reading a row. An
+// unfiltered 1-D query merges the per-block tables the scanner records once
+// per accumulator shape (internal/engine/README.md, "Block aggregates").
 //
 // # Sessions
 //
@@ -356,25 +358,37 @@ type selectionSlot struct {
 }
 
 // use returns plan's selection reuse: the valid slot with the most
-// predicates all in keys (plan's predicate keys) to read from, and, with
-// claim and no slot recording exactly keys' set, a slot claimed to record
-// plan's filter — a free one, else the least recently used one other than
-// the slot read from. Speculation targets pass claim false.
+// predicates all in keys (plan's predicate keys) to read from, the one with
+// the most among those already holding records as its fallback (the first
+// may have been claimed by a sibling query whose consumer has not folded
+// yet, and a reader attached first would find it empty to the end), and,
+// with claim and no slot recording exactly keys' set, a slot claimed to
+// record plan's filter — a free one, else the least recently used one other
+// than the slots read from. Speculation targets pass claim false.
 func (p *selectionPool) use(plan *engine.Compiled, keys []string, claim bool) *engine.SelectionUse {
 	if len(keys) == 0 {
 		return nil
 	}
 	p.tick++
 	bi, best, exact := -1, -1, false
+	ri, rbest := -1, -1
 	for i := range p.slots {
-		if n, ex := p.slots[i].sel.Match(keys); n > best {
+		n, ex := p.slots[i].sel.Match(keys)
+		if n > best {
 			bi, best, exact = i, n, ex
 		}
+		if n > rbest && p.slots[i].sel.Recorded() {
+			ri, rbest = i, n
+		}
 	}
-	var from, into *engine.Selection
+	var from, fallback, into *engine.Selection
 	if bi >= 0 {
 		p.slots[bi].used = p.tick
 		from = p.slots[bi].sel
+	}
+	if ri >= 0 && ri != bi {
+		p.slots[ri].used = p.tick
+		fallback = p.slots[ri].sel
 	}
 	if claim && !exact {
 		var sl *selectionSlot
@@ -383,7 +397,7 @@ func (p *selectionPool) use(plan *engine.Compiled, keys []string, claim bool) *e
 			sl = &p.slots[len(p.slots)-1]
 		} else {
 			for i := range p.slots {
-				if c := &p.slots[i]; c.sel != from && (sl == nil || c.used < sl.used) {
+				if c := &p.slots[i]; c.sel != from && c.sel != fallback && (sl == nil || c.used < sl.used) {
 					sl = c
 				}
 			}
@@ -392,7 +406,7 @@ func (p *selectionPool) use(plan *engine.Compiled, keys []string, claim bool) *e
 		sl.used = p.tick
 		into = sl.sel
 	}
-	return engine.NewSelectionUse(plan, keys, from, into)
+	return engine.NewSelectionUse(plan, keys, from, into, fallback)
 }
 
 // invalidate forgets every recorded selection, keeping the slots' memory.

@@ -126,6 +126,40 @@ func TestDrillDownReusesSelections(t *testing.T) {
 	sess.WorkflowEnd()
 }
 
+// TestDrillDownReaderAttachesFirst: step 3 and its sibling sign in that
+// order — the sibling claims the {p1,p2,p3} slot and step 3 finds it the
+// most specific — and step 3 attaches and folds every chunk before the
+// sibling attaches at all. The claimed slot stays empty throughout, so step
+// 3 must read what step 2 recorded rather than evaluate p1∧p2 again.
+func TestDrillDownReaderAttachesFirst(t *testing.T) {
+	db := enginetest.SmallDB(60000, 41)
+	e := New(Config{})
+	if err := e.Prepare(db, engine.Options{Seed: 9}); err != nil {
+		t.Fatal(err)
+	}
+	sess := e.OpenSession().(*session)
+	defer sess.Close()
+	sess.WorkflowStart()
+	runExact(t, sess, db, drillQuery("viz_state", drillP1))
+	runExact(t, sess, db, drillQuery("viz_state", drillP1, drillP2))
+	step3 := drillQuery("viz_state", drillP3, drillP2, drillP1)
+	sibling := drillQuery("viz_dist", drillP1, drillP2, drillP3)
+	sess.mu.Lock()
+	for _, q := range []*query.Query{sibling, step3} {
+		if _, err := sess.stateLocked(q, true); err != nil {
+			sess.mu.Unlock()
+			t.Fatal(err)
+		}
+	}
+	sess.mu.Unlock()
+	runExact(t, sess, db, step3)
+	if n := sess.selectionRows(step3); n == 0 {
+		t.Fatal("step 3, attached before the sibling that claimed its slot, evaluated p1∧p2 although step 2 recorded it")
+	}
+	runExact(t, sess, db, sibling)
+	sess.WorkflowEnd()
+}
+
 // TestSelectionEvictionLRU: the ninth distinct filter of a workflow evicts
 // the least recently used slot — the first filter's — and every answer stays
 // exact.

@@ -29,6 +29,7 @@ type Selection struct {
 	keys []string // sorted, distinct predicate keys; nil while invalid
 	bits []uint64 // bit r&63 of word r>>6: row r passes
 	rec  []atomic.Uint64
+	any  atomic.Bool // some word is recorded in this generation
 }
 
 // Reset binds s to the rows of a view of the given size and to the predicate
@@ -44,6 +45,7 @@ func (s *Selection) Reset(rows int, keys []string) {
 	defer s.mu.Unlock()
 	s.gen++
 	s.rows, s.keys = rows, set
+	s.any.Store(false)
 	if len(s.bits) < words {
 		// Headroom for the appends a live view will grow by.
 		s.bits = make([]uint64, words+words/8)
@@ -62,7 +64,12 @@ func (s *Selection) Invalidate() {
 	defer s.mu.Unlock()
 	s.gen++
 	s.rows, s.keys = 0, nil
+	s.any.Store(false)
 }
+
+// Recorded reports whether s holds any recorded rows: a selection just
+// claimed by a query that has not folded yet holds none.
+func (s *Selection) Recorded() bool { return s.any.Load() }
 
 // Match reports how s's predicate set relates to keys, a plan's predicate
 // keys: n is the set's size when every predicate of it is in keys (-1
@@ -143,50 +150,57 @@ func (s *Selection) recordLocked(lo, hi int, sel []uint32) {
 		s.rec[w>>6].Or((uint64(1)<<n - 1) << bit)
 		w += n
 	}
+	s.any.Store(true)
 }
 
 // SelectionUse is how one compiled plan takes part in selection reuse: it
 // reads the rows passing from's predicates wherever from has recorded them
 // and evaluates only its residual predicates on them, and it records the
-// rows passing its whole filter into into. Either side may be absent. The
-// use belongs to its plan: GroupState.ScanRangeUsing ignores it for a state
-// of any other plan (a shard that sharedscan.Extend rebound to a grown
-// view), which then evaluates every predicate.
+// rows passing its whole filter into into. Either side may be absent. A
+// batch from has not recorded is read from the first fallback that has,
+// with that selection's residual predicates. The use belongs to its plan:
+// GroupState.ScanRangeUsing ignores it for a state of any other plan (a
+// shard that sharedscan.Extend rebound to a grown view), which then
+// evaluates every predicate.
 type SelectionUse struct {
 	plan     *Compiled
 	from     *Selection
 	fromGen  uint64
 	residual []predKernel
+	// fallback holds one read-only use of the same plan per usable fallback
+	// selection, tried in order for a batch from has not recorded.
+	fallback []*SelectionUse
 	into     *Selection
 	intoGen  uint64
 	served   atomic.Int64
 }
 
-// NewSelectionUse builds plan's use of from and into (either may be nil).
-// keys are the plan's predicate keys in filter order, as
-// query.Query.SignatureKeys returns them for the plan's query. from is used
-// only if its predicate set is a subset of keys, into only if its set is
-// exactly keys' and it is not from (a word is written once, before anyone
-// reads it). It returns nil when neither is usable.
-func NewSelectionUse(plan *Compiled, keys []string, from, into *Selection) *SelectionUse {
+// NewSelectionUse builds plan's use of from and into (either may be nil)
+// and of the fallback selections. keys are the plan's predicate keys in
+// filter order, as query.Query.SignatureKeys returns them for the plan's
+// query. from and each fallback are used only if their predicate set is a
+// subset of keys, into only if its set is exactly keys' and it is not read
+// (a word is written once, before anyone reads it). A session passes the
+// most specific selection it holds as from, and as fallback the most
+// specific one already holding records: the first may have been claimed a
+// moment ago by a query that has not folded yet. It returns nil when no
+// selection is usable.
+func NewSelectionUse(plan *Compiled, keys []string, from, into *Selection, fallback ...*Selection) *SelectionUse {
 	if len(keys) == 0 || len(keys) != len(plan.predKern) {
 		return nil
 	}
-	if into == from {
+	if into == from || slices.Contains(fallback, into) {
 		into = nil
 	}
 	u := &SelectionUse{plan: plan}
-	if from != nil {
-		from.mu.RLock()
-		if fk := from.keys; fk != nil && subsetOf(fk, keys) {
-			u.from, u.fromGen = from, from.gen
-			for i, k := range keys {
-				if !slices.Contains(fk, k) {
-					u.residual = append(u.residual, plan.predKern[i])
-				}
-			}
+	u.from, u.fromGen, u.residual = readerOf(plan, keys, from)
+	for _, f := range fallback {
+		if f == from {
+			continue
 		}
-		from.mu.RUnlock()
+		if sel, gen, res := readerOf(plan, keys, f); sel != nil {
+			u.fallback = append(u.fallback, &SelectionUse{plan: plan, from: sel, fromGen: gen, residual: res})
+		}
 	}
 	if into != nil {
 		into.mu.RLock()
@@ -195,10 +209,32 @@ func NewSelectionUse(plan *Compiled, keys []string, from, into *Selection) *Sele
 		}
 		into.mu.RUnlock()
 	}
-	if u.from == nil && u.into == nil {
+	if u.from == nil && u.into == nil && u.fallback == nil {
 		return nil
 	}
 	return u
+}
+
+// readerOf returns from with its generation and the kernels of plan's
+// predicates it does not record, or a nil selection when from is nil,
+// invalid or records a predicate outside keys.
+func readerOf(plan *Compiled, keys []string, from *Selection) (*Selection, uint64, []predKernel) {
+	if from == nil {
+		return nil, 0, nil
+	}
+	from.mu.RLock()
+	defer from.mu.RUnlock()
+	fk := from.keys
+	if fk == nil || !subsetOf(fk, keys) {
+		return nil, 0, nil
+	}
+	var residual []predKernel
+	for i, k := range keys {
+		if !slices.Contains(fk, k) {
+			residual = append(residual, plan.predKern[i])
+		}
+	}
+	return from, from.gen, residual
 }
 
 func subsetOf(a, b []string) bool {
@@ -219,23 +255,40 @@ func (u *SelectionUse) RowsServed() int64 {
 	return u.served.Load()
 }
 
-// read returns the rows of [lo, hi) that pass from's predicates, in
-// ascending order in buf, when from still has the use's generation, covers
-// the range and has recorded every word it overlaps; ok is false otherwise.
-func (u *SelectionUse) read(lo, hi int, buf []uint32) (sel []uint32, ok bool) {
-	if u == nil || u.from == nil {
+// read returns the rows of [lo, hi) that pass the predicates of from, or
+// else of the first fallback, that still has the use's generation, covers
+// the range and has recorded every word it overlaps, in ascending order in
+// buf, with the residual kernels that still apply to them; ok is false when
+// none does.
+func (u *SelectionUse) read(lo, hi int, buf []uint32) (sel []uint32, residual []predKernel, ok bool) {
+	if u == nil {
+		return nil, nil, false
+	}
+	src := u
+	sel, ok = u.readFrom(lo, hi, buf)
+	for i := 0; !ok && i < len(u.fallback); i++ {
+		src = u.fallback[i]
+		sel, ok = src.readFrom(lo, hi, buf)
+	}
+	if !ok {
+		return nil, nil, false
+	}
+	u.served.Add(int64(hi - lo))
+	return sel, src.residual, true
+}
+
+// readFrom is read from u's from selection alone.
+func (u *SelectionUse) readFrom(lo, hi int, buf []uint32) (sel []uint32, ok bool) {
+	f := u.from
+	if f == nil {
 		return nil, false
 	}
-	f := u.from
 	f.mu.RLock()
 	ok = f.gen == u.fromGen && hi <= f.rows && f.recordedLocked(lo, hi)
 	if ok {
 		sel = f.expandLocked(lo, hi, buf)
 	}
 	f.mu.RUnlock()
-	if ok {
-		u.served.Add(int64(hi - lo))
-	}
 	return sel, ok
 }
 

@@ -234,7 +234,7 @@ func TestSelectionRecordsOnlyWholeWords(t *testing.T) {
 		t.Fatal("a use records into the selection it reads")
 	}
 	var buf [BatchRows]uint32
-	if sel, ok := NewSelectionUse(plan, keys, s, nil).read(70, 100, buf[:]); !ok || len(sel) != 30 || sel[0] != 70 || sel[29] != 99 {
+	if sel, _, ok := NewSelectionUse(plan, keys, s, nil).read(70, 100, buf[:]); !ok || len(sel) != 30 || sel[0] != 70 || sel[29] != 99 {
 		t.Fatalf("read [70, 100) of an all-pass filter: %v %v", ok, sel)
 	}
 }

@@ -86,10 +86,46 @@ type Scanner struct {
 	workers int
 
 	mu     sync.Mutex
-	pos    int         // next chunk start in [0, numRows)
+	pos    int         // next chunk start in [0, numRows), on the chunk grid
 	active []*Consumer // attached, with unassigned rows; foreground first
 	idle   []int       // free worker ids; workers exit when active drains
 	all    map[*Consumer]struct{}
+	// onClaim, when set before the first consumer attaches, sees every
+	// chunk start a worker claims, under the lock (in-package tests).
+	onClaim func(lo int)
+
+	blocks blockRegistry
+}
+
+// blockRegistry is the scanner's block aggregates (README.md, "Shared-scan
+// scheduler", "Block aggregates"): one engine.Blocks per accumulator shape
+// that a consumer's plan has, recorded by the workers as they fold and
+// dropped with the scanner. It is derived from the table alone and holds no
+// query's answer. Its lock is its own, taken once per shard and plan, never
+// under the scheduler lock.
+type blockRegistry struct {
+	mu     sync.Mutex
+	shapes map[string]*engine.Blocks
+}
+
+// lookup returns the block tables of plan's shape, nil when plan's scans
+// cannot merge any (engine.Compiled.BlockShape).
+func (r *blockRegistry) lookup(plan *engine.Compiled) *engine.Blocks {
+	key, ok := plan.BlockShape()
+	if !ok {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	b := r.shapes[key]
+	if b == nil {
+		if r.shapes == nil {
+			r.shapes = make(map[string]*engine.Blocks)
+		}
+		b = engine.NewBlocks(plan)
+		r.shapes[key] = b
+	}
+	return b
 }
 
 // New returns a scheduler over numRows rows of sequential storage, claiming
@@ -237,6 +273,9 @@ func (s *Scanner) worker(id int) {
 			return
 		}
 		lo := s.pos
+		if s.onClaim != nil {
+			s.onClaim(lo)
+		}
 		hi := lo + s.chunk
 		if hi > s.numRows {
 			hi = s.numRows
@@ -300,9 +339,13 @@ func (s *Scanner) worker(id int) {
 	}
 }
 
-// nextNeededLocked returns the uncovered offset with the smallest circular
-// distance from pos across the dispatchable consumers (pos itself if none):
-// all of them normally, foreground ones only while foreground work exists.
+// nextNeededLocked returns the chunk-grid offset at or below the uncovered
+// offset with the smallest circular distance from pos across the
+// dispatchable consumers (pos itself if none): all of them normally,
+// foreground ones only while foreground work exists. Staying on the grid
+// keeps every later claim one aligned block, which block aggregates serve;
+// the claim is clipped to what each consumer needs, so the rows below the
+// offset are never folded twice.
 func (s *Scanner) nextNeededLocked(pos int, fgOnly bool) int {
 	best := -1
 	for _, c := range s.active {
@@ -326,7 +369,7 @@ func (s *Scanner) nextNeededLocked(pos int, fgOnly bool) int {
 	if next >= s.numRows {
 		next -= s.numRows
 	}
-	return next
+	return next - next%s.chunk
 }
 
 // shard is one worker's private accumulator for one consumer. Only worker w
@@ -339,6 +382,9 @@ type shard struct {
 	mu   sync.Mutex
 	gs   *engine.GroupState
 	plan *engine.Compiled
+	// blocks is the block tables of plan's shape (nil when it has none),
+	// looked up whenever the shard binds to a plan.
+	blocks *engine.Blocks
 }
 
 // Consumer is one query state riding the shared scan: the progressive
@@ -363,8 +409,9 @@ type Consumer struct {
 	fgRefs   int  // live foreground handles
 	spec     bool // standing speculation target
 
-	folded atomic.Int64 // rows folded into shards
-	shards []shard
+	folded    atomic.Int64 // rows folded into shards
+	blockRows atomic.Int64 // of them, rows merged from recorded block tables
+	shards    []shard
 	// gate is the snapshot turnstile. Workers pass through it (lock+unlock,
 	// uncontended in steady state) before taking their shard lock; snapshot
 	// merges hold it while collecting every shard. Without it a poller can
@@ -483,6 +530,8 @@ func (c *Consumer) takeLocked(lo, hi int, out []span) []span {
 // consumer when the last row of its current target lands. The shard's state
 // migrates to the consumer's current plan first, so spans from an extended
 // tail are always folded with kernels bound to the view that contains them.
+// A plan whose shape has block tables merges them for the whole aligned
+// blocks of its spans (engine.GroupState.ScanRangeBlocks).
 func (c *Consumer) fold(w int, parts []span) {
 	// Turnstile: let a pending snapshot merge cut in (see gate).
 	c.gate.Lock()
@@ -491,19 +540,24 @@ func (c *Consumer) fold(w int, parts []span) {
 	plan := c.plan.Load()
 	sh := &c.shards[w]
 	sh.mu.Lock()
-	if sh.gs == nil {
-		sh.gs = engine.NewGroupState(plan)
-		sh.plan = plan
-	} else if sh.plan != plan {
+	if sh.plan != plan {
 		ngs := engine.NewGroupState(plan)
-		ngs.Merge(sh.gs)
-		sh.gs = ngs
-		sh.plan = plan
+		if sh.gs != nil {
+			ngs.Merge(sh.gs)
+		}
+		sh.gs, sh.plan, sh.blocks = ngs, plan, c.s.blocks.lookup(plan)
 	}
-	n := 0
+	n, served := 0, 0
 	for _, sp := range parts {
-		sh.gs.ScanRangeUsing(sp.lo, sp.hi, c.use)
+		if sh.blocks != nil {
+			served += sh.gs.ScanRangeBlocks(sp.lo, sp.hi, sh.blocks)
+		} else {
+			sh.gs.ScanRangeUsing(sp.lo, sp.hi, c.use)
+		}
 		n += sp.hi - sp.lo
+	}
+	if served > 0 {
+		c.blockRows.Add(int64(served))
 	}
 	total := c.folded.Add(int64(n))
 	sh.mu.Unlock()
@@ -619,6 +673,10 @@ func (c *Consumer) WhenDone(fn func(*Final)) (deregister func()) {
 
 // RowsSeen returns the number of rows folded so far.
 func (c *Consumer) RowsSeen() int64 { return c.folded.Load() }
+
+// BlockRowsServed returns how many of the rows folded so far were merged
+// from block tables already recorded, instead of folded row by row.
+func (c *Consumer) BlockRowsServed() int64 { return c.blockRows.Load() }
 
 // Progress returns the folded fraction of the current target in [0, 1].
 func (c *Consumer) Progress() float64 {
