@@ -3,7 +3,6 @@ package engine
 import (
 	"math"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -29,26 +28,33 @@ const blockMaxSlots = BatchRows / 8
 // COUNT adds no column), so they share block tables. The key names the
 // geometry, so a view whose MinMax widened the domain gets a new one.
 func (c *Compiled) BlockShape() (string, bool) {
+	k, ok := c.AppendBlockShape(nil)
+	return string(k), ok
+}
+
+// AppendBlockShape is BlockShape appending the key to dst: a lookup that
+// passes a stack buffer and indexes its map with string(key) allocates
+// nothing.
+func (c *Compiled) AppendBlockShape(dst []byte) ([]byte, bool) {
 	if len(c.predKern) > 0 || len(c.binKern) != 1 || c.geom.slots() > blockMaxSlots {
-		return "", false
+		return dst, false
 	}
 	b := c.Query.Bins[0]
-	var sb strings.Builder
-	sb.WriteString(strconv.Quote(b.Field))
+	dst = strconv.AppendQuote(dst, b.Field)
 	for _, v := range []int64{int64(b.Kind), c.geom.loA, c.geom.sizeA} {
-		sb.WriteByte('|')
-		sb.WriteString(strconv.FormatInt(v, 10))
+		dst = append(dst, '|')
+		dst = strconv.AppendInt(dst, v, 10)
 	}
 	for _, v := range []float64{b.Width, b.Origin} {
-		sb.WriteByte('|')
-		sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+		dst = append(dst, '|')
+		dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
 	}
 	for _, op := range c.aggOps {
-		sb.WriteByte('|')
-		sb.WriteString(strconv.Itoa(int(op.code)))
-		sb.WriteString(strconv.Quote(c.Query.Aggs[op.slot].Field))
+		dst = append(dst, '|')
+		dst = strconv.AppendInt(dst, int64(op.code), 10)
+		dst = strconv.AppendQuote(dst, c.Query.Aggs[op.slot].Field)
 	}
-	return sb.String(), true
+	return dst, true
 }
 
 // Blocks holds one accumulator shape's recorded block tables over the

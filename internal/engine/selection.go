@@ -150,7 +150,9 @@ func (s *Selection) recordLocked(lo, hi int, sel []uint32) {
 		s.rec[w>>6].Or((uint64(1)<<n - 1) << bit)
 		w += n
 	}
-	s.any.Store(true)
+	if !s.any.Load() {
+		s.any.Store(true) // once per generation: workers recording in parallel share the line
+	}
 }
 
 // SelectionUse is how one compiled plan takes part in selection reuse: it

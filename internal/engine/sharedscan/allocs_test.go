@@ -5,7 +5,14 @@
 
 package sharedscan
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+
+	"idebench/internal/dataset"
+	"idebench/internal/engine"
+	"idebench/internal/query"
+)
 
 // TestTakeLockedSteadyStateAllocs: a claim runs under the scheduler lock
 // every worker needs for its next chunk, so once the worker's span buffer
@@ -29,5 +36,31 @@ func TestTakeLockedSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("%v allocations per steady-state claim, want 0", allocs)
+	}
+}
+
+// TestBlockLookupAllocs: every shard that binds a plan looks its shape up in
+// the block registry, so a lookup of a shape already recorded must not
+// allocate — the key is built in a stack buffer.
+func TestBlockLookupAllocs(t *testing.T) {
+	f := newBlockFixture(t, 2*engine.BatchRows, rand.New(rand.NewSource(3)))
+	plan, err := engine.Compile(f.db, &query.Query{VizName: "v", Table: "tbl",
+		Bins: []query.Binning{{Field: "cat", Kind: dataset.Nominal}},
+		Aggs: []query.Aggregate{{Func: query.Avg, Field: "val"}, {Func: query.Max, Field: "ival"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r blockRegistry
+	b := r.lookup(plan)
+	if b == nil {
+		t.Fatal("no block tables for an unfiltered 1-D plan")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if r.lookup(plan) != b {
+			t.Fatal("the lookup returned another shape's tables")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per registry hit, want 0", allocs)
 	}
 }

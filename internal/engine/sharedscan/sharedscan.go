@@ -111,19 +111,20 @@ type blockRegistry struct {
 // lookup returns the block tables of plan's shape, nil when plan's scans
 // cannot merge any (engine.Compiled.BlockShape).
 func (r *blockRegistry) lookup(plan *engine.Compiled) *engine.Blocks {
-	key, ok := plan.BlockShape()
+	var buf [192]byte
+	key, ok := plan.AppendBlockShape(buf[:0])
 	if !ok {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	b := r.shapes[key]
+	b := r.shapes[string(key)]
 	if b == nil {
 		if r.shapes == nil {
 			r.shapes = make(map[string]*engine.Blocks)
 		}
 		b = engine.NewBlocks(plan)
-		r.shapes[key] = b
+		r.shapes[string(key)] = b
 	}
 	return b
 }
