@@ -28,7 +28,11 @@
 // lineage and never written to a checkpoint), and every later scan of a
 // domain of up to 256 bins widens that byte instead of dividing; results are
 // bitwise the arithmetic kernels', which remain for FK-indirected
-// dimensions and wider domains. The archetypes differ only in their
+// dimensions and wider domains. A range or IN filter finds a whole 4096-row
+// block's passing rows by binary search in the block's row offsets sorted
+// by value (dataset.BlockOrder, 2 B/row, built by the first scan that asks
+// and likewise kept per lineage) instead of testing every row. The
+// archetypes differ only in their
 // execution *models* — blocking parallel scan (exactdb), offline stratified
 // sample (sampledb), online aggregation with a row-store cost model
 // (onlinedb), and fully progressive permuted scanning with reuse and

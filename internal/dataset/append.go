@@ -37,9 +37,11 @@ type TableAppender struct {
 	mmLo, mmHi []float64
 	mmOK       []bool
 
-	// One bin-code registry per quantitative column, handed to every view:
-	// codes built or extended through any view serve all of them.
-	bins []*binCodeSet
+	// One bin-code registry per quantitative column and one block-order memo
+	// per column, handed to every view: what is built through any view
+	// serves all of them.
+	bins   []*binCodeSet
+	orders []*BlockOrder
 
 	cur *Table
 }
@@ -60,10 +62,18 @@ func NewTableAppender(t *Table, adopt bool) *TableAppender {
 		mmHi:   make([]float64, len(t.Columns)),
 		mmOK:   make([]bool, len(t.Columns)),
 		bins:   make([]*binCodeSet, len(t.Columns)),
+		orders: make([]*BlockOrder, len(t.Columns)),
 		cur:    t,
 	}
 	for i, c := range t.Columns {
 		a.dicts[i] = c.Dict
+		if adopt {
+			// The storage changes hands, and with it whatever block orders
+			// and bin codes t's plans already built over it.
+			a.orders[i] = c.blockOrderMemo()
+		} else {
+			a.orders[i] = &BlockOrder{}
+		}
 		if c.Field.Kind == Nominal {
 			if adopt {
 				a.codes[i] = c.Codes
@@ -72,8 +82,6 @@ func NewTableAppender(t *Table, adopt bool) *TableAppender {
 			}
 		} else {
 			if adopt {
-				// The storage changes hands, and with it whatever codes t's
-				// plans already built over it.
 				a.nums[i], a.bins[i] = c.Nums, c.binCodeSet()
 			} else {
 				a.nums[i] = append(make([]float64, 0, n+n/4+64), c.Nums...)
@@ -156,11 +164,11 @@ func (a *TableAppender) checkBatchLocked(batch *Table) error {
 
 // viewLocked builds an immutable Table over the current storage, seeding
 // every quantitative column's bounds memo from the running fold and handing
-// it the lineage's bin-code registry.
+// each column the lineage's bin-code registry and block-order memo.
 func (a *TableAppender) viewLocked() *Table {
 	cols := make([]*Column, a.schema.Len())
 	for i, f := range a.schema.Fields {
-		c := &Column{Field: f, Dict: a.dicts[i]}
+		c := &Column{Field: f, Dict: a.dicts[i], order: a.orders[i]}
 		if f.Kind == Nominal {
 			c.Codes = a.codes[i][:len(a.codes[i]):len(a.codes[i])]
 		} else {

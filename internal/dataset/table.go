@@ -38,6 +38,10 @@ type Column struct {
 	// nil until first asked for, shared by every view of an append lineage,
 	// dropped with the bounds memo by an in-place mutation.
 	bins *binCodeSet
+
+	// Block orders (blockorder.go), of either kind of column: guarded, shared
+	// and dropped like the bin codes.
+	order *BlockOrder
 }
 
 // Len returns the number of rows stored in the column.
@@ -80,17 +84,17 @@ func (c *Column) MinMax() (lo, hi float64, ok bool) {
 }
 
 // InvalidateMinMax drops the memoized bounds and, with them, the derived
-// bin-code columns; every in-place mutation of quantitative storage must
-// either call it (Column.AppendNum does per value, Builder.Build once per
-// build) or re-seed the memo with bounds covering the new contents (the
-// table-growth lineage does, via seedMinMax, and extends its bin codes
-// by the appended rows). Without the guard a memoized bound computed
+// bin-code columns and block orders; every in-place mutation of
+// quantitative storage must either call it (Column.AppendNum does per value,
+// Builder.Build once per build) or re-seed the memo with bounds covering the
+// new contents (the table-growth lineage does, via seedMinMax, and extends
+// its bin codes by the appended rows). Without the guard a memoized bound computed
 // before an append would silently under-size the engine's dense group-by
 // accumulators for rows appended outside the old value range.
 func (c *Column) InvalidateMinMax() {
 	c.mmMu.Lock()
 	c.mmDone = false
-	c.bins = nil
+	c.bins, c.order = nil, nil
 	c.mmMu.Unlock()
 }
 

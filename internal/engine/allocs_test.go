@@ -18,8 +18,10 @@ import (
 // has seen its first batch (table sized, pooled buffers warm), folding
 // further 4096-row ranges allocates nothing — on the two-pass 2-D path, on
 // the fused one-pass 2-D kernel over range and selection batches, with more
-// than one moments column, and on a filtered plan both reading its rows from
-// a recorded selection and recording them into one.
+// than one moments column, on a filtered plan both reading its rows from a
+// recorded selection and recording them into one, and on range and IN
+// filters finding their rows through block orders — built inside the
+// measured runs for the blocks not yet scanned, read after.
 func TestScanRangeSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := randomDB(t, rng, 8*BatchRows, false)
@@ -50,6 +52,10 @@ func TestScanRangeSteadyStateAllocs(t *testing.T) {
 			Aggs: []query.Aggregate{{Func: query.Count}}},
 		"sum_avg_1d": {Bins: []query.Binning{{Field: "cat_b", Kind: dataset.Nominal}},
 			Aggs: []query.Aggregate{{Func: query.Sum, Field: "y"}, {Func: query.Avg, Field: "x"}}},
+		"indexed_in_1d": {Bins: []query.Binning{{Field: "cat_b", Kind: dataset.Nominal}},
+			Aggs: []query.Aggregate{{Func: query.Count}},
+			Filter: query.Filter{Predicates: []query.Predicate{
+				{Field: "cat_a", Op: query.OpIn, Values: []string{"a0", "a1"}}}}},
 	} {
 		q.VizName, q.Table = "v", "fact"
 		plan, err := Compile(db, q)
@@ -94,6 +100,11 @@ func TestScanRangeSteadyStateAllocs(t *testing.T) {
 		}
 		if reading.RowsServed() == 0 {
 			t.Errorf("%s: the reading use served no rows", name)
+		}
+	}
+	for _, field := range []string{"x", "cat_a"} {
+		if db.Fact.Column(field).BlockOrder(BatchRows).Builds() != 8 {
+			t.Errorf("%s: the filters did not run on block orders", field)
 		}
 	}
 }

@@ -23,10 +23,12 @@ const blockMaxSlots = BatchRows / 8
 // BlockShape returns the key of the plan's accumulator shape and reports
 // whether its scans can merge recorded block tables: the plan has no filter
 // and a dense 1-D geometry of at most blockMaxSlots slots. Plans with equal
-// keys compute the same slot for every row of one table lineage and fold the
-// same op columns in the same order (SUM(x) and AVG(x) share one shape;
-// COUNT adds no column), so they share block tables. The key names the
-// geometry, so a view whose MinMax widened the domain gets a new one.
+// keys bin the same field the same way and fold the same op columns in the
+// same order (SUM(x) and AVG(x) share one shape; COUNT adds no column), so
+// over one view they compute the same slot for every row and share block
+// tables. The key leaves the dense geometry out: a later view whose MinMax
+// widened the domain keeps the key and brings a new geometry, which the
+// tables of the old one do not serve (Blocks.Serves).
 func (c *Compiled) BlockShape() (string, bool) {
 	k, ok := c.AppendBlockShape(nil)
 	return string(k), ok
@@ -41,10 +43,8 @@ func (c *Compiled) AppendBlockShape(dst []byte) ([]byte, bool) {
 	}
 	b := c.Query.Bins[0]
 	dst = strconv.AppendQuote(dst, b.Field)
-	for _, v := range []int64{int64(b.Kind), c.geom.loA, c.geom.sizeA} {
-		dst = append(dst, '|')
-		dst = strconv.AppendInt(dst, v, 10)
-	}
+	dst = append(dst, '|')
+	dst = strconv.AppendInt(dst, int64(b.Kind), 10)
 	for _, v := range []float64{b.Width, b.Origin} {
 		dst = append(dst, '|')
 		dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
@@ -67,6 +67,7 @@ func (c *Compiled) AppendBlockShape(dst []byte) ([]byte, bool) {
 type Blocks struct {
 	geom  denseGeom
 	codes []uint8 // the shape's op classes, in op order
+	rows  int     // the row count of the view the tables were made for
 
 	grow sync.Mutex // serializes directory growth
 	dir  atomic.Pointer[blockDir]
@@ -92,7 +93,7 @@ type blockTable struct {
 // NewBlocks returns an empty record of plan's shape (Compiled.BlockShape),
 // its directory sized for the blocks of plan's view.
 func NewBlocks(plan *Compiled) *Blocks {
-	b := &Blocks{geom: plan.geom}
+	b := &Blocks{geom: plan.geom, rows: plan.NumRows}
 	for _, op := range plan.aggOps {
 		b.codes = append(b.codes, op.code)
 	}
@@ -101,8 +102,15 @@ func NewBlocks(plan *Compiled) *Blocks {
 	return b
 }
 
-// fits reports whether plan has b's shape in the slot layout b's tables use.
-func (b *Blocks) fits(plan *Compiled) bool {
+// Supersedes reports whether plan's view is larger than the one b's tables
+// were made for. A lineage's domains only widen, so a plan of b's shape key
+// that b does not serve is from a newer view exactly when it is from a
+// larger one.
+func (b *Blocks) Supersedes(plan *Compiled) bool { return plan.NumRows > b.rows }
+
+// Serves reports whether plan's scans can merge b's tables: plan has b's
+// shape in the geometry, and so the slot layout, b's tables use.
+func (b *Blocks) Serves(plan *Compiled) bool {
 	if plan.geom != b.geom || len(plan.binKern) != 1 || len(plan.predKern) > 0 || len(plan.aggOps) != len(b.codes) {
 		return false
 	}
@@ -205,7 +213,7 @@ func compactBlock(t *accTable, ops []aggOp) *blockTable {
 // ScanRange.
 func (g *GroupState) ScanRangeBlocks(lo, hi int, b *Blocks) (served int) {
 	first, end := (lo+BatchRows-1)/BatchRows, hi/BatchRows
-	if b == nil || first >= end || !b.fits(g.plan) {
+	if b == nil || first >= end || !b.Serves(g.plan) {
 		g.ScanRange(lo, hi)
 		return 0
 	}

@@ -157,9 +157,9 @@ func served(cs []*Consumer) int64 {
 // that merge recorded block tables answer as ScanRange does — attached at
 // random offsets on and off the chunk grid, over a ragged last block, across
 // Extend tails (short ones, then ones that fill whole blocks) and across an
-// append that widens a binned column's domain, which gives its shapes new
-// keys — while later rounds are served from the tables earlier rounds
-// recorded.
+// append that widens a binned column's domain, whose plans replace their
+// shapes' tables with tables in the new geometry under the same keys — while
+// later rounds are served from the tables earlier rounds recorded.
 func TestBlockAggregatesMatchScanRange(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -191,6 +191,7 @@ func TestBlockAggregatesMatchScanRange(t *testing.T) {
 		}
 
 		// ival values past the column's maximum widen its binned domain.
+		shapes := s.blockShapes()
 		db := f.grow(t, rng, engine.BatchRows, 3000)
 		if err := s.Extend(db, db.Fact.NumRows()); err != nil {
 			t.Fatal(err)
@@ -200,6 +201,9 @@ func TestBlockAggregatesMatchScanRange(t *testing.T) {
 		again := runRound(t, s, db, label("after widening, again"), 0)
 		if served(again) <= served(wide) {
 			t.Fatalf("seed %d: the widened shapes served %d rows, then %d", seed, served(wide), served(again))
+		}
+		if n := s.blockShapes(); n != shapes || n != 5 {
+			t.Fatalf("seed %d: %d shapes before widening, %d after; want the 5 of blockQueries both times", seed, shapes, n)
 		}
 		for _, c := range append(append(offGrid, wide...), again...) {
 			c.Release()
@@ -245,6 +249,42 @@ func TestBlockRegistryIgnoresFilteredAnd2D(t *testing.T) {
 	}
 }
 
+// TestBlockRegistryReplacesWidenedShape: a plan of a view whose append
+// widened the binned domain replaces its shape's entry instead of adding
+// one; a plan of the older view then gets no tables and folds its rows,
+// while a plan of the newer view finds the replacement.
+func TestBlockRegistryReplacesWidenedShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	f := newBlockFixture(t, 4*engine.BatchRows, rng)
+	q := &query.Query{VizName: "v", Table: "tbl",
+		Bins: []query.Binning{{Field: "ival", Kind: dataset.Quantitative, Width: 100}},
+		Aggs: []query.Aggregate{{Func: query.Count}}}
+	compile := func(db *dataset.Database) *engine.Compiled {
+		plan, err := engine.Compile(db, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	old := compile(f.db)
+	var r blockRegistry
+	b := r.lookup(old)
+	if b == nil || r.lookup(compile(f.grow(t, rng, 100, -1000))) != b {
+		t.Fatal("an append inside the domain did not keep its shape's tables")
+	}
+	wide := compile(f.grow(t, rng, 100, 3000))
+	nb := r.lookup(wide)
+	if nb == nil || nb == b || !nb.Serves(wide) || len(r.shapes) != 1 {
+		t.Fatalf("the widened plan got %p (old %p), %d shapes", nb, b, len(r.shapes))
+	}
+	if r.lookup(old) != nil {
+		t.Fatal("a plan of the older view got tables in the widened geometry")
+	}
+	if r.lookup(wide) != nb {
+		t.Fatal("the older view's lookup displaced the widened tables")
+	}
+}
+
 // TestCursorStaysOnChunkGrid: after an Extend by 500 rows the cursor jumps
 // to the tail and beyond it, yet every chunk a worker claims starts on the
 // chunk grid, and every final is exact over the grown table.
@@ -273,4 +313,11 @@ func TestCursorStaysOnChunkGrid(t *testing.T) {
 	if len(off) > 0 {
 		t.Fatalf("claims off the %d-row grid at %v", chunk, off)
 	}
+}
+
+// blockShapes returns how many shapes the scanner's block registry holds.
+func (s *Scanner) blockShapes() int {
+	s.blocks.mu.Lock()
+	defer s.blocks.mu.Unlock()
+	return len(s.blocks.shapes)
 }

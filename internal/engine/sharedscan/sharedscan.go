@@ -109,7 +109,12 @@ type blockRegistry struct {
 }
 
 // lookup returns the block tables of plan's shape, nil when plan's scans
-// cannot merge any (engine.Compiled.BlockShape).
+// cannot merge any (engine.Compiled.BlockShape). The shape key leaves the
+// dense geometry out, so a shape keeps one entry however often appends widen
+// its domain: a plan of a larger view in a new geometry replaces the entry
+// with empty tables in its own, and a plan of an older view, whose geometry
+// the entry no longer has, gets nil and folds its rows. A shard that holds a
+// replaced entry keeps using it for the plan it holds it with.
 func (r *blockRegistry) lookup(plan *engine.Compiled) *engine.Blocks {
 	var buf [192]byte
 	key, ok := plan.AppendBlockShape(buf[:0])
@@ -119,13 +124,17 @@ func (r *blockRegistry) lookup(plan *engine.Compiled) *engine.Blocks {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	b := r.shapes[string(key)]
-	if b == nil {
-		if r.shapes == nil {
-			r.shapes = make(map[string]*engine.Blocks)
-		}
-		b = engine.NewBlocks(plan)
-		r.shapes[string(key)] = b
+	switch {
+	case b != nil && b.Serves(plan):
+		return b
+	case b != nil && !b.Supersedes(plan):
+		return nil
 	}
+	if r.shapes == nil {
+		r.shapes = make(map[string]*engine.Blocks)
+	}
+	b = engine.NewBlocks(plan)
+	r.shapes[string(key)] = b
 	return b
 }
 

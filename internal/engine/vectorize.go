@@ -1,6 +1,11 @@
 package engine
 
-import "idebench/internal/dataset"
+import (
+	"math/bits"
+	"slices"
+
+	"idebench/internal/dataset"
+)
 
 // This file holds the vectorized execution kernels: type-specialized loops
 // that evaluate one query operator over a whole batch of rows at a time,
@@ -16,7 +21,9 @@ import "idebench/internal/dataset"
 //     vector; the remaining predicates refine it in place. Both are
 //     branch-free: every candidate row is written at the cursor and the
 //     cursor advances by the 0/1 outcome, so an unpredictable filter costs
-//     no mispredictions.
+//     no mispredictions. A range or IN predicate on a fact column that
+//     materializes the vector for one whole aligned block tests no row: it
+//     finds the passing ones in the column's block order.
 //  2. Bin kernels fill an []int32 buffer with each selected row's slot in
 //     the dense accumulator table — for 2-D plans in one pass when both
 //     dimensions read codes directly (pairBin), else two buffers combined;
@@ -282,10 +289,141 @@ func (k numFKAgg) gatherSel(sel []uint32, dst []float64) {
 }
 
 // ---------------------------------------------------------------------------
+// Block-order selection
+//
+// A whole aligned block of a fact column has a block order
+// (dataset.BlockOrder): its row offsets sorted by value. A range or IN
+// predicate passes the rows of one run of that order per range or IN value,
+// found by two binary searches; the run's offsets set bits in a one-bit-per-
+// row block bitmap, and expanding the bitmap yields the passing rows in
+// ascending order — the selection the scan kernel writes, at O(selected +
+// BatchRows/64) instead of O(BatchRows).
+
+// maxOrderRuns caps the IN values the block-order path searches for, two
+// binary searches each. The workflow generator's IN filters hold one to
+// three values; a longer list tests every row.
+const maxOrderRuns = 16
+
+// orderRun is a run [a, b) of positions in a block order.
+type orderRun struct{ a, b int }
+
+// searchNums returns the first position of ord whose row in v is not below
+// x, len(ord) if there is none. v holds no NaN (an indexed block has none).
+func searchNums(ord []uint16, v []float64, x float64) int {
+	i, j := 0, len(ord)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if v[ord[h]] < x {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
+}
+
+// searchCodes returns the first position of ord whose row in c is at least
+// x, len(ord) if there is none.
+func searchCodes(ord []uint16, c []uint32, x uint32) int {
+	i, j := 0, len(ord)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if c[ord[h]] < x {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
+}
+
+// selectCodes is the IN predicate over vals (the wanted codes, ascending)
+// on the block [lo, hi) of codes through its block order. ok is false, and
+// the caller tests the rows, when the block has no order or vals is too
+// long to search for.
+func selectCodes(lo, hi int, codes []uint32, ord *dataset.BlockOrder, vals []uint32, buf []uint32) (sel []uint32, ok bool) {
+	if len(vals) > maxOrderRuns {
+		return nil, false
+	}
+	o := ord.Codes(lo, hi, codes)
+	if o == nil {
+		return nil, false
+	}
+	c := codes[lo:hi]
+	var runs [maxOrderRuns]orderRun
+	n, at := 0, 0
+	for _, x := range vals {
+		a := at + searchCodes(o[at:], c, x)
+		b := len(o)
+		if x < ^uint32(0) {
+			b = a + searchCodes(o[a:], c, x+1)
+		}
+		if b > a {
+			runs[n] = orderRun{a, b}
+			n++
+		}
+		at = b
+	}
+	return selectOrder(lo, o, runs[:n], buf), true
+}
+
+// selectOrder writes into buf, ascending, the rows of the aligned block at
+// lo whose positions in the block's order ord fall in runs (disjoint,
+// ascending), and returns the filled prefix. Past half a block it marks the
+// positions outside the runs and inverts the bitmap, so marking costs at most
+// half a block.
+func selectOrder(lo int, ord []uint16, runs []orderRun, buf []uint32) []uint32 {
+	var bm [BatchRows / 64]uint64
+	n := 0
+	for _, r := range runs {
+		n += r.b - r.a
+	}
+	if n > len(ord)/2 {
+		at := 0
+		for _, r := range runs {
+			markOrder(&bm, ord[at:r.a])
+			at = r.b
+		}
+		markOrder(&bm, ord[at:])
+		for i := range bm {
+			bm[i] = ^bm[i]
+		}
+	} else {
+		for _, r := range runs {
+			markOrder(&bm, ord[r.a:r.b])
+		}
+	}
+	k, row := 0, uint32(lo)
+	for _, w := range bm {
+		if w == ^uint64(0) {
+			for j := range uint32(64) {
+				buf[k+int(j)] = row + j
+			}
+			k += 64
+		} else {
+			for ; w != 0; w &= w - 1 {
+				buf[k] = row + uint32(bits.TrailingZeros64(w))
+				k++
+			}
+		}
+		row += 64
+	}
+	return buf[:k]
+}
+
+// markOrder sets the bitmap bit of every offset in offs.
+func markOrder(bm *[BatchRows / 64]uint64, offs []uint16) {
+	for _, o := range offs {
+		bm[o>>6] |= 1 << (o & 63)
+	}
+}
+
+// ---------------------------------------------------------------------------
 // Predicate kernels
 
 // predKernel evaluates one filter conjunct over a batch. Both methods keep
-// row order and are branch-free in the predicate's outcome.
+// row order, and where they test rows they are branch-free in the
+// predicate's outcome.
 type predKernel interface {
 	// selectRange writes the rows of [lo, hi) that pass into buf
 	// (len(buf) >= hi-lo) and returns the filled prefix.
@@ -294,13 +432,26 @@ type predKernel interface {
 	refine(sel []uint32) []uint32
 }
 
-// rangeDirectPred is [lo, hi) on a fact-table quantitative column.
+// rangeDirectPred is [lo, hi) on a fact-table quantitative column. A whole
+// aligned block finds its passing rows through the column's block order.
 type rangeDirectPred struct {
 	nums   []float64
+	ord    *dataset.BlockOrder
 	lo, hi float64
 }
 
 func (p rangeDirectPred) selectRange(lo, hi int, buf []uint32) []uint32 {
+	if ord := p.ord.Nums(lo, hi, p.nums); ord != nil {
+		// v >= lo and v < hi are each monotone along the order, so the
+		// passing positions are one run; a NaN bound passes no row.
+		if p.lo != p.lo || p.hi != p.hi {
+			return buf[:0]
+		}
+		v := p.nums[lo:hi]
+		a, b := searchNums(ord, v, p.lo), searchNums(ord, v, p.hi)
+		run := [1]orderRun{{a, max(a, b)}}
+		return selectOrder(lo, ord, run[:], buf)
+	}
 	src := p.nums[lo:hi]
 	buf = buf[:len(src)]
 	k := 0
@@ -351,13 +502,18 @@ func (p rangeFKPred) refine(sel []uint32) []uint32 {
 }
 
 // inOneDirectPred is the single-value IN — the shape every cross-viz brush
-// selection produces — on a fact-table column.
+// selection produces — on a fact-table column. A whole aligned block finds
+// its passing rows through the column's block order.
 type inOneDirectPred struct {
 	codes []uint32
+	ord   *dataset.BlockOrder
 	only  uint32
 }
 
 func (p inOneDirectPred) selectRange(lo, hi int, buf []uint32) []uint32 {
+	if sel, ok := selectCodes(lo, hi, p.codes, p.ord, []uint32{p.only}, buf); ok {
+		return sel
+	}
 	src := p.codes[lo:hi]
 	buf = buf[:len(src)]
 	k := 0
@@ -404,13 +560,19 @@ func (p inOneFKPred) refine(sel []uint32) []uint32 {
 	return sel[:k]
 }
 
-// inBitmapDirectPred is the multi-value IN as a code-indexed lookup table.
+// inBitmapDirectPred is the multi-value IN as a code-indexed lookup table;
+// vals lists the wanted codes ascending, for the block-order path.
 type inBitmapDirectPred struct {
 	codes []uint32
 	want  []bool
+	ord   *dataset.BlockOrder
+	vals  []uint32
 }
 
 func (p inBitmapDirectPred) selectRange(lo, hi int, buf []uint32) []uint32 {
+	if sel, ok := selectCodes(lo, hi, p.codes, p.ord, p.vals, buf); ok {
+		return sel
+	}
 	src := p.codes[lo:hi]
 	buf = buf[:len(src)]
 	k := 0
@@ -458,11 +620,14 @@ func (p inBitmapFKPred) refine(sel []uint32) []uint32 {
 }
 
 // inMapPred is the multi-value IN fallback for dictionaries too large for a
-// lookup table; fk is nil for fact-table columns.
+// lookup table; fk is nil for fact-table columns, which take the block-order
+// path with vals, the wanted codes ascending.
 type inMapPred struct {
 	codes []uint32
 	fk    []float64
 	want  map[uint32]struct{}
+	ord   *dataset.BlockOrder
+	vals  []uint32
 }
 
 func (p inMapPred) match(r uint32) bool {
@@ -475,6 +640,9 @@ func (p inMapPred) match(r uint32) bool {
 }
 
 func (p inMapPred) selectRange(lo, hi int, buf []uint32) []uint32 {
+	if sel, ok := selectCodes(lo, hi, p.codes, p.ord, p.vals, buf); ok {
+		return sel
+	}
 	buf = buf[:hi-lo]
 	k := 0
 	for r := lo; r < hi; r++ {
@@ -589,8 +757,11 @@ func newAggKernel(col *dataset.Column, fk *dataset.Column) aggKernel {
 // in the column's dictionary; unknown values are absent).
 func newInPredKernel(col *dataset.Column, fk *dataset.Column, want map[uint32]struct{}) predKernel {
 	var fkNums []float64
+	var ord *dataset.BlockOrder
 	if fk != nil {
 		fkNums = fk.Nums
+	} else {
+		ord = col.BlockOrder(BatchRows)
 	}
 	if len(want) == 1 {
 		var only uint32
@@ -598,9 +769,17 @@ func newInPredKernel(col *dataset.Column, fk *dataset.Column, want map[uint32]st
 			only = c
 		}
 		if fk == nil {
-			return inOneDirectPred{codes: col.Codes, only: only}
+			return inOneDirectPred{codes: col.Codes, ord: ord, only: only}
 		}
 		return inOneFKPred{codes: col.Codes, fk: fkNums, only: only}
+	}
+	var vals []uint32
+	if fk == nil {
+		vals = make([]uint32, 0, len(want))
+		for c := range want {
+			vals = append(vals, c)
+		}
+		slices.Sort(vals)
 	}
 	if n := col.Dict.Len(); n <= inBitmapMax {
 		bits := make([]bool, n)
@@ -610,16 +789,16 @@ func newInPredKernel(col *dataset.Column, fk *dataset.Column, want map[uint32]st
 			}
 		}
 		if fk == nil {
-			return inBitmapDirectPred{codes: col.Codes, want: bits}
+			return inBitmapDirectPred{codes: col.Codes, want: bits, ord: ord, vals: vals}
 		}
 		return inBitmapFKPred{codes: col.Codes, fk: fkNums, want: bits}
 	}
-	return inMapPred{codes: col.Codes, fk: fkNums, want: want}
+	return inMapPred{codes: col.Codes, fk: fkNums, want: want, ord: ord, vals: vals}
 }
 
 func newRangePredKernel(col *dataset.Column, fk *dataset.Column, lo, hi float64) predKernel {
 	if fk == nil {
-		return rangeDirectPred{nums: col.Nums, lo: lo, hi: hi}
+		return rangeDirectPred{nums: col.Nums, ord: col.BlockOrder(BatchRows), lo: lo, hi: hi}
 	}
 	return rangeFKPred{nums: col.Nums, fk: fk.Nums, lo: lo, hi: hi}
 }

@@ -20,15 +20,19 @@ import (
 // burstQueries fires n distinct-signature queries back-to-back without
 // waiting, returning every handle. The server reads frames far faster than
 // queries complete, so inflight depth builds deterministically past any
-// admission cap much smaller than n.
+// admission cap much smaller than n. Each query's distinct predicate is a
+// range on distance that passes most rows (distances start at 67 miles), so
+// every consumer folds real rows: a predicate that selects nothing costs a
+// block-order lookup per block and would leave the burst no work to contend
+// on.
 func burstQueries(t *testing.T, sess *RemoteSession, base *query.Query, n int) []engine.Handle {
 	t.Helper()
 	handles := make([]engine.Handle, 0, n)
 	for i := 0; i < n; i++ {
 		q := *base
 		q.Filter = base.Filter.And(query.Predicate{
-			Field: base.Bins[0].Field, Op: query.OpIn,
-			Values: []string{fmt.Sprintf("burst-%d", i)},
+			Field: "distance", Op: query.OpRange,
+			Lo: float64(i) / 8, Hi: 1e6,
 		})
 		h, err := sess.StartQuery(&q)
 		if err != nil {
