@@ -15,9 +15,10 @@
 // []int32 slot buffer, and gather kernels that produce aggregate inputs as
 // []float64 — tight loops over raw column storage with no per-row closure
 // calls, over buffers that belong to the scanning goroutine, not the state.
-// ScanRangeUsing may start a filtered batch from a recorded Selection of
-// some of its predicates instead (selection.go; README.md, "Selection
-// reuse"): the same rows reach the fold in the same order.
+// ScanRangeUsing may start a filtered batch that is one whole aligned block
+// from a Selection that recorded the block for some of its predicates
+// instead (selection.go; README.md, "Selection reuse"): the same rows reach
+// the fold in the same order.
 //
 // # One accumulator table
 //

@@ -361,9 +361,9 @@ func (g *GroupState) scanRangeBatch(sc *scanScratch, lo, hi int, u *SelectionUse
 	plan := g.plan
 	preds := plan.predKern
 	if len(preds) > 0 {
-		sel, residual, ok := u.read(lo, hi, sc.sel[:])
+		sel, ok := u.read(lo, hi, sc.sel[:])
 		if ok {
-			for _, p := range residual {
+			for _, p := range u.residual {
 				sel = p.refine(sel)
 			}
 		} else {

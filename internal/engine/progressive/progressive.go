@@ -343,10 +343,11 @@ func (s *session) stateLocked(q *query.Query, claim bool) (*sharedscan.Consumer,
 // selectionPool is a session's recorded filter selections (README.md,
 // "Selection reuse"): at most maxSelections slots, each an engine.Selection
 // sized to the table view it was last reset for and reused for the
-// session's life. Slots are claimed by the queries of one workflow and
-// evicted least recently used; WorkflowStart and Close invalidate them all,
-// so nothing recorded is read across workflows or sessions. Guarded by the
-// session's mutex.
+// session's life. A query reads only a slot that already holds records, and
+// claims one only when no slot holds its exact predicate set. Slots are
+// claimed by the queries of one workflow and evicted least recently used;
+// WorkflowStart and Close invalidate them all, so nothing recorded is read
+// across workflows or sessions. Guarded by the session's mutex.
 type selectionPool struct {
 	slots []selectionSlot
 	tick  uint64
@@ -357,38 +358,30 @@ type selectionSlot struct {
 	used uint64 // pool tick of the last query that read or claimed it
 }
 
-// use returns plan's selection reuse: the valid slot with the most
-// predicates all in keys (plan's predicate keys) to read from, the one with
-// the most among those already holding records as its fallback (the first
-// may have been claimed by a sibling query whose consumer has not folded
-// yet, and a reader attached first would find it empty to the end), and,
-// with claim and no slot recording exactly keys' set, a slot claimed to
-// record plan's filter — a free one, else the least recently used one other
-// than the slots read from. Speculation targets pass claim false.
+// use returns plan's selection reuse: the slot holding records with the
+// most predicates all in keys (plan's predicate keys) to read from, and,
+// with claim and no slot — recorded or not — holding exactly keys' set, a
+// slot claimed to record plan's filter: a free one, else the least recently
+// used one other than the slot read from. A slot claimed a moment ago by a
+// sibling query that has not folded yet holds no records, so it is not read
+// and not claimed again. Speculation targets pass claim false.
 func (p *selectionPool) use(plan *engine.Compiled, keys []string, claim bool) *engine.SelectionUse {
 	if len(keys) == 0 {
 		return nil
 	}
 	p.tick++
-	bi, best, exact := -1, -1, false
-	ri, rbest := -1, -1
+	fi, best, exact := -1, -1, false
 	for i := range p.slots {
 		n, ex := p.slots[i].sel.Match(keys)
-		if n > best {
-			bi, best, exact = i, n, ex
-		}
-		if n > rbest && p.slots[i].sel.Recorded() {
-			ri, rbest = i, n
+		exact = exact || ex
+		if n > best && p.slots[i].sel.Recorded() {
+			fi, best = i, n
 		}
 	}
-	var from, fallback, into *engine.Selection
-	if bi >= 0 {
-		p.slots[bi].used = p.tick
-		from = p.slots[bi].sel
-	}
-	if ri >= 0 && ri != bi {
-		p.slots[ri].used = p.tick
-		fallback = p.slots[ri].sel
+	var from, into *engine.Selection
+	if fi >= 0 {
+		p.slots[fi].used = p.tick
+		from = p.slots[fi].sel
 	}
 	if claim && !exact {
 		var sl *selectionSlot
@@ -397,7 +390,7 @@ func (p *selectionPool) use(plan *engine.Compiled, keys []string, claim bool) *e
 			sl = &p.slots[len(p.slots)-1]
 		} else {
 			for i := range p.slots {
-				if c := &p.slots[i]; c.sel != from && c.sel != fallback && (sl == nil || c.used < sl.used) {
+				if c := &p.slots[i]; c.sel != from && (sl == nil || c.used < sl.used) {
 					sl = c
 				}
 			}
@@ -406,7 +399,7 @@ func (p *selectionPool) use(plan *engine.Compiled, keys []string, claim bool) *e
 		sl.used = p.tick
 		into = sl.sel
 	}
-	return engine.NewSelectionUse(plan, keys, from, into, fallback)
+	return engine.NewSelectionUse(plan, keys, from, into)
 }
 
 // invalidate forgets every recorded selection, keeping the slots' memory.

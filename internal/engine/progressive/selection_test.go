@@ -160,6 +160,36 @@ func TestDrillDownReaderAttachesFirst(t *testing.T) {
 	sess.WorkflowEnd()
 }
 
+// TestClaimedSlotIsNotClaimedTwice: a query whose exact predicate set a
+// sibling has claimed, and not recorded yet, claims no second slot for it.
+func TestClaimedSlotIsNotClaimedTwice(t *testing.T) {
+	db := enginetest.SmallDB(30000, 41)
+	e := New(Config{})
+	if err := e.Prepare(db, engine.Options{Seed: 9}); err != nil {
+		t.Fatal(err)
+	}
+	sess := e.OpenSession().(*session)
+	defer sess.Close()
+	sess.WorkflowStart()
+	runExact(t, sess, db, drillQuery("viz_state", drillP1))
+	step2 := drillQuery("viz_state", drillP1, drillP2)
+	sibling := drillQuery("viz_dist", drillP2, drillP1)
+	sess.mu.Lock()
+	for _, q := range []*query.Query{step2, sibling} {
+		if _, err := sess.stateLocked(q, true); err != nil {
+			sess.mu.Unlock()
+			t.Fatal(err)
+		}
+	}
+	sess.mu.Unlock()
+	if got := sess.slotMatches(sibling); len(got) != 2 {
+		t.Fatalf("slots %v after p1 and two queries of p1∧p2, want 2", got)
+	}
+	runExact(t, sess, db, step2)
+	runExact(t, sess, db, sibling)
+	sess.WorkflowEnd()
+}
+
 // TestSelectionEvictionLRU: the ninth distinct filter of a workflow evicts
 // the least recently used slot — the first filter's — and every answer stays
 // exact.

@@ -10,8 +10,12 @@ import (
 )
 
 // circularSpans cuts the circular window of rows starting at a random row
-// into spans of random lengths, so span edges fall on no 64-row boundary in
-// particular; it returns them in scan order.
+// into spans in scan order. A span starting on the block grid runs to the
+// next boundary — a whole block, the span selection reuse serves — three
+// times in four, and one starting off it half the time, so in a large table
+// about half the blocks are scanned whole. The other spans have random
+// lengths, cross block boundaries at random offsets and must evaluate their
+// predicates.
 func circularSpans(rng *rand.Rand, rows int) [][2]int {
 	if rows == 0 {
 		return nil
@@ -19,8 +23,12 @@ func circularSpans(rng *rand.Rand, rows int) [][2]int {
 	start := rng.Intn(rows)
 	var out [][2]int
 	for off := 0; off < rows; {
-		n := min(1+rng.Intn(BatchRows+BatchRows/2), rows-off)
 		lo := (start + off) % rows
+		n := 1 + rng.Intn(BatchRows+BatchRows/2)
+		if rng.Intn(2) == 0 || lo%BatchRows == 0 && rng.Intn(2) == 0 {
+			n = BatchRows - lo%BatchRows
+		}
+		n = min(n, rows-off)
 		if hi := lo + n; hi <= rows {
 			out = append(out, [2]int{lo, hi})
 		} else {
@@ -52,7 +60,7 @@ func TestSelectionReuseMatchesEvaluation(t *testing.T) {
 	served := 0
 	for trial := 0; trial < 80; trial++ {
 		normalized := rng.Intn(3) == 0
-		rows := 1 + rng.Intn(5*BatchRows)
+		rows := 2*BatchRows + rng.Intn(3*BatchRows)
 		db := randomDB(t, rng, rows, normalized)
 		q := randomQuery(rng, normalized)
 		q.Filter.Predicates = append(q.Filter.Predicates, query.Predicate{
@@ -194,13 +202,14 @@ func containsAllKeys(keys, set []string) bool {
 	return true
 }
 
-// TestSelectionRecordsOnlyWholeWords pins the recording rule the reuse
-// wall rests on: a span records exactly the 64-row words lying wholly
-// inside it and inside the selection's view, and a read needs every word it
-// overlaps.
-func TestSelectionRecordsOnlyWholeWords(t *testing.T) {
+// TestSelectionRecordsOnlyWholeBlocks pins the recording rule the reuse
+// wall rests on: a batch is recorded and read only when it is a whole
+// aligned block inside the selection's view, and a Reset unrecords every
+// block without clearing a flag.
+func TestSelectionRecordsOnlyWholeBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	db := randomDB(t, rng, 1000, false)
+	rows := 3*BatchRows + 1000 // the last block is ragged
+	db := randomDB(t, rng, rows, false)
 	q := &query.Query{VizName: "v", Table: "fact",
 		Bins: []query.Binning{{Field: "cat_b", Kind: dataset.Nominal}},
 		Aggs: []query.Aggregate{{Func: query.Count}},
@@ -211,30 +220,63 @@ func TestSelectionRecordsOnlyWholeWords(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, keys := q.SignatureKeys()
+	read := func(s *Selection, lo, hi int) ([]uint32, bool) {
+		var buf [BatchRows]uint32
+		return NewSelectionUse(plan, keys, s, nil).read(lo, hi, buf[:])
+	}
+
+	// The view ends inside block 2: block 2 reaches past it (an Extend tail).
 	s := new(Selection)
-	s.Reset(900, keys)
+	s.Reset(3*BatchRows-100, keys)
 	rec := NewSelectionUse(plan, keys, nil, s)
-	NewGroupState(plan).ScanRangeUsing(10, 200, rec) // words 1, 2 (64..191)
-	NewGroupState(plan).ScanRangeUsing(832, 1000, rec)
-	for _, c := range []struct {
-		lo, hi int
-		want   bool
-	}{
-		{64, 192, true}, {70, 100, true}, {63, 100, false}, {100, 193, false},
-		{832, 896, true}, {832, 897, false}, {896, 900, false},
-	} {
-		s.mu.RLock()
-		got := c.hi <= s.rows && s.recordedLocked(c.lo, c.hi)
-		s.mu.RUnlock()
-		if got != c.want {
-			t.Errorf("[%d, %d) recorded = %v, want %v", c.lo, c.hi, got, c.want)
+	gs := NewGroupState(plan)
+	gs.ScanRangeUsing(0, BatchRows, rec)                 // block 0: aligned, inside the view
+	gs.ScanRangeUsing(BatchRows+10, 2*BatchRows+10, rec) // misaligned, covers most of block 1
+	gs.ScanRangeUsing(2*BatchRows, rows, rec)            // block 2 (past the view) and the ragged tail
+	s.mu.RLock()
+	for i := range s.rec {
+		if got := s.rec[i].Load() == s.gen; got != (i == 0) {
+			t.Errorf("block %d recorded = %v, want %v", i, got, i == 0)
 		}
 	}
+	s.mu.RUnlock()
+	if sel, ok := read(s, 0, BatchRows); !ok || len(sel) != BatchRows || sel[0] != 0 || sel[BatchRows-1] != BatchRows-1 {
+		t.Fatalf("read block 0 of an all-pass filter: %v, %d rows", ok, len(sel))
+	}
+	for _, c := range []struct {
+		name   string
+		lo, hi int
+	}{
+		{"a misaligned span inside a recorded block", 10, 100},
+		{"a misaligned block-long span", 10, BatchRows + 10},
+		{"the block a misaligned span covered most of", BatchRows, 2 * BatchRows},
+		{"the misaligned span itself", BatchRows + 10, 2*BatchRows + 10},
+		{"a block reaching past the view", 2 * BatchRows, 3 * BatchRows},
+		{"the ragged last block", 3 * BatchRows, rows},
+	} {
+		if _, ok := read(s, c.lo, c.hi); ok {
+			t.Errorf("%s [%d, %d) was read", c.name, c.lo, c.hi)
+		}
+	}
+
+	// A view covering the whole table still leaves the ragged block out.
+	whole := new(Selection)
+	whole.Reset(rows, keys)
+	NewGroupState(plan).ScanRangeUsing(0, rows, NewSelectionUse(plan, keys, nil, whole))
+	for i := 0; i < 3; i++ {
+		if _, ok := read(whole, i*BatchRows, (i+1)*BatchRows); !ok {
+			t.Errorf("block %d of a view covering it was not recorded", i)
+		}
+	}
+	if _, ok := read(whole, 3*BatchRows, rows); ok {
+		t.Error("the ragged last block of the table was read")
+	}
+
 	if NewSelectionUse(plan, keys, s, s).into != nil {
 		t.Fatal("a use records into the selection it reads")
 	}
-	var buf [BatchRows]uint32
-	if sel, _, ok := NewSelectionUse(plan, keys, s, nil).read(70, 100, buf[:]); !ok || len(sel) != 30 || sel[0] != 70 || sel[29] != 99 {
-		t.Fatalf("read [70, 100) of an all-pass filter: %v %v", ok, sel)
+	s.Reset(3*BatchRows-100, keys)
+	if _, ok := read(s, 0, BatchRows); ok || s.Recorded() {
+		t.Fatal("a block recorded before a Reset was read after it")
 	}
 }
