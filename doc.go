@@ -28,16 +28,18 @@
 // lineage and never written to a checkpoint), and every later scan of a
 // domain of up to 256 bins widens that byte instead of dividing; results are
 // bitwise the arithmetic kernels', which remain for FK-indirected
-// dimensions and wider domains. A range or IN filter finds a whole 4096-row
-// block's passing rows by binary search in the block's row offsets sorted
-// by value (dataset.BlockOrder, 2 B/row, built by the first scan that asks
-// and likewise kept per lineage) instead of testing every row. The
-// archetypes differ only in their
-// execution *models* — blocking parallel scan (exactdb), offline stratified
-// sample (sampledb), online aggregation with a row-store cost model
-// (onlinedb), and fully progressive permuted scanning with reuse and
-// speculation (progressive) — not in their scan kernels, so benchmark
-// comparisons measure the models, not incidental interpreter overhead.
+// dimensions and wider domains. A whole 4096-row block takes the first
+// memo that serves it (engine.GroupState.ScanRangeReusing): a recorded
+// table of the block, a recorded selection of a filter's rows, or a range
+// or IN filter's binary search in the block's row offsets sorted by value
+// (dataset.BlockOrder, 2 B/row, built by the first scan that asks and
+// likewise kept per lineage), before it tests every row. The archetypes
+// differ only in their execution *models* — blocking parallel scan
+// (exactdb), offline stratified sample (sampledb), online aggregation with
+// a row-store cost model (onlinedb), and fully progressive permuted
+// scanning with reuse and speculation (progressive) — not in their scan
+// kernels, so benchmark comparisons measure the models, not incidental
+// interpreter overhead.
 //
 // The data itself comes from the paper's Gaussian-copula generator
 // (internal/datagen), which uses every core and still builds bitwise the

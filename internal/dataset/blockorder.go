@@ -97,44 +97,42 @@ func (c *Column) blockOrderMemo() *BlockOrder {
 // Builds returns how many block orders the memo has built.
 func (o *BlockOrder) Builds() int64 { return o.builds.Load() }
 
-// Nums returns the order of the quantitative block [lo, hi) of nums, the
-// values of a view of o's lineage: built now if no scan has built it yet.
-// It returns nil — the caller tests the rows — for a nil memo, a span that
-// is not one whole aligned block, a block another scan is building, and a
-// block holding a NaN.
-func (o *BlockOrder) Nums(lo, hi int, nums []float64) []uint16 {
-	st, ord := o.claim(lo, hi)
+// Nums returns the order of block b of nums, the values of a view of o's
+// lineage: built now if no scan has built it yet. It returns nil — the
+// caller tests the rows — for a nil memo, a block the view does not hold
+// whole, a block another scan is building, and a block holding a NaN.
+func (o *BlockOrder) Nums(b int, nums []float64) []uint16 {
+	st, ord := o.claim(b, len(nums))
 	if st == nil {
 		return ord
 	}
 	sc := orderScratchPool.Get().(*orderScratch)
-	ok := sc.sortNums(ord, nums[lo:hi])
+	ok := sc.sortNums(ord, nums[b*o.block:(b+1)*o.block])
 	orderScratchPool.Put(sc)
 	return o.publish(st, ord, ok)
 }
 
 // Codes is Nums for the dictionary codes of a nominal column.
-func (o *BlockOrder) Codes(lo, hi int, codes []uint32) []uint16 {
-	st, ord := o.claim(lo, hi)
+func (o *BlockOrder) Codes(b int, codes []uint32) []uint16 {
+	st, ord := o.claim(b, len(codes))
 	if st == nil {
 		return ord
 	}
 	sc := orderScratchPool.Get().(*orderScratch)
-	sc.sortCodes(ord, codes[lo:hi])
+	sc.sortCodes(ord, codes[b*o.block:(b+1)*o.block])
 	orderScratchPool.Put(sc)
 	return o.publish(st, ord, true)
 }
 
-// claim looks up the block [lo, hi). A built block returns its order and a
-// nil state; a block the caller has just claimed returns the state word it
-// must publish and the storage to sort into; every other case — a span that
-// is not one whole aligned block, a block being built or unindexable —
-// returns nils.
-func (o *BlockOrder) claim(lo, hi int) (*atomic.Uint32, []uint16) {
-	if o == nil || hi-lo != o.block || lo%o.block != 0 {
+// claim looks up block b of a view of rows rows. A built block returns its
+// order and a nil state; a block the caller has just claimed returns the
+// state word it must publish and the storage to sort into; every other case
+// — a block the view does not hold whole, a block being built or
+// unindexable — returns nils.
+func (o *BlockOrder) claim(b, rows int) (*atomic.Uint32, []uint16) {
+	if o == nil || (b+1)*o.block > rows {
 		return nil, nil
 	}
-	b := lo / o.block
 	d := o.dir.Load()
 	if b/orderChunkBlocks >= len(d.chunks) {
 		d = o.cover(b/orderChunkBlocks + 1)

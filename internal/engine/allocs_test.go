@@ -19,9 +19,11 @@ import (
 // further 4096-row ranges allocates nothing — on the two-pass 2-D path, on
 // the fused one-pass 2-D kernel over range and selection batches, with more
 // than one moments column, on a filtered plan both reading its rows from a
-// recorded selection and recording them into one, and on range and IN
-// filters finding their rows through block orders — built inside the
-// measured runs for the blocks not yet scanned, read after.
+// recorded selection and recording them into one, on range and IN filters
+// finding their rows through block orders — built inside the measured runs
+// for the blocks not yet scanned, read after — and on unfiltered plans
+// merging recorded block tables, over whole blocks and over a span with a
+// ragged head and tail folded row by row around them.
 func TestScanRangeSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := randomDB(t, rng, 8*BatchRows, false)
@@ -87,15 +89,15 @@ func TestScanRangeSteadyStateAllocs(t *testing.T) {
 		sel.Reset(plan.NumRows, keys)
 		recording := NewSelectionUse(plan, keys, nil, sel)
 		reading := NewSelectionUse(plan, keys, sel, nil)
-		gs.ScanRangeUsing(0, plan.NumRows, recording)
+		gs.ScanRangeReusing(0, plan.NumRows, nil, recording)
 		for use, label := range map[*SelectionUse]string{reading: "reading", recording: "recording"} {
 			allocs := testing.AllocsPerRun(6, func() {
 				lo := batch % 8 * BatchRows
-				gs.ScanRangeUsing(lo, lo+BatchRows, use)
+				gs.ScanRangeReusing(lo, lo+BatchRows, nil, use)
 				batch++
 			})
 			if allocs != 0 {
-				t.Errorf("%s: %v allocations per steady-state 4096-row ScanRangeUsing %s a selection, want 0", name, allocs, label)
+				t.Errorf("%s: %v allocations per steady-state 4096-row ScanRangeReusing %s a selection, want 0", name, allocs, label)
 			}
 		}
 		if reading.RowsServed() == 0 {
@@ -107,14 +109,8 @@ func TestScanRangeSteadyStateAllocs(t *testing.T) {
 			t.Errorf("%s: the filters did not run on block orders", field)
 		}
 	}
-}
 
-// TestScanRangeBlocksSteadyStateAllocs: a scan that merges recorded block
-// tables — whole blocks, and a span with a ragged head and tail folded row
-// by row around them — allocates nothing.
-func TestScanRangeBlocksSteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	db := randomDB(t, rng, 8*BatchRows, false)
+	db = randomDB(t, rand.New(rand.NewSource(6)), 8*BatchRows, false)
 	for name, aggs := range map[string][]query.Aggregate{
 		"count":        {{Func: query.Count}},
 		"sum_min_max":  {{Func: query.Sum, Field: "y"}, {Func: query.Min, Field: "x"}, {Func: query.Max, Field: "y"}},
@@ -126,20 +122,20 @@ func TestScanRangeBlocksSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := NewBlocks(plan)
-		NewGroupState(plan).ScanRangeBlocks(0, plan.NumRows, b)
+		NewGroupState(plan).ScanRangeReusing(0, plan.NumRows, b, nil)
 		gs := NewGroupState(plan)
 		gs.ScanRange(0, BatchRows)
 		batch := 1
 		for _, span := range [][2]int{{0, BatchRows}, {100, 3*BatchRows - 100}} {
 			allocs := testing.AllocsPerRun(6, func() {
 				lo := batch % 5 * BatchRows
-				if gs.ScanRangeBlocks(lo+span[0], lo+span[1], b) == 0 {
+				if gs.ScanRangeReusing(lo+span[0], lo+span[1], b, nil) == 0 {
 					t.Fatal("no recorded block merged")
 				}
 				batch++
 			})
 			if allocs != 0 {
-				t.Errorf("%s: %v allocations per ScanRangeBlocks over %v, want 0", name, allocs, span)
+				t.Errorf("blocks %s: %v allocations per ScanRangeReusing over %v, want 0", name, allocs, span)
 			}
 		}
 	}

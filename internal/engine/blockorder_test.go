@@ -58,26 +58,6 @@ func orderTable(t *testing.T, rng *rand.Rand, rows, card, nanBlock int) *dataset
 	return fact
 }
 
-// scanTwin returns k with its block order removed: the kernel that tests
-// every row.
-func scanTwin(k predKernel) predKernel {
-	switch k := k.(type) {
-	case rangeDirectPred:
-		k.ord = nil
-		return k
-	case inOneDirectPred:
-		k.ord = nil
-		return k
-	case inBitmapDirectPred:
-		k.ord = nil
-		return k
-	case inMapPred:
-		k.ord = nil
-		return k
-	}
-	panic(fmt.Sprintf("no block-order kernel: %T", k))
-}
-
 // orderSpans lists the spans a property trial selects over: every block of
 // the table (the last one ragged when rows is not a multiple of
 // BatchRows), whole-block-long spans off the grid, and short random ones.
@@ -97,17 +77,25 @@ func orderSpans(rng *rand.Rand, rows int) [][2]int {
 	return spans
 }
 
-// checkTwins fails unless k and its scan twin select the same rows over
-// every span.
+// checkTwins fails unless k, a kernel with a block order, selects the rows
+// its scan twin selectRange does over every span: through selectBlock where
+// the span is a whole aligned block, through selectRange (which no order
+// serves) elsewhere.
 func checkTwins(t *testing.T, label string, k predKernel, spans [][2]int) {
 	t.Helper()
-	scan := scanTwin(k)
 	var got, want [BatchRows]uint32
 	for _, s := range spans {
-		g := k.selectRange(s[0], s[1], got[:])
-		w := scan.selectRange(s[0], s[1], want[:])
+		w := k.selectRange(s[0], s[1], want[:])
+		var g []uint32
+		indexed := false
+		if s[0]%BatchRows == 0 && s[1]-s[0] == BatchRows {
+			g, indexed = k.(blockSelector).selectBlock(s[0]/BatchRows, got[:])
+		}
+		if !indexed {
+			g = k.selectRange(s[0], s[1], got[:])
+		}
 		if !slices.Equal(g, w) {
-			t.Fatalf("%s over [%d,%d): block order selected %d rows, the scan %d", label, s[0], s[1], len(g), len(w))
+			t.Fatalf("%s over [%d,%d): selected %d rows (block order: %v), the scan %d", label, s[0], s[1], len(g), indexed, len(w))
 		}
 	}
 }
@@ -149,7 +137,7 @@ func TestBlockOrderSelectMatchesScan(t *testing.T) {
 				vals = append(vals, c)
 			}
 			slices.Sort(vals)
-			m := inMapPred{codes: n.Codes, want: want, ord: n.BlockOrder(BatchRows), vals: vals}
+			m := inMapPred{inOrder: inOrder{codes: n.Codes, ord: n.BlockOrder(BatchRows), vals: vals}, want: want}
 			checkTwins(t, fmt.Sprintf("trial %d: map IN of %d", trial, size), m, spans)
 		}
 		indexed += int(q.BlockOrder(BatchRows).Builds() + n.BlockOrder(BatchRows).Builds())

@@ -7,13 +7,13 @@ import (
 	"sync/atomic"
 )
 
-// Block aggregates (README.md, "Shared-scan scheduler"): the accumulator
-// table an unfiltered dense 1-D plan folds over one aligned block of
-// BatchRows rows depends on nothing but the block's rows and the plan's
-// accumulator shape — the binning, its dense geometry and each aggregate
-// op's class and input — so it can be recorded once per block and merged by
-// every later scan of that shape: about one slot merge per bin instead of
-// BatchRows row folds.
+// Block tables (README.md, "Per-block scan"): the accumulator table an
+// unfiltered dense 1-D plan folds over one aligned block of BatchRows rows
+// depends on nothing but the block's rows and the plan's accumulator shape —
+// the binning, its dense geometry and each aggregate op's class and input —
+// so it can be recorded once per block and merged by every later scan of
+// that shape (the first stage of GroupState.ScanRangeReusing's chain):
+// about one slot merge per bin instead of BatchRows row folds.
 
 // blockMaxSlots caps the dense geometry a shape may record: merging a block
 // table costs one step per slot, so past BatchRows/8 slots it saves less
@@ -200,45 +200,6 @@ func compactBlock(t *accTable, ops []aggOp) *blockTable {
 		}
 	}
 	return bt
-}
-
-// ScanRangeBlocks is ScanRange for a plan of b's shape: every whole aligned
-// block inside [lo, hi) merges b's recorded table — recorded first, by
-// folding the block through ScanRange into g's emptied recording table,
-// when b has none — and the rows outside such blocks fold one by one. A merge adds counts,
-// folds min/max and re-shifts moments, so COUNT, MIN, MAX and integer-valued
-// SUM are bitwise ScanRange's, and float SUM and AVG agree as a split scan
-// merged back does (README.md, "The bitwise wall"). It returns the rows
-// served from tables b already held. A b of another shape is plain
-// ScanRange.
-func (g *GroupState) ScanRangeBlocks(lo, hi int, b *Blocks) (served int) {
-	first, end := (lo+BatchRows-1)/BatchRows, hi/BatchRows
-	if b == nil || first >= end || !b.Serves(g.plan) {
-		g.ScanRange(lo, hi)
-		return 0
-	}
-	if head := first * BatchRows; lo < head {
-		g.ScanRange(lo, head)
-	}
-	for i := first; i < end; i++ {
-		bt := b.table(i)
-		if bt != nil {
-			served += BatchRows
-		} else {
-			if g.rec == nil {
-				g.rec = NewGroupState(g.plan)
-			} else {
-				g.rec.t.empty()
-			}
-			g.rec.ScanRange(i*BatchRows, (i+1)*BatchRows)
-			bt = b.publish(i, compactBlock(&g.rec.t, g.plan.aggOps))
-		}
-		g.mergeBlock(bt)
-	}
-	if tail := end * BatchRows; tail < hi {
-		g.ScanRange(tail, hi)
-	}
-	return served
 }
 
 // mergeBlock folds a block table of g's shape into g, slot for slot: each

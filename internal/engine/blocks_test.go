@@ -64,11 +64,11 @@ func TestBlockShapeKeys(t *testing.T) {
 	}
 }
 
-// TestScanRangeBlocksConcurrentRecord: scans racing to record the same
-// blocks of one shape each fold a correct table, one table per block is
-// kept, and every state equals the others bit for bit and ScanRange's on
-// counts and min/max, its moments within 1e-9.
-func TestScanRangeBlocksConcurrentRecord(t *testing.T) {
+// TestBlockTablesConcurrentRecord: scans racing to record the same blocks
+// of one shape each fold a correct table, one table per block is kept, and
+// every state equals the others bit for bit and ScanRange's on counts and
+// min/max, its moments within 1e-9.
+func TestBlockTablesConcurrentRecord(t *testing.T) {
 	db := randomDB(t, rand.New(rand.NewSource(4)), 6*BatchRows+100, false)
 	plan := blockPlan(t, db, &query.Query{Bins: []query.Binning{{Field: "cat_a", Kind: dataset.Nominal}},
 		Aggs: []query.Aggregate{{Func: query.Count}, {Func: query.Avg, Field: "x"}, {Func: query.Min, Field: "y"}, {Func: query.Max, Field: "x"}}})
@@ -81,7 +81,7 @@ func TestScanRangeBlocksConcurrentRecord(t *testing.T) {
 		wg.Add(1)
 		go func(g *GroupState) {
 			defer wg.Done()
-			g.ScanRangeBlocks(0, plan.NumRows, b)
+			g.ScanRangeReusing(0, plan.NumRows, b, nil)
 		}(states[i])
 	}
 	wg.Wait()
@@ -113,7 +113,146 @@ func TestScanRangeBlocksConcurrentRecord(t *testing.T) {
 			}
 		}
 	}
-	if g := NewGroupState(plan); g.ScanRangeBlocks(0, plan.NumRows, b) != plan.NumRows/BatchRows*BatchRows {
+	if g := NewGroupState(plan); g.ScanRangeReusing(0, plan.NumRows, b, nil) != plan.NumRows/BatchRows*BatchRows {
 		t.Fatal("a scan after the race did not merge every whole block")
 	}
+}
+
+// countingPred counts the rows a predicate kernel tests.
+type countingPred struct {
+	predKernel
+	tested *int
+}
+
+func (p countingPred) selectRange(lo, hi int, buf []uint32) []uint32 {
+	*p.tested += hi - lo
+	return p.predKernel.selectRange(lo, hi, buf)
+}
+
+// countingSel counts the blocks a kernel is asked to select through its
+// block order.
+type countingSel struct {
+	blockSelector
+	asked *int
+}
+
+func (p countingSel) selectBlock(i int, buf []uint32) ([]uint32, bool) {
+	*p.asked++
+	return p.blockSelector.selectBlock(i, buf)
+}
+
+// TestBlockChainOrder pins the priority of ScanRangeReusing's per-block
+// chain, each case over a fresh lineage: a whole block a recorded selection
+// serves never reaches the first predicate or its block order; a shape
+// whose block tables are recorded reads no selection and builds no order;
+// and a scan made only of spans holding no whole aligned block looks up
+// neither a selection nor an order. Each scan still folds the state of the
+// row-by-row scan.
+func TestBlockChainOrder(t *testing.T) {
+	const rows = 4 * BatchRows
+	byCat := []query.Binning{{Field: "cat_a", Kind: dataset.Nominal}}
+	filter := query.Filter{Predicates: []query.Predicate{{Field: "x", Op: query.OpRange, Lo: -60, Hi: 90}}}
+	builds := func(db *dataset.Database) (n int64) {
+		for _, c := range db.Fact.Columns {
+			n += c.BlockOrder(BatchRows).Builds()
+		}
+		return n
+	}
+	// counted compiles q and counts what its first predicate does.
+	counted := func(db *dataset.Database, q *query.Query) (plan *Compiled, tested, asked *int) {
+		plan = blockPlan(t, db, q)
+		tested, asked = new(int), new(int)
+		plan.predKern[0] = countingPred{plan.predKern[0], tested}
+		plan.blockSel = countingSel{plan.blockSel, asked}
+		return plan, tested, asked
+	}
+	// recorded returns a selection of keys holding plan's passing rows for
+	// every whole block, found by the scalar filter: no kernel, no order.
+	recorded := func(plan *Compiled, keys []string) *Selection {
+		s := new(Selection)
+		s.Reset(plan.NumRows, keys)
+		rec := NewSelectionUse(plan, keys, nil, s)
+		for i := 0; i < plan.NumRows/BatchRows; i++ {
+			var sel []uint32
+			for r := i * BatchRows; r < (i+1)*BatchRows; r++ {
+				if plan.Matches(r) {
+					sel = append(sel, uint32(r))
+				}
+			}
+			rec.record(i, sel)
+		}
+		return s
+	}
+	scalar := func(plan *Compiled) *GroupState {
+		g := NewGroupState(plan)
+		g.ScanRangeScalar(0, plan.NumRows)
+		return g
+	}
+
+	t.Run("selection before block order", func(t *testing.T) {
+		db := randomDB(t, rand.New(rand.NewSource(41)), rows, false)
+		q := &query.Query{Bins: byCat, Aggs: []query.Aggregate{{Func: query.Count}}, Filter: filter}
+		plan, tested, asked := counted(db, q)
+		_, keys := q.SignatureKeys()
+		u := NewSelectionUse(plan, keys, recorded(plan, keys), nil)
+		g := NewGroupState(plan)
+		g.ScanRangeReusing(0, rows, nil, u)
+		if *tested != 0 || *asked != 0 || builds(db) != 0 {
+			t.Fatalf("blocks read from a selection: %d rows tested, %d blocks asked of the order, %d orders built", *tested, *asked, builds(db))
+		}
+		if u.RowsServed() != rows {
+			t.Fatalf("%d rows read from the selection, want %d", u.RowsServed(), rows)
+		}
+		assertStatesEqual(t, "selection", scalar(plan), g)
+	})
+
+	t.Run("block tables before selection", func(t *testing.T) {
+		db := randomDB(t, rand.New(rand.NewSource(42)), rows, false)
+		plan := blockPlan(t, db, &query.Query{Bins: byCat, Aggs: []query.Aggregate{{Func: query.Count}}})
+		b := NewBlocks(plan)
+		NewGroupState(plan).ScanRangeReusing(0, rows, b, nil)
+		// An unfiltered plan never gets a use from NewSelectionUse; this one
+		// holds a selection with every block recorded, which the chain must
+		// not consult while a table serves.
+		fq := &query.Query{Bins: byCat, Aggs: []query.Aggregate{{Func: query.Count}}, Filter: filter}
+		fplan := blockPlan(t, db, fq)
+		_, fkeys := fq.SignatureKeys()
+		s := recorded(fplan, fkeys)
+		u := &SelectionUse{plan: plan, from: s, fromGen: s.gen}
+		g := NewGroupState(plan)
+		if served := g.ScanRangeReusing(0, rows, b, u); served != rows {
+			t.Fatalf("%d rows merged from block tables, want %d", served, rows)
+		}
+		if u.RowsServed() != 0 || builds(db) != 0 {
+			t.Fatalf("a shape with recorded tables read %d rows from a selection and built %d orders", u.RowsServed(), builds(db))
+		}
+		assertStatesEqual(t, "block tables", scalar(plan), g)
+	})
+
+	t.Run("misaligned spans", func(t *testing.T) {
+		db := randomDB(t, rand.New(rand.NewSource(43)), rows, false)
+		q := &query.Query{Bins: byCat, Aggs: []query.Aggregate{{Func: query.Count}}, Filter: filter}
+		plan, tested, asked := counted(db, q)
+		_, keys := q.SignatureKeys()
+		u := NewSelectionUse(plan, keys, recorded(plan, keys), nil)
+		g := NewGroupState(plan)
+		// [0, 100), then block-long spans off the grid, then the rest: no
+		// span holds a whole aligned block.
+		for lo := 0; lo < rows; {
+			hi := min(rows, (lo/BatchRows+1)*BatchRows+100)
+			if lo == 0 {
+				hi = 100
+			}
+			g.ScanRangeReusing(lo, hi, nil, u)
+			lo = hi
+		}
+		if *asked != 0 || builds(db) != 0 || u.RowsServed() != 0 {
+			t.Fatalf("misaligned spans asked the order for %d blocks, built %d orders and read %d rows from a selection",
+				*asked, builds(db), u.RowsServed())
+		}
+		if *tested != rows {
+			t.Fatalf("misaligned spans tested %d rows, want %d", *tested, rows)
+		}
+		assertStatesEqual(t, "misaligned", scalar(plan), g)
+	})
 }

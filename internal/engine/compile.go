@@ -40,6 +40,8 @@ type Compiled struct {
 	binKern  []binKernel
 	aggKern  []aggKernel
 	predKern []predKernel
+	// blockSel is predKern[0] if it has a block order, resolved once.
+	blockSel blockSelector
 	// pairKern computes whole table slots of a dense 2-D plan in one pass
 	// when both dimensions read a column's codes directly (newPairKernel);
 	// nil otherwise.
@@ -165,6 +167,9 @@ func compile(db *dataset.Database, q *query.Query, buildCodes bool) (*Compiled, 
 	}
 	c.filter = f
 	c.predKern = preds
+	if len(preds) > 0 {
+		c.blockSel, _ = preds[0].(blockSelector)
+	}
 	c.planDense(domains)
 	if c.geom.slots() > 0 {
 		for i, dim := range dims {

@@ -15,10 +15,10 @@
 // []int32 slot buffer, and gather kernels that produce aggregate inputs as
 // []float64 — tight loops over raw column storage with no per-row closure
 // calls, over buffers that belong to the scanning goroutine, not the state.
-// ScanRangeUsing may start a filtered batch that is one whole aligned block
-// from a Selection that recorded the block for some of its predicates
-// instead (selection.go; README.md, "Selection reuse"): the same rows reach
-// the fold in the same order.
+// A whole aligned block takes the first of a recorded block table, a
+// recorded selection and the first predicate's block order that serves it
+// (GroupState.ScanRangeReusing; README.md, "Per-block scan"): the same rows
+// reach the fold in the same order.
 //
 // # One accumulator table
 //

@@ -224,8 +224,8 @@ type GroupState struct {
 	plan    *Compiled
 	t       accTable
 	scratch []float64 // scalar path's aggregate inputs
-	// rec is ScanRangeBlocks' recording table: a state of the same plan,
-	// made on the first block it records and emptied for each next one.
+	// rec folds a block before its table is published to a Blocks: a state
+	// of the same plan, made on first use and emptied for each next block.
 	rec *GroupState
 }
 
@@ -292,24 +292,81 @@ func (sc *scanScratch) val(k int) []float64 {
 }
 
 // ScanRange folds physical rows [lo, hi) that match the filter.
-func (g *GroupState) ScanRange(lo, hi int) { g.ScanRangeUsing(lo, hi, nil) }
+func (g *GroupState) ScanRange(lo, hi int) { g.ScanRangeReusing(lo, hi, nil, nil) }
 
-// ScanRangeUsing is ScanRange with selection reuse: a filtered batch reads
-// its candidate rows from u's recorded selection where it can and records
-// the rows passing the filter into u's own (SelectionUse). The rows folded
-// and their order are ScanRange's, so the state is bitwise the same. A nil
-// u, or one built for another plan, is plain ScanRange.
-func (g *GroupState) ScanRangeUsing(lo, hi int, u *SelectionUse) {
+// ScanRangeReusing is ScanRange over the block memos (README.md, "Per-block
+// scan"): it splits [lo, hi) once into a ragged head and tail, whose rows
+// are tested, and whole aligned blocks, each run through scanBlock's chain
+// over b's block tables and u's selections. A filtered plan folds the rows
+// ScanRange does, in the same order; a merged table is a split scan merged
+// back at block edges (README.md, "The bitwise wall"). It returns the rows
+// merged from tables b already held. A b of another shape, and a u built
+// for another plan (a shard that sharedscan.Extend rebound to a grown
+// view), are ignored.
+func (g *GroupState) ScanRangeReusing(lo, hi int, b *Blocks, u *SelectionUse) (served int) {
+	if b != nil && !b.Serves(g.plan) {
+		b = nil
+	}
 	if u != nil && u.plan != g.plan {
 		u = nil
 	}
+	head := min(hi, (lo+BatchRows-1)/BatchRows*BatchRows)
+	tail := max(head, hi/BatchRows*BatchRows)
 	sc := scratchPool.Get().(*scanScratch)
-	for lo < hi {
-		n := min(hi-lo, BatchRows)
-		g.scanRangeBatch(sc, lo, lo+n, u)
-		lo += n
+	g.scanBatch(sc, lo, head)
+	for i := head / BatchRows; i < tail/BatchRows; i++ {
+		served += g.scanBlock(sc, i, b, u)
 	}
+	g.scanBatch(sc, tail, hi)
 	sc.release()
+	return served
+}
+
+// scanBlock folds whole aligned block i through the first stage that
+// serves it: (1) b's table of the block, merged — recorded through g.rec and
+// published first when b has none; else, for a filtered plan, (2) the rows
+// u's from selection recorded, (3) the first predicate's block order or (4)
+// its row test, then refined by the predicates not yet applied, recorded
+// into u's into selection and folded. It returns the rows merged from a
+// table b already held.
+func (g *GroupState) scanBlock(sc *scanScratch, i int, b *Blocks, u *SelectionUse) (served int) {
+	lo, hi := i*BatchRows, (i+1)*BatchRows
+	if b != nil {
+		bt := b.table(i)
+		if bt != nil {
+			served = BatchRows
+		} else {
+			if g.rec == nil {
+				g.rec = NewGroupState(g.plan)
+			}
+			g.rec.t.empty()
+			g.rec.scanBatch(sc, lo, hi)
+			bt = b.publish(i, compactBlock(&g.rec.t, g.plan.aggOps))
+		}
+		g.mergeBlock(bt)
+		return served
+	}
+	preds := g.plan.predKern
+	if len(preds) == 0 {
+		g.scanBatch(sc, lo, hi)
+		return 0
+	}
+	rest := preds[1:]
+	sel, ok := u.read(i, sc.sel[:])
+	if ok {
+		rest = u.residual
+	} else if bs := g.plan.blockSel; bs != nil {
+		sel, ok = bs.selectBlock(i, sc.sel[:])
+	}
+	if !ok {
+		sel = preds[0].selectRange(lo, hi, sc.sel[:])
+	}
+	for _, p := range rest {
+		sel = p.refine(sel)
+	}
+	u.record(i, sel)
+	g.foldSel(sc, sel)
+	return 0
 }
 
 // ScanRows folds an explicit list of physical row indices (a permutation
@@ -352,27 +409,16 @@ func (g *GroupState) ScanRowsScalar(rows []uint32) {
 	}
 }
 
-// scanRangeBatch runs the kernel pipeline for one batch [lo, hi),
-// hi-lo <= BatchRows. A filtered batch that u's recorded selection covers
-// starts from the rows passing the selection's predicates and refines them
-// with the residual kernels only; either way the same rows, ascending, reach
-// the fold, and u records them.
-func (g *GroupState) scanRangeBatch(sc *scanScratch, lo, hi int, u *SelectionUse) {
+// scanBatch runs the kernel pipeline over rows [lo, hi), hi-lo <=
+// BatchRows, testing every row: a ragged head or tail (possibly empty), or a
+// whole block no memo serves.
+func (g *GroupState) scanBatch(sc *scanScratch, lo, hi int) {
 	plan := g.plan
-	preds := plan.predKern
-	if len(preds) > 0 {
-		sel, ok := u.read(lo, hi, sc.sel[:])
-		if ok {
-			for _, p := range u.residual {
-				sel = p.refine(sel)
-			}
-		} else {
-			sel = preds[0].selectRange(lo, hi, sc.sel[:])
-			for _, p := range preds[1:] {
-				sel = p.refine(sel)
-			}
+	if preds := plan.predKern; len(preds) > 0 {
+		sel := preds[0].selectRange(lo, hi, sc.sel[:])
+		for _, p := range preds[1:] {
+			sel = p.refine(sel)
 		}
-		u.record(lo, hi, sel)
 		g.foldSel(sc, sel)
 		return
 	}

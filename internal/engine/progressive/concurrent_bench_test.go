@@ -265,7 +265,7 @@ func TestBenchTableYieldsPartialSnapshots(t *testing.T) {
 // p1∧p2∧p3, to its final over the 4M-row table: cold, in a session of its
 // own, and after steps 1 and 2 ran in the same session and workflow, where
 // it reads the rows step 2 recorded and evaluates only p3 (README.md,
-// "Selection reuse"). Every iteration opens a fresh session, so neither case
+// "Recorded selections"). Every iteration opens a fresh session, so neither case
 // finds a cached answer; selrows/op is the rows step 3 read from selections.
 func BenchmarkDrillDown(b *testing.B) {
 	e := New(Config{})

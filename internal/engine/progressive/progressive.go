@@ -28,7 +28,7 @@
 // completes when the cursor wraps past its start, and a cancelled query's
 // partial state resumes from the cache without re-reading a row. An
 // unfiltered 1-D query merges the per-block tables the scanner records once
-// per accumulator shape (internal/engine/README.md, "Block aggregates").
+// per accumulator shape (internal/engine/README.md, "Block tables").
 //
 // # Sessions
 //
@@ -40,7 +40,7 @@
 // filter its queries evaluate, so a drill-down step or a sibling viz reads
 // them instead of re-evaluating the predicates; the contract — scope, what
 // is recorded, the safety rules and why results stay bitwise — is
-// internal/engine/README.md, "Selection reuse".
+// internal/engine/README.md, "Recorded selections".
 //
 // # Published views
 //
@@ -341,7 +341,7 @@ func (s *session) stateLocked(q *query.Query, claim bool) (*sharedscan.Consumer,
 }
 
 // selectionPool is a session's recorded filter selections (README.md,
-// "Selection reuse"): at most maxSelections slots, each an engine.Selection
+// "Recorded selections"): at most maxSelections slots, each an engine.Selection
 // sized to the table view it was last reset for and reused for the
 // session's life. A query reads only a slot that already holds records, and
 // claims one only when no slot holds its exact predicate set. Slots are

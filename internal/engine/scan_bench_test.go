@@ -260,7 +260,7 @@ func BenchmarkScanSkewed(b *testing.B) {
 
 // BenchmarkScanBlockOrder is the filtered COUNT by carrier behind a range on
 // distance (uniform on 0..3000) at 5%, 25% and 60% selectivity, three ways:
-// scan tests every row (the kernel without a block order), cold builds every
+// scan tests every row (the plan without a block selector), cold builds every
 // block's order as it goes (a fresh column lineage per iteration), warm finds
 // each block's passing rows in orders already built.
 func BenchmarkScanBlockOrder(b *testing.B) {
@@ -287,9 +287,7 @@ func BenchmarkScanBlockOrder(b *testing.B) {
 		}
 		b.Run(sel.name+"/scan", func(b *testing.B) {
 			plan := compile(db)
-			k := plan.predKern[0].(rangeDirectPred)
-			k.ord = nil
-			plan.predKern[0] = k
+			plan.blockSel = nil
 			runScanBench(b, plan, false)
 		})
 		b.Run(sel.name+"/cold", func(b *testing.B) {

@@ -10,12 +10,11 @@ import (
 // Selection records which rows of one table view pass a conjunction of
 // filter predicates, so a later plan whose filter contains those predicates
 // can read the rows instead of evaluating them (drill-down reuse: a filter
-// grows p1 → p1∧p2, and sibling visualizations share one filter). It works
-// on the aligned BatchRows grid block tables and block orders use: it
-// records and serves only whole blocks [i·BatchRows, (i+1)·BatchRows) that
-// lie inside its view, as a bitmap over their rows plus one recorded flag
-// per block — the generation that recorded it. A ragged last block, an
-// Extend tail and any misaligned batch evaluate their predicates.
+// grows p1 → p1∧p2, and sibling visualizations share one filter). It is one
+// stage of the per-block chain (GroupState.ScanRangeReusing): it records
+// and serves only whole blocks [i·BatchRows, (i+1)·BatchRows) that lie
+// inside its view, as a bitmap over their rows plus one recorded flag per
+// block — the generation that recorded it.
 //
 // Reset binds the selection to a predicate set and a view and bumps its
 // generation; Invalidate bumps the generation alone. Neither clears a flag:
@@ -86,13 +85,6 @@ func (s *Selection) Match(keys []string) (n int, exact bool) {
 	return len(s.keys), subsetOf(keys, s.keys)
 }
 
-// blockLocked returns the index of the block [lo, hi) is, and reports
-// whether it is a whole aligned block inside s's view. Caller holds the
-// read lock.
-func (s *Selection) blockLocked(lo, hi int) (int, bool) {
-	return lo / BatchRows, lo%BatchRows == 0 && hi-lo == BatchRows && hi <= s.rows
-}
-
 // expandLocked writes the recorded rows of block i into buf in ascending
 // order and returns the filled prefix. Caller holds the read lock and has
 // checked the block is recorded.
@@ -133,9 +125,9 @@ func (s *Selection) recordLocked(i int, sel []uint32) {
 // reads the rows passing from's predicates wherever from has recorded them
 // and evaluates only its residual predicates on them, and it records the
 // rows passing its whole filter into into. Either side may be absent. The
-// use belongs to its plan: GroupState.ScanRangeUsing ignores it for a state
-// of any other plan (a shard that sharedscan.Extend rebound to a grown
-// view), which then evaluates every predicate.
+// use belongs to its plan: GroupState.ScanRangeReusing ignores it for a
+// state of any other plan (a shard that sharedscan.Extend rebound to a
+// grown view), which then evaluates every predicate.
 type SelectionUse struct {
 	plan     *Compiled
 	from     *Selection
@@ -214,38 +206,35 @@ func (u *SelectionUse) RowsServed() int64 {
 	return u.served.Load()
 }
 
-// read returns the rows of [lo, hi) that pass from's predicates, in
-// ascending order in buf; ok is false unless [lo, hi) is a whole aligned
-// block that from, still at the use's generation, has recorded. The rows
+// read returns the rows of block i that pass from's predicates, in
+// ascending order in buf; ok is false unless the block lies inside from's
+// view and from, still at the use's generation, has recorded it. The rows
 // still need the use's residual kernels.
-func (u *SelectionUse) read(lo, hi int, buf []uint32) (sel []uint32, ok bool) {
+func (u *SelectionUse) read(i int, buf []uint32) (sel []uint32, ok bool) {
 	if u == nil || u.from == nil {
 		return nil, false
 	}
 	f := u.from
 	f.mu.RLock()
-	i, ok := f.blockLocked(lo, hi)
-	ok = ok && f.gen == u.fromGen && f.rec[i].Load() == f.gen
+	ok = (i+1)*BatchRows <= f.rows && f.gen == u.fromGen && f.rec[i].Load() == f.gen
 	if ok {
 		sel = f.expandLocked(i, buf)
+		u.served.Add(BatchRows)
 	}
 	f.mu.RUnlock()
-	if ok {
-		u.served.Add(int64(hi - lo))
-	}
 	return sel, ok
 }
 
-// record stores sel, the rows of [lo, hi) passing the plan's filter, into
-// the use's into selection while its generation holds, when [lo, hi) is a
-// whole aligned block inside the selection's view.
-func (u *SelectionUse) record(lo, hi int, sel []uint32) {
+// record stores sel, the rows of block i passing the plan's filter, into
+// the use's into selection while its generation holds, when the block lies
+// inside the selection's view.
+func (u *SelectionUse) record(i int, sel []uint32) {
 	if u == nil || u.into == nil {
 		return
 	}
 	t := u.into
 	t.mu.RLock()
-	if i, ok := t.blockLocked(lo, hi); ok && t.gen == u.intoGen {
+	if (i+1)*BatchRows <= t.rows && t.gen == u.intoGen {
 		t.recordLocked(i, sel)
 	}
 	t.mu.RUnlock()

@@ -43,7 +43,7 @@ func circularSpans(rng *rand.Rand, rows int) [][2]int {
 func scanSpans(plan *Compiled, spans [][2]int, u *SelectionUse) *GroupState {
 	gs := NewGroupState(plan)
 	for _, sp := range spans {
-		gs.ScanRangeUsing(sp[0], sp[1], u)
+		gs.ScanRangeReusing(sp[0], sp[1], nil, u)
 	}
 	return gs
 }
@@ -203,9 +203,9 @@ func containsAllKeys(keys, set []string) bool {
 }
 
 // TestSelectionRecordsOnlyWholeBlocks pins the recording rule the reuse
-// wall rests on: a batch is recorded and read only when it is a whole
-// aligned block inside the selection's view, and a Reset unrecords every
-// block without clearing a flag.
+// wall rests on: a scan records and reads only whole aligned blocks inside
+// the selection's view, and a Reset unrecords every block without clearing
+// a flag.
 func TestSelectionRecordsOnlyWholeBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rows := 3*BatchRows + 1000 // the last block is ragged
@@ -220,9 +220,16 @@ func TestSelectionRecordsOnlyWholeBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, keys := q.SignatureKeys()
-	read := func(s *Selection, lo, hi int) ([]uint32, bool) {
+	read := func(s *Selection, i int) ([]uint32, bool) {
 		var buf [BatchRows]uint32
-		return NewSelectionUse(plan, keys, s, nil).read(lo, hi, buf[:])
+		return NewSelectionUse(plan, keys, s, nil).read(i, buf[:])
+	}
+	// served scans [lo, hi) through a use reading s and returns the rows
+	// it read from s.
+	served := func(s *Selection, lo, hi int) int64 {
+		u := NewSelectionUse(plan, keys, s, nil)
+		NewGroupState(plan).ScanRangeReusing(lo, hi, nil, u)
+		return u.RowsServed()
 	}
 
 	// The view ends inside block 2: block 2 reaches past it (an Extend tail).
@@ -230,9 +237,9 @@ func TestSelectionRecordsOnlyWholeBlocks(t *testing.T) {
 	s.Reset(3*BatchRows-100, keys)
 	rec := NewSelectionUse(plan, keys, nil, s)
 	gs := NewGroupState(plan)
-	gs.ScanRangeUsing(0, BatchRows, rec)                 // block 0: aligned, inside the view
-	gs.ScanRangeUsing(BatchRows+10, 2*BatchRows+10, rec) // misaligned, covers most of block 1
-	gs.ScanRangeUsing(2*BatchRows, rows, rec)            // block 2 (past the view) and the ragged tail
+	gs.ScanRangeReusing(0, BatchRows, nil, rec)                 // block 0: aligned, inside the view
+	gs.ScanRangeReusing(BatchRows+10, 2*BatchRows+10, nil, rec) // misaligned, covers most of block 1
+	gs.ScanRangeReusing(2*BatchRows, rows, nil, rec)            // block 2 (past the view) and the ragged tail
 	s.mu.RLock()
 	for i := range s.rec {
 		if got := s.rec[i].Load() == s.gen; got != (i == 0) {
@@ -240,7 +247,7 @@ func TestSelectionRecordsOnlyWholeBlocks(t *testing.T) {
 		}
 	}
 	s.mu.RUnlock()
-	if sel, ok := read(s, 0, BatchRows); !ok || len(sel) != BatchRows || sel[0] != 0 || sel[BatchRows-1] != BatchRows-1 {
+	if sel, ok := read(s, 0); !ok || len(sel) != BatchRows || sel[0] != 0 || sel[BatchRows-1] != BatchRows-1 {
 		t.Fatalf("read block 0 of an all-pass filter: %v, %d rows", ok, len(sel))
 	}
 	for _, c := range []struct {
@@ -254,21 +261,21 @@ func TestSelectionRecordsOnlyWholeBlocks(t *testing.T) {
 		{"a block reaching past the view", 2 * BatchRows, 3 * BatchRows},
 		{"the ragged last block", 3 * BatchRows, rows},
 	} {
-		if _, ok := read(s, c.lo, c.hi); ok {
-			t.Errorf("%s [%d, %d) was read", c.name, c.lo, c.hi)
+		if n := served(s, c.lo, c.hi); n != 0 {
+			t.Errorf("%s [%d, %d) was read: %d rows", c.name, c.lo, c.hi, n)
 		}
 	}
 
 	// A view covering the whole table still leaves the ragged block out.
 	whole := new(Selection)
 	whole.Reset(rows, keys)
-	NewGroupState(plan).ScanRangeUsing(0, rows, NewSelectionUse(plan, keys, nil, whole))
+	NewGroupState(plan).ScanRangeReusing(0, rows, nil, NewSelectionUse(plan, keys, nil, whole))
 	for i := 0; i < 3; i++ {
-		if _, ok := read(whole, i*BatchRows, (i+1)*BatchRows); !ok {
+		if _, ok := read(whole, i); !ok {
 			t.Errorf("block %d of a view covering it was not recorded", i)
 		}
 	}
-	if _, ok := read(whole, 3*BatchRows, rows); ok {
+	if served(whole, 3*BatchRows, rows) != 0 {
 		t.Error("the ragged last block of the table was read")
 	}
 
@@ -276,7 +283,7 @@ func TestSelectionRecordsOnlyWholeBlocks(t *testing.T) {
 		t.Fatal("a use records into the selection it reads")
 	}
 	s.Reset(3*BatchRows-100, keys)
-	if _, ok := read(s, 0, BatchRows); ok || s.Recorded() {
+	if _, ok := read(s, 0); ok || s.Recorded() {
 		t.Fatal("a block recorded before a Reset was read after it")
 	}
 }

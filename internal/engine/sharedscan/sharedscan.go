@@ -97,10 +97,10 @@ type Scanner struct {
 	blocks blockRegistry
 }
 
-// blockRegistry is the scanner's block aggregates (README.md, "Shared-scan
-// scheduler", "Block aggregates"): one engine.Blocks per accumulator shape
-// that a consumer's plan has, recorded by the workers as they fold and
-// dropped with the scanner. It is derived from the table alone and holds no
+// blockRegistry is the scanner's block tables (README.md, "Per-block scan",
+// "Block tables"): one engine.Blocks per accumulator shape that a
+// consumer's plan has, recorded by the workers as they fold and dropped
+// with the scanner. It is derived from the table alone and holds no
 // query's answer. Its lock is its own, taken once per shard and plan, never
 // under the scheduler lock.
 type blockRegistry struct {
@@ -353,9 +353,10 @@ func (s *Scanner) worker(id int) {
 // offset with the smallest circular distance from pos across the
 // dispatchable consumers (pos itself if none): all of them normally,
 // foreground ones only while foreground work exists. Staying on the grid
-// keeps every later claim one aligned block, which block aggregates serve;
-// the claim is clipped to what each consumer needs, so the rows below the
-// offset are never folded twice.
+// keeps every later claim whole aligned blocks, which the per-block chain
+// of engine.GroupState.ScanRangeReusing serves; the claim is clipped to
+// what each consumer needs, so the rows below the offset are never folded
+// twice.
 func (s *Scanner) nextNeededLocked(pos int, fgOnly bool) int {
 	best := -1
 	for _, c := range s.active {
@@ -408,7 +409,8 @@ type Consumer struct {
 	// once rather than derived per batch under the scheduler lock.
 	sig string
 	// use is the selection reuse of the plan the consumer was created with;
-	// GroupState.ScanRangeUsing drops it for shards rebound to a later plan.
+	// GroupState.ScanRangeReusing drops it for shards rebound to a later
+	// plan.
 	use    *engine.SelectionUse
 	plan   atomic.Pointer[engine.Compiled]
 	target atomic.Int64 // rows of the data version this consumer covers
@@ -540,8 +542,8 @@ func (c *Consumer) takeLocked(lo, hi int, out []span) []span {
 // consumer when the last row of its current target lands. The shard's state
 // migrates to the consumer's current plan first, so spans from an extended
 // tail are always folded with kernels bound to the view that contains them.
-// A plan whose shape has block tables merges them for the whole aligned
-// blocks of its spans (engine.GroupState.ScanRangeBlocks).
+// Each span is one engine.GroupState.ScanRangeReusing call, over the block
+// tables of the plan's shape and the consumer's selection reuse.
 func (c *Consumer) fold(w int, parts []span) {
 	// Turnstile: let a pending snapshot merge cut in (see gate).
 	c.gate.Lock()
@@ -559,11 +561,7 @@ func (c *Consumer) fold(w int, parts []span) {
 	}
 	n, served := 0, 0
 	for _, sp := range parts {
-		if sh.blocks != nil {
-			served += sh.gs.ScanRangeBlocks(sp.lo, sp.hi, sh.blocks)
-		} else {
-			sh.gs.ScanRangeUsing(sp.lo, sp.hi, c.use)
-		}
+		served += sh.gs.ScanRangeReusing(sp.lo, sp.hi, sh.blocks, c.use)
 		n += sp.hi - sp.lo
 	}
 	if served > 0 {

@@ -21,9 +21,9 @@ import (
 //     vector; the remaining predicates refine it in place. Both are
 //     branch-free: every candidate row is written at the cursor and the
 //     cursor advances by the 0/1 outcome, so an unpredictable filter costs
-//     no mispredictions. A range or IN predicate on a fact column that
-//     materializes the vector for one whole aligned block tests no row: it
-//     finds the passing ones in the column's block order.
+//     no mispredictions. For one whole aligned block a range or IN
+//     predicate on a fact column tests no row: it finds the passing ones in
+//     the column's block order (selectBlock).
 //  2. Bin kernels fill an []int32 buffer with each selected row's slot in
 //     the dense accumulator table — for 2-D plans in one pass when both
 //     dimensions read codes directly (pairBin), else two buffers combined;
@@ -337,22 +337,31 @@ func searchCodes(ord []uint16, c []uint32, x uint32) int {
 	return i
 }
 
-// selectCodes is the IN predicate over vals (the wanted codes, ascending)
-// on the block [lo, hi) of codes through its block order. ok is false, and
-// the caller tests the rows, when the block has no order or vals is too
-// long to search for.
-func selectCodes(lo, hi int, codes []uint32, ord *dataset.BlockOrder, vals []uint32, buf []uint32) (sel []uint32, ok bool) {
-	if len(vals) > maxOrderRuns {
+// inOrder is an IN kernel's codes with its block-order path: ord is the
+// column's block order (nil for an FK-indirected column, which has none),
+// vals the wanted codes ascending.
+type inOrder struct {
+	codes []uint32
+	ord   *dataset.BlockOrder
+	vals  []uint32
+}
+
+// selectBlock is the IN predicate over block i through its block order. ok
+// is false, and the caller tests the rows, when the block has no order or
+// vals is too long to search for.
+func (p inOrder) selectBlock(i int, buf []uint32) (sel []uint32, ok bool) {
+	if len(p.vals) > maxOrderRuns {
 		return nil, false
 	}
-	o := ord.Codes(lo, hi, codes)
+	o := p.ord.Codes(i, p.codes)
 	if o == nil {
 		return nil, false
 	}
-	c := codes[lo:hi]
+	lo := i * BatchRows
+	c := p.codes[lo : lo+BatchRows]
 	var runs [maxOrderRuns]orderRun
 	n, at := 0, 0
-	for _, x := range vals {
+	for _, x := range p.vals {
 		a := at + searchCodes(o[at:], c, x)
 		b := len(o)
 		if x < ^uint32(0) {
@@ -421,9 +430,8 @@ func markOrder(bm *[BatchRows / 64]uint64, offs []uint16) {
 // ---------------------------------------------------------------------------
 // Predicate kernels
 
-// predKernel evaluates one filter conjunct over a batch. Both methods keep
-// row order, and where they test rows they are branch-free in the
-// predicate's outcome.
+// predKernel evaluates one filter conjunct over a batch. Both methods test
+// every row, keep row order and are branch-free in the predicate's outcome.
 type predKernel interface {
 	// selectRange writes the rows of [lo, hi) that pass into buf
 	// (len(buf) >= hi-lo) and returns the filled prefix.
@@ -432,26 +440,38 @@ type predKernel interface {
 	refine(sel []uint32) []uint32
 }
 
-// rangeDirectPred is [lo, hi) on a fact-table quantitative column. A whole
-// aligned block finds its passing rows through the column's block order.
+// blockSelector is a predicate kernel with a block order: selectBlock is
+// selectRange over whole aligned block i found through the order, ok false
+// when the block has none the kernel can search (the caller tests the rows).
+type blockSelector interface {
+	selectBlock(i int, buf []uint32) (sel []uint32, ok bool)
+}
+
+// rangeDirectPred is [lo, hi) on a fact-table quantitative column.
 type rangeDirectPred struct {
 	nums   []float64
 	ord    *dataset.BlockOrder
 	lo, hi float64
 }
 
-func (p rangeDirectPred) selectRange(lo, hi int, buf []uint32) []uint32 {
-	if ord := p.ord.Nums(lo, hi, p.nums); ord != nil {
-		// v >= lo and v < hi are each monotone along the order, so the
-		// passing positions are one run; a NaN bound passes no row.
-		if p.lo != p.lo || p.hi != p.hi {
-			return buf[:0]
-		}
-		v := p.nums[lo:hi]
-		a, b := searchNums(ord, v, p.lo), searchNums(ord, v, p.hi)
-		run := [1]orderRun{{a, max(a, b)}}
-		return selectOrder(lo, ord, run[:], buf)
+func (p rangeDirectPred) selectBlock(i int, buf []uint32) ([]uint32, bool) {
+	ord := p.ord.Nums(i, p.nums)
+	if ord == nil {
+		return nil, false
 	}
+	// v >= lo and v < hi are each monotone along the order, so the passing
+	// positions are one run; a NaN bound passes no row.
+	if p.lo != p.lo || p.hi != p.hi {
+		return buf[:0], true
+	}
+	lo := i * BatchRows
+	v := p.nums[lo : lo+BatchRows]
+	a, b := searchNums(ord, v, p.lo), searchNums(ord, v, p.hi)
+	run := [1]orderRun{{a, max(a, b)}}
+	return selectOrder(lo, ord, run[:], buf), true
+}
+
+func (p rangeDirectPred) selectRange(lo, hi int, buf []uint32) []uint32 {
 	src := p.nums[lo:hi]
 	buf = buf[:len(src)]
 	k := 0
@@ -502,18 +522,13 @@ func (p rangeFKPred) refine(sel []uint32) []uint32 {
 }
 
 // inOneDirectPred is the single-value IN — the shape every cross-viz brush
-// selection produces — on a fact-table column. A whole aligned block finds
-// its passing rows through the column's block order.
+// selection produces — on a fact-table column; vals is {only}.
 type inOneDirectPred struct {
-	codes []uint32
-	ord   *dataset.BlockOrder
-	only  uint32
+	inOrder
+	only uint32
 }
 
 func (p inOneDirectPred) selectRange(lo, hi int, buf []uint32) []uint32 {
-	if sel, ok := selectCodes(lo, hi, p.codes, p.ord, []uint32{p.only}, buf); ok {
-		return sel
-	}
 	src := p.codes[lo:hi]
 	buf = buf[:len(src)]
 	k := 0
@@ -560,19 +575,13 @@ func (p inOneFKPred) refine(sel []uint32) []uint32 {
 	return sel[:k]
 }
 
-// inBitmapDirectPred is the multi-value IN as a code-indexed lookup table;
-// vals lists the wanted codes ascending, for the block-order path.
+// inBitmapDirectPred is the multi-value IN as a code-indexed lookup table.
 type inBitmapDirectPred struct {
-	codes []uint32
-	want  []bool
-	ord   *dataset.BlockOrder
-	vals  []uint32
+	inOrder
+	want []bool
 }
 
 func (p inBitmapDirectPred) selectRange(lo, hi int, buf []uint32) []uint32 {
-	if sel, ok := selectCodes(lo, hi, p.codes, p.ord, p.vals, buf); ok {
-		return sel
-	}
 	src := p.codes[lo:hi]
 	buf = buf[:len(src)]
 	k := 0
@@ -620,14 +629,11 @@ func (p inBitmapFKPred) refine(sel []uint32) []uint32 {
 }
 
 // inMapPred is the multi-value IN fallback for dictionaries too large for a
-// lookup table; fk is nil for fact-table columns, which take the block-order
-// path with vals, the wanted codes ascending.
+// lookup table; fk is nil for fact-table columns.
 type inMapPred struct {
-	codes []uint32
-	fk    []float64
-	want  map[uint32]struct{}
-	ord   *dataset.BlockOrder
-	vals  []uint32
+	inOrder
+	fk   []float64
+	want map[uint32]struct{}
 }
 
 func (p inMapPred) match(r uint32) bool {
@@ -640,9 +646,6 @@ func (p inMapPred) match(r uint32) bool {
 }
 
 func (p inMapPred) selectRange(lo, hi int, buf []uint32) []uint32 {
-	if sel, ok := selectCodes(lo, hi, p.codes, p.ord, p.vals, buf); ok {
-		return sel
-	}
 	buf = buf[:hi-lo]
 	k := 0
 	for r := lo; r < hi; r++ {
@@ -756,30 +759,22 @@ func newAggKernel(col *dataset.Column, fk *dataset.Column) aggKernel {
 // newInPredKernel builds the IN kernel for resolved codes (already looked up
 // in the column's dictionary; unknown values are absent).
 func newInPredKernel(col *dataset.Column, fk *dataset.Column, want map[uint32]struct{}) predKernel {
+	in := inOrder{codes: col.Codes, vals: make([]uint32, 0, len(want))}
+	for c := range want {
+		in.vals = append(in.vals, c)
+	}
+	slices.Sort(in.vals)
 	var fkNums []float64
-	var ord *dataset.BlockOrder
 	if fk != nil {
 		fkNums = fk.Nums
 	} else {
-		ord = col.BlockOrder(BatchRows)
+		in.ord = col.BlockOrder(BatchRows)
 	}
-	if len(want) == 1 {
-		var only uint32
-		for c := range want {
-			only = c
-		}
+	if len(in.vals) == 1 {
 		if fk == nil {
-			return inOneDirectPred{codes: col.Codes, ord: ord, only: only}
+			return inOneDirectPred{inOrder: in, only: in.vals[0]}
 		}
-		return inOneFKPred{codes: col.Codes, fk: fkNums, only: only}
-	}
-	var vals []uint32
-	if fk == nil {
-		vals = make([]uint32, 0, len(want))
-		for c := range want {
-			vals = append(vals, c)
-		}
-		slices.Sort(vals)
+		return inOneFKPred{codes: col.Codes, fk: fkNums, only: in.vals[0]}
 	}
 	if n := col.Dict.Len(); n <= inBitmapMax {
 		bits := make([]bool, n)
@@ -789,11 +784,11 @@ func newInPredKernel(col *dataset.Column, fk *dataset.Column, want map[uint32]st
 			}
 		}
 		if fk == nil {
-			return inBitmapDirectPred{codes: col.Codes, want: bits, ord: ord, vals: vals}
+			return inBitmapDirectPred{inOrder: in, want: bits}
 		}
 		return inBitmapFKPred{codes: col.Codes, fk: fkNums, want: bits}
 	}
-	return inMapPred{codes: col.Codes, fk: fkNums, want: want, ord: ord, vals: vals}
+	return inMapPred{inOrder: in, fk: fkNums, want: want}
 }
 
 func newRangePredKernel(col *dataset.Column, fk *dataset.Column, lo, hi float64) predKernel {

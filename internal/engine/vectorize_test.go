@@ -583,10 +583,10 @@ func TestInMapPredKernel(t *testing.T) {
 		}
 	}
 	check("direct",
-		inMapPred{codes: factCodes, want: want},
-		inBitmapDirectPred{codes: factCodes, want: bits})
+		inMapPred{inOrder: inOrder{codes: factCodes}, want: want},
+		inBitmapDirectPred{inOrder: inOrder{codes: factCodes}, want: bits})
 	check("fk",
-		inMapPred{codes: dimCodes, fk: fk, want: want},
+		inMapPred{inOrder: inOrder{codes: dimCodes}, fk: fk, want: want},
 		inBitmapFKPred{codes: dimCodes, fk: fk, want: bits})
 }
 
