@@ -19,11 +19,9 @@ import (
 // further 4096-row ranges allocates nothing — on the two-pass 2-D path, on
 // the fused one-pass 2-D kernel over range and selection batches, with more
 // than one moments column, on a filtered plan both reading its rows from a
-// recorded selection and recording them into one, on range and IN filters
-// finding their rows through block orders — built inside the measured runs
-// for the blocks not yet scanned, read after — and on unfiltered plans
-// merging recorded block tables, over whole blocks and over a span with a
-// ragged head and tail folded row by row around them.
+// recorded selection and recording them into one, and on range and IN
+// filters finding their rows through block orders — built inside the
+// measured runs for the blocks not yet scanned, read after.
 func TestScanRangeSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := randomDB(t, rng, 8*BatchRows, false)
@@ -109,8 +107,13 @@ func TestScanRangeSteadyStateAllocs(t *testing.T) {
 			t.Errorf("%s: the filters did not run on block orders", field)
 		}
 	}
+}
 
-	db = randomDB(t, rand.New(rand.NewSource(6)), 8*BatchRows, false)
+// TestScanRangeBlocksSteadyStateAllocs: a scan that merges recorded block
+// tables — whole blocks, and a span with a ragged head and tail folded row
+// by row around them — allocates nothing.
+func TestScanRangeBlocksSteadyStateAllocs(t *testing.T) {
+	db := randomDB(t, rand.New(rand.NewSource(6)), 8*BatchRows, false)
 	for name, aggs := range map[string][]query.Aggregate{
 		"count":        {{Func: query.Count}},
 		"sum_min_max":  {{Func: query.Sum, Field: "y"}, {Func: query.Min, Field: "x"}, {Func: query.Max, Field: "y"}},
@@ -135,7 +138,7 @@ func TestScanRangeSteadyStateAllocs(t *testing.T) {
 				batch++
 			})
 			if allocs != 0 {
-				t.Errorf("blocks %s: %v allocations per ScanRangeReusing over %v, want 0", name, allocs, span)
+				t.Errorf("%s: %v allocations per ScanRangeReusing over %v, want 0", name, allocs, span)
 			}
 		}
 	}
