@@ -55,9 +55,10 @@
 // is still a uniform sample, so the confidence math is unchanged. On top of
 // that storage, the progressive engine executes every concurrent query,
 // reused partial state and speculation target as a consumer of one shared
-// circular scan cursor (internal/engine/sharedscan): N in-flight queries
-// cost roughly one memory sweep instead of N, and multi-viz throughput
-// scales with engine.Options.Parallelism workers. The scanner also records,
+// scan scheduler (internal/engine/sharedscan): engine.Options.Parallelism
+// workers fold chunks for the consumer that has been served least, so a
+// cheap query completes in about its own fold time instead of waiting on
+// the expensive ones beside it. The scanner also records,
 // once per accumulator shape, the table an unfiltered 1-D query folds over
 // each 4096-row block, and later queries of that shape merge it instead of
 // folding the rows.
@@ -71,7 +72,7 @@
 // hands out one session per simulated analyst, scoping visualization
 // namespaces, link hints, reuse caches and speculation rounds per session
 // while the prepared data — and, on the progressive engine, the shared scan
-// cursor — serves all sessions at once. The driver layer mirrors this split:
+// scheduler — serves all sessions at once. The driver layer mirrors this split:
 // driver.Runner replays one analyst on one session (the paper's driver),
 // and driver.MultiRunner replays K workflows as K concurrent simulated
 // users against one prepared engine, with per-user think-time jitter and

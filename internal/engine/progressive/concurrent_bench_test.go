@@ -56,12 +56,16 @@ func benchQueries() []*query.Query {
 	return qs
 }
 
-// BenchmarkProgressiveConcurrent8 is the acceptance benchmark for shared-scan
-// execution: eight concurrent progressive queries over the same fact table,
-// run cold (no reuse), to completion.
+// BenchmarkProgressiveConcurrent8 times eight concurrent progressive queries
+// over the same fact table, run cold (no reuse), to completion: the shared
+// scan's makespan when every query is expensive and none can finish early.
 //
 //   - shared: the engine as shipped — permuted materialization at Prepare and
-//     one circular cursor folding every chunk through all eight states.
+//     the shared scan's workers claiming chunks for the least-served query.
+//     The queries read a chunk at different times, so they no longer share
+//     one pass over memory; internal/engine/README.md, "Benchmarks", has the
+//     makespan measured against the one circular cursor that folded every
+//     chunk through all eight states.
 //   - independent_gather: the pre-shared-scan architecture, reconstructed on
 //     the same kernels — one goroutine per query, each streaming the whole
 //     row permutation through GroupState.ScanRows on the original table.

@@ -19,14 +19,14 @@
 //
 // # Shared-scan execution
 //
-// All execution rides one sharedscan.Scanner: a circular scan cursor over
-// the permuted storage, driven by up to Options.Parallelism workers, that
-// folds each chunk through every attached query state. Foreground handles,
-// reuse-cached states and speculation targets are all consumers of the same
-// scheduler — N concurrent queries cost roughly one memory sweep instead of
-// N independent passes, a query attaches at the cursor's current offset and
-// completes when the cursor wraps past its start, and a cancelled query's
-// partial state resumes from the cache without re-reading a row. An
+// All execution rides one sharedscan.Scanner, whose Options.Parallelism
+// workers fold chunks of the permuted storage for the attached query state
+// that has been served least. Foreground handles, reuse-cached states and
+// speculation targets are all consumers of the same scheduler: a cheap
+// query completes in about its own fold time instead of waiting on the
+// expensive ones beside it, a query's window is a prefix of the
+// permutation, and a cancelled query's partial state resumes from the
+// cache without re-reading a row. An
 // unfiltered 1-D query merges the per-block tables the scanner records once
 // per accumulator shape (internal/engine/README.md, "Block tables").
 //
@@ -34,9 +34,9 @@
 //
 // OpenSession scopes reuse caches, viz-name maps and speculation rounds to
 // one simulated analyst. All sessions attach their consumers to the same
-// scanner, so concurrent users share memory sweeps — the multi-user driver's
-// scaling lever — while keeping their exploration state invisible to each
-// other. Within a workflow a session also records which rows pass each
+// scanner, so concurrent users share its workers and its recorded block
+// tables — the multi-user driver's scaling lever — while keeping their
+// exploration state invisible to each other. Within a workflow a session also records which rows pass each
 // filter its queries evaluate, so a drill-down step or a sibling viz reads
 // them instead of re-evaluating the predicates; the contract — scope, what
 // is recorded, the safety rules and why results stay bitwise — is
@@ -93,8 +93,8 @@ const maxSelections = 8
 // shared-scan scheduler are engine-wide; everything an analyst accumulates —
 // reuse caches, the viz-name → query map speculation derives selections
 // from, and the current round of speculation targets — lives in a Session.
-// Concurrent sessions ride the same scan cursor (N users' queries still cost
-// about one memory sweep) without sharing viz namespaces or caches.
+// Concurrent sessions ride the same scheduler (N users' queries share its
+// workers and block tables) without sharing viz namespaces or caches.
 type Engine struct {
 	cfg Config
 	// chunkRows starts as the package constant; in-package tests vary it.
@@ -180,7 +180,7 @@ func (e *Engine) SnapshotView() (*dataset.Database, []uint32) { return e.lin.Sna
 // sequential-scan property of every chunk dispatch is preserved), the grown
 // view is published, and then the shared scanner extends every registered
 // query state with the tail as one more uncovered interval. Active queries
-// therefore fold the new rows exactly once mid-sweep via the ordinary
+// therefore fold the new rows exactly once mid-scan via the ordinary
 // interval clipping, cached complete states re-arm and absorb just the
 // delta, and quiesced results are exact over the grown table.
 func (e *Engine) Append(rows *dataset.Table) error {
@@ -232,8 +232,8 @@ var (
 // session is one analyst's scope on the prepared engine: its own reuse
 // cache, viz-name map and speculation round, all riding the engine's shared
 // scanner. Consumers are keyed by query signature per session, so two users
-// issuing the same query keep separate states (each costs only a per-chunk
-// fold on the shared sweep) and one user cancelling or reusing never
+// issuing the same query keep separate states (each folded by the shared
+// scheduler's workers) and one user cancelling or reusing never
 // surprises another.
 type session struct {
 	e   *Engine
@@ -268,10 +268,10 @@ func (s *session) bindLocked() {
 
 // StartQuery implements engine.Session. If the session caches a state for
 // the same query signature (from reuse or speculation) execution resumes
-// from it, otherwise a fresh consumer attaches to the shared scan at the
-// cursor's current offset. There is no per-query goroutine: the handle holds
-// a foreground reference on the consumer, and the scheduler's workers drive
-// it to completion.
+// from it, otherwise a fresh consumer attaches to the shared scan, served
+// ahead of every consumer that has been served more. There is no per-query
+// goroutine: the handle holds a foreground reference on the consumer, and
+// the scheduler's workers drive it to completion.
 func (s *session) StartQuery(q *query.Query) (engine.Handle, error) {
 	s.mu.Lock()
 	s.bindLocked()
@@ -412,11 +412,11 @@ func (p *selectionPool) invalidate() {
 // LinkVizs implements engine.Session. With speculation enabled, establishing
 // a link attaches the queries each single-bin selection on the source would
 // trigger on the target as background consumers of the shared scan: they
-// ride the same cursor as user queries but are suspended whenever a
+// ride the same scheduler as user queries but are suspended whenever a
 // foreground query is attached (IDEA's scheduler gives user queries
-// priority, so speculation consumes only think time), and cost one shared
-// per-chunk fold instead of a competing full pass. A new link withdraws the
-// previous round's targets (their partial coverage stays cached for reuse).
+// priority, so speculation consumes only think time). A new link withdraws
+// the previous round's targets (their partial coverage stays cached for
+// reuse).
 func (s *session) LinkVizs(from, to string) {
 	if !s.cfg.Speculate {
 		return

@@ -116,13 +116,11 @@ func blockExact(t *testing.T, label string, db *dataset.Database, q *query.Query
 	}
 }
 
-// runRound attaches one consumer per query with the cursor at pos, waits
-// for every final and checks it; it returns the consumers, still acquired.
-func runRound(t *testing.T, s *Scanner, db *dataset.Database, label string, pos int) []*Consumer {
+// runRound attaches one consumer per query, each resuming with its first
+// pre rows already folded (as after a detach), waits for every final and
+// checks it; it returns the consumers, still acquired.
+func runRound(t *testing.T, s *Scanner, db *dataset.Database, label string, pre int) []*Consumer {
 	t.Helper()
-	s.mu.Lock()
-	s.pos = pos
-	s.mu.Unlock()
 	var cs []*Consumer
 	for _, q := range blockQueries() {
 		plan, err := engine.Compile(db, q)
@@ -130,6 +128,12 @@ func runRound(t *testing.T, s *Scanner, db *dataset.Database, label string, pos 
 			t.Fatal(err)
 		}
 		c := newConsumer(s, plan)
+		if pre > 0 {
+			s.mu.Lock()
+			spans := c.takeLocked(0, pre, nil)
+			s.mu.Unlock()
+			c.fold(0, spans)
+		}
 		c.Acquire()
 		cs = append(cs, c)
 	}
@@ -154,8 +158,8 @@ func served(cs []*Consumer) int64 {
 }
 
 // TestBlockAggregatesMatchScanRange is the block-aggregate wall: consumers
-// that merge recorded block tables answer as ScanRange does — attached at
-// random offsets on and off the chunk grid, over a ragged last block, across
+// that merge recorded block tables answer as ScanRange does — resuming from
+// random prefixes on and off the chunk grid, over a ragged last block, across
 // Extend tails (short ones, then ones that fill whole blocks) and across an
 // append that widens a binned column's domain, whose plans replace their
 // shapes' tables with tables in the new geometry under the same keys — while
@@ -285,33 +289,53 @@ func TestBlockRegistryReplacesWidenedShape(t *testing.T) {
 	}
 }
 
-// TestCursorStaysOnChunkGrid: after an Extend by 500 rows the cursor jumps
-// to the tail and beyond it, yet every chunk a worker claims starts on the
-// chunk grid, and every final is exact over the grown table.
-func TestCursorStaysOnChunkGrid(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const chunk = 512
-	f := newBlockFixture(t, 40*chunk+300, rng)
-	s := New(f.db.Fact.NumRows(), chunk, 2)
-	var off []int
-	s.onClaim = func(lo int) {
-		if lo%chunk != 0 {
-			off = append(off, lo)
+// TestClaimsStayOnChunkGrid: every claim a worker makes starts on the chunk
+// grid and ends on it or at the scanner's last row, also after an Extend by
+// 500 rows whose tail starts off the grid, and every final is exact over
+// the grown table. Chunks of engine.BatchRows are joined into claims of
+// several; smaller ones are not.
+func TestClaimsStayOnChunkGrid(t *testing.T) {
+	for _, chunk := range []int{512, engine.BatchRows} {
+		rng := rand.New(rand.NewSource(11))
+		f := newBlockFixture(t, 40*chunk+300, rng)
+		s := New(f.db.Fact.NumRows(), chunk, 2)
+		var off [][2]int
+		var tail, joined int
+		oldRows := f.db.Fact.NumRows()
+		s.onClaim = func(lo, hi int) {
+			if lo%chunk != 0 || hi%chunk != 0 && hi != s.numRows {
+				off = append(off, [2]int{lo, hi})
+			}
+			if hi > oldRows {
+				tail++
+			}
+			if hi-lo > chunk {
+				joined++
+			}
 		}
-	}
-	cs := runRound(t, s, f.db, "before the append", 0)
-	db := f.grow(t, rng, 500, -1000)
-	if err := s.Extend(db, db.Fact.NumRows()); err != nil {
-		t.Fatal(err)
-	}
-	checkRound(t, db, "after the append", cs)
-	for _, c := range cs {
-		c.Release()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(off) > 0 {
-		t.Fatalf("claims off the %d-row grid at %v", chunk, off)
+		cs := runRound(t, s, f.db, "before the append", 0)
+		for _, c := range runRound(t, s, f.db, "merging recorded tables", 0) {
+			c.Release()
+		}
+		db := f.grow(t, rng, 500, -1000)
+		if err := s.Extend(db, db.Fact.NumRows()); err != nil {
+			t.Fatal(err)
+		}
+		checkRound(t, db, "after the append", cs)
+		for _, c := range cs {
+			c.Release()
+		}
+		s.mu.Lock()
+		if len(off) > 0 {
+			t.Fatalf("claims off the %d-row grid at %v", chunk, off)
+		}
+		if tail == 0 {
+			t.Fatalf("chunk %d: no claim reached the appended tail", chunk)
+		}
+		if want := chunk == engine.BatchRows; (joined > 0) != want {
+			t.Fatalf("chunk %d: %d joined claims", chunk, joined)
+		}
+		s.mu.Unlock()
 	}
 }
 

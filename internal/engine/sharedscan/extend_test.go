@@ -335,3 +335,41 @@ func TestExtendNeverBuildsBinCodes(t *testing.T) {
 		t.Fatalf("%d builds after 200 appends, want %d", got, builds)
 	}
 }
+
+// TestConsumerAheadWaitsForExtend: a consumer compiled on a view ahead of
+// the scanner (a query racing an append) folds the scanner's rows and is not
+// dispatched past them: the workers go idle instead of spinning, and the
+// consumer completes exactly once Extend lands.
+func TestConsumerAheadWaitsForExtend(t *testing.T) {
+	f := newIngestFixture(t, 40000, 29)
+	oldRows := f.db.Fact.NumRows()
+	s := New(oldRows, 1024, 2)
+	db := f.appendBatch(t, 3000, 800)
+	c := newConsumer(s, f.plan(t, 1))
+	c.Acquire()
+	defer c.Release()
+	idle := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.idle) == s.workers
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for c.RowsSeen() < int64(oldRows) || !idle() {
+		if time.Now().After(deadline) {
+			t.Fatalf("after 10 s: %d of the scanner's %d rows folded, workers idle %v", c.RowsSeen(), oldRows, idle())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if c.RowsSeen() != int64(oldRows) || c.IsDone() {
+		t.Fatalf("folded %d rows (done %v) on a scanner of %d", c.RowsSeen(), c.IsDone(), oldRows)
+	}
+	if err := s.Extend(db, db.Fact.NumRows()); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, c)
+	res := c.Snapshot(1.96)
+	if res.Watermark != int64(db.Fact.NumRows()) {
+		t.Fatalf("watermark %d, want %d", res.Watermark, db.Fact.NumRows())
+	}
+	resultsIdentical(t, "consumer ahead of the scanner", f.exact(t, 1), res)
+}

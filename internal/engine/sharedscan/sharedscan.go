@@ -1,56 +1,75 @@
 // Package sharedscan implements a cooperative shared-scan scheduler for the
-// progressive engines: one circular scan cursor per prepared table, driven by
-// a bounded worker pool, that folds each chunk of sequential (permutation-
-// ordered) storage through every attached consumer state.
+// progressive engines: per prepared table, a bounded worker pool folds
+// chunks of sequential (permutation-ordered) storage into the attached
+// consumer states, serving the least-served consumer first.
 //
-// # Why a shared cursor
+// # Why least-attained service
 //
-// Progressive execution previously ran one goroutine per in-flight query,
-// each streaming the whole row permutation on its own. An interaction that
-// re-queries N linked visualizations therefore made N independent full
-// passes over memory. With a shared cursor, all concurrent consumers ride
-// the same pass: a worker claims the next chunk [lo, hi) once and folds it
-// through every attached consumer, so N-query throughput is bounded by one
-// memory sweep plus N cheap per-chunk folds instead of N sweeps.
+// A free worker must choose which consumer to serve. Folding every chunk
+// through every attached consumer (one circular cursor) reads memory once
+// for N queries, but advances each query only as fast as the most expensive
+// fold beside it: a query that merges block tables waits on the unfiltered
+// 2-D fold attached next to it.
 //
-// # Wrap-around completion and uniformity
+// Instead each worker, under the scheduler lock, picks the dispatchable
+// consumer with the fewest nanoseconds folded so far (least attained
+// service), claims that consumer's next needed whole chunks, folds them for
+// it alone and adds the measured fold time to its counter. A cheap query
+// therefore completes in about its own fold time, and an expensive one
+// takes the time the cheap ones leave. Query costs here span more than an
+// order of magnitude, the case where least-attained-service scheduling cuts
+// response times most (Rai, Urvoy-Keller and Biersack, SIGMETRICS 2003). A
+// claim holds as many whole chunks as fit one fixed fold-time budget at the
+// consumer's measured cost per row (see claimBudget), so a consumer that
+// merges block tables is not held to one chunk per dispatch. The price is
+// the shared sweep: concurrent consumers read the same chunk at different
+// times, so eight cold queries over a table past the last-level cache take
+// longer than with one cursor (BenchmarkProgressiveConcurrent8,
+// internal/engine/README.md "Benchmarks").
 //
-// A consumer attaches at the cursor's current offset and completes after the
-// cursor wraps past its start — it observes the circular window
-// [start, start+numRows) mod numRows, i.e. every row exactly once. Because
-// the underlying storage holds rows in a fixed random permutation, any
-// contiguous window of the scan order is still a uniform random sample of
-// the table, so partial snapshots keep the same CLT confidence math as a
-// from-the-front prefix scan (engine.GroupState.SnapshotScaled).
+// An expensive consumer is served whenever no less-served consumer is
+// dispatchable: cheap consumers that attach one after another delay it by
+// their own fold time, not more. Only a stream of cheap work that never
+// leaves the workers idle would hold it back.
 //
-// Exactly-once folding does not depend on chunk alignment: each consumer
-// tracks its uncovered row ranges, and the dispatcher clips every claimed
-// chunk against them under the scheduler lock. That also gives pause/resume
-// for free — a consumer detached mid-scan (a cancelled query whose partial
-// state stays in the reuse cache) keeps its coverage and continues from
-// wherever the cursor is when it reattaches, never folding a row twice.
+// # Coverage and uniformity
+//
+// Each consumer tracks its uncovered row ranges, kept in ascending order,
+// and a claim takes the chunks from its lowest uncovered row upward, clipped
+// against those ranges under the scheduler lock: every row is folded
+// exactly once. A consumer's window is therefore a prefix of the
+// permutation plus the claims in flight, a set of positions chosen without
+// looking at the data. Because the storage holds rows in a fixed random
+// permutation, that window is a uniform random sample of the table, so
+// partial snapshots keep the CLT confidence math of a prefix scan
+// (engine.GroupState.SnapshotScaled). Coverage also gives pause/resume for
+// free: a consumer detached mid-scan (a cancelled query whose partial state
+// stays in the reuse cache) continues from its lowest uncovered row when it
+// reattaches, never folding a row twice.
 //
 // # Parallelism
 //
-// Up to the configured number of workers claim chunks concurrently; each
-// worker folds into its own per-consumer engine.GroupState shard, so the hot
-// loop takes no shared locks beyond chunk dispatch. Snapshots briefly lock
-// all shards of one consumer and combine them with engine.GroupState.Merge.
+// Up to the configured number of workers claim concurrently, several of
+// them often on successive chunks of the same consumer; each worker folds
+// into its own per-consumer engine.GroupState shard, so the hot loop takes
+// no shared locks beyond the claim. Snapshots briefly lock all shards of one
+// consumer and combine them with engine.GroupState.Merge. A worker with
+// nothing dispatchable exits; attaching, detaching and Extend start workers
+// again.
 //
 // Foreground consumers (user queries) have strict priority: while any is
 // attached, purely speculative consumers are suspended — not dispatched at
 // all, coverage intact — and resume the moment foreground work drains. So
-// speculation consumes think time, never query time, and costs one shared
-// per-chunk fold instead of a competing full scan.
+// speculation consumes think time, never query time.
 //
 // # Live ingestion: Extend and delta consumers
 //
 // Extend grows the scanned table mid-flight: appended rows land as a tail
-// segment of the sequential storage, the cursor's wrap point moves, and
-// every registered consumer — attached or paused, mid-sweep or already
-// complete — gains the tail as one more uncovered interval. The existing
-// uncovered-interval clipping then delivers the new rows to each consumer
-// exactly once, interleaved with whatever of the old region it had left; a
+// segment of the sequential storage, and every registered consumer —
+// attached or paused, mid-scan or already complete — gains the tail as one
+// more uncovered interval. The existing uncovered-interval clipping then
+// delivers the new rows to each consumer exactly once, after whatever of
+// the old region it had left; a
 // consumer that had already completed is re-armed (a fresh done epoch) and
 // finishes again once the tail is folded, while the handles it had already
 // finished keep the final of the version they were told completed (Final).
@@ -68,6 +87,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"idebench/internal/dataset"
 	"idebench/internal/engine"
@@ -77,25 +97,39 @@ import (
 // span is a half-open row range [lo, hi).
 type span struct{ lo, hi int }
 
-// Scanner is the shared circular-scan scheduler for one prepared table. Its
-// storage-facing contract is engine.GroupState.ScanRange, so it assumes the
-// table rows are already materialized in scan (permutation) order.
+// Scanner is the shared-scan scheduler for one prepared table. Its
+// storage-facing contract is engine.GroupState.ScanRangeReusing, so it
+// assumes the table rows are already materialized in scan (permutation)
+// order.
 type Scanner struct {
 	numRows int
 	chunk   int
 	workers int
 
 	mu     sync.Mutex
-	pos    int         // next chunk start in [0, numRows), on the chunk grid
-	active []*Consumer // attached, with unassigned rows; foreground first
-	idle   []int       // free worker ids; workers exit when active drains
+	active []*Consumer // attached, with unassigned rows
+	idle   []int       // free worker ids; workers exit when nothing is dispatchable
 	all    map[*Consumer]struct{}
 	// onClaim, when set before the first consumer attaches, sees every
-	// chunk start a worker claims, under the lock (in-package tests).
-	onClaim func(lo int)
+	// claim's row window [lo, hi), under the lock (in-package tests).
+	onClaim func(lo, hi int)
 
 	blocks blockRegistry
 }
+
+// claimBudget is the fold time one claim aims at, and maxClaimChunks caps
+// its chunks. A claim's fixed cost — the scheduler lock, picking the
+// consumer, takeLocked, the snapshot gate, two clock reads, the
+// ScanRangeReusing call and the Gosched after it — is about 0.4 µs
+// (BenchmarkClaimOverhead: 410–440 ns/claim on a 2-vCPU Xeon, go1.24). A
+// 50 µs budget keeps that under 1% of a claim, while a query that arrives
+// waits on each busy worker for about one budget at most, 1/80 of the
+// benchmark's 4 ms time requirement. The cap bounds the rows one shard
+// takes at once.
+const (
+	claimBudget    = 50 * time.Microsecond
+	maxClaimChunks = 64
+)
 
 // blockRegistry is the scanner's block tables (README.md, "Per-block scan",
 // "Block tables"): one engine.Blocks per accumulator shape that a
@@ -204,6 +238,9 @@ func (s *Scanner) Extend(db *dataset.Database, newRows int) error {
 		}
 		c.extendLocked(plan, oldTarget, newRows)
 	}
+	// Consumers compiled on a view ahead of the scanner (a query racing an
+	// append) become dispatchable now.
+	s.spawnLocked()
 	return firstErr
 }
 
@@ -225,8 +262,8 @@ func (s *Scanner) ActiveConsumers() int {
 // The consumer's coverage target is the plan's row count: if the scan is
 // extended before the plan's rows are fully dispatched the consumer rides
 // along via Extend, and if the plan was compiled against a view slightly
-// ahead of the scanner (a query racing an append) the cursor simply reaches
-// the tail once Extend lands.
+// ahead of the scanner (a query racing an append) its rows past the
+// scanner's are not dispatched until Extend lands.
 func (s *Scanner) NewConsumer(plan *engine.Compiled, sig string, use *engine.SelectionUse) *Consumer {
 	c := &Consumer{
 		s:      s,
@@ -254,7 +291,8 @@ func (s *Scanner) NewConsumer(plan *engine.Compiled, sig string, use *engine.Sel
 	return c
 }
 
-// spawnLocked starts workers while there are free ids and pending consumers.
+// spawnLocked starts workers while there are free ids and attached
+// consumers.
 func (s *Scanner) spawnLocked() {
 	for len(s.idle) > 0 && len(s.active) > 0 {
 		id := s.idle[len(s.idle)-1]
@@ -263,124 +301,88 @@ func (s *Scanner) spawnLocked() {
 	}
 }
 
-// worker claims chunks and folds them through the attached consumers until
-// no consumer has unassigned rows left.
+// worker claims chunks for the least-served dispatchable consumer and folds
+// them, until no consumer is dispatchable.
 func (s *Scanner) worker(id int) {
-	// A task is one consumer's claim on the current chunk: spans[from:to].
-	// Both buffers are reused across chunks, so a claim allocates nothing
+	// The span buffer is reused across claims, so a claim allocates nothing
 	// while s.mu is held.
-	type task struct {
-		c        *Consumer
-		from, to int
-	}
-	var tasks []task
 	var spans []span
 	for {
 		s.mu.Lock()
-		if len(s.active) == 0 {
+		i := s.nextLocked()
+		if i < 0 {
 			s.idle = append(s.idle, id)
 			s.mu.Unlock()
 			return
 		}
-		lo := s.pos
+		c := s.active[i]
+		// needed is ascending, so needed[0] holds the consumer's lowest
+		// uncovered row; the claim starts on the chunk grid at or below it.
+		lo := c.needed[0].lo / s.chunk * s.chunk
+		hi := min(lo+s.claimChunks(c)*s.chunk, s.numRows)
 		if s.onClaim != nil {
-			s.onClaim(lo)
+			s.onClaim(lo, hi)
 		}
-		hi := lo + s.chunk
-		if hi > s.numRows {
-			hi = s.numRows
-		}
-		// IDEA's scheduler gives user queries strict priority: while any
-		// foreground consumer is attached, purely speculative consumers are
-		// not dispatched at all — they stay attached with their coverage
-		// intact and resume the moment foreground work drains, so
-		// speculation consumes think time, never query time.
-		fgActive := false
-		for _, c := range s.active {
-			if c.fgRefs > 0 {
-				fgActive = true
-				break
-			}
-		}
-		tasks, spans = tasks[:0], spans[:0]
-		for i := 0; i < len(s.active); {
-			c := s.active[i]
-			if fgActive && c.fgRefs == 0 {
-				i++ // suspended speculation target
-				continue
-			}
-			from := len(spans)
-			if spans = c.takeLocked(lo, hi, spans); len(spans) > from {
-				tasks = append(tasks, task{c, from, len(spans)})
-			}
-			if len(c.needed) == 0 {
-				// Fully assigned: no more chunks for this consumer. Its
-				// in-flight folds complete it.
-				c.attached = false
-				s.active = append(s.active[:i], s.active[i+1:]...)
-				continue
-			}
-			i++
-		}
-		if hi == s.numRows {
-			s.pos = 0
-		} else {
-			s.pos = hi
-		}
-		if len(tasks) == 0 {
-			// Nobody dispatchable needed this chunk (resumed consumers
-			// waiting for the cursor to reach their uncovered window): jump
-			// straight to the nearest needed offset instead of sweeping dead
-			// rows. Suspended speculation targets are excluded so the cursor
-			// keeps serving foreground windows first.
-			s.pos = s.nextNeededLocked(s.pos, fgActive)
+		spans = c.takeLocked(lo, hi, spans[:0])
+		if len(c.needed) == 0 {
+			// Fully assigned: no more claims for this consumer. Its
+			// in-flight folds complete it.
+			c.attached = false
+			s.active = append(s.active[:i], s.active[i+1:]...)
 		}
 		s.mu.Unlock()
-		for _, t := range tasks {
-			t.c.fold(id, spans[t.from:t.to])
-		}
-		// Yield between dispatches so pollers (snapshot loops, the driver's
+		c.fold(id, spans)
+		// Yield between claims so pollers (snapshot loops, the driver's
 		// deadline checks) get the core promptly even when scan workers
-		// saturate the machine: one voluntary reschedule per chunk costs
-		// ~100ns against thousands of rows folded, and on a single-CPU host
-		// it is the difference between first-snapshot latency of one chunk
-		// and one preemption quantum (~10ms).
+		// saturate the machine: on a single-CPU host it is the difference
+		// between first-snapshot latency of one claim and one preemption
+		// quantum (~10ms).
 		runtime.Gosched()
 	}
 }
 
-// nextNeededLocked returns the chunk-grid offset at or below the uncovered
-// offset with the smallest circular distance from pos across the
-// dispatchable consumers (pos itself if none): all of them normally,
-// foreground ones only while foreground work exists. Staying on the grid
-// keeps every later claim whole aligned blocks, which the per-block chain
-// of engine.GroupState.ScanRangeReusing serves; the claim is clipped to
-// what each consumer needs, so the rows below the offset are never folded
-// twice.
-func (s *Scanner) nextNeededLocked(pos int, fgOnly bool) int {
-	best := -1
+// nextLocked returns the index in s.active of the dispatchable consumer
+// with the least attained service, or -1 when none is dispatchable. While
+// any foreground consumer is attached, speculative ones are not dispatched
+// at all — they keep their coverage and resume the moment foreground work
+// drains, so speculation consumes think time, never query time (IDEA's
+// scheduler gives user queries strict priority). A consumer whose lowest
+// uncovered row is past the scanner's rows (compiled on a view ahead of it)
+// waits for Extend. Ties go to the earlier attached.
+func (s *Scanner) nextLocked() int {
+	fg := false
 	for _, c := range s.active {
-		if fgOnly && c.fgRefs == 0 {
+		if c.fgRefs > 0 {
+			fg = true
+			break
+		}
+	}
+	best, least := -1, int64(0)
+	for i, c := range s.active {
+		if (fg && c.fgRefs == 0) || c.needed[0].lo >= s.numRows {
 			continue
 		}
-		for _, sp := range c.needed {
-			d := sp.lo - pos
-			if d < 0 {
-				d += s.numRows
-			}
-			if best < 0 || d < best {
-				best = d
-			}
+		if ns := c.attained.Load(); best < 0 || ns < least {
+			best, least = i, ns
 		}
 	}
-	if best < 0 {
-		return pos
+	return best
+}
+
+// claimChunks returns how many chunks c's next claim holds: as many as fold
+// in claimBudget at c's measured cost per row, one before c has a
+// measurement, at most maxClaimChunks. Chunks are joined only when the
+// chunk is a multiple of engine.BatchRows: joined smaller chunks could form
+// a whole block that ScanRangeReusing would merge from a block table where
+// one chunk at a time folds its rows, and a float sum would no longer be
+// bitwise the same.
+func (s *Scanner) claimChunks(c *Consumer) int {
+	ns, rows := c.attained.Load(), c.folded.Load()
+	if s.chunk%engine.BatchRows != 0 || ns <= 0 || rows <= 0 {
+		return 1
 	}
-	next := pos + best
-	if next >= s.numRows {
-		next -= s.numRows
-	}
-	return next - next%s.chunk
+	n := int64(claimBudget) * rows / (ns * int64(s.chunk))
+	return int(min(max(n, 1), maxClaimChunks))
 }
 
 // shard is one worker's private accumulator for one consumer. Only worker w
@@ -416,12 +418,13 @@ type Consumer struct {
 	target atomic.Int64 // rows of the data version this consumer covers
 
 	// Scheduling state, guarded by s.mu.
-	needed   []span // uncovered, unassigned row ranges
+	needed   []span // uncovered, unassigned row ranges, ascending
 	attached bool
 	fgRefs   int  // live foreground handles
 	spec     bool // standing speculation target
 
 	folded    atomic.Int64 // rows folded into shards
+	attained  atomic.Int64 // nanoseconds spent folding them: the service attained
 	blockRows atomic.Int64 // of them, rows merged from recorded block tables
 	shards    []shard
 	// gate is the snapshot turnstile. Workers pass through it (lock+unlock,
@@ -469,7 +472,8 @@ func (c *Consumer) Selections() *engine.SelectionUse { return c.use }
 func (c *Consumer) Plan() *engine.Compiled { return c.plan.Load() }
 
 // extendLocked grows the consumer's coverage to the new data version:
-// rebind the plan, add the uncovered tail, re-arm completion. Caller holds
+// rebind the plan, add the uncovered tail, re-arm completion. The tail lies
+// above every range needed holds, so needed stays ascending. Caller holds
 // s.mu.
 func (c *Consumer) extendLocked(plan *engine.Compiled, oldTarget, newRows int) {
 	c.plan.Store(plan)
@@ -504,10 +508,10 @@ func (c *Consumer) Discard() {
 
 // takeLocked claims the intersection of [lo, hi) with the consumer's
 // uncovered ranges: the claimed spans are appended to out (the calling
-// worker's buffer) and needed is clipped in place, order kept. Only a chunk
-// strictly inside one uncovered range — a consumer's first claim after it
-// attaches mid-table — leaves one range more than it found. Caller holds
-// s.mu.
+// worker's buffer) and needed is clipped in place, order kept. Only a
+// window strictly inside one uncovered range leaves one range more than it
+// found; a worker's claims never do, as they start at or below the
+// consumer's lowest uncovered row. Caller holds s.mu.
 func (c *Consumer) takeLocked(lo, hi int, out []span) []span {
 	w := 0 // needed[:w] is the clipped prefix; w never passes the read index
 	for i := 0; i < len(c.needed); i++ {
@@ -543,7 +547,9 @@ func (c *Consumer) takeLocked(lo, hi int, out []span) []span {
 // migrates to the consumer's current plan first, so spans from an extended
 // tail are always folded with kernels bound to the view that contains them.
 // Each span is one engine.GroupState.ScanRangeReusing call, over the block
-// tables of the plan's shape and the consumer's selection reuse.
+// tables of the plan's shape and the consumer's selection reuse. The time
+// the fold takes under the shard lock is added to the consumer's attained
+// service.
 func (c *Consumer) fold(w int, parts []span) {
 	// Turnstile: let a pending snapshot merge cut in (see gate).
 	c.gate.Lock()
@@ -552,6 +558,7 @@ func (c *Consumer) fold(w int, parts []span) {
 	plan := c.plan.Load()
 	sh := &c.shards[w]
 	sh.mu.Lock()
+	start := time.Now()
 	if sh.plan != plan {
 		ngs := engine.NewGroupState(plan)
 		if sh.gs != nil {
@@ -567,6 +574,7 @@ func (c *Consumer) fold(w int, parts []span) {
 	if served > 0 {
 		c.blockRows.Add(int64(served))
 	}
+	c.attained.Add(int64(time.Since(start)))
 	total := c.folded.Add(int64(n))
 	sh.mu.Unlock()
 	if total == c.target.Load() {
@@ -744,43 +752,33 @@ func (c *Consumer) Unspeculate() {
 	s.mu.Unlock()
 }
 
-// ensureAttachedLocked puts the consumer on the active list (foreground
-// states ahead of speculative ones) and wakes workers. Caller holds s.mu.
+// ensureAttachedLocked puts the consumer on the active list and wakes
+// workers. Caller holds s.mu.
 func (c *Consumer) ensureAttachedLocked() {
-	if len(c.needed) == 0 {
-		return // fully assigned; in-flight folds (or done) finish it
-	}
-	s := c.s
-	if c.attached {
-		return
+	if len(c.needed) == 0 || c.attached {
+		return // fully assigned (in-flight folds or done finish it), or attached
 	}
 	c.attached = true
-	if c.fgRefs > 0 {
-		i := 0
-		for i < len(s.active) && s.active[i].fgRefs > 0 {
-			i++
-		}
-		s.active = append(s.active, nil)
-		copy(s.active[i+1:], s.active[i:])
-		s.active[i] = c
-	} else {
-		s.active = append(s.active, c)
-	}
-	s.spawnLocked()
+	c.s.active = append(c.s.active, c)
+	c.s.spawnLocked()
 }
 
-// detachLocked removes the consumer from the active list. Caller holds s.mu.
+// detachLocked removes the consumer from the active list, and wakes workers
+// for what it leaves: the last foreground consumer leaving makes speculation
+// dispatchable. Caller holds s.mu.
 func (c *Consumer) detachLocked() {
 	if !c.attached {
 		return
 	}
 	c.attached = false
-	for i, o := range c.s.active {
+	s := c.s
+	for i, o := range s.active {
 		if o == c {
-			c.s.active = append(c.s.active[:i], c.s.active[i+1:]...)
-			return
+			s.active = append(s.active[:i], s.active[i+1:]...)
+			break
 		}
 	}
+	s.spawnLocked()
 }
 
 // mergeShards combines all worker shards into a fresh state, together with

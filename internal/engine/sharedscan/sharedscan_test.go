@@ -162,14 +162,15 @@ func TestConcurrentConsumersMatchIndependentScans(t *testing.T) {
 	}
 }
 
-// TestLateAttachWrapsAround attaches a second consumer after the cursor has
-// advanced, forcing a mid-table start and wrap-around completion.
-func TestLateAttachWrapsAround(t *testing.T) {
+// TestLateAttachExact attaches a second consumer after the first has
+// folded rows: both complete, and the late one's result is exact.
+func TestLateAttachExact(t *testing.T) {
 	f := newFixture(t, 200000, 3)
 	s := New(f.db.Fact.NumRows(), 512, 2)
 	first := newConsumer(s, f.plan(t, 0))
 	first.Acquire()
-	// Wait until the cursor has moved before attaching the second consumer.
+	// Wait until the first consumer has folded rows before attaching the
+	// second.
 	deadline := time.Now().Add(5 * time.Second)
 	for first.RowsSeen() == 0 && time.Now().Before(deadline) {
 	}
@@ -437,4 +438,119 @@ func TestMergeShardsBitwiseAgainstSequential(t *testing.T) {
 			t.Fatalf("bin %v: N %d, want %d", k, n, want.N)
 		}
 	})
+}
+
+// dispatchFixture is a block fixture of 64 whole blocks, a scanner of one
+// worker over it with COUNT BY cat's block tables recorded, and the two
+// ends of the cost range: cheap, COUNT BY cat, merges those tables; dear,
+// an unfiltered 2-D AVG, folds every row.
+func dispatchFixture(t *testing.T) (f *blockFixture, s *Scanner, cheap, dear *engine.Compiled) {
+	t.Helper()
+	f = newBlockFixture(t, 64*engine.BatchRows, rand.New(rand.NewSource(13)))
+	compile := func(q *query.Query) *engine.Compiled {
+		q.VizName, q.Table = "v", "tbl"
+		p, err := engine.Compile(f.db, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	cheap = compile(&query.Query{Bins: []query.Binning{{Field: "cat", Kind: dataset.Nominal}},
+		Aggs: []query.Aggregate{{Func: query.Count}}})
+	dear = compile(&query.Query{Bins: []query.Binning{{Field: "cat", Kind: dataset.Nominal},
+		{Field: "ival", Kind: dataset.Quantitative, Width: 100}},
+		Aggs: []query.Aggregate{{Func: query.Avg, Field: "val"}}})
+	s = New(f.db.Fact.NumRows(), engine.BatchRows, 1)
+	rec := newConsumer(s, cheap)
+	rec.Acquire()
+	waitDone(t, rec)
+	rec.Release()
+	return f, s, cheap, dear
+}
+
+// exactOf is plan's answer from a plain sequential scan.
+func exactOf(plan *engine.Compiled) *query.Result {
+	gs := engine.NewGroupState(plan)
+	gs.ScanRange(0, plan.NumRows)
+	return gs.SnapshotExact()
+}
+
+// TestCheapConsumerFinishesFirst: on one worker, a consumer that merges
+// recorded block tables and an unfiltered 2-D AVG attached together, the
+// AVG first: the cheap one completes while the AVG has folded less than
+// half its rows, as it is served first while it has attained less
+// service. Both answers are exact.
+func TestCheapConsumerFinishesFirst(t *testing.T) {
+	f, s, cheapPlan, dearPlan := dispatchFixture(t)
+	rows := int64(f.db.Fact.NumRows())
+	dear := newConsumer(s, dearPlan)
+	cheap := newConsumer(s, cheapPlan)
+	// The callback runs on the worker, right after the cheap consumer's
+	// last fold and before the worker claims again.
+	dearSeen := make(chan int64, 1)
+	cheap.WhenDone(func(*Final) { dearSeen <- dear.RowsSeen() })
+	dear.Acquire()
+	cheap.Acquire()
+	waitDone(t, cheap)
+	waitDone(t, dear)
+	cheap.Release()
+	dear.Release()
+	if got := cheap.BlockRowsServed(); got != rows {
+		t.Fatalf("the cheap consumer merged %d of %d rows from block tables", got, rows)
+	}
+	if seen := <-dearSeen; 2*seen >= rows {
+		t.Fatalf("the cheap consumer completed after the 2-D AVG had folded %d of %d rows", seen, rows)
+	}
+	resultsIdentical(t, "cheap", exactOf(cheapPlan), cheap.Snapshot(1.96))
+	resultsIdentical(t, "2-D AVG", exactOf(dearPlan), dear.Snapshot(1.96))
+}
+
+// TestExpensiveConsumerNotStarved: on one worker, while cheap consumers
+// attach one after another, each as soon as the one before completes, an
+// unfiltered 2-D AVG still completes with the exact answer, three times
+// over.
+func TestExpensiveConsumerNotStarved(t *testing.T) {
+	_, s, cheapPlan, dearPlan := dispatchFixture(t)
+	wantCheap, wantDear := exactOf(cheapPlan), exactOf(dearPlan)
+	for round := 0; round < 3; round++ {
+		dear := newConsumer(s, dearPlan)
+		dear.Acquire()
+		cheapRuns := 0
+		deadline := time.Now().Add(30 * time.Second)
+		for !dear.IsDone() {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: the 2-D AVG folded %d rows in 30 s beside %d cheap consumers",
+					round, dear.RowsSeen(), cheapRuns)
+			}
+			c := newConsumer(s, cheapPlan)
+			c.Acquire()
+			waitDone(t, c)
+			c.Release()
+			resultsIdentical(t, fmt.Sprintf("round %d cheap %d", round, cheapRuns), wantCheap, c.Snapshot(1.96))
+			cheapRuns++
+		}
+		dear.Release()
+		resultsIdentical(t, fmt.Sprintf("round %d 2-D AVG", round), wantDear, dear.Snapshot(1.96))
+		if cheapRuns < 2 {
+			t.Fatalf("round %d: only %d cheap consumers ran beside the 2-D AVG", round, cheapRuns)
+		}
+	}
+}
+
+// BenchmarkClaimOverhead prices a claim's fixed cost: one worker scans a
+// COUNT over 64k rows in 1-row chunks, so each claim folds one row and the
+// rest of its time is the lock, the pick, takeLocked, the gate, the clock
+// reads, the ScanRangeReusing call and the Gosched (ns/claim).
+func BenchmarkClaimOverhead(b *testing.B) {
+	f := newFixture(b, 1<<16, 12)
+	plan := f.plan(b, 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := New(plan.NumRows, 1, 1)
+		c := newConsumer(s, plan)
+		c.Acquire()
+		<-c.Done()
+		c.Release()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(plan.NumRows), "ns/claim")
 }

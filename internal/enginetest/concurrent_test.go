@@ -9,9 +9,9 @@ import (
 	"idebench/internal/enginetest"
 )
 
-// The progressive engine is the one whose concurrent results now come from a
-// shared scan cursor instead of independent per-query passes; the scenario
-// asserts that sharing is invisible in the results.
+// The progressive engine is the one whose concurrent results come from one
+// shared scan scheduler instead of independent per-query passes; the
+// scenario asserts that sharing is invisible in the results.
 func TestConcurrentMultiVizProgressive(t *testing.T) {
 	enginetest.ConcurrentMultiViz(t, func() engine.Engine {
 		return progressive.New(progressive.Config{})

@@ -19,7 +19,7 @@ import (
 // and deletes a viz name that every other session also uses — none of which
 // may disturb any other user's results. All sessions' final results must
 // match independent single-query scans, which pins down that whatever the
-// engine shares between sessions (scan cursors, worker pools, sample
+// engine shares between sessions (scan schedulers, worker pools, sample
 // tables) is invisible in the answers. Run it under -race: the schedule
 // interleaving of sessions is the point.
 func MultiUserScenario(t *testing.T, factory func() engine.Engine, exactWhenComplete bool) {

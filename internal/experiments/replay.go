@@ -337,7 +337,7 @@ func UserSweep(cfg Config) ([]ReplayRow, error) {
 // UserSweepUsers replays, for each engine and each user count U, U mixed
 // workflows as U concurrent simulated users over one prepared engine, and
 // the same U workflows sequentially on one session as the baseline. Engines
-// default to progressive (shared scans: users amortize memory sweeps) vs
+// default to progressive (shared scans: users share scan workers) vs
 // exactdb (independent parallel scans: users compete), the contrast the
 // shared-scan scheduler was built for.
 func UserSweepUsers(cfg Config, userCounts []int) ([]ReplayRow, error) {

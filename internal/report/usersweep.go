@@ -39,7 +39,8 @@ type UserScaling struct {
 	// SpeedupVs1 is this row's QueriesPerSec over the same driver's 1-user
 	// row (0 when no 1-user row exists). >1 means concurrent users get more
 	// total work done per second than a lone user — on a shared-scan engine
-	// because N users' queries ride one memory sweep.
+	// because N users' queries share one set of scan workers and the block
+	// tables they record.
 	SpeedupVs1 float64
 }
 
