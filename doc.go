@@ -33,7 +33,9 @@
 // table of the block, a recorded selection of a filter's rows, or a range
 // or IN filter's binary search in the block's row offsets sorted by value
 // (dataset.BlockOrder, 2 B/row, built by the first scan that asks and
-// likewise kept per lineage), before it tests every row. The archetypes
+// likewise kept per lineage), before it tests every row. Block tables and
+// block orders keep one pointer per block in one directory type,
+// dataset.BlockDir. The archetypes
 // differ only in their execution *models* — blocking parallel scan
 // (exactdb), offline stratified sample (sampledb), online aggregation with
 // a row-store cost model (onlinedb), and fully progressive permuted
@@ -56,7 +58,8 @@
 // that storage, the progressive engine executes every concurrent query,
 // reused partial state and speculation target as a consumer of one shared
 // scan scheduler (internal/engine/sharedscan): engine.Options.Parallelism
-// workers fold chunks for the consumer that has been served least, so a
+// workers fold whole 4096-row blocks (dataset.BlockRows, the grid every
+// per-block memo shares) for the consumer that has been served least, so a
 // cheap query completes in about its own fold time instead of waiting on
 // the expensive ones beside it. The scanner also records,
 // once per accumulator shape, the table an unfiltered 1-D query folds over

@@ -70,7 +70,7 @@ func NewTableAppender(t *Table, adopt bool) *TableAppender {
 		if adopt {
 			// The storage changes hands, and with it whatever block orders
 			// and bin codes t's plans already built over it.
-			a.orders[i] = c.blockOrderMemo()
+			a.orders[i] = c.BlockOrder()
 		} else {
 			a.orders[i] = &BlockOrder{}
 		}

@@ -23,69 +23,40 @@ import (
 // within a lineage, so a block once whole keeps its order for every later
 // view, and appended rows join the memo as they complete whole blocks.
 
-// orderChunkBlocks is how many blocks one slab chunk holds. The slab grows
-// by whole chunks — the append headroom, at most 64 KiB a column with
-// 4096-row blocks — so a built order never moves and a lineage that grows
-// never copies one.
-const orderChunkBlocks = 8
-
-// Block states. A block is claimed for its build by a compare-and-swap from
-// orderEmpty; a reader that finds it orderBuilding or orderUnindexable scans
-// instead.
-const (
-	orderEmpty uint32 = iota
-	orderBuilding
-	orderBuilt
-	orderUnindexable // the block holds a NaN, which no order places
-)
-
-// BlockOrder is one column lineage's block-order memo: for block b (rows
-// [b·block, (b+1)·block)) the offsets 0..block-1 sorted by the rows' values,
-// ties by offset, as uint16 — 2 bytes per row of every block built. The
-// block size is fixed by the first Column.BlockOrder call; the zero value is
-// an empty memo.
+// BlockOrder is one column lineage's block-order memo: for block b the
+// offsets 0..BlockRows-1 sorted by the rows' values, ties by offset, as
+// uint16 — 2 bytes per row of every block built. A block's slot in the
+// directory is nil until a scan claims the block by a compare-and-swap to
+// orderBuilding, so each order is built once; the claimant then stores the
+// order, or orderUnindexable. A reader that finds either sentinel tests the
+// rows instead. The zero value is an empty memo.
 type BlockOrder struct {
-	mu    sync.Mutex // serializes directory growth and fixes block
-	block int
-	dir   atomic.Pointer[orderDir]
+	dir BlockDir[blockOrd]
+	// slab is storage for the next builds' orders, allocated
+	// orderSlabBlocks orders at a time: a build takes one under mu, and all
+	// but one build in orderSlabBlocks allocate nothing.
+	mu   sync.Mutex
+	slab []blockOrd
 	// builds counts the block orders built, for tests and telemetry.
 	builds atomic.Int64
 }
 
-// orderDir is a BlockOrder's chunk directory. It is replaced, never
-// modified, when the lineage outgrows it; the chunks are carried over.
-type orderDir struct{ chunks []*orderChunk }
+// blockOrd is one block's order.
+type blockOrd [BlockRows]uint16
 
-// orderChunk is orderChunkBlocks blocks' orders and their state words.
-type orderChunk struct {
-	state [orderChunkBlocks]atomic.Uint32
-	rows  []uint16 // block i of the chunk: rows[i·block : (i+1)·block]
-}
+// The two sentinels a block's slot holds while it has no order to read: a
+// build in progress, and a block holding a NaN, which no order places.
+var orderBuilding, orderUnindexable = new(blockOrd), new(blockOrd)
 
-// BlockOrder returns the column lineage's block-order memo for blocks of
-// block rows, or nil when the lineage's memo was fixed to another block size
-// or block is outside (0, 65536]. It builds nothing: orders are built by
-// Nums and Codes, one block at a time.
-func (c *Column) BlockOrder(block int) *BlockOrder {
-	if block <= 0 || block > math.MaxUint16+1 {
-		return nil
-	}
-	o := c.blockOrderMemo()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.block == 0 {
-		o.block = block
-		o.dir.Store(&orderDir{})
-	}
-	if o.block != block {
-		return nil
-	}
-	return o
-}
+// orderSlabBlocks is how many orders one slab allocation holds: 64 KiB, the
+// most a column's memo holds unused.
+const orderSlabBlocks = 8
 
-// blockOrderMemo returns the column's memo, starting an empty one on first
-// use (lineage views are handed theirs at construction).
-func (c *Column) blockOrderMemo() *BlockOrder {
+// BlockOrder returns the column lineage's block-order memo, starting an
+// empty one on first use (lineage views are handed theirs at construction).
+// It builds nothing: orders are built by Nums and Codes, one block at a
+// time.
+func (c *Column) BlockOrder() *BlockOrder {
 	c.mmMu.Lock()
 	defer c.mmMu.Unlock()
 	if c.order == nil {
@@ -102,82 +73,67 @@ func (o *BlockOrder) Builds() int64 { return o.builds.Load() }
 // caller tests the rows — for a nil memo, a block the view does not hold
 // whole, a block another scan is building, and a block holding a NaN.
 func (o *BlockOrder) Nums(b int, nums []float64) []uint16 {
-	st, ord := o.claim(b, len(nums))
-	if st == nil {
+	slot, ord := o.claim(b, len(nums))
+	if slot == nil {
 		return ord
 	}
 	sc := orderScratchPool.Get().(*orderScratch)
-	ok := sc.sortNums(ord, nums[b*o.block:(b+1)*o.block])
+	ok := sc.sortNums(ord, nums[b*BlockRows:(b+1)*BlockRows])
 	orderScratchPool.Put(sc)
-	return o.publish(st, ord, ok)
+	return o.publish(slot, ord, ok)
 }
 
 // Codes is Nums for the dictionary codes of a nominal column.
 func (o *BlockOrder) Codes(b int, codes []uint32) []uint16 {
-	st, ord := o.claim(b, len(codes))
-	if st == nil {
+	slot, ord := o.claim(b, len(codes))
+	if slot == nil {
 		return ord
 	}
 	sc := orderScratchPool.Get().(*orderScratch)
-	sc.sortCodes(ord, codes[b*o.block:(b+1)*o.block])
+	sc.sortCodes(ord, codes[b*BlockRows:(b+1)*BlockRows])
 	orderScratchPool.Put(sc)
-	return o.publish(st, ord, true)
+	return o.publish(slot, ord, true)
 }
 
 // claim looks up block b of a view of rows rows. A built block returns its
-// order and a nil state; a block the caller has just claimed returns the
-// state word it must publish and the storage to sort into; every other case
-// — a block the view does not hold whole, a block being built or
-// unindexable — returns nils.
-func (o *BlockOrder) claim(b, rows int) (*atomic.Uint32, []uint16) {
-	if o == nil || (b+1)*o.block > rows {
+// order and a nil slot; a block the caller has just claimed returns its slot
+// and the storage to sort into, which publish stores; every other case — a
+// block the view does not hold whole, a block being built or unindexable —
+// returns nils.
+func (o *BlockOrder) claim(b, rows int) (*atomic.Pointer[blockOrd], []uint16) {
+	if o == nil || (b+1)*BlockRows > rows {
 		return nil, nil
 	}
-	d := o.dir.Load()
-	if b/orderChunkBlocks >= len(d.chunks) {
-		d = o.cover(b/orderChunkBlocks + 1)
-	}
-	ch, i := d.chunks[b/orderChunkBlocks], b%orderChunkBlocks
-	ord := ch.rows[i*o.block : (i+1)*o.block : (i+1)*o.block]
-	st := &ch.state[i]
-	switch st.Load() {
-	case orderBuilt:
-		return nil, ord
-	case orderEmpty:
-		if st.CompareAndSwap(orderEmpty, orderBuilding) {
-			return st, ord
+	slot := o.dir.Slot(b)
+	switch p := slot.Load(); p {
+	case nil:
+		if slot.CompareAndSwap(nil, orderBuilding) {
+			o.mu.Lock()
+			if len(o.slab) == 0 {
+				o.slab = make([]blockOrd, orderSlabBlocks)
+			}
+			ord := &o.slab[0]
+			o.slab = o.slab[1:]
+			o.mu.Unlock()
+			return slot, ord[:]
 		}
+	case orderBuilding, orderUnindexable:
+	default:
+		return nil, p[:]
 	}
 	return nil, nil
 }
 
-// publish ends a claimed build: ok marks ord built and returns it, !ok marks
-// the block unindexable.
-func (o *BlockOrder) publish(st *atomic.Uint32, ord []uint16, ok bool) []uint16 {
+// publish ends a claimed build: ok stores the order sorted into the
+// claim's storage and returns it, !ok marks the block unindexable.
+func (o *BlockOrder) publish(slot *atomic.Pointer[blockOrd], ord []uint16, ok bool) []uint16 {
 	if !ok {
-		st.Store(orderUnindexable)
+		slot.Store(orderUnindexable)
 		return nil
 	}
 	o.builds.Add(1)
-	st.Store(orderBuilt)
+	slot.Store((*blockOrd)(ord))
 	return ord
-}
-
-// cover grows the directory to at least chunks chunks.
-func (o *BlockOrder) cover(chunks int) *orderDir {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	d := o.dir.Load()
-	if chunks <= len(d.chunks) {
-		return d
-	}
-	nd := &orderDir{chunks: make([]*orderChunk, chunks)}
-	copy(nd.chunks, d.chunks)
-	for i := len(d.chunks); i < chunks; i++ {
-		nd.chunks[i] = &orderChunk{rows: make([]uint16, orderChunkBlocks*o.block)}
-	}
-	o.dir.Store(nd)
-	return nd
 }
 
 // orderScratch is one build's working set: the block's sort keys, whole

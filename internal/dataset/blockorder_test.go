@@ -92,9 +92,9 @@ func TestSortCodesOrdersByCode(t *testing.T) {
 // TestBlockOrderLineage: the memo belongs to the column lineage. Every view
 // an appender mints shares it and a block built through one serves the
 // others; a copying appender starts its own; an in-place mutation drops it;
-// a decoded table starts empty; a second block size gets none.
+// a decoded table starts empty.
 func TestBlockOrderLineage(t *testing.T) {
-	const block = 256
+	const block = BlockRows
 	rng := rand.New(rand.NewSource(5))
 	schema := MustSchema([]Field{{Name: "q", Kind: Quantitative}, {Name: "n", Kind: Nominal}})
 	b := NewBuilder("t", schema, 3*block)
@@ -108,9 +108,9 @@ func TestBlockOrderLineage(t *testing.T) {
 	}
 	app := NewTableAppender(base, true)
 	v0 := app.View()
-	o := v0.Columns[0].BlockOrder(block)
-	if o == nil || v0.Columns[0].BlockOrder(block+1) != nil {
-		t.Fatal("the memo did not fix its block size")
+	o := v0.Columns[0].BlockOrder()
+	if v0.Columns[0].BlockOrder() != o {
+		t.Fatal("the column handed out a second memo")
 	}
 	if o.Nums(0, v0.Columns[0].Nums) == nil || o.Nums(1, v0.Columns[0].Nums) == nil {
 		t.Fatal("whole aligned blocks got no order")
@@ -132,7 +132,7 @@ func TestBlockOrderLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1.Columns[0].BlockOrder(block) != o {
+	if v1.Columns[0].BlockOrder() != o {
 		t.Fatal("an appended view does not share the lineage's memo")
 	}
 	if o.Nums(1, v1.Columns[0].Nums) == nil || o.Builds() != 2 {
@@ -141,23 +141,23 @@ func TestBlockOrderLineage(t *testing.T) {
 	if o.Nums(2, v1.Columns[0].Nums) == nil || o.Builds() != 3 {
 		t.Fatal("the block the append completed got no order")
 	}
-	n := v1.Columns[1].BlockOrder(block)
-	if n == nil || n.Codes(0, v1.Columns[1].Codes) == nil || v0.Columns[1].BlockOrder(block) != n {
+	n := v1.Columns[1].BlockOrder()
+	if n == nil || n.Codes(0, v1.Columns[1].Codes) == nil || v0.Columns[1].BlockOrder() != n {
 		t.Fatal("the nominal column's memo is not the lineage's")
 	}
 
-	if NewTableAppender(v1, false).View().Columns[0].BlockOrder(block) == o {
+	if NewTableAppender(v1, false).View().Columns[0].BlockOrder() == o {
 		t.Fatal("a copying appender shares the source lineage's memo")
 	}
 	dec, err := DecodeTable(EncodeTable(v1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := dec.Columns[0].BlockOrder(block); d == o || d.Builds() != 0 {
+	if d := dec.Columns[0].BlockOrder(); d == o || d.Builds() != 0 {
 		t.Fatal("a decoded table carries the memo")
 	}
 	v1.Columns[0].InvalidateMinMax()
-	if v1.Columns[0].BlockOrder(block) == o {
+	if v1.Columns[0].BlockOrder() == o {
 		t.Fatal("an in-place mutation kept the memo")
 	}
 }
@@ -165,12 +165,12 @@ func TestBlockOrderLineage(t *testing.T) {
 // TestBlockOrderUnindexable: a block holding a NaN gets no order, for good,
 // and the blocks beside it still do.
 func TestBlockOrderUnindexable(t *testing.T) {
-	col := &Column{Field: Field{Name: "q", Kind: Quantitative}, Nums: make([]float64, 3*64)}
+	col := &Column{Field: Field{Name: "q", Kind: Quantitative}, Nums: make([]float64, 3*BlockRows)}
 	for i := range col.Nums {
 		col.Nums[i] = float64(i % 7)
 	}
-	col.Nums[70] = math.NaN()
-	o := col.BlockOrder(64)
+	col.Nums[BlockRows+6] = math.NaN()
+	o := col.BlockOrder()
 	for range 2 {
 		if o.Nums(1, col.Nums) != nil {
 			t.Fatal("a block holding a NaN got an order")

@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"slices"
+
+	"idebench/internal/wire"
 )
 
 // Stable binary serialization of tables — the storage layer of the durable
@@ -224,27 +226,27 @@ func DecodeSegment(data []byte) (*Segment, error) {
 // fields, and the payload is appended to s's column slices; otherwise the
 // column slices are allocated with room for max(capHint, rows) rows.
 func decodeSegment(data []byte, s *Segment, capHint int) error {
-	r := &byteReader{data: data}
-	if !r.magic(tableMagic) {
+	r := wire.NewReader(data)
+	if !bytes.Equal(r.Take(len(tableMagic)), tableMagic) {
 		return fmt.Errorf("dataset: decode segment: bad magic (not a format-2 segment)")
 	}
-	name := r.string16()
-	nFields := int(r.u32())
-	if r.err == nil && nFields > maxDecodeElems {
+	name := string(r.Take(int(r.Uint16())))
+	nFields := int(r.Uint32())
+	if r.Err() == nil && nFields > maxDecodeElems {
 		return fmt.Errorf("dataset: decode segment %q: implausible field count %d", name, nFields)
 	}
 	fields := make([]Field, 0, min(nFields, 1024))
-	for i := 0; i < nFields && r.err == nil; i++ {
-		k := Kind(r.u8())
-		fn := r.string16()
+	for i := 0; i < nFields && r.Err() == nil; i++ {
+		k := Kind(r.Byte())
+		fn := string(r.Take(int(r.Uint16())))
 		if k != Quantitative && k != Nominal {
 			return fmt.Errorf("dataset: decode segment %q: field %q: unknown kind %d", name, fn, k)
 		}
 		fields = append(fields, Field{Name: fn, Kind: k})
 	}
-	from64, to64 := r.u64(), r.u64()
-	if r.err != nil {
-		return fmt.Errorf("dataset: decode segment %q: %w", name, r.err)
+	from64, to64 := r.Uint64(), r.Uint64()
+	if r.Err() != nil {
+		return fmt.Errorf("dataset: decode segment %q: %w", name, r.Err())
 	}
 	if to64 > maxDecodeElems || from64 > to64 {
 		return fmt.Errorf("dataset: decode segment %q: implausible row range [%d, %d)", name, from64, to64)
@@ -262,21 +264,21 @@ func decodeSegment(data []byte, s *Segment, capHint int) error {
 	for i, f := range fields {
 		c := &s.Columns[i]
 		if f.Kind == Nominal {
-			dictFrom, dictTo := r.u32(), r.u32()
-			if r.err != nil {
-				return fmt.Errorf("dataset: decode segment %q: column %q: %w", name, f.Name, r.err)
+			dictFrom, dictTo := r.Uint32(), r.Uint32()
+			if r.Err() != nil {
+				return fmt.Errorf("dataset: decode segment %q: column %q: %w", name, f.Name, r.Err())
 			}
-			if dictTo < dictFrom || int64(dictTo-dictFrom)*4 > int64(r.remaining()) {
+			if dictTo < dictFrom || int64(dictTo-dictFrom)*4 > int64(r.Len()) {
 				return fmt.Errorf("dataset: decode segment %q: column %q: bad dictionary delta [%d, %d)", name, f.Name, dictFrom, dictTo)
 			}
 			c.DictFrom = int(dictFrom)
 			c.DictDelta = make([]string, 0, dictTo-dictFrom)
-			for j := dictFrom; j < dictTo && r.err == nil; j++ {
-				c.DictDelta = append(c.DictDelta, r.string32())
+			for j := dictFrom; j < dictTo && r.Err() == nil; j++ {
+				c.DictDelta = append(c.DictDelta, string(r.Take(int(r.Uint32()))))
 			}
-			b := r.take(rows * 4)
-			if r.err != nil {
-				return fmt.Errorf("dataset: decode segment %q: column %q: %w", name, f.Name, r.err)
+			b := r.Take(rows * 4)
+			if r.Err() != nil {
+				return fmt.Errorf("dataset: decode segment %q: column %q: %w", name, f.Name, r.Err())
 			}
 			if c.Codes == nil {
 				c.Codes = make([]uint32, 0, max(capHint, rows))
@@ -291,16 +293,15 @@ func decodeSegment(data []byte, s *Segment, capHint int) error {
 			}
 			continue
 		}
-		ok := r.u8()
+		ok := r.Byte()
 		if ok > 1 {
 			return fmt.Errorf("dataset: decode segment %q: column %q: bounds flag %d", name, f.Name, ok)
 		}
 		c.BoundsOK = ok == 1
-		c.Lo = math.Float64frombits(r.u64())
-		c.Hi = math.Float64frombits(r.u64())
-		b := r.take(rows * 8)
-		if r.err != nil {
-			return fmt.Errorf("dataset: decode segment %q: column %q: %w", name, f.Name, r.err)
+		c.Lo, c.Hi = r.Float64(), r.Float64()
+		b := r.Take(rows * 8)
+		if r.Err() != nil {
+			return fmt.Errorf("dataset: decode segment %q: column %q: %w", name, f.Name, r.Err())
 		}
 		if c.Nums == nil {
 			c.Nums = make([]float64, 0, max(capHint, rows))
@@ -310,8 +311,8 @@ func decodeSegment(data []byte, s *Segment, capHint int) error {
 			c.Nums = append(c.Nums, math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:])))
 		}
 	}
-	if r.remaining() != 0 {
-		return fmt.Errorf("dataset: decode segment %q: %d trailing bytes", name, r.remaining())
+	if r.Len() != 0 {
+		return fmt.Errorf("dataset: decode segment %q: %d trailing bytes", name, r.Len())
 	}
 	return nil
 }
@@ -445,84 +446,4 @@ func appendString16(buf []byte, s string) []byte {
 	}
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
 	return append(buf, s...)
-}
-
-// byteReader is a bounds-checked cursor with latching errors: after the
-// first out-of-range read every later read returns zero values, and the
-// caller checks err once per column rather than per field.
-type byteReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-var errTruncated = fmt.Errorf("truncated input")
-
-func (r *byteReader) remaining() int { return len(r.data) - r.off }
-
-func (r *byteReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.remaining() < n {
-		r.err = errTruncated
-		return nil
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *byteReader) magic(want []byte) bool {
-	b := r.take(len(want))
-	if r.err != nil {
-		return false
-	}
-	return string(b) == string(want)
-}
-
-func (r *byteReader) u8() byte {
-	b := r.take(1)
-	if r.err != nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *byteReader) u16() uint16 {
-	b := r.take(2)
-	if r.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *byteReader) u32() uint32 {
-	b := r.take(4)
-	if r.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *byteReader) u64() uint64 {
-	b := r.take(8)
-	if r.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *byteReader) string16() string {
-	n := int(r.u16())
-	return string(r.take(n))
-}
-
-func (r *byteReader) string32() string {
-	n := r.u32()
-	if r.err == nil && int64(n) > int64(r.remaining()) {
-		r.err = errTruncated
-		return ""
-	}
-	return string(r.take(int(n)))
 }

@@ -28,6 +28,16 @@
 // through InvalidateMinMax; a lineage whose values move outside the byte a
 // binning was built for stops using that binning's codes for good and bins
 // from the values again.
+//
+// # The block grid
+//
+// A lineage's rows are cut into aligned blocks of BlockRows (4096) rows,
+// the one grid every per-block memo uses: the block orders here
+// (blockorder.go, a lineage memo like the bin codes), the engine's block
+// tables and recorded selections, and the shared scan's claims. Block
+// orders and block tables keep their per-block pointers in a BlockDir
+// (blockdir.go): a grow-only directory whose reads take no lock and whose
+// growth carries the existing slots over.
 package dataset
 
 import (

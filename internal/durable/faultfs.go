@@ -35,8 +35,6 @@ type FaultFS struct {
 	failSyncs   int    // next n Sync calls fail
 	failRenames int    // next n Rename calls (into renameDir, if set) fail
 	renameDir   string // "": any rename
-	bytes       int64
-	syncs       int
 }
 
 // NewFaultFS wraps base with no faults armed.
@@ -70,20 +68,6 @@ func (f *FaultFS) FailNextRenamesInto(dir string, n int) {
 	f.mu.Lock()
 	f.failRenames, f.renameDir = n, dir
 	f.mu.Unlock()
-}
-
-// BytesWritten reports total bytes written through the wrapper.
-func (f *FaultFS) BytesWritten() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.bytes
-}
-
-// Syncs reports the number of Sync calls observed (including failed ones).
-func (f *FaultFS) Syncs() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.syncs
 }
 
 // MkdirAll implements FS.
@@ -148,7 +132,6 @@ func (f *FaultFS) SyncDir(path string) error {
 func (f *FaultFS) takeSyncFault() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.syncs++
 	if f.failSyncs > 0 {
 		f.failSyncs--
 		return ErrSyncFailed
@@ -173,7 +156,6 @@ func (w *faultFile) Write(p []byte) (int, error) {
 		}
 		w.fs.writeBudget = budget - int64(allowed)
 	}
-	w.fs.bytes += int64(allowed)
 	w.fs.mu.Unlock()
 
 	n := 0

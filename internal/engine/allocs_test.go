@@ -103,7 +103,7 @@ func TestScanRangeSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	for _, field := range []string{"x", "cat_a"} {
-		if db.Fact.Column(field).BlockOrder(BatchRows).Builds() != 8 {
+		if db.Fact.Column(field).BlockOrder().Builds() != 8 {
 			t.Errorf("%s: the filters did not run on block orders", field)
 		}
 	}

@@ -137,10 +137,10 @@ func TestBlockOrderSelectMatchesScan(t *testing.T) {
 				vals = append(vals, c)
 			}
 			slices.Sort(vals)
-			m := inMapPred{inOrder: inOrder{codes: n.Codes, ord: n.BlockOrder(BatchRows), vals: vals}, want: want}
+			m := inMapPred{inOrder: inOrder{codes: n.Codes, ord: n.BlockOrder(), vals: vals}, want: want}
 			checkTwins(t, fmt.Sprintf("trial %d: map IN of %d", trial, size), m, spans)
 		}
-		indexed += int(q.BlockOrder(BatchRows).Builds() + n.BlockOrder(BatchRows).Builds())
+		indexed += int(q.BlockOrder().Builds() + n.BlockOrder().Builds())
 	}
 	if indexed == 0 {
 		t.Fatal("no block order was built: the property compared the scan with itself")
@@ -156,7 +156,7 @@ func TestBlockOrderAppendCompletesBlock(t *testing.T) {
 	base := orderTable(t, rng, 2*BatchRows+100, 9, -1)
 	app := dataset.NewTableAppender(base, true)
 	v0 := app.View()
-	ord := v0.Columns[0].BlockOrder(BatchRows)
+	ord := v0.Columns[0].BlockOrder()
 	k0 := newRangePredKernel(v0.Columns[0], nil, -3, 40)
 	checkTwins(t, "before the append", k0, orderSpans(rng, v0.NumRows()))
 	if got := ord.Builds(); got != 2 {
@@ -217,9 +217,9 @@ func TestBlockOrderConcurrentBuilds(t *testing.T) {
 				t.Fatalf("round %d, scan %d: %v", round, i, err)
 			}
 		}
-		if fact.Columns[0].BlockOrder(BatchRows).Builds() != 8 || fact.Columns[1].BlockOrder(BatchRows).Builds() > 8 {
+		if fact.Columns[0].BlockOrder().Builds() != 8 || fact.Columns[1].BlockOrder().Builds() > 8 {
 			t.Fatalf("round %d: %d and %d builds of 8 blocks", round,
-				fact.Columns[0].BlockOrder(BatchRows).Builds(), fact.Columns[1].BlockOrder(BatchRows).Builds())
+				fact.Columns[0].BlockOrder().Builds(), fact.Columns[1].BlockOrder().Builds())
 		}
 	}
 }

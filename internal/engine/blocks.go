@@ -3,8 +3,8 @@ package engine
 import (
 	"math"
 	"strconv"
-	"sync"
-	"sync/atomic"
+
+	"idebench/internal/dataset"
 )
 
 // Block tables (README.md, "Per-block scan"): the accumulator table an
@@ -61,23 +61,16 @@ func (c *Compiled) AppendBlockShape(dst []byte) ([]byte, bool) {
 // aligned blocks of one table lineage: table i is the fold of rows
 // [i·BatchRows, (i+1)·BatchRows). Rows are immutable within a lineage, so a
 // table recorded for one view holds for every later, grown one. Each block
-// has one atomic pointer, set once: a scan that finds it nil folds the block
-// itself and publishes the result with a compare-and-swap, so two scans
-// racing on a block both hold a correct table and one of them is kept.
+// has one slot in a dataset.BlockDir, set once: a scan that finds it nil
+// folds the block itself and publishes the result with a compare-and-swap
+// from nil, so two scans racing on a block both hold a correct table and
+// one of them is kept.
 type Blocks struct {
 	geom  denseGeom
 	codes []uint8 // the shape's op classes, in op order
 	rows  int     // the row count of the view the tables were made for
-
-	grow sync.Mutex // serializes directory growth
-	dir  atomic.Pointer[blockDir]
+	dir   dataset.BlockDir[blockTable]
 }
-
-// blockDir is a Blocks directory: one write-once pointer per block. It is
-// replaced, never resized, when the table outgrows it; a table published
-// into a directory after it was replaced is lost to its successor and
-// recorded again there.
-type blockDir struct{ tabs []atomic.Pointer[blockTable] }
 
 // blockTable is one block's accumulator table in compact form: counts as
 // uint16 (a block has at most BatchRows rows), then per op, in op order, a
@@ -90,15 +83,12 @@ type blockTable struct {
 	f []float64
 }
 
-// NewBlocks returns an empty record of plan's shape (Compiled.BlockShape),
-// its directory sized for the blocks of plan's view.
+// NewBlocks returns an empty record of plan's shape (Compiled.BlockShape).
 func NewBlocks(plan *Compiled) *Blocks {
 	b := &Blocks{geom: plan.geom, rows: plan.NumRows}
 	for _, op := range plan.aggOps {
 		b.codes = append(b.codes, op.code)
 	}
-	b.dir.Store(&blockDir{})
-	b.cover(plan.NumRows / BatchRows)
 	return b
 }
 
@@ -120,44 +110,6 @@ func (b *Blocks) Serves(plan *Compiled) bool {
 		}
 	}
 	return true
-}
-
-// table returns block i's recorded table, nil while there is none.
-func (b *Blocks) table(i int) *blockTable {
-	if d := b.dir.Load(); i < len(d.tabs) {
-		return d.tabs[i].Load()
-	}
-	return nil
-}
-
-// publish offers t as block i's table and returns the table the block
-// holds: t, or the one a racing scan published first.
-func (b *Blocks) publish(i int, t *blockTable) *blockTable {
-	d := b.dir.Load()
-	if i >= len(d.tabs) {
-		d = b.cover(i + 1)
-	}
-	if !d.tabs[i].CompareAndSwap(nil, t) {
-		return d.tabs[i].Load()
-	}
-	return t
-}
-
-// cover grows the directory to at least blocks entries, with headroom for
-// the appends a live table grows by.
-func (b *Blocks) cover(blocks int) *blockDir {
-	b.grow.Lock()
-	defer b.grow.Unlock()
-	d := b.dir.Load()
-	if blocks <= len(d.tabs) {
-		return d
-	}
-	nd := &blockDir{tabs: make([]atomic.Pointer[blockTable], blocks+blocks/8)}
-	for i := range d.tabs {
-		nd.tabs[i].Store(d.tabs[i].Load())
-	}
-	b.dir.Store(nd)
-	return nd
 }
 
 // empty resets a dense table to no bins, in place.

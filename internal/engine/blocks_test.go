@@ -86,7 +86,7 @@ func TestBlockTablesConcurrentRecord(t *testing.T) {
 	}
 	wg.Wait()
 	for i := 0; i < plan.NumRows/BatchRows; i++ {
-		if b.table(i) == nil {
+		if b.dir.Slot(i).Load() == nil {
 			t.Fatalf("block %d holds no table", i)
 		}
 	}
@@ -154,7 +154,7 @@ func TestBlockChainOrder(t *testing.T) {
 	filter := query.Filter{Predicates: []query.Predicate{{Field: "x", Op: query.OpRange, Lo: -60, Hi: 90}}}
 	builds := func(db *dataset.Database) (n int64) {
 		for _, c := range db.Fact.Columns {
-			n += c.BlockOrder(BatchRows).Builds()
+			n += c.BlockOrder().Builds()
 		}
 		return n
 	}

@@ -332,7 +332,8 @@ func (g *GroupState) ScanRangeReusing(lo, hi int, b *Blocks, u *SelectionUse) (s
 func (g *GroupState) scanBlock(sc *scanScratch, i int, b *Blocks, u *SelectionUse) (served int) {
 	lo, hi := i*BatchRows, (i+1)*BatchRows
 	if b != nil {
-		bt := b.table(i)
+		slot := b.dir.Slot(i)
+		bt := slot.Load()
 		if bt != nil {
 			served = BatchRows
 		} else {
@@ -341,7 +342,10 @@ func (g *GroupState) scanBlock(sc *scanScratch, i int, b *Blocks, u *SelectionUs
 			}
 			g.rec.t.empty()
 			g.rec.scanBatch(sc, lo, hi)
-			bt = b.publish(i, compactBlock(&g.rec.t, g.plan.aggOps))
+			bt = compactBlock(&g.rec.t, g.plan.aggOps)
+			if !slot.CompareAndSwap(nil, bt) {
+				bt = slot.Load()
+			}
 		}
 		g.mergeBlock(bt)
 		return served

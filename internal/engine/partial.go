@@ -440,9 +440,6 @@ func (f *PartialFold) fits(pb *PartialBin) bool {
 	return true
 }
 
-// Added reports how many fragments have been folded.
-func (f *PartialFold) Added() int { return f.added }
-
 // Watermark returns the minimum watermark over added fragments (0 before any
 // Add).
 func (f *PartialFold) Watermark() int64 { return f.watermark }

@@ -61,11 +61,11 @@ func benchQueries() []*query.Query {
 // scan's makespan when every query is expensive and none can finish early.
 //
 //   - shared: the engine as shipped — permuted materialization at Prepare and
-//     the shared scan's workers claiming chunks for the least-served query.
-//     The queries read a chunk at different times, so they no longer share
+//     the shared scan's workers claiming blocks for the least-served query.
+//     The queries read a block at different times, so they no longer share
 //     one pass over memory; internal/engine/README.md, "Benchmarks", has the
 //     makespan measured against the one circular cursor that folded every
-//     chunk through all eight states.
+//     block through all eight states.
 //   - independent_gather: the pre-shared-scan architecture, reconstructed on
 //     the same kernels — one goroutine per query, each streaming the whole
 //     row permutation through GroupState.ScanRows on the original table.
@@ -103,7 +103,7 @@ func BenchmarkProgressiveConcurrent8(b *testing.B) {
 	b.Run("independent_gather", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(engine.Options{}.Normalize().Seed))
 		perm := stats.Permutation(rng, db.Fact.NumRows())
-		chunk := chunkRows
+		chunk := dataset.BlockRows
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -194,7 +194,7 @@ func BenchmarkProgressiveFirstSnapshot(b *testing.B) {
 	b.Run("gather_chunk", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(engine.Options{}.Normalize().Seed))
 		perm := stats.Permutation(rng, db.Fact.NumRows())
-		chunk := chunkRows
+		chunk := dataset.BlockRows
 		q := enginetest.CountByCarrier()
 		z := 1.96
 		b.ReportAllocs()

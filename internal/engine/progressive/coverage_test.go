@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"idebench/internal/dataset"
 	"idebench/internal/engine"
 	"idebench/internal/enginetest"
 	"idebench/internal/query"
@@ -15,8 +16,8 @@ import (
 // We allow generous slack (>= 80%) because one partial snapshot yields few
 // bins and the CLT is approximate for small per-bin counts.
 func TestMarginCoverage(t *testing.T) {
-	db := enginetest.SmallDB(400000, 99)
-	e := newChunked(Config{}, 512)
+	db := enginetest.SmallDB(98*dataset.BlockRows, 99)
+	e := New(Config{})
 	if err := e.Prepare(db, engine.Options{Confidence: 0.95, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}

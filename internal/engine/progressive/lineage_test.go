@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"idebench/internal/dataset"
 	"idebench/internal/engine"
 	"idebench/internal/enginetest"
 	"idebench/internal/ingest"
@@ -17,11 +18,11 @@ import (
 // and bitwise what a cold prepare of that version answers, for the
 // rendered result and the partial alike.
 func TestPinnedFinalSurvivesAppend(t *testing.T) {
-	db := enginetest.SmallDB(40000, 91)
-	// One worker folds the chunks in cursor order, so two engines prepared
+	db := enginetest.SmallDB(10*dataset.BlockRows, 91)
+	// One worker folds the blocks in ascending order, so two engines prepared
 	// alike accumulate bit for bit the same.
 	opts := engine.Options{Seed: 5, Parallelism: 1}
-	e := newChunked(Config{}, 1024)
+	e := New(Config{})
 	if err := e.Prepare(db, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestPinnedFinalSurvivesAppend(t *testing.T) {
 			part.Complete, part.Watermark, old)
 	}
 
-	cold := newChunked(Config{}, 1024)
+	cold := New(Config{})
 	if err := cold.Prepare(db, opts); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@
 // # Shared-scan execution
 //
 // All execution rides one sharedscan.Scanner, whose Options.Parallelism
-// workers fold chunks of the permuted storage for the attached query state
+// workers fold whole blocks of the permuted storage for the attached query state
 // that has been served least. Foreground handles, reuse-cached states and
 // speculation targets are all consumers of the same scheduler: a cheap
 // query completes in about its own fold time instead of waiting on the
@@ -75,11 +75,6 @@ type Config struct {
 	Speculate bool
 }
 
-// chunkRows is the number of sequential rows the shared scanner claims per
-// dispatch (the granularity of snapshot opportunities and cancellation):
-// exactly one vectorized batch.
-const chunkRows = engine.BatchRows
-
 // maxSpeculations caps how many single-bin selections are speculated per
 // link (the source visualization may have hundreds of bins).
 const maxSpeculations = 64
@@ -97,9 +92,7 @@ const maxSelections = 8
 // workers and block tables) without sharing viz namespaces or caches.
 type Engine struct {
 	cfg Config
-	// chunkRows starts as the package constant; in-package tests vary it.
-	chunkRows int
-	lin       engine.Lineage[scanState]
+	lin engine.Lineage[scanState]
 }
 
 // scanState is what each progressive version carries beside the permuted
@@ -116,7 +109,7 @@ type scanState struct {
 var testHookAppendPublished func()
 
 // New returns an unprepared engine.
-func New(cfg Config) *Engine { return &Engine{cfg: cfg, chunkRows: chunkRows} }
+func New(cfg Config) *Engine { return &Engine{cfg: cfg} }
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "progressive" }
@@ -162,7 +155,7 @@ func (e *Engine) PrepareReordered(db *dataset.Database, perm []uint32, opts engi
 	n := db.Fact.NumRows()
 	// The caller hands over private storage: the lineage may grow it.
 	e.lin.Reset(&engine.View[scanState]{DB: db, Perm: perm, Watermark: int64(n),
-		X: scanState{scan: sharedscan.New(n, e.chunkRows, opts.Parallelism), z: z}})
+		X: scanState{scan: sharedscan.New(n, opts.Parallelism), z: z}})
 	return nil
 }
 
@@ -177,7 +170,7 @@ func (e *Engine) SnapshotView() (*dataset.Database, []uint32) { return e.lin.Sna
 
 // Append implements engine.Appender: the batch lands as a tail segment of
 // the permuted storage (arrival order — the tail is not re-permuted, so the
-// sequential-scan property of every chunk dispatch is preserved), the grown
+// sequential-scan property of every claim is preserved), the grown
 // view is published, and then the shared scanner extends every registered
 // query state with the tail as one more uncovered interval. Active queries
 // therefore fold the new rows exactly once mid-scan via the ordinary

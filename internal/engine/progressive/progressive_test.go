@@ -14,14 +14,6 @@ import (
 	"idebench/internal/query"
 )
 
-// newChunked returns an engine whose shared scan claims chunk rows per
-// dispatch instead of the package's chunkRows.
-func newChunked(cfg Config, chunk int) *Engine {
-	e := New(cfg)
-	e.chunkRows = chunk
-	return e
-}
-
 func TestConformance(t *testing.T) {
 	enginetest.Conformance(t, func() engine.Engine { return New(Config{}) }, true)
 }
@@ -79,8 +71,8 @@ func TestRejectsNormalizedSchema(t *testing.T) {
 }
 
 func TestPartialSnapshotsImprove(t *testing.T) {
-	db := enginetest.SmallDB(500000, 13)
-	e := newChunked(Config{}, 1024)
+	db := enginetest.SmallDB(122*dataset.BlockRows, 13)
+	e := New(Config{})
 	if err := e.Prepare(db, engine.Options{Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +103,8 @@ func TestPartialSnapshotsImprove(t *testing.T) {
 }
 
 func TestPartialEstimateIsUnbiasedish(t *testing.T) {
-	db := enginetest.SmallDB(200000, 17)
-	e := newChunked(Config{}, 512)
+	db := enginetest.SmallDB(49*dataset.BlockRows, 17)
+	e := New(Config{})
 	if err := e.Prepare(db, engine.Options{Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +232,8 @@ func TestReuseKeyedBySemantics(t *testing.T) {
 }
 
 func TestSpeculationWarmsLinkedQueries(t *testing.T) {
-	db := enginetest.SmallDB(400000, 23)
-	e := newChunked(Config{Speculate: true}, 2048)
+	db := enginetest.SmallDB(98*dataset.BlockRows, 23)
+	e := New(Config{Speculate: true})
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -293,8 +285,8 @@ func TestSpeculationWarmsLinkedQueries(t *testing.T) {
 // round attaches fresh consumers, so a second link after a completed first
 // round must still make progress.
 func TestSpeculationSurvivesCompletedRound(t *testing.T) {
-	db := enginetest.SmallDB(300000, 41)
-	e := newChunked(Config{Speculate: true}, 2048)
+	db := enginetest.SmallDB(73*dataset.BlockRows, 41)
+	e := New(Config{Speculate: true})
 	if err := e.Prepare(db, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -441,8 +433,8 @@ func TestMinMaxAggProgressive(t *testing.T) {
 // codes. Every answer fetched after Done must be complete and equal the
 // exact truth of the data version its watermark names.
 func TestBinnedQueriesRaceAppends(t *testing.T) {
-	db := enginetest.SmallDB(60000, 77)
-	e := newChunked(Config{}, 512)
+	db := enginetest.SmallDB(15*dataset.BlockRows, 77)
+	e := New(Config{})
 	if err := e.Prepare(db, engine.Options{Parallelism: 3}); err != nil {
 		t.Fatal(err)
 	}

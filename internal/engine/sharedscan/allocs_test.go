@@ -15,24 +15,24 @@ import (
 )
 
 // TestTakeLockedSteadyStateAllocs: a claim runs under the scheduler lock
-// every worker needs for its next chunk, so once the worker's span buffer
+// every worker takes for its next claim, so once the worker's span buffer
 // and the consumer's range list have their capacity it must not allocate —
 // the split that grows the list by one range included.
 func TestTakeLockedSteadyStateAllocs(t *testing.T) {
-	const rows, chunk = 1 << 20, 4096
+	const rows, block = 1 << 20, dataset.BlockRows
 	c := &Consumer{needed: make([]span, 0, 4)}
 	buf := make([]span, 0, 8)
 	pos := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		if len(c.needed) == 0 {
 			c.needed = append(c.needed, span{0, rows})
-			pos = 10 * chunk // attach mid-table: the first claim splits the range
+			pos = 10 * block // attach mid-table: the first claim splits the range
 		}
-		buf = c.takeLocked(pos, pos+chunk, buf[:0])
+		buf = c.takeLocked(pos, pos+block, buf[:0])
 		if len(buf) != 1 {
-			t.Fatalf("claimed %v from chunk at %d", buf, pos)
+			t.Fatalf("claimed %v from the block at %d", buf, pos)
 		}
-		pos = (pos + chunk) % rows
+		pos = (pos + block) % rows
 	})
 	if allocs != 0 {
 		t.Errorf("%v allocations per steady-state claim, want 0", allocs)
@@ -43,7 +43,7 @@ func TestTakeLockedSteadyStateAllocs(t *testing.T) {
 // the block registry, so a lookup of a shape already recorded must not
 // allocate — the key is built in a stack buffer.
 func TestBlockLookupAllocs(t *testing.T) {
-	f := newBlockFixture(t, 2*engine.BatchRows, rand.New(rand.NewSource(3)))
+	f := newBlockFixture(t, 2*dataset.BlockRows, rand.New(rand.NewSource(3)))
 	plan, err := engine.Compile(f.db, &query.Query{VizName: "v", Table: "tbl",
 		Bins: []query.Binning{{Field: "cat", Kind: dataset.Nominal}},
 		Aggs: []query.Aggregate{{Func: query.Avg, Field: "val"}, {Func: query.Max, Field: "ival"}}})

@@ -159,7 +159,7 @@ func served(cs []*Consumer) int64 {
 
 // TestBlockAggregatesMatchScanRange is the block-aggregate wall: consumers
 // that merge recorded block tables answer as ScanRange does — resuming from
-// random prefixes on and off the chunk grid, over a ragged last block, across
+// random prefixes on and off the block grid, over a ragged last block, across
 // Extend tails (short ones, then ones that fill whole blocks) and across an
 // append that widens a binned column's domain, whose plans replace their
 // shapes' tables with tables in the new geometry under the same keys — while
@@ -167,13 +167,13 @@ func served(cs []*Consumer) int64 {
 func TestBlockAggregatesMatchScanRange(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		rows := 24*engine.BatchRows + rng.Intn(engine.BatchRows)
+		rows := 24*dataset.BlockRows + rng.Intn(dataset.BlockRows)
 		f := newBlockFixture(t, rows, rng)
-		s := New(rows, engine.BatchRows, 2)
+		s := New(rows, 2)
 		label := func(step string) string { return fmt.Sprintf("seed %d %s", seed, step) }
 
-		first := runRound(t, s, f.db, label("recording round"), rng.Intn(rows/engine.BatchRows)*engine.BatchRows)
-		onGrid := runRound(t, s, f.db, label("on-grid round"), rng.Intn(rows/engine.BatchRows)*engine.BatchRows)
+		first := runRound(t, s, f.db, label("recording round"), rng.Intn(rows/dataset.BlockRows)*dataset.BlockRows)
+		onGrid := runRound(t, s, f.db, label("on-grid round"), rng.Intn(rows/dataset.BlockRows)*dataset.BlockRows)
 		if served(onGrid) == 0 {
 			t.Fatalf("seed %d: the second round merged no recorded block", seed)
 		}
@@ -185,7 +185,7 @@ func TestBlockAggregatesMatchScanRange(t *testing.T) {
 
 		// A short tail re-arms the held consumers; then tails that fill
 		// whole blocks past the old end.
-		for _, n := range []int{500, 2*engine.BatchRows + 77} {
+		for _, n := range []int{500, 2*dataset.BlockRows + 77} {
 			db := f.grow(t, rng, n, -1000)
 			if err := s.Extend(db, db.Fact.NumRows()); err != nil {
 				t.Fatal(err)
@@ -196,7 +196,7 @@ func TestBlockAggregatesMatchScanRange(t *testing.T) {
 
 		// ival values past the column's maximum widen its binned domain.
 		shapes := s.blockShapes()
-		db := f.grow(t, rng, engine.BatchRows, 3000)
+		db := f.grow(t, rng, dataset.BlockRows, 3000)
 		if err := s.Extend(db, db.Fact.NumRows()); err != nil {
 			t.Fatal(err)
 		}
@@ -220,8 +220,8 @@ func TestBlockAggregatesMatchScanRange(t *testing.T) {
 // registry entry.
 func TestBlockRegistryIgnoresFilteredAnd2D(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	f := newBlockFixture(t, 8*engine.BatchRows, rng)
-	s := New(f.db.Fact.NumRows(), engine.BatchRows, 2)
+	f := newBlockFixture(t, 8*dataset.BlockRows, rng)
+	s := New(f.db.Fact.NumRows(), 2)
 	qs := []*query.Query{
 		{Bins: []query.Binning{{Field: "cat", Kind: dataset.Nominal}},
 			Aggs:   []query.Aggregate{{Func: query.Sum, Field: "ival"}},
@@ -259,7 +259,7 @@ func TestBlockRegistryIgnoresFilteredAnd2D(t *testing.T) {
 // while a plan of the newer view finds the replacement.
 func TestBlockRegistryReplacesWidenedShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	f := newBlockFixture(t, 4*engine.BatchRows, rng)
+	f := newBlockFixture(t, 4*dataset.BlockRows, rng)
 	q := &query.Query{VizName: "v", Table: "tbl",
 		Bins: []query.Binning{{Field: "ival", Kind: dataset.Quantitative, Width: 100}},
 		Aggs: []query.Aggregate{{Func: query.Count}}}
@@ -289,53 +289,54 @@ func TestBlockRegistryReplacesWidenedShape(t *testing.T) {
 	}
 }
 
-// TestClaimsStayOnChunkGrid: every claim a worker makes starts on the chunk
+// TestClaimsStayOnBlockGrid: every claim a worker makes starts on the block
 // grid and ends on it or at the scanner's last row, also after an Extend by
-// 500 rows whose tail starts off the grid, and every final is exact over
-// the grown table. Chunks of engine.BatchRows are joined into claims of
-// several; smaller ones are not.
-func TestClaimsStayOnChunkGrid(t *testing.T) {
-	for _, chunk := range []int{512, engine.BatchRows} {
-		rng := rand.New(rand.NewSource(11))
-		f := newBlockFixture(t, 40*chunk+300, rng)
-		s := New(f.db.Fact.NumRows(), chunk, 2)
-		var off [][2]int
-		var tail, joined int
-		oldRows := f.db.Fact.NumRows()
-		s.onClaim = func(lo, hi int) {
-			if lo%chunk != 0 || hi%chunk != 0 && hi != s.numRows {
-				off = append(off, [2]int{lo, hi})
-			}
-			if hi > oldRows {
-				tail++
-			}
-			if hi-lo > chunk {
-				joined++
-			}
+// 500 rows whose tail starts off the grid; a consumer with a measured cost
+// claims several blocks at once (two rounds merge recorded tables, so one
+// consumer stalled on its first claim does not decide it); and every final
+// is exact over the grown table.
+func TestClaimsStayOnBlockGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	f := newBlockFixture(t, 40*dataset.BlockRows+300, rng)
+	s := New(f.db.Fact.NumRows(), 2)
+	var off [][2]int
+	var tail, joined int
+	oldRows := f.db.Fact.NumRows()
+	s.onClaim = func(_ *Consumer, lo, hi int) {
+		if lo%dataset.BlockRows != 0 || hi%dataset.BlockRows != 0 && hi != s.numRows {
+			off = append(off, [2]int{lo, hi})
 		}
-		cs := runRound(t, s, f.db, "before the append", 0)
-		for _, c := range runRound(t, s, f.db, "merging recorded tables", 0) {
+		if hi > oldRows {
+			tail++
+		}
+		if hi-lo > dataset.BlockRows {
+			joined++
+		}
+	}
+	cs := runRound(t, s, f.db, "before the append", 0)
+	for _, round := range []string{"merging recorded tables", "merging them again"} {
+		for _, c := range runRound(t, s, f.db, round, 0) {
 			c.Release()
 		}
-		db := f.grow(t, rng, 500, -1000)
-		if err := s.Extend(db, db.Fact.NumRows()); err != nil {
-			t.Fatal(err)
-		}
-		checkRound(t, db, "after the append", cs)
-		for _, c := range cs {
-			c.Release()
-		}
-		s.mu.Lock()
-		if len(off) > 0 {
-			t.Fatalf("claims off the %d-row grid at %v", chunk, off)
-		}
-		if tail == 0 {
-			t.Fatalf("chunk %d: no claim reached the appended tail", chunk)
-		}
-		if want := chunk == engine.BatchRows; (joined > 0) != want {
-			t.Fatalf("chunk %d: %d joined claims", chunk, joined)
-		}
-		s.mu.Unlock()
+	}
+	db := f.grow(t, rng, 500, -1000)
+	if err := s.Extend(db, db.Fact.NumRows()); err != nil {
+		t.Fatal(err)
+	}
+	checkRound(t, db, "after the append", cs)
+	for _, c := range cs {
+		c.Release()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(off) > 0 {
+		t.Fatalf("claims off the block grid at %v", off)
+	}
+	if tail == 0 {
+		t.Fatal("no claim reached the appended tail")
+	}
+	if joined == 0 {
+		t.Fatal("no claim joined blocks")
 	}
 }
 

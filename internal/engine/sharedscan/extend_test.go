@@ -51,8 +51,8 @@ func (f *ingestFixture) appendBatch(t testing.TB, n int, seed int64) *dataset.Da
 // completed result must equal an independent scan of the final table — every
 // old row and every tail row folded exactly once.
 func TestExtendMidSweepExactlyOnce(t *testing.T) {
-	f := newIngestFixture(t, 300000, 21)
-	s := New(f.db.Fact.NumRows(), 256, 2)
+	f := newIngestFixture(t, 73*dataset.BlockRows, 21)
+	s := New(f.db.Fact.NumRows(), 2)
 	c := newConsumer(s, f.plan(t, 0))
 	c.Acquire()
 	deadline := time.Now().Add(10 * time.Second)
@@ -81,8 +81,8 @@ func TestExtendMidSweepExactlyOnce(t *testing.T) {
 // re-arm on Extend, absorb only the tail, and complete again with an exact
 // result over the grown table.
 func TestExtendReArmsCompletedConsumer(t *testing.T) {
-	f := newIngestFixture(t, 50000, 22)
-	s := New(f.db.Fact.NumRows(), 1024, 2)
+	f := newIngestFixture(t, 12*dataset.BlockRows, 22)
+	s := New(f.db.Fact.NumRows(), 2)
 	c := newConsumer(s, f.plan(t, 0))
 	c.Acquire()
 	waitDone(t, c)
@@ -112,8 +112,8 @@ func TestExtendReArmsCompletedConsumer(t *testing.T) {
 // TestExtendDetachedConsumerResumes: a cancelled (detached) partial state
 // gains the tail while detached and completes exactly after reattaching.
 func TestExtendDetachedConsumerResumes(t *testing.T) {
-	f := newIngestFixture(t, 300000, 23)
-	s := New(f.db.Fact.NumRows(), 256, 1)
+	f := newIngestFixture(t, 73*dataset.BlockRows, 23)
+	s := New(f.db.Fact.NumRows(), 1)
 	c := newConsumer(s, f.plan(t, 2))
 	c.Acquire()
 	deadline := time.Now().Add(10 * time.Second)
@@ -137,8 +137,8 @@ func TestExtendDetachedConsumerResumes(t *testing.T) {
 // of attached and completed consumers across several appends under worker
 // parallelism; every consumer must land on the final table's exact answer.
 func TestExtendManyConsumersManyBatches(t *testing.T) {
-	f := newIngestFixture(t, 120000, 24)
-	s := New(f.db.Fact.NumRows(), 512, 4)
+	f := newIngestFixture(t, 29*dataset.BlockRows, 24)
+	s := New(f.db.Fact.NumRows(), 4)
 	const n = 6
 	consumers := make([]*Consumer, n)
 	for i := range consumers {
@@ -162,8 +162,8 @@ func TestExtendManyConsumersManyBatches(t *testing.T) {
 // TestDiscardStopsExtensions: a discarded consumer keeps its coverage but
 // is no longer grown by later appends.
 func TestDiscardStopsExtensions(t *testing.T) {
-	f := newIngestFixture(t, 40000, 25)
-	s := New(f.db.Fact.NumRows(), 1024, 2)
+	f := newIngestFixture(t, 10*dataset.BlockRows, 25)
+	s := New(f.db.Fact.NumRows(), 2)
 	c := newConsumer(s, f.plan(t, 0))
 	c.Acquire()
 	waitDone(t, c)
@@ -186,9 +186,9 @@ func TestDiscardStopsExtensions(t *testing.T) {
 // watermark must move from the old to the new version exactly once and
 // partial snapshots must stay internally consistent.
 func TestExtendSnapshotWatermarks(t *testing.T) {
-	f := newIngestFixture(t, 200000, 26)
+	f := newIngestFixture(t, 49*dataset.BlockRows, 26)
 	oldRows := int64(f.db.Fact.NumRows())
-	s := New(f.db.Fact.NumRows(), 256, 2)
+	s := New(f.db.Fact.NumRows(), 2)
 	c := newConsumer(s, f.plan(t, 1))
 	c.Acquire()
 	defer c.Release()
@@ -223,8 +223,8 @@ func TestExtendSnapshotWatermarks(t *testing.T) {
 // bitwise identical to a cold scan of the final table (counts are integers,
 // so no fold-order slack applies).
 func TestExtendCountBitwise(t *testing.T) {
-	f := newIngestFixture(t, 60000, 27)
-	s := New(f.db.Fact.NumRows(), 512, 3)
+	f := newIngestFixture(t, 15*dataset.BlockRows, 27)
+	s := New(f.db.Fact.NumRows(), 3)
 	c := newConsumer(s, f.plan(t, 0))
 	c.Acquire()
 	db := f.appendBatch(t, 2500, 700)
@@ -255,7 +255,7 @@ func TestExtendCountBitwise(t *testing.T) {
 // consumer's quiesced answer equals a cold prepare of that version: the same
 // rows decoded into a fresh table that has no memo at all.
 func TestExtendNeverBuildsBinCodes(t *testing.T) {
-	f := newIngestFixture(t, 20000, 28)
+	f := newIngestFixture(t, 5*dataset.BlockRows, 28)
 	hist := func(width float64, aggs ...query.Aggregate) *query.Query {
 		return &query.Query{VizName: "h", Table: "tbl",
 			Bins: []query.Binning{{Field: "val", Kind: dataset.Quantitative, Width: width}}, Aggs: aggs}
@@ -283,7 +283,7 @@ func TestExtendNeverBuildsBinCodes(t *testing.T) {
 		gs.ScanRange(0, p.NumRows)
 		return gs.SnapshotExact()
 	}
-	s := New(f.db.Fact.NumRows(), 512, 2)
+	s := New(f.db.Fact.NumRows(), 2)
 	cached := make([]*Consumer, len(queries))
 	for i, q := range queries {
 		cached[i] = newConsumer(s, compile(f.db, q))
@@ -341,9 +341,9 @@ func TestExtendNeverBuildsBinCodes(t *testing.T) {
 // dispatched past them: the workers go idle instead of spinning, and the
 // consumer completes exactly once Extend lands.
 func TestConsumerAheadWaitsForExtend(t *testing.T) {
-	f := newIngestFixture(t, 40000, 29)
+	f := newIngestFixture(t, 10*dataset.BlockRows, 29)
 	oldRows := f.db.Fact.NumRows()
-	s := New(oldRows, 1024, 2)
+	s := New(oldRows, 2)
 	db := f.appendBatch(t, 3000, 800)
 	c := newConsumer(s, f.plan(t, 1))
 	c.Acquire()

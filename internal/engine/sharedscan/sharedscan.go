@@ -1,11 +1,12 @@
 // Package sharedscan implements a cooperative shared-scan scheduler for the
 // progressive engines: per prepared table, a bounded worker pool folds
-// chunks of sequential (permutation-ordered) storage into the attached
+// whole blocks of sequential (permutation-ordered) storage — the
+// dataset.BlockRows grid every block memo sits on — into the attached
 // consumer states, serving the least-served consumer first.
 //
 // # Why least-attained service
 //
-// A free worker must choose which consumer to serve. Folding every chunk
+// A free worker must choose which consumer to serve. Folding every block
 // through every attached consumer (one circular cursor) reads memory once
 // for N queries, but advances each query only as fast as the most expensive
 // fold beside it: a query that merges block tables waits on the unfiltered
@@ -13,16 +14,16 @@
 //
 // Instead each worker, under the scheduler lock, picks the dispatchable
 // consumer with the fewest nanoseconds folded so far (least attained
-// service), claims that consumer's next needed whole chunks, folds them for
+// service), claims that consumer's next needed whole blocks, folds them for
 // it alone and adds the measured fold time to its counter. A cheap query
 // therefore completes in about its own fold time, and an expensive one
 // takes the time the cheap ones leave. Query costs here span more than an
 // order of magnitude, the case where least-attained-service scheduling cuts
 // response times most (Rai, Urvoy-Keller and Biersack, SIGMETRICS 2003). A
-// claim holds as many whole chunks as fit one fixed fold-time budget at the
+// claim holds as many whole blocks as fit one fixed fold-time budget at the
 // consumer's measured cost per row (see claimBudget), so a consumer that
-// merges block tables is not held to one chunk per dispatch. The price is
-// the shared sweep: concurrent consumers read the same chunk at different
+// merges block tables is not held to one block per dispatch. The price is
+// the shared sweep: concurrent consumers read the same block at different
 // times, so eight cold queries over a table past the last-level cache take
 // longer than with one cursor (BenchmarkProgressiveConcurrent8,
 // internal/engine/README.md "Benchmarks").
@@ -35,7 +36,7 @@
 // # Coverage and uniformity
 //
 // Each consumer tracks its uncovered row ranges, kept in ascending order,
-// and a claim takes the chunks from its lowest uncovered row upward, clipped
+// and a claim takes the blocks from its lowest uncovered row upward, clipped
 // against those ranges under the scheduler lock: every row is folded
 // exactly once. A consumer's window is therefore a prefix of the
 // permutation plus the claims in flight, a set of positions chosen without
@@ -50,7 +51,7 @@
 // # Parallelism
 //
 // Up to the configured number of workers claim concurrently, several of
-// them often on successive chunks of the same consumer; each worker folds
+// them often on successive blocks of the same consumer; each worker folds
 // into its own per-consumer engine.GroupState shard, so the hot loop takes
 // no shared locks beyond the claim. Snapshots briefly lock all shards of one
 // consumer and combine them with engine.GroupState.Merge. A worker with
@@ -103,7 +104,6 @@ type span struct{ lo, hi int }
 // order.
 type Scanner struct {
 	numRows int
-	chunk   int
 	workers int
 
 	mu     sync.Mutex
@@ -111,24 +111,27 @@ type Scanner struct {
 	idle   []int       // free worker ids; workers exit when nothing is dispatchable
 	all    map[*Consumer]struct{}
 	// onClaim, when set before the first consumer attaches, sees every
-	// claim's row window [lo, hi), under the lock (in-package tests).
-	onClaim func(lo, hi int)
+	// claim's consumer and row window [lo, hi), under the lock (in-package
+	// tests).
+	onClaim func(c *Consumer, lo, hi int)
 
 	blocks blockRegistry
 }
 
-// claimBudget is the fold time one claim aims at, and maxClaimChunks caps
-// its chunks. A claim's fixed cost — the scheduler lock, picking the
+// claimBudget is the fold time one claim aims at, and maxClaimBlocks caps
+// its blocks. A claim's fixed cost — the scheduler lock, picking the
 // consumer, takeLocked, the snapshot gate, two clock reads, the
 // ScanRangeReusing call and the Gosched after it — is about 0.4 µs
-// (BenchmarkClaimOverhead: 410–440 ns/claim on a 2-vCPU Xeon, go1.24). A
+// (BenchmarkClaimOverhead: 410–465 ns/claim on a 2-vCPU Xeon, go1.24,
+// one-block claims that merge recorded tables, less the same merges run
+// directly). A
 // 50 µs budget keeps that under 1% of a claim, while a query that arrives
 // waits on each busy worker for about one budget at most, 1/80 of the
 // benchmark's 4 ms time requirement. The cap bounds the rows one shard
 // takes at once.
 const (
 	claimBudget    = 50 * time.Microsecond
-	maxClaimChunks = 64
+	maxClaimBlocks = 64
 )
 
 // blockRegistry is the scanner's block tables (README.md, "Per-block scan",
@@ -172,18 +175,13 @@ func (r *blockRegistry) lookup(plan *engine.Compiled) *engine.Blocks {
 	return b
 }
 
-// New returns a scheduler over numRows rows of sequential storage, claiming
-// chunkRows rows per dispatch (default engine.BatchRows) and running at most
-// workers scan goroutines (minimum 1).
-func New(numRows, chunkRows, workers int) *Scanner {
-	if chunkRows <= 0 {
-		chunkRows = engine.BatchRows
-	}
+// New returns a scheduler over numRows rows of sequential storage, running
+// at most workers scan goroutines (minimum 1).
+func New(numRows, workers int) *Scanner {
 	if workers < 1 {
 		workers = 1
 	}
-	s := &Scanner{numRows: numRows, chunk: chunkRows, workers: workers,
-		all: make(map[*Consumer]struct{})}
+	s := &Scanner{numRows: numRows, workers: workers, all: make(map[*Consumer]struct{})}
 	s.idle = make([]int, workers)
 	for i := range s.idle {
 		s.idle[i] = i
@@ -209,7 +207,7 @@ func (s *Scanner) Extend(db *dataset.Database, newRows int) error {
 	var firstErr error
 	// Plans are deduplicated by query signature: sessions routinely cache
 	// the same query, and this loop runs under the scheduler lock every
-	// worker needs per chunk claim — one recompile per distinct query keeps
+	// worker needs per claim — one recompile per distinct query keeps
 	// the scan stall per batch proportional to the query mix, not the
 	// consumer count. Each is engine.Recompile, whose cost is bounded by the
 	// rows appended: it extends the bin-code memos the query reads and never
@@ -301,7 +299,7 @@ func (s *Scanner) spawnLocked() {
 	}
 }
 
-// worker claims chunks for the least-served dispatchable consumer and folds
+// worker claims blocks for the least-served dispatchable consumer and folds
 // them, until no consumer is dispatchable.
 func (s *Scanner) worker(id int) {
 	// The span buffer is reused across claims, so a claim allocates nothing
@@ -317,11 +315,11 @@ func (s *Scanner) worker(id int) {
 		}
 		c := s.active[i]
 		// needed is ascending, so needed[0] holds the consumer's lowest
-		// uncovered row; the claim starts on the chunk grid at or below it.
-		lo := c.needed[0].lo / s.chunk * s.chunk
-		hi := min(lo+s.claimChunks(c)*s.chunk, s.numRows)
+		// uncovered row; the claim starts on the block grid at or below it.
+		lo := c.needed[0].lo / dataset.BlockRows * dataset.BlockRows
+		hi := min(lo+claimBlocks(c)*dataset.BlockRows, s.numRows)
 		if s.onClaim != nil {
-			s.onClaim(lo, hi)
+			s.onClaim(c, lo, hi)
 		}
 		spans = c.takeLocked(lo, hi, spans[:0])
 		if len(c.needed) == 0 {
@@ -369,20 +367,16 @@ func (s *Scanner) nextLocked() int {
 	return best
 }
 
-// claimChunks returns how many chunks c's next claim holds: as many as fold
+// claimBlocks returns how many blocks c's next claim holds: as many as fold
 // in claimBudget at c's measured cost per row, one before c has a
-// measurement, at most maxClaimChunks. Chunks are joined only when the
-// chunk is a multiple of engine.BatchRows: joined smaller chunks could form
-// a whole block that ScanRangeReusing would merge from a block table where
-// one chunk at a time folds its rows, and a float sum would no longer be
-// bitwise the same.
-func (s *Scanner) claimChunks(c *Consumer) int {
+// measurement, at most maxClaimBlocks.
+func claimBlocks(c *Consumer) int {
 	ns, rows := c.attained.Load(), c.folded.Load()
-	if s.chunk%engine.BatchRows != 0 || ns <= 0 || rows <= 0 {
+	if ns <= 0 || rows <= 0 {
 		return 1
 	}
-	n := int64(claimBudget) * rows / (ns * int64(s.chunk))
-	return int(min(max(n, 1), maxClaimChunks))
+	n := int64(claimBudget) * rows / (ns * dataset.BlockRows)
+	return int(min(max(n, 1), maxClaimBlocks))
 }
 
 // shard is one worker's private accumulator for one consumer. Only worker w
@@ -433,7 +427,7 @@ type Consumer struct {
 	// starve: a worker re-acquires its shard lock back-to-back with ~100%
 	// duty cycle, and mutex barging keeps the waiting snapshotter parked for
 	// tens of milliseconds. The gate's duty cycle is near zero, so a waiting
-	// merge gets in within one chunk fold.
+	// merge gets in within one claim's fold.
 	gate sync.Mutex
 
 	// done is the current completion epoch's channel: closed when every row

@@ -89,7 +89,7 @@ func (f *fixture) exact(t testing.TB, i int) *query.Result {
 	return gs.SnapshotExact()
 }
 
-func waitDone(t *testing.T, c *Consumer) {
+func waitDone(t testing.TB, c *Consumer) {
 	t.Helper()
 	select {
 	case <-c.Done():
@@ -130,8 +130,8 @@ func absf(v float64) float64 {
 }
 
 func TestSingleConsumerCompletesExactly(t *testing.T) {
-	f := newFixture(t, 50000, 1)
-	s := New(f.db.Fact.NumRows(), 1024, 4)
+	f := newFixture(t, 12*dataset.BlockRows, 1)
+	s := New(f.db.Fact.NumRows(), 4)
 	c := newConsumer(s, f.plan(t, 0))
 	c.Acquire()
 	waitDone(t, c)
@@ -147,8 +147,8 @@ func TestSingleConsumerCompletesExactly(t *testing.T) {
 }
 
 func TestConcurrentConsumersMatchIndependentScans(t *testing.T) {
-	f := newFixture(t, 80000, 2)
-	s := New(f.db.Fact.NumRows(), 2048, 4)
+	f := newFixture(t, 20*dataset.BlockRows, 2)
+	s := New(f.db.Fact.NumRows(), 4)
 	const n = 9
 	consumers := make([]*Consumer, n)
 	for i := range consumers {
@@ -165,8 +165,8 @@ func TestConcurrentConsumersMatchIndependentScans(t *testing.T) {
 // TestLateAttachExact attaches a second consumer after the first has
 // folded rows: both complete, and the late one's result is exact.
 func TestLateAttachExact(t *testing.T) {
-	f := newFixture(t, 200000, 3)
-	s := New(f.db.Fact.NumRows(), 512, 2)
+	f := newFixture(t, 49*dataset.BlockRows, 3)
+	s := New(f.db.Fact.NumRows(), 2)
 	first := newConsumer(s, f.plan(t, 0))
 	first.Acquire()
 	// Wait until the first consumer has folded rows before attaching the
@@ -197,8 +197,8 @@ func TestDetachResume(t *testing.T) {
 		{"speculative", (*Consumer).Speculate, (*Consumer).Unspeculate},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			f := newFixture(t, 300000, 4)
-			s := New(f.db.Fact.NumRows(), 256, 1)
+			f := newFixture(t, 73*dataset.BlockRows, 4)
+			s := New(f.db.Fact.NumRows(), 1)
 			c := newConsumer(s, f.plan(t, 2))
 			tc.attach(c)
 			deadline := time.Now().Add(10 * time.Second)
@@ -238,8 +238,8 @@ func TestDetachResume(t *testing.T) {
 // foreground Release (the regression shape of the old speculator lifecycle
 // bug, where a finished round left speculation dead forever).
 func TestSpeculativeConsumerRunsInThinkTime(t *testing.T) {
-	f := newFixture(t, 100000, 5)
-	s := New(f.db.Fact.NumRows(), 1024, 2)
+	f := newFixture(t, 24*dataset.BlockRows, 5)
+	s := New(f.db.Fact.NumRows(), 2)
 	spec := newConsumer(s, f.plan(t, 1))
 	spec.Speculate()
 	waitDone(t, spec)
@@ -257,17 +257,24 @@ func TestSpeculativeConsumerRunsInThinkTime(t *testing.T) {
 // attached, and resume afterwards. A consumer that is both acquired and
 // speculated is foreground. One worker keeps fold ordering deterministic: a
 // foreground consumer's final fold (and finish) lands before any resumed
-// speculative fold, so observed speculative progress while the foreground
-// query is incomplete is bounded by folds that were already in flight when
-// the query arrived.
+// speculative fold, so no speculative claim falls between the foreground
+// consumer's first claim and its last, and the speculative progress
+// observed while the foreground query is incomplete is bounded by the one
+// speculative claim that may be in flight when the query arrives.
 func TestSpeculationYieldsToForeground(t *testing.T) {
+	type claim struct {
+		c      *Consumer
+		lo, hi int
+	}
 	for _, tc := range []struct {
 		name     string
 		alsoSpec bool
 	}{{"acquired", false}, {"acquired+speculated", true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			f := newFixture(t, 400000, 9)
-			s := New(f.db.Fact.NumRows(), 256, 1)
+			f := newFixture(t, 98*dataset.BlockRows, 9)
+			s := New(f.db.Fact.NumRows(), 1)
+			var claims []claim // guarded by s.mu
+			s.onClaim = func(c *Consumer, lo, hi int) { claims = append(claims, claim{c, lo, hi}) }
 			spec := newConsumer(s, f.plan(t, 1))
 			spec.Speculate()
 			deadline := time.Now().Add(10 * time.Second)
@@ -283,18 +290,43 @@ func TestSpeculationYieldsToForeground(t *testing.T) {
 				fg.Speculate()
 			}
 			base := spec.RowsSeen()
-			const slackRows = 10 * 256 // dispatches already in flight at Acquire
+			var advanced int64
 			for !fg.IsDone() {
 				cur := spec.RowsSeen()
 				if fg.IsDone() {
 					break
 				}
-				if cur > base+slackRows {
-					t.Fatalf("speculation advanced %d rows while a foreground query was active", cur-base)
-				}
+				advanced = max(advanced, cur-base)
 				time.Sleep(50 * time.Microsecond)
 			}
 			fg.Release()
+			s.mu.Lock()
+			first, last := -1, -1
+			for i, cl := range claims {
+				if cl.c == fg {
+					if first < 0 {
+						first = i
+					}
+					last = i
+				}
+			}
+			inFlight := 0 // the last speculative claim before the foreground's first
+			for i, cl := range claims[:max(first, 0)] {
+				if cl.c == spec {
+					inFlight = i
+				}
+			}
+			slackRows := int64(claims[inFlight].hi - claims[inFlight].lo)
+			for _, cl := range claims[max(first, 0) : last+1] {
+				if cl.c != fg {
+					s.mu.Unlock()
+					t.Fatalf("speculation claimed [%d, %d) while a foreground query was active", cl.lo, cl.hi)
+				}
+			}
+			s.mu.Unlock()
+			if advanced > slackRows {
+				t.Fatalf("speculation advanced %d rows while a foreground query was active, past the %d of its claim in flight", advanced, slackRows)
+			}
 			resultsIdentical(t, "foreground", f.exact(t, 0), fg.Snapshot(1.96))
 			waitDone(t, spec) // suspended targets must resume once foreground drains
 			resultsIdentical(t, "resumed speculation", f.exact(t, 1), spec.Snapshot(1.96))
@@ -317,7 +349,7 @@ func TestEmptyTableConsumerIsDoneImmediately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(0, 0, 4)
+	s := New(0, 4)
 	c := newConsumer(s, plan)
 	if !c.IsDone() {
 		t.Fatal("empty-table consumer should be born complete")
@@ -333,8 +365,8 @@ func TestEmptyTableConsumerIsDoneImmediately(t *testing.T) {
 // always equals the rows actually merged: total COUNT across bins of an
 // unfiltered COUNT query scaled back must equal RowsSeen exactly.
 func TestPartialSnapshotConsistency(t *testing.T) {
-	f := newFixture(t, 400000, 6)
-	s := New(f.db.Fact.NumRows(), 512, 4)
+	f := newFixture(t, 98*dataset.BlockRows, 6)
+	s := New(f.db.Fact.NumRows(), 4)
 	c := newConsumer(s, f.plan(t, 0))
 	c.Acquire()
 	defer c.Release()
@@ -363,8 +395,8 @@ func TestPartialSnapshotConsistency(t *testing.T) {
 // TestWhenDoneFiresOnceEvenWhenAlreadyDone covers both callback paths, and
 // that each hands over the final of the completed version.
 func TestWhenDoneFiresOnceEvenWhenAlreadyDone(t *testing.T) {
-	f := newFixture(t, 20000, 7)
-	s := New(f.db.Fact.NumRows(), 0, 2)
+	f := newFixture(t, 5*dataset.BlockRows, 7)
+	s := New(f.db.Fact.NumRows(), 2)
 	c := newConsumer(s, f.plan(t, 0))
 	fired := make(chan *Final, 2)
 	c.WhenDone(func(final *Final) { fired <- final })
@@ -388,8 +420,8 @@ func TestWhenDoneFiresOnceEvenWhenAlreadyDone(t *testing.T) {
 // deregistration after completion is a harmless no-op — the cancelled-handle
 // hygiene path of the progressive engine.
 func TestWhenDoneDeregister(t *testing.T) {
-	f := newFixture(t, 30000, 10)
-	s := New(f.db.Fact.NumRows(), 0, 2)
+	f := newFixture(t, 7*dataset.BlockRows, 10)
+	s := New(f.db.Fact.NumRows(), 2)
 	c := newConsumer(s, f.plan(t, 0))
 	fired := false
 	deregister := c.WhenDone(func(*Final) { fired = true })
@@ -414,9 +446,9 @@ func TestWhenDoneDeregister(t *testing.T) {
 // runs, the shared-scan accumulation is bitwise identical to a plain
 // sequential ScanRange (same fold order, single shard).
 func TestMergeShardsBitwiseAgainstSequential(t *testing.T) {
-	f := newFixture(t, 60000, 8)
+	f := newFixture(t, 15*dataset.BlockRows, 8)
 	plan := f.plan(t, 1)
-	s := New(f.db.Fact.NumRows(), 4096, 1)
+	s := New(f.db.Fact.NumRows(), 1)
 	c := newConsumer(s, plan)
 	c.Acquire()
 	waitDone(t, c)
@@ -443,10 +475,12 @@ func TestMergeShardsBitwiseAgainstSequential(t *testing.T) {
 // dispatchFixture is a block fixture of 64 whole blocks, a scanner of one
 // worker over it with COUNT BY cat's block tables recorded, and the two
 // ends of the cost range: cheap, COUNT BY cat, merges those tables; dear,
-// an unfiltered 2-D AVG, folds every row.
-func dispatchFixture(t *testing.T) (f *blockFixture, s *Scanner, cheap, dear *engine.Compiled) {
+// an unfiltered 2-D AVG with three more aggregates, folds every row. Its
+// four aggregates keep its sweep at a few milliseconds, so a test goroutine
+// held off its core for a millisecond or two does not miss it whole.
+func dispatchFixture(t testing.TB) (f *blockFixture, s *Scanner, cheap, dear *engine.Compiled) {
 	t.Helper()
-	f = newBlockFixture(t, 64*engine.BatchRows, rand.New(rand.NewSource(13)))
+	f = newBlockFixture(t, 64*dataset.BlockRows, rand.New(rand.NewSource(13)))
 	compile := func(q *query.Query) *engine.Compiled {
 		q.VizName, q.Table = "v", "tbl"
 		p, err := engine.Compile(f.db, q)
@@ -459,8 +493,9 @@ func dispatchFixture(t *testing.T) (f *blockFixture, s *Scanner, cheap, dear *en
 		Aggs: []query.Aggregate{{Func: query.Count}}})
 	dear = compile(&query.Query{Bins: []query.Binning{{Field: "cat", Kind: dataset.Nominal},
 		{Field: "ival", Kind: dataset.Quantitative, Width: 100}},
-		Aggs: []query.Aggregate{{Func: query.Avg, Field: "val"}}})
-	s = New(f.db.Fact.NumRows(), engine.BatchRows, 1)
+		Aggs: []query.Aggregate{{Func: query.Avg, Field: "val"}, {Func: query.Avg, Field: "ival"},
+			{Func: query.Min, Field: "val"}, {Func: query.Max, Field: "val"}}})
+	s = New(f.db.Fact.NumRows(), 1)
 	rec := newConsumer(s, cheap)
 	rec.Acquire()
 	waitDone(t, rec)
@@ -538,19 +573,32 @@ func TestExpensiveConsumerNotStarved(t *testing.T) {
 }
 
 // BenchmarkClaimOverhead prices a claim's fixed cost: one worker scans a
-// COUNT over 64k rows in 1-row chunks, so each claim folds one row and the
-// rest of its time is the lock, the pick, takeLocked, the gate, the clock
-// reads, the ScanRangeReusing call and the Gosched (ns/claim).
+// COUNT whose 64 blocks all merge recorded block tables, one block a claim
+// (its attained service is preset far past its rows, so claimBlocks stays
+// at one), and the same merges run directly are subtracted. What is left
+// per claim is the lock, the pick, takeLocked, the gate, the clock reads,
+// the ScanRangeReusing call and the Gosched (ns/claim).
 func BenchmarkClaimOverhead(b *testing.B) {
-	f := newFixture(b, 1<<16, 12)
-	plan := f.plan(b, 0)
+	f, s, plan, _ := dispatchFixture(b)
+	blocks := f.db.Fact.NumRows() / dataset.BlockRows
+	tables := s.blocks.lookup(plan)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := New(plan.NumRows, 1, 1)
 		c := newConsumer(s, plan)
+		c.attained.Store(1 << 50)
 		c.Acquire()
 		<-c.Done()
 		c.Release()
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(plan.NumRows), "ns/claim")
+	scanned := b.Elapsed()
+	b.StopTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		gs := engine.NewGroupState(plan)
+		for k := 0; k < blocks; k++ {
+			gs.ScanRangeReusing(k*dataset.BlockRows, (k+1)*dataset.BlockRows, tables, nil)
+		}
+	}
+	direct := time.Since(start)
+	b.ReportMetric(float64(scanned-direct)/float64(b.N*blocks), "ns/claim")
 }

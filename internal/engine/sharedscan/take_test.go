@@ -30,7 +30,7 @@ func takeReference(needed []span, lo, hi int) (out, rest []span) {
 	return out, rest
 }
 
-// TestTakeLockedMatchesReference drives random chunk claims against random
+// TestTakeLockedMatchesReference drives random claims against random
 // uncovered-range lists (unordered, as Extend appends tails) and checks the
 // in-place clip against the reference after every claim: same claimed spans,
 // same remainder in the same order.

@@ -37,10 +37,11 @@ import (
 // exact same value sequence as the scalar path and results are bitwise
 // identical (vectorize_test.go asserts this on randomized schemas).
 
-// BatchRows is the batch granularity: large enough to amortize per-batch
-// overhead, small enough that selection vectors and slot/value buffers stay
-// L1/L2-resident (4096 rows ≈ 32 KiB per float64 buffer).
-const BatchRows = 4096
+// BatchRows is the batch granularity, one block of the lineage grid
+// (dataset.BlockRows): large enough to amortize per-batch overhead, small
+// enough that selection vectors and slot/value buffers stay L1/L2-resident
+// (4096 rows ≈ 32 KiB per float64 buffer).
+const BatchRows = dataset.BlockRows
 
 // inBitmapMax caps the dictionary cardinality for which IN predicates build
 // a []bool lookup table; beyond it they fall back to a map.
@@ -768,7 +769,7 @@ func newInPredKernel(col *dataset.Column, fk *dataset.Column, want map[uint32]st
 	if fk != nil {
 		fkNums = fk.Nums
 	} else {
-		in.ord = col.BlockOrder(BatchRows)
+		in.ord = col.BlockOrder()
 	}
 	if len(in.vals) == 1 {
 		if fk == nil {
@@ -793,7 +794,7 @@ func newInPredKernel(col *dataset.Column, fk *dataset.Column, want map[uint32]st
 
 func newRangePredKernel(col *dataset.Column, fk *dataset.Column, lo, hi float64) predKernel {
 	if fk == nil {
-		return rangeDirectPred{nums: col.Nums, ord: col.BlockOrder(BatchRows), lo: lo, hi: hi}
+		return rangeDirectPred{nums: col.Nums, ord: col.BlockOrder(), lo: lo, hi: hi}
 	}
 	return rangeFKPred{nums: col.Nums, fk: fk.Nums, lo: lo, hi: hi}
 }

@@ -176,7 +176,7 @@ type Remote struct {
 	cur   int
 
 	// hello is the connection NewRemote dialed for the hello exchange. It
-	// carries no queries: Ingest, Err and ConnectedAddr use it.
+	// carries no queries: Ingest and Err use it.
 	hello *RemoteSession
 }
 
@@ -201,11 +201,6 @@ func (r *Remote) addrCount() int {
 	defer r.amu.Unlock()
 	return len(r.addrs)
 }
-
-// ConnectedAddr reports the remote TCP address the hello connection is
-// currently connected to — after a failover this is the rotation member
-// actually serving it, which the rotation index alone cannot tell.
-func (r *Remote) ConnectedAddr() string { return r.hello.RemoteAddr() }
 
 // Addrs returns a copy of the current dial rotation, primary-first.
 func (r *Remote) Addrs() []string {

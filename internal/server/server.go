@@ -89,7 +89,7 @@ type Options struct {
 	Peers []string
 	// Rebalance, when set, handles topology-change requests arriving on the
 	// POST /rebalance admin endpoint (coordinators wire it to the shard
-	// tier's AddReplica/RemoveReplica/Rebalance). nil — the common case for
+	// tier's AddReplicaAddr/RemoveReplica/Rebalance). nil — the common case for
 	// standalone servers and shards — leaves the endpoint answering 404.
 	Rebalance func(req RebalanceRequest) error
 	// Durable, when set, is the durability subsystem backing this server.

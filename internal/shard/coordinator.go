@@ -44,7 +44,7 @@ type Options struct {
 	// topology changes are journaled before they are acknowledged, and a
 	// standby coordinator can Restore from the journal's reduction. nil
 	// keeps the in-memory-only behavior.
-	Journal Journal
+	Journal *CoordJournal
 }
 
 // replica is one backend serving one hash partition. Health and sync flags

@@ -97,24 +97,13 @@ const (
 	journalKindTopology = "topology"
 )
 
-// Journal is the coordinator's persistence hook. A nil journal (the
-// default) keeps the PR 8/9 in-memory-only behavior.
-type Journal interface {
-	// LogState records a full snapshot, superseding everything before it.
-	LogState(st *CoordState) error
-	// LogStep records one version-log advance.
-	LogStep(targets []int64, global int64) error
-	// LogTopology records one membership change.
-	LogTopology(ev TopologyEvent) error
-}
-
 // compactEvery bounds journal growth: after this many incremental records
 // the journal is rewritten as one snapshot. Steps dominate (one per ingest
 // batch, ~100 bytes each), so the journal stays under a few hundred KB.
 const compactEvery = 4096
 
-// CoordJournal is the durable.StateLog-backed Journal. It maintains the
-// running reduction of everything logged so compaction can rewrite the log
+// CoordJournal is the coordinator's persistence hook (Options.Journal),
+// backed by a durable.StateLog. It maintains the running reduction of everything logged so compaction can rewrite the log
 // as a single snapshot, and so recovery (State) is a field read.
 type CoordJournal struct {
 	mu   sync.Mutex
@@ -150,8 +139,8 @@ func (j *CoordJournal) State() *CoordState {
 	return j.cur.Clone()
 }
 
-// LogState implements Journal. A snapshot compacts the journal: everything
-// before it is superseded, so the log is rewritten rather than extended.
+// LogState records a full snapshot, superseding everything before it, so
+// the log is rewritten rather than extended.
 func (j *CoordJournal) LogState(st *CoordState) error {
 	payload, err := json.Marshal(st)
 	if err != nil {
@@ -167,7 +156,7 @@ func (j *CoordJournal) LogState(st *CoordState) error {
 	return nil
 }
 
-// LogStep implements Journal.
+// LogStep records one version-log advance.
 func (j *CoordJournal) LogStep(targets []int64, global int64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -181,7 +170,7 @@ func (j *CoordJournal) LogStep(targets []int64, global int64) error {
 	return nil
 }
 
-// LogTopology implements Journal.
+// LogTopology records one membership change.
 func (j *CoordJournal) LogTopology(ev TopologyEvent) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

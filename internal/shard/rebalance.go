@@ -8,21 +8,16 @@ import (
 	"idebench/internal/ingest"
 )
 
-// AddReplica attaches be as a new replica of partition part. The backend
-// prepares (or, for a *server.Remote, sanity-checks) the partition's base
-// database — the same deterministic derivation every replica starts from —
-// so a newcomer that missed routed ingest batches joins unsynced. Nothing
+// AddReplicaAddr attaches be as a new replica of partition part; addr, the
+// replica's dialable address, is journaled with the membership change so a
+// recovering coordinator can re-attach the replica. The backend prepares
+// (or, for a *server.Remote, sanity-checks) the partition's base database —
+// the same deterministic derivation every replica starts from — so a
+// newcomer that missed routed ingest batches joins unsynced. Nothing
 // re-sends it what it missed: an idebench shard process has no -data-dir,
 // keeps no WAL and re-applies nothing, so a remote replica that missed a
 // batch stays unsynced for good. Rebalance's in-process checkpoint handoff
 // is the one path that brings a replica in sync.
-func (co *Coordinator) AddReplica(part int, be engine.Engine) error {
-	return co.AddReplicaAddr(part, be, "")
-}
-
-// AddReplicaAddr is AddReplica with the replica's dialable address, which
-// is journaled with the membership change so a recovering coordinator can
-// re-attach the replica.
 func (co *Coordinator) AddReplicaAddr(part int, be engine.Engine, addr string) error {
 	co.mu.Lock()
 	if !co.prepared {
@@ -100,7 +95,7 @@ func (co *Coordinator) RemoveReplica(part int, name string) error {
 //
 // Queries and ingest keep flowing during the whole handoff; only the final
 // flip takes the lock. The source must be an in-process backend with view
-// snapshots. Remote topology changes go through AddReplica, which leaves a
+// snapshots. Remote topology changes go through AddReplicaAddr, which leaves a
 // remote replica that missed batches unsynced: a shard process keeps no
 // durable state to re-sync from.
 func (co *Coordinator) Rebalance(part int, be engine.Engine) error {

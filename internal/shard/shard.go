@@ -49,7 +49,7 @@
 // not silently pretend to be complete: the merged result carries a
 // query.Coverage block naming how many partitions answered and what
 // fraction of the population they hold, and Options.MinCoverage lets an
-// operator refuse answers below a floor instead. AddReplica/RemoveReplica
+// operator refuse answers below a floor instead. AddReplicaAddr/RemoveReplica
 // and Rebalance grow, shrink and re-split the tier at runtime; handoff
 // reuses the durable-checkpoint transfer format plus a capture-window tail
 // replay so the moved partition attaches at a version barrier with no row

@@ -1,9 +1,11 @@
-// Package wire holds the primitives of the binary snapshot plane: the
+// Package wire holds the primitives of the binary formats: the
 // bounds-checked reader every snapshot decoder (query.Result, engine.Partial,
-// the server's snapshot frame) parses socket bytes through, and the raw
-// IEEE-754 column append they share. Integers are varints (zig-zag when
-// signed); floats travel as their little-endian bit patterns, so ±Inf, NaN
-// payloads and -0 cross unchanged.
+// the server's snapshot frame) parses socket bytes through, and the
+// checkpoint segment decoder (dataset.DecodeSegment) disk bytes, plus the
+// raw IEEE-754 column append the snapshot encoders share. Snapshot integers
+// are varints (zig-zag when signed); segment integers are fixed-width
+// little-endian (Uint16, Uint32, Uint64). Floats travel as their
+// little-endian bit patterns, so ±Inf, NaN payloads and -0 cross unchanged.
 package wire
 
 import (
@@ -63,6 +65,30 @@ func (r *Reader) Byte() byte {
 	return 0
 }
 
+// Uint16 reads one fixed-width little-endian uint16.
+func (r *Reader) Uint16() uint16 {
+	if b := r.Take(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
+	}
+	return 0
+}
+
+// Uint32 reads one fixed-width little-endian uint32.
+func (r *Reader) Uint32() uint32 {
+	if b := r.Take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+// Uint64 reads one fixed-width little-endian uint64.
+func (r *Reader) Uint64() uint64 {
+	if b := r.Take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
 // Uvarint reads one unsigned varint.
 func (r *Reader) Uvarint() uint64 {
 	v, n := binary.Uvarint(r.b)
@@ -98,12 +124,7 @@ func (r *Reader) Count(minBytes int) int {
 }
 
 // Float64 reads one raw little-endian IEEE-754 value.
-func (r *Reader) Float64() float64 {
-	if b := r.Take(8); b != nil {
-		return math.Float64frombits(binary.LittleEndian.Uint64(b))
-	}
-	return 0
-}
+func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
 
 // Float64s fills dst from the next 8·len(dst) bytes.
 func (r *Reader) Float64s(dst []float64) {
