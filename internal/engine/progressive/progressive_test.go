@@ -102,44 +102,6 @@ func TestPartialSnapshotsImprove(t *testing.T) {
 	}
 }
 
-func TestPartialEstimateIsUnbiasedish(t *testing.T) {
-	db := enginetest.SmallDB(49*dataset.BlockRows, 17)
-	e := New(Config{})
-	if err := e.Prepare(db, engine.Options{Seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-	sess := e.OpenSession()
-	defer sess.Close()
-	sess.WorkflowStart()
-	defer sess.WorkflowEnd()
-	h, err := sess.StartQuery(enginetest.CountByCarrier())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Grab an early snapshot, then cancel.
-	var snap *query.Result
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		snap = h.Snapshot()
-		if snap != nil && snap.RowsSeen > 1000 && !snap.Complete {
-			break
-		}
-	}
-	h.Cancel()
-	<-h.Done()
-	if snap == nil || snap.RowsSeen == 0 {
-		t.Skip("machine too fast to catch a partial snapshot")
-	}
-	gt, _ := enginetest.Exact(db, enginetest.CountByCarrier())
-	// Estimates should be within 25% of truth with >1000 random rows.
-	if err := enginetest.ResultsEqual(gt, snap, 0.25); err != nil {
-		t.Errorf("partial estimate too far off: %v", err)
-	}
-	if !snap.FiniteMargins() {
-		t.Error("partial snapshot must carry finite margins")
-	}
-}
-
 func TestResultReuseWithinWorkflow(t *testing.T) {
 	db := enginetest.SmallDB(300000, 19)
 	e := New(Config{})

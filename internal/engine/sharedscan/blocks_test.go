@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"idebench/internal/dataset"
@@ -116,10 +118,18 @@ func blockExact(t *testing.T, label string, db *dataset.Database, q *query.Query
 	}
 }
 
-// runRound attaches one consumer per query, each resuming with its first
-// pre rows already folded (as after a detach), waits for every final and
-// checks it; it returns the consumers, still acquired.
+// runRound attaches a round of consumers (attachRound), waits for every
+// final and checks it; it returns the consumers, still acquired.
 func runRound(t *testing.T, s *Scanner, db *dataset.Database, label string, pre int) []*Consumer {
+	t.Helper()
+	cs := attachRound(t, s, db, pre)
+	checkRound(t, db, label, cs)
+	return cs
+}
+
+// attachRound attaches one consumer per query, each resuming with its first
+// pre rows already folded (as after a detach), and returns them, acquired.
+func attachRound(t *testing.T, s *Scanner, db *dataset.Database, pre int) []*Consumer {
 	t.Helper()
 	var cs []*Consumer
 	for _, q := range blockQueries() {
@@ -137,7 +147,6 @@ func runRound(t *testing.T, s *Scanner, db *dataset.Database, label string, pre 
 		c.Acquire()
 		cs = append(cs, c)
 	}
-	checkRound(t, db, label, cs)
 	return cs
 }
 
@@ -289,55 +298,51 @@ func TestBlockRegistryReplacesWidenedShape(t *testing.T) {
 	}
 }
 
-// TestClaimsStayOnBlockGrid: every claim a worker makes starts on the block
-// grid and ends on it or at the scanner's last row, also after an Extend by
-// 500 rows whose tail starts off the grid; a consumer with a measured cost
-// claims several blocks at once (two rounds merge recorded tables, so one
-// consumer stalled on its first claim does not decide it); and every final
-// is exact over the grown table.
+// TestClaimsStayOnBlockGrid: claims start on the block grid and end on it
+// or at the scanner's last row, also after an Extend by 500 rows whose tail
+// starts off the grid, and every final is exact over the grown table. A
+// round merging the tables a first round recorded claims one block per
+// consumer, then twelve at a time, in turn; each first-round consumer then
+// claims the tail from the block it starts in.
 func TestClaimsStayOnBlockGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	f := newBlockFixture(t, 40*dataset.BlockRows+300, rng)
-	s := New(f.db.Fact.NumRows(), 2)
-	var off [][2]int
-	var tail, joined int
 	oldRows := f.db.Fact.NumRows()
-	s.onClaim = func(_ *Consumer, lo, hi int) {
-		if lo%dataset.BlockRows != 0 || hi%dataset.BlockRows != 0 && hi != s.numRows {
-			off = append(off, [2]int{lo, hi})
-		}
-		if hi > oldRows {
-			tail++
-		}
-		if hi-lo > dataset.BlockRows {
-			joined++
+	s := stepped(oldRows, 2)
+	cs := attachRound(t, s, f.db, 0)
+	s.run()
+	checkRound(t, f.db, "recording round", cs)
+
+	merging := attachRound(t, s, f.db, 0)
+	claims := s.run()
+	checkRound(t, f.db, "merging recorded tables", merging)
+	names := make(map[*Consumer]string)
+	var want []string
+	for _, w := range []string{"[0,1)", "[1,13)", "[13,25)", "[25,37)", "[37,40+300)"} {
+		for i, c := range merging {
+			names[c] = fmt.Sprintf("c%d", i)
+			want = append(want, names[c]+w)
 		}
 	}
-	cs := runRound(t, s, f.db, "before the append", 0)
-	for _, round := range []string{"merging recorded tables", "merging them again"} {
-		for _, c := range runRound(t, s, f.db, round, 0) {
-			c.Release()
-		}
+	checkClaims(t, "merging recorded tables", claims, names, want)
+	for _, c := range merging {
+		c.Release()
 	}
+
 	db := f.grow(t, rng, 500, -1000)
 	if err := s.Extend(db, db.Fact.NumRows()); err != nil {
 		t.Fatal(err)
 	}
+	tail := s.run()
 	checkRound(t, db, "after the append", cs)
-	for _, c := range cs {
+	want = want[:0]
+	for i, c := range cs {
+		names[c] = fmt.Sprintf("r%d", i)
+		want = append(want, names[c]+"[40,40+800)")
 		c.Release()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(off) > 0 {
-		t.Fatalf("claims off the block grid at %v", off)
-	}
-	if tail == 0 {
-		t.Fatal("no claim reached the appended tail")
-	}
-	if joined == 0 {
-		t.Fatal("no claim joined blocks")
-	}
+	slices.SortFunc(tail, func(a, b claim) int { return strings.Compare(names[a.c], names[b.c]) })
+	checkClaims(t, "the tail, in consumer order", tail, names, want)
 }
 
 // blockShapes returns how many shapes the scanner's block registry holds.

@@ -47,29 +47,30 @@ func (f *ingestFixture) appendBatch(t testing.TB, n int, seed int64) *dataset.Da
 	return f.db
 }
 
-// TestExtendMidSweepExactlyOnce appends while a consumer is mid-sweep: the
-// completed result must equal an independent scan of the final table — every
-// old row and every tail row folded exactly once.
+// TestExtendMidSweepExactlyOnce appends while a consumer is mid-sweep,
+// three blocks in over two shards: the completed result must equal an
+// independent scan of the final table — every old row and every tail row
+// folded exactly once.
 func TestExtendMidSweepExactlyOnce(t *testing.T) {
 	f := newIngestFixture(t, 73*dataset.BlockRows, 21)
-	s := New(f.db.Fact.NumRows(), 2)
+	s := stepped(f.db.Fact.NumRows(), 2)
 	c := newConsumer(s, f.plan(t, 0))
 	c.Acquire()
-	deadline := time.Now().Add(10 * time.Second)
-	for c.RowsSeen() == 0 && time.Now().Before(deadline) {
-	}
-	if c.IsDone() {
-		t.Skip("scan finished before the append could land mid-sweep")
+	s.step(0)
+	s.step(1)
+	s.step(0)
+	if c.RowsSeen() != 3*dataset.BlockRows {
+		t.Fatalf("%d rows folded in three claims, want three blocks", c.RowsSeen())
 	}
 	db := f.appendBatch(t, 5000, 100)
 	if err := s.Extend(db, db.Fact.NumRows()); err != nil {
 		t.Fatal(err)
 	}
-	waitDone(t, c)
+	s.run()
 	c.Release()
 	res := c.Snapshot(1.96)
-	if !res.Complete {
-		t.Fatal("extended consumer should complete over the grown table")
+	if !res.Complete || c.RowsSeen() != int64(db.Fact.NumRows()) {
+		t.Fatalf("extended consumer folded %d of %d rows, complete=%v", c.RowsSeen(), db.Fact.NumRows(), res.Complete)
 	}
 	if res.Watermark != int64(db.Fact.NumRows()) {
 		t.Fatalf("watermark %d, want %d", res.Watermark, db.Fact.NumRows())
@@ -110,25 +111,26 @@ func TestExtendReArmsCompletedConsumer(t *testing.T) {
 }
 
 // TestExtendDetachedConsumerResumes: a cancelled (detached) partial state
-// gains the tail while detached and completes exactly after reattaching.
+// of three blocks gains the tail while detached and completes exactly after
+// reattaching.
 func TestExtendDetachedConsumerResumes(t *testing.T) {
 	f := newIngestFixture(t, 73*dataset.BlockRows, 23)
-	s := New(f.db.Fact.NumRows(), 1)
+	s := stepped(f.db.Fact.NumRows(), 1)
 	c := newConsumer(s, f.plan(t, 2))
 	c.Acquire()
-	deadline := time.Now().Add(10 * time.Second)
-	for c.RowsSeen() < 1000 && time.Now().Before(deadline) {
-	}
+	s.step(0)
+	s.step(0)
+	s.step(0)
 	c.Release() // detach with partial coverage
-	if c.IsDone() {
-		t.Skip("scan finished before detach")
+	if c.RowsSeen() != 3*dataset.BlockRows || c.IsDone() {
+		t.Fatalf("detached at %d rows (done %v), want three blocks", c.RowsSeen(), c.IsDone())
 	}
 	db := f.appendBatch(t, 2000, 300)
 	if err := s.Extend(db, db.Fact.NumRows()); err != nil {
 		t.Fatal(err)
 	}
 	c.Acquire()
-	waitDone(t, c)
+	s.run()
 	c.Release()
 	resultsIdentical(t, "detached extend", f.exact(t, 2), c.Snapshot(1.96))
 }

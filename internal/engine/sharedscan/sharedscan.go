@@ -110,18 +110,19 @@ type Scanner struct {
 	active []*Consumer // attached, with unassigned rows
 	idle   []int       // free worker ids; workers exit when nothing is dispatchable
 	all    map[*Consumer]struct{}
-	// onClaim, when set before the first consumer attaches, sees every
-	// claim's consumer and row window [lo, hi), under the lock (in-package
-	// tests).
-	onClaim func(c *Consumer, lo, hi int)
+	// charge is the service a fold started at start attains, from its rows
+	// and those of them merged from block tables: the wall time it took, or
+	// in in-package tests a per-row price, so claims follow from the fixture.
+	charge func(start time.Time, rows, merged int) time.Duration
 
 	blocks blockRegistry
 }
 
 // claimBudget is the fold time one claim aims at, and maxClaimBlocks caps
 // its blocks. A claim's fixed cost — the scheduler lock, picking the
-// consumer, takeLocked, the snapshot gate, two clock reads, the
-// ScanRangeReusing call and the Gosched after it — is about 0.4 µs
+// consumer, takeLocked, the snapshot gate, the fold's charge (Scanner.charge:
+// a clock read on each side of the fold), the ScanRangeReusing call and the
+// Gosched after it — is about 0.4 µs
 // (BenchmarkClaimOverhead: 410–465 ns/claim on a 2-vCPU Xeon, go1.24,
 // one-block claims that merge recorded tables, less the same merges run
 // directly). A
@@ -182,6 +183,7 @@ func New(numRows, workers int) *Scanner {
 		workers = 1
 	}
 	s := &Scanner{numRows: numRows, workers: workers, all: make(map[*Consumer]struct{})}
+	s.charge = func(start time.Time, _, _ int) time.Duration { return time.Since(start) }
 	s.idle = make([]int, workers)
 	for i := range s.idle {
 		s.idle[i] = i
@@ -299,34 +301,21 @@ func (s *Scanner) spawnLocked() {
 	}
 }
 
-// worker claims blocks for the least-served dispatchable consumer and folds
-// them, until no consumer is dispatchable.
+// worker claims blocks and folds them until no consumer is dispatchable.
 func (s *Scanner) worker(id int) {
 	// The span buffer is reused across claims, so a claim allocates nothing
 	// while s.mu is held.
 	var spans []span
 	for {
 		s.mu.Lock()
-		i := s.nextLocked()
-		if i < 0 {
+		var c *Consumer
+		c, _, _, spans = s.claimLocked(spans[:0])
+		if c == nil {
+			// Handed back in the same hold as the empty pick: a consumer
+			// that attaches after it finds this id free and starts a worker.
 			s.idle = append(s.idle, id)
 			s.mu.Unlock()
 			return
-		}
-		c := s.active[i]
-		// needed is ascending, so needed[0] holds the consumer's lowest
-		// uncovered row; the claim starts on the block grid at or below it.
-		lo := c.needed[0].lo / dataset.BlockRows * dataset.BlockRows
-		hi := min(lo+claimBlocks(c)*dataset.BlockRows, s.numRows)
-		if s.onClaim != nil {
-			s.onClaim(c, lo, hi)
-		}
-		spans = c.takeLocked(lo, hi, spans[:0])
-		if len(c.needed) == 0 {
-			// Fully assigned: no more claims for this consumer. Its
-			// in-flight folds complete it.
-			c.attached = false
-			s.active = append(s.active[:i], s.active[i+1:]...)
 		}
 		s.mu.Unlock()
 		c.fold(id, spans)
@@ -337,6 +326,30 @@ func (s *Scanner) worker(id int) {
 		// quantum (~10ms).
 		runtime.Gosched()
 	}
+}
+
+// claimLocked is the scheduler's one decision: it claims blocks [lo, hi)
+// for the least-served dispatchable consumer c, nil if none, and appends the
+// rows c still needed of them to spans for the caller to fold. Caller holds
+// s.mu.
+func (s *Scanner) claimLocked(spans []span) (c *Consumer, lo, hi int, _ []span) {
+	i := s.nextLocked()
+	if i < 0 {
+		return nil, 0, 0, spans
+	}
+	c = s.active[i]
+	// needed is ascending, so needed[0] holds the consumer's lowest
+	// uncovered row; the claim starts on the block grid at or below it.
+	lo = c.needed[0].lo / dataset.BlockRows * dataset.BlockRows
+	hi = min(lo+claimBlocks(c)*dataset.BlockRows, s.numRows)
+	spans = c.takeLocked(lo, hi, spans)
+	if len(c.needed) == 0 {
+		// Fully assigned: no more claims for this consumer. Its in-flight
+		// folds complete it.
+		c.attached = false
+		s.active = append(s.active[:i], s.active[i+1:]...)
+	}
+	return c, lo, hi, spans
 }
 
 // nextLocked returns the index in s.active of the dispatchable consumer
@@ -541,9 +554,9 @@ func (c *Consumer) takeLocked(lo, hi int, out []span) []span {
 // migrates to the consumer's current plan first, so spans from an extended
 // tail are always folded with kernels bound to the view that contains them.
 // Each span is one engine.GroupState.ScanRangeReusing call, over the block
-// tables of the plan's shape and the consumer's selection reuse. The time
-// the fold takes under the shard lock is added to the consumer's attained
-// service.
+// tables of the plan's shape and the consumer's selection reuse. The fold
+// under the shard lock is priced by Scanner.charge and added to the
+// consumer's attained service.
 func (c *Consumer) fold(w int, parts []span) {
 	// Turnstile: let a pending snapshot merge cut in (see gate).
 	c.gate.Lock()
@@ -568,7 +581,7 @@ func (c *Consumer) fold(w int, parts []span) {
 	if served > 0 {
 		c.blockRows.Add(int64(served))
 	}
-	c.attained.Add(int64(time.Since(start)))
+	c.attained.Add(int64(c.s.charge(start, n, served)))
 	total := c.folded.Add(int64(n))
 	sh.mu.Unlock()
 	if total == c.target.Load() {
