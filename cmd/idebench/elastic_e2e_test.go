@@ -175,15 +175,14 @@ func TestElasticFailoverE2E(t *testing.T) {
 		time.Sleep(1500 * time.Millisecond)
 		kill9(t, p0r0, "partition 0 primary")
 	}()
-	m := driver.NewMulti(rem, groundtruth.New(db), driver.MultiConfig{
-		Config: driver.Config{
-			TimeRequirement: 250 * time.Millisecond,
-			ThinkTime:       time.Millisecond,
-			DataSizeLabel:   core.SizeLabel(rows),
-		},
-		Users: users, ThinkJitter: driver.DefaultThinkJitter, Seed: 1,
-	})
-	res, err := m.Run(flows[:users])
+	res, err := driver.Replay(rem, groundtruth.New(db), driver.Config{
+		TimeRequirement: 250 * time.Millisecond,
+		ThinkTime:       time.Millisecond,
+		DataSizeLabel:   core.SizeLabel(rows),
+		Users:           users,
+		ThinkJitter:     driver.DefaultThinkJitter,
+		Seed:            1,
+	}, flows[:users])
 	if err != nil {
 		t.Fatalf("replay across replica death failed: %v\ncoord output:\n%s", err, coord.output())
 	}

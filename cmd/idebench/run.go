@@ -108,10 +108,8 @@ func cmdRun(args []string) error {
 		}
 		fmt.Printf("data preparation time: %v\n", p.PrepTime.Round(time.Microsecond))
 	}
-	var recs []driver.Record
 	var harness *ingest.Harness
-	switch {
-	case *ingestEvery > 0:
+	if *ingestEvery > 0 {
 		// Remotely, the client owns the ground-truth lineage (the harness
 		// applies every batch locally) while the same batches ship to the
 		// server as ingest frames.
@@ -123,16 +121,14 @@ func cmdRun(args []string) error {
 		} else {
 			return fmt.Errorf("engine %s does not support live ingestion", p.Engine.Name())
 		}
-		harness, err = newIngestHarness(db, s.Seed, sink)
-		if err != nil {
+		if harness, err = newIngestHarness(db, s.Seed, sink); err != nil {
 			return err
 		}
+	}
+	var recs []driver.Record
+	if harness != nil || *users > 1 {
 		recs, err = p.RunUsers(flows, s, *users, harness)
-	case *users > 1:
-		// nil, not harness: a nil *ingest.Harness inside the
-		// interface would not compare equal to nil.
-		recs, err = p.RunUsers(flows, s, *users, nil)
-	default:
+	} else {
 		recs, err = p.Run(flows, s)
 	}
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 	"idebench/internal/driver"
 	"idebench/internal/engine"
 	"idebench/internal/faultnet"
-	"idebench/internal/groundtruth"
 	"idebench/internal/query"
 	"idebench/internal/server"
 	"idebench/internal/workflow"
@@ -134,16 +133,15 @@ func TestShardScatterGatherE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := driver.NewMulti(rem, groundtruth.New(db), driver.MultiConfig{
-		Config: driver.Config{
-			TimeRequirement: 250 * time.Millisecond,
-			ThinkTime:       time.Millisecond,
-			DataSizeLabel:   core.SizeLabel(rows),
-			IngestSink:      h,
-		},
-		Users: users, ThinkJitter: driver.DefaultThinkJitter, Seed: 1,
-	})
-	res, err := m.Run(flows[:users])
+	res, err := driver.Replay(rem, h, driver.Config{
+		TimeRequirement: 250 * time.Millisecond,
+		ThinkTime:       time.Millisecond,
+		DataSizeLabel:   core.SizeLabel(rows),
+		IngestSink:      h,
+		Users:           users,
+		ThinkJitter:     driver.DefaultThinkJitter,
+		Seed:            1,
+	}, flows[:users])
 	if err != nil {
 		t.Fatalf("multi-user replay: %v\ncoord output:\n%s", err, coord.output())
 	}

@@ -76,13 +76,16 @@
 // namespaces, link hints, reuse caches and speculation rounds per session
 // while the prepared data — and, on the progressive engine, the shared scan
 // scheduler — serves all sessions at once. The driver layer mirrors this split:
-// driver.Runner replays one analyst on one session (the paper's driver),
-// and driver.MultiRunner replays K workflows as K concurrent simulated
-// users against one prepared engine, with per-user think-time jitter and
-// per-user record streams. Throughput and latency percentiles per
-// user-count aggregate in report.SummarizeUsers, the user-scalability
-// experiment lives in internal/experiments (UserSweep, `idebench exp -name
-// users`), and `idebench run -users N` replays any workload concurrently.
+// driver.Replay replays workflows as Config.Users concurrent simulated
+// analysts against one prepared engine, each on its own session with its
+// own think-time jitter stream (one user is the paper's driver). Every
+// fetched result is captured with the live watermark and scored after the
+// timed window closes, against one driver.Truth: groundtruth.Cache for a
+// static table, ingest.Harness for a growing one. Throughput and latency
+// percentiles per user-count aggregate in report.SummarizeUsers, the
+// user-scalability experiment lives in internal/experiments (UserSweep,
+// `idebench exp -name users`), and `idebench run -users N` replays any
+// workload concurrently.
 // All driver waiting goes through driver.Clock, so tests replay in
 // simulated time (driver.SimClock) instead of sleeping.
 //
@@ -139,8 +142,8 @@
 // link and workflow frames — stay JSON text frames. The protocol is version
 // 7, current or refuse: no negotiation, one encoding per message type, the
 // opcode the only discriminator. The matching Go client
-// (server.Remote) implements engine.Engine, so driver.Runner and
-// driver.MultiRunner replay entire workflow sets over the wire unchanged
+// (server.Remote) implements engine.Engine, so driver.Replay replays
+// entire workflow sets over the wire unchanged
 // (`idebench run -addr host:port`), making in-process vs over-the-wire
 // latency an apples-to-apples comparison. See the wire-protocol section of
 // internal/engine/README.md.

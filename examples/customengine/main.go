@@ -124,16 +124,15 @@ func main() {
 		if err := eng.Prepare(db, engine.Options{}); err != nil {
 			log.Fatal(err)
 		}
-		runner := driver.New(eng, gt, driver.Config{
+		res, err := driver.Replay(eng, gt, driver.Config{
 			TimeRequirement: tr,
 			ThinkTime:       time.Millisecond,
 			DataSizeLabel:   core.SizeLabel(rows),
-		})
-		records, err := runner.RunWorkflows(mixed)
+		}, mixed)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rowsOut := report.Summarize(records, report.GroupBy{Driver: true})
+		rowsOut := report.Summarize(res.Records, report.GroupBy{Driver: true})
 		fmt.Printf("engine %-15s → ", eng.Name())
 		for _, s := range rowsOut {
 			fmt.Printf("queries=%d tr_violated=%.1f%% (repeated queries answer from cache)\n",

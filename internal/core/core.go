@@ -26,6 +26,7 @@ import (
 	"idebench/internal/engine/sampledb"
 	"idebench/internal/engine/sqldb"
 	"idebench/internal/groundtruth"
+	"idebench/internal/ingest"
 	"idebench/internal/workflow"
 )
 
@@ -200,40 +201,38 @@ func Prepare(name string, db *dataset.Database, s Settings) (*Prepared, error) {
 	}, nil
 }
 
-// Run replays the workflows under the settings and returns detailed
-// records. The ground-truth cache persists across calls on the same
-// Prepared, so TR sweeps pay for each unique query once.
+// Run replays the workflows as one analyst under the settings and returns
+// detailed records. The ground-truth cache persists across calls on the
+// same Prepared, so TR sweeps pay for each unique query once.
 func (p *Prepared) Run(flows []*workflow.Workflow, s Settings) ([]driver.Record, error) {
-	sess := p.Engine.OpenSession()
-	defer sess.Close()
-	r := driver.NewOnSession(p.Engine.Name(), sess, p.GT, driver.Config{
-		TimeRequirement: s.TimeRequirement,
-		ThinkTime:       s.ThinkTime,
-		DataSizeLabel:   SizeLabel(s.DataSize),
-	})
-	return r.RunWorkflows(flows)
+	return p.replay(flows, s, 1, 0, nil)
 }
 
 // RunUsers replays the workflows as `users` concurrent simulated users over
 // the prepared engine, one engine session per user (workflows are dealt
-// round-robin); users < 1 replays one. Records carry the user annotations
-// the user-scaling report groups by. A non-nil sink is the live-ingestion
-// sink: ingest interactions apply batches through it and every result is
-// evaluated against the ground truth of the data version its watermark
-// names.
-func (p *Prepared) RunUsers(flows []*workflow.Workflow, s Settings, users int, sink driver.IngestSink) ([]driver.Record, error) {
-	m := driver.NewMulti(p.Engine, p.GT, driver.MultiConfig{
-		Config: driver.Config{
-			TimeRequirement: s.TimeRequirement,
-			ThinkTime:       s.ThinkTime,
-			DataSizeLabel:   SizeLabel(s.DataSize),
-			IngestSink:      sink,
-		},
-		Users:       users,
-		ThinkJitter: driver.DefaultThinkJitter,
-		Seed:        s.Seed,
-	})
-	res, err := m.Run(flows)
+// round-robin, think times jittered); users < 1 replays one. Records carry
+// the user annotations the user-scaling report groups by. A non-nil
+// harness is the live-ingestion timeline: ingest interactions apply
+// batches through it and every result is scored against the ground truth
+// of the data version its watermark names.
+func (p *Prepared) RunUsers(flows []*workflow.Workflow, s Settings, users int, h *ingest.Harness) ([]driver.Record, error) {
+	return p.replay(flows, s, users, driver.DefaultThinkJitter, h)
+}
+
+func (p *Prepared) replay(flows []*workflow.Workflow, s Settings, users int, jitter float64, h *ingest.Harness) ([]driver.Record, error) {
+	cfg := driver.Config{
+		TimeRequirement: s.TimeRequirement,
+		ThinkTime:       s.ThinkTime,
+		DataSizeLabel:   SizeLabel(s.DataSize),
+		Users:           users,
+		ThinkJitter:     jitter,
+		Seed:            s.Seed,
+	}
+	var truth driver.Truth = p.GT
+	if h != nil {
+		cfg.IngestSink, truth = h, h
+	}
+	res, err := driver.Replay(p.Engine, truth, cfg, flows)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,9 @@ package driver
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -62,17 +64,12 @@ func replayRecords(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := simClock() // huge grace: deadlines never force-fire
-	r := New(e, groundtruth.New(db), Config{
+	recs := replay(t, e, groundtruth.New(db), Config{
 		TimeRequirement: 10 * time.Second,
 		ThinkTime:       2 * time.Millisecond,
 		DataSizeLabel:   "20k",
-		Clock:           clock,
-	})
-	recs, err := r.RunWorkflows(flows)
-	if err != nil {
-		t.Fatal(err)
-	}
+		Clock:           simClock(), // huge grace: deadlines never force-fire
+	}, flows...).Records
 	if len(recs) == 0 {
 		t.Fatal("replay produced no records")
 	}
@@ -83,21 +80,37 @@ func replayRecords(t *testing.T) []byte {
 	return data
 }
 
+// Golden SHA-256 digests of the marshalled records of the three SimClock
+// fixtures below. They pin what a replay delivers — queries, metrics,
+// staleness and virtual timestamps — so a refactor of the driver that moves
+// any field shows up here rather than only as a run-to-run difference.
+const (
+	goldenReplayDigest       = "3b186a4e4b46403a3087e5ff1d26c0ff7ce8189be2c14c8887a51492418a1acb"
+	goldenMultiUserDigest    = "c9aa0b5556ffa536a4df2d485f31a884df503f741b2cd56fe029e335d59d5b68"
+	goldenIngestReplayDigest = "9faf3c9ab75e720209d2299b3d2f3d020296bb419b508985b6d428d5fe35253d"
+)
+
+// checkDeterministic fails unless two runs' records are byte-identical and
+// match the golden digest.
+func checkDeterministic(t *testing.T, a, b []byte, golden string) {
+	t.Helper()
+	if !bytes.Equal(a, b) {
+		i := firstDiff(a, b)
+		lo := max(i-80, 0)
+		t.Fatalf("same seed produced different records at byte %d:\n run1: …%s…\n run2: …%s…",
+			i, clip(a, lo, i+80), clip(b, lo, i+80))
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(a)); got != golden {
+		t.Fatalf("records digest %s, want golden %s", got, golden)
+	}
+}
+
 // TestReplayDeterministic asserts the same seed yields identical Record
 // sequences — SQL text, metrics and virtual timestamps — across two full
 // runs. Metrics are accumulated in floating point over result bins, so this
 // also guards the sorted-iteration contract in metrics.Evaluate.
 func TestReplayDeterministic(t *testing.T) {
-	a, b := replayRecords(t), replayRecords(t)
-	if !bytes.Equal(a, b) {
-		i := firstDiff(a, b)
-		lo := i - 80
-		if lo < 0 {
-			lo = 0
-		}
-		t.Fatalf("same seed produced different records at byte %d:\n run1: …%s…\n run2: …%s…",
-			i, clip(a, lo, i+80), clip(b, lo, i+80))
-	}
+	checkDeterministic(t, replayRecords(t), replayRecords(t), goldenReplayDigest)
 }
 
 // TestMultiUserReplayDeterministic runs the concurrent multi-user replay
@@ -120,20 +133,13 @@ func TestMultiUserReplayDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := NewMulti(e, groundtruth.New(db), MultiConfig{
-			Config: Config{
-				TimeRequirement: 10 * time.Second,
-				ThinkTime:       2 * time.Millisecond,
-				Clock:           simClock(),
-			},
-			Users: 4,
-			Seed:  5,
-		})
-		res, err := m.Run(flows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs := append([]Record(nil), res.Records...)
+		recs := replay(t, e, groundtruth.New(db), Config{
+			TimeRequirement: 10 * time.Second,
+			ThinkTime:       2 * time.Millisecond,
+			Clock:           simClock(),
+			Users:           4,
+			Seed:            5,
+		}, flows...).Records
 		for i := range recs {
 			recs[i].StartTime = time.Time{}
 			recs[i].EndTime = time.Time{}
@@ -144,16 +150,7 @@ func TestMultiUserReplayDeterministic(t *testing.T) {
 		}
 		return data
 	}
-	a, b := runOnce(), runOnce()
-	if !bytes.Equal(a, b) {
-		i := firstDiff(a, b)
-		lo := i - 80
-		if lo < 0 {
-			lo = 0
-		}
-		t.Fatalf("multi-user replay not deterministic at byte %d:\n run1: …%s…\n run2: …%s…",
-			i, clip(a, lo, i+80), clip(b, lo, i+80))
-	}
+	checkDeterministic(t, runOnce(), runOnce(), goldenMultiUserDigest)
 }
 
 func firstDiff(a, b []byte) int {

@@ -4,21 +4,24 @@
 // the time requirement (cancelling overdue queries), sleeps the think time
 // between interactions, and evaluates every query against ground truth.
 //
-// Two replay shapes exist. Runner is one simulated analyst on one
-// engine.Session — the paper's single-user driver. MultiRunner (multi.go)
-// replays K workflows as K concurrent simulated users against one prepared
-// engine, each on its own session, which is how the benchmark exercises
-// multi-user scaling (shared scans amortizing across users). All waiting
-// goes through the Clock abstraction so tests replace real sleeps with
-// simulated time.
+// Replay is the one entry point. It replays workflows as Config.Users
+// concurrent simulated analysts against one prepared engine, each on its
+// own engine.Session: one user is the paper's single-analyst driver, more
+// exercise multi-user scaling (shared scans amortizing across users).
+// Inside the timed window the driver only issues queries and captures what
+// each one delivered; every capture is scored against a Truth after the
+// window closes, so reference scans never compete with the engine for CPU.
+// All waiting goes through the Clock abstraction so tests replace real
+// sleeps with simulated time.
 package driver
 
 import (
 	"fmt"
+	"math/rand"
+	"sync"
 	"time"
 
 	"idebench/internal/engine"
-	"idebench/internal/groundtruth"
 	"idebench/internal/metrics"
 	"idebench/internal/query"
 	"idebench/internal/workflow"
@@ -34,41 +37,67 @@ type Config struct {
 	ThinkTime time.Duration
 	// DataSizeLabel annotates report rows (e.g. "500k").
 	DataSizeLabel string
-	// PrecomputeGroundTruth evaluates all ground truths in a replay prepass
-	// so reference scans do not compete with the engine for CPU during the
-	// timed run. Default true (set by Normalize).
-	PrecomputeGroundTruth *bool
+	// Users is the number of concurrent simulated users (default 1).
+	// Workflows are dealt to users round-robin; each user replays its share
+	// sequentially on its own engine session while all users run
+	// concurrently.
+	Users int
+	// ThinkJitter is the ± fraction by which each user's think time varies
+	// around ThinkTime, drawn per interaction from the user's own
+	// deterministic stream. Zero means every user sleeps exactly ThinkTime
+	// — the honest default for the raw driver API, where a recorded run
+	// must match its settings. Multi-user entry points
+	// (core.Prepared.RunUsers, the user-sweep experiment) opt into jitter:
+	// real analysts do not pause in lockstep, and jitter keeps simulated
+	// users from issuing queries in convoy.
+	ThinkJitter float64
+	// Seed drives the per-user jitter streams (default 1).
+	Seed int64
 	// Clock supplies time; nil means WallClock. Tests inject a SimClock so
 	// think times and deadline waits run in simulated time.
 	Clock Clock
 	// IngestSink handles ingest interactions (nil: workflows containing
 	// them fail). With a sink installed the replay is ingest-aware: every
-	// delivered result is evaluated against the ground truth of the data
-	// version its watermark names, and its staleness (live watermark minus
-	// result watermark) is recorded. The ground-truth precompute prepass is
-	// skipped — references are version-dependent and resolved at fetch time.
+	// delivered result is scored against the truth of the data version its
+	// watermark names, and its staleness (live watermark minus result
+	// watermark) is recorded.
 	IngestSink IngestSink
+}
+
+func (c Config) withDefaults() Config {
+	if c.Users <= 0 {
+		c.Users = 1
+	}
+	if c.ThinkJitter < 0 {
+		c.ThinkJitter = 0
+	}
+	if c.Seed == 0 {
+		c.Seed = 1
+	}
+	if c.Clock == nil {
+		c.Clock = WallClock{}
+	}
+	return c
+}
+
+// DefaultThinkJitter is the jitter fraction the benchmark harness layers
+// use when simulating independent analysts.
+const DefaultThinkJitter = 0.25
+
+// Truth is where a replay's references come from: TruthAt returns the
+// exact result of q at the data version watermark names. groundtruth.Cache
+// answers for a static database (ignoring the watermark), ingest.Harness
+// for a live ingestion timeline.
+type Truth interface {
+	TruthAt(q *query.Query, watermark int64) (*query.Result, error)
 }
 
 // IngestSink is the driver's window into a live-ingestion timeline
 // (implemented by ingest.Harness). Ingest applies one event and returns the
-// new live watermark; Watermark reads it; TruthAt resolves the exact
-// reference for q at the data version a result's watermark names.
+// new live watermark; Watermark reads it.
 type IngestSink interface {
 	Ingest(rows int) (watermark int64, err error)
 	Watermark() int64
-	TruthAt(q *query.Query, watermark int64) (*query.Result, error)
-}
-
-func (c Config) precompute() bool {
-	return c.PrecomputeGroundTruth == nil || *c.PrecomputeGroundTruth
-}
-
-func (c Config) clock() Clock {
-	if c.Clock != nil {
-		return c.Clock
-	}
-	return WallClock{}
 }
 
 // Record is one row of the detailed report (paper Table 1).
@@ -106,176 +135,191 @@ func (r Record) LatencyMS() float64 {
 	return float64(r.EndTime.Sub(r.StartTime)) / float64(time.Millisecond)
 }
 
-// Runner replays workflows as one simulated analyst on one engine session.
-type Runner struct {
-	name   string
-	sess   engine.Session
-	gt     *groundtruth.Cache
-	cfg    Config
-	clock  Clock
-	nextID int
-
-	// deferred queues the ground-truth evaluations of an ingest-aware
-	// replay, one entry per record in order. Versioned references cannot be
-	// pre-warmed (versions are minted at replay time), so instead of
-	// scanning reference tables inline between timed queries — competing
-	// with the engine for CPU exactly like the prepass PR 3 eliminated —
-	// the runner captures (query, result, live watermark) at fetch time and
-	// resolves the metrics after the replay. RunWorkflow resolves its own
-	// records; MultiRunner defers until every user finished and the wall
-	// clock is closed.
-	deferred     []deferredEval
-	deferResolve bool
-
-	// Multi-user annotations, set by MultiRunner.
-	user  int
-	users int
-	// thinkFor returns the think time before interaction idx+1; nil means
-	// the constant cfg.ThinkTime. MultiRunner installs per-user jitter.
-	thinkFor func(idx int) time.Duration
+// Result is the outcome of one replay.
+type Result struct {
+	// Records holds every user's records, concatenated in user order and
+	// numbered with run-unique IDs.
+	Records []Record
+	// Users is the effective concurrent-user count: the configured count,
+	// capped at the number of workflows (a user with nothing to replay is
+	// not a user). Callers that asked for more should surface the cap.
+	Users int
+	// WallClock is the timed window on the configured clock: from before
+	// the first user starts until the last one finishes. Scoring is not in
+	// it.
+	WallClock time.Duration
 }
 
-// deferredEval is one postponed ground-truth evaluation.
-type deferredEval struct {
+// QueriesPerSec is the aggregate throughput across all users.
+func (r *Result) QueriesPerSec() float64 {
+	if r.WallClock <= 0 {
+		return 0
+	}
+	return float64(len(r.Records)) / r.WallClock.Seconds()
+}
+
+// Replay replays flows as cfg.Users concurrent simulated users against eng,
+// which must already be prepared for the data truth describes, and scores
+// every record against truth once all users are done.
+func Replay(eng engine.Engine, truth Truth, cfg Config, flows []*workflow.Workflow) (*Result, error) {
+	for _, w := range flows {
+		if err := w.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	if len(flows) == 0 {
+		return &Result{}, nil
+	}
+	cfg = cfg.withDefaults()
+	users := make([]*user, min(cfg.Users, len(flows)))
+	for u := range users {
+		users[u] = newUser(eng.Name(), &cfg, u, len(users))
+	}
+	for i, w := range flows {
+		u := users[i%len(users)]
+		u.flows = append(u.flows, w)
+	}
+
+	start := cfg.Clock.Now()
+	var wg sync.WaitGroup
+	for _, u := range users {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			u.err = u.run(eng)
+		}()
+	}
+	wg.Wait()
+	res := &Result{Users: len(users), WallClock: cfg.Clock.Now().Sub(start)}
+
+	for _, u := range users {
+		if u.err != nil {
+			return nil, fmt.Errorf("driver: user %d: %w", u.id, u.err)
+		}
+	}
+	for _, u := range users {
+		for i := range u.records {
+			rec := &u.records[i]
+			m, err := u.captures[i].score(truth, cfg.IngestSink != nil)
+			if err != nil {
+				return nil, fmt.Errorf("driver: ground truth for %s: %w", rec.VizName, err)
+			}
+			rec.Metrics = m
+			rec.ID = len(res.Records)
+			res.Records = append(res.Records, *rec)
+		}
+	}
+	return res, nil
+}
+
+// capture is what one query delivered, kept for scoring after the timed
+// window.
+type capture struct {
 	q    *query.Query
 	res  *query.Result // nil: nothing fetchable at the deadline
-	live int64         // sink watermark at fetch time
+	live int64         // sink watermark at fetch time (0 without a sink)
 }
 
-// New builds a runner on a fresh session of eng that is never closed: fine
-// for a one-off replay, while a caller replaying repeatedly on one engine
-// opens and closes its sessions itself and uses NewOnSession. The engine
-// must already be prepared for the same database the ground-truth cache is
-// bound to.
-func New(eng engine.Engine, gt *groundtruth.Cache, cfg Config) *Runner {
-	return NewOnSession(eng.Name(), eng.OpenSession(), gt, cfg)
+// score evaluates the capture against the truth of the data version its
+// result claims (its watermark, or the live one when it names none). In an
+// ingest-aware replay staleness is how far the live table had moved past
+// that version when the result was fetched.
+func (c capture) score(truth Truth, ingestAware bool) (metrics.QueryMetrics, error) {
+	w := c.live
+	if c.res != nil && c.res.Watermark > 0 {
+		w = c.res.Watermark
+	}
+	gt, err := truth.TruthAt(c.q, w)
+	if err != nil {
+		return metrics.QueryMetrics{}, err
+	}
+	if c.res == nil {
+		return metrics.Violated(gt), nil
+	}
+	m := metrics.Evaluate(c.res, gt, false)
+	if ingestAware {
+		m.StalenessRows = float64(max(c.live-w, 0))
+	}
+	return m, nil
 }
 
-// NewOnSession builds a runner on an explicit session; name labels records
-// (normally the engine name). MultiRunner opens one session per user and
-// builds its runners this way.
-func NewOnSession(name string, sess engine.Session, gt *groundtruth.Cache, cfg Config) *Runner {
-	return &Runner{name: name, sess: sess, gt: gt, cfg: cfg, clock: cfg.clock(), users: 1}
+// user is one simulated analyst: its share of the workflows, replayed in
+// order on its own session, and a record plus a capture per query.
+type user struct {
+	name   string
+	cfg    *Config
+	id     int
+	users  int
+	flows  []*workflow.Workflow
+	jitter *rand.Rand // nil: think exactly cfg.ThinkTime
+	sess   engine.Session
+
+	records  []Record
+	captures []capture
+	err      error
 }
 
-// RunWorkflow replays one workflow and returns a record per executed query.
-func (r *Runner) RunWorkflow(w *workflow.Workflow) ([]Record, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
+func newUser(name string, cfg *Config, id, users int) *user {
+	u := &user{name: name, cfg: cfg, id: id, users: users}
+	if cfg.ThinkTime > 0 && cfg.ThinkJitter != 0 {
+		// Each user's stream has its own seed, so think times are
+		// reproducible per user regardless of scheduling.
+		u.jitter = rand.New(rand.NewSource(cfg.Seed + int64(id)*7919))
 	}
-	if r.cfg.precompute() && r.cfg.IngestSink == nil {
-		if err := r.warmGroundTruth(w); err != nil {
-			return nil, err
-		}
-	}
-
-	graph := workflow.NewGraph()
-	r.sess.WorkflowStart()
-	defer r.sess.WorkflowEnd()
-
-	var records []Record
-	for idx, in := range w.Interactions {
-		eff, err := graph.Apply(in)
-		if err != nil {
-			return nil, fmt.Errorf("driver: workflow %s interaction %d: %w", w.Name, idx, err)
-		}
-		if eff.NewLink != nil {
-			r.sess.LinkVizs(eff.NewLink[0], eff.NewLink[1])
-		}
-		if eff.Discarded != "" {
-			r.sess.DeleteViz(eff.Discarded)
-		}
-		if eff.IngestRows > 0 {
-			if r.cfg.IngestSink == nil {
-				return nil, fmt.Errorf("driver: workflow %s interaction %d: ingest event without an ingest sink", w.Name, idx)
-			}
-			if _, err := r.cfg.IngestSink.Ingest(eff.IngestRows); err != nil {
-				return nil, fmt.Errorf("driver: workflow %s interaction %d: %w", w.Name, idx, err)
-			}
-		}
-
-		recs, err := r.runQueries(w, idx, eff.Queries)
-		if err != nil {
-			return nil, err
-		}
-		records = append(records, recs...)
-
-		if idx < len(w.Interactions)-1 {
-			if think := r.think(idx); think > 0 {
-				r.clock.Sleep(think)
-			}
-		}
-	}
-	if !r.deferResolve {
-		if err := r.resolveDeferred(records); err != nil {
-			return nil, err
-		}
-	}
-	return records, nil
+	return u
 }
 
-// resolveDeferred computes the postponed ground-truth evaluations of an
-// ingest-aware replay for recs, which must be exactly the records the
-// deferred queue was built for, in order. The queue is cleared. This runs
-// after the timed replay (MultiRunner calls it once the wall clock is
-// closed), so O(table) reference scans never compete with engine scans
-// racing their deadlines.
-func (r *Runner) resolveDeferred(recs []Record) error {
-	sink := r.cfg.IngestSink
-	if sink == nil {
-		return nil
+// thinkTime returns the pause before the user's next interaction.
+func (u *user) thinkTime() time.Duration {
+	if u.jitter == nil {
+		return u.cfg.ThinkTime
 	}
-	if len(r.deferred) != len(recs) {
-		return fmt.Errorf("driver: %d deferred evaluations for %d records", len(r.deferred), len(recs))
+	f := 1 + u.cfg.ThinkJitter*(2*u.jitter.Float64()-1)
+	return time.Duration(float64(u.cfg.ThinkTime) * f)
+}
+
+func (u *user) run(eng engine.Engine) error {
+	u.sess = eng.OpenSession()
+	defer u.sess.Close()
+	for _, w := range u.flows {
+		if err := u.replay(w); err != nil {
+			return err
+		}
 	}
-	for i, d := range r.deferred {
-		// Evaluate against the truth of the data version the result claims
-		// (its watermark); staleness is how far the live table had moved
-		// past that version when the result was fetched.
-		w := d.live
-		if d.res != nil && d.res.Watermark > 0 {
-			w = d.res.Watermark
-		}
-		gt, err := sink.TruthAt(d.q, w)
-		if err != nil {
-			return fmt.Errorf("driver: ground truth for %s: %w", d.q.VizName, err)
-		}
-		if d.res == nil {
-			recs[i].Metrics = metrics.Violated(gt)
-			continue
-		}
-		m := metrics.Evaluate(d.res, gt, false)
-		if s := float64(d.live - w); s > 0 {
-			m.StalenessRows = s
-		} else {
-			m.StalenessRows = 0
-		}
-		recs[i].Metrics = m
-	}
-	r.deferred = r.deferred[:0]
 	return nil
 }
 
-// think returns the think time after interaction idx.
-func (r *Runner) think(idx int) time.Duration {
-	if r.thinkFor != nil {
-		return r.thinkFor(idx)
-	}
-	return r.cfg.ThinkTime
-}
-
-// warmGroundTruth dry-replays the workflow, computing every query's exact
-// reference before the timed run.
-func (r *Runner) warmGroundTruth(w *workflow.Workflow) error {
+// replay runs one workflow.
+func (u *user) replay(w *workflow.Workflow) error {
 	graph := workflow.NewGraph()
+	u.sess.WorkflowStart()
+	defer u.sess.WorkflowEnd()
+
 	for idx, in := range w.Interactions {
 		eff, err := graph.Apply(in)
 		if err != nil {
 			return fmt.Errorf("driver: workflow %s interaction %d: %w", w.Name, idx, err)
 		}
-		for _, q := range eff.Queries {
-			if _, err := r.gt.Get(q); err != nil {
-				return fmt.Errorf("driver: ground truth for %s: %w", q.VizName, err)
+		if eff.NewLink != nil {
+			u.sess.LinkVizs(eff.NewLink[0], eff.NewLink[1])
+		}
+		if eff.Discarded != "" {
+			u.sess.DeleteViz(eff.Discarded)
+		}
+		if eff.IngestRows > 0 {
+			if u.cfg.IngestSink == nil {
+				return fmt.Errorf("driver: workflow %s interaction %d: ingest event without an ingest sink", w.Name, idx)
+			}
+			if _, err := u.cfg.IngestSink.Ingest(eff.IngestRows); err != nil {
+				return fmt.Errorf("driver: workflow %s interaction %d: %w", w.Name, idx, err)
+			}
+		}
+		if err := u.runQueries(w, idx, eff.Queries); err != nil {
+			return err
+		}
+		if idx < len(w.Interactions)-1 {
+			if think := u.thinkTime(); think > 0 {
+				u.cfg.Clock.Sleep(think)
 			}
 		}
 	}
@@ -283,103 +327,63 @@ func (r *Runner) warmGroundTruth(w *workflow.Workflow) error {
 }
 
 // runQueries launches all queries of one interaction simultaneously,
-// enforces the TR, and evaluates each result.
-func (r *Runner) runQueries(w *workflow.Workflow, interactionID int, qs []*query.Query) ([]Record, error) {
+// enforces the TR, and captures what each one delivered.
+func (u *user) runQueries(w *workflow.Workflow, interactionID int, qs []*query.Query) error {
 	if len(qs) == 0 {
-		return nil, nil
+		return nil
 	}
-	type running struct {
-		q     *query.Query
-		h     engine.Handle
-		start time.Time
-		err   error
-	}
-	rs := make([]running, len(qs))
+	clock := u.cfg.Clock
+	hs := make([]engine.Handle, len(qs))
+	starts := make([]time.Time, len(qs))
 	for i, q := range qs {
-		rs[i].q = q
-		rs[i].start = r.clock.Now()
-		h, err := r.sess.StartQuery(q)
+		starts[i] = clock.Now()
+		h, err := u.sess.StartQuery(q)
 		if err != nil {
-			rs[i].err = err
-			continue
+			for _, started := range hs[:i] {
+				started.Cancel()
+			}
+			return fmt.Errorf("driver: start query for %s: %w", q.VizName, err)
 		}
-		rs[i].h = h
+		hs[i] = h
 	}
-	deadline := r.clock.Now().Add(r.cfg.TimeRequirement)
+	deadline := clock.Now().Add(u.cfg.TimeRequirement)
 
-	records := make([]Record, 0, len(qs))
-	for i := range rs {
-		ru := &rs[i]
-		if ru.err != nil {
-			return nil, fmt.Errorf("driver: start query for %s: %w", ru.q.VizName, ru.err)
-		}
+	for i, q := range qs {
 		// Wait until the query finishes or the shared deadline passes.
-		var res *query.Result
-		t := r.clock.NewTimer(deadline.Sub(r.clock.Now()))
+		t := clock.NewTimer(deadline.Sub(clock.Now()))
 		select {
-		case <-ru.h.Done():
+		case <-hs[i].Done():
 		case <-t.C():
 		}
 		t.Stop()
-		res = ru.h.Snapshot()
-		ru.h.Cancel()
-		end := r.clock.Now()
+		res := hs[i].Snapshot()
+		hs[i].Cancel()
+		end := clock.Now()
 
-		var m metrics.QueryMetrics
-		if sink := r.cfg.IngestSink; sink != nil {
-			// Version-aware evaluation is postponed (see Runner.deferred):
-			// capture what fetch time alone can know and leave the metrics
-			// to resolveDeferred, so reference scans never run inside the
-			// timed window.
-			r.deferred = append(r.deferred, deferredEval{q: ru.q, res: res, live: sink.Watermark()})
-		} else {
-			gt, err := r.gt.Get(ru.q)
-			if err != nil {
-				return nil, fmt.Errorf("driver: ground truth for %s: %w", ru.q.VizName, err)
-			}
-			if res == nil {
-				m = metrics.Violated(gt)
-			} else {
-				m = metrics.Evaluate(res, gt, false)
-			}
+		c := capture{q: q, res: res}
+		if u.cfg.IngestSink != nil {
+			c.live = u.cfg.IngestSink.Watermark()
 		}
-
-		r.nextID++
-		records = append(records, Record{
-			ID:            r.nextID - 1,
+		u.captures = append(u.captures, c)
+		u.records = append(u.records, Record{
 			InteractionID: interactionID,
-			VizName:       ru.q.VizName,
-			Driver:        r.name,
-			DataSize:      r.cfg.DataSizeLabel,
-			ThinkTimeMS:   float64(r.cfg.ThinkTime) / float64(time.Millisecond),
-			TimeReqMS:     float64(r.cfg.TimeRequirement) / float64(time.Millisecond),
+			VizName:       q.VizName,
+			Driver:        u.name,
+			DataSize:      u.cfg.DataSizeLabel,
+			ThinkTimeMS:   float64(u.cfg.ThinkTime) / float64(time.Millisecond),
+			TimeReqMS:     float64(u.cfg.TimeRequirement) / float64(time.Millisecond),
 			Workflow:      w.Name,
 			WorkflowType:  w.Type,
-			User:          r.user,
-			Users:         r.users,
-			StartTime:     ru.start,
+			User:          u.id,
+			Users:         u.users,
+			StartTime:     starts[i],
 			EndTime:       end,
-			BinDims:       ru.q.BinDims(),
-			BinningType:   ru.q.BinningType(),
-			AggType:       ru.q.AggType(),
+			BinDims:       q.BinDims(),
+			BinningType:   q.BinningType(),
+			AggType:       q.AggType(),
 			ConcurrentQs:  len(qs),
-			SQL:           ru.q.ToSQL(),
-			Metrics:       m,
+			SQL:           q.ToSQL(),
 		})
 	}
-	return records, nil
-}
-
-// RunWorkflows replays several workflows sequentially, concatenating
-// records.
-func (r *Runner) RunWorkflows(flows []*workflow.Workflow) ([]Record, error) {
-	var all []Record
-	for _, w := range flows {
-		recs, err := r.RunWorkflow(w)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, recs...)
-	}
-	return all, nil
+	return nil
 }

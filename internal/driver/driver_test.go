@@ -56,18 +56,24 @@ func simClock() *SimClock {
 	return c
 }
 
+// replay runs Replay and fails the test on error.
+func replay(t *testing.T, e engine.Engine, truth Truth, cfg Config, flows ...*workflow.Workflow) *Result {
+	t.Helper()
+	res, err := Replay(e, truth, cfg, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestRunWorkflowRecords(t *testing.T) {
 	gt, e := prepared(t, exactdb.New(), 20000)
-	r := New(e, gt, Config{
+	recs := replay(t, e, gt, Config{
 		TimeRequirement: 2 * time.Second,
 		ThinkTime:       time.Millisecond,
 		DataSizeLabel:   "20k",
 		Clock:           simClock(),
-	})
-	recs, err := r.RunWorkflow(simpleWorkflow())
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, simpleWorkflow()).Records
 	// create(a)=1, create(b)=1, link refreshes b=1, select updates b=1,
 	// discard=0 → 4 records.
 	if len(recs) != 4 {
@@ -77,7 +83,7 @@ func TestRunWorkflowRecords(t *testing.T) {
 		if rec.ID != i {
 			t.Errorf("record %d has ID %d", i, rec.ID)
 		}
-		if rec.Driver != "exactdb" || rec.DataSize != "20k" {
+		if rec.Driver != "exactdb" || rec.DataSize != "20k" || rec.User != 0 || rec.Users != 1 {
 			t.Error("record metadata wrong")
 		}
 		if rec.Metrics.TRViolated {
@@ -107,10 +113,10 @@ func TestTRViolationOnTinyDeadline(t *testing.T) {
 	// (A plain columnar scan can finish inside a scheduler stall on a loaded
 	// host, making the deadline-vs-done select a coin flip.)
 	gt, e := prepared(t, onlinedb.New(), 800000)
-	r := New(e, gt, Config{
+	cfg := Config{
 		TimeRequirement: time.Nanosecond, // impossible deadline
 		DataSizeLabel:   "800k",
-	})
+	}
 	// AVG forces onlinedb's blocking fallback: no intermediate reports, so
 	// nothing is fetchable until the (slow) scan completes.
 	blockingSpec := &workflow.VizSpec{
@@ -125,10 +131,7 @@ func TestTRViolationOnTinyDeadline(t *testing.T) {
 			{Kind: workflow.KindCreateViz, Viz: "a", Spec: blockingSpec},
 		},
 	}
-	recs, err := r.RunWorkflow(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := replay(t, e, gt, cfg, w).Records
 	if len(recs) != 1 {
 		t.Fatal("expected one record")
 	}
@@ -148,21 +151,18 @@ func TestProgressiveNeverViolates(t *testing.T) {
 	// must be fetchable whether or not the scan finished by then.
 	clock := NewSimClock(time.Unix(1_000_000, 0))
 	clock.Grace = 20 * time.Millisecond
-	r := New(e, gt, Config{
+	cfg := Config{
 		TimeRequirement: 5 * time.Millisecond,
 		DataSizeLabel:   "400k",
 		Clock:           clock,
-	})
+	}
 	w := &workflow.Workflow{
 		Name: "prog", Type: workflow.IndependentBrowsing,
 		Interactions: []workflow.Interaction{
 			{Kind: workflow.KindCreateViz, Viz: "a", Spec: vizSpec("a")},
 		},
 	}
-	recs, err := r.RunWorkflow(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := replay(t, e, gt, cfg, w).Records
 	if recs[0].Metrics.TRViolated {
 		t.Error("progressive engine should answer any TR")
 	}
@@ -173,7 +173,6 @@ func TestProgressiveNeverViolates(t *testing.T) {
 
 func TestConcurrentQueriesRecorded(t *testing.T) {
 	gt, e := prepared(t, exactdb.New(), 5000)
-	r := New(e, gt, Config{TimeRequirement: 2 * time.Second, Clock: simClock()})
 	w := &workflow.Workflow{
 		Name: "fanout", Type: workflow.OneToNLinking,
 		Interactions: []workflow.Interaction{
@@ -186,10 +185,7 @@ func TestConcurrentQueriesRecorded(t *testing.T) {
 				Field: "carrier", Op: query.OpIn, Values: []string{"UA"}}},
 		},
 	}
-	recs, err := r.RunWorkflow(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := replay(t, e, gt, Config{TimeRequirement: 2 * time.Second, Clock: simClock()}, w).Records
 	// The selection updates t1 and t2 concurrently.
 	var fanout []Record
 	for _, rec := range recs {
@@ -209,31 +205,26 @@ func TestConcurrentQueriesRecorded(t *testing.T) {
 
 func TestInvalidWorkflowRejected(t *testing.T) {
 	gt, e := prepared(t, exactdb.New(), 1000)
-	r := New(e, gt, Config{TimeRequirement: time.Second})
 	w := &workflow.Workflow{
 		Name: "bad", Type: workflow.Mixed,
 		Interactions: []workflow.Interaction{
 			{Kind: workflow.KindFilter, Viz: "ghost"},
 		},
 	}
-	if _, err := r.RunWorkflow(w); err == nil {
+	if _, err := Replay(e, gt, Config{TimeRequirement: time.Second}, []*workflow.Workflow{w}); err == nil {
 		t.Error("invalid workflow should be rejected")
 	}
 }
 
 func TestRunWorkflowsConcatenates(t *testing.T) {
 	gt, e := prepared(t, exactdb.New(), 2000)
-	r := New(e, gt, Config{TimeRequirement: time.Second, Clock: simClock()})
 	w1 := &workflow.Workflow{Name: "w1", Type: workflow.Mixed, Interactions: []workflow.Interaction{
 		{Kind: workflow.KindCreateViz, Viz: "a", Spec: vizSpec("a")},
 	}}
 	w2 := &workflow.Workflow{Name: "w2", Type: workflow.Mixed, Interactions: []workflow.Interaction{
 		{Kind: workflow.KindCreateViz, Viz: "a", Spec: vizSpec("a")},
 	}}
-	recs, err := r.RunWorkflows([]*workflow.Workflow{w1, w2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := replay(t, e, gt, Config{TimeRequirement: time.Second, Clock: simClock()}, w1, w2).Records
 	if len(recs) != 2 {
 		t.Fatalf("got %d records", len(recs))
 	}
@@ -252,17 +243,17 @@ func TestThinkTimeSeparatesInteractions(t *testing.T) {
 	// on the virtual timeline.
 	think := 30 * time.Second
 	clock := simClock()
-	r := New(e, gt, Config{TimeRequirement: 500 * time.Second, ThinkTime: think, Clock: clock})
 	w := &workflow.Workflow{Name: "tt", Type: workflow.Mixed, Interactions: []workflow.Interaction{
 		{Kind: workflow.KindCreateViz, Viz: "a", Spec: vizSpec("a")},
 		{Kind: workflow.KindCreateViz, Viz: "b", Spec: vizSpec("b")},
 	}}
 	start := clock.Now()
-	recs, err := r.RunWorkflow(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replay(t, e, gt, Config{TimeRequirement: 500 * time.Second, ThinkTime: think, Clock: clock}, w)
+	recs := res.Records
 	elapsed := clock.Now().Sub(start)
+	if res.WallClock != elapsed {
+		t.Errorf("WallClock %v, want the virtual window %v", res.WallClock, elapsed)
+	}
 	if elapsed < think {
 		t.Errorf("virtual run took %v, should include %v think time", elapsed, think)
 	}
@@ -274,21 +265,5 @@ func TestThinkTimeSeparatesInteractions(t *testing.T) {
 	// starts one think time after the first.
 	if gap := recs[1].StartTime.Sub(recs[0].StartTime); gap < think {
 		t.Errorf("interactions %v apart on the virtual clock, want >= %v", gap, think)
-	}
-}
-
-func TestGroundTruthPrecomputed(t *testing.T) {
-	db := enginetest.SmallDB(2000, 11)
-	e := exactdb.New()
-	if err := e.Prepare(db, engine.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	gt := groundtruth.New(db)
-	r := New(e, gt, Config{TimeRequirement: time.Second})
-	if _, err := r.RunWorkflow(simpleWorkflow()); err != nil {
-		t.Fatal(err)
-	}
-	if gt.Size() == 0 {
-		t.Error("ground truth cache should be populated")
 	}
 }

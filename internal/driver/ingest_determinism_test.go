@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"bytes"
 	"encoding/json"
 	"testing"
 	"time"
@@ -9,7 +8,6 @@ import (
 	"idebench/internal/engine"
 	"idebench/internal/engine/exactdb"
 	"idebench/internal/enginetest"
-	"idebench/internal/groundtruth"
 	"idebench/internal/ingest"
 	"idebench/internal/workflow"
 )
@@ -44,17 +42,13 @@ func ingestReplayRecords(t *testing.T) []byte {
 	}
 	h := ingest.NewHarness(db, ingest.NewFixedSource(batches...), ingest.EngineSink{A: e})
 
-	r := New(e, groundtruth.New(db), Config{
+	recs := replay(t, e, h, Config{
 		TimeRequirement: 10 * time.Second,
 		ThinkTime:       2 * time.Millisecond,
 		DataSizeLabel:   "20k",
 		Clock:           simClock(),
 		IngestSink:      h,
-	})
-	recs, err := r.RunWorkflows(flows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, flows...).Records
 	if len(recs) == 0 {
 		t.Fatal("ingest replay produced no records")
 	}
@@ -80,16 +74,7 @@ func ingestReplayRecords(t *testing.T) []byte {
 // interleaved query+ingest workflow replayed twice on SimClock yields
 // byte-identical record streams.
 func TestIngestReplayDeterministic(t *testing.T) {
-	a, b := ingestReplayRecords(t), ingestReplayRecords(t)
-	if !bytes.Equal(a, b) {
-		i := firstDiff(a, b)
-		lo := i - 80
-		if lo < 0 {
-			lo = 0
-		}
-		t.Fatalf("ingest replay not deterministic at byte %d:\n run1: …%s…\n run2: …%s…",
-			i, clip(a, lo, i+80), clip(b, lo, i+80))
-	}
+	checkDeterministic(t, ingestReplayRecords(t), ingestReplayRecords(t), goldenIngestReplayDigest)
 }
 
 // TestIngestReplayEvaluatesAtVersion checks the version-aware evaluation

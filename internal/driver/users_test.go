@@ -33,22 +33,17 @@ var workflowPredicate = query.Predicate{
 	Field: "carrier", Op: query.OpIn, Values: []string{"AA"},
 }
 
-func TestMultiRunnerRecordsPerUser(t *testing.T) {
+func TestReplayRecordsPerUser(t *testing.T) {
 	gt, e := prepared(t, exactdb.New(), 20000)
 	// The SimClock timeline is shared by all users: any user's virtual
 	// think sleep advances every other user's pending deadline. The TR must
 	// therefore dwarf the aggregate virtual think time, not just one gap.
-	m := NewMulti(e, gt, MultiConfig{
-		Config: Config{TimeRequirement: 100 * time.Hour, ThinkTime: 50 * time.Second, Clock: simClock()},
-		Users:  4,
-		Seed:   7,
-	})
-	res, err := m.Run(multiFlows(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PerUser) != 4 {
-		t.Fatalf("got %d user streams, want 4", len(res.PerUser))
+	res := replay(t, e, gt, Config{
+		TimeRequirement: 100 * time.Hour, ThinkTime: 50 * time.Second, Clock: simClock(),
+		Users: 4, Seed: 7,
+	}, multiFlows(8)...)
+	if res.Users != 4 {
+		t.Fatalf("got %d users, want 4", res.Users)
 	}
 	// 8 flows × 4 query-producing interactions (create, create, link
 	// refresh, select update) = 32 records.
@@ -84,17 +79,10 @@ func TestMultiRunnerRecordsPerUser(t *testing.T) {
 	}
 }
 
-func TestMultiRunnerSharedScanEngine(t *testing.T) {
+func TestReplaySharedScanEngine(t *testing.T) {
 	gt, e := prepared(t, progressive.New(progressive.Config{}), 60000)
-	m := NewMulti(e, gt, MultiConfig{
-		Config: Config{TimeRequirement: 5 * time.Second, Clock: simClock()},
-		Users:  3,
-		Seed:   7,
-	})
-	res, err := m.Run(multiFlows(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replay(t, e, gt, Config{TimeRequirement: 5 * time.Second, Clock: simClock(), Users: 3, Seed: 7},
+		multiFlows(3)...)
 	for _, r := range res.Records {
 		if !r.Metrics.HasResult {
 			t.Errorf("progressive user query delivered nothing: %+v", r)
@@ -102,18 +90,11 @@ func TestMultiRunnerSharedScanEngine(t *testing.T) {
 	}
 }
 
-func TestMultiRunnerCapsUsersAtWorkflows(t *testing.T) {
+func TestReplayCapsUsersAtWorkflows(t *testing.T) {
 	gt, e := prepared(t, exactdb.New(), 2000)
-	m := NewMulti(e, gt, MultiConfig{
-		Config: Config{TimeRequirement: time.Second, Clock: simClock()},
-		Users:  16,
-	})
-	res, err := m.Run(multiFlows(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PerUser) != 2 {
-		t.Fatalf("16 users over 2 workflows should cap at 2 active users, got %d", len(res.PerUser))
+	res := replay(t, e, gt, Config{TimeRequirement: time.Second, Clock: simClock(), Users: 16}, multiFlows(2)...)
+	if res.Users != 2 {
+		t.Fatalf("16 users over 2 workflows should cap at 2 active users, got %d", res.Users)
 	}
 	for _, r := range res.Records {
 		if r.Users != 2 {
@@ -122,17 +103,13 @@ func TestMultiRunnerCapsUsersAtWorkflows(t *testing.T) {
 	}
 }
 
-func TestMultiRunnerThinkJitterDeterministic(t *testing.T) {
-	gt, e := prepared(t, exactdb.New(), 2000)
+func TestThinkJitterDeterministic(t *testing.T) {
 	think := func(seed int64) []time.Duration {
-		m := NewMulti(e, gt, MultiConfig{
-			Config: Config{ThinkTime: 8 * time.Millisecond},
-			Users:  2, ThinkJitter: DefaultThinkJitter, Seed: seed,
-		})
-		fn := m.thinkStream(1)
+		cfg := Config{ThinkTime: 8 * time.Millisecond, ThinkJitter: DefaultThinkJitter, Seed: seed}
+		u := newUser("exactdb", &cfg, 1, 2)
 		out := make([]time.Duration, 6)
 		for i := range out {
-			out[i] = fn(i)
+			out[i] = u.thinkTime()
 		}
 		return out
 	}

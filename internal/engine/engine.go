@@ -48,7 +48,12 @@ import (
 // time-requirement deadline; progressive engines may be polled at any time.
 type Handle interface {
 	// Snapshot returns the best result currently available, or nil when the
-	// engine has nothing to deliver yet (a blocking engine mid-scan).
+	// engine has nothing to deliver yet (a blocking engine mid-scan). A
+	// returned result is never mutated afterwards — not as the query runs
+	// on, not on Cancel, not by later snapshots — because the driver keeps
+	// it and scores it only after its timed window closes. Engines that
+	// reuse state between snapshots must hand out copies
+	// (enginetest.Conformance checks this).
 	Snapshot() *query.Result
 	// Done is closed when execution finishes (successfully or cancelled).
 	Done() <-chan struct{}

@@ -5,6 +5,7 @@
 package enginetest
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 
 	"idebench/internal/dataset"
 	"idebench/internal/engine"
+	"idebench/internal/groundtruth"
 	"idebench/internal/query"
 )
 
@@ -136,13 +138,7 @@ func AvgDelayByDistance() *query.Query {
 
 // Exact computes ground truth for q against db via a direct scan.
 func Exact(db *dataset.Database, q *query.Query) (*query.Result, error) {
-	plan, err := engine.Compile(db, q)
-	if err != nil {
-		return nil, err
-	}
-	gs := engine.NewGroupState(plan)
-	gs.ScanRange(0, plan.NumRows)
-	return gs.SnapshotExact(), nil
+	return groundtruth.Exact(db, q)
 }
 
 // WaitResult waits for the handle to complete (with timeout) and returns
@@ -455,6 +451,51 @@ func Conformance(t *testing.T, factory func() engine.Engine, exactWhenComplete b
 		case <-h.Done():
 		case <-time.After(10 * time.Second):
 			t.Fatal("cancelled query did not finish")
+		}
+	})
+
+	// The driver keeps every fetched result until the replay is over and
+	// scores it then, so a returned snapshot must never change: not while
+	// the query runs on, not on Cancel, not on later snapshots.
+	t.Run("SnapshotsImmutable", func(t *testing.T) {
+		s := open(t)
+		s.WorkflowStart()
+		defer s.WorkflowEnd()
+		h, err := s.StartQuery(AvgDelayByDistance())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each kept result beside its canonical binary form at return time.
+		var got []*query.Result
+		var was [][]byte
+		keep := func(res *query.Result) {
+			if res != nil {
+				got = append(got, res)
+				was = append(was, res.AppendBinary(nil))
+			}
+		}
+	poll:
+		for range 8 {
+			select {
+			case <-h.Done():
+				break poll
+			default:
+				keep(h.Snapshot())
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+		final := WaitResult(t, h, 30*time.Second)
+		if final == nil {
+			t.Fatal("no result after completion")
+		}
+		keep(final)
+		h.Cancel()
+		keep(h.Snapshot())
+		keep(h.Snapshot())
+		for i, res := range got {
+			if !bytes.Equal(res.AppendBinary(nil), was[i]) {
+				t.Errorf("snapshot %d of %d changed after it was returned", i, len(got))
+			}
 		}
 	})
 

@@ -8,6 +8,7 @@ import (
 
 	"idebench/internal/dataset"
 	"idebench/internal/engine"
+	"idebench/internal/groundtruth"
 	"idebench/internal/query"
 )
 
@@ -169,37 +170,29 @@ func looselyEqual(gt, res *query.Result, q *query.Query) error {
 	return nil
 }
 
-// The scenario database is built lazily, once per test binary, and shared
-// between engine preparation and reference evaluation: engines never mutate
-// their input database, and test binaries that never run the scenario
-// should not pay for a 60k-row build at package init.
+// The scenario database and its reference cache are built lazily, once per
+// test binary, and shared between engine preparation and reference
+// evaluation: engines never mutate their input database, and test binaries
+// that never run the scenario should not pay for a 60k-row build at package
+// init. The cache matters: with four sessions issuing overlapping
+// signatures the scenario would otherwise spend most of its budget
+// recomputing ground truth.
 var (
-	refOnce  sync.Once
-	refDB    *dataset.Database
-	refMu    sync.Mutex
-	refCache = map[string]*query.Result{}
+	refOnce sync.Once
+	refDB   *dataset.Database
+	refGT   *groundtruth.Cache
 )
 
 func multiUserDB() *dataset.Database {
-	refOnce.Do(func() { refDB = SmallDB(60000, 99) })
+	refOnce.Do(func() {
+		refDB = SmallDB(60000, 99)
+		refGT = groundtruth.New(refDB)
+	})
 	return refDB
 }
 
-// exactRef returns the independent-scan reference for q, cached by
-// signature: with four sessions issuing overlapping signatures the scenario
-// would otherwise spend most of its budget recomputing ground truth.
+// exactRef returns the independent-scan reference for q.
 func exactRef(q *query.Query) (*query.Result, error) {
-	db := multiUserDB()
-	refMu.Lock()
-	defer refMu.Unlock()
-	sig := q.Signature()
-	if res, ok := refCache[sig]; ok {
-		return res, nil
-	}
-	res, err := Exact(db, q)
-	if err != nil {
-		return nil, err
-	}
-	refCache[sig] = res
-	return res, nil
+	multiUserDB()
+	return refGT.Get(q)
 }

@@ -192,6 +192,8 @@ func replayPoint(cfg Config, db *dataset.Database, gt *groundtruth.Cache, t topo
 	row.PrepareMS = durationMS(prep)
 
 	dcfg := replayConfig(cfg)
+	dcfg.Users, dcfg.ThinkJitter, dcfg.Seed = len(flows), driver.DefaultThinkJitter, cfg.Seed
+	var truth driver.Truth = gt
 	var app engine.Appender
 	var h *ingest.Harness
 	if withIngest {
@@ -204,7 +206,7 @@ func replayPoint(cfg Config, db *dataset.Database, gt *groundtruth.Cache, t topo
 			return row, err
 		}
 		h = ingest.NewHarness(db, src, ingest.EngineSink{A: app})
-		dcfg.IngestSink = h
+		dcfg.IngestSink, truth = h, h
 		batchRows := max(cfg.Rows/100, 200)
 		interleaved := make([]*workflow.Workflow, len(flows))
 		for i, w := range flows {
@@ -212,9 +214,7 @@ func replayPoint(cfg Config, db *dataset.Database, gt *groundtruth.Cache, t topo
 		}
 		flows = interleaved
 	}
-	res, err := driver.NewMulti(eng, gt, driver.MultiConfig{
-		Config: dcfg, Users: len(flows), ThinkJitter: driver.DefaultThinkJitter, Seed: cfg.Seed,
-	}).Run(flows)
+	res, err := driver.Replay(eng, truth, dcfg, flows)
 	if err != nil {
 		return row, fmt.Errorf("experiments: %s users=%d replay: %w", t.label, len(flows), err)
 	}
@@ -372,22 +372,14 @@ func UserSweepUsers(cfg Config, userCounts []int) ([]ReplayRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			// The concurrent replay went first — its untimed prepass warmed
-			// the ground-truth cache for these flows — so the sequential
-			// baseline replays with precomputation off: both timed windows
-			// contain engine work only and the speedup compares like with
-			// like.
-			seqCfg := replayConfig(cfg)
-			noWarm := false
-			seqCfg.PrecomputeGroundTruth = &noWarm
-			sess := p.Engine.OpenSession()
-			seqStart := time.Now()
-			_, err = driver.NewOnSession(p.Engine.Name(), sess, gt, seqCfg).RunWorkflows(flows[:users])
-			row.SequentialMS = durationMS(time.Since(seqStart))
-			sess.Close()
+			// The baseline: the same flows, one after another on one
+			// session. Its timed window, like the concurrent one, holds
+			// engine work and think time only; scoring comes after both.
+			seq, err := driver.Replay(p.Engine, gt, replayConfig(cfg), flows[:users])
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s users=%d sequential: %w", name, users, err)
 			}
+			row.SequentialMS = durationMS(seq.WallClock)
 			if row.WallClockMS > 0 {
 				row.SpeedupVsSequential = row.SequentialMS / row.WallClockMS
 			}

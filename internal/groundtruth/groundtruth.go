@@ -45,9 +45,15 @@ func (c *Cache) Get(q *query.Query) (*query.Result, error) {
 	c.mu.Unlock()
 
 	e.once.Do(func() {
-		e.res, e.err = compute(c.db, q)
+		e.res, e.err = Exact(c.db, q)
 	})
 	return e.res, e.err
+}
+
+// TruthAt implements the driver's truth source for a static database: there
+// is one data version, so the watermark is ignored.
+func (c *Cache) TruthAt(q *query.Query, _ int64) (*query.Result, error) {
+	return c.Get(q)
 }
 
 // Size reports the number of cached signatures (for tests and reports).
@@ -57,8 +63,9 @@ func (c *Cache) Size() int {
 	return len(c.entries)
 }
 
-// compute runs the exact scan.
-func compute(db *dataset.Database, q *query.Query) (*query.Result, error) {
+// Exact runs the exact scan of q over db: the one reference every cache,
+// versioned harness and engine test compares against.
+func Exact(db *dataset.Database, q *query.Query) (*query.Result, error) {
 	plan, err := engine.Compile(db, q)
 	if err != nil {
 		return nil, err

@@ -1,16 +1,17 @@
-package groundtruth
+package groundtruth_test
 
 import (
 	"sync"
 	"testing"
 
 	"idebench/internal/enginetest"
+	"idebench/internal/groundtruth"
 	"idebench/internal/query"
 )
 
 func TestGetComputesAndCaches(t *testing.T) {
 	db := enginetest.SmallDB(5000, 1)
-	c := New(db)
+	c := groundtruth.New(db)
 	q := enginetest.CountByCarrier()
 	r1, err := c.Get(q)
 	if err != nil {
@@ -40,7 +41,7 @@ func TestGetComputesAndCaches(t *testing.T) {
 
 func TestGetDistinguishesSignatures(t *testing.T) {
 	db := enginetest.SmallDB(2000, 3)
-	c := New(db)
+	c := groundtruth.New(db)
 	q1 := enginetest.CountByCarrier()
 	q2 := enginetest.CountByCarrier()
 	q2.Filter = query.Filter{Predicates: []query.Predicate{
@@ -59,7 +60,7 @@ func TestGetDistinguishesSignatures(t *testing.T) {
 
 func TestGetInvalidQuery(t *testing.T) {
 	db := enginetest.SmallDB(100, 5)
-	c := New(db)
+	c := groundtruth.New(db)
 	q := enginetest.CountByCarrier()
 	q.Table = "ghost"
 	if _, err := c.Get(q); err == nil {
@@ -73,7 +74,7 @@ func TestGetInvalidQuery(t *testing.T) {
 
 func TestConcurrentGets(t *testing.T) {
 	db := enginetest.SmallDB(50000, 7)
-	c := New(db)
+	c := groundtruth.New(db)
 	q := enginetest.AvgDelayByDistance()
 	var wg sync.WaitGroup
 	results := make([]*query.Result, 8)

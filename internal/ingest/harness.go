@@ -7,6 +7,7 @@ import (
 
 	"idebench/internal/dataset"
 	"idebench/internal/engine"
+	"idebench/internal/groundtruth"
 	"idebench/internal/query"
 )
 
@@ -27,11 +28,11 @@ func (s EngineSink) ApplyBatch(_ *Batch, rows *dataset.Table) error { return s.A
 // Harness owns one live ingestion timeline: the versioned ground-truth
 // lineage (a private copy of the base database, grown batch by batch), the
 // batch source, and the sinks every event fans out to. It implements the
-// driver's IngestSink contract, which is how mixed query+ingest workflows
-// replay: ingest interactions call Ingest, and every fetched result is
-// evaluated against the ground truth of the data version its watermark
-// names — so accuracy metrics stay meaningful under staleness instead of
-// comparing a pre-append answer to a post-append truth.
+// driver's IngestSink and Truth contracts, which is how mixed query+ingest
+// workflows replay: ingest interactions call Ingest, and every fetched
+// result is scored against the ground truth of the data version its
+// watermark names — so accuracy metrics stay meaningful under staleness
+// instead of comparing a pre-append answer to a post-append truth.
 type Harness struct {
 	src   BatchSource
 	sinks []Sink
@@ -39,26 +40,18 @@ type Harness struct {
 	mu       sync.Mutex
 	gt       *dataset.TableAppender
 	dims     []*dataset.Dimension
-	views    map[int64]*dataset.Database // watermark (rows) → view
-	truths   map[truthKey]*truthEntry    // (version, signature) → exact result
-	marks    []int64                     // sorted watermarks with views
-	base     int64                       // rows before any ingestion
-	ingested int64                       // rows appended so far
+	views    map[int64]*version // watermark (rows) → data version
+	marks    []int64            // sorted watermarks with views
+	base     int64              // rows before any ingestion
+	ingested int64              // rows appended so far
 	batches  int64
 }
 
-// truthKey identifies one exact reference: a data version and a query
-// signature. (The harness keeps its own versioned cache rather than one
-// groundtruth.Cache per version — same memoization, no extra dependency.)
-type truthKey struct {
-	version int64
-	sig     string
-}
-
-type truthEntry struct {
-	once sync.Once
-	res  *query.Result
-	err  error
+// version is one recorded data version and its exact references, made on
+// the first TruthAt that names it.
+type version struct {
+	db    *dataset.Database
+	truth *groundtruth.Cache
 }
 
 // NewHarness builds a harness over base. The ground-truth lineage copies
@@ -66,13 +59,12 @@ type truthEntry struct {
 // it by pointer), then grows by amortized appends.
 func NewHarness(base *dataset.Database, src BatchSource, sinks ...Sink) *Harness {
 	h := &Harness{
-		src:    src,
-		sinks:  sinks,
-		gt:     dataset.NewTableAppender(base.Fact, false),
-		dims:   base.Dimensions,
-		views:  make(map[int64]*dataset.Database),
-		truths: make(map[truthKey]*truthEntry),
-		base:   int64(base.Fact.NumRows()),
+		src:   src,
+		sinks: sinks,
+		gt:    dataset.NewTableAppender(base.Fact, false),
+		dims:  base.Dimensions,
+		views: make(map[int64]*version),
+		base:  int64(base.Fact.NumRows()),
 	}
 	h.recordViewLocked(&dataset.Database{Fact: h.gt.View(), Dimensions: h.dims})
 	return h
@@ -83,7 +75,7 @@ func NewHarness(base *dataset.Database, src BatchSource, sinks ...Sink) *Harness
 func (h *Harness) recordViewLocked(db *dataset.Database) {
 	w := int64(db.Fact.NumRows())
 	if _, ok := h.views[w]; !ok {
-		h.views[w] = db
+		h.views[w] = &version{db: db}
 		h.marks = append(h.marks, w)
 	}
 }
@@ -98,8 +90,7 @@ func (h *Harness) Ingest(n int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	view := h.views[h.base+h.ingested]
-	rows, err := Materialize(view, b)
+	rows, err := Materialize(h.views[h.base+h.ingested].db, b)
 	if err != nil {
 		return 0, err
 	}
@@ -146,12 +137,12 @@ func (h *Harness) Batches() int64 {
 func (h *Harness) ViewAt(watermark int64) *dataset.Database {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.viewAtLocked(watermark)
+	return h.versionAtLocked(watermark).db
 }
 
-func (h *Harness) viewAtLocked(watermark int64) *dataset.Database {
-	if db, ok := h.views[watermark]; ok {
-		return db
+func (h *Harness) versionAtLocked(watermark int64) *version {
+	if v, ok := h.views[watermark]; ok {
+		return v
 	}
 	// Engines only ever answer at batch boundaries, but be robust: take the
 	// nearest recorded version at or below the requested watermark.
@@ -162,30 +153,17 @@ func (h *Harness) viewAtLocked(watermark int64) *dataset.Database {
 	return h.views[h.marks[i-1]]
 }
 
-// TruthAt computes (and caches) the exact reference for q against the data
-// version named by watermark. Concurrent misses for the same (version,
-// signature) compute once.
+// TruthAt returns the exact reference for q against the data version named
+// by watermark (the nearest version at or below it), computed once per
+// (version, signature).
 func (h *Harness) TruthAt(q *query.Query, watermark int64) (*query.Result, error) {
 	h.mu.Lock()
-	db := h.viewAtLocked(watermark)
-	key := truthKey{version: int64(db.Fact.NumRows()), sig: q.Signature()}
-	e, ok := h.truths[key]
-	if !ok {
-		e = &truthEntry{}
-		h.truths[key] = e
+	v := h.versionAtLocked(watermark)
+	if v.truth == nil {
+		v.truth = groundtruth.New(v.db)
 	}
 	h.mu.Unlock()
-	e.once.Do(func() {
-		plan, err := engine.Compile(db, q)
-		if err != nil {
-			e.err = err
-			return
-		}
-		gs := engine.NewGroupState(plan)
-		gs.ScanRange(0, plan.NumRows)
-		e.res = gs.SnapshotExact()
-	})
-	return e.res, e.err
+	return v.truth.Get(q)
 }
 
 // FinalView returns the current (latest) database view — what a cold
@@ -193,7 +171,7 @@ func (h *Harness) TruthAt(q *query.Query, watermark int64) (*query.Result, error
 func (h *Harness) FinalView() *dataset.Database {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.views[h.base+h.ingested]
+	return h.views[h.base+h.ingested].db
 }
 
 // Applier applies batches to one engine, serialized: the server-side

@@ -150,8 +150,8 @@ func (r *Remote) jitter(d time.Duration) time.Duration {
 // Remote is a network-backed engine.Engine: every session speaks the
 // idebench wire protocol to a remote Server. OpenSession dials one
 // WebSocket connection per session (the server's session-per-connection
-// model), so driver.Runner and driver.MultiRunner replay workflows over the
-// network exactly as they do in-process.
+// model), so driver.Replay replays workflows over the network exactly as
+// it does in-process.
 type Remote struct {
 	opts  RemoteOptions
 	name  string

@@ -90,7 +90,7 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 	}
 }
 
-// TestRemoteReplaySingleUser replays one workflow through driver.Runner over
+// TestRemoteReplaySingleUser replays one workflow through driver.Replay over
 // the WebSocket client — the driver is byte-for-byte the in-process one; only
 // the engine behind it is remote.
 func TestRemoteReplaySingleUser(t *testing.T) {
@@ -120,15 +120,15 @@ func TestRemoteReplaySingleUser(t *testing.T) {
 		t.Fatal("mismatched seed accepted")
 	}
 
-	r := driver.New(rem, f.gt, driver.Config{
+	res, err := driver.Replay(rem, f.gt, driver.Config{
 		TimeRequirement: 2 * time.Second, // the assertion is 0 violations; queries finishing early cost nothing
 		ThinkTime:       time.Millisecond,
 		DataSizeLabel:   "40k",
-	})
-	recs, err := r.RunWorkflow(f.flows[0])
+	}, f.flows[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs := res.Records
 	if len(recs) == 0 {
 		t.Fatal("no records")
 	}
@@ -145,7 +145,7 @@ func TestRemoteReplaySingleUser(t *testing.T) {
 	}
 }
 
-// TestRemoteMultiRunner8Users is the acceptance scenario: driver.MultiRunner
+// TestRemoteMultiRunner8Users is the acceptance scenario: driver.Replay
 // replays 8 workflows as 8 concurrent users through 8 WebSocket sessions
 // against one served progressive engine, with zero deadline violations.
 func TestRemoteMultiRunner8Users(t *testing.T) {
@@ -156,15 +156,12 @@ func TestRemoteMultiRunner8Users(t *testing.T) {
 	}
 	defer rem.Close()
 
-	m := driver.NewMulti(rem, f.gt, driver.MultiConfig{
-		Config: driver.Config{
-			TimeRequirement: 3 * time.Second, // the assertion is 0 violations, so leave CI headroom
-			ThinkTime:       time.Millisecond,
-			DataSizeLabel:   "40k",
-		},
-		Users: 8,
-	})
-	res, err := m.Run(f.flows[:8])
+	res, err := driver.Replay(rem, f.gt, driver.Config{
+		TimeRequirement: 3 * time.Second, // the assertion is 0 violations, so leave CI headroom
+		ThinkTime:       time.Millisecond,
+		DataSizeLabel:   "40k",
+		Users:           8,
+	}, f.flows[:8])
 	if err != nil {
 		t.Fatal(err)
 	}

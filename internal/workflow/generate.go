@@ -9,14 +9,15 @@ import (
 	"idebench/internal/query"
 )
 
+// maxVizs caps simultaneously live visualizations.
+const maxVizs = 8
+
 // GenConfig parameterizes the workload generator.
 type GenConfig struct {
 	// Type selects the interaction pattern; Mixed blends all four.
 	Type Type
 	// Interactions is the workflow length (default 18).
 	Interactions int
-	// MaxVizs caps simultaneously live visualizations (default 8).
-	MaxVizs int
 	// Seed drives all randomness; identical configs generate identical
 	// workflows.
 	Seed int64
@@ -27,9 +28,6 @@ type GenConfig struct {
 func (c GenConfig) withDefaults() GenConfig {
 	if c.Interactions <= 0 {
 		c.Interactions = 18
-	}
-	if c.MaxVizs <= 0 {
-		c.MaxVizs = 8
 	}
 	if c.Name == "" {
 		c.Name = fmt.Sprintf("%s-%d", c.Type, c.Seed)
@@ -258,7 +256,7 @@ func (s *genState) stepIndependent() {
 	switch {
 	case len(s.live) == 0:
 		s.createViz()
-	case len(s.live) < s.cfg.MaxVizs && s.rng.Float64() < 0.40:
+	case len(s.live) < maxVizs && s.rng.Float64() < 0.40:
 		s.createViz()
 	case len(s.live) > 2 && s.rng.Float64() < 0.08:
 		s.discard(s.randomLive())
@@ -273,7 +271,7 @@ func (s *genState) stepSequential() {
 	switch {
 	case len(s.live) == 0:
 		s.createViz()
-	case len(s.live) < s.cfg.MaxVizs && s.rng.Float64() < 0.35:
+	case len(s.live) < maxVizs && s.rng.Float64() < 0.35:
 		prev := s.live[len(s.live)-1]
 		name := s.createViz()
 		s.link(prev, name)
@@ -288,7 +286,7 @@ func (s *genState) stepOneToN() {
 	switch {
 	case len(s.live) == 0:
 		s.createViz()
-	case len(s.live) < s.cfg.MaxVizs && (len(s.live) < 3 || s.rng.Float64() < 0.30):
+	case len(s.live) < maxVizs && (len(s.live) < 3 || s.rng.Float64() < 0.30):
 		src := s.live[0]
 		name := s.createViz()
 		s.link(src, name)
@@ -303,7 +301,7 @@ func (s *genState) stepNToOne() {
 	switch {
 	case len(s.live) == 0:
 		s.createViz() // the shared target
-	case len(s.live) < s.cfg.MaxVizs && (len(s.live) < 3 || s.rng.Float64() < 0.30):
+	case len(s.live) < maxVizs && (len(s.live) < 3 || s.rng.Float64() < 0.30):
 		name := s.createViz()
 		s.link(name, s.live[0])
 	case s.rng.Float64() < 0.5 && len(s.live) > 1:
@@ -322,7 +320,7 @@ func (s *genState) stepNToOne() {
 func (s *genState) stepMixed() {
 	r := s.rng.Float64()
 	switch {
-	case len(s.live) == 0 || (len(s.live) < s.cfg.MaxVizs && r < 0.30):
+	case len(s.live) == 0 || (len(s.live) < maxVizs && r < 0.30):
 		name := s.createViz()
 		// Half of new vizs get linked to an existing one.
 		if len(s.live) > 1 && s.rng.Float64() < 0.5 {
