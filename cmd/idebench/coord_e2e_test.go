@@ -5,6 +5,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -102,6 +103,10 @@ func TestCoordFailoverE2E(t *testing.T) {
 		"-probe-interval", "100ms", "-takeover-failures", "3",
 		"-health-interval", "100ms",
 		"-addr", standbyAddr)
+
+	if hz := getHealthz(t, primary.addr); hz.Role != "coord" || len(partitionWatermarks(hz)) != parts {
+		t.Fatalf("primary healthz role=%q partitions=%d, want coord/%d", hz.Role, len(partitionWatermarks(hz)), parts)
+	}
 
 	db, err := core.BuildData(rows, false, 1)
 	if err != nil {
@@ -295,6 +300,9 @@ func TestCoordFailoverE2E(t *testing.T) {
 	}
 	if standbyBound != standbyAddr {
 		t.Fatalf("standby bound %s, want %s", standbyBound, standbyAddr)
+	}
+	if !strings.Contains(standby.output(), "recovered coordinator") {
+		t.Fatalf("standby did not report recovering the journaled coordinator:\n%s", standby.output())
 	}
 
 	// The standby serves the journaled topology: quarantine flag intact,

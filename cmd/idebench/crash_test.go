@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -160,8 +161,17 @@ func TestServeCrashRecoveryE2E(t *testing.T) {
 		"-checkpoint-interval", "100ms", "-checkpoint-wal-bytes", strconv.Itoa(64 << 10),
 	}
 
-	// Boot 1: cold — builds the dataset, bootstraps the checkpoint.
+	// Boot 1: cold — builds the dataset, bootstraps the checkpoint, and
+	// recovers nothing.
 	p1 := startServe(t, bin, serveArgs...)
+	if hz := getHealthz(t, p1.addr); hz.Durable == nil || hz.Durable.Recovered {
+		t.Fatalf("cold boot healthz durable block %+v, want present and not recovered", hz.Durable)
+	}
+	for _, line := range []string{"durable state bootstrapped", "live ingestion enabled"} {
+		if !strings.Contains(p1.output(), line) {
+			t.Fatalf("cold boot did not print %q:\n%s", line, p1.output())
+		}
+	}
 
 	// The client dials through the chaos proxy, so the kill also exercises
 	// the proxied-connection teardown path.
@@ -227,6 +237,9 @@ func TestServeCrashRecoveryE2E(t *testing.T) {
 	hz := getHealthz(t, p2.addr)
 	if hz.Durable == nil || !hz.Durable.Recovered {
 		t.Fatalf("restart did not recover durable state: %+v\noutput:\n%s", hz.Durable, p2.output())
+	}
+	if !strings.Contains(p2.output(), "recovered (warm)") {
+		t.Fatalf("restart did not report a warm recovery:\n%s", p2.output())
 	}
 	w := hz.Watermark
 	// Every acknowledged batch survived (WAL-before-ack), nothing beyond

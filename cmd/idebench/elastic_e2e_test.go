@@ -150,6 +150,11 @@ func TestElasticFailoverE2E(t *testing.T) {
 		return h.Snapshot()
 	}
 
+	// All replicas up: full coverage, bitwise.
+	if got := probe("all up"); got == nil || !got.Complete || !got.Coverage.Full() || !reflect.DeepEqual(got.Bins, want.Bins) {
+		t.Fatalf("all up: merged COUNT %+v, want complete, full and bitwise the single-node answer", got)
+	}
+
 	// Phase 1: SIGKILL the primary replica of partition 0 mid-replay. The
 	// replay must finish with zero failed queries — in-flight fragments fail
 	// over to the sibling replica.
@@ -332,6 +337,9 @@ func TestElasticFailoverE2E(t *testing.T) {
 	if len(chz.Topology.Partitions[0].Replicas) != before-1 {
 		t.Fatalf("partition 0 still has %d replicas after removing %q (had %d)",
 			len(chz.Topology.Partitions[0].Replicas), deadName, before)
+	}
+	if chz.Topology.AntiEntropyMismatches != 0 {
+		t.Fatalf("anti-entropy reported %d bitwise mismatches by the end of the ladder", chz.Topology.AntiEntropyMismatches)
 	}
 
 	// Clean teardown of what is still alive.

@@ -20,7 +20,7 @@
 //	idebench coord       -rows 500000 -shards ... -data-dir ./coord-state -peers localhost:8374 -addr :8373
 //	idebench coord       -rows 500000 -standby-of localhost:8373 -data-dir ./coord-state -addr :8374
 //	idebench rebalance   -addr localhost:8373 -op add -partition 0 -shard-addr localhost:9102
-//	idebench probe       -addr localhost:8373 -expect full
+//	idebench probe       -addr localhost:8373
 //	idebench run         -addr localhost:8373 -rows 500000 -users 8
 //	idebench run         -addr localhost:8373 -rows 500000 -users 4 -ingest-every 3
 //	idebench load        -addr localhost:8373 -rows 500000 -schedule ramp -rate 50 -rate2 2000
@@ -49,10 +49,10 @@
 // workflows with think-time coupling, it offers queries at an absolute-time
 // arrival schedule (poisson, bursty, or ramp) that never slows down when the
 // server does — the honest way to measure overload. It prints the admission
-// and shedding counters with the admitted latency tails, and its -gate-*
-// flags turn the run into a CI assertion (bounded done-p99, zero hard
-// errors, knee crossed). `exp -name overload` runs the in-process sweep
-// across a whole rate ladder. The serve side exposes the admission caps
+// and shedding counters with the admitted latency tails. `exp -name
+// overload` runs the in-process sweep across a whole rate ladder and gates
+// it (knee crossed, bounded done-p99, zero hard errors, nothing left in
+// flight after the drain). The serve side exposes the admission caps
 // (-max-inflight, -max-inflight-per-conn); deadline shedding, the retry hint
 // and ping liveness run at the server's defaults.
 //
@@ -86,8 +86,8 @@
 // answered, population fraction) instead of an outage — down to the
 // `-min-coverage` floor, below which it refuses. `-anti-entropy` runs a
 // background bitwise divergence check between replicas. `rebalance` posts
-// replica add/remove to a live coordinator; `probe` asserts the tier's
-// coverage outcome from the outside (CI walls are built from it).
+// replica add/remove to a live coordinator; `probe` prints the tier's
+// coverage outcome (full, degraded or refused) and a result digest.
 //
 // The coordinator itself is redundant: `coord -data-dir` journals the
 // authoritative control-plane state — partition map, replica membership
@@ -181,8 +181,8 @@ Commands:
   shard        serve one hash partition of the dataset (one member of a scatter-gather tier)
   coord        serve a scatter-gather coordinator over shard replica sets (failover, degraded coverage)
   rebalance    post a replica add/remove to a running coordinator's admin endpoint
-  probe        run one COUNT against a server and assert its coverage outcome (CI primitive)
-  load         drive a server with open-loop load (poisson/bursty/ramp arrivals, CI gates)
+  probe        run one COUNT against a server and print its coverage outcome and digest
+  load         drive a server with open-loop load (poisson/bursty/ramp arrivals)
   inspect      verify and summarize a durable data directory (checkpoints + WAL)
   exp          regenerate a paper experiment or serving-tier sweep (-name overall, users, ..., all; see exp -h)
   view         inspect generated workflows (text or Graphviz DOT)

@@ -157,6 +157,9 @@ func TestShardScatterGatherE2E(t *testing.T) {
 	if h.IngestedRows() == 0 {
 		t.Fatalf("replay fed no ingest batches")
 	}
+	if err := checkStream(rem.Stats()); err != nil {
+		t.Fatalf("merged replay through the coordinator: %v", err)
+	}
 
 	// Quiesce: the coordinator's ack broadcast carries the global min
 	// watermark, so catching up means every shard confirmed every batch.

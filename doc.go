@@ -247,9 +247,9 @@
 // background anti-entropy loop folds the same probe from two replicas and
 // alarms on divergence. Replica sets change at runtime: `idebench rebalance
 // -op add|remove` grows or shrinks a partition, with capture-window catch-up
-// and watermark-proof promotion at a version barrier; `idebench probe
-// -expect full|degraded|refused` asserts the tier's answer quality (and
-// prints a result digest) from the shell. The coordinator's /healthz
+// and watermark-proof promotion at a version barrier; `idebench probe`
+// prints the tier's answer quality (full, degraded or refused) and a result
+// digest. The coordinator's /healthz
 // topology block reports the full per-replica state and each partition's
 // confirmed watermark. The elastic wall kills a primary mid-replay, then a
 // whole partition, then rebalances replacements in and requires
@@ -307,30 +307,15 @@
 //
 // # Continuous integration
 //
-// CI (.github/workflows/ci.yml) fans out into parallel jobs: lint
-// (gofmt/vet/staticcheck), the race-enabled test suite on a Go 1.23/1.24
-// matrix, fuzz smokes over the wire formats and decoders (the binary result,
-// partial and snapshot-frame decoders, client control messages and the
-// coordinator state log included), benchmark smokes plus a tiny
-// pass of the repository benchmark, and an end-to-end job that boots `idebench serve`,
-// replays an 8-user workflow set through the WebSocket client, and requires
-// streamed intermediates, finals, zero TR violations and a clean SIGTERM
-// drain. The overload e2e job serves with tight admission caps, ramps the
-// open-loop offered load past the knee with `idebench load`, and gates on
-// bounded admitted p99, explicit rejections, and zero inflight queries and
-// shared-scan consumers after the generator drains. The crash e2e job runs
-// the durable suite and the kill -9 crash wall under -race, then SIGKILLs
-// and warm-restarts a served data directory from the shell and requires the
-// offline inspector to verify it clean. The shard e2e job runs the
-// scatter-gather wall under -race, then boots three shard processes plus a
-// coordinator from the shell, asserts the tier's topology on /healthz,
-// replays 8 ingest-aware users against the coordinator, and drains the
-// whole tier cleanly. The elastic e2e job runs the replica/failover wall
-// under -race, then walks the failure ladder from the shell — kill a
-// primary (probe full, bitwise digest vs a single-node serve), kill a
-// partition (probe degraded), kill below the coverage floor (probe
-// refused), rebalance replacements in (probe full again) — against a
-// 2-partition, 2-replica tier.
+// CI (.github/workflows/ci.yml, which names each step) runs lint, the
+// race-enabled test suite on Go 1.23 and 1.24 plus race repeats of the
+// concurrency walls, fuzz smokes over every decoder, benchmark smokes with a
+// tiny pass of the repository benchmark, and the paper experiment with
+// every serving-tier sweep in one process each. Each multi-process
+// behaviour (serve, shard and coord processes, kill -9, warm restart,
+// standby takeover, SIGTERM drain) is checked once, by the process walls in
+// cmd/idebench under the race-enabled suite; no CI step starts a server
+// from the shell.
 //
 // # Benchmark and sweeps
 //

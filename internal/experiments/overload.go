@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -42,7 +43,8 @@ const maxDoneP99PastKnee = 1500.0
 // post-drain shared-scan consumer count: overload may cost rejections, never
 // leaks or unbounded tails. The sweep prints its table and then fails unless
 // the shedding knee appears inside the ladder, the admitted-query p99 stays
-// bounded past it, and no rate saw a hard error or leaked a consumer.
+// bounded past it, and no rate saw a hard error, leaked a consumer or left
+// a query in flight after its drain.
 func OverloadSweep(cfg Config) ([]report.OverloadPoint, error) {
 	return OverloadSweepRates(cfg, DefaultOverloadRates, 2*time.Second)
 }
@@ -91,6 +93,7 @@ func OverloadSweepRates(cfg Config, rates []float64, window time.Duration) ([]re
 	addr := l.Addr().String()
 
 	var points []report.OverloadPoint
+	var leakedInflight []int64
 	for i, rate := range rates {
 		// Fresh client per point: session state, handle maps, and frame
 		// stats start clean at every rung.
@@ -115,15 +118,21 @@ func OverloadSweepRates(cfg Config, rates []float64, window time.Duration) ([]re
 		}
 
 		// The leak gate: after the point's clients are gone, the shared scan
-		// must drain to zero consumers before the next rung starts.
+		// must drain to zero consumers, and /healthz to zero queries in
+		// flight, before the next rung starts.
+		deadline := time.Now().Add(10 * time.Second)
 		leaked := 0
 		if scanObs != nil {
-			deadline := time.Now().Add(10 * time.Second)
 			for scanObs.ActiveScanConsumers() > 0 && time.Now().Before(deadline) {
 				time.Sleep(5 * time.Millisecond)
 			}
 			leaked = scanObs.ActiveScanConsumers()
 		}
+		inflight, err := inflightAfterDrain(addr, deadline)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: overload at %.0f/s: %w", rate, err)
+		}
+		leakedInflight = append(leakedInflight, inflight)
 
 		points = append(points, report.OverloadPoint{
 			Rate:            rate,
@@ -152,12 +161,35 @@ func OverloadSweepRates(cfg Config, rates []float64, window time.Duration) ([]re
 	if err := report.RenderOverloadSweep(cfg.Out, points); err != nil {
 		return nil, err
 	}
-	return points, overloadGate(points)
+	return points, overloadGate(points, leakedInflight)
+}
+
+// inflightAfterDrain polls the server's /healthz until it reports no query
+// in flight or the deadline passes, and returns the last count it read.
+func inflightAfterDrain(addr string, deadline time.Time) (int64, error) {
+	client := &http.Client{Timeout: server.PingTimeout}
+	for {
+		resp, err := client.Get("http://" + addr + "/healthz")
+		if err != nil {
+			return 0, err
+		}
+		var h server.Health
+		err = json.NewDecoder(resp.Body).Decode(&h)
+		resp.Body.Close()
+		if err != nil {
+			return 0, fmt.Errorf("decode /healthz: %w", err)
+		}
+		if h.Inflight == 0 || time.Now().After(deadline) {
+			return h.Inflight, nil
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // overloadGate returns the failed overload-survival checks as one error, nil
-// when every check holds.
-func overloadGate(points []report.OverloadPoint) error {
+// when every check holds. inflight[i] is the server's in-flight query count
+// after points[i] drained.
+func overloadGate(points []report.OverloadPoint, inflight []int64) error {
 	var failures []error
 	knee := report.FindKnee(points)
 	if knee < 0 {
@@ -167,6 +199,9 @@ func overloadGate(points []report.OverloadPoint) error {
 	for i, p := range points {
 		if p.LeakedConsumers != 0 {
 			failures = append(failures, fmt.Errorf("rate %.0f/s leaked %d scan consumers after drain", p.Rate, p.LeakedConsumers))
+		}
+		if inflight[i] != 0 {
+			failures = append(failures, fmt.Errorf("rate %.0f/s left %d queries in flight after drain", p.Rate, inflight[i]))
 		}
 		if p.Errors > 0 {
 			failures = append(failures, fmt.Errorf("rate %.0f/s saw %d hard errors (overload must reject explicitly, not error)", p.Rate, p.Errors))

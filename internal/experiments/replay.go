@@ -134,12 +134,18 @@ func tierTopology(label string, parts, reps int, kills [][2]int, db *dataset.Dat
 }
 
 // replayConfig is the driver configuration every replay sweep uses: the
-// middle time requirement of the configured sweep.
+// middle time requirement of the configured sweep, and think times
+// jittered like real analysts', each user on its own stream seeded from
+// cfg.Seed. The user sweep's sequential baseline uses it unchanged (one
+// user), so at one user the baseline and the concurrent point replay one
+// think schedule.
 func replayConfig(cfg Config) driver.Config {
 	return driver.Config{
 		TimeRequirement: cfg.TRs[len(cfg.TRs)/2],
 		ThinkTime:       cfg.ThinkTime,
 		DataSizeLabel:   core.SizeLabel(cfg.Rows),
+		ThinkJitter:     driver.DefaultThinkJitter,
+		Seed:            cfg.Seed,
 	}
 }
 
@@ -192,7 +198,7 @@ func replayPoint(cfg Config, db *dataset.Database, gt *groundtruth.Cache, t topo
 	row.PrepareMS = durationMS(prep)
 
 	dcfg := replayConfig(cfg)
-	dcfg.Users, dcfg.ThinkJitter, dcfg.Seed = len(flows), driver.DefaultThinkJitter, cfg.Seed
+	dcfg.Users = len(flows)
 	var truth driver.Truth = gt
 	var app engine.Appender
 	var h *ingest.Harness

@@ -2,8 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"idebench/internal/core"
+	"idebench/internal/driver"
 )
 
 func TestUserSweepQuick(t *testing.T) {
@@ -44,5 +49,52 @@ func TestUserSweepQuick(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "User scalability") || !strings.Contains(out, "speedup_vs_sequential") {
 		t.Errorf("sweep output missing sections:\n%s", out)
+	}
+}
+
+// TestUserSweepBaselineThinkSchedule pins the user sweep's like-for-like
+// baseline. On a SimClock, where virtual time advances only by think time
+// (every query finishes long before its deadline), the sequential
+// baseline's replay of one flow starts every query at the same offset as
+// the concurrent point's one-user replay of it, and that schedule is
+// jittered like the concurrent points', not the constant think time.
+func TestUserSweepBaselineThinkSchedule(t *testing.T) {
+	cfg := quickCfg(nil).withDefaults()
+	db, gt, flows, err := replaySetup(cfg, 1, 9000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.Prepare("exactdb", db, engineSettings(cfg, cfg.Rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Unix(0, 0)
+	schedule := func(dcfg driver.Config) []time.Duration {
+		t.Helper()
+		clock := driver.NewSimClock(start)
+		clock.Grace = time.Minute
+		dcfg.Clock, dcfg.TimeRequirement = clock, time.Hour
+		res, err := driver.Replay(p.Engine, gt, dcfg, flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]time.Duration, len(res.Records))
+		for i, r := range res.Records {
+			out[i] = r.StartTime.Sub(start)
+		}
+		return out
+	}
+	// The baseline as UserSweepUsers runs it, the concurrent point as
+	// replayPoint derives it, and the same replay with constant think times.
+	baseline := schedule(replayConfig(cfg))
+	concurrent := replayConfig(cfg)
+	concurrent.Users = 1
+	constant := replayConfig(cfg)
+	constant.ThinkJitter = 0
+	if !slices.Equal(baseline, schedule(concurrent)) {
+		t.Fatalf("baseline and one-user concurrent schedules differ:\n%v\n%v", baseline, schedule(concurrent))
+	}
+	if slices.Equal(baseline, schedule(constant)) {
+		t.Fatalf("baseline schedule %v is not jittered", baseline)
 	}
 }
