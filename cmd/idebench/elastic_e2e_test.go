@@ -86,8 +86,11 @@ func TestElasticFailoverE2E(t *testing.T) {
 	if n := len(partitionWatermarks(chz)); chz.Role != "coord" || n != parts {
 		t.Fatalf("coordinator healthz role=%q partitions=%d, want coord/%d", chz.Role, n, parts)
 	}
-	if chz.SchemaVersion != server.HealthSchemaVersion {
-		t.Fatalf("healthz schema_version = %d, want %d", chz.SchemaVersion, server.HealthSchemaVersion)
+	if chz.SchemaVersion != 5 || server.HealthSchemaVersion != 5 {
+		t.Fatalf("healthz schema_version = %d (const %d), want 5", chz.SchemaVersion, server.HealthSchemaVersion)
+	}
+	if chz.Derived != nil {
+		t.Fatalf("coordinator healthz has a derived block: %+v", chz.Derived)
 	}
 	if chz.Topology == nil || len(chz.Topology.Partitions) != parts {
 		t.Fatalf("healthz topology missing or wrong shape: %+v", chz.Topology)

@@ -8,7 +8,6 @@ import (
 
 	"idebench/internal/core"
 	"idebench/internal/loadgen"
-	"idebench/internal/server"
 )
 
 func cmdLoad(args []string) error {
@@ -62,7 +61,7 @@ func cmdLoad(args []string) error {
 	if err != nil {
 		return err
 	}
-	rem, err := server.NewRemoteWithOptions(*addr, server.RemoteOptions{Reconnect: *reconnect})
+	rem, err := dialRotation(*addr, *reconnect)
 	if err != nil {
 		return err
 	}

@@ -304,21 +304,24 @@ func TestCmdLoad(t *testing.T) {
 	const rows = 20000
 	p := prepareProgressive(t, rows)
 	addr := serveLoopback(t, p.Engine, server.Options{Rows: rows, Seed: 1})
-	out, err := captureStdout(t, func() error {
-		return cmdLoad([]string{
-			"-addr", addr, "-rows", strconv.Itoa(rows), "-schedule", "poisson",
-			"-rate", "200", "-duration", "500ms", "-sessions", "2",
+	// A failover list dials its first address, as run and probe do.
+	for _, list := range []string{addr, addr + "," + freePort(t)} {
+		out, err := captureStdout(t, func() error {
+			return cmdLoad([]string{
+				"-addr", list, "-rows", strconv.Itoa(rows), "-schedule", "poisson",
+				"-rate", "200", "-duration", "500ms", "-sessions", "2",
+			})
 		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := regexp.MustCompile(`(?m)^completed (\d+) .*, errors (\d+)$`).FindStringSubmatch(out)
-	if m == nil {
-		t.Fatal("load printed no completion line")
-	}
-	if m[1] == "0" || m[2] != "0" {
-		t.Fatalf("load completed %s queries with %s hard errors, want some and none", m[1], m[2])
+		if err != nil {
+			t.Fatalf("-addr %s: %v", list, err)
+		}
+		m := regexp.MustCompile(`(?m)^completed (\d+) .*, errors (\d+)$`).FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("-addr %s: load printed no completion line", list)
+		}
+		if m[1] == "0" || m[2] != "0" {
+			t.Fatalf("-addr %s: load completed %s queries with %s hard errors, want some and none", list, m[1], m[2])
+		}
 	}
 }
 

@@ -91,7 +91,7 @@ func cmdRun(args []string) error {
 	if *addr != "" {
 		// The driver code path is identical to the in-process one; only the
 		// engine.Engine implementation behind it differs.
-		if rem, err = dialRotation(*addr); err != nil {
+		if rem, err = dialRotation(*addr, false); err != nil {
 			return fmt.Errorf("run: %w", err)
 		}
 		defer rem.Close()

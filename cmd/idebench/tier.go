@@ -104,17 +104,17 @@ func splitAddrs(s string) []string {
 }
 
 // dialRotation connects a client to a comma-separated failover list
-// (primary first, then warm standbys). With more than one address the
-// client reconnects through the rotation when the primary dies; a single
-// address keeps the fail-loudly default — a benchmark replay should not
-// paper over a flaky single-server setup.
-func dialRotation(addr string) (*server.Remote, error) {
+// (primary first, then warm standbys). With more than one address, or with
+// reconnect, the client reconnects through the rotation when its server
+// drops; a single address without it keeps the fail-loudly default — a
+// benchmark replay should not paper over a flaky single-server setup.
+func dialRotation(addr string, reconnect bool) (*server.Remote, error) {
 	addrs := splitAddrs(addr)
 	if len(addrs) == 0 {
 		return nil, errors.New("-addr is empty")
 	}
 	return server.NewRemoteWithOptions(addrs[0], server.RemoteOptions{
-		Addrs: addrs[1:], Reconnect: len(addrs) > 1,
+		Addrs: addrs[1:], Reconnect: reconnect || len(addrs) > 1,
 	})
 }
 
@@ -397,7 +397,7 @@ func cmdProbe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rem, err := dialRotation(*addr)
+	rem, err := dialRotation(*addr, false)
 	if err != nil {
 		return fmt.Errorf("probe: %w", err)
 	}

@@ -30,7 +30,9 @@
 // bitwise the arithmetic kernels', which remain for FK-indirected
 // dimensions and wider domains. A whole 4096-row block takes the first
 // memo that serves it (engine.GroupState.ScanRangeReusing): a recorded
-// table of the block, a recorded selection of a filter's rows, or a range
+// table of the block for an unfiltered dense plan, 1-D or 2-D (the slots
+// the block touches, at most 2 KiB a table, under a ledger capped at the
+// table's column bytes), a recorded selection of a filter's rows, or a range
 // or IN filter's binary search in the block's row offsets sorted by value
 // (dataset.BlockOrder, 2 B/row, built by the first scan that asks and
 // likewise kept per lineage), before it tests every row. Block tables and
@@ -150,10 +152,10 @@
 //
 // `serve`, `shard` and `coord` are one bring-up — one shared flag set, one
 // place assembling server.Options, one listen/banner/drain function — each
-// adding only its role's hooks. /healthz serves server.Health (schema 4):
+// adding only its role's hooks. /healthz serves server.Health (schema 5):
 // live state top-level, the cumulative counters in an "admission" block, and
-// where they apply the coordinator's "topology" and the data directory's
-// "durable" blocks.
+// where they apply the coordinator's "topology", the data directory's
+// "durable" and the shared scan's "derived" (block-table ledger) blocks.
 //
 // # Overload survival
 //

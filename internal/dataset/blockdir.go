@@ -60,3 +60,12 @@ func (d *BlockDir[T]) cover(n int) *[]*[dirChunk]atomic.Pointer[T] {
 	d.chunks.Store(&cs)
 	return &cs
 }
+
+// Reset empties the directory. A slot handed out before keeps its value but
+// is no longer reachable from the directory, so what the directory held is
+// let go once its readers drop it.
+func (d *BlockDir[T]) Reset() {
+	d.grow.Lock()
+	defer d.grow.Unlock()
+	d.chunks.Store(nil)
+}

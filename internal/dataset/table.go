@@ -247,6 +247,17 @@ func NewTable(name string, schema *Schema, columns []*Column) (*Table, error) {
 // NumRows returns the row count.
 func (t *Table) NumRows() int { return t.rows }
 
+// Bytes returns the size of the table's stored columns: 8 B a row for a
+// quantitative column, 4 for a nominal one's codes. Dictionaries and
+// derived memos are not counted.
+func (t *Table) Bytes() int64 {
+	var n int64
+	for _, c := range t.Columns {
+		n += int64(8*len(c.Nums) + 4*len(c.Codes))
+	}
+	return n
+}
+
 // Column returns the named column, or nil.
 func (t *Table) Column(name string) *Column {
 	i := t.Schema.FieldIndex(name)

@@ -110,8 +110,8 @@ func TestScanRangeSteadyStateAllocs(t *testing.T) {
 }
 
 // TestScanRangeBlocksSteadyStateAllocs: a scan that merges recorded block
-// tables — whole blocks, and a span with a ragged head and tail folded row
-// by row around them — allocates nothing.
+// tables, 1-D or 2-D — whole blocks, and a span with a ragged head and tail
+// folded row by row around them — allocates nothing.
 func TestScanRangeBlocksSteadyStateAllocs(t *testing.T) {
 	db := randomDB(t, rand.New(rand.NewSource(6)), 8*BatchRows, false)
 	for name, aggs := range map[string][]query.Aggregate{
@@ -119,27 +119,38 @@ func TestScanRangeBlocksSteadyStateAllocs(t *testing.T) {
 		"sum_min_max":  {{Func: query.Sum, Field: "y"}, {Func: query.Min, Field: "x"}, {Func: query.Max, Field: "y"}},
 		"count_avg_2x": {{Func: query.Count}, {Func: query.Avg, Field: "x"}, {Func: query.Avg, Field: "y"}},
 	} {
-		plan, err := Compile(db, &query.Query{VizName: "v", Table: "fact",
-			Bins: []query.Binning{{Field: "cat_a", Kind: dataset.Nominal}}, Aggs: aggs})
-		if err != nil {
-			t.Fatal(err)
+		for dims, bins := range map[string][]query.Binning{
+			"1-D": {{Field: "cat_a", Kind: dataset.Nominal}},
+			"2-D": {{Field: "cat_b", Kind: dataset.Nominal}, {Field: "x", Kind: dataset.Quantitative, Width: 200}},
+		} {
+			scanBlocksAllocs(t, name+" "+dims, db, bins, aggs)
 		}
-		b := NewBlocks(plan)
-		NewGroupState(plan).ScanRangeReusing(0, plan.NumRows, b, nil)
-		gs := NewGroupState(plan)
-		gs.ScanRange(0, BatchRows)
-		batch := 1
-		for _, span := range [][2]int{{0, BatchRows}, {100, 3*BatchRows - 100}} {
-			allocs := testing.AllocsPerRun(6, func() {
-				lo := batch % 5 * BatchRows
-				if gs.ScanRangeReusing(lo+span[0], lo+span[1], b, nil) == 0 {
-					t.Fatal("no recorded block merged")
-				}
-				batch++
-			})
-			if allocs != 0 {
-				t.Errorf("%s: %v allocations per ScanRangeReusing over %v, want 0", name, allocs, span)
+	}
+}
+
+// scanBlocksAllocs records every block of one shape, then counts what
+// merging them costs.
+func scanBlocksAllocs(t *testing.T, name string, db *dataset.Database, bins []query.Binning, aggs []query.Aggregate) {
+	t.Helper()
+	plan, err := Compile(db, &query.Query{VizName: "v", Table: "fact", Bins: bins, Aggs: aggs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBlocks(plan, nil)
+	NewGroupState(plan).ScanRangeReusing(0, plan.NumRows, b, nil)
+	gs := NewGroupState(plan)
+	gs.ScanRange(0, BatchRows)
+	batch := 1
+	for _, span := range [][2]int{{0, BatchRows}, {100, 3*BatchRows - 100}} {
+		allocs := testing.AllocsPerRun(6, func() {
+			lo := batch % 5 * BatchRows
+			if gs.ScanRangeReusing(lo+span[0], lo+span[1], b, nil) == 0 {
+				t.Fatalf("%s: no recorded block merged", name)
 			}
+			batch++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per ScanRangeReusing over %v, want 0", name, allocs, span)
 		}
 	}
 }

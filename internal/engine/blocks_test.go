@@ -23,8 +23,9 @@ func blockPlan(t *testing.T, db *dataset.Database, q *query.Query) *Compiled {
 }
 
 // TestBlockShapeKeys: plans that fold the same op columns over the same
-// binning and geometry share a key whatever their aggregate positions, other
-// op classes or inputs do not, and filtered, 2-D and wide plans have none.
+// binnings share a key whatever their aggregate positions; other op classes,
+// inputs or binnings do not, nor do the same two binnings in the other
+// order; and filtered and non-dense plans have none.
 func TestBlockShapeKeys(t *testing.T) {
 	db := randomDB(t, rand.New(rand.NewSource(2)), 4*BatchRows, false)
 	byCat := []query.Binning{{Field: "cat_b", Kind: dataset.Nominal}}
@@ -45,17 +46,24 @@ func TestBlockShapeKeys(t *testing.T) {
 		{Bins: byCat, Aggs: []query.Aggregate{{Func: query.Sum, Field: "x"}, {Func: query.Max, Field: "x"}}},
 		{Bins: []query.Binning{{Field: "cat_a", Kind: dataset.Nominal}}, Aggs: []query.Aggregate{{Func: query.Sum, Field: "x"}}},
 		{Bins: []query.Binning{{Field: "x", Kind: dataset.Quantitative, Width: 50}}, Aggs: []query.Aggregate{{Func: query.Sum, Field: "x"}}},
+		{Bins: append(byCat, query.Binning{Field: "cat_a", Kind: dataset.Nominal}), Aggs: []query.Aggregate{{Func: query.Sum, Field: "x"}}},
 	} {
 		if k := key(q); k == sum {
 			t.Fatalf("%s shares SUM(x) by cat_b's key %q", q.Signature(), k)
 		}
 	}
+	ab := []query.Binning{{Field: "cat_a", Kind: dataset.Nominal}, {Field: "x", Kind: dataset.Quantitative, Width: 50}}
+	ba := []query.Binning{ab[1], ab[0]}
+	if kab, kba := key(&query.Query{Bins: ab, Aggs: []query.Aggregate{{Func: query.Count}}}),
+		key(&query.Query{Bins: ba, Aggs: []query.Aggregate{{Func: query.Count}}}); kab == kba {
+		t.Fatalf("cat_a×x and x×cat_a share the key %q", kab)
+	}
 	for name, q := range map[string]*query.Query{
 		"filtered": {Bins: byCat, Aggs: []query.Aggregate{{Func: query.Count}},
 			Filter: query.Filter{Predicates: []query.Predicate{{Field: "x", Op: query.OpRange, Lo: 0, Hi: 1}}}},
-		"2-D": {Bins: []query.Binning{{Field: "cat_a", Kind: dataset.Nominal}, {Field: "cat_b", Kind: dataset.Nominal}},
+		"past denseMaxSlots": {Bins: []query.Binning{{Field: "y", Kind: dataset.Quantitative, Width: 1}},
 			Aggs: []query.Aggregate{{Func: query.Count}}},
-		"past blockMaxSlots": {Bins: []query.Binning{{Field: "y", Kind: dataset.Quantitative, Width: 10}},
+		"2-D past denseMaxSlots": {Bins: []query.Binning{{Field: "cat_b", Kind: dataset.Nominal}, {Field: "y", Kind: dataset.Quantitative, Width: 4}},
 			Aggs: []query.Aggregate{{Func: query.Count}}},
 	} {
 		if k, ok := blockPlan(t, db, q).BlockShape(); ok {
@@ -65,56 +73,87 @@ func TestBlockShapeKeys(t *testing.T) {
 }
 
 // TestBlockTablesConcurrentRecord: scans racing to record the same blocks
-// of one shape each fold a correct table, one table per block is kept, and
-// every state equals the others bit for bit and ScanRange's on counts and
-// min/max, its moments within 1e-9.
+// of one shape, 1-D and 2-D, each fold a correct table, one table per block
+// is kept, and every state equals the others bit for bit and ScanRange's on
+// counts and min/max, its moments within 1e-9.
 func TestBlockTablesConcurrentRecord(t *testing.T) {
 	db := randomDB(t, rand.New(rand.NewSource(4)), 6*BatchRows+100, false)
-	plan := blockPlan(t, db, &query.Query{Bins: []query.Binning{{Field: "cat_a", Kind: dataset.Nominal}},
-		Aggs: []query.Aggregate{{Func: query.Count}, {Func: query.Avg, Field: "x"}, {Func: query.Min, Field: "y"}, {Func: query.Max, Field: "x"}}})
-	b := NewBlocks(plan)
-	const scans = 4
-	states := make([]*GroupState, scans)
-	var wg sync.WaitGroup
-	for i := range states {
-		states[i] = NewGroupState(plan)
-		wg.Add(1)
-		go func(g *GroupState) {
-			defer wg.Done()
-			g.ScanRangeReusing(0, plan.NumRows, b, nil)
-		}(states[i])
-	}
-	wg.Wait()
-	for i := 0; i < plan.NumRows/BatchRows; i++ {
-		if b.dir.Slot(i).Load() == nil {
-			t.Fatalf("block %d holds no table", i)
+	aggs := []query.Aggregate{{Func: query.Count}, {Func: query.Avg, Field: "x"}, {Func: query.Min, Field: "y"}, {Func: query.Max, Field: "x"}}
+	for name, bins := range map[string][]query.Binning{
+		"1-D": {{Field: "cat_a", Kind: dataset.Nominal}},
+		"2-D": {{Field: "cat_b", Kind: dataset.Nominal}, {Field: "x", Kind: dataset.Quantitative, Width: 200}},
+	} {
+		plan := blockPlan(t, db, &query.Query{Bins: bins, Aggs: aggs})
+		b := NewBlocks(plan, nil)
+		const scans = 4
+		states := make([]*GroupState, scans)
+		var wg sync.WaitGroup
+		for i := range states {
+			states[i] = NewGroupState(plan)
+			wg.Add(1)
+			go func(g *GroupState) {
+				defer wg.Done()
+				g.ScanRangeReusing(0, plan.NumRows, b, nil)
+			}(states[i])
 		}
-	}
-	for i, g := range states[1:] {
-		assertStatesEqual(t, fmt.Sprintf("scan %d against scan 0", i+1), states[0], g)
-	}
-	ref := NewGroupState(plan)
-	ref.ScanRange(0, plan.NumRows)
-	want, got := binStates(t, "ScanRange", ref), binStates(t, "blocks", states[0])
-	if len(got) != len(want) {
-		t.Fatalf("%d bins, ScanRange %d", len(got), len(want))
-	}
-	for k, w := range want {
-		g := got[k]
-		if g.N != w.N || !reflect.DeepEqual(g.Mins, w.Mins) || !reflect.DeepEqual(g.Maxs, w.Maxs) {
-			t.Fatalf("bin %v: %+v, ScanRange %+v", k, g, w)
+		wg.Wait()
+		for i := 0; i < plan.NumRows/BatchRows; i++ {
+			if bt := b.dir.Slot(i).Load(); bt == nil || bt == blockUnrecordable {
+				t.Fatalf("%s: block %d holds no table", name, i)
+			}
 		}
-		for i, wm := range w.Moments {
-			gm := g.Moments[i]
-			for _, v := range [][2]float64{{wm.Sum(w.N), gm.Sum(w.N)}, {wm.Mean(w.N), gm.Mean(w.N)}, {wm.M2(w.N), gm.M2(w.N)}} {
-				if math.Abs(v[0]-v[1]) > 1e-9*math.Max(1, math.Abs(v[0])) {
-					t.Fatalf("bin %v agg %d: moments %+v, ScanRange %+v", k, i, gm, wm)
+		for i, g := range states[1:] {
+			assertStatesEqual(t, fmt.Sprintf("%s: scan %d against scan 0", name, i+1), states[0], g)
+		}
+		ref := NewGroupState(plan)
+		ref.ScanRange(0, plan.NumRows)
+		want, got := binStates(t, "ScanRange", ref), binStates(t, "blocks", states[0])
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d bins, ScanRange %d", name, len(got), len(want))
+		}
+		for k, w := range want {
+			g := got[k]
+			if g.N != w.N || !reflect.DeepEqual(g.Mins, w.Mins) || !reflect.DeepEqual(g.Maxs, w.Maxs) {
+				t.Fatalf("%s: bin %v: %+v, ScanRange %+v", name, k, g, w)
+			}
+			for i, wm := range w.Moments {
+				gm := g.Moments[i]
+				for _, v := range [][2]float64{{wm.Sum(w.N), gm.Sum(w.N)}, {wm.Mean(w.N), gm.Mean(w.N)}, {wm.M2(w.N), gm.M2(w.N)}} {
+					if math.Abs(v[0]-v[1]) > 1e-9*math.Max(1, math.Abs(v[0])) {
+						t.Fatalf("%s: bin %v agg %d: moments %+v, ScanRange %+v", name, k, i, gm, wm)
+					}
 				}
 			}
 		}
+		if g := NewGroupState(plan); g.ScanRangeReusing(0, plan.NumRows, b, nil) != plan.NumRows/BatchRows*BatchRows {
+			t.Fatalf("%s: a scan after the race did not merge every whole block", name)
+		}
 	}
-	if g := NewGroupState(plan); g.ScanRangeReusing(0, plan.NumRows, b, nil) != plan.NumRows/BatchRows*BatchRows {
-		t.Fatal("a scan after the race did not merge every whole block")
+}
+
+// TestBlockUnrecordableFolds: a shape whose every block table would pass
+// maxBlockTableBytes keeps the shared sentinel in each block's slot, and
+// every scan of it — the recording one included — folds the rows exactly as
+// ScanRange does, bit for bit, merging nothing.
+func TestBlockUnrecordableFolds(t *testing.T) {
+	db := randomDB(t, rand.New(rand.NewSource(5)), 5*BatchRows+17, false)
+	plan := blockPlan(t, db, &query.Query{
+		Bins: []query.Binning{{Field: "cat_b", Kind: dataset.Nominal}, {Field: "y", Kind: dataset.Quantitative, Width: 50}},
+		Aggs: []query.Aggregate{{Func: query.Avg, Field: "x"}, {Func: query.Max, Field: "y"}}})
+	b := NewBlocks(plan, nil)
+	ref := NewGroupState(plan)
+	ref.ScanRange(0, plan.NumRows)
+	for round := 0; round < 2; round++ {
+		g := NewGroupState(plan)
+		if served := g.ScanRangeReusing(0, plan.NumRows, b, nil); served != 0 {
+			t.Fatalf("round %d merged %d rows from tables over the byte rule", round, served)
+		}
+		for i := 0; i < plan.NumRows/BatchRows; i++ {
+			if b.dir.Slot(i).Load() != blockUnrecordable {
+				t.Fatalf("round %d: block %d does not hold the unrecordable sentinel", round, i)
+			}
+		}
+		assertStatesEqual(t, fmt.Sprintf("round %d", round), ref, g)
 	}
 }
 
@@ -209,7 +248,7 @@ func TestBlockChainOrder(t *testing.T) {
 	t.Run("block tables before selection", func(t *testing.T) {
 		db := randomDB(t, rand.New(rand.NewSource(42)), rows, false)
 		plan := blockPlan(t, db, &query.Query{Bins: byCat, Aggs: []query.Aggregate{{Func: query.Count}}})
-		b := NewBlocks(plan)
+		b := NewBlocks(plan, nil)
 		NewGroupState(plan).ScanRangeReusing(0, rows, b, nil)
 		// An unfiltered plan never gets a use from NewSelectionUse; this one
 		// holds a selection with every block recorded, which the chain must

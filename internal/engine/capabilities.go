@@ -67,3 +67,26 @@ type ReplicaTopology struct {
 	// the coordinator's global row axis.
 	Watermark int64 `json:"watermark"`
 }
+
+// DerivedObserver is the optional derived-state observability capability:
+// an engine that keeps structures derived from its table alone, holding no
+// query's answer, reports their size. The serving layer embeds it in
+// /healthz as "derived".
+type DerivedObserver interface {
+	Derived() Derived
+}
+
+// Derived is an engine's derived state at one instant.
+type Derived struct {
+	BlockTables BlockTables `json:"block_tables"`
+}
+
+// BlockTables is a shared scanner's block-table ledger (README.md, "Block
+// tables"): the bytes of the tables it keeps, over how many shapes, the cap
+// those bytes stay under, and the shapes evicted to stay under it.
+type BlockTables struct {
+	Bytes     int64 `json:"bytes"`
+	Shapes    int   `json:"shapes"`
+	Cap       int64 `json:"cap"`
+	Evictions int64 `json:"evictions"`
+}

@@ -57,6 +57,9 @@ type Compiled struct {
 	// arithmetically; otherwise geom is zero and the table indexes slots by
 	// key.
 	geom denseGeom
+	// tableBytes is the size of the fact table's stored columns
+	// (dataset.Table.Bytes).
+	tableBytes int64
 }
 
 // denseGeom is the key domain of a dense accumulator table: sizeA × sizeB
@@ -133,7 +136,7 @@ func compile(db *dataset.Database, q *query.Query, buildCodes bool) (*Compiled, 
 		return nil, fmt.Errorf("engine: table %q has %d rows, max supported is %d",
 			q.Table, db.Fact.NumRows(), uint32(math.MaxUint32))
 	}
-	c := &Compiled{Query: q, NumRows: db.Fact.NumRows()}
+	c := &Compiled{Query: q, NumRows: db.Fact.NumRows(), tableBytes: db.Fact.Bytes()}
 
 	var dims []binDim
 	var domains []binDomain
@@ -307,6 +310,10 @@ func (c *Compiled) AggInput(row int, dst []float64) {
 		}
 	}
 }
+
+// TableBytes returns the size of the stored columns of the fact table the
+// plan reads (dataset.Table.Bytes).
+func (c *Compiled) TableBytes() int64 { return c.tableBytes }
 
 // NumAggs returns the number of aggregates in the plan.
 func (c *Compiled) NumAggs() int { return len(c.aggGet) }

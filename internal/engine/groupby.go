@@ -224,9 +224,6 @@ type GroupState struct {
 	plan    *Compiled
 	t       accTable
 	scratch []float64 // scalar path's aggregate inputs
-	// rec folds a block before its table is published to a Blocks: a state
-	// of the same plan, made on first use and emptied for each next block.
-	rec *GroupState
 }
 
 // NewGroupState allocates an empty state for the plan.
@@ -272,6 +269,17 @@ type scanScratch struct {
 	slotsB [BatchRows]int32
 	vals   [][]float64 // gather buffers, one per aggregate op, grown on demand
 	in     [][]float64 // this batch's aggregate inputs, parallel to plan.aggOps
+
+	// The block recorder's working set (recordBlock): a bitmap of slots,
+	// the slots a block touches, and a dense table it folds into, whose
+	// columns — counts, then per op class one column per op of that class —
+	// are made on first use and are empty between blocks.
+	marks          [denseMaxSlots / 64]uint64
+	touched        [denseMaxSlots]uint16
+	rec            accTable
+	recN           []int64
+	recM           [][]Moments
+	recMin, recMax [][]float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
@@ -291,6 +299,16 @@ func (sc *scanScratch) val(k int) []float64 {
 	return sc.vals[k]
 }
 
+// gatherRange gathers the aggregate inputs of plan's ops over rows
+// [lo, lo+n) into the scratch and returns them, parallel to plan.aggOps.
+func (sc *scanScratch) gatherRange(plan *Compiled, lo, n int) [][]float64 {
+	sc.in = sc.in[:0]
+	for k, op := range plan.aggOps {
+		sc.in = append(sc.in, plan.aggKern[op.slot].gatherRange(lo, sc.val(k)[:n]))
+	}
+	return sc.in
+}
+
 // ScanRange folds physical rows [lo, hi) that match the filter.
 func (g *GroupState) ScanRange(lo, hi int) { g.ScanRangeReusing(lo, hi, nil, nil) }
 
@@ -302,9 +320,9 @@ func (g *GroupState) ScanRange(lo, hi int) { g.ScanRangeReusing(lo, hi, nil, nil
 // back at block edges (README.md, "The bitwise wall"). It returns the rows
 // merged from tables b already held. A b of another shape, and a u built
 // for another plan (a shard that sharedscan.Extend rebound to a grown
-// view), are ignored.
+// view), are ignored, and so is a dropped b.
 func (g *GroupState) ScanRangeReusing(lo, hi int, b *Blocks, u *SelectionUse) (served int) {
-	if b != nil && !b.Serves(g.plan) {
+	if b != nil && (b.dropped.Load() || !b.Serves(g.plan)) {
 		b = nil
 	}
 	if u != nil && u.plan != g.plan {
@@ -323,32 +341,33 @@ func (g *GroupState) ScanRangeReusing(lo, hi int, b *Blocks, u *SelectionUse) (s
 }
 
 // scanBlock folds whole aligned block i through the first stage that
-// serves it: (1) b's table of the block, merged — recorded through g.rec and
-// published first when b has none; else, for a filtered plan, (2) the rows
-// u's from selection recorded, (3) the first predicate's block order or (4)
-// its row test, then refined by the predicates not yet applied, recorded
-// into u's into selection and folded. It returns the rows merged from a
-// table b already held.
+// serves it: (1) b's table of the block, merged — recorded and published
+// first when b has none, its rows folded when the block is unrecordable;
+// else, for a filtered plan, (2) the rows u's from selection recorded,
+// (3) the first predicate's block order or (4) its row test, then refined
+// by the predicates not yet applied, recorded into u's into selection and
+// folded. It returns the rows merged from a table b already held.
 func (g *GroupState) scanBlock(sc *scanScratch, i int, b *Blocks, u *SelectionUse) (served int) {
 	lo, hi := i*BatchRows, (i+1)*BatchRows
 	if b != nil {
 		slot := b.dir.Slot(i)
-		bt := slot.Load()
-		if bt != nil {
-			served = BatchRows
-		} else {
-			if g.rec == nil {
-				g.rec = NewGroupState(g.plan)
+		switch bt := slot.Load(); bt {
+		case blockUnrecordable:
+			g.scanBatch(sc, lo, hi)
+			return 0
+		case nil:
+			bt = g.recordBlock(sc, lo, b)
+			if slot.CompareAndSwap(nil, bt) && bt != blockUnrecordable && !b.admit(bt.bytes()) {
+				slot.CompareAndSwap(bt, nil)
 			}
-			g.rec.t.empty()
-			g.rec.scanBatch(sc, lo, hi)
-			bt = compactBlock(&g.rec.t, g.plan.aggOps)
-			if !slot.CompareAndSwap(nil, bt) {
-				bt = slot.Load()
+			if bt != blockUnrecordable {
+				g.mergeBlock(bt)
 			}
+			return 0
+		default:
+			g.mergeBlock(bt)
+			return BatchRows
 		}
-		g.mergeBlock(bt)
-		return served
 	}
 	preds := g.plan.predKern
 	if len(preds) == 0 {
@@ -437,11 +456,7 @@ func (g *GroupState) scanBatch(sc *scanScratch, lo, hi int) {
 			slots[i] = g.t.slot(plan.BinKey(lo + i))
 		}
 	}
-	sc.in = sc.in[:0]
-	for k, op := range plan.aggOps {
-		sc.in = append(sc.in, plan.aggKern[op.slot].gatherRange(lo, sc.val(k)[:n]))
-	}
-	g.accumulate(slots, sc.in)
+	g.t.accumulate(plan.aggOps, slots, sc.gatherRange(plan, lo, n))
 }
 
 // foldSel computes slots and aggregate inputs for the selected rows and
@@ -466,19 +481,19 @@ func (g *GroupState) foldSel(sc *scanScratch, sel []uint32) {
 		plan.aggKern[op.slot].gatherSel(sel, vals)
 		sc.in = append(sc.in, vals)
 	}
-	g.accumulate(slots, sc.in)
+	g.t.accumulate(plan.aggOps, slots, sc.in)
 }
 
 // accumulate folds one batch into the table a column at a time: the counts,
-// then each aggregate op's inputs (in[k] belongs to plan.aggOps[k]). Within a
+// then each aggregate op's inputs (in[k] belongs to ops[k]). Within a
 // column every bin still observes its values in row order, so results stay
 // bitwise-identical to the scalar path. A leading SUM/AVG — the dominant
 // dashboard shape — shares the counting pass: the count's short
 // read-modify-write chain runs beside the moments' add chain.
-func (g *GroupState) accumulate(slots []int32, in [][]float64) {
-	cnt, ops := g.t.n, g.plan.aggOps
+func (t *accTable) accumulate(ops []aggOp, slots []int32, in [][]float64) {
+	cnt := t.n
 	if len(ops) > 0 && ops[0].code == aggOpMoments {
-		countAndAdd(cnt, g.t.m[ops[0].slot], slots, in[0])
+		countAndAdd(cnt, t.m[ops[0].slot], slots, in[0])
 		ops, in = ops[1:], in[1:]
 	} else {
 		for _, s := range slots {
@@ -489,19 +504,19 @@ func (g *GroupState) accumulate(slots []int32, in [][]float64) {
 		vals := in[k][:len(slots)]
 		switch op.code {
 		case aggOpMoments:
-			col := g.t.m[op.slot]
+			col := t.m[op.slot]
 			for i, s := range slots {
 				col[s].add(vals[i])
 			}
 		case aggOpMin:
-			col := g.t.mins[op.slot]
+			col := t.mins[op.slot]
 			for i, s := range slots {
 				if v := vals[i]; v < col[s] {
 					col[s] = v
 				}
 			}
 		case aggOpMax:
-			col := g.t.maxs[op.slot]
+			col := t.maxs[op.slot]
 			for i, s := range slots {
 				if v := vals[i]; v > col[s] {
 					col[s] = v

@@ -310,49 +310,58 @@ func BenchmarkDrillDown(b *testing.B) {
 	}
 }
 
-// BenchmarkBlockAggregates times an unfiltered 1-D query to its final over
-// the 4M-row table: cold, on a scanner whose block registry is empty (every
-// iteration re-adopts the prepared storage, which starts a new scanner),
-// and repeated, in a fresh session after the same query ran once, where
-// every whole block merges its recorded table (README.md, "Block
-// aggregates"). Neither case finds a cached answer; blockrows/op is the rows
-// served from block tables.
+// BenchmarkBlockAggregates times an unfiltered query to its final over the
+// 4M-row table, a 1-D AVG and a 2-D AVG heatmap: cold, on a scanner whose
+// block registry is empty (every iteration re-adopts the prepared storage,
+// which starts a new scanner), so every whole block is folded and its table
+// recorded, and repeated, in a fresh session after the same query ran once,
+// where every whole block merges its recorded table (README.md, "Block
+// tables"). Neither case finds a cached answer; blockrows/op is the rows
+// served from block tables, ns/block the time per block of the table.
 func BenchmarkBlockAggregates(b *testing.B) {
 	e := New(Config{})
 	if err := e.Prepare(benchDB(b), engine.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	db, perm := e.SnapshotView()
-	q := enginetest.AvgDelayByDistance()
-	run := func() int64 {
-		sess := e.OpenSession()
-		defer sess.Close()
-		h, err := sess.StartQuery(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		<-h.Done()
-		return sess.(*session).blockRows(q)
-	}
-	for _, c := range []struct {
+	heatmap := &query.Query{VizName: "viz_heat", Table: "flights",
+		Bins: []query.Binning{{Field: "carrier", Kind: dataset.Nominal}, {Field: "distance", Kind: dataset.Quantitative, Width: 500}},
+		Aggs: []query.Aggregate{{Func: query.Avg, Field: "arr_delay"}}}
+	for _, shape := range []struct {
 		name string
-		cold bool
-	}{{"cold", true}, {"repeated", false}} {
-		b.Run(c.name, func(b *testing.B) {
-			var served int64
-			b.StopTimer()
-			for i := 0; i < b.N; i++ {
-				if err := e.PrepareReordered(db, perm, engine.Options{}); err != nil {
-					b.Fatal(err)
-				}
-				if !c.cold {
-					run()
-				}
-				b.StartTimer()
-				served += run()
-				b.StopTimer()
+		q    *query.Query
+	}{{"1d", enginetest.AvgDelayByDistance()}, {"2d", heatmap}} {
+		run := func() int64 {
+			sess := e.OpenSession()
+			defer sess.Close()
+			h, err := sess.StartQuery(shape.q)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(served)/float64(b.N), "blockrows/op")
-		})
+			<-h.Done()
+			return sess.(*session).blockRows(shape.q)
+		}
+		for _, c := range []struct {
+			name string
+			cold bool
+		}{{"cold", true}, {"repeated", false}} {
+			b.Run(shape.name+"_"+c.name, func(b *testing.B) {
+				var served int64
+				b.StopTimer()
+				for i := 0; i < b.N; i++ {
+					if err := e.PrepareReordered(db, perm, engine.Options{}); err != nil {
+						b.Fatal(err)
+					}
+					if !c.cold {
+						run()
+					}
+					b.StartTimer()
+					served += run()
+					b.StopTimer()
+				}
+				b.ReportMetric(float64(served)/float64(b.N), "blockrows/op")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(benchRows/dataset.BlockRows), "ns/block")
+			})
+		}
 	}
 }

@@ -27,8 +27,9 @@
 // expensive ones beside it, a query's window is a prefix of the
 // permutation, and a cancelled query's partial state resumes from the
 // cache without re-reading a row. An
-// unfiltered 1-D query merges the per-block tables the scanner records once
-// per accumulator shape (internal/engine/README.md, "Block tables").
+// unfiltered dense query, 1-D or 2-D, merges the per-block tables the
+// scanner records once per accumulator shape (internal/engine/README.md,
+// "Block tables").
 //
 // # Sessions
 //
@@ -216,10 +217,20 @@ func (e *Engine) ActiveScanConsumers() int {
 	return 0
 }
 
+// Derived implements engine.DerivedObserver: the block-table ledger of the
+// current view's shared scanner.
+func (e *Engine) Derived() engine.Derived {
+	if v := e.lin.Load(); v != nil {
+		return engine.Derived{BlockTables: v.X.scan.BlockTables()}
+	}
+	return engine.Derived{}
+}
+
 var (
-	_ engine.Engine       = (*Engine)(nil)
-	_ engine.Appender     = (*Engine)(nil)
-	_ engine.ScanObserver = (*Engine)(nil)
+	_ engine.Engine          = (*Engine)(nil)
+	_ engine.Appender        = (*Engine)(nil)
+	_ engine.ScanObserver    = (*Engine)(nil)
+	_ engine.DerivedObserver = (*Engine)(nil)
 )
 
 // session is one analyst's scope on the prepared engine: its own reuse

@@ -323,3 +323,47 @@ func freshLineage(b *testing.B, db *dataset.Database) *dataset.Database {
 	}
 	return &dataset.Database{Fact: fact}
 }
+
+// BenchmarkScanBlockTables prices the block-table stages (README.md, "Block
+// tables") per block of BatchRows rows, for a 1-D and a 2-D AVG: fold runs
+// the row fold (ScanRange), record folds every block into a fresh record of
+// the shape and merges the table it keeps (a cold scan), merge merges every
+// block from tables already recorded.
+func BenchmarkScanBlockTables(b *testing.B) {
+	db := benchDB(b)
+	byCarrier := query.Binning{Field: "carrier", Kind: dataset.Nominal}
+	for _, c := range []struct {
+		name string
+		bins []query.Binning
+	}{
+		{"avg_1d", []query.Binning{byCarrier}},
+		{"avg_2d", []query.Binning{byCarrier, {Field: "distance", Kind: dataset.Quantitative, Width: 1000}}},
+	} {
+		plan, err := Compile(db, &query.Query{VizName: "v", Table: "flights", Bins: c.bins,
+			Aggs: []query.Aggregate{{Func: query.Avg, Field: "delay"}}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		recorded := NewBlocks(plan, nil)
+		if NewGroupState(plan).ScanRangeReusing(0, plan.NumRows, recorded, nil); NewGroupState(plan).ScanRangeReusing(0, plan.NumRows, recorded, nil) != plan.NumRows {
+			b.Fatalf("%s: some block kept no table", c.name)
+		}
+		for _, stage := range []string{"fold", "record", "merge"} {
+			b.Run(c.name+"/"+stage, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					gs := NewGroupState(plan)
+					switch stage {
+					case "fold":
+						gs.ScanRange(0, plan.NumRows)
+					case "record":
+						gs.ScanRangeReusing(0, plan.NumRows, NewBlocks(plan, nil), nil)
+					case "merge":
+						gs.ScanRangeReusing(0, plan.NumRows, recorded, nil)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(plan.NumRows/BatchRows), "ns/block")
+			})
+		}
+	}
+}

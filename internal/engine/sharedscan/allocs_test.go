@@ -40,27 +40,31 @@ func TestTakeLockedSteadyStateAllocs(t *testing.T) {
 }
 
 // TestBlockLookupAllocs: every shard that binds a plan looks its shape up in
-// the block registry, so a lookup of a shape already recorded must not
-// allocate — the key is built in a stack buffer.
+// the block registry, so a lookup of a shape already recorded, 1-D or 2-D,
+// must not allocate — the key is built in a stack buffer.
 func TestBlockLookupAllocs(t *testing.T) {
 	f := newBlockFixture(t, 2*dataset.BlockRows, rand.New(rand.NewSource(3)))
-	plan, err := engine.Compile(f.db, &query.Query{VizName: "v", Table: "tbl",
-		Bins: []query.Binning{{Field: "cat", Kind: dataset.Nominal}},
-		Aggs: []query.Aggregate{{Func: query.Avg, Field: "val"}, {Func: query.Max, Field: "ival"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r blockRegistry
-	b := r.lookup(plan)
-	if b == nil {
-		t.Fatal("no block tables for an unfiltered 1-D plan")
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if r.lookup(plan) != b {
-			t.Fatal("the lookup returned another shape's tables")
+	aggs := []query.Aggregate{{Func: query.Avg, Field: "val"}, {Func: query.Max, Field: "ival"}}
+	for name, bins := range map[string][]query.Binning{
+		"1-D": {{Field: "cat", Kind: dataset.Nominal}},
+		"2-D": {{Field: "cat", Kind: dataset.Nominal}, {Field: "ival", Kind: dataset.Quantitative, Width: 100}},
+	} {
+		plan, err := engine.Compile(f.db, &query.Query{VizName: "v", Table: "tbl", Bins: bins, Aggs: aggs})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("%v allocations per registry hit, want 0", allocs)
+		var r blockRegistry
+		b := r.lookup(plan)
+		if b == nil {
+			t.Fatalf("%s: no block tables for an unfiltered dense plan", name)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if r.lookup(plan) != b {
+				t.Fatalf("%s: the lookup returned another shape's tables", name)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per registry hit, want 0", name, allocs)
+		}
 	}
 }

@@ -9,8 +9,8 @@
 // A free worker must choose which consumer to serve. Folding every block
 // through every attached consumer (one circular cursor) reads memory once
 // for N queries, but advances each query only as fast as the most expensive
-// fold beside it: a query that merges block tables waits on the unfiltered
-// 2-D fold attached next to it.
+// fold beside it: a query that merges block tables waits on the filtered
+// fold attached next to it.
 //
 // Instead each worker, under the scheduler lock, picks the dispatchable
 // consumer with the fewest nanoseconds folded so far (least attained
@@ -139,42 +139,124 @@ const (
 // "Block tables"): one engine.Blocks per accumulator shape that a
 // consumer's plan has, recorded by the workers as they fold and dropped
 // with the scanner. It is derived from the table alone and holds no
-// query's answer. Its lock is its own, taken once per shard and plan, never
-// under the scheduler lock.
+// query's answer. It is also the tables' ledger: it counts the bytes of
+// every table kept under one of its shapes, where the table is published,
+// and caps them at the size of the columns the scanner reads
+// (engine.Compiled.TableBytes of the largest view looked up), so the tables
+// never outgrow the data they summarize. A publish that would pass the cap
+// evicts the least recently looked-up shapes until it fits, its own shape
+// last; an evicted shape is dropped (engine.Blocks.Drop) and its plans fold
+// their rows. Its lock is its own, taken once per shard and plan and once
+// per published table, never under the scheduler lock.
 type blockRegistry struct {
-	mu     sync.Mutex
-	shapes map[string]*engine.Blocks
+	mu        sync.Mutex
+	shapes    map[string]*blockShape
+	bytes     int64  // of the tables kept under shapes
+	limit     int64  // the cap on bytes
+	evictions int64  // shapes evicted to stay under limit
+	clock     uint64 // lookups so far
+	// limitOf, when set, replaces engine.Compiled.TableBytes as the cap a
+	// plan's view allows: tests set a fixed one.
+	limitOf func(*engine.Compiled) int64
 }
+
+// blockShape is one registry entry: the engine.BlockLedger of its Blocks.
+type blockShape struct {
+	r     *blockRegistry
+	key   string
+	b     *engine.Blocks
+	bytes int64  // of the tables kept in b
+	used  uint64 // the registry's clock at the last lookup
+}
+
+// Admit implements engine.BlockLedger.
+func (e *blockShape) Admit(n int64) bool { return e.r.admit(e, n) }
 
 // lookup returns the block tables of plan's shape, nil when plan's scans
 // cannot merge any (engine.Compiled.BlockShape). The shape key leaves the
 // dense geometry out, so a shape keeps one entry however often appends widen
 // its domain: a plan of a larger view in a new geometry replaces the entry
 // with empty tables in its own, and a plan of an older view, whose geometry
-// the entry no longer has, gets nil and folds its rows. A shard that holds a
-// replaced entry keeps using it for the plan it holds it with.
+// the entry no longer has, gets nil and folds its rows. A replaced entry is
+// dropped and leaves the ledger.
 func (r *blockRegistry) lookup(plan *engine.Compiled) *engine.Blocks {
-	var buf [192]byte
+	var buf [256]byte
 	key, ok := plan.AppendBlockShape(buf[:0])
 	if !ok {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	b := r.shapes[string(key)]
+	limit := plan.TableBytes()
+	if r.limitOf != nil {
+		limit = r.limitOf(plan)
+	}
+	r.limit = max(r.limit, limit)
+	r.clock++
+	e := r.shapes[string(key)]
 	switch {
-	case b != nil && b.Serves(plan):
-		return b
-	case b != nil && !b.Supersedes(plan):
+	case e != nil && e.b.Serves(plan):
+		e.used = r.clock
+		return e.b
+	case e != nil && !e.b.Supersedes(plan):
 		return nil
+	case e != nil:
+		r.removeLocked(e)
 	}
 	if r.shapes == nil {
-		r.shapes = make(map[string]*engine.Blocks)
+		r.shapes = make(map[string]*blockShape)
 	}
-	b = engine.NewBlocks(plan)
-	r.shapes[string(key)] = b
-	return b
+	e = &blockShape{r: r, key: string(key), used: r.clock}
+	e.b = engine.NewBlocks(plan, e)
+	r.shapes[e.key] = e
+	return e.b
 }
+
+// admit counts a table of n bytes just published under e, evicting the
+// least recently looked-up shapes while the count would pass the cap. It
+// refuses the table when e itself is evicted, or was before.
+func (r *blockRegistry) admit(e *blockShape, n int64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.shapes[e.key] != e {
+		return false
+	}
+	for r.bytes+n > r.limit {
+		var lru *blockShape
+		for _, v := range r.shapes {
+			if lru == nil || v.used < lru.used {
+				lru = v
+			}
+		}
+		r.removeLocked(lru)
+		r.evictions++
+		if lru == e {
+			return false
+		}
+	}
+	r.bytes += n
+	e.bytes += n
+	return true
+}
+
+// removeLocked takes e out of the registry and its bytes out of the ledger,
+// and drops its tables.
+func (r *blockRegistry) removeLocked(e *blockShape) {
+	delete(r.shapes, e.key)
+	r.bytes -= e.bytes
+	e.bytes = 0
+	e.b.Drop()
+}
+
+// stats reads the ledger.
+func (r *blockRegistry) stats() engine.BlockTables {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return engine.BlockTables{Bytes: r.bytes, Shapes: len(r.shapes), Cap: r.limit, Evictions: r.evictions}
+}
+
+// BlockTables returns the scanner's block-table ledger.
+func (s *Scanner) BlockTables() engine.BlockTables { return s.blocks.stats() }
 
 // New returns a scheduler over numRows rows of sequential storage, running
 // at most workers scan goroutines (minimum 1).

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"idebench/internal/engine"
+	"idebench/internal/enginetest"
 )
 
 // getHealth fetches base/healthz, decoded both as the Health document and
@@ -48,13 +49,22 @@ type topoEngine struct {
 func (e topoEngine) Topology() engine.Topology { return e.topo }
 
 // TestHealthSchemaVersioned asserts the /healthz document is the exported,
-// schema-4 Health struct for each server shape: live state top-level, the
+// schema-5 Health struct for each server shape: live state top-level, the
 // admission block always and with exactly its schema-4 counters, the
 // durable block only with a data directory, the topology block only on a
-// coordinator, and none of the schema-2 shard fields that restated the
-// topology.
+// coordinator, the derived block only on an engine that reports one — the
+// progressive engine's block-table ledger, after one query recorded a
+// shape, counting its bytes under the table's column bytes — and none of
+// the schema-2 shard fields that restated the topology.
 func TestHealthSchemaVersioned(t *testing.T) {
 	f := newFixture(t, Options{})
+	sess := f.eng.OpenSession()
+	h, err := sess.StartQuery(enginetest.CountByCarrier())
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-h.Done()
+	sess.Close()
 	topo := engine.Topology{
 		Partitions: []engine.PartitionTopology{
 			{Replicas: []engine.ReplicaTopology{{Name: "p0r0", Healthy: true, Synced: true}}, Watermark: 120},
@@ -68,9 +78,10 @@ func TestHealthSchemaVersioned(t *testing.T) {
 		opts         Options
 		wantTopology bool
 		wantDurable  bool
+		wantDerived  bool
 	}{
-		{name: "standalone", eng: f.eng},
-		{name: "durable", eng: f.eng, opts: Options{Durable: &fakeDurable{status: recoveredStatus()}}, wantDurable: true},
+		{name: "standalone", eng: f.eng, wantDerived: true},
+		{name: "durable", eng: f.eng, opts: Options{Durable: &fakeDurable{status: recoveredStatus()}}, wantDurable: true, wantDerived: true},
 		{name: "coordinator", eng: topoEngine{Engine: f.eng, topo: topo}, opts: Options{Role: "coord"}, wantTopology: true},
 	}
 	for _, c := range cases {
@@ -79,8 +90,8 @@ func TestHealthSchemaVersioned(t *testing.T) {
 			hsrv := httptest.NewServer(New(c.eng, c.opts))
 			defer hsrv.Close()
 			h, raw := getHealth(t, hsrv.URL)
-			if h.SchemaVersion != 4 || HealthSchemaVersion != 4 {
-				t.Errorf("schema_version = %d (const %d), want 4", h.SchemaVersion, HealthSchemaVersion)
+			if h.SchemaVersion != 5 || HealthSchemaVersion != 5 {
+				t.Errorf("schema_version = %d (const %d), want 5", h.SchemaVersion, HealthSchemaVersion)
 			}
 			if h.Version != ProtoVersion {
 				t.Errorf("version = %d, want %d", h.Version, ProtoVersion)
@@ -119,6 +130,22 @@ func TestHealthSchemaVersioned(t *testing.T) {
 			}
 			if c.wantDurable && *h.Durable != recoveredStatus() {
 				t.Errorf("durable block not faithfully surfaced: %+v", h.Durable)
+			}
+			if _, ok := raw["derived"]; ok != c.wantDerived {
+				t.Errorf("derived block present = %v, want %v", ok, c.wantDerived)
+			}
+			if c.wantDerived {
+				var d map[string]map[string]json.RawMessage
+				if err := json.Unmarshal(raw["derived"], &d); err != nil {
+					t.Fatal(err)
+				}
+				if keys := slices.Sorted(maps.Keys(d["block_tables"])); !slices.Equal(keys, []string{"bytes", "cap", "evictions", "shapes"}) {
+					t.Errorf("derived.block_tables keys = %v", keys)
+				}
+				bt := h.Derived.BlockTables
+				if bt.Shapes != 1 || bt.Bytes <= 0 || bt.Cap != f.db.Fact.Bytes() || bt.Evictions != 0 {
+					t.Errorf("derived.block_tables = %+v, want one shape's bytes under a %d B cap", bt, f.db.Fact.Bytes())
+				}
 			}
 		})
 	}

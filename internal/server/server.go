@@ -345,8 +345,9 @@ func (s *Server) Counters() *Counters { return &s.ctr }
 // "durable", and drops the shard fields that restated the topology block;
 // version 4 drops the admission block's speculation-shed counter (the server
 // no longer sheds speculation: the shared scan already suspends it while
-// foreground work runs).
-const HealthSchemaVersion = 4
+// foreground work runs); version 5 adds the "derived" block, the size of
+// what the engine derived from its table alone (its block-table ledger).
+const HealthSchemaVersion = 5
 
 // Health is the /healthz document — THE wire schema for server health, one
 // struct instead of ad-hoc map building, versioned by SchemaVersion. Live
@@ -383,6 +384,10 @@ type Health struct {
 	// Durable is the durable store's recovery and log state; absent on
 	// servers running without a data directory.
 	Durable *durable.Status `json:"durable,omitempty"`
+	// Derived is the size of the state the engine derived from its table
+	// alone (engines with the derived-observer capability): its shared
+	// scanner's block-table ledger. Absent on other engines.
+	Derived *engine.Derived `json:"derived,omitempty"`
 }
 
 // Admission is a point-in-time copy of Counters: the /healthz "admission"
@@ -437,6 +442,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if d := s.opts.Durable; d != nil {
 		st := d.Status()
 		h.Durable = &st
+	}
+	if do, ok := s.eng.(engine.DerivedObserver); ok {
+		d := do.Derived()
+		h.Derived = &d
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(h)
